@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check faultmatrix corruptmatrix modelcheck modelcheck-long gatehard shardcheck reshardcheck survivecheck diskfault bench-noisy bench-seqlock bench-recovery bench-checksum bench-batch
+.PHONY: build test check faultmatrix corruptmatrix corruptmatrix-long modelcheck modelcheck-long gatehard shardcheck reshardcheck survivecheck diskfault bench-noisy bench-seqlock bench-recovery bench-metrics bench-batch
 
 build:
 	$(GO) build ./...
@@ -61,12 +61,11 @@ shardcheck:
 # survives being killed mid-segment and crashing inside its own gate
 # crossing (both shards repair online and the migration resumes), the
 # batch plane keeps positional alignment when one shard's crossing fails,
-# the resized manifest wins over a stale config on reopen, and the
-# hot-key tracker's decay/floor/demotion fixes hold — all under the race
-# detector.
+# and the resized manifest wins over a stale config on reopen — all under
+# the race detector.
 reshardcheck:
 	$(GO) test -race -count=1 -short -run 'TestModelCheckResize|TestResizeCrashIsolation|TestClusterReopenAfterResize' .
-	$(GO) test -race -count=1 -run 'TestHotTracker|TestClusterHotKey|TestClusterExecBatchShardFailure' ./memcached
+	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure' ./memcached
 	$(GO) test -race -count=1 ./internal/ring
 
 # The shard-lifecycle gate (DESIGN.md §16): an unrepairable crash poisons
@@ -131,11 +130,6 @@ bench-recovery:
 # (DESIGN.md §9; the budget is <=5% throughput).
 bench-metrics:
 	$(GO) test -run xxx -bench BenchmarkAblationMetrics -benchtime 2s .
-
-# Read-path corruption-detection cost: the 95/5 mix with per-item header
-# checksum verification on vs off (DESIGN.md §11; the budget is <=5%).
-bench-checksum:
-	$(GO) test -run xxx -bench BenchmarkAblationChecksum -benchtime 2s .
 
 # Batched-crossing ablation (DESIGN.md §12): crossings-per-op vs batch size
 # on the 95/5 mix, plus the MGet amortization pair. These benchmarks gate

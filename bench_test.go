@@ -358,70 +358,6 @@ func BenchmarkAblationSeqlockRead(b *testing.B) {
 	}
 }
 
-// Checksum ablation: the read-path header verification (one 32-byte
-// recompute-and-compare per matched item) on vs off, on the 95/5 mix the
-// paper evaluates. The delta is the price of corruption detection on every
-// read; the PR 5 budget is ≤5%.
-func BenchmarkAblationChecksum(b *testing.B) {
-	for _, verify := range []bool{true, false} {
-		name := "verify=on"
-		if !verify {
-			name = "verify=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			h := shm.New(256 << 20)
-			a, err := ralloc.Format(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := core.Create(a, core.Options{
-				HashPower: 14, NumItemLocks: 1024, FixedSize: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctxSetup := s.NewCtx(1)
-			val := make([]byte, 128)
-			key := make([]byte, 0, 20)
-			for i := uint64(0); i < 4096; i++ {
-				key = ycsb.KeyInto(key, i)
-				if err := ctxSetup.Set(key, val, 0, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ctxSetup.Close()
-			var seq int64
-			var mu sync.Mutex
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				seq++
-				id := seq
-				mu.Unlock()
-				ctx := s.NewCtx(uint64(id) * 31)
-				defer ctx.Close()
-				ctx.DisableReadVerify = !verify
-				k := make([]byte, 0, 20)
-				v := make([]byte, 128)
-				var buf []byte
-				i := uint64(id) * 2654435761
-				for pb.Next() {
-					k = ycsb.KeyInto(k, i%4096)
-					if i%20 == 19 {
-						if err := ctx.Set(k, v, 0, 0); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						buf, _, _, _ = ctx.GetAppend(buf[:0], k)
-					}
-					i++
-				}
-			})
-		})
-	}
-}
-
 // Ablation 3: the §3.4 copy-before-lock idiom on vs off.
 func BenchmarkAblationArgCopy(b *testing.B) {
 	for _, capture := range []bool{true, false} {

@@ -128,8 +128,13 @@ func TestChaosKillsNeverCorrupt(t *testing.T) {
 		if book.Library().Poisoned() {
 			t.Fatalf("wave %d: library poisoned by client kills", wave)
 		}
-		if _, err := book.Allocator().Check(); err != nil {
-			t.Fatalf("wave %d: heap fsck failed: %v", wave, err)
+		// Check requires a quiescent heap; a maintenance pass freeing
+		// blocks under the walk reads as a block on two free lists.
+		book.StopMaintenance()
+		_, fsckErr := book.Allocator().Check()
+		book.StartMaintenance(5 * time.Millisecond)
+		if fsckErr != nil {
+			t.Fatalf("wave %d: heap fsck failed: %v", wave, fsckErr)
 		}
 		verifier, err := book.NewClientProcess(9000 + wave)
 		if err != nil {

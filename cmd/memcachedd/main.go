@@ -7,8 +7,8 @@
 //
 // With -shards N it instead fronts a cluster of N protected-library
 // stores behind the consistent-hash proxy tier: baseline-protocol clients
-// get sharding (and hot-key read replication) transparently, and each
-// shard keeps its own backing file, checkpoint slots, and repair domain.
+// get sharding transparently, and each shard keeps its own backing file,
+// checkpoint slots, and repair domain.
 //
 //	memcachedd -shards 4 -path /var/lib/plibmc -listen tcp:0.0.0.0:11211
 package main
@@ -42,7 +42,6 @@ func main() {
 		shards  = flag.Int("shards", 0, "front a cluster of N protected-library stores instead of the baseline (0 = baseline)")
 		path    = flag.String("path", "", "cluster mode: directory holding one backing file per shard (empty = in-memory shards)")
 		vnodes  = flag.Int("vnodes", 0, "cluster mode: virtual nodes per shard on the placement ring (0 = default)")
-		hotThr  = flag.Uint64("hotkey-threshold", 0, "cluster mode: windowed read count that marks a key hot and replicates its reads (0 = off)")
 		ckptSec = flag.Int("checkpoint-secs", 0, "cluster mode: per-shard checkpoint interval in seconds (0 = only on shutdown)")
 	)
 	flag.Parse()
@@ -60,7 +59,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	if *shards > 0 {
-		runCluster(network, addr, *shards, *path, *vnodes, *hotThr, *ckptSec, *memMB, *hashPow, *metrics, sig)
+		runCluster(network, addr, *shards, *path, *vnodes, *ckptSec, *memMB, *hashPow, *metrics, sig)
 		return
 	}
 
@@ -93,13 +92,12 @@ func main() {
 // runCluster serves the sharded proxy tier: N protected-library stores
 // behind one listener.
 func runCluster(network, addr string, shards int, dir string, vnodes int,
-	hotThr uint64, ckptSec int, memMB int64, hashPow uint, metricsAddr string,
+	ckptSec int, memMB int64, hashPow uint, metricsAddr string,
 	sig chan os.Signal) {
 	cfg := memcached.ClusterConfig{
-		Shards:          shards,
-		VirtualNodes:    vnodes,
-		Dir:             dir,
-		HotKeyThreshold: hotThr,
+		Shards:       shards,
+		VirtualNodes: vnodes,
+		Dir:          dir,
 		Store: memcached.Config{
 			// The per-process memory budget divides across shards so
 			// -m means the same thing in both modes.
@@ -138,8 +136,8 @@ func runCluster(network, addr string, shards int, dir string, vnodes int,
 		fmt.Fprintln(os.Stderr, "memcachedd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("memcachedd: %d-shard cluster proxy on %s:%s (reopened=%v, hotkey-threshold=%d)\n",
-		shards, network, addr, open, hotThr)
+	fmt.Printf("memcachedd: %d-shard cluster proxy on %s:%s (reopened=%v)\n",
+		shards, network, addr, open)
 	c.StartMaintenance(time.Second)
 	c.StartSupervisor(time.Second)
 	if ckptSec > 0 && dir != "" {

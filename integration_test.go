@@ -4,10 +4,14 @@ package plibmc
 // system, from the wire protocols down to the shared heap.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -297,5 +301,102 @@ func TestScenarioEvictionKeepsServing(t *testing.T) {
 	}
 	if book.Allocator().LiveBytes() > book.Store().MemLimit() {
 		t.Fatalf("live bytes %d above limit %d", book.Allocator().LiveBytes(), book.Store().MemLimit())
+	}
+}
+
+// TestMalformedASCIIAllFrontEnds pins what every socket front end does
+// with an ASCII command it cannot parse (here a flags field past uint32):
+// the replies of the commands parsed before it are flushed, the client
+// gets CLIENT_ERROR, the connection closes, and the rejected command has
+// no effect. The hybrid server used to close without a word.
+func TestMalformedASCIIAllFrontEnds(t *testing.T) {
+	dir := t.TempDir()
+	base, err := server.New(server.Config{Network: "unix", Addr: filepath.Join(dir, "base.sock"), Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go base.Serve()
+	defer base.Close()
+
+	book, err := memcached.CreateStore(memcached.Config{HeapBytes: 16 << 20, HashPower: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer book.Shutdown()
+	hybrid, err := book.ServeRemote("unix", filepath.Join(dir, "hybrid.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hybrid.Close()
+
+	cluster, err := memcached.CreateCluster(memcached.ClusterConfig{Shards: 2,
+		Store: memcached.Config{HeapBytes: 16 << 20, HashPower: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+	proxy, err := cluster.ServeRemote("unix", filepath.Join(dir, "proxy.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	const bad = "set k 4294967296 0 1\r\nv\r\n"
+	cases := []struct {
+		name, send string
+		before     []string // reply line prefixes ahead of the CLIENT_ERROR
+	}{
+		{"first command", bad, nil},
+		{"mid-pipeline", "set a 7 0 1\r\nx\r\nget a\r\n" + bad,
+			// Every front end appends the CAS generation to VALUE lines.
+			[]string{"STORED\r\n", "VALUE a 7 1 ", "x\r\n", "END\r\n"}},
+	}
+	for _, fe := range []struct {
+		name string
+		addr net.Addr
+	}{
+		{"baseline", base.Addr()},
+		{"Bookkeeper.ServeRemote", hybrid.Addr()},
+		{"Cluster.ServeRemote", proxy.Addr()},
+	} {
+		for _, tc := range cases {
+			t.Run(fe.name+"/"+tc.name, func(t *testing.T) {
+				c, err := net.Dial(fe.addr.Network(), fe.addr.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+				if _, err := c.Write([]byte(tc.send)); err != nil {
+					t.Fatal(err)
+				}
+				r := bufio.NewReader(c)
+				for _, want := range tc.before {
+					if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, want) {
+						t.Fatalf("reply line = %q, %v; want %q", line, err, want)
+					}
+				}
+				line, err := r.ReadString('\n')
+				if err != nil || !strings.HasPrefix(line, "CLIENT_ERROR") || !strings.Contains(line, "bad command line format") {
+					t.Fatalf("reply = %q, %v; want CLIENT_ERROR ... bad command line format", line, err)
+				}
+				if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
+					t.Fatalf("after CLIENT_ERROR: %q, %v; want a clean close", rest, err)
+				}
+				// The rejected set must not have landed.
+				c2, err := net.Dial(fe.addr.Network(), fe.addr.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c2.Close()
+				c2.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+				if _, err := c2.Write([]byte("get k\r\n")); err != nil {
+					t.Fatal(err)
+				}
+				if line, err := bufio.NewReader(c2).ReadString('\n'); err != nil || line != "END\r\n" {
+					t.Fatalf("get after rejected set = %q, %v; want END", line, err)
+				}
+			})
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"testing/quick"
 
 	"plibmc/internal/server"
 )
@@ -19,153 +18,6 @@ func startServer(t *testing.T, name string) string {
 	go srv.Serve()
 	t.Cleanup(srv.Close)
 	return sock
-}
-
-func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil); err == nil {
-		t.Fatal("empty ring should fail")
-	}
-	r, err := NewRing([]string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Servers()) != 3 {
-		t.Fatalf("servers = %v", r.Servers())
-	}
-	if len(r.points) != 3*ketamaPointsPerServer*4 {
-		t.Fatalf("points = %d", len(r.points))
-	}
-}
-
-func TestRingDeterministicAndInRange(t *testing.T) {
-	r, _ := NewRing([]string{"s0", "s1", "s2", "s3"})
-	f := func(key []byte) bool {
-		a := r.Pick(key)
-		b := r.Pick(key)
-		return a == b && a >= 0 && a < 4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRingBalance(t *testing.T) {
-	r, _ := NewRing([]string{"s0", "s1", "s2", "s3"})
-	counts := make([]int, 4)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[r.Pick([]byte(fmt.Sprintf("key-%d", i)))]++
-	}
-	for si, c := range counts {
-		frac := float64(c) / n
-		if frac < 0.15 || frac > 0.35 {
-			t.Fatalf("server %d owns %.1f%% of keys; expected ~25%%", si, frac*100)
-		}
-	}
-}
-
-func TestRingMinimalRemapping(t *testing.T) {
-	// The consistent-hashing property: removing one of four servers
-	// remaps only the removed server's keys.
-	before, _ := NewRing([]string{"s0", "s1", "s2", "s3"})
-	after, _ := NewRing([]string{"s0", "s1", "s2"})
-	moved, total := 0, 20000
-	for i := 0; i < total; i++ {
-		key := []byte(fmt.Sprintf("key-%d", i))
-		b := before.Pick(key)
-		a := after.Pick(key)
-		if b < 3 && a != b {
-			moved++
-		}
-	}
-	// Keys on surviving servers should almost all stay (allow a little
-	// slack for ketama point boundaries).
-	if frac := float64(moved) / float64(total); frac > 0.05 {
-		t.Fatalf("%.1f%% of surviving keys remapped; consistent hashing broken", frac*100)
-	}
-}
-
-func TestMultiClientEndToEnd(t *testing.T) {
-	socks := []string{
-		"unix:" + startServer(t, "a"),
-		"unix:" + startServer(t, "b"),
-		"unix:" + startServer(t, "c"),
-	}
-	mc, err := DialMulti(socks, Binary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-
-	// Spread writes; every key must be readable and live on its ring
-	// owner only.
-	servers := map[string]int{}
-	for i := 0; i < 200; i++ {
-		k := []byte(fmt.Sprintf("key-%03d", i))
-		if err := mc.Set(k, []byte(fmt.Sprintf("val-%03d", i)), 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		servers[mc.ServerFor(k)]++
-	}
-	if len(servers) != 3 {
-		t.Fatalf("keys spread over %d servers, want 3: %v", len(servers), servers)
-	}
-	for i := 0; i < 200; i++ {
-		k := []byte(fmt.Sprintf("key-%03d", i))
-		v, _, _, err := mc.Get(k)
-		if err != nil || string(v) != fmt.Sprintf("val-%03d", i) {
-			t.Fatalf("get %s = %q, %v", k, v, err)
-		}
-	}
-
-	// Batched multi-get across all three servers.
-	var keys [][]byte
-	for i := 0; i < 200; i += 2 {
-		keys = append(keys, []byte(fmt.Sprintf("key-%03d", i)))
-	}
-	got, err := mc.MGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("mget returned %d, want 100", len(got))
-	}
-	for i := 0; i < 200; i += 2 {
-		k := fmt.Sprintf("key-%03d", i)
-		if string(got[k]) != fmt.Sprintf("val-%03d", i) {
-			t.Fatalf("mget[%s] = %q", k, got[k])
-		}
-	}
-
-	// Counters and deletes route consistently.
-	mc.Set([]byte("ctr"), []byte("5"), 0, 0)
-	if v, err := mc.Increment([]byte("ctr"), 3); err != nil || v != 8 {
-		t.Fatalf("incr = %d, %v", v, err)
-	}
-	if err := mc.Delete([]byte("ctr")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := mc.Get([]byte("ctr")); err == nil {
-		t.Fatal("deleted key still present")
-	}
-	if err := mc.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := mc.Get([]byte("key-000")); err == nil {
-		t.Fatal("flushed key still present")
-	}
-}
-
-func TestDialMultiValidation(t *testing.T) {
-	if _, err := DialMulti(nil, Binary); err == nil {
-		t.Fatal("empty server list should fail")
-	}
-	if _, err := DialMulti([]string{"garbage"}, Binary); err == nil {
-		t.Fatal("malformed server spec should fail")
-	}
-	if _, err := DialMulti([]string{"unix:/nonexistent/never.sock"}, Binary); err == nil {
-		t.Fatal("unreachable server should fail")
-	}
 }
 
 func TestDialValidation(t *testing.T) {

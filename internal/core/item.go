@@ -78,13 +78,6 @@ func (s *Store) itemCheckValid(it uint64) bool {
 	) == h.RelaxedLoad64(it+itCheck)
 }
 
-// verifyItem is the read-path form of itemCheckValid. DisableReadVerify is
-// the ablation toggle for BenchmarkAblationChecksum; the scrubber and
-// repair verify regardless.
-func (c *Ctx) verifyItem(it uint64) bool {
-	return c.DisableReadVerify || c.s.itemCheckValid(it)
-}
-
 const itflagLinked = uint64(1)
 
 // itemSize returns the allocation size for a key/value pair.

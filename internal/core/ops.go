@@ -71,11 +71,6 @@ type Ctx struct {
 	// pre-seqlock design, kept as an ablation toggle.
 	DisableOptimisticReads bool
 
-	// DisableReadVerify skips the per-item header-checksum check on the
-	// read paths (ablation toggle for BenchmarkAblationChecksum). The
-	// scrubber and repair still verify.
-	DisableReadVerify bool
-
 	// forceSeqRetries injects this many artificial validation failures
 	// into each optimistic lookup, so tests can deterministically drive
 	// the retry loop and the lock fallback.
@@ -241,7 +236,7 @@ func (c *Ctx) findLocked(key []byte, hash uint64) uint64 {
 			panic("core: bucket chain cycle (corruption)")
 		}
 		if s.keyEqual(it, key) {
-			if !c.verifyItem(it) {
+			if !s.itemCheckValid(it) {
 				c.quarantineCorruptLocked(it, bucket, s.seqOff(hash))
 				return 0
 			}

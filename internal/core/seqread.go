@@ -151,7 +151,7 @@ func (c *Ctx) optProbe(key []byte, bucket, size uint64) (flags uint32, cas uint6
 	// Pinned: the memory cannot be freed or recycled under us. Key bytes,
 	// keyLen, valLen and flags are immutable after publication; casID and
 	// the value are seq-validated; exptime and lastAccess are advisory.
-	if !c.verifyItem(it) {
+	if !c.s.itemCheckValid(it) {
 		return 0, 0, 0, false, it, optFallback // locked path quarantines it
 	}
 	now := c.now()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"sync"
 
 	"plibmc/internal/protocol"
 	"plibmc/internal/slab"
@@ -12,8 +13,11 @@ import (
 // the paper's point is that clients cannot reach this code without a socket
 // round trip.
 
-func (s *Store) buildItem(key, value []byte, flags uint32, exptime int64) (slab.Handle, bool) {
-	it, ok := s.alloc(bHeader + len(key) + len(value))
+// buildItem allocates and fills an unlinked item. The caller holds the
+// key's item lock, held; allocation may evict another item on that stripe,
+// so a ref found before the call must be looked up again after it.
+func (s *Store) buildItem(held *sync.Mutex, key, value []byte, flags uint32, exptime int64) (slab.Handle, bool) {
+	it, ok := s.alloc(bHeader+len(key)+len(value), held)
 	if !ok {
 		return 0, false
 	}
@@ -139,11 +143,11 @@ func (s *Store) storeItem(verb storeVerb, key, value []byte, flags uint32, expti
 	if verb != verbAppend && verb != verbPrepend {
 		exptime = s.absExpiry(exptime)
 	}
-	it, ok := s.buildItem(key, value, flags, exptime)
+	it, ok := s.buildItem(mu, key, value, flags, exptime)
 	if !ok {
 		return protocol.StatusOutOfMemory
 	}
-	if oldRef != nilRef {
+	if oldRef = s.find(key, h); oldRef != nilRef {
 		s.unlink(deref(oldRef), h)
 	}
 	s.link(it, h)
@@ -259,11 +263,13 @@ func (s *Store) IncrDecr(key []byte, delta uint64, decr bool) (uint64, protocol.
 		return v, protocol.StatusOK
 	}
 	key2 := append([]byte(nil), s.key(it)...)
-	nit, ok := s.buildItem(key2, rendered, flags, exp)
+	nit, ok := s.buildItem(mu, key2, rendered, flags, exp)
 	if !ok {
 		return 0, protocol.StatusOutOfMemory
 	}
-	s.unlink(it, h)
+	if s.find(key2, h) == r {
+		s.unlink(it, h)
+	}
 	s.link(nit, h)
 	return v, protocol.StatusOK
 }

@@ -175,46 +175,69 @@ func (s *Store) expired(h slab.Handle, now int64) bool {
 
 // alloc gets a chunk for an item, evicting from the tail of the same
 // class's LRU on memory exhaustion — the classic memcached eviction loop
-// whose allocation/eviction coupling the paper removed.
-func (s *Store) alloc(size int) (slab.Handle, bool) {
+// whose allocation/eviction coupling the paper removed. held is the item
+// lock the caller owns.
+func (s *Store) alloc(size int, held *sync.Mutex) (slab.Handle, bool) {
 	for attempt := 0; attempt < 50; attempt++ {
 		h, err := s.sl.Alloc(size)
 		if err == nil {
 			return h, true
 		}
 		ci := s.sl.ClassFor(size)
-		if ci < 0 || !s.evictFromClass(ci) {
+		if ci < 0 || !s.evictFromClass(ci, held) {
 			return 0, false
 		}
 	}
 	return 0, false
 }
 
-// evictFromClass removes the least recently used item of slab class ci.
-func (s *Store) evictFromClass(ci int) bool {
+// evictTries bounds how far up from the LRU tail one eviction looks.
+const evictTries = 5
+
+// evictFromClass removes the least recently used item of slab class ci
+// whose item lock it can take. A victim on the caller's own stripe, held,
+// is evicted under that lock; any other stripe is only try-locked, because
+// blocking on it can deadlock against a setter that holds it and is
+// evicting towards ours. A busy victim is passed over for the next one up.
+func (s *Store) evictFromClass(ci int, held *sync.Mutex) bool {
 	l := &s.lrus[ci]
-	l.mu.Lock()
-	victimRef := l.tail
-	l.mu.Unlock()
-	if victimRef == nilRef {
-		return false
+	var key []byte
+	for skip := 0; skip < evictTries; skip++ {
+		l.mu.Lock()
+		r := l.tail
+		for i := 0; i < skip && r != nilRef; i++ {
+			r = s.u64(deref(r), bLRUPrev)
+		}
+		if r != nilRef {
+			// Copied under the list lock: an item on the list cannot be
+			// freed before removeLRU gets that lock.
+			key = append(key[:0], s.key(deref(r))...)
+		}
+		l.mu.Unlock()
+		if r == nilRef {
+			return false
+		}
+		h := hashKey(key)
+		mu := s.lockFor(h)
+		if mu != held && !mu.TryLock() {
+			continue
+		}
+		// Re-find under the lock: the victim may have moved or been deleted.
+		evicted := s.find(key, h) == r
+		if evicted {
+			s.unlink(deref(r), h)
+		}
+		if mu != held {
+			mu.Unlock()
+		}
+		if evicted {
+			s.statMu.Lock()
+			s.stats.Evictions++
+			s.statMu.Unlock()
+			return true
+		}
 	}
-	victim := deref(victimRef)
-	key := append([]byte(nil), s.key(victim)...)
-	h := hashKey(key)
-	mu := s.lockFor(h)
-	mu.Lock()
-	defer mu.Unlock()
-	// Re-find under the lock: the victim may have moved or been deleted.
-	cur := s.find(key, h)
-	if cur == nilRef || deref(cur) != victim {
-		return false
-	}
-	s.unlink(victim, h)
-	s.statMu.Lock()
-	s.stats.Evictions++
-	s.statMu.Unlock()
-	return true
+	return false
 }
 
 // find walks the bucket chain for key. Caller holds the item lock.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"plibmc/internal/protocol"
 )
@@ -314,4 +315,93 @@ func TestTouchAndGATCounters(t *testing.T) {
 	if snap.Touches != 4 || snap.TouchHits != 2 || snap.TouchMisses != 2 {
 		t.Fatalf("touch counters = %d/%d/%d, want 4/2/2", snap.Touches, snap.TouchHits, snap.TouchMisses)
 	}
+}
+
+// runOrHang fails the test if f has not returned within 30 s: the failure
+// mode under test is a Set that blocks forever on an item lock.
+func runOrHang(t *testing.T, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("store operation never returned: eviction deadlocked on an item lock")
+	}
+}
+
+// TestBaselineEvictionUnderItemLock floods a 2 MiB store far past its
+// capacity. Set evicts while holding its key's item lock, so sooner or
+// later a victim hashes to the held stripe (one goroutine used to
+// self-deadlock there) or to a stripe another evicting setter holds (two
+// used to deadlock AB/BA).
+func TestBaselineEvictionUnderItemLock(t *testing.T) {
+	val := bytes.Repeat([]byte{'v'}, 1000)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("goroutines=%d", workers), func(t *testing.T) {
+			s := NewStore(2<<20, 10)
+			runOrHang(t, func() {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < 24000/workers; i++ {
+							// 3000 keys shared by all workers, over a store
+							// that holds about 1900 of them.
+							key := []byte(fmt.Sprintf("flood-%04d", (i*workers+w)%3000))
+							st := s.Set(key, val, 0, 0)
+							// A lone setter can always lock its victim; racing
+							// setters may find every candidate busy.
+							if st != protocol.StatusOK && (workers == 1 || st != protocol.StatusOutOfMemory) {
+								t.Errorf("set %s = %v", key, st)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+			})
+			if s.Snapshot().Evictions == 0 {
+				t.Fatal("flood past capacity evicted nothing")
+			}
+		})
+	}
+}
+
+// TestBaselineSetReplacesItsOwnVictim overwrites the key whose old item
+// is the eviction tail of a full store: the eviction inside that Set
+// frees the item Set was about to unlink.
+func TestBaselineSetReplacesItsOwnVictim(t *testing.T) {
+	s := NewStore(2<<20, 10)
+	val := bytes.Repeat([]byte{'v'}, 1000)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("fill-%04d", i)) }
+	runOrHang(t, func() {
+		// Fill until the first eviction: that evicted key 0, the store is
+		// full, and key 1 is now the tail.
+		for i := 0; s.Snapshot().Evictions == 0; i++ {
+			if st := s.Set(key(i), val, 0, 0); st != protocol.StatusOK {
+				t.Errorf("fill set %d = %v", i, st)
+				return
+			}
+		}
+		// Same size, so the replacement allocates from the full class.
+		newVal := bytes.Repeat([]byte{'w'}, 1000)
+		before := s.Snapshot()
+		if st := s.Set(key(1), newVal, 0, 0); st != protocol.StatusOK {
+			t.Errorf("replace of the tail = %v", st)
+			return
+		}
+		after := s.Snapshot()
+		if after.Evictions != before.Evictions+1 || after.CurrItems != before.CurrItems {
+			t.Errorf("replace of the tail: evictions %d -> %d, items %d -> %d; want one eviction, same item count",
+				before.Evictions, after.Evictions, before.CurrItems, after.CurrItems)
+		}
+		if v, _, _, ok := s.Get(key(1)); !ok || !bytes.Equal(v, newVal) {
+			t.Errorf("get after replace: hit=%v, new value=%v", ok, bytes.Equal(v, newVal))
+		}
+	})
 }

@@ -40,10 +40,14 @@ func (h Handle) page() int  { return int(h>>24) & 0xFFFFFF }
 func (h Handle) chunk() int { return int(h) & 0xFFFFFF }
 
 type class struct {
-	mu        sync.Mutex
-	size      int
-	perPage   int
+	mu      sync.Mutex
+	size    int
+	perPage int
+	// pages has one slot for every page the budget allows and never moves:
+	// Bytes indexes it without mu while another thread's Alloc fills a
+	// later slot. The first npages slots are in use.
 	pages     [][]byte
+	npages    int
 	free      []Handle
 	allocated int // live chunks
 }
@@ -60,13 +64,14 @@ type Allocator struct {
 // (memcached's -m).
 func New(limit int64) *Allocator {
 	a := &Allocator{budget: limit}
+	maxPages := int(limit / PageSize)
 	for size := MinChunk; size <= PageSize; size = size * growNum / growDen {
 		sz := (size + 7) &^ 7
 		if len(a.sizes) > 0 && sz <= a.sizes[len(a.sizes)-1] {
 			sz = a.sizes[len(a.sizes)-1] + 8
 		}
 		a.sizes = append(a.sizes, sz)
-		a.classes = append(a.classes, &class{size: sz, perPage: PageSize / sz})
+		a.classes = append(a.classes, &class{size: sz, perPage: PageSize / sz, pages: make([][]byte, maxPages)})
 	}
 	return a
 }
@@ -119,8 +124,9 @@ func (a *Allocator) grow(ci int, c *class) bool {
 	}
 	a.budget -= PageSize
 	a.mu.Unlock()
-	page := len(c.pages)
-	c.pages = append(c.pages, make([]byte, PageSize))
+	page := c.npages
+	c.pages[page] = make([]byte, PageSize)
+	c.npages++
 	for i := c.perPage - 1; i >= 0; i-- {
 		c.free = append(c.free, makeHandle(ci, page, i))
 	}
@@ -161,9 +167,9 @@ func (a *Allocator) StatsPerClass() []Stats {
 	var out []Stats
 	for i, c := range a.classes {
 		c.mu.Lock()
-		if len(c.pages) > 0 {
+		if c.npages > 0 {
 			out = append(out, Stats{
-				Class: i, ChunkSize: c.size, Pages: len(c.pages),
+				Class: i, ChunkSize: c.size, Pages: c.npages,
 				Used: c.allocated, Free: len(c.free),
 			})
 		}

@@ -26,8 +26,13 @@ import (
 // proxy (proxy.go), and offline tooling (plibdump over a shard directory)
 // all share.
 //
-// The ring, shard set, and hot-key trackers live together in one
-// immutable topology snapshot behind an atomic pointer: a live resize
+// A key lives on exactly one shard: the one the authoritative ring names
+// or, mid-migration, the one the dual-ring rule in routeHash names. Every
+// read and write of a key goes to that shard, so cluster operations are
+// linearizable per key with no second copy to keep coherent.
+//
+// The ring and shard set live together in one immutable topology
+// snapshot behind an atomic pointer: a live resize
 // (migrate.go) installs a wider shard set up front, streams the moved
 // hash segments between shards in the background, and swaps in the new
 // ring only when every segment has cut over. Routing is therefore always
@@ -55,14 +60,6 @@ type ClusterConfig struct {
 	// per shard (from Dir); every other field applies to each shard.
 	Store Config
 
-	// HotKeyThreshold is the windowed read count at which a key is
-	// declared hot and its reads start replicating to the next shard on
-	// the ring. 0 disables hot-key handling entirely.
-	HotKeyThreshold uint64
-	// HotKeyWindow is the decay period of the hot-key counters, in
-	// observed reads per shard (0 = 65536).
-	HotKeyWindow uint64
-
 	// Clock, when set, overrides every shard's wall clock — including
 	// shards created later by Resize. Tests that freeze time use this so
 	// a live resize doesn't mint shards with real clocks.
@@ -86,7 +83,6 @@ type ClusterConfig struct {
 type topology struct {
 	ring   *ring.Ring
 	shards []*Bookkeeper
-	hot    []*hotTracker
 }
 
 // Cluster is the multi-store handle.
@@ -103,12 +99,6 @@ type Cluster struct {
 	routeMu sync.RWMutex
 	// resizeMu serializes Resize setup (one resize at a time).
 	resizeMu sync.Mutex
-
-	// Hot-key traffic accounting (cluster-wide).
-	replicaHits   atomic.Uint64 // hot reads served by the sibling shard
-	replicaMisses atomic.Uint64 // hot reads that fell through to the primary
-	replications  atomic.Uint64 // values copied to a sibling after a fall-through
-	invalidations atomic.Uint64 // replica deletes issued by the write path
 
 	// Migration accounting (cumulative across resizes).
 	resizes    atomic.Uint64 // Resize calls that started a migration
@@ -164,14 +154,6 @@ func (cfg *ClusterConfig) setupShard(b *Bookkeeper, i int) {
 	}
 }
 
-func (cfg *ClusterConfig) newTrackers(n int) []*hotTracker {
-	hot := make([]*hotTracker, n)
-	for i := range hot {
-		hot[i] = newHotTracker(cfg.HotKeyThreshold, cfg.HotKeyWindow)
-	}
-	return hot
-}
-
 // CreateCluster formats N fresh shards.
 func CreateCluster(cfg ClusterConfig) (*Cluster, error) {
 	r, err := cfg.buildRing()
@@ -196,7 +178,7 @@ func CreateCluster(cfg ClusterConfig) (*Cluster, error) {
 		shards = append(shards, b)
 	}
 	c := &Cluster{cfg: cfg}
-	c.topo.Store(&topology{ring: r, shards: shards, hot: cfg.newTrackers(cfg.Shards)})
+	c.topo.Store(&topology{ring: r, shards: shards})
 	if cfg.Dir != "" {
 		if err := writeRingManifest(cfg.Dir, r.Shards(), r.VirtualNodes()); err != nil {
 			c.Shutdown() //nolint:errcheck
@@ -268,7 +250,7 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 			cfg.Dir, strings.Join(openErrs, "; "))
 	}
 	c := &Cluster{cfg: cfg}
-	c.topo.Store(&topology{ring: r, shards: shards, hot: cfg.newTrackers(cfg.Shards)})
+	c.topo.Store(&topology{ring: r, shards: shards})
 	for _, i := range degraded {
 		h := c.shardHealth(i)
 		h.rebuiltAtOpen.Store(true)
@@ -277,8 +259,9 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	if hasReshardMarker(cfg.Dir) {
 		// An interrupted migration parked here. The sources never lose
 		// data before the manifest advances, so the manifest ring is
-		// always authoritative; sweeping strays (partial copies, orphaned
-		// hot-key replicas) restores the clean single-ring invariant.
+		// always authoritative; sweeping strays (partial copies on a
+		// destination, moved keys not yet deleted from a source) restores
+		// the single-owner invariant.
 		c.purgeStale()
 		removeReshardMarker(cfg.Dir)
 	}
@@ -514,127 +497,10 @@ func (s *ClusterSession) Close() {
 	}
 }
 
-// replicaOf returns the sibling shard that carries hot-key replicas for
-// primary: the next shard on the ring.
-func (c *Cluster) replicaOf(primary int) int { return (primary + 1) % len(c.top().shards) }
-
-// Get retrieves a value, with hot-key read replication: once a key's read
-// rate crosses the configured threshold, reads try the sibling replica
-// first and re-replicate on a replica miss. Gets (CAS reads) never use
-// the replica — CAS generations are per-shard. During a migration the
-// replica path is suspended (trackers were reset at resize start) and
-// reads in a moving segment hold the segment guard across the access.
+// Get retrieves a value from the key's owning shard.
 func (s *ClusterSession) Get(key []byte) ([]byte, uint32, error) {
-	s.c.routeMu.RLock()
-	defer s.c.routeMu.RUnlock()
-	p, g := s.c.routeKey(key)
-	if err := s.c.shardAllow(p); err != nil {
-		if g != nil {
-			g.release()
-		}
-		return nil, 0, err
-	}
-	if g != nil {
-		ss, err := s.sess(p)
-		if err != nil {
-			s.c.shardReport(p, err)
-			g.release()
-			return nil, 0, err
-		}
-		v, f, err := ss.Get(key)
-		s.c.shardReport(p, err)
-		g.release()
-		return v, f, err
-	}
-	top := s.c.top()
-	if s.c.cfg.HotKeyThreshold > 0 && len(top.shards) > 1 && s.c.mig.Load() == nil {
-		hot := top.hot[p].observe(key)
-		if d := top.hot[p].takeDemoted(); d != nil {
-			s.dropReplicas(p, d)
-		}
-		if hot {
-			replica := s.c.replicaOf(p)
-			// A replica behind an open breaker is skipped, not failed:
-			// the primary stays the source of truth.
-			rerr := s.c.shardAllow(replica)
-			var rs *Session
-			if rerr == nil {
-				rs, rerr = s.sess(replica)
-				if rerr != nil {
-					s.c.shardReport(replica, rerr)
-				}
-			}
-			if rerr == nil {
-				v, f, err := rs.Get(key)
-				s.c.shardReport(replica, err)
-				if err == nil {
-					s.c.replicaHits.Add(1)
-					return v, f, nil
-				}
-			}
-			// Replica miss — or a replica shard mid-repair; either way the
-			// primary remains the source of truth.
-			s.c.replicaMisses.Add(1)
-			ps, err := s.sess(p)
-			if err != nil {
-				s.c.shardReport(p, err)
-				return nil, 0, err
-			}
-			v, f, err := ps.Get(key)
-			s.c.shardReport(p, err)
-			if err != nil {
-				return nil, 0, err
-			}
-			if rerr == nil && rs.Set(key, v, f, 0) == nil {
-				s.c.replications.Add(1)
-			}
-			return v, f, nil
-		}
-	}
-	ss, err := s.sess(p)
-	if err != nil {
-		s.c.shardReport(p, err)
-		return nil, 0, err
-	}
-	v, f, err := ss.Get(key)
-	s.c.shardReport(p, err)
+	v, f, _, err := s.Gets(key)
 	return v, f, err
-}
-
-// invalidate drops the hot-key replica after a successful mutation of a
-// hot key, keeping the replica read path from serving the old value
-// indefinitely.
-func (s *ClusterSession) invalidate(primary int, key []byte) {
-	top := s.c.top()
-	if s.c.cfg.HotKeyThreshold == 0 || len(top.shards) < 2 {
-		return
-	}
-	if !top.hot[primary].isHot(key) {
-		return
-	}
-	rs, err := s.sess(s.c.replicaOf(primary))
-	if err != nil {
-		return
-	}
-	if rs.Delete(key) == nil {
-		s.c.invalidations.Add(1)
-	}
-}
-
-// dropReplicas deletes the ring-successor replicas of keys demoted from
-// hot: once isHot turns false the write path stops invalidating them, so
-// the copies must go before they can serve stale data to a later
-// re-promotion.
-func (s *ClusterSession) dropReplicas(primary int, keys []string) {
-	rs, err := s.sess(s.c.replicaOf(primary))
-	if err != nil {
-		return
-	}
-	for _, k := range keys {
-		if rs.Delete([]byte(k)) == nil {
-			s.c.invalidations.Add(1)
-		}
-	}
 }
 
 // mutate runs one keyed write against the key's authoritative shard. When
@@ -670,15 +536,13 @@ func (s *ClusterSession) mutate(key []byte, op func(ss *Session) error) error {
 		g.markDirty(key)
 		g.release()
 	}
-	if err == nil {
-		s.invalidate(p, key)
-	}
 	return err
 }
 
-// Gets also returns the CAS generation. Always served by the key's
-// authoritative shard: replicas are never consulted, and the migrator
-// preserves generations across a move, so the token stays valid.
+// Gets also returns the CAS generation. The migrator preserves
+// generations across a move, so the token stays valid over a resize.
+// During a migration, a read in a moving segment holds the segment guard
+// across the access.
 func (s *ClusterSession) Gets(key []byte) ([]byte, uint32, uint64, error) {
 	s.c.routeMu.RLock()
 	defer s.c.routeMu.RUnlock()
@@ -725,7 +589,7 @@ func (s *ClusterSession) CAS(key, value []byte, flags uint32, exptime int64, cas
 	return s.mutate(key, func(ss *Session) error { return ss.CAS(key, value, flags, exptime, cas) })
 }
 
-// Delete removes key from its owning shard (and its replica, if hot).
+// Delete removes key from its owning shard.
 func (s *ClusterSession) Delete(key []byte) error {
 	return s.mutate(key, func(ss *Session) error { return ss.Delete(key) })
 }
@@ -767,8 +631,7 @@ func (s *ClusterSession) Touch(key []byte, exptime int64) error {
 	return s.mutate(key, func(ss *Session) error { return ss.Touch(key, exptime) })
 }
 
-// GetAndTouch retrieves a value and updates its expiry. Always primary:
-// it mutates the entry's expiry, which must land on the owning shard.
+// GetAndTouch retrieves a value and updates its expiry.
 func (s *ClusterSession) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
 	var v []byte
 	var f uint32
@@ -954,15 +817,6 @@ func (c *Cluster) State(i int) ShardState {
 	}
 }
 
-// HotKeyMetrics is the cluster-wide hot-key traffic snapshot.
-type HotKeyMetrics struct {
-	Detected      uint64 // keys ever promoted to hot, summed over shards
-	ReplicaHits   uint64
-	ReplicaMisses uint64
-	Replications  uint64
-	Invalidations uint64
-}
-
 // MigrationMetrics is the live-resharding snapshot: the cumulative
 // counters plus the current migration's progress (zero-valued when idle).
 type MigrationMetrics struct {
@@ -975,25 +829,18 @@ type MigrationMetrics struct {
 	SegmentsDone  int    // current migration's cutovers so far
 }
 
-// ClusterMetrics is the per-shard metrics snapshot plus the hot-key and
-// migration counters.
+// ClusterMetrics is the per-shard metrics snapshot plus the migration and
+// supervisor counters.
 type ClusterMetrics struct {
 	Shards     []Metrics
 	States     []ShardState
-	HotKey     HotKeyMetrics
 	Migration  MigrationMetrics
 	Supervisor SupervisorMetrics
 }
 
 // Metrics collects every shard's merged snapshot.
 func (c *Cluster) Metrics() ClusterMetrics {
-	top := c.top()
-	cm := ClusterMetrics{HotKey: HotKeyMetrics{
-		ReplicaHits:   c.replicaHits.Load(),
-		ReplicaMisses: c.replicaMisses.Load(),
-		Replications:  c.replications.Load(),
-		Invalidations: c.invalidations.Load(),
-	}}
+	var cm ClusterMetrics
 	cm.Migration = MigrationMetrics{
 		Resizes:       c.resizes.Load(),
 		SegmentsMoved: c.segsMoved.Load(),
@@ -1006,19 +853,11 @@ func (c *Cluster) Metrics() ClusterMetrics {
 		cm.Migration.SegmentsDone = m.segmentsDone()
 	}
 	cm.Supervisor = c.supervisorMetrics()
-	for i, b := range top.shards {
+	for i, b := range c.top().shards {
 		cm.Shards = append(cm.Shards, b.Metrics())
 		cm.States = append(cm.States, c.State(i))
-		_, det := top.hot[i].snapshot()
-		cm.HotKey.Detected += det
 	}
 	return cm
-}
-
-// HotKeys returns shard i's tracked top-k read counts.
-func (c *Cluster) HotKeys(shard int) []HotKey {
-	hk, _ := c.top().hot[shard].snapshot()
-	return hk
 }
 
 // Samples renders the cluster snapshot as Prometheus samples: the
@@ -1050,11 +889,6 @@ func (cm *ClusterMetrics) Samples() []metrics.Sample {
 		g("plibmc_shard_checkpoint_failures_total", float64(m.Checkpoint.Failures))
 	}
 	out = append(out,
-		metrics.Sample{Name: "plibmc_hotkey_detected_total", Value: float64(cm.HotKey.Detected)},
-		metrics.Sample{Name: "plibmc_hotkey_replica_hits_total", Value: float64(cm.HotKey.ReplicaHits)},
-		metrics.Sample{Name: "plibmc_hotkey_replica_misses_total", Value: float64(cm.HotKey.ReplicaMisses)},
-		metrics.Sample{Name: "plibmc_hotkey_replications_total", Value: float64(cm.HotKey.Replications)},
-		metrics.Sample{Name: "plibmc_hotkey_invalidations_total", Value: float64(cm.HotKey.Invalidations)},
 		metrics.Sample{Name: "plibmc_migration_state", Value: float64(cm.Migration.State)},
 		metrics.Sample{Name: "plibmc_migration_resizes_total", Value: float64(cm.Migration.Resizes)},
 		metrics.Sample{Name: "plibmc_migration_segments_moved_total", Value: float64(cm.Migration.SegmentsMoved)},
@@ -1085,11 +919,6 @@ func (cm *ClusterMetrics) Vars() map[string]any {
 		"cmd_delete":               ops.Deletes,
 		"curr_items":               ops.CurrItems,
 		"bytes":                    ops.Bytes,
-		"hotkey_detected":          cm.HotKey.Detected,
-		"hotkey_replica_hits":      cm.HotKey.ReplicaHits,
-		"hotkey_replica_misses":    cm.HotKey.ReplicaMisses,
-		"hotkey_replications":      cm.HotKey.Replications,
-		"hotkey_invalidations":     cm.HotKey.Invalidations,
 		"migration_state":          cm.Migration.State,
 		"migration_resizes":        cm.Migration.Resizes,
 		"migration_segments_moved": cm.Migration.SegmentsMoved,

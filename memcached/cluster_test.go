@@ -319,60 +319,6 @@ func TestClusterExecBatchMixed(t *testing.T) {
 	}
 }
 
-// Hot-key detection promotes a heavily-read key, replicates it to the
-// sibling shard, and writes invalidate the replica.
-func TestClusterHotKeyReplication(t *testing.T) {
-	c := newTestCluster(t, 4, ClusterConfig{HotKeyThreshold: 50})
-	s := newClusterSession(t, c)
-
-	hot := []byte("celebrity")
-	if err := s.Set(hot, []byte("v1"), 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if v, f, err := s.Get(hot); err != nil || string(v) != "v1" || f != 9 {
-			t.Fatalf("hot get #%d = %q %d %v", i, v, f, err)
-		}
-	}
-	m := c.Metrics()
-	if m.HotKey.Detected == 0 {
-		t.Fatal("hot key never detected")
-	}
-	if m.HotKey.Replications == 0 {
-		t.Fatal("hot key never replicated")
-	}
-	if m.HotKey.ReplicaHits == 0 {
-		t.Fatal("replica never served a read")
-	}
-	// The replica shard physically holds a copy.
-	primary := c.ShardFor(hot)
-	replica := c.replicaOf(primary)
-	if v, _, err := s.Session(replica).Get(hot); err != nil || string(v) != "v1" {
-		t.Fatalf("replica copy = %q %v", v, err)
-	}
-	// A write invalidates the replica and readers see the new value.
-	if err := s.Set(hot, []byte("v2"), 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Metrics().HotKey.Invalidations == 0 {
-		t.Fatal("write did not invalidate the replica")
-	}
-	for i := 0; i < 50; i++ {
-		if v, _, err := s.Get(hot); err != nil || string(v) != "v2" {
-			t.Fatalf("post-write hot get = %q %v", v, err)
-		}
-	}
-	// Gets (CAS reads) bypass the replica: its CAS must validate against
-	// the primary.
-	_, _, cas, err := s.Gets(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CAS(hot, []byte("v3"), 9, 0, cas); err != nil {
-		t.Fatalf("cas after hot reads: %v", err)
-	}
-}
-
 // Shards persist and reload independently: Create → populate → Shutdown →
 // Open finds every key again from the per-shard images.
 func TestClusterPersistence(t *testing.T) {
@@ -417,11 +363,8 @@ func TestClusterMetricsSamples(t *testing.T) {
 	cm := c.Metrics()
 	samples := cm.Samples()
 	want := map[string]bool{
-		"plibmc_shard_ops_total":            false,
-		"plibmc_shard_state":                false,
-		"plibmc_hotkey_detected_total":      false,
-		"plibmc_hotkey_replica_hits_total":  false,
-		"plibmc_hotkey_invalidations_total": false,
+		"plibmc_shard_ops_total": false,
+		"plibmc_shard_state":     false,
 	}
 	shardLabels := map[string]bool{}
 	for _, smp := range samples {
@@ -528,9 +471,9 @@ func TestClusterProxyWire(t *testing.T) {
 
 // BenchmarkClusterRouting pins the routing tier's per-op overhead: the
 // same single-session 95/5 Get/Set mix against one store driven directly
-// and against a 4-shard cluster (ring lookup + per-shard dispatch + the
-// write-path hot-key check). The delta is the price of sharding when the
-// parallelism it buys is not in play.
+// and against a 4-shard cluster (ring lookup + per-shard dispatch). The
+// delta is the price of sharding when the parallelism it buys is not in
+// play.
 func BenchmarkClusterRouting(b *testing.B) {
 	const nKeys = 4096
 	keys := make([][]byte, nKeys)

@@ -72,7 +72,17 @@ func (rs *RemoteServer) handle(c net.Conn) {
 	rs.mu.Unlock()
 	ctx := rs.b.store.NewCtx(owner)
 	defer ctx.Close()
+	serveConn(c, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+		dispatchPipeline(ctx, w, binary, cmds)
+	})
+}
 
+// serveConn is the read loop of both socket front ends (this one and the
+// cluster proxy): sniff the protocol, hand each pipelined run of commands
+// to dispatch, which writes their replies to w in command order, and
+// flush. A command that does not parse ends the connection, after the
+// replies of the commands before it and, in ASCII, a CLIENT_ERROR line.
+func serveConn(c net.Conn, dispatch func(w *bufio.Writer, binary bool, cmds []*protocol.Command)) {
 	r := bufio.NewReaderSize(c, 64<<10)
 	w := bufio.NewWriterSize(c, 64<<10)
 	first, err := r.Peek(1)
@@ -95,6 +105,10 @@ func (rs *RemoteServer) handle(c net.Conn) {
 		cmds = cmds[:0]
 		cmd, err := readCmd()
 		if err != nil {
+			if !isBinary {
+				fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
+				w.Flush()
+			}
 			return
 		}
 		quit := cmd.Op == protocol.OpQuit
@@ -114,7 +128,10 @@ func (rs *RemoteServer) handle(c net.Conn) {
 				cmds = append(cmds, c2)
 			}
 		}
-		dispatchPipeline(ctx, w, isBinary, cmds)
+		dispatch(w, isBinary, cmds)
+		if readErr != nil && !isBinary {
+			fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", readErr)
+		}
 		if quit || readErr != nil {
 			w.Flush()
 			return

@@ -285,7 +285,7 @@ func (c *Cluster) Resize(newShards int) error {
 	// every in-flight op predates the migration (and saw the old single
 	// ring, which stays authoritative until its segment cuts over) and
 	// every later op sees it.
-	newTop := &topology{ring: top.ring, shards: shards, hot: c.cfg.newTrackers(len(shards))}
+	newTop := &topology{ring: top.ring, shards: shards}
 	c.routeMu.Lock()
 	c.topo.Store(newTop)
 	c.mig.Store(m)
@@ -405,17 +405,18 @@ func (mc *migClient) close() {
 	}
 }
 
-// run is the migrator goroutine: replica sweep, then bounded attempts,
+// run is the migrator goroutine: stray sweep, then bounded attempts,
 // then a terminal finish/abort/park.
 func (m *migration) run() {
-	// Drop every hot-key replica before any byte moves. Replica serving
-	// and creation are suspended while mig != nil and the trackers were
-	// reset at Resize, so after this sweep each key's value lives only on
-	// its authoritative shard — the copy protocol owns everything that
-	// moves, and a stale replica can never be mistaken for a migrated
-	// primary on its new owner. Must precede the first cutover: the sweep
-	// judges placement by the old ring, which only stays true of every
-	// key until routing starts flipping segments.
+	// Delete every entry the old ring does not place where it sits before
+	// any byte moves. A shard reopened or supervisor-rebuilt from a
+	// checkpoint older than the last resize can carry keys the current
+	// ring places elsewhere; unreachable today, such a key must not be
+	// resurrected when this resize routes its hash back to that shard.
+	// After the sweep the copy protocol owns everything that moves. Must
+	// precede the first cutover: the sweep judges placement by the old
+	// ring, which only stays true of every key until routing starts
+	// flipping segments.
 	m.c.purgeRing(m.from)
 
 	var lastErr error
@@ -633,17 +634,15 @@ func (m *migration) cutover(from, to *Session, s *migSeg) error {
 	return nil
 }
 
-// finish installs the target ring. Order matters: the topology swap (new
-// ring, fresh hot trackers) happens before mig clears, so routing is
-// never without a rule set; the manifest advances before the purge, so a
-// crash mid-purge reopens onto the new ring with the marker still there
-// to finish the sweep; the purge deletes every moved key's source copy
-// (and is the reason the swap must come first — after it, no route
-// reaches a source for a moved key).
+// finish installs the target ring. Order matters: the topology swap
+// happens before mig clears, so routing is never without a rule set; the
+// manifest advances before the purge, so a crash mid-purge reopens onto
+// the new ring with the marker still there to finish the sweep; the purge
+// deletes every moved key's source copy (and is the reason the swap must
+// come first — after it, no route reaches a source for a moved key).
 func (m *migration) finish() {
 	c := m.c
-	top := c.top()
-	c.topo.Store(&topology{ring: m.to, shards: top.shards, hot: c.cfg.newTrackers(len(top.shards))})
+	c.topo.Store(&topology{ring: m.to, shards: c.top().shards})
 	if c.cfg.Dir != "" {
 		if err := writeRingManifest(c.cfg.Dir, m.to.Shards(), m.to.VirtualNodes()); err != nil {
 			// Keep serving on the new ring; the stale manifest plus marker
@@ -712,7 +711,7 @@ func (m *migration) waitHealthy() error {
 // purgeStale sweeps every shard against the current authoritative ring,
 // deleting entries the ring does not place where they sit: moved keys'
 // source copies after a completed migration, partial destination copies
-// after an aborted one, hot-key replicas either way.
+// after an aborted one.
 func (c *Cluster) purgeStale() { c.purgeRing(c.top().ring) }
 
 func (c *Cluster) purgeRing(r *ring.Ring) {

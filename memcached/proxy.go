@@ -116,62 +116,9 @@ func (cs *ClusterServer) handle(c net.Conn) {
 	cc := &connCtxs{c: cs.c, owner: owner,
 		ctxs: make([]*core.Ctx, nsh), books: make([]*Bookkeeper, nsh)}
 	defer cc.close()
-
-	r := bufio.NewReaderSize(c, 64<<10)
-	w := bufio.NewWriterSize(c, 64<<10)
-	first, err := r.Peek(1)
-	if err != nil {
-		return
-	}
-	isBinary := first[0] == 0x80
-	readCmd := func() (*protocol.Command, error) {
-		if isBinary {
-			return protocol.ReadBinaryCommand(r)
-		}
-		return protocol.ReadASCIICommand(r)
-	}
-	cmds := make([]*protocol.Command, 0, maxPipeline)
-	for {
-		cmds = cmds[:0]
-		cmd, err := readCmd()
-		if err != nil {
-			if !isBinary {
-				fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
-				w.Flush()
-			}
-			return
-		}
-		quit := cmd.Op == protocol.OpQuit
-		var readErr error
-		if !quit {
-			cmds = append(cmds, cmd)
-			for len(cmds) < maxPipeline && r.Buffered() > 0 {
-				c2, e := readCmd()
-				if e != nil {
-					readErr = e
-					break
-				}
-				if c2.Op == protocol.OpQuit {
-					quit = true
-					break
-				}
-				cmds = append(cmds, c2)
-			}
-		}
-		cs.dispatchShardedPipeline(cc, w, isBinary, cmds)
-		if readErr != nil && !isBinary {
-			fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", readErr)
-		}
-		if quit || readErr != nil {
-			w.Flush()
-			return
-		}
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
+	serveConn(c, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+		cs.dispatchShardedPipeline(cc, w, binary, cmds)
+	})
 }
 
 // opRef locates one batch op inside the per-shard partition: which shard
@@ -198,10 +145,9 @@ func (cs *ClusterServer) dispatchShardedPipeline(cc *connCtxs, w *bufio.Writer, 
 		var spans []int  // batch ops consumed per command
 		c.routeMu.RLock()
 		perShard := make([][]core.BatchOp, c.Shards())
-		migActive := c.mig.Load() != nil
 		var held map[*migSeg]struct{}
 		var guards []*migSeg
-		if migActive {
+		if c.mig.Load() != nil {
 			held = make(map[*migSeg]struct{})
 		}
 		for j < len(cmds) {
@@ -219,15 +165,6 @@ func (cs *ClusterServer) dispatchShardedPipeline(cc *connCtxs, w *bufio.Writer, 
 					if op.Code != core.BatchGet {
 						g.markDirty(op.Key)
 					}
-				} else if op.Code == core.BatchGet && !migActive {
-					// Feed the hot-key tracker so pipelined readers count
-					// toward detection; batched reads still serve from the
-					// primary (replica fall-through only exists on the
-					// routed single-get paths). Suspended mid-migration,
-					// like every replica path.
-					top := c.top()
-					top.hot[sh].observe(op.Key)
-					cs.drainDemoted(cc, top, sh)
 				}
 				refs = append(refs, opRef{shard: sh, pos: len(perShard[sh])})
 				perShard[sh] = append(perShard[sh], op)
@@ -289,28 +226,9 @@ func (cs *ClusterServer) dispatchShardedPipeline(cc *connCtxs, w *bufio.Writer, 
 	}
 }
 
-// drainDemoted deletes the ring-successor replicas of keys the tracker
-// demoted from hot — the proxy-side half of the stale-replica fix (the
-// routed session path drains in ClusterSession.Get).
-func (cs *ClusterServer) drainDemoted(cc *connCtxs, top *topology, primary int) {
-	d := top.hot[primary].takeDemoted()
-	if d == nil {
-		return
-	}
-	rep := cs.c.replicaOf(primary)
-	if cs.c.proxyAllow(rep) != nil {
-		return // replica shard down; its rebuild purge clears strays
-	}
-	for _, k := range d {
-		if cc.ctx(rep).Delete([]byte(k)) == nil {
-			cs.c.invalidations.Add(1)
-		}
-	}
-}
-
 // dispatchOne executes a single command against the cluster: keyed
-// commands route to the owning shard (a lone plain get additionally rides
-// the hot-key replica path); keyless commands fan out or aggregate.
+// commands route to the owning shard; keyless commands fan out or
+// aggregate.
 func (cs *ClusterServer) dispatchOne(cc *connCtxs, cmd *protocol.Command) *protocol.Reply {
 	c := cs.c
 	switch cmd.Op {
@@ -331,10 +249,6 @@ func (cs *ClusterServer) dispatchOne(cc *connCtxs, cmd *protocol.Command) *proto
 			Version: fmt.Sprintf("1.6.0-plib-cluster/%d", c.Shards())}
 	case protocol.OpNoop:
 		return &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
-	case protocol.OpGet:
-		if len(cmd.Keys) == 0 {
-			return cs.hotGet(cc, cmd)
-		}
 	}
 	c.routeMu.RLock()
 	defer c.routeMu.RUnlock()
@@ -358,68 +272,6 @@ func shardDownReply(cmd *protocol.Command, err error) *protocol.Reply {
 	rep := &protocol.Reply{Status: protocol.StatusTempFailure, Opaque: cmd.Opaque}
 	if f, ok := ShardDownFrame(err); ok {
 		rep.Message = f
-	}
-	return rep
-}
-
-// hotGet serves a lone plain get with the same hot-key replica policy as
-// ClusterSession.Get.
-func (cs *ClusterServer) hotGet(cc *connCtxs, cmd *protocol.Command) *protocol.Reply {
-	c := cs.c
-	key := cmd.Key
-	c.routeMu.RLock()
-	defer c.routeMu.RUnlock()
-	primary, g := c.routeKey(key)
-	rep := &protocol.Reply{Opaque: cmd.Opaque}
-	if err := c.proxyAllow(primary); err != nil {
-		if g != nil {
-			g.release()
-		}
-		return shardDownReply(cmd, err)
-	}
-	if g != nil {
-		// Mid-migration segment: plain primary read under the guard, no
-		// replica involvement.
-		v, f, cas, err := cc.ctx(primary).Get(key)
-		g.release()
-		rep.Status = coreStatus(err)
-		if err == nil {
-			rep.Value, rep.Flags, rep.CAS = v, f, cas
-		}
-		return rep
-	}
-	top := c.top()
-	if c.cfg.HotKeyThreshold > 0 && len(top.shards) > 1 && c.mig.Load() == nil {
-		hot := top.hot[primary].observe(key)
-		cs.drainDemoted(cc, top, primary)
-		if hot {
-			replica := c.replicaOf(primary)
-			// A replica behind an open breaker (or poisoned) is skipped,
-			// never dispatched into: fall through to the primary.
-			if c.proxyAllow(replica) == nil {
-				if v, f, cas, err := cc.ctx(replica).Get(key); err == nil {
-					c.replicaHits.Add(1)
-					rep.Status, rep.Value, rep.Flags, rep.CAS = protocol.StatusOK, v, f, cas
-					return rep
-				}
-			}
-			c.replicaMisses.Add(1)
-			v, f, cas, err := cc.ctx(primary).Get(key)
-			rep.Status = coreStatus(err)
-			if err != nil {
-				return rep
-			}
-			if c.proxyAllow(replica) == nil && cc.ctx(replica).Set(key, v, f, 0) == nil {
-				c.replications.Add(1)
-			}
-			rep.Value, rep.Flags, rep.CAS = v, f, cas
-			return rep
-		}
-	}
-	v, f, cas, err := cc.ctx(primary).Get(key)
-	rep.Status = coreStatus(err)
-	if err == nil {
-		rep.Value, rep.Flags, rep.CAS = v, f, cas
 	}
 	return rep
 }
@@ -449,7 +301,6 @@ func (cs *ClusterServer) statsReply(cc *connCtxs, cmd *protocol.Command) *protoc
 	}
 	agg := c.Stats()
 	cm := c.Metrics()
-	hm := cm.HotKey
 	mm := cm.Migration
 	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
 	rep.Stats = [][2]string{
@@ -464,8 +315,6 @@ func (cs *ClusterServer) statsReply(cc *connCtxs, cmd *protocol.Command) *protoc
 		{"bytes", strconv.FormatUint(agg.Bytes, 10)},
 		{"evictions", strconv.FormatUint(agg.Evictions, 10)},
 		{"expired", strconv.FormatUint(agg.Expired, 10)},
-		{"hotkey_detected", strconv.FormatUint(hm.Detected, 10)},
-		{"hotkey_replica_hits", strconv.FormatUint(hm.ReplicaHits, 10)},
 		{"migration_state", strconv.Itoa(mm.State)},
 		{"migration_resizes", strconv.FormatUint(mm.Resizes, 10)},
 		{"migration_segments_moved", strconv.FormatUint(mm.SegmentsMoved, 10)},

@@ -549,21 +549,8 @@ func (c *Cluster) rebuildShard(i int, now time.Time) error {
 	top := c.top()
 	shards := append([]*Bookkeeper(nil), top.shards...)
 	shards[i] = nb
-	hot := append([]*hotTracker(nil), top.hot...)
-	hot[i] = newHotTracker(c.cfg.HotKeyThreshold, c.cfg.HotKeyWindow)
-	c.topo.Store(&topology{ring: top.ring, shards: shards, hot: hot})
+	c.topo.Store(&topology{ring: top.ring, shards: shards})
 	c.routeMu.Unlock()
-
-	// The replacement starts with a cold hot-key tracker, so a key that
-	// re-heats would serve its *pre-crash* replica from the ring
-	// successor. Sweep the successor's strays (replicas regenerate on
-	// demand from the rebuilt primary).
-	if c.cfg.HotKeyThreshold > 0 && len(shards) > 1 {
-		rep := c.replicaOf(i)
-		if shards[rep].Library() != nil && !shards[rep].Library().Poisoned() {
-			purgeShard(shards[rep], top.ring, rep)
-		}
-	}
 
 	// If the shard came back empty, persist that fact immediately: the
 	// seeded generation makes this image outrank the stale candidates,

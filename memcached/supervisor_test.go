@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"plibmc/internal/core"
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/hodor"
+	"plibmc/internal/ring"
 	"plibmc/internal/shm"
 )
 
@@ -71,6 +73,24 @@ func poisonShard(t *testing.T, c *Cluster, victim int) {
 			t.Fatal("victim shard never poisoned after the failed repair")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// assertSingleOwner walks every attached shard and requires the
+// authoritative ring to place each live entry on the shard holding it: a
+// key exists on its one owner and nowhere else.
+func assertSingleOwner(t *testing.T, c *Cluster) {
+	t.Helper()
+	r := c.Ring()
+	for i := 0; i < c.Shards(); i++ {
+		ctx := c.Shard(i).Store().NewCtx(uint64(1)<<43 | uint64(i+1))
+		ctx.ForEach(func(e *core.Entry) bool {
+			if owner := r.Owner(ring.Hash(e.Key)); owner != i {
+				t.Errorf("key %q sits on shard %d; the ring places it on shard %d", e.Key, i, owner)
+			}
+			return true
+		})
+		ctx.Close()
 	}
 }
 
@@ -172,6 +192,7 @@ func TestSupervisorRebuildsPoisonedShardEmpty(t *testing.T) {
 	if st.Breaker != "closed" || st.Rebuilds != 1 || st.BreakerTrips == 0 {
 		t.Fatalf("victim status after rebuild = %+v", st)
 	}
+	assertSingleOwner(t, c)
 }
 
 // The full ladder: a Dir-backed victim with a checkpoint reopens from its
@@ -247,6 +268,7 @@ func TestSupervisorRebuildsFromCheckpoint(t *testing.T) {
 	if _, _, cas, err := s.Gets(k); err != nil || cas <= preCAS {
 		t.Fatalf("post-rebuild mint %d (err %v), want > %d", cas, err, preCAS)
 	}
+	assertSingleOwner(t, c)
 }
 
 // The breaker's full state machine, driven on the supervisor's injectable

@@ -557,9 +557,7 @@ func TestModelCheckMixed(t *testing.T) {
 //
 // FlushAll is excluded (allowFlush=false): a cluster flush sweeps shards
 // sequentially, and a pair of writes to different shards straddling the
-// sweep is a real, documented relaxation — not a routing bug. Hot-key
-// replication stays off for the same reason (replica reads relax per-key
-// linearizability by design).
+// sweep is a real, documented relaxation — not a routing bug.
 func TestModelCheckSharded(t *testing.T) {
 	opBudget := *modelcheckOps
 	if testing.Short() {

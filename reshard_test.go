@@ -30,6 +30,7 @@ import (
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/linearcheck"
 	"plibmc/internal/model"
+	"plibmc/internal/ring"
 	"plibmc/memcached"
 )
 
@@ -39,8 +40,7 @@ import (
 // history linearizable across segment cutovers: a key is served by its
 // old shard until its segment's final recopy completes under the
 // exclusive guard, and by its new shard after — never neither, never
-// both. FlushAll stays excluded and hot keys stay off, as in the
-// steady-state sharded run.
+// both. FlushAll stays excluded, as in the steady-state sharded run.
 func TestModelCheckResize(t *testing.T) {
 	opBudget := *modelcheckOps
 	if testing.Short() {
@@ -138,6 +138,25 @@ func TestModelCheckResize(t *testing.T) {
 		t.Fatalf("recorded only %d ops, want >= %d", len(hist), opBudget)
 	}
 	mcCheck(t, hist, &model.Model{MaxValueLen: core.MaxValueLen})
+	assertSingleOwner(t, c)
+}
+
+// assertSingleOwner walks every attached shard and requires the
+// authoritative ring to place each live entry on the shard holding it: a
+// key exists on its one owner and nowhere else.
+func assertSingleOwner(t *testing.T, c *memcached.Cluster) {
+	t.Helper()
+	r := c.Ring()
+	for i := 0; i < c.Shards(); i++ {
+		ctx := c.Shard(i).Store().NewCtx(uint64(1)<<43 | uint64(i+1))
+		ctx.ForEach(func(e *core.Entry) bool {
+			if owner := r.Owner(ring.Hash(e.Key)); owner != i {
+				t.Errorf("key %q sits on shard %d; the ring places it on shard %d", e.Key, i, owner)
+			}
+			return true
+		})
+		ctx.Close()
+	}
 }
 
 // reshardSeedKeys loads n keys with deterministic values and returns the
@@ -278,6 +297,7 @@ func TestResizeCrashIsolation(t *testing.T) {
 		delete(casBefore, k) // updates minted fresh generations
 	}
 	reshardVerifyKeys(t, sess, casBefore, updated)
+	assertSingleOwner(t, c)
 
 	// Round 2: crash inside a migrator crossing; a shard repairs online.
 	faultpoint.DisarmAll()
@@ -336,6 +356,7 @@ func TestResizeCrashIsolation(t *testing.T) {
 			t.Fatalf("shard %d heap after crash rounds: %v", i, err)
 		}
 	}
+	assertSingleOwner(t, c)
 }
 
 // TestClusterReopenAfterResize: a resized directory reopens onto the
@@ -390,6 +411,7 @@ func TestClusterReopenAfterResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	reshardVerifyKeys(t, s2, casBefore, nil)
+	assertSingleOwner(t, c2)
 }
 
 // runMigrateFaultAt is the fault matrix's migrate.* entry: kill the

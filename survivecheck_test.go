@@ -270,6 +270,7 @@ func TestSurviveCheckAutoRebuild(t *testing.T) {
 	res := mcCheck(t, hist, &model.Model{MaxValueLen: core.MaxValueLen})
 	t.Logf("victim shard %d auto-rebuilt in %v (ladder itself %v); %d survivor ops linearized across the outage",
 		victim, timeToRebuild, sm.LastRebuildDuration, res.Ops)
+	assertSingleOwner(t, c)
 }
 
 // BenchmarkRebuildSurvivor (make survivecheck): survivor-shard p99 while

@@ -170,26 +170,49 @@ func TestCorruptionMatrix(t *testing.T) {
 	})
 
 	t.Run("value_bytes", func(t *testing.T) {
-		h := newCorruptHarness(t, false)
-		const victim = 42
-		it := h.itemOff(victim)
-		corrupt.FlipBit(h.heap(), h.book.Store().DebugValOff(it)+8, 3)
+		// One flipped bit, in the ~50 B values the harness populates and at
+		// either end and the middle of a 5 KB one (the ledger's write
+		// workload, 640 words under one CRC-32C).
+		for _, row := range []struct {
+			name     string
+			valBytes int // 0 keeps the harness's own value
+			flipByte uint64
+		}{
+			{"50B", 0, 8},
+			{"5K_first_byte", 5120, 0},
+			{"5K_middle_byte", 5120, 2563},
+			{"5K_last_byte", 5120, 5119},
+		} {
+			t.Run(row.name, func(t *testing.T) {
+				h := newCorruptHarness(t, false)
+				const victim = 42
+				if row.valBytes > 0 {
+					h.vals[victim] = bytes.Repeat([]byte("0123456789abcdef"), row.valBytes/16)
+					if err := h.s.Set(h.keys[victim], h.vals[victim], 0, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				it := h.itemOff(victim)
+				corrupt.FlipBit(h.heap(), h.book.Store().DebugValOff(it)+row.flipByte, uint(row.flipByte%8)*8+3)
 
-		// The read path does not checksum values (that is the scrubber's
-		// job); after a full scrub cycle the item must be quarantined.
-		h.maintain()
-		if _, _, err := h.s.Get(h.keys[victim]); err == nil {
-			t.Fatal("corrupted value still served after a full scrub cycle")
+				// The read path does not checksum values (that is the
+				// scrubber's job); after a full scrub cycle the item must
+				// be quarantined.
+				h.maintain()
+				if _, _, err := h.s.Get(h.keys[victim]); err == nil {
+					t.Fatal("corrupted value still served after a full scrub cycle")
+				}
+				st := h.book.Stats()
+				if st.CorruptionsDetected < 1 || st.ItemsQuarantined < 1 {
+					t.Fatalf("counters after value corruption: detected=%d quarantined=%d",
+						st.CorruptionsDetected, st.ItemsQuarantined)
+				}
+				if n := h.sweep(); n != 1 {
+					t.Fatalf("%d keys lost to a single-item value corruption, want exactly 1", n)
+				}
+				h.verifyHeap()
+			})
 		}
-		st := h.book.Stats()
-		if st.CorruptionsDetected < 1 || st.ItemsQuarantined < 1 {
-			t.Fatalf("counters after value corruption: detected=%d quarantined=%d",
-				st.CorruptionsDetected, st.ItemsQuarantined)
-		}
-		if n := h.sweep(); n > 1 {
-			t.Fatalf("%d keys lost to a single-item value corruption", n)
-		}
-		h.verifyHeap()
 	})
 
 	t.Run("chain_pointer", func(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"plibmc/internal/ralloc"
+	"plibmc/internal/shm"
 )
 
 // Item layout in the shared heap. All pointer fields are pptrs; scalar
@@ -25,9 +26,10 @@ import (
 //	                       (hash, keyLen, valLen, flags), fixed at
 //	                       allocation; read paths verify it before trusting
 //	                       the geometry fields
-//	+88  valSum     u64    value checksum (hashKey over the value bytes);
-//	                       maintained by in-place rewrites, verified by the
-//	                       scrubber and by repair — not on the read path
+//	+88  valSum     u64    value checksum (valueSum: CRC-32C of the value
+//	                       bytes below its length); maintained by in-place
+//	                       rewrites, verified by the scrubber and by repair
+//	                       — not on the read path
 //	+96  key bytes, padded to 8, then value bytes
 const (
 	itHNext      = 0
@@ -56,6 +58,14 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
+}
+
+// valueSum is the checksum kept in itValSum: the CRC-32C of the value in
+// the low half, which no single bit flip or burst of up to 32 bits leaves
+// unchanged, and the length plus one in the high half, so a sum taken over
+// a different length never matches and a zeroed header word never verifies.
+func valueSum(value []byte) uint64 {
+	return (uint64(len(value))+1)<<32 | uint64(shm.CRC32C(0, value))
 }
 
 // itemCheckOf computes the header checksum binding an item's immutable
@@ -107,9 +117,12 @@ func (s *Store) keyEqual(it uint64, key []byte) bool {
 // caller provides key and value that have already been captured from the
 // client (§3.4 idiom) along with the key's hash; no locks are held during
 // allocation, except on the replace-in-place paths that pass
-// canEvict=false. All stores here are plain: the item is private until
+// canEvict=false. The stores here are plain: the item is private until
 // linkLocked publishes it through an atomic bucket store, and the grave
 // guarantees no optimistic reader can still be probing recycled memory.
+// The exception is hNext, the block's first word, which a losing ralloc
+// pop may still be reading as a free-list link; every pre-publication
+// store to it (here, linkLocked, swapLocked) is relaxed.
 func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int64, canEvict bool) (uint64, error) {
 	size := itemSize(uint64(len(key)), uint64(len(value)))
 	it, err := c.allocWithEvict(size, canEvict)
@@ -117,7 +130,7 @@ func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int6
 		return 0, err
 	}
 	h := c.s.H
-	ralloc.StorePptr(h, it+itHNext, 0)
+	ralloc.RelaxedStorePptr(h, it+itHNext, 0)
 	ralloc.StorePptr(h, it+itLRUNext, 0)
 	ralloc.StorePptr(h, it+itLRUPrev, 0)
 	h.Store64(it+itRefcount, 1) // the link reference
@@ -130,7 +143,7 @@ func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int6
 	h.Store64(it+itItflags, 0)
 	h.Store64(it+itHash, hash)
 	h.Store64(it+itCheck, itemCheckOf(hash, uint32(len(key)), uint32(len(value)), flags))
-	h.Store64(it+itValSum, hashKey(value))
+	h.Store64(it+itValSum, valueSum(value))
 	h.WriteBytes(it+itHeader, key)
 	h.WriteBytes(c.s.itemValOff(it), value)
 	return it, nil

@@ -191,7 +191,7 @@ func (c *Ctx) linkLocked(it, hash uint64) {
 	bucket := s.bucketFor(hash)
 	seq := s.seqOff(hash)
 	s.H.SeqWriteBegin(seq)
-	ralloc.StorePptr(s.H, it+itHNext, ralloc.LoadPptr(s.H, bucket))
+	ralloc.RelaxedStorePptr(s.H, it+itHNext, ralloc.LoadPptr(s.H, bucket))
 	ralloc.AtomicStorePptr(s.H, bucket, it)
 	s.H.SeqWriteEnd(seq)
 	s.setLinked(it, true)
@@ -265,7 +265,7 @@ func (c *Ctx) swapLocked(old, nit, hash uint64) {
 	}
 	seq := s.seqOff(hash)
 	s.H.SeqWriteBegin(seq)
-	ralloc.StorePptr(s.H, nit+itHNext, ralloc.LoadPptr(s.H, bucket))
+	ralloc.RelaxedStorePptr(s.H, nit+itHNext, ralloc.LoadPptr(s.H, bucket))
 	ralloc.AtomicStorePptr(s.H, bucket, nit)
 	fpStoreMidSwap.Maybe()
 	if cur == old {

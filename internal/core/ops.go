@@ -543,7 +543,7 @@ func (c *Ctx) incrDecr(key []byte, delta uint64, decr bool) (uint64, error) {
 			s.H.AtomicWriteBytes(s.itemValOff(it), rendered[:half])
 			runtime.Gosched()
 			s.H.AtomicWriteBytes(s.itemValOff(it)+uint64(half), rendered[half:])
-			s.H.RelaxedStore64(it+itValSum, hashKey(rendered))
+			s.H.RelaxedStore64(it+itValSum, valueSum(rendered))
 			s.H.RelaxedStore64(it+itCASID, s.nextCAS())
 			c.lruBump(hash, it, c.now())
 			return v, nil
@@ -555,7 +555,7 @@ func (c *Ctx) incrDecr(key []byte, delta uint64, decr bool) (uint64, error) {
 		s.H.SeqWriteBegin(seq)
 		s.H.AtomicWriteBytes(s.itemValOff(it), rendered)
 		fpIncrMidRewrite.Maybe()
-		s.H.RelaxedStore64(it+itValSum, hashKey(rendered))
+		s.H.RelaxedStore64(it+itValSum, valueSum(rendered))
 		s.H.RelaxedStore64(it+itCASID, s.nextCAS())
 		s.H.SeqWriteEnd(seq)
 		// The rewrite is a use: move the item up its LRU list like the

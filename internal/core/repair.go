@@ -343,7 +343,7 @@ func (s *Store) Repair(c *Ctx) (RepairReport, error) {
 		vlen := s.itemValLen(it)
 		val := grow(&c.valBuf, vlen)
 		h.ReadBytes(s.itemValOff(it), val)
-		if sum := hashKey(val); sum != h.Load64(it+itValSum) {
+		if sum := valueSum(val); sum != h.Load64(it+itValSum) {
 			h.Store64(it+itValSum, sum)
 			r.ValueSumsRestamped++
 		}

@@ -102,7 +102,7 @@ func (c *Ctx) deepVerifyLocked(it uint64) string {
 	}
 	val := grow(&c.auxBuf, vlen)
 	s.H.ReadBytes(s.itemValOff(it), val)
-	if hashKey(val) != s.H.Load64(it+itValSum) {
+	if valueSum(val) != s.H.Load64(it+itValSum) {
 		return "value checksum mismatch"
 	}
 	return ""

@@ -319,6 +319,37 @@ func TestLRUOrdering(t *testing.T) {
 	}
 }
 
+// TestItemAllocRaceClean is the core-side half of ralloc's
+// TestPopRaceClean: short-lived contexts Set and Delete same-class items so
+// that every round refills from and flushes to one global free list, and a
+// losing pop's speculative link read overlaps the winner's stores to the
+// item's first header word (hNext). Those stores must be relaxed or atomic;
+// under -race this test reports any that are not.
+func TestItemAllocRaceClean(t *testing.T) {
+	s, c0 := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
+	defer c0.Close()
+	const workers, rounds = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key := []byte(fmt.Sprintf("alloc-race-%d", w))
+			for i := 0; i < rounds; i++ {
+				c := s.NewCtx(uint64(w + 2))
+				if err := c.Set(key, []byte("v"), 0, 0); err != nil {
+					t.Error(err)
+				}
+				if err := c.Delete(key); err != nil {
+					t.Error(err)
+				}
+				c.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func BenchmarkCoreGet128(b *testing.B) { benchCoreGet(b, 128) }
 func BenchmarkCoreGet5K(b *testing.B)  { benchCoreGet(b, 5120) }
 func BenchmarkCoreSet128(b *testing.B) { benchCoreSet(b, 128) }

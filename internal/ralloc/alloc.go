@@ -22,6 +22,14 @@ var (
 // the multi-chunk large path, which takes a spinlock because it must find
 // contiguous chunks (large allocations are rare in memcached — hash tables
 // and little else).
+//
+// pop reads a block's link word before it knows it has won the block; if it
+// loses, the read overlapped whatever the winner stored there and the
+// failed CAS throws it away. So that read, and every store to a block's
+// first word that can follow a pop without other synchronization — the
+// link stores below, Calloc's zeroing, and a Malloc caller's stores until
+// it publishes the block — goes through the relaxed accessors, which tell
+// the race detector the overlap is meant.
 
 const (
 	tagShift = 48
@@ -38,11 +46,22 @@ func (a *Allocator) pushChain(ci int, first, last uint64) {
 	headAddr := offClassHead + uint64(ci)*8
 	for {
 		old := a.h.AtomicLoad64(headAddr)
-		a.h.Store64(last, headOff(old))
+		a.h.RelaxedStore64(last, headOff(old))
 		if a.h.CAS64(headAddr, old, packHead(headTag(old)+1, first)) {
 			return
 		}
 	}
+}
+
+// pushBlocks links blocks into a chain through their first words and
+// pushes it onto class ci's global free list.
+func (a *Allocator) pushBlocks(ci int, blocks []uint64) {
+	last := len(blocks) - 1
+	for i := 0; i < last; i++ {
+		a.h.RelaxedStore64(blocks[i], blocks[i+1])
+	}
+	a.h.RelaxedStore64(blocks[last], 0)
+	a.pushChain(ci, blocks[0], blocks[last])
 }
 
 // pop removes one block from class ci's global free list, returning 0 if
@@ -55,7 +74,7 @@ func (a *Allocator) pop(ci int) uint64 {
 		if off == 0 {
 			return 0
 		}
-		next := a.h.Load64(off)
+		next := a.h.RelaxedLoad64(off)
 		if a.h.CAS64(headAddr, old, packHead(headTag(old)+1, next)) {
 			return off
 		}
@@ -76,9 +95,9 @@ func (a *Allocator) carveChunk(ci int) (first, last, count uint64) {
 	n := uint64(ChunkSize) / size
 	// Link the blocks front to back through their first words.
 	for i := uint64(0); i < n-1; i++ {
-		a.h.Store64(base+i*size, base+(i+1)*size)
+		a.h.RelaxedStore64(base+i*size, base+(i+1)*size)
 	}
-	a.h.Store64(base+(n-1)*size, 0)
+	a.h.RelaxedStore64(base+(n-1)*size, 0)
 	return base, base + (n-1)*size, n
 }
 
@@ -120,7 +139,8 @@ func (a *Allocator) NewCache() *Cache {
 
 // Malloc allocates n bytes from the shared heap and returns its heap
 // offset. The block is 8-aligned and its contents are unspecified
-// (like malloc).
+// (like malloc). Until the block is published to other threads, store to
+// its first word with the relaxed accessors (see "Global free lists").
 func (c *Cache) Malloc(n uint64) (uint64, error) {
 	if n == 0 {
 		n = 1
@@ -149,7 +169,10 @@ func (c *Cache) Calloc(n uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.a.h.Zero(off, n)
+	c.a.h.RelaxedStore64(off, 0) // the link word; see "Global free lists"
+	if n > 8 {
+		c.a.h.Zero(off+8, n-8)
+	}
 	return off, nil
 }
 
@@ -227,11 +250,7 @@ func (c *Cache) spill(class int) {
 	l := c.lists[class]
 	half := l[:len(l)/2]
 	c.lists[class] = append([]uint64(nil), l[len(l)/2:]...)
-	for i := 0; i < len(half)-1; i++ {
-		c.a.h.Store64(half[i], half[i+1])
-	}
-	c.a.h.Store64(half[len(half)-1], 0)
-	c.a.pushChain(class, half[0], half[len(half)-1])
+	c.a.pushBlocks(class, half)
 }
 
 // Flush returns every cached block to the global free lists. Call it when
@@ -242,11 +261,7 @@ func (c *Cache) Flush() {
 		if len(l) == 0 {
 			continue
 		}
-		for i := 0; i < len(l)-1; i++ {
-			c.a.h.Store64(l[i], l[i+1])
-		}
-		c.a.h.Store64(l[len(l)-1], 0)
-		c.a.pushChain(class, l[0], l[len(l)-1])
+		c.a.pushBlocks(class, l)
 		c.lists[class] = nil
 	}
 }

@@ -225,7 +225,7 @@ func TestReclaimConcurrentWithAlloc(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				h.Store64(off, id<<32|uint64(i))
+				h.RelaxedStore64(off, id<<32|uint64(i)) // first word of a fresh block
 				mine = append(mine, off)
 				if len(mine) > 20 {
 					victim := mine[0]

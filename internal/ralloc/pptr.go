@@ -15,15 +15,22 @@ import "plibmc/internal/shm"
 // itself). Otherwise the word is int64(target - at) where at is the pptr's
 // own heap offset.
 
+// distance encodes a pptr stored at heap offset at that points to target.
+func distance(at, target uint64) uint64 {
+	if target == 0 {
+		return 0
+	}
+	return uint64(int64(target) - int64(at))
+}
+
 // StorePptr writes a pptr at heap offset at pointing to heap offset target.
 // target == 0 stores nil.
-func StorePptr(h *shm.Heap, at, target uint64) {
-	if target == 0 {
-		h.Store64(at, 0)
-		return
-	}
-	h.Store64(at, uint64(int64(target)-int64(at)))
-}
+func StorePptr(h *shm.Heap, at, target uint64) { h.Store64(at, distance(at, target)) }
+
+// RelaxedStorePptr is StorePptr through the relaxed accessor, for a block's
+// first word before the block is published: a losing free-list pop may
+// still be reading that word (see "Global free lists" in alloc.go).
+func RelaxedStorePptr(h *shm.Heap, at, target uint64) { h.RelaxedStore64(at, distance(at, target)) }
 
 // LoadPptr reads the pptr at heap offset at, returning the target heap
 // offset (0 for nil).
@@ -46,13 +53,7 @@ func AtomicLoadPptr(h *shm.Heap, at uint64) uint64 {
 }
 
 // AtomicStorePptr is StorePptr with an atomic write of the distance word.
-func AtomicStorePptr(h *shm.Heap, at, target uint64) {
-	if target == 0 {
-		h.AtomicStore64(at, 0)
-		return
-	}
-	h.AtomicStore64(at, uint64(int64(target)-int64(at)))
-}
+func AtomicStorePptr(h *shm.Heap, at, target uint64) { h.AtomicStore64(at, distance(at, target)) }
 
 // ResolveVirtual converts the pptr at heap offset at into a virtual address
 // in the given view — the pptr<T> → T* conversion clients perform. It

@@ -409,8 +409,9 @@ func TestConcurrentAllocFree(t *testing.T) {
 					return
 				}
 				// Stamp the block and verify ownership later: catches
-				// double-allocation across workers.
-				h.Store64(off, id<<32|uint64(i))
+				// double-allocation across workers. Relaxed, as Malloc
+				// asks of stores to a fresh block's first word.
+				h.RelaxedStore64(off, id<<32|uint64(i))
 				mine = append(mine, off)
 				if len(mine) > 64 {
 					victim := mine[0]
@@ -589,5 +590,41 @@ func TestClassStats(t *testing.T) {
 	// 50 freed + (512-100) never-handed-out blocks are free.
 	if cs.FreeBlocks != cs.TotalBlocks-50 {
 		t.Fatalf("FreeBlocks = %d, want %d", cs.FreeBlocks, cs.TotalBlocks-50)
+	}
+}
+
+// TestPopRaceClean hammers one size class's global free list from several
+// caches at once, each refilling (pop) and flushing (pushChain) on every
+// round. A popper that loses the head CAS has already read the link word
+// of a block whose new owner is storing to it — Calloc's zeroing here,
+// newItem's first header store in package core. The tagged CAS discards
+// that read, so it is benign, but it must go through the relaxed accessors
+// on both sides or `go test -race` reports it.
+func TestPopRaceClean(t *testing.T) {
+	_, a := newHeapAlloc(t, 1<<22)
+	const workers, rounds = 4, 400
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c := a.NewCache()
+				off, err := c.Calloc(64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.Free(off); err != nil {
+					t.Error(err)
+					return
+				}
+				c.Flush()
+			}
+		}()
+	}
+	wg.Wait()
+	if a.LiveBytes() != 0 {
+		t.Fatalf("LiveBytes after stress = %d", a.LiveBytes())
 	}
 }

@@ -57,11 +57,7 @@ func (a *Allocator) reclaimClass(ci int) int {
 		}
 	}
 	if len(keep) > 0 {
-		for i := 0; i < len(keep)-1; i++ {
-			a.h.Store64(keep[i], keep[i+1])
-		}
-		a.h.Store64(keep[len(keep)-1], 0)
-		a.pushChain(ci, keep[0], keep[len(keep)-1])
+		a.pushBlocks(ci, keep)
 	}
 	return reclaimed
 }

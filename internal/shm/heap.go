@@ -156,23 +156,3 @@ func (h *Heap) Store32(off uint64, v uint32) {
 		*w = (*w & 0xffffffff00000000) | uint64(v)
 	}
 }
-
-// Zero clears n bytes starting at off.
-func (h *Heap) Zero(off, n uint64) {
-	h.check(off, n, true)
-	for n > 0 && off%WordSize != 0 {
-		h.storeByte(off, 0)
-		off++
-		n--
-	}
-	for n >= WordSize {
-		h.words[off/WordSize] = 0
-		off += WordSize
-		n -= WordSize
-	}
-	for n > 0 {
-		h.storeByte(off, 0)
-		off++
-		n--
-	}
-}

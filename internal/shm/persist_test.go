@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -189,7 +190,7 @@ func TestVerifyImageLocalizesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	bodyOff := uint64(imageHeaderSize) + rep.Info.Regions*8
-	full[bodyOff+ImageRegionSize+17] ^= 0x80 // region 1
+	full[bodyOff+ImageRegionSize+17] ^= 0x80  // region 1
 	full[bodyOff+2*ImageRegionSize+5] ^= 0x01 // region 2
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
@@ -203,6 +204,44 @@ func TestVerifyImageLocalizesCorruption(t *testing.T) {
 	}
 	if len(rep.BadRegions) != 2 || rep.BadRegions[0].Region != 1 || rep.BadRegions[1].Region != 2 {
 		t.Fatalf("bad regions = %+v", rep.BadRegions)
+	}
+}
+
+// A damaged region-table entry over an intact body is charged to that
+// entry's region alone: the running sums chain, but the next region must
+// not be reported with it — whichever half of the u64 entry was hit.
+func TestVerifyImageDamagedTableEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table.heap")
+	h := New(3 * ImageRegionSize)
+	for off := uint64(0); off < h.Size(); off += WordSize {
+		h.Store64(off, off*5+3)
+	}
+	if err := h.WriteImage(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for reg := 0; reg < 3; reg++ {
+		for _, byteInEntry := range []int{0, 3, 4, 7} {
+			full := append([]byte(nil), clean...)
+			full[imageHeaderSize+reg*8+byteInEntry] ^= 0x10
+			if err := os.WriteFile(path, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := VerifyImage(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK() || rep.TableOK || rep.ImageCRCOK {
+				t.Fatalf("entry %d byte %d: report %+v", reg, byteInEntry, rep)
+			}
+			if len(rep.BadRegions) != 1 || rep.BadRegions[0].Region != uint64(reg) {
+				t.Fatalf("entry %d byte %d: bad regions = %+v, want only region %d",
+					reg, byteInEntry, rep.BadRegions, reg)
+			}
+		}
 	}
 }
 
@@ -248,6 +287,45 @@ func TestImageCandidatesOrdering(t *testing.T) {
 	}
 	if info.Generation != 5 || back.Load64(0) != 11 {
 		t.Fatalf("fallback image: gen %d, word %d", info.Generation, back.Load64(0))
+	}
+}
+
+// An image of the previous format (version 2: CRC-64 image sums, FNV value
+// sums inside the items) must be refused by version, never loaded and left
+// for the scrubber to quarantine item by item; and a slot holding one must
+// rank behind a slot that loads, however new its generation claims to be.
+func TestOldImageVersionRefused(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "store.heap")
+	h := New(PageSize)
+	h.Store64(0, 11)
+	if err := h.WriteImage(CheckpointSlot(base, 5), 5); err != nil {
+		t.Fatal(err)
+	}
+	old := CheckpointSlot(base, 6)
+	if err := h.WriteImage(old, 6); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(full[8:], 2) // the version field
+	if err := os.WriteFile(old, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadImageInfo(old); !errors.Is(err, ErrImageVersion) {
+		t.Fatalf("ReadImageInfo err = %v, want ErrImageVersion", err)
+	}
+	if _, _, err := LoadImage(old); !errors.Is(err, ErrImageVersion) {
+		t.Fatalf("LoadImage err = %v, want ErrImageVersion", err)
+	}
+	if _, err := VerifyImage(old); !errors.Is(err, ErrImageVersion) {
+		t.Fatalf("VerifyImage err = %v, want ErrImageVersion", err)
+	}
+	cands := ImageCandidates(base)
+	if len(cands) != 2 || cands[0].Generation != 5 || cands[0].Err != nil ||
+		cands[1].Path != old || !errors.Is(cands[1].Err, ErrImageVersion) {
+		t.Fatalf("candidates = %+v", cands)
 	}
 }
 

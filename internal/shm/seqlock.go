@@ -1,7 +1,5 @@
 package shm
 
-import "encoding/binary"
-
 // Seqlocks and relaxed heap accessors.
 //
 // A seqlock is one heap-resident word: even while stable, odd while a
@@ -88,58 +86,4 @@ func (h *Heap) RelaxedStore32(off uint64, v uint32) {
 		w = (w & 0xffffffff00000000) | uint64(v)
 	}
 	relaxedStoreWord(p, w)
-}
-
-// AtomicReadBytes copies len(dst) bytes starting at off into dst using
-// word-granular relaxed loads: the copy may observe a stale or mid-update
-// value (to be rejected by seqlock validation) but never a torn word, and
-// it is race-detector clean against writers using the relaxed stores.
-func (h *Heap) AtomicReadBytes(off uint64, dst []byte) {
-	h.check(off, uint64(len(dst)), false)
-	i := 0
-	for off%WordSize != 0 && i < len(dst) {
-		w := relaxedLoadWord(&h.words[off/WordSize])
-		dst[i] = byte(w >> ((off % WordSize) * 8))
-		off++
-		i++
-	}
-	for len(dst)-i >= WordSize {
-		binary.LittleEndian.PutUint64(dst[i:], relaxedLoadWord(&h.words[off/WordSize]))
-		off += WordSize
-		i += WordSize
-	}
-	for i < len(dst) {
-		w := relaxedLoadWord(&h.words[off/WordSize])
-		dst[i] = byte(w >> ((off % WordSize) * 8))
-		off++
-		i++
-	}
-}
-
-// AtomicWriteBytes copies src into the heap at off using word-granular
-// relaxed stores, the writer-side counterpart of AtomicReadBytes for
-// in-place value rewrites under a held lock. Partial words at the edges
-// are read-modify-written, so the caller's lock must cover them.
-func (h *Heap) AtomicWriteBytes(off uint64, src []byte) {
-	h.check(off, uint64(len(src)), true)
-	i := 0
-	for off%WordSize != 0 && i < len(src) {
-		p := &h.words[off/WordSize]
-		sh := (off % WordSize) * 8
-		relaxedStoreWord(p, (relaxedLoadWord(p)&^(uint64(0xff)<<sh))|uint64(src[i])<<sh)
-		off++
-		i++
-	}
-	for len(src)-i >= WordSize {
-		relaxedStoreWord(&h.words[off/WordSize], binary.LittleEndian.Uint64(src[i:]))
-		off += WordSize
-		i += WordSize
-	}
-	for i < len(src) {
-		p := &h.words[off/WordSize]
-		sh := (off % WordSize) * 8
-		relaxedStoreWord(p, (relaxedLoadWord(p)&^(uint64(0xff)<<sh))|uint64(src[i])<<sh)
-		off++
-		i++
-	}
 }

@@ -1,15 +1,19 @@
 package memcached
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"plibmc/internal/faultpoint"
+	"plibmc/internal/shm"
 )
 
 func TestCheckpointWhileServing(t *testing.T) {
@@ -79,6 +83,58 @@ func TestCheckpointWhileServing(t *testing.T) {
 	// The recovered store accepts new work.
 	if err := s2.Set([]byte("post-recovery"), []byte("ok"), 0, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A checkpoint slot left behind by the previous image format is refused by
+// version: OpenStore passes over it, however new its generation, to the
+// slot that loads, and with nothing else on disk it says why it gave up.
+func TestOpenStoreSkipsOldImageVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.img")
+	cfg := Config{HeapBytes: 4 << 20, Path: path, HashPower: 8, NumItemLocks: 16}
+	b, err := CreateStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := b.NewClientProcess(1000)
+	s, _ := cp.NewSession()
+	if err := s.Set([]byte("k"), []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := b.Shutdown(); err != nil { // generation 1
+		t.Fatal(err)
+	}
+	good, old := shm.CheckpointSlot(path, 1), shm.CheckpointSlot(path, 2)
+	img, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(img[8:], 2)  // version
+	binary.LittleEndian.PutUint64(img[16:], 2) // generation
+	if err := os.WriteFile(old, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b2, err := OpenStore(Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp2, _ := b2.NewClientProcess(1000)
+	s2, _ := cp2.NewSession()
+	if v, _, err := s2.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after reopen = %q, %v", v, err)
+	}
+	s2.Close()
+	// Not Shutdown: that would checkpoint generation 2 over the old slot.
+	b2.StopMaintenance()
+
+	if err := os.Remove(good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(Config{Path: path}); err == nil ||
+		!strings.Contains(err.Error(), shm.ErrImageVersion.Error()) {
+		t.Fatalf("OpenStore with only a v2 image: err = %v", err)
 	}
 }
 

@@ -19,7 +19,7 @@ check: build faultmatrix corruptmatrix modelcheck gatehard shardcheck reshardche
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
 	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
-	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackBatched|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting' ./internal/core ./internal/hodor ./memcached
+	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting' ./internal/core ./internal/hodor ./memcached
 
 # The linearizability gate (DESIGN.md "Model-based history checking"):
 # record mixed workloads through the real session paths — seqlock fast

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,6 +228,7 @@ func TestChaosKillDuringCheckpoint(t *testing.T) {
 			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
+			var sets atomic.Int64 // completed worker Sets
 			for w := 0; w < 3; w++ {
 				s, err := cp.NewSession()
 				if err != nil {
@@ -247,14 +249,26 @@ func TestChaosKillDuringCheckpoint(t *testing.T) {
 							t.Errorf("worker %d: %v", id, err)
 							return
 						}
+						sets.Add(1)
 					}
 				}(w, s)
 			}
-			time.Sleep(3 * time.Millisecond)
+			// Each checkpoint waits for the workers' writes, not for a
+			// time: a loaded box may not have scheduled them yet.
+			awaitSets := func(n int64) {
+				target := sets.Load() + n
+				for deadline := time.Now().Add(30 * time.Second); sets.Load() < target; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						close(stop)
+						t.Fatalf("workers completed %d of %d sets", sets.Load(), target)
+					}
+				}
+			}
+			awaitSets(100)
 			if err := book.Checkpoint(); err != nil { // generation 1: intact
 				t.Fatal(err)
 			}
-			time.Sleep(3 * time.Millisecond)
+			awaitSets(100)
 
 			// The bookkeeper dies at the armed point inside checkpoint 2,
 			// with the workers still running.

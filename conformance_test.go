@@ -1,0 +1,435 @@
+package plibmc
+
+// Conformance tables (ROADMAP 2c). Every operation reaches core.Ctx as a
+// BatchOp through one path per tier, so one table per tier pins them all:
+// testKV drives every implementation of memcached.KV — and, for each case,
+// all three ways an op can travel (the single-key method, a one-op
+// ExecBatch, a slot of a mixed ExecBatch) — against the sequential
+// reference in internal/model; TestWireLoneVsPipelined does the same for
+// the two plib socket front ends, where the lone and the batched dispatch
+// must render byte-identical replies.
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"plibmc/internal/core"
+	"plibmc/internal/model"
+	"plibmc/internal/protocol"
+	"plibmc/memcached"
+)
+
+// conformanceKVs builds one of every kind of KV, each over its own fresh
+// store: a trampolined Session, the paper's "Plib, No Hodor" session, and
+// 1- and 4-shard ClusterSessions.
+func conformanceKVs(t *testing.T) map[string]memcached.KV {
+	t.Helper()
+	cfg := memcached.Config{HeapBytes: 16 << 20, HashPower: 10}
+	kvs := map[string]memcached.KV{}
+	for _, direct := range []bool{false, true} {
+		book, err := memcached.CreateStore(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { book.Shutdown() })
+		cp, err := book.NewClientProcess(1001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct {
+			kvs["session-nohodor"], err = cp.NewSessionNoHodor()
+		} else {
+			kvs["session"], err = cp.NewSession()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{1, 4} {
+		c, err := memcached.CreateCluster(memcached.ClusterConfig{Shards: n, Store: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Shutdown() })
+		cc, err := c.NewClientProcess(1001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := cc.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kvs[fmt.Sprintf("cluster-%d", n)] = cs
+	}
+	return kvs
+}
+
+func TestKVConformance(t *testing.T) {
+	for name, kv := range conformanceKVs(t) {
+		t.Run(name, func(t *testing.T) { testKV(t, kv) })
+	}
+}
+
+// kvCodes maps the model's op kinds to batch codes.
+var kvCodes = map[model.Kind]core.BatchCode{
+	model.Get: memcached.BatchGet, model.GAT: memcached.BatchGAT,
+	model.Set: memcached.BatchSet, model.Add: memcached.BatchAdd,
+	model.Replace: memcached.BatchReplace, model.CAS: memcached.BatchCAS,
+	model.Delete: memcached.BatchDelete, model.Incr: memcached.BatchIncr,
+	model.Decr: memcached.BatchDecr, model.Append: memcached.BatchAppend,
+	model.Prepend: memcached.BatchPrepend, model.Touch: memcached.BatchTouch,
+}
+
+// The three ways an operation can reach the store.
+const (
+	formSingle = iota // the single-key method
+	formBatch1        // a one-op ExecBatch
+	formMixed         // one slot of a mixed ExecBatch
+	numForms
+)
+
+// testKV is the conformance table: every verb against an absent key, a
+// text value and a numeric value — which between them produce every
+// per-key outcome (hit, miss, exists, CAS match and mismatch, non-numeric)
+// — plus an over-long key, in each of the three forms. Each observed
+// result must be the one the reference model allows from the prepared
+// state, the three forms must agree with each other, and a read
+// afterwards must see the model's successor state.
+func testKV(t *testing.T, kv memcached.KV) {
+	sides := 0
+	// apply runs op in the given form, records what it returned in op, and
+	// returns its error.
+	apply := func(form int, op *model.Op) error {
+		t.Helper()
+		key := []byte(op.Key)
+		if form == formSingle {
+			var err error
+			switch op.Kind {
+			case model.Get:
+				op.RVal, op.RFlags, op.RCAS, err = kv.Gets(key)
+				if v, f, gerr := kv.Get(key); !bytes.Equal(v, op.RVal) || f != op.RFlags || !errors.Is(gerr, err) {
+					t.Errorf("%s: Get = %q, %d, %v; Gets = %q, %d, %v", op.Key, v, f, gerr, op.RVal, op.RFlags, err)
+				}
+			case model.GAT:
+				op.RVal, op.RFlags, err = kv.GetAndTouch(key, op.Exp)
+			case model.Set:
+				err = kv.Set(key, op.Val, op.Flags, op.Exp)
+			case model.Add:
+				err = kv.Add(key, op.Val, op.Flags, op.Exp)
+			case model.Replace:
+				err = kv.Replace(key, op.Val, op.Flags, op.Exp)
+			case model.CAS:
+				err = kv.CAS(key, op.Val, op.Flags, op.Exp, op.CASArg)
+			case model.Delete:
+				err = kv.Delete(key)
+			case model.Incr:
+				op.RNum, err = kv.Increment(key, op.Delta)
+			case model.Decr:
+				op.RNum, err = kv.Decrement(key, op.Delta)
+			case model.Append:
+				err = kv.Append(key, op.Val)
+			case model.Prepend:
+				err = kv.Prepend(key, op.Val)
+			case model.Touch:
+				err = kv.Touch(key, op.Exp)
+			}
+			return err
+		}
+		ops := []memcached.BatchOp{{Code: kvCodes[op.Kind], Key: key, Value: op.Val,
+			Flags: op.Flags, Exptime: op.Exp, Delta: op.Delta, CAS: op.CASArg}}
+		at := 0
+		if form == formMixed {
+			// Siblings on other keys (other shards, on a cluster) around
+			// the op: a store, a miss, a failure and a dependent read.
+			sides++
+			side := []byte(fmt.Sprintf("side-%d", sides))
+			ops = []memcached.BatchOp{
+				{Code: memcached.BatchSet, Key: side, Value: []byte("s")},
+				{Code: memcached.BatchGet, Key: []byte("side-absent")},
+				ops[0],
+				{Code: memcached.BatchIncr, Key: side, Delta: 1},
+				{Code: memcached.BatchAppend, Key: side, Value: []byte("!")},
+				{Code: memcached.BatchGet, Key: side},
+			}
+			at = 2
+		}
+		res, err := kv.ExecBatch(ops)
+		if err != nil || len(res) != len(ops) {
+			t.Fatalf("%s: ExecBatch = %d results, %v; want %d", op.Key, len(res), err, len(ops))
+		}
+		if form == formMixed {
+			if res[0].Err != nil || !errors.Is(res[1].Err, memcached.ErrNotFound) ||
+				!errors.Is(res[3].Err, memcached.ErrNotNumeric) || res[4].Err != nil ||
+				res[5].Err != nil || string(res[5].Value) != "s!" {
+				t.Errorf("%s: siblings in the mixed batch = %+v", op.Key, res)
+			}
+		}
+		r := res[at]
+		op.RVal, op.RFlags, op.RCAS, op.RNum = r.Value, r.Flags, r.CAS, r.Num
+		return r.Err
+	}
+
+	const (
+		casNone = iota
+		casMatch
+		casMismatch
+	)
+	verbs := []struct {
+		name string
+		op   model.Op
+		cas  int
+	}{
+		{"get", model.Op{Kind: model.Get}, casNone},
+		{"gat", model.Op{Kind: model.GAT, Exp: 3600}, casNone},
+		{"set", model.Op{Kind: model.Set, Val: []byte("new"), Flags: 9}, casNone},
+		{"add", model.Op{Kind: model.Add, Val: []byte("new"), Flags: 9}, casNone},
+		{"replace", model.Op{Kind: model.Replace, Val: []byte("new"), Flags: 9}, casNone},
+		{"cas-match", model.Op{Kind: model.CAS, Val: []byte("new"), Flags: 9}, casMatch},
+		{"cas-mismatch", model.Op{Kind: model.CAS, Val: []byte("new"), Flags: 9}, casMismatch},
+		{"delete", model.Op{Kind: model.Delete}, casNone},
+		{"incr", model.Op{Kind: model.Incr, Delta: 7}, casNone},
+		{"decr", model.Op{Kind: model.Decr, Delta: 50}, casNone},
+		{"append", model.Op{Kind: model.Append, Val: []byte("+")}, casNone},
+		{"prepend", model.Op{Kind: model.Prepend, Val: []byte("+")}, casNone},
+		{"touch", model.Op{Kind: model.Touch, Exp: 3600}, casNone},
+	}
+	preps := []struct {
+		name    string
+		present bool
+		val     string
+		flags   uint32
+	}{
+		{"absent", false, "", 0},
+		{"text", true, "hello", 5},
+		{"numeric", true, "41", 0},
+	}
+	type outcome struct {
+		res   model.Res
+		val   string
+		flags uint32
+		num   uint64
+	}
+	m := &model.Model{}
+	for _, prep := range preps {
+		for _, verb := range verbs {
+			var first outcome
+			for form := 0; form < numForms; form++ {
+				key := fmt.Sprintf("%s/%s/%d", prep.name, verb.name, form)
+				var st model.State
+				if prep.present {
+					if err := kv.Set([]byte(key), []byte(prep.val), prep.flags, 0); err != nil {
+						t.Fatalf("%s: prepare: %v", key, err)
+					}
+					_, _, cas, err := kv.Gets([]byte(key))
+					if err != nil {
+						t.Fatalf("%s: prepare: %v", key, err)
+					}
+					st = model.State{Present: true, Val: prep.val, Flags: prep.flags, CAS: cas}
+				}
+				op := verb.op
+				op.Key = key
+				switch verb.cas {
+				case casMatch:
+					op.CASArg = st.CAS
+				case casMismatch:
+					op.CASArg = st.CAS + 1
+				}
+				var ok bool
+				if op.Res, ok = mcResult(apply(form, &op)); !ok {
+					t.Errorf("%s: unexpected error class", key)
+					continue
+				}
+				next := m.Step(st, &op)
+				if len(next) != 1 {
+					t.Errorf("%s: result %v (value %q flags %d cas %d num %d) is not what the model allows from %+v",
+						key, op.Res, op.RVal, op.RFlags, op.RCAS, op.RNum, st)
+					continue
+				}
+				got := outcome{res: op.Res}
+				if op.Res == model.ResOK {
+					got = outcome{op.Res, string(op.RVal), op.RFlags, op.RNum}
+				}
+				if form == formSingle {
+					first = got
+				} else if got != first {
+					t.Errorf("%s: form %d returned %+v, the single-key call %+v", key, form, got, first)
+				}
+				v, f, err := kv.Get([]byte(key))
+				if want := next[0]; !want.Present {
+					if !errors.Is(err, memcached.ErrNotFound) {
+						t.Errorf("%s: afterwards Get = %q, %v; want a miss", key, v, err)
+					}
+				} else if err != nil || string(v) != want.Val || f != want.Flags {
+					t.Errorf("%s: afterwards Get = %q, %d, %v; want %q, %d", key, v, f, err, want.Val, want.Flags)
+				}
+			}
+		}
+	}
+
+	// A key past MaxKeyLen is refused by every verb in every form, and the
+	// mixed batch's siblings are none the worse for it.
+	long := strings.Repeat("k", core.MaxKeyLen+1)
+	for _, verb := range verbs {
+		for form := 0; form < numForms; form++ {
+			op := verb.op
+			op.Key = long
+			if err := apply(form, &op); !errors.Is(err, memcached.ErrKeyTooLong) {
+				t.Errorf("over-long key, %s, form %d: %v; want ErrKeyTooLong", verb.name, form, err)
+			}
+		}
+	}
+}
+
+// TestOpAllocs pins what one operation allocates on each session type: a
+// Get hit its value and nothing else, a Set nothing. The call frame lies
+// in the session, so no tier between the caller and core.Ctx may add to
+// that.
+func TestOpAllocs(t *testing.T) {
+	kvs := conformanceKVs(t)
+	for _, name := range []string{"session", "cluster-4"} {
+		kv := kvs[name]
+		key, val := []byte("pinned"), bytes.Repeat([]byte("v"), 128)
+		if err := kv.Set(key, val, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { kv.Get(key) }); n != 1 { //nolint:errcheck
+			t.Errorf("%s: Get hit allocates %v times, want 1 (the value)", name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { kv.Set(key, val, 0, 0) }); n != 0 { //nolint:errcheck
+			t.Errorf("%s: Set allocates %v times, want 0", name, n)
+		}
+	}
+}
+
+// wireScript is a command sequence that visits every keyed verb with
+// every outcome, the quiet variants, a multi-key get and the admin verbs,
+// one element per command, in the given protocol.
+func wireScript(t *testing.T, binary bool) [][]byte {
+	t.Helper()
+	k := func(s string) []byte { return []byte(s) }
+	cmds := []protocol.Command{
+		{Op: protocol.OpSet, Key: k("a"), Value: k("hello"), Flags: 5},
+		{Op: protocol.OpGet, Key: k("a")},
+		{Op: protocol.OpGet, Key: k("missing")},
+		{Op: protocol.OpAdd, Key: k("a"), Value: k("x")},
+		{Op: protocol.OpAdd, Key: k("n"), Value: k("41")},
+		{Op: protocol.OpReplace, Key: k("a"), Value: k("world"), Flags: 6},
+		{Op: protocol.OpReplace, Key: k("missing"), Value: k("x")},
+		{Op: protocol.OpAppend, Key: k("a"), Value: k("!")},
+		{Op: protocol.OpPrepend, Key: k("a"), Value: k(">")},
+		{Op: protocol.OpAppend, Key: k("missing"), Value: k("!")},
+		{Op: protocol.OpIncr, Key: k("n"), Delta: 1},
+		{Op: protocol.OpDecr, Key: k("n"), Delta: 50},
+		{Op: protocol.OpIncr, Key: k("a"), Delta: 1},
+		{Op: protocol.OpIncr, Key: k("missing"), Delta: 1},
+		{Op: protocol.OpCAS, Key: k("a"), Value: k("x"), CAS: 999},
+		{Op: protocol.OpCAS, Key: k("missing"), Value: k("x"), CAS: 1},
+		{Op: protocol.OpTouch, Key: k("a"), Exptime: 3600},
+		{Op: protocol.OpTouch, Key: k("missing"), Exptime: 3600},
+		{Op: protocol.OpGAT, Key: k("a"), Exptime: 3600},
+		{Op: protocol.OpGAT, Key: k("missing"), Exptime: 3600},
+		{Op: protocol.OpSet, Key: k("q"), Value: k("z"), Quiet: true},
+		{Op: protocol.OpGet, Key: k("q"), Quiet: true},
+		{Op: protocol.OpGet, Key: k("missing"), Quiet: true},
+		{Op: protocol.OpSet, Key: k(strings.Repeat("k", core.MaxKeyLen)), Value: k("edge")},
+		{Op: protocol.OpDelete, Key: k("a")},
+		{Op: protocol.OpDelete, Key: k("a")},
+		{Op: protocol.OpVersion},
+		{Op: protocol.OpGet, Key: k("n")},
+		{Op: protocol.OpFlushAll},
+		{Op: protocol.OpGet, Key: k("n")},
+	}
+	var script [][]byte
+	for i := range cmds {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		var err error
+		if binary {
+			err = protocol.WriteBinaryCommand(w, &cmds[i])
+		} else {
+			err = protocol.WriteASCIICommand(w, &cmds[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		script = append(script, buf.Bytes())
+	}
+	if binary {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		protocol.WriteBinaryCommand(w, &protocol.Command{Op: protocol.OpNoop}) //nolint:errcheck
+		w.Flush()
+		return append(script, buf.Bytes())
+	}
+	// ASCII only: a multi-key get, and a key the parser lets through but
+	// the store refuses.
+	return append(script,
+		k("set m 0 0 1\r\nv\r\n"),
+		k("get m missing a m\r\n"),
+		k("get "+strings.Repeat("k", core.MaxKeyLen+1)+"\r\n"))
+}
+
+// TestWireLoneVsPipelined: each command of wireScript sent alone (one
+// connection each, so every one takes the dispatcher's lone path) and the
+// whole script sent as one pipeline to a fresh store (so keyed stretches
+// ride batches) must produce byte-identical reply streams, on the hybrid
+// server and the cluster proxy, in both protocols.
+func TestWireLoneVsPipelined(t *testing.T) {
+	cfg := memcached.Config{HeapBytes: 16 << 20, HashPower: 10}
+	frontEnds := map[string]func(t *testing.T, sock string) net.Addr{
+		"Bookkeeper.ServeRemote": func(t *testing.T, sock string) net.Addr {
+			book, err := memcached.CreateStore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { book.Shutdown() })
+			rs, err := book.ServeRemote("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rs.Close)
+			return rs.Addr()
+		},
+		"Cluster.ServeRemote": func(t *testing.T, sock string) net.Addr {
+			c, err := memcached.CreateCluster(memcached.ClusterConfig{Shards: 4, Store: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Shutdown() })
+			cs, err := c.ServeRemote("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cs.Close)
+			return cs.Addr()
+		},
+	}
+	for name, start := range frontEnds {
+		for _, binary := range []bool{false, true} {
+			proto := map[bool]string{false: "ascii", true: "binary"}[binary]
+			t.Run(name+"/"+proto, func(t *testing.T) {
+				script := wireScript(t, binary)
+				dir := t.TempDir()
+				var lone []byte
+				addr := start(t, filepath.Join(dir, "lone.sock"))
+				for _, cmd := range script {
+					lone = append(lone, wireExchange(t, addr, cmd, true)...)
+				}
+				piped := wireExchange(t, start(t, filepath.Join(dir, "piped.sock")), bytes.Join(script, nil), true)
+				if !bytes.Equal(lone, piped) {
+					t.Errorf("reply streams differ\nlone:      %q\npipelined: %q", lone, piped)
+				}
+				if len(lone) == 0 {
+					t.Error("no replies at all")
+				}
+			})
+		}
+	}
+}

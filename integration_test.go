@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"plibmc/internal/client"
+	"plibmc/internal/protocol"
 	"plibmc/internal/server"
 	"plibmc/internal/ycsb"
 	"plibmc/memcached"
@@ -304,11 +305,22 @@ func TestScenarioEvictionKeepsServing(t *testing.T) {
 	}
 }
 
-// TestMalformedASCIIAllFrontEnds pins what every socket front end does
-// with an ASCII command it cannot parse (here a flags field past uint32):
-// the replies of the commands parsed before it are flushed, the client
-// gets CLIENT_ERROR, the connection closes, and the rejected command has
-// no effect. The hybrid server used to close without a word.
+// TestMalformedASCIIAllFrontEnds is the all-front-ends wire table: what
+// the baseline server, Bookkeeper.ServeRemote and Cluster.ServeRemote do at
+// the edges of the protocol, where three hand-kept read loops used to
+// disagree. Each row is a list of exchanges, each on its own connection:
+// send, optionally half-close, and check the complete reply stream up to
+// the server's close.
+//
+//   - An ASCII command that does not parse (here a flags field past
+//     uint32): the replies of the commands parsed before it are flushed,
+//     the client gets CLIENT_ERROR, the connection closes, and the rejected
+//     command has no effect. (The hybrid server used to close silently.)
+//   - A clean EOF is not a protocol error: the replies, then nothing. (The
+//     hybrid server and the proxy used to append CLIENT_ERROR EOF.)
+//   - The binary quiet opcodes: SETQ writes no frame on success, GETQ none
+//     on a miss — lone or mid-pipeline. (The hybrid server and the proxy
+//     used to answer both.)
 func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 	dir := t.TempDir()
 	base, err := server.New(server.Config{Network: "unix", Addr: filepath.Join(dir, "base.sock"), Threads: 1})
@@ -341,15 +353,93 @@ func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 	}
 	defer proxy.Close()
 
+	// lines checks an ASCII reply stream line by line, by prefix (every
+	// front end appends its own CAS generation to VALUE lines), with
+	// nothing after the last.
+	lines := func(prefixes ...string) func(*testing.T, []byte) {
+		return func(t *testing.T, got []byte) {
+			t.Helper()
+			rest := string(got)
+			for _, want := range prefixes {
+				line, after, _ := strings.Cut(rest, "\n")
+				if !strings.HasPrefix(line+"\n", want) {
+					t.Fatalf("reply stream %q: line %q, want prefix %q", got, line, want)
+				}
+				rest = after
+			}
+			if rest != "" {
+				t.Fatalf("reply stream %q: %q after the last expected line", got, rest)
+			}
+		}
+	}
+	// frames checks a binary reply stream: exactly these frames, all OK.
+	type frame struct {
+		opcode byte // 0x00 get, 0x0a noop
+		value  string
+	}
+	frames := func(want ...frame) func(*testing.T, []byte) {
+		return func(t *testing.T, got []byte) {
+			t.Helper()
+			r := bufio.NewReader(bytes.NewReader(got))
+			for i, f := range want {
+				rep, opcode, err := protocol.ReadBinaryReply(r)
+				if err != nil {
+					t.Fatalf("reply stream % x: frame %d of %d: %v", got, i, len(want), err)
+				}
+				if opcode != f.opcode || rep.Status != protocol.StatusOK || string(rep.Value) != f.value {
+					t.Fatalf("frame %d = opcode %#x status %v value %q; want %#x OK %q",
+						i, opcode, rep.Status, rep.Value, f.opcode, f.value)
+				}
+			}
+			if rest, _ := io.ReadAll(r); len(rest) != 0 {
+				t.Fatalf("reply stream % x: % x after the %d expected frames", got, rest, len(want))
+			}
+		}
+	}
+	bin := func(cmds ...protocol.Command) string {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		for i := range cmds {
+			if err := protocol.WriteBinaryCommand(w, &cmds[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Flush()
+		return buf.String()
+	}
+	setq := func(k, v string) protocol.Command {
+		return protocol.Command{Op: protocol.OpSet, Quiet: true, Key: []byte(k), Value: []byte(v)}
+	}
+	getq := func(k string) protocol.Command {
+		return protocol.Command{Op: protocol.OpGet, Quiet: true, Key: []byte(k)}
+	}
+
 	const bad = "set k 4294967296 0 1\r\nv\r\n"
+	const clientError = "CLIENT_ERROR protocol: bad command line format for set\r\n"
+	type exchange struct {
+		send      string
+		halfClose bool // else the server must hang up on its own
+		check     func(*testing.T, []byte)
+	}
+	// The rejected set must not have landed.
+	kAbsent := exchange{"get k\r\n", true, lines("END\r\n")}
 	cases := []struct {
-		name, send string
-		before     []string // reply line prefixes ahead of the CLIENT_ERROR
+		name  string
+		steps []exchange
 	}{
-		{"first command", bad, nil},
-		{"mid-pipeline", "set a 7 0 1\r\nx\r\nget a\r\n" + bad,
-			// Every front end appends the CAS generation to VALUE lines.
-			[]string{"STORED\r\n", "VALUE a 7 1 ", "x\r\n", "END\r\n"}},
+		{"first command", []exchange{{bad, false, lines(clientError)}, kAbsent}},
+		{"mid-pipeline", []exchange{
+			{"set a 7 0 1\r\nx\r\nget a\r\n" + bad, false,
+				lines("STORED\r\n", "VALUE a 7 1 ", "x\r\n", "END\r\n", clientError)},
+			kAbsent}},
+		{"clean EOF", []exchange{{"get nothing\r\n", true, lines("END\r\n")}}},
+		{"quiet lone", []exchange{
+			{bin(setq("q1", "v")), true, frames()},
+			{bin(getq("q-absent")), true, frames()},
+			{bin(getq("q1")), true, frames(frame{0x00, "v"})}}},
+		{"quiet mid-pipeline", []exchange{
+			{bin(setq("q2", "w"), getq("q-absent"), getq("q2"), protocol.Command{Op: protocol.OpNoop}), true,
+				frames(frame{0x00, "w"}, frame{0x0a, ""})}}},
 	}
 	for _, fe := range []struct {
 		name string
@@ -361,42 +451,36 @@ func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 	} {
 		for _, tc := range cases {
 			t.Run(fe.name+"/"+tc.name, func(t *testing.T) {
-				c, err := net.Dial(fe.addr.Network(), fe.addr.String())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				c.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-				if _, err := c.Write([]byte(tc.send)); err != nil {
-					t.Fatal(err)
-				}
-				r := bufio.NewReader(c)
-				for _, want := range tc.before {
-					if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, want) {
-						t.Fatalf("reply line = %q, %v; want %q", line, err, want)
-					}
-				}
-				line, err := r.ReadString('\n')
-				if err != nil || !strings.HasPrefix(line, "CLIENT_ERROR") || !strings.Contains(line, "bad command line format") {
-					t.Fatalf("reply = %q, %v; want CLIENT_ERROR ... bad command line format", line, err)
-				}
-				if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
-					t.Fatalf("after CLIENT_ERROR: %q, %v; want a clean close", rest, err)
-				}
-				// The rejected set must not have landed.
-				c2, err := net.Dial(fe.addr.Network(), fe.addr.String())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c2.Close()
-				c2.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-				if _, err := c2.Write([]byte("get k\r\n")); err != nil {
-					t.Fatal(err)
-				}
-				if line, err := bufio.NewReader(c2).ReadString('\n'); err != nil || line != "END\r\n" {
-					t.Fatalf("get after rejected set = %q, %v; want END", line, err)
+				for _, x := range tc.steps {
+					x.check(t, wireExchange(t, fe.addr, []byte(x.send), x.halfClose))
 				}
 			})
 		}
 	}
+}
+
+// wireExchange sends one byte string on a fresh connection, half-closes
+// if asked (else the server must hang up on its own), and returns
+// everything the server wrote up to its clean close.
+func wireExchange(t *testing.T, addr net.Addr, send []byte, halfClose bool) []byte {
+	t.Helper()
+	c, err := net.Dial(addr.Network(), addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	if _, err := c.Write(send); err != nil {
+		t.Fatal(err)
+	}
+	if halfClose {
+		if err := c.(*net.UnixConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := io.ReadAll(c)
+	if err != nil {
+		t.Fatalf("after %q: read %q, %v; want a clean close", send, got, err)
+	}
+	return got
 }

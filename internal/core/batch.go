@@ -139,6 +139,16 @@ func (c *Ctx) ExecBatch(ops []BatchOp) []BatchResult {
 	return res
 }
 
+// Do executes one operation outside any batch, overwriting *r: the op
+// keeps its own latency class, its own gate admission and — for a
+// retrieval hit — its one value allocation, none of which a one-op
+// ExecBatch would (two more allocations, filed under LatBatch).
+func (c *Ctx) Do(op *BatchOp, r *BatchResult) {
+	*r = BatchResult{}
+	var start int
+	r.Value = c.execBatchOne(op, r, nil, &start)
+}
+
 // execBatchOne dispatches one operation into the ordinary op
 // implementations; their own enterOp calls nest inside the batch's.
 // Retrieval ops append their value to vbuf and record the start offset in

@@ -182,8 +182,14 @@ func ReadBinaryCommand(r *bufio.Reader) (*Command, error) {
 }
 
 // WriteBinaryReply encodes a response frame. For stats, one frame per pair
-// plus an empty terminator, per the protocol.
+// plus an empty terminator, per the protocol. The quiet opcodes keep their
+// silence here, as noreply does in WriteASCIIReply: GETQ/GETKQ write no
+// frame for a miss, SETQ none for a success.
 func WriteBinaryReply(w *bufio.Writer, c *Command, rep *Reply) error {
+	if c.Quiet && (c.Op == OpGet && rep.Status == StatusKeyNotFound ||
+		c.Op == OpSet && rep.Status == StatusOK) {
+		return nil
+	}
 	if c.Op == OpStats {
 		for _, kv := range rep.Stats {
 			if err := writeBinaryResFrame(w, binStat, StatusOK, []byte(kv[0]), []byte(kv[1]), nil, rep.Opaque, 0); err != nil {

@@ -2,9 +2,7 @@ package server
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -37,19 +35,10 @@ type Server struct {
 // run of commands the client had pipelined, handed over together so a
 // pipeline costs one queue round trip instead of one per command.
 type request struct {
-	conn *connState
-	cmds []*protocol.Command
-	done chan struct{}
-}
-
-// maxPipeline bounds how many pipelined commands ride one pool hand-off.
-const maxPipeline = 64
-
-type connState struct {
-	c      net.Conn
-	r      *bufio.Reader
 	w      *bufio.Writer
 	binary bool
+	cmds   []*protocol.Command
+	done   chan struct{}
 }
 
 // Config configures a server.
@@ -131,102 +120,19 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// handleConn sniffs the protocol (binary frames start with 0x80) and runs
-// the read loop for one client connection.
+// handleConn runs the shared read loop for one client connection; each
+// pipelined run of commands crosses the server-thread pool once.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWG.Done()
 	defer c.Close()
-	cs := &connState{
-		c: c,
-		r: bufio.NewReaderSize(c, 64<<10),
-		w: bufio.NewWriterSize(c, 64<<10),
-	}
-	// armIdle bounds each blocking wait for (and read of) the next
-	// command; the deadline is cleared once the command is in hand so the
-	// pool hand-off and reply write are not charged against idle time.
-	armIdle := func() {
-		if s.readTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.readTimeout)) //nolint:errcheck
-		}
-	}
-	disarmIdle := func() {
-		if s.readTimeout > 0 {
-			c.SetReadDeadline(time.Time{}) //nolint:errcheck
-		}
-	}
-	armIdle()
-	first, err := cs.r.Peek(1)
-	if err != nil {
-		return
-	}
-	cs.binary = first[0] == 0x80
 	done := make(chan struct{})
-	for {
-		// Read one command (blocking, bounded by the idle timeout), then
-		// greedily drain whatever else the client pipelined: the whole run
-		// crosses the pool once.
-		cmds := make([]*protocol.Command, 0, 4)
-		armIdle()
-		cmd, err := s.readCommand(cs)
-		disarmIdle()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !s.closed.Load() {
-				// Protocol error: best-effort error line for ASCII.
-				if !cs.binary {
-					fmt.Fprintf(cs.w, "CLIENT_ERROR %v\r\n", err)
-					cs.w.Flush()
-				}
-			}
-			return
-		}
-		quit := cmd.Op == protocol.OpQuit
-		var readErr error
-		if !quit {
-			cmds = append(cmds, cmd)
-			for len(cmds) < maxPipeline && cs.r.Buffered() > 0 {
-				c2, e := s.readCommand(cs)
-				if e != nil {
-					readErr = e
-					break
-				}
-				if c2.Op == protocol.OpQuit {
-					quit = true
-					break
-				}
-				cmds = append(cmds, c2)
-			}
-		}
-		if len(cmds) > 0 {
-			// When every server thread is busy this send queues (and, past
-			// the channel capacity, blocks) — the server-side backpressure
-			// whose effect the paper measures in Figures 6–9.
-			s.reqCh <- request{conn: cs, cmds: cmds, done: done}
-			<-done
-		}
-		if readErr != nil && !cs.binary {
-			fmt.Fprintf(cs.w, "CLIENT_ERROR %v\r\n", readErr)
-		}
-		if quit || readErr != nil {
-			cs.w.Flush()
-			return
-		}
-		// Flush once the client has nothing else pipelined: batches go
-		// out in one write.
-		if cs.r.Buffered() == 0 {
-			if err := cs.w.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// readCommand reads one request in the connection's protocol. ASCII
-// multi-key gets arrive with the extra keys in Command.Keys.
-func (s *Server) readCommand(cs *connState) (*protocol.Command, error) {
-	if cs.binary {
-		return protocol.ReadBinaryCommand(cs.r)
-	}
-	return protocol.ReadASCIICommand(cs.r)
+	protocol.ServeConn(c, s.readTimeout, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+		// When every server thread is busy this send queues (and, past
+		// the channel capacity, blocks) — the server-side backpressure
+		// whose effect the paper measures in Figures 6–9.
+		s.reqCh <- request{w: w, binary: binary, cmds: cmds, done: done}
+		<-done
+	})
 }
 
 // serverThread executes queued requests: the work one memcached worker
@@ -235,14 +141,14 @@ func (s *Server) serverThread() {
 	defer s.wg.Done()
 	for req := range s.reqCh {
 		for _, cmd := range req.cmds {
-			s.execute(req.conn, cmd)
+			s.execute(req.w, req.binary, cmd)
 		}
 		req.done <- struct{}{}
 	}
 }
 
-func (s *Server) execute(cs *connState, cmd *protocol.Command) {
-	if !cs.binary && cmd.Op == protocol.OpGet && len(cmd.Keys) > 0 {
+func (s *Server) execute(w *bufio.Writer, binary bool, cmd *protocol.Command) {
+	if !binary && cmd.Op == protocol.OpGet && len(cmd.Keys) > 0 {
 		// ASCII multi-get: VALUE blocks then one END. This path bypasses
 		// Dispatch, so it feeds the latency histograms itself, per key.
 		for _, k := range cmd.AllKeys() {
@@ -250,35 +156,20 @@ func (s *Server) execute(cs *connState, cmd *protocol.Command) {
 			v, flags, cas, ok := s.store.Get(k)
 			s.store.RecordLatency(LatGet, time.Since(start))
 			if ok {
-				fmt.Fprintf(cs.w, "VALUE %s %d %d %d\r\n", k, flags, len(v), cas)
-				cs.w.Write(v)
-				cs.w.WriteString("\r\n")
+				fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", k, flags, len(v), cas)
+				w.Write(v)
+				w.WriteString("\r\n")
 			}
 		}
-		cs.w.WriteString("END\r\n")
+		w.WriteString("END\r\n")
 		return
 	}
 	rep := Dispatch(s.store, cmd, s.version)
-	if cs.binary {
-		if cmd.Quiet && skipQuietReply(cmd, rep) {
-			return
-		}
-		protocol.WriteBinaryReply(cs.w, cmd, rep)
+	if binary {
+		protocol.WriteBinaryReply(w, cmd, rep)
 	} else {
-		protocol.WriteASCIIReply(cs.w, cmd, rep)
+		protocol.WriteASCIIReply(w, cmd, rep)
 	}
-}
-
-// skipQuietReply implements the binary protocol's quiet semantics: GETQ
-// suppresses misses, SETQ suppresses success.
-func skipQuietReply(cmd *protocol.Command, rep *protocol.Reply) bool {
-	switch cmd.Op {
-	case protocol.OpGet:
-		return rep.Status == protocol.StatusKeyNotFound
-	case protocol.OpSet:
-		return rep.Status == protocol.StatusOK
-	}
-	return false
 }
 
 // latClassOf maps a protocol op to a latency class, or -1 for ops that

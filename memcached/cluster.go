@@ -425,6 +425,7 @@ func (cc *ClusterClient) Kill() {
 // and is not safe for concurrent use.
 func (cc *ClusterClient) NewSession() (*ClusterSession, error) {
 	cs := &ClusterSession{c: cc.c, cc: cc}
+	cs.x = cs
 	for i := 0; i < cc.c.Shards(); i++ {
 		if _, err := cs.sess(i); err != nil {
 			cs.Close()
@@ -441,6 +442,7 @@ func (cc *ClusterClient) NewSession() (*ClusterSession, error) {
 // dual-ring rules in routeHash, holding the key's segment guard across
 // the shard access so a cutover can never slide under an in-flight op.
 type ClusterSession struct {
+	verbs
 	c        *Cluster
 	cc       *ClusterClient
 	sessions []*Session
@@ -497,150 +499,60 @@ func (s *ClusterSession) Close() {
 	}
 }
 
-// Get retrieves a value from the key's owning shard.
-func (s *ClusterSession) Get(key []byte) ([]byte, uint32, error) {
-	v, f, _, err := s.Gets(key)
-	return v, f, err
+// shardExec is how one tier reaches a shard once routing has picked it:
+// a ClusterSession crosses the shard's gate through its per-shard Session
+// and feeds the breaker, a proxy connection calls a direct core context
+// behind the breaker's peek. Each owns its own admission check.
+type shardExec interface {
+	// doShard executes one op on the shard, overwriting *r; a refused or
+	// failed crossing lands in r.Err.
+	doShard(shard int, op *BatchOp, r *BatchResult)
+	// batchShard executes the shard's share of a batch in one crossing.
+	batchShard(shard int, ops []BatchOp) ([]BatchResult, error)
 }
 
-// mutate runs one keyed write against the key's authoritative shard. When
-// the key sits in a mid-migration segment, the write lands on the source
-// shard under the segment's shared guard and is dirty-marked so the
-// pre-cutover recopy carries it to the destination.
-func (s *ClusterSession) mutate(key []byte, op func(ss *Session) error) error {
-	s.c.routeMu.RLock()
-	defer s.c.routeMu.RUnlock()
-	p, g := s.c.routeKey(key)
-	if err := s.c.shardAllow(p); err != nil {
-		if g != nil {
-			g.release()
-		}
-		return err
-	}
-	ss, err := s.sess(p)
-	if err != nil {
-		// Attach failures feed the breaker too (a probe admitted by
-		// allow must always be reported, or the probe slot leaks).
-		s.c.shardReport(p, err)
-		if g != nil {
-			g.release()
-		}
-		return err
-	}
-	err = op(ss)
-	s.c.shardReport(p, err)
+// readOnly reports whether a batch op leaves its entry as it found it;
+// everything else is dirty-marked when it lands in a migrating segment.
+func readOnly(code core.BatchCode) bool {
+	return code == BatchGet || code == BatchExport
+}
+
+// routeOp is the cluster's single-op path: route the key, run the op on
+// its authoritative shard, and — when the key sits in a mid-migration
+// segment — hold the segment's shared guard across the access and
+// dirty-mark a write so the pre-cutover recopy carries it to the
+// destination.
+func (c *Cluster) routeOp(op *BatchOp, r *BatchResult, x shardExec) {
+	c.routeMu.RLock()
+	defer c.routeMu.RUnlock()
+	sh, g := c.routeHash(ring.Hash(op.Key), nil)
+	x.doShard(sh, op, r)
 	if g != nil {
-		// Conservatively dirty even on error: a failed op may still have
-		// observed state, and one extra recopy is cheaper than reasoning
-		// about which error paths mutate.
-		g.markDirty(key)
+		if !readOnly(op.Code) {
+			// Conservatively dirty even on error: a failed op may still
+			// have observed state, and one extra recopy is cheaper than
+			// reasoning about which error paths mutate.
+			g.markDirty(op.Key)
+		}
 		g.release()
 	}
-	return err
 }
 
-// Gets also returns the CAS generation. The migrator preserves
-// generations across a move, so the token stays valid over a resize.
-// During a migration, a read in a moving segment holds the segment guard
-// across the access.
-func (s *ClusterSession) Gets(key []byte) ([]byte, uint32, uint64, error) {
-	s.c.routeMu.RLock()
-	defer s.c.routeMu.RUnlock()
-	p, g := s.c.routeKey(key)
-	if err := s.c.shardAllow(p); err != nil {
-		if g != nil {
-			g.release()
-		}
-		return nil, 0, 0, err
+func (s *ClusterSession) do(op *BatchOp, r *BatchResult) { s.c.routeOp(op, r, s) }
+
+func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
+	if err := s.c.shardAllow(shard); err != nil {
+		*r = BatchResult{Err: err}
+		return
 	}
-	ss, err := s.sess(p)
-	if err != nil {
-		s.c.shardReport(p, err)
-		if g != nil {
-			g.release()
-		}
-		return nil, 0, 0, err
+	// Attach failures feed the breaker too (a probe admitted by allow
+	// must always be reported, or the probe slot leaks).
+	if ss, err := s.sess(shard); err != nil {
+		*r = BatchResult{Err: err}
+	} else {
+		ss.do(op, r)
 	}
-	v, f, cas, err := ss.Gets(key)
-	s.c.shardReport(p, err)
-	if g != nil {
-		g.release()
-	}
-	return v, f, cas, err
-}
-
-// Set stores value under key on its owning shard.
-func (s *ClusterSession) Set(key, value []byte, flags uint32, exptime int64) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Set(key, value, flags, exptime) })
-}
-
-// Add stores only if key is absent.
-func (s *ClusterSession) Add(key, value []byte, flags uint32, exptime int64) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Add(key, value, flags, exptime) })
-}
-
-// Replace stores only if key is present.
-func (s *ClusterSession) Replace(key, value []byte, flags uint32, exptime int64) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Replace(key, value, flags, exptime) })
-}
-
-// CAS stores only if the entry's generation matches on the owning shard.
-func (s *ClusterSession) CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	return s.mutate(key, func(ss *Session) error { return ss.CAS(key, value, flags, exptime, cas) })
-}
-
-// Delete removes key from its owning shard.
-func (s *ClusterSession) Delete(key []byte) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Delete(key) })
-}
-
-// Increment adds delta to a numeric value on the owning shard.
-func (s *ClusterSession) Increment(key []byte, delta uint64) (uint64, error) {
-	var v uint64
-	err := s.mutate(key, func(ss *Session) error {
-		var e error
-		v, e = ss.Increment(key, delta)
-		return e
-	})
-	return v, err
-}
-
-// Decrement subtracts delta, saturating at zero.
-func (s *ClusterSession) Decrement(key []byte, delta uint64) (uint64, error) {
-	var v uint64
-	err := s.mutate(key, func(ss *Session) error {
-		var e error
-		v, e = ss.Decrement(key, delta)
-		return e
-	})
-	return v, err
-}
-
-// Append concatenates data after the existing value.
-func (s *ClusterSession) Append(key, data []byte) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Append(key, data) })
-}
-
-// Prepend concatenates data before the existing value.
-func (s *ClusterSession) Prepend(key, data []byte) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Prepend(key, data) })
-}
-
-// Touch updates an entry's expiry.
-func (s *ClusterSession) Touch(key []byte, exptime int64) error {
-	return s.mutate(key, func(ss *Session) error { return ss.Touch(key, exptime) })
-}
-
-// GetAndTouch retrieves a value and updates its expiry.
-func (s *ClusterSession) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
-	var v []byte
-	var f uint32
-	err := s.mutate(key, func(ss *Session) error {
-		var e error
-		v, f, e = ss.GetAndTouch(key, exptime)
-		return e
-	})
-	return v, f, err
+	s.c.shardReport(shard, r.Err)
 }
 
 // FlushAll removes every entry on every shard (including shards still
@@ -677,49 +589,46 @@ func (s *ClusterSession) Stats() (core.Stats, error) {
 	return agg, nil
 }
 
-// MGet retrieves many keys, split into one sub-batch per owning shard so
-// each involved shard pays exactly one gate crossing. Results come back
-// positionally, in request order. A crossing-level failure on one shard
-// no longer fails the whole call: that shard's keys report Found == false
-// while the surviving shards' results stay correctly aligned.
-func (s *ClusterSession) MGet(keys [][]byte) ([]core.GetResult, error) {
-	ops := make([]BatchOp, len(keys))
-	for i, k := range keys {
-		ops[i] = BatchOp{Code: BatchGet, Key: k}
-	}
-	res, err := s.ExecBatch(ops)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.GetResult, len(res))
-	for i := range res {
-		if res[i].Err == nil {
-			out[i] = core.GetResult{Value: res[i].Value, Flags: res[i].Flags, CAS: res[i].CAS, Found: true}
-		}
-	}
-	return out, nil
-}
-
 // ExecBatch executes ops, partitioned into one sub-batch per owning
 // shard: the one-crossing-per-shard amortization of the single-store
 // ExecBatch is preserved — a k-op batch over a cluster costs at most one
 // crossing per involved shard, not k. Results are reassembled into the
-// original op order. A crossing-level failure on one shard (crash,
-// reaped session, dead process) fills that shard's result slots with the
-// wrapped error and the call continues: sibling shards' results stay
-// positionally aligned and the call itself returns nil. During a
-// migration, every touched segment's guard is acquired once (re-taking a
-// held RLock could deadlock against the migrator's pending cutover) and
-// held until every crossing retires.
+// original op order. A crossing-level failure on one shard (open breaker,
+// crash, reaped session, dead process) fills that shard's result slots
+// with the wrapped error and the call continues: sibling shards' results
+// stay positionally aligned and the call itself returns nil.
 func (s *ClusterSession) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
-	s.c.routeMu.RLock()
-	defer s.c.routeMu.RUnlock()
-	n := s.c.Shards()
+	return s.c.routeBatch(ops, s), nil
+}
+
+func (s *ClusterSession) batchShard(shard int, ops []BatchOp) ([]BatchResult, error) {
+	if err := s.c.shardAllow(shard); err != nil {
+		return nil, err
+	}
+	ss, err := s.sess(shard)
+	var res []BatchResult
+	if err == nil {
+		res, err = ss.ExecBatch(ops)
+	}
+	s.c.shardReport(shard, err)
+	return res, err
+}
+
+// routeBatch is the cluster's batch path: partition ops by owning shard,
+// hand each shard its share through x, and reassemble the results
+// positionally. During a migration, every touched segment's guard is
+// acquired once (re-taking a held RLock could deadlock against the
+// migrator's pending cutover) and held until every crossing retires, and
+// writes into such segments are dirty-marked at route time.
+func (c *Cluster) routeBatch(ops []BatchOp, x shardExec) []BatchResult {
+	c.routeMu.RLock()
+	defer c.routeMu.RUnlock()
+	n := c.Shards()
 	perShard := make([][]BatchOp, n)
 	perIdx := make([][]int, n) // original position of each sub-batch op
 	var held map[*migSeg]struct{}
 	var guards []*migSeg
-	if s.c.mig.Load() != nil {
+	if c.mig.Load() != nil {
 		held = make(map[*migSeg]struct{})
 	}
 	defer func() {
@@ -728,13 +637,13 @@ func (s *ClusterSession) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
 		}
 	}()
 	for i := range ops {
-		sh, g := s.c.routeHash(ring.Hash(ops[i].Key), held)
+		sh, g := c.routeHash(ring.Hash(ops[i].Key), held)
 		if g != nil {
 			if _, ok := held[g]; !ok {
 				held[g] = struct{}{}
 				guards = append(guards, g)
 			}
-			if ops[i].Code != BatchGet && ops[i].Code != core.BatchExport {
+			if !readOnly(ops[i].Code) {
 				g.markDirty(ops[i].Key)
 			}
 		}
@@ -746,22 +655,7 @@ func (s *ClusterSession) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
 		if len(perShard[sh]) == 0 {
 			continue
 		}
-		// An open breaker fills this shard's slots with the typed
-		// fast-fail without paying a crossing; sibling shards' results
-		// keep their positional alignment either way.
-		err := s.c.shardAllow(sh)
-		crossed := err == nil
-		var res []BatchResult
-		if err == nil {
-			var ss *Session
-			ss, err = s.sess(sh)
-			if err == nil {
-				res, err = ss.ExecBatch(perShard[sh])
-			}
-		}
-		if crossed {
-			s.c.shardReport(sh, err)
-		}
+		res, err := x.batchShard(sh, perShard[sh])
 		if err != nil {
 			werr := fmt.Errorf("memcached: shard %d batch: %w", sh, err)
 			for _, idx := range perIdx[sh] {
@@ -773,7 +667,7 @@ func (s *ClusterSession) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
 			out[idx] = res[j]
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Healthy reports whether every attached per-shard session can still

@@ -71,20 +71,23 @@ type St struct {
 	behav   map[Behavior]uint64
 }
 
+// backend is the slice of memcached.KV the classic API needs, under the
+// KV's own method names so a session serves as is; mget is the one call
+// whose result shape differs.
 type backend interface {
+	Get(key []byte) ([]byte, uint32, error)
+	GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error)
+	Set(key, value []byte, flags uint32, exptime int64) error
+	Add(key, value []byte, flags uint32, exptime int64) error
+	Replace(key, value []byte, flags uint32, exptime int64) error
+	Delete(key []byte) error
+	Increment(key []byte, delta uint64) (uint64, error)
+	Decrement(key []byte, delta uint64) (uint64, error)
+	Append(key, data []byte) error
+	Prepend(key, data []byte) error
+	Touch(key []byte, exptime int64) error
+	FlushAll() error
 	mget(keys [][]byte) (map[string][]byte, error)
-	get(key []byte) ([]byte, uint32, error)
-	gat(key []byte, exptime int64) ([]byte, uint32, error)
-	set(key, value []byte, flags uint32, exptime int64) error
-	add(key, value []byte, flags uint32, exptime int64) error
-	replace(key, value []byte, flags uint32, exptime int64) error
-	delete(key []byte) error
-	increment(key []byte, delta uint64) (uint64, error)
-	decrement(key []byte, delta uint64) (uint64, error)
-	append(key, data []byte) error
-	prepend(key, data []byte) error
-	touch(key []byte, exptime int64) error
-	flush() error
 }
 
 // Create builds an unconnected handle (memcached_create).
@@ -97,7 +100,8 @@ func Create() *St {
 func (m *St) SetStrict(on bool) { m.strict = on }
 
 // UsePlib attaches the protected-library backend: the drop-in replacement.
-func (m *St) UsePlib(s *memcached.Session) { m.backend = plibBackend{s} }
+// Any session type serves — one store or a sharded cluster.
+func (m *St) UsePlib(s memcached.KV) { m.backend = plibBackend{s} }
 
 // UseSocket attaches the original socket backend.
 func (m *St) UseSocket(c *client.Client) { m.backend = sockBackend{c} }
@@ -150,7 +154,7 @@ func (m *St) Get(key []byte) ([]byte, uint32, ReturnT) {
 	if m.backend == nil {
 		return nil, 0, ClientError
 	}
-	v, flags, err := m.backend.get(key)
+	v, flags, err := m.backend.Get(key)
 	return v, flags, m.ret(err)
 }
 
@@ -159,7 +163,7 @@ func (m *St) Set(key, value []byte, exptime int64, flags uint32) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	return m.ret(m.backend.set(key, value, flags, exptime))
+	return m.ret(m.backend.Set(key, value, flags, exptime))
 }
 
 // Add is memcached_add.
@@ -167,7 +171,7 @@ func (m *St) Add(key, value []byte, exptime int64, flags uint32) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	err := m.backend.add(key, value, flags, exptime)
+	err := m.backend.Add(key, value, flags, exptime)
 	if m.ret(err) == DataExists {
 		return NotStored
 	}
@@ -179,7 +183,7 @@ func (m *St) Replace(key, value []byte, exptime int64, flags uint32) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	err := m.backend.replace(key, value, flags, exptime)
+	err := m.backend.Replace(key, value, flags, exptime)
 	if m.ret(err) == NotFound {
 		return NotStored
 	}
@@ -191,7 +195,7 @@ func (m *St) Delete(key []byte) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	return m.ret(m.backend.delete(key))
+	return m.ret(m.backend.Delete(key))
 }
 
 // Increment is memcached_increment.
@@ -199,7 +203,7 @@ func (m *St) Increment(key []byte, delta uint64) (uint64, ReturnT) {
 	if m.backend == nil {
 		return 0, ClientError
 	}
-	v, err := m.backend.increment(key, delta)
+	v, err := m.backend.Increment(key, delta)
 	return v, m.ret(err)
 }
 
@@ -208,7 +212,7 @@ func (m *St) Decrement(key []byte, delta uint64) (uint64, ReturnT) {
 	if m.backend == nil {
 		return 0, ClientError
 	}
-	v, err := m.backend.decrement(key, delta)
+	v, err := m.backend.Decrement(key, delta)
 	return v, m.ret(err)
 }
 
@@ -217,7 +221,7 @@ func (m *St) Append(key, data []byte) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	return m.ret(m.backend.append(key, data))
+	return m.ret(m.backend.Append(key, data))
 }
 
 // Prepend is memcached_prepend.
@@ -225,7 +229,7 @@ func (m *St) Prepend(key, data []byte) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	return m.ret(m.backend.prepend(key, data))
+	return m.ret(m.backend.Prepend(key, data))
 }
 
 // Touch is memcached_touch.
@@ -233,7 +237,7 @@ func (m *St) Touch(key []byte, exptime int64) ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	return m.ret(m.backend.touch(key, exptime))
+	return m.ret(m.backend.Touch(key, exptime))
 }
 
 // Flush is memcached_flush.
@@ -241,7 +245,7 @@ func (m *St) Flush() ReturnT {
 	if m.backend == nil {
 		return ClientError
 	}
-	return m.ret(m.backend.flush())
+	return m.ret(m.backend.FlushAll())
 }
 
 // MGet is memcached_mget + memcached_fetch collapsed into one call:
@@ -264,7 +268,7 @@ func (m *St) GAT(key []byte, exptime int64) ([]byte, uint32, ReturnT) {
 	if m.backend == nil {
 		return nil, 0, ClientError
 	}
-	v, flags, err := m.backend.gat(key, exptime)
+	v, flags, err := m.backend.GetAndTouch(key, exptime)
 	return v, flags, m.ret(err)
 }
 
@@ -275,15 +279,11 @@ func (m *St) GetWithCallback(key []byte, cb func(value []byte, flags uint32, rc 
 	cb(v, flags, rc)
 }
 
-// plibBackend adapts a protected-library session.
-type plibBackend struct{ s *memcached.Session }
+// plibBackend is a protected-library session, used directly.
+type plibBackend struct{ memcached.KV }
 
-func (b plibBackend) get(key []byte) ([]byte, uint32, error) { return b.s.Get(key) }
-func (b plibBackend) gat(key []byte, exptime int64) ([]byte, uint32, error) {
-	return b.s.GetAndTouch(key, exptime)
-}
 func (b plibBackend) mget(keys [][]byte) (map[string][]byte, error) {
-	res, err := b.s.MGet(keys)
+	res, err := b.MGet(keys)
 	if err != nil {
 		return nil, err
 	}
@@ -295,90 +295,76 @@ func (b plibBackend) mget(keys [][]byte) (map[string][]byte, error) {
 	}
 	return out, nil
 }
-func (b plibBackend) set(k, v []byte, f uint32, e int64) error {
-	return b.s.Set(k, v, f, e)
-}
-func (b plibBackend) add(k, v []byte, f uint32, e int64) error { return b.s.Add(k, v, f, e) }
-func (b plibBackend) replace(k, v []byte, f uint32, e int64) error {
-	return b.s.Replace(k, v, f, e)
-}
-func (b plibBackend) delete(k []byte) error                        { return b.s.Delete(k) }
-func (b plibBackend) increment(k []byte, d uint64) (uint64, error) { return b.s.Increment(k, d) }
-func (b plibBackend) decrement(k []byte, d uint64) (uint64, error) { return b.s.Decrement(k, d) }
-func (b plibBackend) append(k, d []byte) error                     { return b.s.Append(k, d) }
-func (b plibBackend) prepend(k, d []byte) error                    { return b.s.Prepend(k, d) }
-func (b plibBackend) touch(k []byte, e int64) error                { return b.s.Touch(k, e) }
-func (b plibBackend) flush() error                                 { return b.s.FlushAll() }
 
 // sockBackend adapts the socket client.
 type sockBackend struct{ c *client.Client }
 
-func (b sockBackend) get(key []byte) ([]byte, uint32, error) {
+func (b sockBackend) Get(key []byte) ([]byte, uint32, error) {
 	v, f, _, err := b.c.Get(key)
 	if err != nil {
 		return nil, 0, memcached.ErrNotFound
 	}
 	return v, f, nil
 }
-func (b sockBackend) set(k, v []byte, f uint32, e int64) error { return b.c.Set(k, v, f, e) }
+func (b sockBackend) Set(k, v []byte, f uint32, e int64) error { return b.c.Set(k, v, f, e) }
 func (b sockBackend) mget(keys [][]byte) (map[string][]byte, error) {
 	return b.c.MGet(keys)
 }
-func (b sockBackend) gat(key []byte, exptime int64) ([]byte, uint32, error) {
+func (b sockBackend) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
 	v, f, _, err := b.c.GetAndTouch(key, exptime)
 	if err != nil {
 		return nil, 0, memcached.ErrNotFound
 	}
 	return v, f, nil
 }
-func (b sockBackend) add(k, v []byte, f uint32, e int64) error {
+func (b sockBackend) Add(k, v []byte, f uint32, e int64) error {
 	if err := b.c.Add(k, v, f, e); err != nil {
 		return memcached.ErrExists
 	}
 	return nil
 }
-func (b sockBackend) replace(k, v []byte, f uint32, e int64) error {
+func (b sockBackend) Replace(k, v []byte, f uint32, e int64) error {
 	if err := b.c.Replace(k, v, f, e); err != nil {
 		return memcached.ErrNotFound
 	}
 	return nil
 }
-func (b sockBackend) delete(k []byte) error {
+func (b sockBackend) Delete(k []byte) error {
 	if err := b.c.Delete(k); err != nil {
 		return memcached.ErrNotFound
 	}
 	return nil
 }
-func (b sockBackend) increment(k []byte, d uint64) (uint64, error) {
+func (b sockBackend) Increment(k []byte, d uint64) (uint64, error) {
 	v, err := b.c.Increment(k, d)
 	if err != nil {
 		return 0, memcached.ErrNotFound
 	}
 	return v, nil
 }
-func (b sockBackend) decrement(k []byte, d uint64) (uint64, error) {
+func (b sockBackend) Decrement(k []byte, d uint64) (uint64, error) {
 	v, err := b.c.Decrement(k, d)
 	if err != nil {
 		return 0, memcached.ErrNotFound
 	}
 	return v, nil
 }
-func (b sockBackend) append(k, d []byte) error {
+func (b sockBackend) Append(k, d []byte) error {
 	if err := b.c.Append(k, d); err != nil {
 		return memcached.ErrNotFound
 	}
 	return nil
 }
-func (b sockBackend) prepend(k, d []byte) error {
+func (b sockBackend) Prepend(k, d []byte) error {
 	if err := b.c.Prepend(k, d); err != nil {
 		return memcached.ErrNotFound
 	}
 	return nil
 }
-func (b sockBackend) touch(k []byte, e int64) error {
+func (b sockBackend) Touch(k []byte, e int64) error {
 	if err := b.c.Touch(k, e); err != nil {
 		return memcached.ErrNotFound
 	}
 	return nil
 }
-func (b sockBackend) flush() error { return b.c.FlushAll() }
+func (b sockBackend) FlushAll() error { return b.c.FlushAll() }

@@ -59,10 +59,6 @@ func (rs *RemoteServer) acceptLoop() {
 	}
 }
 
-// maxPipeline bounds how many pipelined commands one batched dispatch
-// carries; a deeper client pipeline simply splits into several batches.
-const maxPipeline = 64
-
 func (rs *RemoteServer) handle(c net.Conn) {
 	defer rs.connWG.Done()
 	defer c.Close()
@@ -72,197 +68,178 @@ func (rs *RemoteServer) handle(c net.Conn) {
 	rs.mu.Unlock()
 	ctx := rs.b.store.NewCtx(owner)
 	defer ctx.Close()
-	serveConn(c, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
-		dispatchPipeline(ctx, w, binary, cmds)
+	serve(c, &ctxBackend{ctx: ctx, version: "1.6.0-plib-hybrid"})
+}
+
+// serve runs the shared read loop on c, dispatching each pipelined run of
+// commands against be.
+func serve(c net.Conn, be wireBackend) {
+	protocol.ServeConn(c, 0, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+		dispatchRun(be, w, binary, cmds)
 	})
 }
 
-// serveConn is the read loop of both socket front ends (this one and the
-// cluster proxy): sniff the protocol, hand each pipelined run of commands
-// to dispatch, which writes their replies to w in command order, and
-// flush. A command that does not parse ends the connection, after the
-// replies of the commands before it and, in ASCII, a CLIENT_ERROR line.
-func serveConn(c net.Conn, dispatch func(w *bufio.Writer, binary bool, cmds []*protocol.Command)) {
-	r := bufio.NewReaderSize(c, 64<<10)
-	w := bufio.NewWriterSize(c, 64<<10)
-	first, err := r.Peek(1)
-	if err != nil {
-		return
-	}
-	isBinary := first[0] == 0x80
-	readCmd := func() (*protocol.Command, error) {
-		if isBinary {
-			return protocol.ReadBinaryCommand(r)
-		}
-		return protocol.ReadASCIICommand(r)
-	}
-	cmds := make([]*protocol.Command, 0, maxPipeline)
-	for {
-		// Read one command (blocking), then greedily drain whatever the
-		// client already pipelined: back-to-back commands become one
-		// batched dispatch, so remote pipelines amortize the gate exactly
-		// like local ExecBatch callers.
-		cmds = cmds[:0]
-		cmd, err := readCmd()
-		if err != nil {
-			if !isBinary {
-				fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
-				w.Flush()
-			}
-			return
-		}
-		quit := cmd.Op == protocol.OpQuit
-		var readErr error
-		if !quit {
-			cmds = append(cmds, cmd)
-			for len(cmds) < maxPipeline && r.Buffered() > 0 {
-				c2, e := readCmd()
-				if e != nil {
-					readErr = e
-					break
-				}
-				if c2.Op == protocol.OpQuit {
-					quit = true
-					break
-				}
-				cmds = append(cmds, c2)
-			}
-		}
-		dispatch(w, isBinary, cmds)
-		if readErr != nil && !isBinary {
-			fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", readErr)
-		}
-		if quit || readErr != nil {
-			w.Flush()
-			return
-		}
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
+// wireBackend is what a socket front end's dispatcher needs from the
+// store behind it. The hybrid server's is one direct context; the cluster
+// proxy's routes every op to its shard first.
+type wireBackend interface {
+	// do executes one op and returns its result, which lies in the
+	// backend (a connection models a thread) until the next call.
+	do(op *core.BatchOp) *core.BatchResult
+	// batch executes a run of ops, one result per op, in order.
+	batch(ops []core.BatchOp) []core.BatchResult
+	// admin answers a command that is not a keyed operation: flush_all,
+	// stats, version, noop.
+	admin(cmd *protocol.Command) *protocol.Reply
 }
 
-// dispatchPipeline executes a run of pipelined commands, riding ExecBatch
-// for every contiguous stretch of batchable ones (including the expansion
-// of ASCII multi-key gets) and falling back to single dispatch for the
-// rest. Replies are written in command order.
-func dispatchPipeline(ctx *core.Ctx, w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+// ctxBackend serves a connection from one direct store context.
+type ctxBackend struct {
+	ctx     *core.Ctx
+	version string
+	res     core.BatchResult
+}
+
+func (b *ctxBackend) do(op *core.BatchOp) *core.BatchResult {
+	b.ctx.Do(op, &b.res)
+	return &b.res
+}
+
+func (b *ctxBackend) batch(ops []core.BatchOp) []core.BatchResult { return b.ctx.ExecBatch(ops) }
+
+func (b *ctxBackend) admin(cmd *protocol.Command) *protocol.Reply {
+	return adminCore(b.ctx, cmd, b.version)
+}
+
+// dispatchRun executes one pipelined run of commands against be and writes
+// the replies in command order. Every contiguous stretch of keyed commands
+// (including the expansion of ASCII multi-key gets) rides one batch, so
+// remote pipelines amortize the gate exactly like local ExecBatch callers;
+// a lone op is executed on its own, which keeps its latency class, and
+// the admin verbs are answered one by one.
+func dispatchRun(be wireBackend, w *bufio.Writer, binary bool, cmds []*protocol.Command) {
 	for i := 0; i < len(cmds); {
-		// Collect the contiguous batchable run starting at i.
+		ops := make([]core.BatchOp, 0, len(cmds)-i)
+		spans := make([]int, 0, len(cmds)-i) // batch ops consumed per command
 		j := i
-		var ops []core.BatchOp
-		var spans []int // batch ops consumed per command
-		for j < len(cmds) {
-			cOps := batchOpsFor(cmds[j])
-			if cOps == nil {
+		for ; j < len(cmds); j++ {
+			n := len(ops)
+			if ops = appendOps(ops, cmds[j]); len(ops) == n {
 				break
 			}
-			ops = append(ops, cOps...)
-			spans = append(spans, len(cOps))
-			j++
+			spans = append(spans, len(ops)-n)
 		}
-		if len(ops) > 1 {
-			res := ctx.ExecBatch(ops)
-			off := 0
-			for k := i; k < j; k++ {
-				n := spans[k-i]
-				writeBatchedReply(w, binary, cmds[k], res[off:off+n])
-				off += n
+		switch len(ops) {
+		case 0:
+			writeReply(w, binary, cmds[i], be.admin(cmds[i]))
+			i++
+		case 1:
+			rep := replyFor(cmds[i], be.do(&ops[0]))
+			writeReply(w, binary, cmds[i], &rep)
+			i++
+		default:
+			res := be.batch(ops)
+			for k, n := range spans {
+				if cmd := cmds[i+k]; n == 1 {
+					rep := replyFor(cmd, &res[0])
+					writeReply(w, binary, cmd, &rep)
+				} else {
+					writeValues(w, cmd, res[:n])
+				}
+				res = res[n:]
 			}
 			i = j
-			continue
 		}
-		// Lone command (or a non-batchable one): ordinary dispatch, which
-		// keeps per-class latency attribution for singletons.
-		rep := DispatchCore(ctx, cmds[i], "1.6.0-plib-hybrid")
-		if binary {
-			protocol.WriteBinaryReply(w, cmds[i], rep)
-		} else {
-			protocol.WriteASCIIReply(w, cmds[i], rep)
-		}
-		i++
 	}
 }
 
-// batchOpsFor returns cmd's batch encoding — one op, or one per key for a
-// multi-key get — or nil when the command cannot ride a batch (stats,
-// version, flush_all, noop).
-func batchOpsFor(cmd *protocol.Command) []core.BatchOp {
+// appendOps appends cmd's batch encoding to ops — one op, or one per key
+// for an ASCII multi-key get — and nothing for a command that is not a
+// keyed operation (flush_all, stats, version, noop). It is the one
+// translation from the wire's vocabulary to the data plane's.
+func appendOps(ops []core.BatchOp, cmd *protocol.Command) []core.BatchOp {
+	var code core.BatchCode
 	switch cmd.Op {
 	case protocol.OpGet:
-		keys := cmd.AllKeys()
-		ops := make([]core.BatchOp, len(keys))
-		for i, k := range keys {
-			ops[i] = core.BatchOp{Code: core.BatchGet, Key: k}
-		}
-		return ops
-	case protocol.OpSet:
-		return []core.BatchOp{{Code: core.BatchSet, Key: cmd.Key, Value: cmd.Value, Flags: cmd.Flags, Exptime: cmd.Exptime}}
-	case protocol.OpAdd:
-		return []core.BatchOp{{Code: core.BatchAdd, Key: cmd.Key, Value: cmd.Value, Flags: cmd.Flags, Exptime: cmd.Exptime}}
-	case protocol.OpReplace:
-		return []core.BatchOp{{Code: core.BatchReplace, Key: cmd.Key, Value: cmd.Value, Flags: cmd.Flags, Exptime: cmd.Exptime}}
-	case protocol.OpCAS:
-		return []core.BatchOp{{Code: core.BatchCAS, Key: cmd.Key, Value: cmd.Value, Flags: cmd.Flags, Exptime: cmd.Exptime, CAS: cmd.CAS}}
-	case protocol.OpAppend:
-		return []core.BatchOp{{Code: core.BatchAppend, Key: cmd.Key, Value: cmd.Value}}
-	case protocol.OpPrepend:
-		return []core.BatchOp{{Code: core.BatchPrepend, Key: cmd.Key, Value: cmd.Value}}
-	case protocol.OpDelete:
-		return []core.BatchOp{{Code: core.BatchDelete, Key: cmd.Key}}
-	case protocol.OpIncr:
-		return []core.BatchOp{{Code: core.BatchIncr, Key: cmd.Key, Delta: cmd.Delta}}
-	case protocol.OpDecr:
-		return []core.BatchOp{{Code: core.BatchDecr, Key: cmd.Key, Delta: cmd.Delta}}
-	case protocol.OpTouch:
-		return []core.BatchOp{{Code: core.BatchTouch, Key: cmd.Key, Exptime: cmd.Exptime}}
+		code = core.BatchGet
 	case protocol.OpGAT:
-		return []core.BatchOp{{Code: core.BatchGAT, Key: cmd.Key, Exptime: cmd.Exptime}}
+		code = core.BatchGAT
+	case protocol.OpSet:
+		code = core.BatchSet
+	case protocol.OpAdd:
+		code = core.BatchAdd
+	case protocol.OpReplace:
+		code = core.BatchReplace
+	case protocol.OpCAS:
+		code = core.BatchCAS
+	case protocol.OpAppend:
+		code = core.BatchAppend
+	case protocol.OpPrepend:
+		code = core.BatchPrepend
+	case protocol.OpDelete:
+		code = core.BatchDelete
+	case protocol.OpIncr:
+		code = core.BatchIncr
+	case protocol.OpDecr:
+		code = core.BatchDecr
+	case protocol.OpTouch:
+		code = core.BatchTouch
 	default:
-		return nil
+		return ops
 	}
+	// Each code reads only its own fields (see BatchOp), so the command's
+	// are copied across wholesale.
+	ops = append(ops, core.BatchOp{Code: code, Key: cmd.Key, Value: cmd.Value,
+		Flags: cmd.Flags, Exptime: cmd.Exptime, Delta: cmd.Delta, CAS: cmd.CAS})
+	for _, k := range cmd.Keys {
+		ops = append(ops, core.BatchOp{Code: code, Key: k})
+	}
+	return ops
 }
 
-// writeBatchedReply renders one command's share of a batch's results. An
-// ASCII multi-key get consumes several results under a single END;
-// everything else is one result translated to the ordinary reply.
-func writeBatchedReply(w *bufio.Writer, binary bool, cmd *protocol.Command, res []core.BatchResult) {
-	if !binary && cmd.Op == protocol.OpGet && len(cmd.Keys) > 0 {
-		keys := cmd.AllKeys()
-		// A key whose shard is down must not masquerade as a miss: the
-		// response ends with the SERVER_ERROR line instead of END so the
-		// client knows the multiget was partial.
-		var downFrame string
-		for i := range res {
-			if res[i].Err == nil {
-				fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", keys[i], res[i].Flags, len(res[i].Value), res[i].CAS)
-				w.Write(res[i].Value)
-				w.WriteString("\r\n")
-			} else if f, ok := ShardDownFrame(res[i].Err); ok && downFrame == "" {
-				downFrame = f
-			}
-		}
-		if downFrame != "" {
-			fmt.Fprintf(w, "SERVER_ERROR %s\r\n", downFrame)
-			return
-		}
-		w.WriteString("END\r\n")
-		return
-	}
-	r := &res[0]
-	rep := &protocol.Reply{Status: coreStatus(r.Err), Opaque: cmd.Opaque}
+// replyFor renders one op's result as the reply to cmd: the one
+// translation back from the data plane's vocabulary to the wire's. (By
+// value, so a dispatcher's replies stay on its stack.)
+func replyFor(cmd *protocol.Command, r *core.BatchResult) protocol.Reply {
+	rep := protocol.Reply{Status: coreStatus(r.Err), Opaque: cmd.Opaque}
 	if r.Err == nil {
 		rep.Value, rep.Flags, rep.CAS, rep.Numeric = r.Value, r.Flags, r.CAS, r.Num
-	} else if f, ok := ShardDownFrame(r.Err); ok {
-		rep.Message = f
+	} else if rep.Status == protocol.StatusTempFailure {
+		rep.Message, _ = ShardDownFrame(r.Err)
 	}
+	return rep
+}
+
+func writeReply(w *bufio.Writer, binary bool, cmd *protocol.Command, rep *protocol.Reply) {
 	if binary {
 		protocol.WriteBinaryReply(w, cmd, rep)
 	} else {
 		protocol.WriteASCIIReply(w, cmd, rep)
 	}
+}
+
+// writeValues renders an ASCII multi-key get: one VALUE block per hit
+// under a single END.
+func writeValues(w *bufio.Writer, cmd *protocol.Command, res []core.BatchResult) {
+	keys := cmd.AllKeys()
+	// A key whose shard is down must not masquerade as a miss: the
+	// response ends with the SERVER_ERROR line instead of END so the
+	// client knows the multiget was partial.
+	var downFrame string
+	for i := range res {
+		if res[i].Err == nil {
+			fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", keys[i], res[i].Flags, len(res[i].Value), res[i].CAS)
+			w.Write(res[i].Value)
+			w.WriteString("\r\n")
+		} else if f, ok := ShardDownFrame(res[i].Err); ok && downFrame == "" {
+			downFrame = f
+		}
+	}
+	if downFrame != "" {
+		fmt.Fprintf(w, "SERVER_ERROR %s\r\n", downFrame)
+		return
+	}
+	w.WriteString("END\r\n")
 }
 
 // coreStatus translates a core error into a wire status.
@@ -288,45 +265,24 @@ func coreStatus(err error) protocol.Status {
 }
 
 // DispatchCore executes one protocol command against a protected-library
-// store context, translating core errors into wire statuses.
+// store context: translate, Ctx.Do, render — or an admin verb.
 func DispatchCore(ctx *core.Ctx, cmd *protocol.Command, version string) *protocol.Reply {
+	var one [1]core.BatchOp
+	ops := appendOps(one[:0], cmd)
+	if len(ops) == 0 {
+		return adminCore(ctx, cmd, version)
+	}
+	var r core.BatchResult
+	ctx.Do(&ops[0], &r)
+	rep := replyFor(cmd, &r)
+	return &rep
+}
+
+// adminCore answers the commands that are not keyed operations against
+// one store context.
+func adminCore(ctx *core.Ctx, cmd *protocol.Command, version string) *protocol.Reply {
 	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
-	toStatus := coreStatus
 	switch cmd.Op {
-	case protocol.OpGet:
-		v, flags, cas, err := ctx.Get(cmd.Key)
-		rep.Status = toStatus(err)
-		if err == nil {
-			rep.Value, rep.Flags, rep.CAS = v, flags, cas
-		}
-	case protocol.OpSet:
-		rep.Status = toStatus(ctx.Set(cmd.Key, cmd.Value, cmd.Flags, cmd.Exptime))
-	case protocol.OpAdd:
-		rep.Status = toStatus(ctx.Add(cmd.Key, cmd.Value, cmd.Flags, cmd.Exptime))
-	case protocol.OpReplace:
-		rep.Status = toStatus(ctx.Replace(cmd.Key, cmd.Value, cmd.Flags, cmd.Exptime))
-	case protocol.OpCAS:
-		rep.Status = toStatus(ctx.CAS(cmd.Key, cmd.Value, cmd.Flags, cmd.Exptime, cmd.CAS))
-	case protocol.OpAppend:
-		rep.Status = toStatus(ctx.Append(cmd.Key, cmd.Value))
-	case protocol.OpPrepend:
-		rep.Status = toStatus(ctx.Prepend(cmd.Key, cmd.Value))
-	case protocol.OpDelete:
-		rep.Status = toStatus(ctx.Delete(cmd.Key))
-	case protocol.OpIncr:
-		v, err := ctx.Increment(cmd.Key, cmd.Delta)
-		rep.Numeric, rep.Status = v, toStatus(err)
-	case protocol.OpDecr:
-		v, err := ctx.Decrement(cmd.Key, cmd.Delta)
-		rep.Numeric, rep.Status = v, toStatus(err)
-	case protocol.OpTouch:
-		rep.Status = toStatus(ctx.Touch(cmd.Key, cmd.Exptime))
-	case protocol.OpGAT:
-		v, flags, cas, err := ctx.GetAndTouch(cmd.Key, cmd.Exptime)
-		rep.Status = toStatus(err)
-		if err == nil {
-			rep.Value, rep.Flags, rep.CAS = v, flags, cas
-		}
 	case protocol.OpFlushAll:
 		ctx.FlushAll()
 	case protocol.OpStats:

@@ -107,46 +107,38 @@ func TestSessionBasicOps(t *testing.T) {
 	}
 }
 
-// GetAsync queues; the callback runs at the next drain point — FetchAsync,
-// a synchronous operation, or the asyncWindow auto-drain — through one
-// batched crossing for the whole queue (§3.1's asynchronous API).
-func TestAsyncCallbackBatched(t *testing.T) {
+// GetAsync is §3.1's shim: a direct call completes immediately, so the
+// callback has run — with the value, the flags, or the miss — by the time
+// GetAsync returns, and nothing is left queued for a later operation.
+func TestAsyncCallbackImmediate(t *testing.T) {
 	b := newTestStore(t)
 	s := newTestSession(t, b)
-	s.Set([]byte("k0"), []byte("async0"), 0, 0)
-	s.Set([]byte("k1"), []byte("async1"), 0, 0)
-	var order []string
-	for i := 0; i < 2; i++ {
-		i := i
-		s.GetAsync([]byte{byte('k'), byte('0' + i)}, func(v []byte, flags uint32, err error) {
-			order = append(order, string(v))
-			if err != nil || string(v) != fmt.Sprintf("async%d", i) {
-				t.Errorf("callback %d got %q, %v", i, v, err)
-			}
-		})
+	s.Set([]byte("k0"), []byte("async0"), 7, 0)
+	calls := 0
+	s.GetAsync([]byte("k0"), func(v []byte, flags uint32, err error) {
+		calls++
+		if err != nil || string(v) != "async0" || flags != 7 {
+			t.Errorf("hit callback got %q, %d, %v", v, flags, err)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("hit callback ran %d times before GetAsync returned, want 1", calls)
 	}
-	if len(order) != 0 {
-		t.Fatal("callbacks ran before a drain point")
+	s.GetAsync([]byte("absent"), func(v []byte, _ uint32, err error) {
+		calls++
+		if !errors.Is(err, ErrNotFound) || v != nil {
+			t.Errorf("miss callback got %q, %v", v, err)
+		}
+	})
+	if calls != 2 {
+		t.Fatalf("miss callback ran %d times, want once", calls-1)
 	}
 	before := b.Library().Metrics().Crossings
-	if err := s.FetchAsync(); err != nil {
+	if _, _, err := s.Get([]byte("k0")); err != nil {
 		t.Fatal(err)
 	}
-	if after := b.Library().Metrics().Crossings; after != before+1 {
-		t.Fatalf("drain of 2 queued gets took %d crossings, want 1", after-before)
-	}
-	if len(order) != 2 || order[0] != "async0" || order[1] != "async1" {
-		t.Fatalf("callbacks ran as %q, want issue order", order)
-	}
-	// A synchronous operation is also a drain point: queued callbacks run
-	// before it so program order is preserved.
-	ran := false
-	s.GetAsync([]byte("k0"), func([]byte, uint32, error) { ran = true })
-	if _, _, err := s.Get([]byte("k1")); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("synchronous Get did not drain the async queue first")
+	if after := b.Library().Metrics().Crossings; after != before+1 || calls != 2 {
+		t.Fatalf("a later Get took %d crossings and re-ran callbacks (%d calls)", after-before, calls)
 	}
 }
 

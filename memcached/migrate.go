@@ -178,13 +178,6 @@ func (m *migration) buildIndex() {
 	}
 }
 
-// routeKey resolves one key under the dual-ring rules. A non-nil guard is
-// the key's mid-migration segment, held shared; the caller must release
-// it after its shard access retires (and markDirty first, for writes).
-func (c *Cluster) routeKey(key []byte) (int, *migSeg) {
-	return c.routeHash(ring.Hash(key), nil)
-}
-
 // routeHash is the routing core: old ring unless the hash's segment has
 // cut over.
 //

@@ -1,7 +1,6 @@
 package memcached
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strconv"
@@ -9,15 +8,16 @@ import (
 
 	"plibmc/internal/core"
 	"plibmc/internal/protocol"
-	"plibmc/internal/ring"
 )
 
 // The cluster's socket proxy: baseline-protocol clients (ASCII or binary)
-// get sharding transparently. One connection carries one context per
-// shard; pipelined command runs are partitioned by owning shard and each
-// shard's share rides a single ExecBatch crossing — the proxy-tier
-// equivalent of the beanseye pattern, with the per-shard gate
-// amortization preserved. Replies always come back in command order.
+// get sharding transparently. The read loop and the dispatcher are the
+// hybrid server's (hybrid.go) and the routers the ClusterSession's
+// (cluster.go); this file supplies what they run against — one connection
+// carries one direct context per shard, pipelined command runs are
+// partitioned by owning shard and each shard's share rides a single
+// ExecBatch — the proxy-tier equivalent of the beanseye pattern. Replies
+// always come back in command order.
 
 // ClusterServer is the cluster's socket front end.
 type ClusterServer struct {
@@ -62,10 +62,13 @@ func (cs *ClusterServer) acceptLoop() {
 
 // connCtxs is one connection's per-shard operation contexts, created
 // lazily so a connection that only ever touches two shards never opens a
-// context on the other N-2.
+// context on the other N-2. It is the proxy's wireBackend (every op is
+// routed first) and, once routed, its shardExec (direct contexts behind
+// the breaker's peek).
 type connCtxs struct {
 	c     *Cluster
 	owner uint64
+	res   BatchResult // the lone op's result frame
 	ctxs  []*core.Ctx
 	// books pins each context to the Bookkeeper it was opened on: when
 	// the supervisor rebuilds a shard, the stale context (bound to the
@@ -116,162 +119,57 @@ func (cs *ClusterServer) handle(c net.Conn) {
 	cc := &connCtxs{c: cs.c, owner: owner,
 		ctxs: make([]*core.Ctx, nsh), books: make([]*Bookkeeper, nsh)}
 	defer cc.close()
-	serveConn(c, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
-		cs.dispatchShardedPipeline(cc, w, binary, cmds)
-	})
+	serve(c, cc)
 }
 
-// opRef locates one batch op inside the per-shard partition: which shard
-// it went to and at which position in that shard's sub-batch.
-type opRef struct {
-	shard int
-	pos   int
+func (cc *connCtxs) do(op *BatchOp) *BatchResult {
+	cc.c.routeOp(op, &cc.res, cc)
+	return &cc.res
 }
 
-// dispatchShardedPipeline executes a run of pipelined commands. Every
-// contiguous stretch of batchable commands is partitioned by owning shard
-// and each involved shard executes its share in one ExecBatch crossing;
-// replies are reassembled in command order. Non-batchable commands
-// (stats, version, flush_all) dispatch individually against the cluster.
-// During a live resize, routing goes through the dual-ring rules: every
-// touched mid-migration segment's guard is held (shared, acquired once)
-// until the run's crossings retire, and writes into such segments are
-// dirty-marked for the pre-cutover recopy.
-func (cs *ClusterServer) dispatchShardedPipeline(cc *connCtxs, w *bufio.Writer, binary bool, cmds []*protocol.Command) {
-	c := cs.c
-	for i := 0; i < len(cmds); {
-		j := i
-		var refs []opRef // flat op index → shard/pos
-		var spans []int  // batch ops consumed per command
-		c.routeMu.RLock()
-		perShard := make([][]core.BatchOp, c.Shards())
-		var held map[*migSeg]struct{}
-		var guards []*migSeg
-		if c.mig.Load() != nil {
-			held = make(map[*migSeg]struct{})
-		}
-		for j < len(cmds) {
-			cOps := batchOpsFor(cmds[j])
-			if cOps == nil {
-				break
-			}
-			for _, op := range cOps {
-				sh, g := c.routeHash(ring.Hash(op.Key), held)
-				if g != nil {
-					if _, ok := held[g]; !ok {
-						held[g] = struct{}{}
-						guards = append(guards, g)
-					}
-					if op.Code != core.BatchGet {
-						g.markDirty(op.Key)
-					}
-				}
-				refs = append(refs, opRef{shard: sh, pos: len(perShard[sh])})
-				perShard[sh] = append(perShard[sh], op)
-			}
-			spans = append(spans, len(cOps))
-			j++
-		}
-		release := func() {
-			for _, g := range guards {
-				g.release()
-			}
-			c.routeMu.RUnlock()
-		}
-		if len(refs) > 1 {
-			// One crossing per involved shard for the whole run. A shard
-			// behind an open breaker (or poisoned/rebuilding — the direct
-			// contexts bypass the hodor gate, so the proxy must check)
-			// fills its slots with the typed fast-fail; sibling shards'
-			// results keep their positional alignment.
-			perShardRes := make([][]core.BatchResult, len(perShard))
-			for sh := range perShard {
-				if len(perShard[sh]) == 0 {
-					continue
-				}
-				if err := c.proxyAllow(sh); err != nil {
-					down := make([]core.BatchResult, len(perShard[sh]))
-					for k := range down {
-						down[k].Err = err
-					}
-					perShardRes[sh] = down
-					continue
-				}
-				perShardRes[sh] = cc.ctx(sh).ExecBatch(perShard[sh])
-			}
-			release()
-			flat := make([]core.BatchResult, len(refs))
-			for k, ref := range refs {
-				flat[k] = perShardRes[ref.shard][ref.pos]
-			}
-			off := 0
-			for k := i; k < j; k++ {
-				n := spans[k-i]
-				writeBatchedReply(w, binary, cmds[k], flat[off:off+n])
-				off += n
-			}
-			i = j
-			continue
-		}
-		// Lone or non-batchable command: dispatchOne routes (and guards)
-		// on its own.
-		release()
-		rep := cs.dispatchOne(cc, cmds[i])
-		if binary {
-			protocol.WriteBinaryReply(w, cmds[i], rep)
-		} else {
-			protocol.WriteASCIIReply(w, cmds[i], rep)
-		}
-		i++
+func (cc *connCtxs) batch(ops []BatchOp) []BatchResult { return cc.c.routeBatch(ops, cc) }
+
+// The direct contexts bypass the hodor gate, so a shard behind an open
+// breaker — or poisoned, or rebuilding — is refused by proxyAllow with the
+// typed fast-fail instead.
+func (cc *connCtxs) doShard(shard int, op *BatchOp, r *BatchResult) {
+	if err := cc.c.proxyAllow(shard); err != nil {
+		*r = BatchResult{Err: err}
+		return
 	}
+	cc.ctx(shard).Do(op, r)
 }
 
-// dispatchOne executes a single command against the cluster: keyed
-// commands route to the owning shard; keyless commands fan out or
-// aggregate.
-func (cs *ClusterServer) dispatchOne(cc *connCtxs, cmd *protocol.Command) *protocol.Reply {
-	c := cs.c
+func (cc *connCtxs) batchShard(shard int, ops []BatchOp) ([]BatchResult, error) {
+	if err := cc.c.proxyAllow(shard); err != nil {
+		return nil, err
+	}
+	return cc.ctx(shard).ExecBatch(ops), nil
+}
+
+// admin answers the keyless commands against the whole cluster: they fan
+// out or aggregate.
+func (cc *connCtxs) admin(cmd *protocol.Command) *protocol.Reply {
+	c := cc.c
+	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
 	switch cmd.Op {
 	case protocol.OpFlushAll:
 		for sh := 0; sh < c.Shards(); sh++ {
 			if err := c.proxyAllow(sh); err != nil {
 				// A flush that cannot reach every shard must not claim
 				// it flushed the cluster.
-				return shardDownReply(cmd, err)
+				*rep = replyFor(cmd, &BatchResult{Err: err})
+				return rep
 			}
 			cc.ctx(sh).FlushAll()
 		}
-		return &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
 	case protocol.OpStats:
-		return cs.statsReply(cc, cmd)
+		return cc.statsReply(cmd)
 	case protocol.OpVersion:
-		return &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque,
-			Version: fmt.Sprintf("1.6.0-plib-cluster/%d", c.Shards())}
+		rep.Version = fmt.Sprintf("1.6.0-plib-cluster/%d", c.Shards())
 	case protocol.OpNoop:
-		return &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
-	}
-	c.routeMu.RLock()
-	defer c.routeMu.RUnlock()
-	sh, g := c.routeKey(cmd.Key)
-	if g != nil {
-		if cmd.Op != protocol.OpGet {
-			g.markDirty(cmd.Key)
-		}
-		defer g.release()
-	}
-	if err := c.proxyAllow(sh); err != nil {
-		return shardDownReply(cmd, err)
-	}
-	return DispatchCore(cc.ctx(sh), cmd, "1.6.0-plib-cluster")
-}
-
-// shardDownReply renders a breaker fast-fail as a wire reply: ASCII
-// clients see "SERVER_ERROR shard N recovering|rebuilding", binary
-// clients the temporary-failure status with the frame as the value.
-func shardDownReply(cmd *protocol.Command, err error) *protocol.Reply {
-	rep := &protocol.Reply{Status: protocol.StatusTempFailure, Opaque: cmd.Opaque}
-	if f, ok := ShardDownFrame(err); ok {
-		rep.Message = f
+	default:
+		rep.Status = protocol.StatusUnknownCommand
 	}
 	return rep
 }
@@ -279,8 +177,8 @@ func shardDownReply(cmd *protocol.Command, err error) *protocol.Reply {
 // statsReply aggregates the default counter set across shards; per-shard
 // counters are appended under a shard<N>: prefix so the routing tier stays
 // observable from a plain memcached client.
-func (cs *ClusterServer) statsReply(cc *connCtxs, cmd *protocol.Command) *protocol.Reply {
-	c := cs.c
+func (cc *connCtxs) statsReply(cmd *protocol.Command) *protocol.Reply {
+	c := cc.c
 	if cmd.StatsArg != "" {
 		// Subcommand stats (latency, slabs, …) don't aggregate cleanly;
 		// serve every shard's lines under its prefix.
@@ -292,7 +190,7 @@ func (cs *ClusterServer) statsReply(cc *connCtxs, cmd *protocol.Command) *protoc
 				}
 				continue
 			}
-			sub := DispatchCore(cc.ctx(sh), cmd, "1.6.0-plib-cluster")
+			sub := adminCore(cc.ctx(sh), cmd, "")
 			for _, kv := range sub.Stats {
 				rep.Stats = append(rep.Stats, [2]string{fmt.Sprintf("shard%d:%s", sh, kv[0]), kv[1]})
 			}

@@ -49,6 +49,155 @@ const (
 	BatchInstall = core.BatchInstall // migration store: preserves CAS, absolute expiry
 )
 
+// KV is the key-value API of one client thread's handle on the store: the
+// paper's memcached_* entry points as methods. *Session (one store) and
+// *ClusterSession (sharded) implement it, so code that does not care about
+// topology — compat.St, the model checkers, the conformance table — takes
+// a KV.
+type KV interface {
+	Get(key []byte) ([]byte, uint32, error)
+	Gets(key []byte) ([]byte, uint32, uint64, error)
+	Set(key, value []byte, flags uint32, exptime int64) error
+	Add(key, value []byte, flags uint32, exptime int64) error
+	Replace(key, value []byte, flags uint32, exptime int64) error
+	CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error
+	Delete(key []byte) error
+	Increment(key []byte, delta uint64) (uint64, error)
+	Decrement(key []byte, delta uint64) (uint64, error)
+	Append(key, data []byte) error
+	Prepend(key, data []byte) error
+	Touch(key []byte, exptime int64) error
+	GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error)
+	MGet(keys [][]byte) ([]core.GetResult, error)
+	ExecBatch(ops []BatchOp) ([]BatchResult, error)
+	FlushAll() error
+}
+
+var (
+	_ KV = (*Session)(nil)
+	_ KV = (*ClusterSession)(nil)
+)
+
+// executor is whatever carries operations to the data plane: a Session
+// crosses its store's gate, a ClusterSession first routes to the owning
+// shard's Session. do executes one op, overwriting *r; a failure of the
+// crossing itself (rejection, crash, shard down) lands in r.Err like the
+// op's own outcome.
+type executor interface {
+	do(op *BatchOp, r *BatchResult)
+	ExecBatch(ops []BatchOp) ([]BatchResult, error)
+}
+
+// verbs spells the single-key API once, for every executor. A session
+// models a thread, so it owns one call frame — op and res — and arguments
+// and result cross the gate where they lie: a frame built per call would
+// escape through the executor and cost every operation an allocation.
+type verbs struct {
+	x   executor
+	op  BatchOp
+	res BatchResult
+}
+
+func (v *verbs) exec(op BatchOp) *BatchResult {
+	v.op = op
+	v.x.do(&v.op, &v.res)
+	return &v.res
+}
+
+// Get retrieves the value and flags stored under key.
+func (v *verbs) Get(key []byte) ([]byte, uint32, error) {
+	r := v.exec(BatchOp{Code: BatchGet, Key: key})
+	return r.Value, r.Flags, r.Err
+}
+
+// Gets also returns the CAS generation, for later CAS stores. A live
+// resize preserves generations, so the token stays valid across a move.
+func (v *verbs) Gets(key []byte) ([]byte, uint32, uint64, error) {
+	r := v.exec(BatchOp{Code: BatchGet, Key: key})
+	return r.Value, r.Flags, r.CAS, r.Err
+}
+
+// Set stores value under key unconditionally.
+func (v *verbs) Set(key, value []byte, flags uint32, exptime int64) error {
+	return v.exec(BatchOp{Code: BatchSet, Key: key, Value: value, Flags: flags, Exptime: exptime}).Err
+}
+
+// Add stores only if key is absent.
+func (v *verbs) Add(key, value []byte, flags uint32, exptime int64) error {
+	return v.exec(BatchOp{Code: BatchAdd, Key: key, Value: value, Flags: flags, Exptime: exptime}).Err
+}
+
+// Replace stores only if key is present.
+func (v *verbs) Replace(key, value []byte, flags uint32, exptime int64) error {
+	return v.exec(BatchOp{Code: BatchReplace, Key: key, Value: value, Flags: flags, Exptime: exptime}).Err
+}
+
+// CAS stores only if the entry's generation equals cas.
+func (v *verbs) CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error {
+	return v.exec(BatchOp{Code: BatchCAS, Key: key, Value: value, Flags: flags, Exptime: exptime, CAS: cas}).Err
+}
+
+// Delete removes key.
+func (v *verbs) Delete(key []byte) error {
+	return v.exec(BatchOp{Code: BatchDelete, Key: key}).Err
+}
+
+// Increment adds delta to a numeric value.
+func (v *verbs) Increment(key []byte, delta uint64) (uint64, error) {
+	r := v.exec(BatchOp{Code: BatchIncr, Key: key, Delta: delta})
+	return r.Num, r.Err
+}
+
+// Decrement subtracts delta, saturating at zero.
+func (v *verbs) Decrement(key []byte, delta uint64) (uint64, error) {
+	r := v.exec(BatchOp{Code: BatchDecr, Key: key, Delta: delta})
+	return r.Num, r.Err
+}
+
+// Append concatenates data after the existing value.
+func (v *verbs) Append(key, data []byte) error {
+	return v.exec(BatchOp{Code: BatchAppend, Key: key, Value: data}).Err
+}
+
+// Prepend concatenates data before the existing value.
+func (v *verbs) Prepend(key, data []byte) error {
+	return v.exec(BatchOp{Code: BatchPrepend, Key: key, Value: data}).Err
+}
+
+// Touch updates an entry's expiry.
+func (v *verbs) Touch(key []byte, exptime int64) error {
+	return v.exec(BatchOp{Code: BatchTouch, Key: key, Exptime: exptime}).Err
+}
+
+// GetAndTouch retrieves a value and updates its expiry in one call.
+func (v *verbs) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
+	r := v.exec(BatchOp{Code: BatchGAT, Key: key, Exptime: exptime})
+	return r.Value, r.Flags, r.Err
+}
+
+// MGet retrieves many keys as one batch of gets — one trampoline crossing
+// on a Session, one per involved shard on a ClusterSession — the
+// protected-library counterpart of the socket client's pipelined quiet-get
+// batching. Results are positional; a key that is missing, or whose shard
+// failed its crossing, has Found == false.
+func (v *verbs) MGet(keys [][]byte) ([]core.GetResult, error) {
+	ops := make([]BatchOp, len(keys))
+	for i, k := range keys {
+		ops[i] = BatchOp{Code: BatchGet, Key: k}
+	}
+	res, err := v.x.ExecBatch(ops)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.GetResult, len(res))
+	for i := range res {
+		if res[i].Err == nil {
+			out[i] = core.GetResult{Value: res[i].Value, Flags: res[i].Flags, CAS: res[i].CAS, Found: true}
+		}
+	}
+	return out, nil
+}
+
 // entryNames is the library's export table (HODOR_FUNC_EXPORT analog).
 var entryNames = []string{
 	"memcached_get", "memcached_set", "memcached_add", "memcached_replace",
@@ -113,6 +262,7 @@ func (cp *ClientProcess) Kill() { cp.p.Kill() }
 // NewSessionNoHodor, the paper's unprotected comparison point). A Session
 // is not safe for concurrent use — it models a thread.
 type Session struct {
+	verbs
 	hs     *hodor.Session
 	th     *proc.Thread
 	ctx    *core.Ctx
@@ -127,62 +277,17 @@ type Session struct {
 	tenantDom  *hodor.Domain
 	tenantPage uint64
 
-	fnGet    func(*proc.Thread, getArgs) (getRes, error)
-	fnStore  func(*proc.Thread, storeArgs) (struct{}, error)
-	fnDelete func(*proc.Thread, keyArgs) (struct{}, error)
-	fnIncr   func(*proc.Thread, incrArgs) (uint64, error)
-	fnPend   func(*proc.Thread, pendArgs) (struct{}, error)
-	fnTouch  func(*proc.Thread, touchArgs) (struct{}, error)
-	fnFlush  func(*proc.Thread, struct{}) (struct{}, error)
-	fnStats  func(*proc.Thread, struct{}) (core.Stats, error)
-	fnBatch  func(*proc.Thread, []core.BatchOp) ([]core.BatchResult, error)
-	fnGAT    func(*proc.Thread, touchArgs) (getRes, error)
-
-	// pending holds GetAsync requests queued for the next batched
-	// crossing; inFetch breaks the drain recursion (FetchAsync itself
-	// dispatches through call).
-	pending []pendingGet
-	inFetch bool
+	fnOp    func(*proc.Thread, frame) (struct{}, error)
+	fnBatch func(*proc.Thread, []core.BatchOp) ([]core.BatchResult, error)
+	fnFlush func(*proc.Thread, struct{}) (struct{}, error)
+	fnStats func(*proc.Thread, struct{}) (core.Stats, error)
 }
 
-// pendingGet is one queued GetAsync request.
-type pendingGet struct {
-	key []byte
-	cb  func(value []byte, flags uint32, err error)
-}
-
-// asyncWindow bounds how many GetAsync requests queue before the session
-// drains them in one batched crossing on its own.
-const asyncWindow = 64
-
-type getArgs struct{ key []byte }
-type getRes struct {
-	value []byte
-	flags uint32
-	cas   uint64
-}
-type storeArgs struct {
-	mode    int // 0 set, 1 add, 2 replace, 3 cas
-	key     []byte
-	value   []byte
-	flags   uint32
-	exptime int64
-	cas     uint64
-}
-type keyArgs struct{ key []byte }
-type incrArgs struct {
-	key   []byte
-	delta uint64
-	decr  bool
-}
-type pendArgs struct {
-	key     []byte
-	data    []byte
-	prepend bool
-}
-type touchArgs struct {
-	key     []byte
-	exptime int64
+// frame is what one operation carries across the gate: where its
+// arguments and its result lie, not copies of them.
+type frame struct {
+	op  *BatchOp
+	res *BatchResult
 }
 
 // NewSession creates a trampolined session for one client thread.
@@ -214,41 +319,13 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 		// abort request between operations of an over-budget batch.
 		ctx.AbortCheck = hs.AbortRequested
 	}
-	s.fnGet = func(_ *proc.Thread, a getArgs) (getRes, error) {
-		v, f, cas, err := ctx.Get(a.key)
-		return getRes{v, f, cas}, err
+	s.x = s
+	s.fnOp = func(_ *proc.Thread, f frame) (struct{}, error) {
+		ctx.Do(f.op, f.res)
+		return struct{}{}, nil
 	}
-	s.fnStore = func(_ *proc.Thread, a storeArgs) (struct{}, error) {
-		var err error
-		switch a.mode {
-		case 0:
-			err = ctx.Set(a.key, a.value, a.flags, a.exptime)
-		case 1:
-			err = ctx.Add(a.key, a.value, a.flags, a.exptime)
-		case 2:
-			err = ctx.Replace(a.key, a.value, a.flags, a.exptime)
-		default:
-			err = ctx.CAS(a.key, a.value, a.flags, a.exptime, a.cas)
-		}
-		return struct{}{}, err
-	}
-	s.fnDelete = func(_ *proc.Thread, a keyArgs) (struct{}, error) {
-		return struct{}{}, ctx.Delete(a.key)
-	}
-	s.fnIncr = func(_ *proc.Thread, a incrArgs) (uint64, error) {
-		if a.decr {
-			return ctx.Decrement(a.key, a.delta)
-		}
-		return ctx.Increment(a.key, a.delta)
-	}
-	s.fnPend = func(_ *proc.Thread, a pendArgs) (struct{}, error) {
-		if a.prepend {
-			return struct{}{}, ctx.Prepend(a.key, a.data)
-		}
-		return struct{}{}, ctx.Append(a.key, a.data)
-	}
-	s.fnTouch = func(_ *proc.Thread, a touchArgs) (struct{}, error) {
-		return struct{}{}, ctx.Touch(a.key, a.exptime)
+	s.fnBatch = func(_ *proc.Thread, ops []core.BatchOp) ([]core.BatchResult, error) {
+		return ctx.ExecBatch(ops), nil
 	}
 	s.fnFlush = func(_ *proc.Thread, _ struct{}) (struct{}, error) {
 		ctx.FlushAll()
@@ -256,13 +333,6 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 	}
 	s.fnStats = func(_ *proc.Thread, _ struct{}) (core.Stats, error) {
 		return ctx.Store().Stats(), nil
-	}
-	s.fnBatch = func(_ *proc.Thread, ops []core.BatchOp) ([]core.BatchResult, error) {
-		return ctx.ExecBatch(ops), nil
-	}
-	s.fnGAT = func(_ *proc.Thread, a touchArgs) (getRes, error) {
-		v, f, cas, err := ctx.GetAndTouch(a.key, a.exptime)
-		return getRes{v, f, cas}, err
 	}
 	return s, nil
 }
@@ -363,16 +433,11 @@ func (s *Session) Close() {
 }
 
 // call dispatches through the trampoline, or directly in No-Hodor mode.
-// Queued GetAsync requests drain first, so their callbacks observe the
-// store as of before this operation (program order is preserved).
 // Overload rejections — gate saturation, tenant quota, hardware-key pin
 // exhaustion — are backpressure, not faults: the session retries with
 // exponential backoff and jitter, bounded by the recovery grace, and only
 // then surfaces the typed error.
 func call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), a A) (R, error) {
-	if len(s.pending) > 0 && !s.inFetch {
-		s.FetchAsync()
-	}
 	if s.direct {
 		if s.th.Proc.Killed() {
 			var zero R
@@ -411,74 +476,12 @@ func retryOverloaded[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), 
 	}
 }
 
-// Get retrieves the value and flags stored under key.
-func (s *Session) Get(key []byte) ([]byte, uint32, error) {
-	r, err := call(s, s.fnGet, getArgs{key})
-	return r.value, r.flags, err
-}
-
-// Gets also returns the CAS generation, for later CAS stores.
-func (s *Session) Gets(key []byte) ([]byte, uint32, uint64, error) {
-	r, err := call(s, s.fnGet, getArgs{key})
-	return r.value, r.flags, r.cas, err
-}
-
-// Set stores value under key unconditionally.
-func (s *Session) Set(key, value []byte, flags uint32, exptime int64) error {
-	_, err := call(s, s.fnStore, storeArgs{mode: 0, key: key, value: value, flags: flags, exptime: exptime})
-	return err
-}
-
-// Add stores only if key is absent.
-func (s *Session) Add(key, value []byte, flags uint32, exptime int64) error {
-	_, err := call(s, s.fnStore, storeArgs{mode: 1, key: key, value: value, flags: flags, exptime: exptime})
-	return err
-}
-
-// Replace stores only if key is present.
-func (s *Session) Replace(key, value []byte, flags uint32, exptime int64) error {
-	_, err := call(s, s.fnStore, storeArgs{mode: 2, key: key, value: value, flags: flags, exptime: exptime})
-	return err
-}
-
-// CAS stores only if the entry's generation equals cas.
-func (s *Session) CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	_, err := call(s, s.fnStore, storeArgs{mode: 3, key: key, value: value, flags: flags, exptime: exptime, cas: cas})
-	return err
-}
-
-// Delete removes key.
-func (s *Session) Delete(key []byte) error {
-	_, err := call(s, s.fnDelete, keyArgs{key})
-	return err
-}
-
-// Increment adds delta to a numeric value.
-func (s *Session) Increment(key []byte, delta uint64) (uint64, error) {
-	return call(s, s.fnIncr, incrArgs{key: key, delta: delta})
-}
-
-// Decrement subtracts delta, saturating at zero.
-func (s *Session) Decrement(key []byte, delta uint64) (uint64, error) {
-	return call(s, s.fnIncr, incrArgs{key: key, delta: delta, decr: true})
-}
-
-// Append concatenates data after the existing value.
-func (s *Session) Append(key, data []byte) error {
-	_, err := call(s, s.fnPend, pendArgs{key: key, data: data})
-	return err
-}
-
-// Prepend concatenates data before the existing value.
-func (s *Session) Prepend(key, data []byte) error {
-	_, err := call(s, s.fnPend, pendArgs{key: key, data: data, prepend: true})
-	return err
-}
-
-// Touch updates an entry's expiry.
-func (s *Session) Touch(key []byte, exptime int64) error {
-	_, err := call(s, s.fnTouch, touchArgs{key: key, exptime: exptime})
-	return err
+// do carries one op across the gate in place. A failure of the crossing
+// itself (rejection, crash, killed process) replaces the result.
+func (s *Session) do(op *BatchOp, r *BatchResult) {
+	if _, err := call(s, s.fnOp, frame{op, r}); err != nil {
+		*r = BatchResult{Err: err}
+	}
 }
 
 // FlushAll removes every entry.
@@ -492,12 +495,6 @@ func (s *Session) Stats() (core.Stats, error) {
 	return call(s, s.fnStats, struct{}{})
 }
 
-// GetAndTouch retrieves a value and updates its expiry in one call.
-func (s *Session) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
-	r, err := call(s, s.fnGAT, touchArgs{key: key, exptime: exptime})
-	return r.value, r.flags, err
-}
-
 // ExecBatch executes ops in order through a single trampoline crossing:
 // one admission and one rights amplification cover the whole batch, so
 // crossings-per-op falls as 1/len(ops). Results are positional; each op's
@@ -508,64 +505,9 @@ func (s *Session) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
 	return call(s, s.fnBatch, ops)
 }
 
-// MGet retrieves many keys through a single trampoline crossing: one
-// rights amplification covers the whole batch — the protected-library
-// counterpart of the socket client's pipelined quiet-get batching.
-// Results are positional; missing keys have Found == false.
-func (s *Session) MGet(keys [][]byte) ([]core.GetResult, error) {
-	ops := make([]core.BatchOp, len(keys))
-	for i, k := range keys {
-		ops[i] = core.BatchOp{Code: core.BatchGet, Key: k}
-	}
-	res, err := call(s, s.fnBatch, ops)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.GetResult, len(res))
-	for i := range res {
-		if res[i].Err == nil {
-			out[i] = core.GetResult{Value: res[i].Value, Flags: res[i].Flags, CAS: res[i].CAS, Found: true}
-		}
-	}
-	return out, nil
-}
-
-// GetAsync queues a retrieval for the next batched crossing (§3.1's
-// asynchronous API, now genuinely deferred): the callback runs when the
-// session drains its queue — at FetchAsync, before the next synchronous
-// operation, or automatically once asyncWindow requests accumulate.
-// Callbacks run in issue order.
+// GetAsync is §3.1's asynchronous API: a direct call completes
+// immediately, so the callback runs before GetAsync returns. Callers who
+// want to amortize crossings over many keys have MGet and ExecBatch.
 func (s *Session) GetAsync(key []byte, cb func(value []byte, flags uint32, err error)) {
-	s.pending = append(s.pending, pendingGet{key: append([]byte(nil), key...), cb: cb})
-	if len(s.pending) >= asyncWindow {
-		s.FetchAsync()
-	}
-}
-
-// FetchAsync drains the GetAsync queue through one batched crossing,
-// invoking every queued callback in issue order. A crossing-level failure
-// (rejection, crash) is delivered to every callback and returned.
-func (s *Session) FetchAsync() error {
-	if s.inFetch || len(s.pending) == 0 {
-		return nil
-	}
-	s.inFetch = true
-	defer func() { s.inFetch = false }()
-	pend := s.pending
-	s.pending = nil
-	ops := make([]core.BatchOp, len(pend))
-	for i := range pend {
-		ops[i] = core.BatchOp{Code: core.BatchGet, Key: pend[i].key}
-	}
-	res, err := call(s, s.fnBatch, ops)
-	if err != nil {
-		for i := range pend {
-			pend[i].cb(nil, 0, err)
-		}
-		return err
-	}
-	for i := range pend {
-		pend[i].cb(res[i].Value, res[i].Flags, res[i].Err)
-	}
-	return nil
+	cb(s.Get(key))
 }

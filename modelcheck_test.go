@@ -81,33 +81,10 @@ func mcResult(err error) (model.Res, bool) {
 	return model.ResUnknown, false
 }
 
-// mcSession is the slice of the session API the workers drive. Both
-// *memcached.Session (one store) and *memcached.ClusterSession (sharded:
-// every call routes through the placement ring) satisfy it, so the same
-// torture workloads check both topologies.
-type mcSession interface {
-	Get(key []byte) ([]byte, uint32, error)
-	Gets(key []byte) ([]byte, uint32, uint64, error)
-	Set(key, value []byte, flags uint32, exptime int64) error
-	Add(key, value []byte, flags uint32, exptime int64) error
-	Replace(key, value []byte, flags uint32, exptime int64) error
-	CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error
-	Delete(key []byte) error
-	Increment(key []byte, delta uint64) (uint64, error)
-	Decrement(key []byte, delta uint64) (uint64, error)
-	Append(key, data []byte) error
-	Prepend(key, data []byte) error
-	Touch(key []byte, exptime int64) error
-	GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error)
-	FlushAll() error
-	MGet(keys [][]byte) ([]core.GetResult, error)
-	ExecBatch(ops []memcached.BatchOp) ([]memcached.BatchResult, error)
-}
-
 // mcWorker drives one session and records every call on its tape.
 type mcWorker struct {
 	t       *testing.T
-	s       mcSession
+	s       memcached.KV
 	rec     *linearcheck.Recorder
 	tape    *linearcheck.Tape
 	rng     *rand.Rand
@@ -118,7 +95,7 @@ type mcWorker struct {
 	lastCAS map[string]uint64
 }
 
-func newMCWorker(t *testing.T, s mcSession, rec *linearcheck.Recorder, tapeIdx int, seed int64, faulty bool) *mcWorker {
+func newMCWorker(t *testing.T, s memcached.KV, rec *linearcheck.Recorder, tapeIdx int, seed int64, faulty bool) *mcWorker {
 	if ss, ok := s.(*memcached.Session); ok {
 		ss.Ctx().Store().SetClock(func() int64 { return mcFrozenNow })
 	}

@@ -2,7 +2,8 @@ package plibmc
 
 // Table-driven numeric edge tests run against BOTH stores: the baseline
 // server store (internal/server, socket-era memcached) and the
-// protected-library store (core.Ctx, driven through a real session).
+// protected-library store (core.Ctx, driven through a real session, and
+// through a 4-shard cluster session).
 // The two implementations share memcached's numeric contract — decr
 // saturates at zero, incr wraps modulo 2^64, values are 1..20 ASCII
 // digits below 2^64 — and this file pins them to the same table so they
@@ -68,7 +69,7 @@ func (b baselineKV) incrDecr(key string, delta uint64, decr bool) (uint64, numSt
 	}
 }
 
-type protectedKV struct{ s *memcached.Session }
+type protectedKV struct{ s memcached.KV }
 
 func (p protectedKV) set(t *testing.T, key, val string) {
 	t.Helper()
@@ -172,6 +173,7 @@ func TestNumericEdgesBothStores(t *testing.T) {
 	}{
 		{"baseline", baselineKV{server.NewStore(32<<20, 8)}},
 		{"protected", newProtectedKV(t, 32<<20)},
+		{"cluster", protectedKV{conformanceKVs(t)["cluster-4"]}},
 	}
 	for _, impl := range impls {
 		t.Run(impl.name, func(t *testing.T) {

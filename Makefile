@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check faultmatrix corruptmatrix corruptmatrix-long modelcheck modelcheck-long gatehard shardcheck reshardcheck survivecheck diskfault bench benchdiff bench-noisy bench-seqlock bench-recovery bench-metrics bench-batch
+.PHONY: build test check fmtcheck wirecheck fuzz faultmatrix corruptmatrix corruptmatrix-long modelcheck modelcheck-long gatehard shardcheck reshardcheck survivecheck diskfault bench benchdiff bench-noisy bench-seqlock bench-recovery bench-metrics bench-batch
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,33 @@ test:
 # run the packages that carry the seqlock/grave protocol under the race
 # detector (which exercises the sync/atomic build of the relaxed accessors),
 # a short chaos soak, and the crash-at-every-point fault matrix.
-check: build faultmatrix corruptmatrix modelcheck gatehard shardcheck reshardcheck survivecheck diskfault
+check: build fmtcheck wirecheck faultmatrix corruptmatrix modelcheck gatehard shardcheck reshardcheck survivecheck diskfault
 	$(GO) vet ./...
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
 	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
 	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting' ./internal/core ./internal/hodor ./memcached
+
+fmtcheck:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt would change:"; gofmt -l .; exit 1; }
+
+# The wire gate (DESIGN.md §12 "Who owns the bytes"): both codecs with
+# their fuzz seed corpora, the socket client and the baseline server, then
+# every front end's wire tables — lone vs pipelined, the malformed-input
+# table, no alias of the read window kept past its run, and the
+# zero-allocation pin on the server path — all under the race detector,
+# which is what would see a command used after its window moved on.
+wirecheck:
+	$(GO) test -race -count=1 ./internal/protocol ./internal/client ./internal/server
+	$(GO) test -race -count=1 -run 'TestWire|TestMalformed|TestServe' . ./memcached
+
+# Explore from the seed corpora, 30 s a target (the seeds themselves run
+# in every plain `go test`). A failing input is written under
+# internal/protocol/testdata/fuzz/: commit it with the fix.
+fuzz:
+	for f in FuzzBinaryCommand FuzzASCIICommand FuzzBinaryReply FuzzServeConnChunking; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=30s ./internal/protocol || exit 1; \
+	done
 
 # The linearizability gate (DESIGN.md "Model-based history checking"):
 # record mixed workloads through the real session paths — seqlock fast

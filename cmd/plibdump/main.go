@@ -42,9 +42,9 @@ import (
 
 func main() {
 	var (
-		file  = flag.String("file", "", "heap image to inspect (required)")
-		keys  = flag.Bool("keys", false, "list keys")
-		dump  = flag.Bool("dump", false, "dump keys and values")
+		file    = flag.String("file", "", "heap image to inspect (required)")
+		keys    = flag.Bool("keys", false, "list keys")
+		dump    = flag.Bool("dump", false, "dump keys and values")
 		locks   = flag.Bool("locks", false, "list held heap-resident locks with their owners")
 		metrics = flag.Bool("metrics", false, "print the per-op-class latency histograms recorded in the image")
 		verify  = flag.Bool("verify", false, "deep-verify every image slot (checksums, allocator fsck, item audit); exit nonzero on corruption")

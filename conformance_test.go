@@ -305,6 +305,49 @@ func TestOpAllocs(t *testing.T) {
 			t.Errorf("%s: Set allocates %v times, want 0", name, n)
 		}
 	}
+
+	// The batch plane. What a batch returns is the caller's to keep, so it
+	// is allocated: on a 4-shard cluster a 64-key MGet costs its ops, its
+	// results twice over (routed, then as GetResults) and one result and
+	// one value buffer per shard — 11 — while the partition of the batch
+	// by shard is the session's own and costs nothing.
+	kv := kvs["cluster-4"]
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("batch-%02d", i))
+		if err := kv.Set(keys[i], bytes.Repeat([]byte{byte(i)}, 128), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { kv.MGet(keys) }); n > 12 { //nolint:errcheck
+		t.Errorf("cluster-4: 64-key MGet allocates %v times, want at most 12", n)
+	}
+	// Caller-owned means a later batch on the same session leaves an
+	// earlier one's results alone.
+	first, err := kv.MGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]memcached.BatchOp, len(keys))
+	for i := range keys {
+		ops[i] = memcached.BatchOp{Code: memcached.BatchGet, Key: keys[len(keys)-1-i]}
+	}
+	second, err := kv.ExecBatch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kv.MGet(keys[:32]); err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		want := bytes.Repeat([]byte{byte(i)}, 128)
+		if !first[i].Found || !bytes.Equal(first[i].Value, want) {
+			t.Fatalf("MGet result %d changed under later batches: %q", i, first[i].Value)
+		}
+		if r := second[len(keys)-1-i]; r.Err != nil || !bytes.Equal(r.Value, want) {
+			t.Fatalf("ExecBatch result for key %d changed under a later batch: %q, %v", i, r.Value, r.Err)
+		}
+	}
 }
 
 // wireScript is a command sequence that visits every keyed verb with

@@ -318,6 +318,9 @@ func TestScenarioEvictionKeepsServing(t *testing.T) {
 //     command has no effect. (The hybrid server used to close silently.)
 //   - A clean EOF is not a protocol error: the replies, then nothing. (The
 //     hybrid server and the proxy used to append CLIENT_ERROR EOF.)
+//   - A command line that does not end within one read window is refused
+//     with CLIENT_ERROR line too long. (All three used to buffer it
+//     without limit.)
 //   - The binary quiet opcodes: SETQ writes no frame on success, GETQ none
 //     on a miss — lone or mid-pipeline. (The hybrid server and the proxy
 //     used to answer both.)
@@ -433,6 +436,10 @@ func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 				lines("STORED\r\n", "VALUE a 7 1 ", "x\r\n", "END\r\n", clientError)},
 			kAbsent}},
 		{"clean EOF", []exchange{{"get nothing\r\n", true, lines("END\r\n")}}},
+		// One read window (64 KiB) without a newline: refused, not buffered
+		// for as long as the client cares to stream.
+		{"line too long", []exchange{
+			{"get nothing\r\n" + strings.Repeat("k", 64<<10), false, lines("END\r\n", "CLIENT_ERROR line too long\r\n")}}},
 		{"quiet lone", []exchange{
 			{bin(setq("q1", "v")), true, frames()},
 			{bin(getq("q-absent")), true, frames()},
@@ -480,7 +487,7 @@ func wireExchange(t *testing.T, addr net.Addr, send []byte, halfClose bool) []by
 	}
 	got, err := io.ReadAll(c)
 	if err != nil {
-		t.Fatalf("after %q: read %q, %v; want a clean close", send, got, err)
+		t.Fatalf("after %.80q: read %q, %v; want a clean close", send, got, err)
 	}
 	return got
 }

@@ -12,10 +12,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
-	"strings"
 	"time"
 
 	"plibmc/internal/protocol"
@@ -369,26 +367,15 @@ func (c *Client) MGet(keys [][]byte) (map[string][]byte, error) {
 			return nil, err
 		}
 		for {
-			line, err := c.r.ReadString('\n')
+			var rep protocol.Reply
+			end, err := protocol.ReadASCIIValue(c.r, &rep)
 			if err != nil {
 				return nil, err
 			}
-			line = strings.TrimRight(line, "\r\n")
-			if line == "END" {
+			if end {
 				return out, nil
 			}
-			var key string
-			var flags uint32
-			var n int
-			var cas uint64
-			if _, err := fmt.Sscanf(line, "VALUE %s %d %d %d", &key, &flags, &n, &cas); err != nil {
-				return nil, fmt.Errorf("client: unexpected mget line %q", line)
-			}
-			data := make([]byte, n+2)
-			if _, err := io.ReadFull(c.r, data); err != nil {
-				return nil, err
-			}
-			out[key] = data[:n]
+			out[string(rep.Key)] = rep.Value
 		}
 	}
 	for i, k := range keys {
@@ -418,6 +405,34 @@ func (c *Client) MGet(keys [][]byte) (map[string][]byte, error) {
 	}
 }
 
+// One sentinel per status a server can answer with, so callers can tell
+// outcomes apart with errors.Is and a miss costs no allocation. Each
+// reads "memcached: " and the status's text.
+var (
+	ErrNotFound       = sentinel(protocol.StatusKeyNotFound)
+	ErrExists         = sentinel(protocol.StatusKeyExists)
+	ErrValueTooLarge  = sentinel(protocol.StatusValueTooLarge)
+	ErrInvalidArgs    = sentinel(protocol.StatusInvalidArgs)
+	ErrNotStored      = sentinel(protocol.StatusNotStored)
+	ErrNonNumeric     = sentinel(protocol.StatusNonNumeric)
+	ErrUnknownCommand = sentinel(protocol.StatusUnknownCommand)
+	ErrOutOfMemory    = sentinel(protocol.StatusOutOfMemory)
+	ErrTempFailure    = sentinel(protocol.StatusTempFailure)
+)
+
+// statusErrs is filled by sentinel while the variables above initialise.
+var statusErrs = map[protocol.Status]error{}
+
+func sentinel(s protocol.Status) error {
+	statusErrs[s] = fmt.Errorf("memcached: %v", s)
+	return statusErrs[s]
+}
+
+// statusErr is the error for a reply status other than OK: its sentinel,
+// or a fresh error for a status this client has no name for.
 func statusErr(s protocol.Status) error {
+	if err, ok := statusErrs[s]; ok {
+		return err
+	}
 	return fmt.Errorf("memcached: %v", s)
 }

@@ -83,10 +83,37 @@ var fpBatchMidDispatch = faultpoint.New("ops.batch.mid_dispatch")
 // one result per op. Nested operations run at gate depth 2, so the whole
 // batch costs one admission and (through the session layer) one trampoline
 // crossing; one latency sample of class LatBatch covers the batch.
+//
+// The results, and the one buffer all retrieved values share, are
+// allocated fresh: they are the caller's to keep (a Session's ExecBatch
+// and MGet, the migrator). The value buffer is sized from the last batch's
+// high-water mark, so a 64-key MGet pays one allocation instead of 64.
 func (c *Ctx) ExecBatch(ops []BatchOp) []BatchResult {
 	res := make([]BatchResult, len(ops))
+	c.execBatch(ops, res, make([]byte, 0, c.batchVBufCap))
+	return res
+}
+
+// ExecBatchBorrowed is ExecBatch into buffers the context owns: the
+// results and their values are valid until this context's next batch and
+// not after. It is for a caller that is done with them by then — a socket
+// front end, which writes a run's replies before it starts the next run —
+// and saves it the two allocations per batch.
+func (c *Ctx) ExecBatchBorrowed(ops []BatchOp) []BatchResult {
+	if cap(c.batchRes) < len(ops) {
+		c.batchRes = make([]BatchResult, len(ops))
+	}
+	res := c.batchRes[:len(ops)]
+	clear(res)
+	c.batchVBuf = c.execBatch(ops, res, c.batchVBuf[:0])
+	return res
+}
+
+// execBatch is the one batch loop: it fills res, appends every retrieved
+// value to vbuf, and returns vbuf as grown.
+func (c *Ctx) execBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	if len(ops) == 0 {
-		return res
+		return vbuf
 	}
 	defer c.opEnd(LatBatch, c.opBegin())
 	// Defer stat publication for the whole batch: counters accumulate in the
@@ -96,13 +123,9 @@ func (c *Ctx) ExecBatch(ops []BatchOp) []BatchResult {
 	defer c.statFlushDeferred()
 	c.stat(statBatches, 1)
 	c.stat(statBatchedOps, int64(len(ops)))
-	// All retrieved values share one backing buffer, allocated fresh per
-	// batch (results escape to the caller) but sized from the last batch's
-	// high-water mark: a 64-key MGet pays one allocation instead of 64.
 	// Starts are recorded during dispatch and sliced out afterwards — an
 	// append may relocate the buffer, so sub-slices can only be taken once
 	// the batch is done growing it.
-	vbuf := make([]byte, 0, c.batchVBufCap)
 	if cap(c.batchStarts) < len(ops) {
 		c.batchStarts = make([]int, len(ops))
 	}
@@ -116,7 +139,7 @@ func (c *Ctx) ExecBatch(ops []BatchOp) []BatchResult {
 			// escalating to a reap-and-repair cycle.
 			if c.AbortCheck != nil && c.AbortCheck() {
 				for j := i; j < len(ops); j++ {
-					res[j].Err = ErrCallAborted
+					res[j].Err, starts[j] = ErrCallAborted, -1
 				}
 				break
 			}
@@ -136,7 +159,7 @@ func (c *Ctx) ExecBatch(ops []BatchOp) []BatchResult {
 			end = st
 		}
 	}
-	return res
+	return vbuf
 }
 
 // Do executes one operation outside any batch, overwriting *r: the op

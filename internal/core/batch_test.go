@@ -105,3 +105,55 @@ func TestExecBatchEmpty(t *testing.T) {
 		t.Fatalf("empty batch counted as a dispatch")
 	}
 }
+
+// The two owners of a batch's buffers: ExecBatch's results are the
+// caller's and survive later batches; ExecBatchBorrowed's lie in the
+// context and are good until its next batch — same loop, same results.
+func TestExecBatchOwners(t *testing.T) {
+	_, c := newStore(t, 1<<22, latOpts())
+	long, short := bytes.Repeat([]byte("L"), 100), []byte("s")
+	c.ExecBatch([]BatchOp{
+		{Code: BatchSet, Key: []byte("long"), Value: long, Flags: 1},
+		{Code: BatchSet, Key: []byte("short"), Value: short, Flags: 2},
+	})
+	gets := []BatchOp{{Code: BatchGet, Key: []byte("long")}, {Code: BatchGet, Key: []byte("miss")}, {Code: BatchGet, Key: []byte("short")}}
+	check := func(name string, res []BatchResult) {
+		t.Helper()
+		if len(res) != 3 || !bytes.Equal(res[0].Value, long) || res[0].Flags != 1 ||
+			!errors.Is(res[1].Err, ErrNotFound) || !bytes.Equal(res[2].Value, short) || res[2].Flags != 2 {
+			t.Fatalf("%s: %+v", name, res)
+		}
+	}
+	kept := c.ExecBatch(gets)
+	check("fresh", kept)
+	lent := c.ExecBatchBorrowed(gets)
+	check("borrowed", lent)
+	again := c.ExecBatchBorrowed(gets[2:])
+	if len(again) != 1 || !bytes.Equal(again[0].Value, short) {
+		t.Fatalf("second borrowed batch: %+v", again)
+	}
+	if &again[0] != &lent[0] {
+		t.Error("a borrowed batch allocated its results afresh")
+	}
+	check("fresh, after two borrowed batches", kept)
+	if n := testing.AllocsPerRun(100, func() { c.ExecBatchBorrowed(gets) }); n != 0 {
+		t.Errorf("a warmed borrowed batch allocates %v times", n)
+	}
+}
+
+// A batch aborted between operations returns what ran and ErrCallAborted
+// for the rest — and must not read value offsets an earlier, longer batch
+// left in the context's scratch.
+func TestExecBatchAbortIgnoresStaleOffsets(t *testing.T) {
+	_, c := newStore(t, 1<<22, latOpts())
+	c.ExecBatch([]BatchOp{
+		{Code: BatchSet, Key: []byte("long"), Value: bytes.Repeat([]byte("L"), 100)},
+		{Code: BatchSet, Key: []byte("short"), Value: []byte("s")},
+	})
+	c.ExecBatch([]BatchOp{{Code: BatchGet, Key: []byte("long")}, {Code: BatchGet, Key: []byte("long")}})
+	c.AbortCheck = func() bool { return true }
+	res := c.ExecBatch([]BatchOp{{Code: BatchGet, Key: []byte("short")}, {Code: BatchGet, Key: []byte("long")}})
+	if res[0].Err != nil || string(res[0].Value) != "s" || !errors.Is(res[1].Err, ErrCallAborted) {
+		t.Fatalf("aborted batch: %q %v, %v", res[0].Value, res[0].Err, res[1].Err)
+	}
+}

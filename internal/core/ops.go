@@ -43,8 +43,10 @@ type Ctx struct {
 	nowOK        bool
 	statDefer    bool // accumulate stats in statLocal instead of shared slots
 	statLocal    [numStatCounters]int64
-	batchStarts  []int // value-offset scratch reused across ExecBatch calls
-	batchVBufCap int   // high-water value-buffer size of past batches
+	batchStarts  []int         // value-offset scratch reused across batches
+	batchVBufCap int           // high-water value-buffer size of past batches
+	batchRes     []BatchResult // ExecBatchBorrowed's results, valid until the next batch
+	batchVBuf    []byte        // ... and the values they point into
 
 	// deadSelf reports whether this context's own owner token has been
 	// declared dead by the liveness oracle — i.e. this goroutine is a

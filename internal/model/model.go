@@ -86,14 +86,14 @@ type Op struct {
 	Invoke uint64 // recorder clock at call
 	Return uint64 // recorder clock at return; MaxUint64 if never returned
 
-	Kind  Kind
-	Key   string
-	Val   []byte // payload for Set/Add/Replace/CAS/Append/Prepend
-	Flags uint32
-	Exp   int64  // ABSOLUTE expiry argument (0 = never) for stores/Touch/GAT
-	Delta uint64 // incr/decr amount
+	Kind   Kind
+	Key    string
+	Val    []byte // payload for Set/Add/Replace/CAS/Append/Prepend
+	Flags  uint32
+	Exp    int64  // ABSOLUTE expiry argument (0 = never) for stores/Touch/GAT
+	Delta  uint64 // incr/decr amount
 	CASArg uint64
-	Now   int64 // store clock when the op ran (frozen or stepped by driver)
+	Now    int64 // store clock when the op ran (frozen or stepped by driver)
 
 	Res    Res
 	RVal   []byte // Get/GAT/MGet value

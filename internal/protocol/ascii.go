@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -12,39 +13,73 @@ import (
 // paper notes "loses its attraction" without a network interface — kept
 // for the baseline and for the hybrid remote mode.
 
-// ReadASCIICommand parses one command (and its data block, for storage
-// commands) from the stream.
-func ReadASCIICommand(r *bufio.Reader) (*Command, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
-	fields := bytes.Fields(line)
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("protocol: empty command line")
-	}
-	name := string(fields[0])
-	args := fields[1:]
-	switch name {
-	case "get", "gets":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("protocol: get without key")
+// ReadASCIICommand reads one command (and its data block, for storage
+// commands) into a buffer of its own and decodes it: the command owns its
+// bytes. A command line must end within r's buffer.
+func ReadASCIICommand(r *bufio.Reader) (*Command, error) { return readOwned(r, decodeASCII) }
+
+// isSpace reports the ASCII white space that separates a line's fields.
+func isSpace(b byte) bool { return b == ' ' || '\t' <= b && b <= '\r' }
+
+// fields appends up to max of line's fields to dst, cut where they lie,
+// and returns what is left of the line.
+func fields(dst [][]byte, line []byte, max int) ([][]byte, []byte) {
+	for ; max > 0; max-- {
+		i := 0
+		for i < len(line) && isSpace(line[i]) {
+			i++
 		}
-		c := &Command{Op: OpGet, Key: dup(args[0])}
-		for _, k := range args[1:] {
-			c.Keys = append(c.Keys, dup(k))
+		j := i
+		for j < len(line) && !isSpace(line[j]) {
+			j++
 		}
-		return c, nil
+		if i == j {
+			return dst, nil
+		}
+		dst, line = append(dst, line[i:j]), line[j:]
+	}
+	return dst, line
+}
+
+var storeOps = map[string]Op{"set": OpSet, "add": OpAdd, "replace": OpReplace,
+	"append": OpAppend, "prepend": OpPrepend, "cas": OpCAS}
+
+// decodeASCII is the ASCII protocol's decoder (see decoder): one command
+// line and, for storage commands, the data block it announces. Fields are
+// cut where they lie; nothing is copied.
+func decodeASCII(c *Command, b []byte) (int, error) {
+	n := bytes.IndexByte(b, '\n') + 1
+	if n == 0 {
+		return 0, nil
+	}
+	// A name and the six arguments no command looks past; a get's keys,
+	// any number of them, go to c.Keys instead.
+	var argv [7][]byte
+	f, rest := fields(argv[:0], b[:n], 2)
+	if len(f) == 0 {
+		return 0, fmt.Errorf("protocol: empty command line")
+	}
+	name := f[0]
+	*c = Command{Keys: c.Keys[:0]}
+	if string(name) == "get" || string(name) == "gets" {
+		if len(f) < 2 {
+			return 0, fmt.Errorf("protocol: get without key")
+		}
+		c.Op, c.Key = OpGet, f[1]
+		c.Keys, _ = fields(c.Keys, rest, math.MaxInt)
+		return n, nil
+	}
+	f, _ = fields(f, rest, 5)
+	args := f[1:]
+	switch string(name) {
 	case "set", "add", "replace", "append", "prepend", "cas":
-		ops := map[string]Op{"set": OpSet, "add": OpAdd, "replace": OpReplace,
-			"append": OpAppend, "prepend": OpPrepend, "cas": OpCAS}
-		op := ops[name]
+		c.Op = storeOps[string(name)]
 		want := 4
-		if op == OpCAS {
+		if c.Op == OpCAS {
 			want = 5
 		}
 		if len(args) < want {
-			return nil, fmt.Errorf("protocol: %s needs %d arguments", name, want)
+			return 0, fmt.Errorf("protocol: %s needs %d arguments", name, want)
 		}
 		// flags and exptime are range-checked to their wire widths: a
 		// 64-bit parse followed by a uint32() conversion would silently
@@ -52,90 +87,82 @@ func ReadASCIICommand(r *bufio.Reader) (*Command, error) {
 		// instead of rejecting the command line.
 		flags, err1 := parseU32(args[1])
 		exp, err2 := parseExptime(args[2])
-		n, err3 := parseU64(args[3])
+		size, err3 := parseU64(args[3])
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("protocol: bad command line format for %s", name)
+			return 0, fmt.Errorf("protocol: bad command line format for %s", name)
 		}
-		if err3 != nil || n > MaxBodyLen {
-			return nil, fmt.Errorf("protocol: bad %s arguments", name)
+		if err3 != nil || size > MaxBodyLen {
+			return 0, fmt.Errorf("protocol: bad %s arguments", name)
 		}
-		c := &Command{Op: op, Key: dup(args[0]), Flags: uint32(flags), Exptime: exp}
-		idx := 4
-		if op == OpCAS {
+		c.Key, c.Flags, c.Exptime = args[0], uint32(flags), exp
+		if c.Op == OpCAS {
 			cas, err := parseU64(args[4])
 			if err != nil {
-				return nil, fmt.Errorf("protocol: bad cas value")
+				return 0, fmt.Errorf("protocol: bad cas value")
 			}
 			c.CAS = cas
-			idx = 5
 		}
-		if len(args) > idx && string(args[idx]) == "noreply" {
-			c.Quiet = true
+		c.Quiet = len(args) > want && string(args[want]) == "noreply"
+		end := n + int(size)
+		if len(b) < end+2 {
+			return end + 2, nil
 		}
-		data := make([]byte, n+2)
-		if _, err := readFull(r, data); err != nil {
-			return nil, fmt.Errorf("protocol: short data block: %w", err)
+		if b[end] != '\r' || b[end+1] != '\n' {
+			return 0, fmt.Errorf("protocol: data block not CRLF terminated")
 		}
-		if data[n] != '\r' || data[n+1] != '\n' {
-			return nil, fmt.Errorf("protocol: data block not CRLF terminated")
-		}
-		c.Value = data[:n]
-		return c, nil
+		c.Value = b[n:end]
+		return end + 2, nil
 	case "delete":
 		if len(args) < 1 {
-			return nil, fmt.Errorf("protocol: delete without key")
+			return 0, fmt.Errorf("protocol: delete without key")
 		}
-		c := &Command{Op: OpDelete, Key: dup(args[0])}
-		if len(args) > 1 && string(args[len(args)-1]) == "noreply" {
-			c.Quiet = true
-		}
-		return c, nil
+		c.Op, c.Key = OpDelete, args[0]
+		c.Quiet = len(args) > 1 && string(args[len(args)-1]) == "noreply"
 	case "incr", "decr":
 		if len(args) < 2 {
-			return nil, fmt.Errorf("protocol: %s needs key and amount", name)
+			return 0, fmt.Errorf("protocol: %s needs key and amount", name)
 		}
 		d, err := parseU64(args[1])
 		if err != nil {
-			return nil, fmt.Errorf("protocol: bad %s amount", name)
+			return 0, fmt.Errorf("protocol: bad %s amount", name)
 		}
-		op := OpIncr
-		if name == "decr" {
-			op = OpDecr
+		c.Op, c.Key, c.Delta = OpIncr, args[0], d
+		if string(name) == "decr" {
+			c.Op = OpDecr
 		}
-		return &Command{Op: op, Key: dup(args[0]), Delta: d}, nil
 	case "gat":
 		if len(args) < 2 {
-			return nil, fmt.Errorf("protocol: gat needs exptime and key")
+			return 0, fmt.Errorf("protocol: gat needs exptime and key")
 		}
 		exp, err := parseExptime(args[0])
 		if err != nil {
-			return nil, fmt.Errorf("protocol: bad gat exptime")
+			return 0, fmt.Errorf("protocol: bad gat exptime")
 		}
-		return &Command{Op: OpGAT, Key: dup(args[1]), Exptime: exp}, nil
+		c.Op, c.Key, c.Exptime = OpGAT, args[1], exp
 	case "touch":
 		if len(args) < 2 {
-			return nil, fmt.Errorf("protocol: touch needs key and exptime")
+			return 0, fmt.Errorf("protocol: touch needs key and exptime")
 		}
 		exp, err := parseExptime(args[1])
 		if err != nil {
-			return nil, fmt.Errorf("protocol: bad touch exptime")
+			return 0, fmt.Errorf("protocol: bad touch exptime")
 		}
-		return &Command{Op: OpTouch, Key: dup(args[0]), Exptime: exp}, nil
+		c.Op, c.Key, c.Exptime = OpTouch, args[0], exp
 	case "flush_all":
-		return &Command{Op: OpFlushAll}, nil
+		c.Op = OpFlushAll
 	case "stats":
-		c := &Command{Op: OpStats}
+		c.Op = OpStats
 		if len(args) > 0 {
 			c.StatsArg = string(args[0])
 		}
-		return c, nil
 	case "version":
-		return &Command{Op: OpVersion}, nil
+		c.Op = OpVersion
 	case "quit":
-		return &Command{Op: OpQuit}, nil
+		c.Op = OpQuit
 	default:
-		return nil, fmt.Errorf("protocol: unknown command %q", name)
+		return 0, fmt.Errorf("protocol: unknown command %q", name)
 	}
+	return n, nil
 }
 
 // WriteASCIIReply renders the reply for a command.
@@ -157,9 +184,7 @@ func WriteASCIIReply(w *bufio.Writer, c *Command, rep *Reply) error {
 	switch c.Op {
 	case OpGet, OpGAT:
 		if rep.Status == StatusOK {
-			fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", c.Key, rep.Flags, len(rep.Value), rep.CAS)
-			w.Write(rep.Value)
-			w.WriteString("\r\n")
+			WriteASCIIValue(w, c.Key, rep.Flags, rep.Value, rep.CAS)
 		}
 		_, err := w.WriteString("END\r\n")
 		return err
@@ -196,7 +221,7 @@ func WriteASCIIReply(w *bufio.Writer, c *Command, rep *Reply) error {
 	case OpIncr, OpDecr:
 		switch rep.Status {
 		case StatusOK:
-			_, err := fmt.Fprintf(w, "%d\r\n", rep.Numeric)
+			_, err := w.Write(append(strconv.AppendUint(spare(w, 22), rep.Numeric, 10), '\r', '\n'))
 			return err
 		case StatusKeyNotFound:
 			_, err := w.WriteString("NOT_FOUND\r\n")
@@ -230,6 +255,30 @@ func WriteASCIIReply(w *bufio.Writer, c *Command, rep *Reply) error {
 	}
 }
 
+// spare returns w's own spare buffer, flushed first if it had no room
+// for n bytes (a failure of that flush resurfaces at the next write): what
+// is appended there and written next costs no allocation and no copy.
+func spare(w *bufio.Writer, n int) []byte {
+	if w.Available() < n {
+		w.Flush() //nolint:errcheck
+	}
+	return w.AvailableBuffer()
+}
+
+// WriteASCIIValue renders one block of a retrieval reply: the VALUE line
+// and the data. The END that closes the reply is the caller's.
+func WriteASCIIValue(w *bufio.Writer, key []byte, flags uint32, value []byte, cas uint64) {
+	// "VALUE ", a key, three numbers of at most 20 digits, separators.
+	b := append(spare(w, 6+MaxKeyLen+3*21+2), "VALUE "...)
+	b = append(append(b, key...), ' ')
+	b = append(strconv.AppendUint(b, uint64(flags), 10), ' ')
+	b = append(strconv.AppendUint(b, uint64(len(value)), 10), ' ')
+	b = append(strconv.AppendUint(b, cas, 10), '\r', '\n')
+	w.Write(b)
+	w.Write(value)
+	w.WriteString("\r\n")
+}
+
 func readLine(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadBytes('\n')
 	if err != nil {
@@ -237,20 +286,6 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 	}
 	return bytes.TrimRight(line, "\r\n"), nil
 }
-
-func readFull(r *bufio.Reader, b []byte) (int, error) {
-	n := 0
-	for n < len(b) {
-		m, err := r.Read(b[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-func dup(b []byte) []byte { return append([]byte(nil), b...) }
 
 func parseU64(b []byte) (uint64, error) { return strconv.ParseUint(string(b), 10, 64) }
 

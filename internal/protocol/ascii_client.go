@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"strconv"
 )
 
@@ -63,6 +64,52 @@ func WriteASCIICommand(w *bufio.Writer, c *Command) error {
 	}
 }
 
+// ReadASCIIValue reads the next line of a retrieval reply: the END that
+// closes it (end is true), or a VALUE line, whose fields and data block
+// it checks and stores into rep — key, flags, CAS generation if given,
+// and value, all in memory of their own. The announced length is trusted
+// no further than MaxBodyLen.
+func ReadASCIIValue(r *bufio.Reader, rep *Reply) (end bool, err error) {
+	line, err := readLine(r)
+	if err != nil {
+		return false, err
+	}
+	if string(line) == "END" {
+		return true, nil
+	}
+	var fv [5][]byte
+	f, _ := fields(fv[:0], line, len(fv))
+	if len(f) < 4 || string(f[0]) != "VALUE" {
+		return false, fmt.Errorf("protocol: unexpected get reply %q", line)
+	}
+	// A flags (or CAS) field that does not parse is a corrupt or
+	// malformed server reply; swallowing the error would silently
+	// yield flags=0 (or CAS=0) and feed garbage to the caller.
+	flags, err := parseU32(f[2])
+	if err != nil {
+		return false, fmt.Errorf("protocol: bad VALUE flags in %q", line)
+	}
+	n, err := parseU64(f[3])
+	if err != nil || n > MaxBodyLen {
+		return false, fmt.Errorf("protocol: bad VALUE length in %q", line)
+	}
+	if len(f) == 5 {
+		if rep.CAS, err = parseU64(f[4]); err != nil {
+			return false, fmt.Errorf("protocol: bad VALUE cas in %q", line)
+		}
+	}
+	data := make([]byte, n+2)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return false, err
+	}
+	if data[n] != '\r' || data[n+1] != '\n' {
+		return false, fmt.Errorf("protocol: VALUE data block not CRLF terminated")
+	}
+	// readLine's line is already a copy, so the key may alias it.
+	rep.Status, rep.Key, rep.Flags, rep.Value = StatusOK, f[1], uint32(flags), data[:n]
+	return false, nil
+}
+
 // ReadASCIIReply parses the server's ASCII reply to command c.
 func ReadASCIIReply(r *bufio.Reader, c *Command) (*Reply, error) {
 	if c.Quiet {
@@ -72,43 +119,13 @@ func ReadASCIIReply(r *bufio.Reader, c *Command) (*Reply, error) {
 	case OpGet, OpGAT:
 		rep := &Reply{Status: StatusKeyNotFound}
 		for {
-			line, err := readLine(r)
+			end, err := ReadASCIIValue(r, rep)
 			if err != nil {
 				return nil, err
 			}
-			if bytes.Equal(line, []byte("END")) {
+			if end {
 				return rep, nil
 			}
-			fields := bytes.Fields(line)
-			if len(fields) < 4 || string(fields[0]) != "VALUE" {
-				return nil, fmt.Errorf("protocol: unexpected get reply %q", line)
-			}
-			// A flags (or CAS) field that does not parse is a corrupt or
-			// malformed server reply; swallowing the error would silently
-			// yield flags=0 (or CAS=0) and feed garbage to the caller.
-			flags, ferr := strconv.ParseUint(string(fields[2]), 10, 32)
-			if ferr != nil {
-				return nil, fmt.Errorf("protocol: bad VALUE flags in %q", line)
-			}
-			n, err := strconv.Atoi(string(fields[3]))
-			if err != nil || n < 0 || n > MaxBodyLen {
-				return nil, fmt.Errorf("protocol: bad VALUE length in %q", line)
-			}
-			if len(fields) >= 5 {
-				cas, cerr := strconv.ParseUint(string(fields[4]), 10, 64)
-				if cerr != nil {
-					return nil, fmt.Errorf("protocol: bad VALUE cas in %q", line)
-				}
-				rep.CAS = cas
-			}
-			data := make([]byte, n+2)
-			if _, err := readFull(r, data); err != nil {
-				return nil, err
-			}
-			rep.Status = StatusOK
-			rep.Flags = uint32(flags)
-			rep.Value = data[:n]
-			rep.Key = dup(fields[1])
 		}
 	case OpSet, OpAdd, OpReplace, OpCAS, OpAppend, OpPrepend:
 		line, err := readLine(r)

@@ -49,24 +49,26 @@ const (
 	binGAT     = 0x1d
 )
 
-var binToOp = map[byte]struct {
-	op    Op
-	quiet bool
+// binToOp decodes a request opcode; known is false for the gaps.
+var binToOp = [binGAT + 1]struct {
+	op           Op
+	quiet, known bool
 }{
-	binGet: {OpGet, false}, binGetQ: {OpGet, true},
-	binGetK: {OpGet, false}, binGetKQ: {OpGet, true},
-	binSet: {OpSet, false}, binSetQ: {OpSet, true},
-	binAdd: {OpAdd, false}, binReplace: {OpReplace, false},
-	binDelete: {OpDelete, false},
-	binIncr:   {OpIncr, false}, binDecr: {OpDecr, false},
-	binQuit: {OpQuit, false}, binFlush: {OpFlushAll, false},
-	binNoop: {OpNoop, false}, binVersion: {OpVersion, false},
-	binAppend: {OpAppend, false}, binPrepend: {OpPrepend, false},
-	binStat: {OpStats, false}, binTouch: {OpTouch, false},
-	binGAT: {OpGAT, false},
+	binGet: {OpGet, false, true}, binGetQ: {OpGet, true, true},
+	binGetK: {OpGet, false, true}, binGetKQ: {OpGet, true, true},
+	binSet: {OpSet, false, true}, binSetQ: {OpSet, true, true},
+	binAdd: {OpAdd, false, true}, binReplace: {OpReplace, false, true},
+	binDelete: {OpDelete, false, true},
+	binIncr:   {OpIncr, false, true}, binDecr: {OpDecr, false, true},
+	binQuit: {OpQuit, false, true}, binFlush: {OpFlushAll, false, true},
+	binNoop: {OpNoop, false, true}, binVersion: {OpVersion, false, true},
+	binAppend: {OpAppend, false, true}, binPrepend: {OpPrepend, false, true},
+	binStat: {OpStats, false, true}, binTouch: {OpTouch, false, true},
+	binGAT: {OpGAT, false, true},
 }
 
-var opToBin = map[Op]byte{
+// opToBin is every Op's (non-quiet) opcode.
+var opToBin = [OpGAT + 1]byte{
 	OpGet: binGet, OpSet: binSet, OpAdd: binAdd, OpReplace: binReplace,
 	OpCAS:    binSet, // CAS is a Set with a nonzero cas field
 	OpDelete: binDelete, OpIncr: binIncr, OpDecr: binDecr,
@@ -75,89 +77,104 @@ var opToBin = map[Op]byte{
 	OpStats: binStat, OpTouch: binTouch, OpGAT: binGAT,
 }
 
+// binMaxHead is the most a frame puts in front of its key: the header and
+// the widest extras (incr/decr's 20 bytes).
+const binMaxHead = binHeaderLen + 20
+
+// binHead starts a frame in w's own spare buffer, so nothing is allocated
+// and no header escapes: it returns room for the header, to which the
+// caller appends the extras (and a reply's numeric value) before handing
+// the lot to writeBinFrame.
+func binHead(w *bufio.Writer) []byte {
+	var hdr [binHeaderLen]byte
+	return append(spare(w, binMaxHead), hdr[:]...)
+}
+
+// writeBinFrame fills in the header at the front of head — extLen of the
+// bytes behind it are the frame's extras — and writes head, key and value.
+func writeBinFrame(w *bufio.Writer, head []byte, magic, opcode byte, extLen int, status Status, opaque uint32, cas uint64, key, value []byte) error {
+	head[0], head[1], head[4] = magic, opcode, byte(extLen)
+	binary.BigEndian.PutUint16(head[2:], uint16(len(key)))
+	binary.BigEndian.PutUint16(head[6:], uint16(status))
+	binary.BigEndian.PutUint32(head[8:], uint32(len(head)-binHeaderLen+len(key)+len(value)))
+	binary.BigEndian.PutUint32(head[12:], opaque)
+	binary.BigEndian.PutUint64(head[16:], cas)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	if _, err := w.Write(key); err != nil {
+		return err
+	}
+	_, err := w.Write(value)
+	return err
+}
+
 // WriteBinaryCommand encodes a request frame.
 func WriteBinaryCommand(w *bufio.Writer, c *Command) error {
-	opcode, ok := opToBin[c.Op]
-	if !ok {
+	if int(c.Op) >= len(opToBin) {
 		return fmt.Errorf("protocol: op %v has no binary encoding", c.Op)
 	}
+	opcode := opToBin[c.Op]
 	if c.Quiet {
 		switch c.Op {
 		case OpGet:
 			opcode = binGetQ
-		case OpSet:
+		case OpSet, OpCAS:
 			opcode = binSetQ
 		}
 	}
-	var extras []byte
+	head := binHead(w)
 	switch c.Op {
-	case OpSet, OpAdd, OpReplace, OpCAS, OpAppend, OpPrepend:
-		if c.Op != OpAppend && c.Op != OpPrepend {
-			extras = make([]byte, 8)
-			binary.BigEndian.PutUint32(extras[0:], c.Flags)
-			binary.BigEndian.PutUint32(extras[4:], uint32(c.Exptime))
-		}
+	case OpSet, OpAdd, OpReplace, OpCAS:
+		head = binary.BigEndian.AppendUint32(head, c.Flags)
+		head = binary.BigEndian.AppendUint32(head, uint32(c.Exptime))
 	case OpIncr, OpDecr:
-		extras = make([]byte, 20)
-		binary.BigEndian.PutUint64(extras[0:], c.Delta)
-		binary.BigEndian.PutUint64(extras[8:], 0)           // initial value: unused
-		binary.BigEndian.PutUint32(extras[16:], 0xffffffff) // no auto-vivify
+		head = binary.BigEndian.AppendUint64(head, c.Delta)
+		head = binary.BigEndian.AppendUint64(head, 0)          // initial value: unused
+		head = binary.BigEndian.AppendUint32(head, 0xffffffff) // no auto-vivify
 	case OpTouch, OpGAT:
-		extras = make([]byte, 4)
-		binary.BigEndian.PutUint32(extras, uint32(c.Exptime))
+		head = binary.BigEndian.AppendUint32(head, uint32(c.Exptime))
 	}
-	var hdr [binHeaderLen]byte
-	hdr[0] = binReqMagic
-	hdr[1] = opcode
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(c.Key)))
-	hdr[4] = byte(len(extras))
-	body := len(extras) + len(c.Key) + len(c.Value)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(body))
-	binary.BigEndian.PutUint32(hdr[12:], c.Opaque)
-	binary.BigEndian.PutUint64(hdr[16:], c.CAS)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(extras); err != nil {
-		return err
-	}
-	if _, err := w.Write(c.Key); err != nil {
-		return err
-	}
-	_, err := w.Write(c.Value)
-	return err
+	return writeBinFrame(w, head, binReqMagic, opcode, len(head)-binHeaderLen, 0, c.Opaque, c.CAS, c.Key, c.Value)
 }
 
-// ReadBinaryCommand decodes one request frame. io.EOF is returned verbatim
-// at a clean connection end.
-func ReadBinaryCommand(r *bufio.Reader) (*Command, error) {
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// ReadBinaryCommand reads one request frame into a buffer of its own and
+// decodes it: the command owns its bytes. io.EOF is returned verbatim at a
+// clean connection end.
+func ReadBinaryCommand(r *bufio.Reader) (*Command, error) { return readOwned(r, decodeBinary) }
+
+// decodeBinary is the binary protocol's decoder (see decoder). Magic,
+// opcode and the three lengths are validated from the 24 header bytes
+// before anything past them is looked at.
+func decodeBinary(c *Command, b []byte) (int, error) {
+	if len(b) < binHeaderLen {
+		return 0, nil
 	}
-	if hdr[0] != binReqMagic {
-		return nil, fmt.Errorf("protocol: bad request magic %#x", hdr[0])
+	if b[0] != binReqMagic {
+		return 0, fmt.Errorf("protocol: bad request magic %#x", b[0])
 	}
-	info, ok := binToOp[hdr[1]]
-	if !ok {
-		return nil, fmt.Errorf("protocol: unknown binary opcode %#x", hdr[1])
+	if int(b[1]) >= len(binToOp) || !binToOp[b[1]].known {
+		return 0, fmt.Errorf("protocol: unknown binary opcode %#x", b[1])
 	}
-	keyLen := int(binary.BigEndian.Uint16(hdr[2:]))
-	extLen := int(hdr[4])
-	bodyLen := int(binary.BigEndian.Uint32(hdr[8:]))
+	info := binToOp[b[1]]
+	keyLen := int(binary.BigEndian.Uint16(b[2:]))
+	extLen := int(b[4])
+	bodyLen := int(binary.BigEndian.Uint32(b[8:]))
 	if keyLen > MaxKeyLen || bodyLen > MaxBodyLen || extLen+keyLen > bodyLen {
-		return nil, fmt.Errorf("protocol: implausible frame (key=%d ext=%d body=%d)", keyLen, extLen, bodyLen)
+		return 0, fmt.Errorf("protocol: implausible frame (key=%d ext=%d body=%d)", keyLen, extLen, bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("protocol: truncated body: %w", err)
+	n := binHeaderLen + bodyLen
+	if len(b) < n {
+		return n, nil
 	}
-	c := &Command{
+	body := b[binHeaderLen:n]
+	*c = Command{
 		Op:     info.op,
 		Quiet:  info.quiet,
-		Opaque: binary.BigEndian.Uint32(hdr[12:]),
-		CAS:    binary.BigEndian.Uint64(hdr[16:]),
+		Opaque: binary.BigEndian.Uint32(b[12:]),
+		CAS:    binary.BigEndian.Uint64(b[16:]),
 		Key:    body[extLen : extLen+keyLen],
+		Keys:   c.Keys[:0],
 		Value:  body[extLen+keyLen:],
 	}
 	if c.Op == OpSet && c.CAS != 0 {
@@ -178,39 +195,38 @@ func ReadBinaryCommand(r *bufio.Reader) (*Command, error) {
 			c.Exptime = int64(binary.BigEndian.Uint32(body[0:]))
 		}
 	}
-	return c, nil
+	return n, nil
 }
 
 // WriteBinaryReply encodes a response frame. For stats, one frame per pair
 // plus an empty terminator, per the protocol. The quiet opcodes keep their
 // silence here, as noreply does in WriteASCIIReply: GETQ/GETKQ write no
-// frame for a miss, SETQ none for a success.
+// frame for a miss, SETQ (with or without a cas) none for a success.
 func WriteBinaryReply(w *bufio.Writer, c *Command, rep *Reply) error {
 	if c.Quiet && (c.Op == OpGet && rep.Status == StatusKeyNotFound ||
-		c.Op == OpSet && rep.Status == StatusOK) {
+		(c.Op == OpSet || c.Op == OpCAS) && rep.Status == StatusOK) {
 		return nil
 	}
 	if c.Op == OpStats {
 		for _, kv := range rep.Stats {
-			if err := writeBinaryResFrame(w, binStat, StatusOK, []byte(kv[0]), []byte(kv[1]), nil, rep.Opaque, 0); err != nil {
+			if err := writeBinFrame(w, binHead(w), binResMagic, binStat, 0, StatusOK, rep.Opaque, 0, []byte(kv[0]), []byte(kv[1])); err != nil {
 				return err
 			}
 		}
-		return writeBinaryResFrame(w, binStat, StatusOK, nil, nil, nil, rep.Opaque, 0)
+		return writeBinFrame(w, binHead(w), binResMagic, binStat, 0, StatusOK, rep.Opaque, 0, nil, nil)
 	}
-	opcode := opToBin[c.Op]
-	var extras, value []byte
+	head := binHead(w)
+	var extLen int
+	var value []byte
 	switch c.Op {
 	case OpGet, OpGAT:
 		if rep.Status == StatusOK {
-			extras = make([]byte, 4)
-			binary.BigEndian.PutUint32(extras, rep.Flags)
+			head, extLen = binary.BigEndian.AppendUint32(head, rep.Flags), 4
 			value = rep.Value
 		}
 	case OpIncr, OpDecr:
 		if rep.Status == StatusOK {
-			value = make([]byte, 8)
-			binary.BigEndian.PutUint64(value, rep.Numeric)
+			head = binary.BigEndian.AppendUint64(head, rep.Numeric) // the value, riding in the head
 		}
 	case OpVersion:
 		value = []byte(rep.Version)
@@ -220,37 +236,18 @@ func WriteBinaryReply(w *bufio.Writer, c *Command, rep *Reply) error {
 		// memcached's convention for non-OK statuses.
 		value = []byte(rep.Message)
 	}
-	return writeBinaryResFrame(w, opcode, rep.Status, nil, value, extras, rep.Opaque, rep.CAS)
+	return writeBinFrame(w, head, binResMagic, opToBin[c.Op], extLen, rep.Status, rep.Opaque, rep.CAS, nil, value)
 }
 
-func writeBinaryResFrame(w *bufio.Writer, opcode byte, status Status, key, value, extras []byte, opaque uint32, cas uint64) error {
-	var hdr [binHeaderLen]byte
-	hdr[0] = binResMagic
-	hdr[1] = opcode
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(key)))
-	hdr[4] = byte(len(extras))
-	binary.BigEndian.PutUint16(hdr[6:], uint16(status))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(extras)+len(key)+len(value)))
-	binary.BigEndian.PutUint32(hdr[12:], opaque)
-	binary.BigEndian.PutUint64(hdr[16:], cas)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(extras); err != nil {
-		return err
-	}
-	if _, err := w.Write(key); err != nil {
-		return err
-	}
-	_, err := w.Write(value)
-	return err
-}
-
-// ReadBinaryReply decodes one response frame (client side). For stats the
-// caller keeps reading until the empty terminating frame.
+// ReadBinaryReply decodes one response frame (client side) into a Reply
+// that owns its bytes. For stats the caller keeps reading until the empty
+// terminating frame.
 func ReadBinaryReply(r *bufio.Reader) (*Reply, byte, error) {
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(binHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, 0, err
 	}
 	if hdr[0] != binResMagic {
@@ -263,17 +260,17 @@ func ReadBinaryReply(r *bufio.Reader) (*Reply, byte, error) {
 	if bodyLen > MaxBodyLen || extLen+keyLen > bodyLen {
 		return nil, 0, fmt.Errorf("protocol: implausible response frame")
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, err
-	}
 	rep := &Reply{
 		Status: Status(binary.BigEndian.Uint16(hdr[6:])),
 		Opaque: binary.BigEndian.Uint32(hdr[12:]),
 		CAS:    binary.BigEndian.Uint64(hdr[16:]),
-		Key:    body[extLen : extLen+keyLen],
-		Value:  body[extLen+keyLen:],
 	}
+	r.Discard(binHeaderLen) //nolint:errcheck // peeked above; hdr is dead from here on
+	body := make([]byte, bodyLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, 0, err
+	}
+	rep.Key, rep.Value = body[extLen:extLen+keyLen], body[extLen+keyLen:]
 	switch opcode {
 	case binGet, binGetQ, binGetK, binGetKQ, binGAT:
 		if extLen >= 4 {

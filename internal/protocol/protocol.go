@@ -9,6 +9,15 @@
 //
 // Both protocols speak the same protocol-neutral Command/Reply model, so
 // the server's dispatch loop is protocol agnostic.
+//
+// Who owns a command's bytes. Each protocol has one decoder (decodeBinary,
+// decodeASCII), which fills a Command whose Key, Keys and Value alias the
+// frame it was handed. ServeConn hands it frames where they lie in the
+// connection's read window, so a Command passed to its dispatch callback
+// borrows the window until the callback returns: whatever must outlive the
+// run is copied before then. ReadBinaryCommand and ReadASCIICommand (and,
+// on the client side, ReadBinaryReply and ReadASCIIReply) return values
+// that own their bytes: one frame is read into a buffer of its own first.
 package protocol
 
 import "fmt"
@@ -107,7 +116,7 @@ type Command struct {
 	StatsArg string
 	Key      []byte
 	// Keys carries the extra keys of a multi-key ASCII "get k1 k2 …"
-	// (Key holds the first); nil for single-key commands. Servers expand
+	// (Key holds the first); empty for single-key commands. Servers expand
 	// a populated Keys into one lookup per key under a single END.
 	Keys    [][]byte
 	Value   []byte
@@ -119,13 +128,13 @@ type Command struct {
 	Quiet   bool   // binary quiet variants / ASCII noreply
 }
 
-// AllKeys returns the command's full key list: Key followed by Keys.
-func (c *Command) AllKeys() [][]byte {
-	if len(c.Keys) == 0 {
-		return [][]byte{c.Key}
+// KeyAt returns the i'th key of the command's full key list, which is Key
+// followed by Keys.
+func (c *Command) KeyAt(i int) []byte {
+	if i == 0 {
+		return c.Key
 	}
-	keys := make([][]byte, 0, 1+len(c.Keys))
-	return append(append(keys, c.Key), c.Keys...)
+	return c.Keys[i-1]
 }
 
 // Reply is a protocol-neutral response.

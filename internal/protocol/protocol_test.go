@@ -42,6 +42,8 @@ func TestBinaryCommandRoundtrip(t *testing.T) {
 		{Op: OpNoop},
 		{Op: OpQuit},
 		{Op: OpGet, Key: []byte("k"), Quiet: true},
+		{Op: OpSet, Key: []byte("k"), Value: []byte("v"), Quiet: true},
+		{Op: OpCAS, Key: []byte("k"), Value: []byte("v"), CAS: 7, Quiet: true}, // SETQ with a cas
 	}
 	for _, c := range cases {
 		back := binRoundtripCmd(t, c)
@@ -117,6 +119,18 @@ func TestBinaryReplyRoundtrip(t *testing.T) {
 		if back.Numeric != cse.rep.Numeric || back.Version != cse.rep.Version {
 			t.Errorf("%v: numeric/version mismatch", cse.c.Op)
 		}
+	}
+}
+
+// A SETQ that carries a cas is as quiet as one that does not: nothing on
+// success, a frame on a conflict.
+func TestBinaryQuietCASReply(t *testing.T) {
+	c := &Command{Op: OpCAS, Key: []byte("k"), Value: []byte("v"), CAS: 7, Quiet: true}
+	if got := encodeReply(t, c, &Reply{Status: StatusOK}); len(got) != 0 {
+		t.Errorf("quiet cas success wrote % x", got)
+	}
+	if got := encodeReply(t, c, &Reply{Status: StatusKeyExists}); len(got) != binHeaderLen {
+		t.Errorf("quiet cas conflict wrote %d bytes, want one bare frame", len(got))
 	}
 }
 
@@ -275,19 +289,7 @@ func TestASCIIReplyRoundtrip(t *testing.T) {
 }
 
 func TestASCIIRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"\r\n",
-		"bogus cmd\r\n",
-		"set k\r\n",
-		"set k notanumber 0 5\r\nhello\r\n",
-		"set k 0 0 99999999999\r\n",
-		"incr k\r\n",
-		"incr k abc\r\n",
-		"touch k\r\n",
-		"delete\r\n",
-		"set k 0 0 5\r\nhelloXX", // bad terminator
-	}
-	for _, s := range bad {
+	for _, s := range malformedASCII {
 		if _, err := ReadASCIICommand(bufio.NewReader(bytes.NewReader([]byte(s)))); err == nil {
 			t.Errorf("malformed %q accepted", s)
 		}

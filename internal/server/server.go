@@ -37,7 +37,7 @@ type Server struct {
 type request struct {
 	w      *bufio.Writer
 	binary bool
-	cmds   []*protocol.Command
+	cmds   []protocol.Command
 	done   chan struct{}
 }
 
@@ -121,12 +121,15 @@ func (s *Server) Close() {
 }
 
 // handleConn runs the shared read loop for one client connection; each
-// pipelined run of commands crosses the server-thread pool once.
+// pipelined run of commands crosses the server-thread pool once. The
+// commands borrow the connection's read window, which the wait on done
+// keeps in place until the server thread is through with them (the store
+// copies what it keeps).
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWG.Done()
 	defer c.Close()
 	done := make(chan struct{})
-	protocol.ServeConn(c, s.readTimeout, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+	protocol.ServeConn(c, s.readTimeout, func(w *bufio.Writer, binary bool, cmds []protocol.Command) {
 		// When every server thread is busy this send queues (and, past
 		// the channel capacity, blocks) — the server-side backpressure
 		// whose effect the paper measures in Figures 6–9.
@@ -140,8 +143,8 @@ func (s *Server) handleConn(c net.Conn) {
 func (s *Server) serverThread() {
 	defer s.wg.Done()
 	for req := range s.reqCh {
-		for _, cmd := range req.cmds {
-			s.execute(req.w, req.binary, cmd)
+		for i := range req.cmds {
+			s.execute(req.w, req.binary, &req.cmds[i])
 		}
 		req.done <- struct{}{}
 	}
@@ -151,14 +154,12 @@ func (s *Server) execute(w *bufio.Writer, binary bool, cmd *protocol.Command) {
 	if !binary && cmd.Op == protocol.OpGet && len(cmd.Keys) > 0 {
 		// ASCII multi-get: VALUE blocks then one END. This path bypasses
 		// Dispatch, so it feeds the latency histograms itself, per key.
-		for _, k := range cmd.AllKeys() {
+		for i := 0; i <= len(cmd.Keys); i++ {
 			start := time.Now()
-			v, flags, cas, ok := s.store.Get(k)
+			v, flags, cas, ok := s.store.Get(cmd.KeyAt(i))
 			s.store.RecordLatency(LatGet, time.Since(start))
 			if ok {
-				fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", k, flags, len(v), cas)
-				w.Write(v)
-				w.WriteString("\r\n")
+				protocol.WriteASCIIValue(w, cmd.KeyAt(i), flags, v, cas)
 			}
 		}
 		w.WriteString("END\r\n")

@@ -71,12 +71,12 @@ type classLRU struct {
 
 // Stats mirrors the counters the protected-library store reports.
 type Stats struct {
-	Gets, GetHits, GetMisses     uint64
-	Sets, Deletes                uint64
-	Incrs, Decrs                 uint64
+	Gets, GetHits, GetMisses        uint64
+	Sets, Deletes                   uint64
+	Incrs, Decrs                    uint64
 	Touches, TouchHits, TouchMisses uint64
-	Evictions, Expired           uint64
-	CurrItems, Bytes             uint64
+	Evictions, Expired              uint64
+	CurrItems, Bytes                uint64
 }
 
 // Per-op latency classes for the baseline's histograms.

@@ -450,6 +450,7 @@ type ClusterSession struct {
 	// rebuilt shard's old session is dropped and a fresh one opened on
 	// the replacement store.
 	books []*Bookkeeper
+	part  batchPartition
 }
 
 // Session exposes the underlying per-shard session (tests, ablation).
@@ -508,7 +509,17 @@ type shardExec interface {
 	// failed crossing lands in r.Err.
 	doShard(shard int, op *BatchOp, r *BatchResult)
 	// batchShard executes the shard's share of a batch in one crossing.
+	// The results need only last until routeBatch has copied them out.
 	batchShard(shard int, ops []BatchOp) ([]BatchResult, error)
+}
+
+// batchPartition is routeBatch's working memory: each shard's share of
+// the batch and where in the batch each op came from. It belongs to
+// whoever models the thread — a ClusterSession, a proxy connection — and
+// is reused batch after batch.
+type batchPartition struct {
+	ops [][]BatchOp
+	idx [][]int
 }
 
 // readOnly reports whether a batch op leaves its entry as it found it;
@@ -598,7 +609,9 @@ func (s *ClusterSession) Stats() (core.Stats, error) {
 // with the wrapped error and the call continues: sibling shards' results
 // stay positionally aligned and the call itself returns nil.
 func (s *ClusterSession) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
-	return s.c.routeBatch(ops, s), nil
+	out := make([]BatchResult, len(ops)) // the caller's to keep
+	s.c.routeBatch(ops, out, s, &s.part)
+	return out, nil
 }
 
 func (s *ClusterSession) batchShard(shard int, ops []BatchOp) ([]BatchResult, error) {
@@ -614,18 +627,20 @@ func (s *ClusterSession) batchShard(shard int, ops []BatchOp) ([]BatchResult, er
 	return res, err
 }
 
-// routeBatch is the cluster's batch path: partition ops by owning shard,
-// hand each shard its share through x, and reassemble the results
-// positionally. During a migration, every touched segment's guard is
-// acquired once (re-taking a held RLock could deadlock against the
-// migrator's pending cutover) and held until every crossing retires, and
-// writes into such segments are dirty-marked at route time.
-func (c *Cluster) routeBatch(ops []BatchOp, x shardExec) []BatchResult {
+// routeBatch is the cluster's batch path: partition ops by owning shard
+// (in p, the caller's), hand each shard its share through x, and
+// reassemble the results positionally in out, one per op. During a
+// migration, every touched segment's guard is acquired once (re-taking a
+// held RLock could deadlock against the migrator's pending cutover) and
+// held until every crossing retires, and writes into such segments are
+// dirty-marked at route time.
+func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, x shardExec, p *batchPartition) {
 	c.routeMu.RLock()
 	defer c.routeMu.RUnlock()
 	n := c.Shards()
-	perShard := make([][]BatchOp, n)
-	perIdx := make([][]int, n) // original position of each sub-batch op
+	for len(p.ops) < n { // a live resize can widen the cluster
+		p.ops, p.idx = append(p.ops, nil), append(p.idx, nil)
+	}
 	var held map[*migSeg]struct{}
 	var guards []*migSeg
 	if c.mig.Load() != nil {
@@ -634,6 +649,12 @@ func (c *Cluster) routeBatch(ops []BatchOp, x shardExec) []BatchResult {
 	defer func() {
 		for _, g := range guards {
 			g.release()
+		}
+		// The partition outlives the batch: the caller's keys and values
+		// must not ride along in it.
+		for sh := range p.ops {
+			clear(p.ops[sh])
+			p.ops[sh], p.idx[sh] = p.ops[sh][:0], p.idx[sh][:0]
 		}
 	}()
 	for i := range ops {
@@ -647,27 +668,25 @@ func (c *Cluster) routeBatch(ops []BatchOp, x shardExec) []BatchResult {
 				g.markDirty(ops[i].Key)
 			}
 		}
-		perShard[sh] = append(perShard[sh], ops[i])
-		perIdx[sh] = append(perIdx[sh], i)
+		p.ops[sh] = append(p.ops[sh], ops[i])
+		p.idx[sh] = append(p.idx[sh], i)
 	}
-	out := make([]BatchResult, len(ops))
 	for sh := 0; sh < n; sh++ {
-		if len(perShard[sh]) == 0 {
+		if len(p.ops[sh]) == 0 {
 			continue
 		}
-		res, err := x.batchShard(sh, perShard[sh])
+		res, err := x.batchShard(sh, p.ops[sh])
 		if err != nil {
 			werr := fmt.Errorf("memcached: shard %d batch: %w", sh, err)
-			for _, idx := range perIdx[sh] {
-				out[idx].Err = werr
+			for _, idx := range p.idx[sh] {
+				out[idx] = BatchResult{Err: werr}
 			}
-			continue
-		}
-		for j, idx := range perIdx[sh] {
-			out[idx] = res[j]
+		} else {
+			for j, idx := range p.idx[sh] {
+				out[idx] = res[j]
+			}
 		}
 	}
-	return out
 }
 
 // Healthy reports whether every attached per-shard session can still

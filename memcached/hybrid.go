@@ -74,9 +74,16 @@ func (rs *RemoteServer) handle(c net.Conn) {
 // serve runs the shared read loop on c, dispatching each pipelined run of
 // commands against be.
 func serve(c net.Conn, be wireBackend) {
-	protocol.ServeConn(c, 0, func(w *bufio.Writer, binary bool, cmds []*protocol.Command) {
-		dispatchRun(be, w, binary, cmds)
-	})
+	protocol.ServeConn(c, 0, (&wireConn{be: be}).dispatchRun)
+}
+
+// wireConn is one connection's dispatcher. A connection models a thread,
+// so the translation buffers of a run belong to it and are reused run
+// after run.
+type wireConn struct {
+	be    wireBackend
+	ops   []core.BatchOp
+	spans []int // batch ops consumed per command
 }
 
 // wireBackend is what a socket front end's dispatcher needs from the
@@ -86,7 +93,8 @@ type wireBackend interface {
 	// do executes one op and returns its result, which lies in the
 	// backend (a connection models a thread) until the next call.
 	do(op *core.BatchOp) *core.BatchResult
-	// batch executes a run of ops, one result per op, in order.
+	// batch executes a run of ops, one result per op, in order. The
+	// results lie in the backend until its next call.
 	batch(ops []core.BatchOp) []core.BatchResult
 	// admin answers a command that is not a keyed operation: flush_all,
 	// stats, version, noop.
@@ -105,7 +113,9 @@ func (b *ctxBackend) do(op *core.BatchOp) *core.BatchResult {
 	return &b.res
 }
 
-func (b *ctxBackend) batch(ops []core.BatchOp) []core.BatchResult { return b.ctx.ExecBatch(ops) }
+func (b *ctxBackend) batch(ops []core.BatchOp) []core.BatchResult {
+	return b.ctx.ExecBatchBorrowed(ops)
+}
 
 func (b *ctxBackend) admin(cmd *protocol.Command) *protocol.Reply {
 	return adminCore(b.ctx, cmd, b.version)
@@ -117,30 +127,34 @@ func (b *ctxBackend) admin(cmd *protocol.Command) *protocol.Reply {
 // remote pipelines amortize the gate exactly like local ExecBatch callers;
 // a lone op is executed on its own, which keeps its latency class, and
 // the admin verbs are answered one by one.
-func dispatchRun(be wireBackend, w *bufio.Writer, binary bool, cmds []*protocol.Command) {
+//
+// The commands borrow the connection's read window (protocol.ServeConn),
+// and so do the ops translated from them: the stores copy keys and values
+// into their heaps, and the ops are wiped before the window is released.
+func (wc *wireConn) dispatchRun(w *bufio.Writer, binary bool, cmds []protocol.Command) {
+	be := wc.be
 	for i := 0; i < len(cmds); {
-		ops := make([]core.BatchOp, 0, len(cmds)-i)
-		spans := make([]int, 0, len(cmds)-i) // batch ops consumed per command
+		ops, spans := wc.ops[:0], wc.spans[:0]
 		j := i
 		for ; j < len(cmds); j++ {
 			n := len(ops)
-			if ops = appendOps(ops, cmds[j]); len(ops) == n {
+			if ops = appendOps(ops, &cmds[j]); len(ops) == n {
 				break
 			}
 			spans = append(spans, len(ops)-n)
 		}
 		switch len(ops) {
 		case 0:
-			writeReply(w, binary, cmds[i], be.admin(cmds[i]))
+			writeReply(w, binary, &cmds[i], be.admin(&cmds[i]))
 			i++
 		case 1:
-			rep := replyFor(cmds[i], be.do(&ops[0]))
-			writeReply(w, binary, cmds[i], &rep)
+			rep := replyFor(&cmds[i], be.do(&ops[0]))
+			writeReply(w, binary, &cmds[i], &rep)
 			i++
 		default:
 			res := be.batch(ops)
 			for k, n := range spans {
-				if cmd := cmds[i+k]; n == 1 {
+				if cmd := &cmds[i+k]; n == 1 {
 					rep := replyFor(cmd, &res[0])
 					writeReply(w, binary, cmd, &rep)
 				} else {
@@ -150,6 +164,8 @@ func dispatchRun(be wireBackend, w *bufio.Writer, binary bool, cmds []*protocol.
 			}
 			i = j
 		}
+		clear(ops)
+		wc.ops, wc.spans = ops, spans
 	}
 }
 
@@ -221,16 +237,13 @@ func writeReply(w *bufio.Writer, binary bool, cmd *protocol.Command, rep *protoc
 // writeValues renders an ASCII multi-key get: one VALUE block per hit
 // under a single END.
 func writeValues(w *bufio.Writer, cmd *protocol.Command, res []core.BatchResult) {
-	keys := cmd.AllKeys()
 	// A key whose shard is down must not masquerade as a miss: the
 	// response ends with the SERVER_ERROR line instead of END so the
 	// client knows the multiget was partial.
 	var downFrame string
 	for i := range res {
 		if res[i].Err == nil {
-			fmt.Fprintf(w, "VALUE %s %d %d %d\r\n", keys[i], res[i].Flags, len(res[i].Value), res[i].CAS)
-			w.Write(res[i].Value)
-			w.WriteString("\r\n")
+			protocol.WriteASCIIValue(w, cmd.KeyAt(i), res[i].Flags, res[i].Value, res[i].CAS)
 		} else if f, ok := ShardDownFrame(res[i].Err); ok && downFrame == "" {
 			downFrame = f
 		}

@@ -125,8 +125,8 @@ type migration struct {
 	starts  []uint64
 	wrapped int
 
-	stopped atomic.Bool
-	err     error // terminal outcome; set before finished closes
+	stopped  atomic.Bool
+	err      error // terminal outcome; set before finished closes
 	finished chan struct{}
 
 	cliMu sync.Mutex

@@ -68,7 +68,9 @@ func (cs *ClusterServer) acceptLoop() {
 type connCtxs struct {
 	c     *Cluster
 	owner uint64
-	res   BatchResult // the lone op's result frame
+	res   BatchResult   // the lone op's result frame
+	out   []BatchResult // a batch's results, valid until the next batch
+	part  batchPartition
 	ctxs  []*core.Ctx
 	// books pins each context to the Bookkeeper it was opened on: when
 	// the supervisor rebuilds a shard, the stale context (bound to the
@@ -127,7 +129,14 @@ func (cc *connCtxs) do(op *BatchOp) *BatchResult {
 	return &cc.res
 }
 
-func (cc *connCtxs) batch(ops []BatchOp) []BatchResult { return cc.c.routeBatch(ops, cc) }
+func (cc *connCtxs) batch(ops []BatchOp) []BatchResult {
+	if cap(cc.out) < len(ops) {
+		cc.out = make([]BatchResult, len(ops))
+	}
+	out := cc.out[:len(ops)]
+	cc.c.routeBatch(ops, out, cc, &cc.part)
+	return out
+}
 
 // The direct contexts bypass the hodor gate, so a shard behind an open
 // breaker — or poisoned, or rebuilding — is refused by proxyAllow with the
@@ -144,7 +153,7 @@ func (cc *connCtxs) batchShard(shard int, ops []BatchOp) ([]BatchResult, error) 
 	if err := cc.c.proxyAllow(shard); err != nil {
 		return nil, err
 	}
-	return cc.ctx(shard).ExecBatch(ops), nil
+	return cc.ctx(shard).ExecBatchBorrowed(ops), nil
 }
 
 // admin answers the keyless commands against the whole cluster: they fan

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test check fmtcheck wirecheck fuzz faultmatrix corruptmatrix corruptmatrix-long modelcheck modelcheck-long gatehard shardcheck reshardcheck survivecheck diskfault bench benchdiff bench-noisy bench-seqlock bench-recovery bench-metrics bench-batch
+.PHONY: build test check fmtcheck wirecheck fuzz faultmatrix corruptmatrix corruptmatrix-long modelcheck modelcheck-long gatehard shardcheck reshardcheck survivecheck diskfault bench benchdiff bench-noisy bench-seqlock bench-recovery bench-metrics bench-batch bench-gate
 
 build:
 	$(GO) build ./...
@@ -170,3 +170,10 @@ bench-metrics:
 # for the 64-key batched path.
 bench-batch:
 	$(GO) test -run xxx -bench 'BenchmarkAblationBatch|BenchmarkMGetAmortization' -benchtime 2s .
+
+# The gate tax, part by part (DESIGN.md §13 "What a warm crossing costs"):
+# each piece of a warm hodor crossing and of the cluster's routing wrapped
+# around it, priced alone beside the whole. A change to either says which
+# row it moved. Timings on a shared box: run by hand, not part of check.
+bench-gate:
+	$(GO) test -run xxx -bench 'BenchmarkGateParts|BenchmarkRouteParts' -benchtime 2s ./internal/hodor ./memcached

@@ -205,7 +205,11 @@ type Store struct {
 	latMask    uint64 // sample period minus one
 	latEnabled bool
 
-	// nowFn supplies the wall clock; overridable in tests.
+	// nowFn supplies the store clock in unix seconds; overridable in tests.
+	// The default is the wall clock as of attach plus monotonic time since
+	// (memcached's own current_time construction): one clock read where
+	// time.Now makes two, and it neither follows a stepped wall clock nor
+	// counts time the machine spent suspended.
 	nowFn func() int64
 
 	// aliveFn is the owner-liveness oracle (SetOwnerLiveness): grave
@@ -340,7 +344,7 @@ func attach(a *ralloc.Allocator, cfg uint64) (*Store, error) {
 		latency:      ralloc.LoadPptr(h, cfg+cfgLatency),
 		latSlots:     h.Load64(cfg + cfgLatSlots),
 		latMask:      h.Load64(cfg + cfgLatSampleMask),
-		nowFn:        func() int64 { return time.Now().Unix() },
+		nowFn:        startAnchoredClock(time.Now()),
 	}
 	s.latEnabled = h.Load64(cfg+cfgLatEnabled) != 0 && s.latency != 0 && s.latSlots != 0
 	if s.numItemLocks == 0 || s.numLRUs == 0 || s.seqLocks == 0 {
@@ -363,6 +367,13 @@ func (s *Store) ResetGate() {
 		s.H.AtomicStore64(slot+readerSlotOwner, 0)
 		s.H.AtomicStore64(slot+readerSlotEpoch, 0)
 	}
+}
+
+// startAnchoredClock returns a unix-seconds clock that reads start's wall
+// time once and advances it by the monotonic time elapsed since.
+func startAnchoredClock(start time.Time) func() int64 {
+	wall := start.UnixNano()
+	return func() int64 { return (wall + int64(time.Since(start))) / int64(time.Second) }
 }
 
 // SetClock overrides the store's time source (tests and expiry benches).

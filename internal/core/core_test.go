@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"plibmc/internal/ralloc"
 	"plibmc/internal/shm"
@@ -186,6 +187,31 @@ func TestAppendPrepend(t *testing.T) {
 	v, _, _, _ := c.Get(k)
 	if string(v) != "start-mid-end" {
 		t.Fatalf("value = %q", v)
+	}
+}
+
+// TestDefaultClock (ISSUE 21): a store nobody called SetClock on tells unix
+// time from the wall clock read at attach plus monotonic time since. It
+// must track time.Now().Unix() to the second and never run backwards, and
+// a clock anchored in the past must have advanced by the time elapsed.
+func TestDefaultClock(t *testing.T) {
+	s, _ := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
+	last := s.nowFn()
+	for i := 0; i < 200_000; i++ {
+		before := time.Now().Unix()
+		now := s.nowFn()
+		after := time.Now().Unix()
+		if now < last {
+			t.Fatalf("store clock stepped backwards: %d after %d", now, last)
+		}
+		if now < before-1 || now > after+1 {
+			t.Fatalf("store clock reads %d, wall clock %d..%d", now, before, after)
+		}
+		last = now
+	}
+	start := time.Now().Add(-90 * time.Minute)
+	if now, want := startAnchoredClock(start)(), time.Now().Unix(); now < want-1 || now > want+1 {
+		t.Fatalf("clock anchored 90 minutes ago reads %d, want %d", now, want)
 	}
 }
 

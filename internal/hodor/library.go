@@ -72,11 +72,11 @@ type Library struct {
 	TenantQuota int
 
 	// Profile enables per-call latency accounting and per-crossing
-	// trampoline profiling (six clock reads per call — leave off for
-	// production-shaped benchmarks). Per-crossing PKU costs are where
-	// protected-library systems live or die (libmpk), so each rights
-	// transition — amplify on the way in, restore on the way out — is
-	// individually timed into a lock-free histogram.
+	// trampoline profiling (five clock reads per call on top of the one
+	// every call makes — leave off for production-shaped benchmarks).
+	// Per-crossing PKU costs are where protected-library systems live or
+	// die (libmpk), so each rights transition — amplify on the way in,
+	// restore on the way out — is timed into a lock-free histogram.
 	Profile bool
 
 	initFn    func(*proc.Process) error
@@ -277,12 +277,14 @@ type Session struct {
 	Tenant *Domain
 
 	linked bool
-	// callStart is the wall-clock start (UnixNano) of the in-flight call,
+	// callStart is the start of the in-flight call on the gate clock
+	// (monoNow: monotonic nanoseconds since this package loaded, never 0),
 	// or 0 when the thread is in application code.
 	callStart atomic.Int64
 	// stackDepth models the trampoline's switch to the library-side stack.
 	stackDepth int
-	savedPKRU  uint32
+	// savedPKRU is the register value the exit crossing restores.
+	savedPKRU pku.PKRU
 	// reaped marks a session whose in-flight call outlived the watchdog
 	// timeout: either its process was killed (the OS has terminated the
 	// thread), or — with LiveCallBudget set — a live call overran its
@@ -363,12 +365,24 @@ func (l *Library) callTimeout() time.Duration {
 	return time.Second
 }
 
+// epoch anchors the gate clock. Only the watchdog and the repair drain read
+// a call's start, and only as a difference, so a call is stamped with one
+// monotonic read (time.Since) instead of time.Now's wall-plus-monotonic pair.
+var epoch = time.Now()
+
+// monoNow reads the gate clock; the +1 keeps a stamp from ever being 0,
+// which callStart reserves for "not in a call".
+func monoNow() int64 { return int64(time.Since(epoch)) + 1 }
+
+// monoAt places an injected time on the gate clock.
+func monoAt(t time.Time) int64 { return int64(t.Sub(epoch)) + 1 }
+
 // admit gates a call on library health and load. It publishes the session's
 // in-flight record *before* loading the state word so that the repair
 // drain (which reads states in the opposite order) can never miss a call
 // that slipped past a Healthy check: either admit sees the Recovering
 // state, or the drain sees the published callStart.
-func (l *Library) admit(s *Session, start time.Time) error {
+func (l *Library) admit(s *Session, start int64) error {
 	if s.reaped.Load() {
 		// Zombie re-entry (Garmr): the watchdog terminated this session's
 		// thread; the session object resurfacing at the gate is an attack
@@ -376,10 +390,11 @@ func (l *Library) admit(s *Session, start time.Time) error {
 		l.attacksContained.Add(1)
 		return ErrSessionReaped
 	}
-	s.esc.Store(escNone)
-	deadline := start.Add(l.grace())
+	if s.esc.Load() != escNone {
+		s.esc.Store(escNone)
+	}
 	for {
-		s.callStart.Store(start.UnixNano())
+		s.callStart.Store(start)
 		switch l.state.Load() {
 		case stateHealthy:
 			if sErr := l.acquireSlot(s); sErr != nil {
@@ -397,7 +412,7 @@ func (l *Library) admit(s *Session, start time.Time) error {
 		if s.Thread.Proc.Killed() {
 			return &proc.ErrKilled{PID: s.Thread.Proc.ID}
 		}
-		if time.Now().After(deadline) {
+		if monoNow() > start+int64(l.grace()) {
 			return ErrRecoveryTimeout
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -485,20 +500,44 @@ func (l *Library) tenantCounter(pid int) *atomic.Int64 {
 // repair routine is registered via OnRecover — enters Recovering and
 // subsequent calls park until repair completes.
 func Call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), arg A) (res R, err error) {
+	if err = s.enter(); err != nil {
+		return res, err
+	}
+	defer s.leave(&err)
+	if s.Lib.CopyArgs {
+		if c, ok := any(arg).(Copier); ok {
+			arg = c.LibCopy().(A)
+		}
+	}
+	return fn(s.Thread, arg)
+}
+
+// tenantTable returns the vtable of the session's own protection domain,
+// or nil when it has none.
+func (s *Session) tenantTable() *pku.VTable {
+	if td := s.Tenant; td != nil {
+		return td.VT
+	}
+	return nil
+}
+
+// enter is the entry half of the trampoline: every admission check, the
+// key pins, and the rights amplification. A nil return means the thread is
+// inside the library and must leave through leave.
+func (s *Session) enter() error {
 	if !s.linked {
-		return res, ErrNotLinked
+		return ErrNotLinked
 	}
 	l := s.Lib
 	t := s.Thread
 	if eErr := t.EnterLibrary(); eErr != nil {
 		l.rejected.Add(1)
-		return res, eErr
+		return eErr
 	}
-	start := time.Now()
-	if aErr := l.admit(s, start); aErr != nil {
+	if aErr := l.admit(s, monoNow()); aErr != nil {
 		l.rejected.Add(1)
 		t.ExitLibrary()
-		return res, aErr
+		return aErr
 	}
 	// Resolve the domain's hardware key. Virtual domains bind their key
 	// through the vtable for the duration of the call (the pin keeps the
@@ -506,23 +545,12 @@ func Call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), arg A) (res
 	// a bind failure — every hardware key pinned — rejects the call as
 	// retryable backpressure (every pin is an in-flight call about to
 	// release it), not as a fault.
-	reject := func(bErr error) error {
-		if errors.Is(bErr, pku.ErrAllKeysPinned) {
-			l.gateRejections.Add(1)
-			bErr = &overloadedError{cause: bErr}
-		}
-		l.rejected.Add(1)
-		l.releaseSlot(s)
-		s.callStart.Store(0)
-		t.ExitLibrary()
-		return bErr
-	}
 	hw := l.Domain.Key
 	vt := l.Domain.VT
 	if vt != nil {
 		k, bErr := vt.Bind(l.Domain.VKey)
 		if bErr != nil {
-			return res, reject(bErr)
+			return l.reject(s, bErr)
 		}
 		hw = k
 	}
@@ -530,22 +558,22 @@ func Call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), arg A) (res
 	// virtual key too, so the amplified register grants the library's pages
 	// plus exactly this tenant's — a sibling tenant's buffers stay fenced
 	// even from code running inside the gate.
-	var tvt *pku.VTable
+	tvt := s.tenantTable()
 	var thw pku.Key
-	if td := s.Tenant; td != nil && td.VT != nil {
-		k, bErr := td.VT.Bind(td.VKey)
+	if tvt != nil {
+		k, bErr := tvt.Bind(s.Tenant.VKey)
 		if bErr != nil {
 			if vt != nil {
 				vt.Unbind(l.Domain.VKey)
 			}
-			return res, reject(bErr)
+			return l.reject(s, bErr)
 		}
-		tvt, thw = td.VT, k
+		thw = k
 	}
 	l.calls.Add(1)
 	// Entry crossing: stack switch plus rights amplification, timed from
-	// here (not from start — admit may have parked through a recovery, and
-	// that wait is not crossing cost).
+	// here (not from the call's start — admit may have parked through a
+	// recovery, and that wait is not crossing cost).
 	var crossStart time.Time
 	if l.Profile {
 		crossStart = time.Now()
@@ -587,7 +615,7 @@ func Call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), arg A) (res
 			l.attacksContained.Add(1)
 		}
 	}
-	s.savedPKRU = uint32(saved)
+	s.savedPKRU = saved
 	amp := saved.WithAccess(hw)
 	if tvt != nil {
 		amp = amp.WithAccess(thw)
@@ -596,74 +624,90 @@ func Call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), arg A) (res
 	if l.Profile {
 		l.cross.Record(time.Since(crossStart))
 	}
+	return nil
+}
 
-	defer func() {
-		crashed := recover()
-		contained := false
-		if crashed != nil {
-			l.crashes.Add(1)
-			// A panic value carrying the ContainedAttack marker (a pku
-			// protection fault, a core lock-fence denial) is a hostile or
-			// zombie access the protection layers *denied*: the denial is
-			// the proof that no protected state moved.
-			if _, ok := crashed.(interface{ ContainedAttack() }); ok {
-				contained = true
-				l.attacksContained.Add(1)
-			}
-			err = &CrashError{Lib: l.Name, Cause: crashed}
-			// Record the token defunct while the in-flight record is
-			// still published: a repair drain that observes this call
-			// retired must also observe the token defunct, or the
-			// crasher's held locks would survive the drain's final
-			// ForceReleaseDeadLocks with nothing left to retrigger
-			// recovery. (TokenDefunct still reports the token alive
-			// until callStart clears, so the locks are not broken under
-			// this unwinding call.)
-			l.markDefunct(t.LockOwner())
-		}
-		var exitStart time.Time
-		if l.Profile {
-			l.nanos.Add(uint64(time.Since(start)))
-			exitStart = time.Now()
-		}
-		proc.WRPKRU(t, saved)
-		if tvt != nil {
-			tvt.Unbind(s.Tenant.VKey)
-		}
-		if vt != nil {
-			vt.Unbind(l.Domain.VKey)
-		}
-		s.stackDepth--
-		s.callStart.Store(0)
-		l.releaseSlot(s)
-		t.ExitLibrary()
-		if l.Profile {
-			// Exit crossing: rights restoration plus stack switch back.
-			l.cross.Record(time.Since(exitStart))
-		}
-		switch {
-		case crashed == nil:
-			l.crossings.Add(1)
-		case contained && s.reaped.Load():
-			// A fence denial unwinding an already-reaped zombie: the
-			// repair cycle for its reaping already ran (or is running),
-			// and the denial proves this unwind touched nothing since.
-			// Starting another quarantine→repair cycle would let a
-			// hostile tenant trigger repairs at will just by re-entering.
-		default:
-			// After the in-flight record is retired: the repair drain
-			// must not wait for this call before repairing.
-			l.beginRecovery(crashed)
-		}
-	}()
-
-	if l.CopyArgs {
-		if c, ok := any(arg).(Copier); ok {
-			arg = c.LibCopy().(A)
-		}
+// reject refuses a call that admit had already let in (a key bind failed):
+// it returns the admission charges and retires the in-flight record.
+func (l *Library) reject(s *Session, bErr error) error {
+	if errors.Is(bErr, pku.ErrAllKeysPinned) {
+		l.gateRejections.Add(1)
+		bErr = &overloadedError{cause: bErr}
 	}
-	res, err = fn(t, arg)
-	return res, err
+	l.rejected.Add(1)
+	l.releaseSlot(s)
+	s.callStart.Store(0)
+	s.Thread.ExitLibrary()
+	return bErr
+}
+
+// leave is the exit half of the trampoline, deferred by Call: it restores
+// the register, drops the pins and retires the in-flight record, and turns
+// a panic out of library code into a CrashError and a recovery cycle.
+func (s *Session) leave(err *error) {
+	crashed := recover()
+	l := s.Lib
+	t := s.Thread
+	contained := false
+	if crashed != nil {
+		contained = l.crashedCall(s, crashed, err)
+	}
+	var exitStart time.Time
+	if l.Profile {
+		l.nanos.Add(uint64(monoNow() - s.callStart.Load()))
+		exitStart = time.Now()
+	}
+	proc.WRPKRU(t, s.savedPKRU)
+	if tvt := s.tenantTable(); tvt != nil {
+		tvt.Unbind(s.Tenant.VKey)
+	}
+	if vt := l.Domain.VT; vt != nil {
+		vt.Unbind(l.Domain.VKey)
+	}
+	s.stackDepth--
+	s.callStart.Store(0)
+	l.releaseSlot(s)
+	t.ExitLibrary()
+	if l.Profile {
+		// Exit crossing: rights restoration plus stack switch back.
+		l.cross.Record(time.Since(exitStart))
+	}
+	switch {
+	case crashed == nil:
+		l.crossings.Add(1)
+	case contained && s.reaped.Load():
+		// A fence denial unwinding an already-reaped zombie: the repair cycle
+		// for its reaping already ran (or is running), and the denial proves
+		// this unwind touched nothing since. Starting another quarantine→repair
+		// cycle would let a hostile tenant trigger repairs just by re-entering.
+	default:
+		// After the in-flight record is retired: the repair drain must not
+		// wait for this call before repairing.
+		l.beginRecovery(crashed)
+	}
+}
+
+// crashedCall accounts for a panic out of library code while the call's
+// in-flight record is still published, and reports whether the panic was a
+// contained attack.
+func (l *Library) crashedCall(s *Session, crashed any, err *error) (contained bool) {
+	l.crashes.Add(1)
+	// A panic value carrying the ContainedAttack marker (a pku protection
+	// fault, a core lock-fence denial) is a hostile or zombie access the
+	// protection layers *denied*: the denial proves no protected state moved.
+	if _, ok := crashed.(interface{ ContainedAttack() }); ok {
+		contained = true
+		l.attacksContained.Add(1)
+	}
+	*err = &CrashError{Lib: l.Name, Cause: crashed}
+	// Record the token defunct while the in-flight record is still published:
+	// a repair drain that observes this call retired must also observe the
+	// token defunct, or the crasher's held locks would survive the drain's
+	// final ForceReleaseDeadLocks with nothing left to retrigger recovery.
+	// (TokenDefunct still reports the token alive until callStart clears, so
+	// the locks are not broken under this unwinding call.)
+	l.markDefunct(s.Thread.LockOwner())
+	return contained
 }
 
 // markDefunct records a lock-owner token whose execution context died
@@ -795,6 +839,7 @@ func (l *Library) DrainLiveCalls(timeout time.Duration) bool {
 func (l *Library) sweepLiveCalls(now time.Time) bool {
 	timeout := l.callTimeout()
 	budget := l.LiveCallBudget
+	nowNS := monoAt(now)
 	l.mu.Lock()
 	sessions := make([]*Session, len(l.sessions))
 	copy(sessions, l.sessions)
@@ -805,7 +850,7 @@ func (l *Library) sweepLiveCalls(now time.Time) bool {
 		if start == 0 || s.reaped.Load() {
 			continue
 		}
-		elapsed := now.Sub(time.Unix(0, start))
+		elapsed := time.Duration(nowNS - start)
 		if s.Thread.Proc.Killed() && elapsed > timeout {
 			s.reaped.Store(true)
 			l.mu.Lock()
@@ -864,6 +909,7 @@ func Wrap[A, R any](l *Library, name string, fn func(*proc.Thread, A) (R, error)
 func (l *Library) WatchdogSweep(now time.Time) int {
 	timeout := l.callTimeout()
 	budget := l.LiveCallBudget
+	nowNS := monoAt(now)
 	l.mu.Lock()
 	sessions := make([]*Session, len(l.sessions))
 	copy(sessions, l.sessions)
@@ -874,7 +920,7 @@ func (l *Library) WatchdogSweep(now time.Time) int {
 		if start == 0 || s.reaped.Load() {
 			continue
 		}
-		elapsed := now.Sub(time.Unix(0, start))
+		elapsed := time.Duration(nowNS - start)
 		if s.Thread.Proc.Killed() {
 			if elapsed > timeout {
 				overdue++

@@ -38,15 +38,10 @@ const KeyDefault Key = 0
 // bit 2k = AD (access disable), bit 2k+1 = WD (write disable).
 type PKRU uint32
 
-// AllRestricted is a PKRU value that denies access to every non-default key,
-// the state Hodor's init routine installs before main runs.
-func AllRestricted() PKRU {
-	var p PKRU
-	for k := Key(1); k < NumKeys; k++ {
-		p = p.WithAccessDisabled(k)
-	}
-	return p
-}
+// AllRestricted is a PKRU value that denies access to every non-default key
+// (AD set for keys 1–15), the state Hodor's init routine installs before
+// main runs. Every gate crossing compares against it, so it is a constant.
+func AllRestricted() PKRU { return 0x55555554 }
 
 // CanRead reports whether the register permits reads of pages tagged k.
 func (p PKRU) CanRead(k Key) bool { return p&(1<<(2*k)) == 0 }

@@ -35,6 +35,13 @@ func TestPKRUBits(t *testing.T) {
 
 func TestAllRestricted(t *testing.T) {
 	p := AllRestricted()
+	var built PKRU
+	for k := Key(1); k < NumKeys; k++ {
+		built = built.WithAccessDisabled(k)
+	}
+	if p != built {
+		t.Fatalf("AllRestricted = %#x, want AD on keys 1-15 and nothing else (%#x)", uint32(p), uint32(built))
+	}
 	if !p.CanRead(KeyDefault) || !p.CanWrite(KeyDefault) {
 		t.Fatal("default key must stay permissive")
 	}

@@ -7,7 +7,12 @@ package pku
 // in active use onto hardware keys on demand, evicting the least recently
 // used unpinned mapping when the hardware runs dry.
 //
-// Two libmpk ideas carry over into this simulation:
+// Three libmpk ideas carry over into this simulation:
+//
+//   - The key-cache *hit* is a few loads and never serialises: a virtual
+//     key's mapping and pins are one atomic word (the pin word, below), so
+//     pinning a mapped key is one CAS, releasing it another, and the table
+//     lock is taken only to map, evict, free or revoke.
 //
 //   - Eviction re-tags the victim's pages with a reserved *fence* key that
 //     no thread is ever granted, so an access through a stale mapping
@@ -27,6 +32,7 @@ package pku
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -39,31 +45,75 @@ import (
 var ErrAllKeysPinned = errors.New("pku: no hardware key available and every mapping is pinned")
 
 // VKey is a virtual protection key: an unbounded analog of Key, valid only
-// within the VTable that allocated it. Zero is never a valid VKey.
-type VKey uint16
+// within the VTable that allocated it. Keys come from a 64-bit counter and
+// are never reissued, so a key names one domain for the life of its table.
+// Zero is never a valid VKey.
+type VKey uint64
 
 type vrange struct{ off, n uint64 }
 
+// The pin word packs a virtual key's mapping and its pins into one atomic
+// word, so the two can only ever change together:
+//
+//	bits 0–7    hardware key backing the mapping; 0 = unmapped
+//	bit  8      dead: the key was freed or revoked (hardware key cleared)
+//	bits 16–63  pins: in-flight calls holding the mapping
+//
+// Any thread may add a pin to a mapped word (Bind's fast path) or drop one
+// (Unbind), lock-free. Every other transition needs vt.mu: unmapped →
+// mapped with the first pin (a plain store — nobody else writes an unmapped
+// word), mapped → unmapped (eviction: a CAS from the exact pins == 0 word,
+// which a racing pin makes fail, so a hardware key is never pulled from
+// under a caller), anything → dead (FreeVirtual by the same CAS, Revoke by a
+// swap that discards a zombie's pins). Dead is final: Bind falls through to
+// the slow path, which no longer finds the key, and Unbind is a no-op.
+const (
+	pinHW   = 0xff
+	pinDead = 1 << 8
+	pinOne  = 1 << 16
+)
+
 // vkeyState is one virtual key's mapping record.
 type vkeyState struct {
-	hw      Key // hardware key currently backing it; 0 = unmapped
-	pins    int // in-flight calls holding the mapping (never evict while >0)
-	lastUse uint64
-	ranges  []vrange // page ranges tagged with this virtual key
+	word atomic.Uint64 // the pin word
+	// lastUse is vt.clock (remaps so far) as of the latest Bind: keys bound
+	// since the last remap tie, keys idle since before it sort older.
+	lastUse atomic.Uint64
+	ranges  []vrange // page ranges tagged with this virtual key; guarded by vt.mu
+}
+
+// pin adds one pin if the word is mapped, returning the hardware key.
+func (st *vkeyState) pin(stamp uint64) (Key, bool) {
+	for {
+		w := st.word.Load()
+		if w&pinHW == 0 {
+			return 0, false
+		}
+		if st.word.CompareAndSwap(w, w+pinOne) {
+			if st.lastUse.Load() != stamp {
+				st.lastUse.Store(stamp)
+			}
+			return Key(w & pinHW), true
+		}
+	}
 }
 
 // VTable multiplexes virtual keys onto the page table's hardware keys.
 // All methods are safe for concurrent use.
 type VTable struct {
-	mu     sync.Mutex
-	pt     *PageTable
-	fence  Key // reserved hardware key backing every unmapped virtual key
-	states map[VKey]*vkeyState
+	// mu serialises mapping, eviction, free, revoke and range assignment.
+	// Pinning an already-mapped key and unpinning never take it.
+	mu    sync.Mutex
+	pt    *PageTable
+	fence Key // reserved hardware key backing every unmapped virtual key
+	// states is copy-on-write: writers (holding mu; only session open and
+	// close write) publish a modified copy, readers just load it.
+	states atomic.Pointer[map[VKey]*vkeyState]
 	nextV  VKey
 	// free holds hardware keys owned by the table and not currently
 	// backing any virtual key (only ever non-empty before first eviction).
 	free  []Key
-	clock uint64
+	clock atomic.Uint64 // remaps so far; the LRU stamp (written under mu)
 
 	gen       atomic.Uint64 // bumped on every remap; drives lazy PKRU sync
 	syncs     atomic.Uint64
@@ -77,7 +127,9 @@ func NewVTable(pt *PageTable) (*VTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pku: vtable fence key: %w", err)
 	}
-	return &VTable{pt: pt, fence: fence, states: make(map[VKey]*vkeyState)}, nil
+	vt := &VTable{pt: pt, fence: fence}
+	vt.states.Store(&map[VKey]*vkeyState{})
+	return vt, nil
 }
 
 // Fence returns the reserved fence key (granted to no thread, ever).
@@ -89,12 +141,17 @@ func (vt *VTable) AllocVirtual() VKey {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
 	vt.nextV++
-	vt.states[vt.nextV] = &vkeyState{}
+	next := maps.Clone(*vt.states.Load())
+	next[vt.nextV] = &vkeyState{}
+	vt.states.Store(&next)
 	return vt.nextV
 }
 
+// lookup returns v's record, or nil once v has been freed or revoked.
+func (vt *VTable) lookup(v VKey) *vkeyState { return (*vt.states.Load())[v] }
+
 func (vt *VTable) state(v VKey) *vkeyState {
-	st := vt.states[v]
+	st := vt.lookup(v)
 	if st == nil {
 		panic(fmt.Sprintf("pku: unknown virtual key %d", v))
 	}
@@ -110,30 +167,35 @@ func (vt *VTable) AssignVirtual(v VKey, off, n uint64) error {
 	st := vt.state(v)
 	st.ranges = append(st.ranges, vrange{off, n})
 	k := vt.fence
-	if st.hw != 0 {
-		k = st.hw
+	if hw := Key(st.word.Load() & pinHW); hw != 0 {
+		k = hw
 	}
 	return vt.pt.Assign(off, n, k)
 }
 
 // Bind maps v onto a hardware key (evicting the least recently used
 // unpinned mapping if none is free) and pins the mapping for the duration
-// of a call. Every Bind must be paired with an Unbind.
+// of a call. Every Bind must be paired with an Unbind. A key that is
+// already mapped — the steady state — is pinned without the table lock.
 func (vt *VTable) Bind(v VKey) (Key, error) {
+	if st := vt.lookup(v); st != nil {
+		if hw, ok := st.pin(vt.clock.Load()); ok {
+			return hw, nil
+		}
+	}
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
 	st := vt.state(v)
-	vt.clock++
-	st.lastUse = vt.clock
-	if st.hw == 0 {
-		hw, err := vt.mapLocked(st)
-		if err != nil {
-			return 0, err
-		}
-		st.hw = hw
+	if hw, ok := st.pin(vt.clock.Load()); ok {
+		return hw, nil // mapped while this caller waited for mu
 	}
-	st.pins++
-	return st.hw, nil
+	hw, err := vt.mapLocked(st)
+	if err != nil {
+		return 0, err
+	}
+	st.lastUse.Store(vt.clock.Add(1))
+	st.word.Store(uint64(hw) | pinOne)
+	return hw, nil
 }
 
 // Unbind releases the pin taken by Bind. The mapping stays in place (warm)
@@ -141,22 +203,30 @@ func (vt *VTable) Bind(v VKey) (Key, error) {
 // down mid-call is a silent no-op: the revocation already dropped the pin
 // along with the mapping, and the unwinding caller must not panic again.
 func (vt *VTable) Unbind(v VKey) {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	st := vt.states[v]
+	st := vt.lookup(v)
 	if st == nil {
 		return // revoked while the call was in flight
 	}
-	if st.pins <= 0 {
-		panic(fmt.Sprintf("pku: unbind of unpinned virtual key %d", v))
+	for {
+		w := st.word.Load()
+		if w&pinDead != 0 {
+			return // revoked between the lookup and here
+		}
+		if w < pinOne {
+			panic(fmt.Sprintf("pku: unbind of unpinned virtual key %d", v))
+		}
+		if st.word.CompareAndSwap(w, w-pinOne) {
+			return
+		}
 	}
-	st.pins--
 }
 
 // mapLocked finds a hardware key for an unmapped virtual key: from the free
 // pool, from pkey_alloc, or by evicting the LRU unpinned mapping. The
 // caller re-tags nothing; this routine moves the pages of both the victim
-// (to the fence) and the incoming key (to the hardware key).
+// (to the fence) and the incoming key (to the hardware key). The caller
+// publishes the incoming key's word only afterwards, so no fast-path Bind
+// can pin a mapping whose pages are not yet tagged.
 func (vt *VTable) mapLocked(st *vkeyState) (Key, error) {
 	var hw Key
 	switch {
@@ -167,7 +237,7 @@ func (vt *VTable) mapLocked(st *vkeyState) (Key, error) {
 		if k, err := vt.pt.Alloc(); err == nil {
 			hw = k
 		} else {
-			victim := vt.lruVictimLocked()
+			victim, k := vt.claimVictimLocked()
 			if victim == nil {
 				return 0, ErrAllKeysPinned
 			}
@@ -176,8 +246,7 @@ func (vt *VTable) mapLocked(st *vkeyState) (Key, error) {
 					return 0, err
 				}
 			}
-			hw = victim.hw
-			victim.hw = 0
+			hw = k
 			vt.evictions.Add(1)
 		}
 	}
@@ -192,19 +261,49 @@ func (vt *VTable) mapLocked(st *vkeyState) (Key, error) {
 	return hw, nil
 }
 
-// lruVictimLocked picks the mapped, unpinned virtual key with the oldest
-// last use, or nil when every mapping is pinned.
-func (vt *VTable) lruVictimLocked() *vkeyState {
-	var victim *vkeyState
-	for _, st := range vt.states {
-		if st.hw == 0 || st.pins > 0 {
-			continue
+// claimVictimLocked unmaps the mapped, unpinned virtual key with the oldest
+// last use and returns it with the hardware key it held, or nil when every
+// mapping is pinned. The claim is a CAS from the pins == 0 word the scan
+// saw: a Bind that pinned the candidate since makes it fail, and the victim
+// is chosen again. Once claimed the word reads unmapped, so later Binds of
+// the victim queue on mu behind the re-tagging.
+func (vt *VTable) claimVictimLocked() (*vkeyState, Key) {
+	for {
+		var victim *vkeyState
+		var vw uint64
+		for _, st := range *vt.states.Load() {
+			w := st.word.Load()
+			if w&pinHW == 0 || w >= pinOne {
+				continue
+			}
+			if victim == nil || st.lastUse.Load() < victim.lastUse.Load() {
+				victim, vw = st, w
+			}
 		}
-		if victim == nil || st.lastUse < victim.lastUse {
-			victim = st
+		if victim == nil {
+			return nil, 0
+		}
+		if victim.word.CompareAndSwap(vw, 0) {
+			return victim, Key(vw & pinHW)
 		}
 	}
-	return victim
+}
+
+// retireLocked finishes tearing down a key whose word the caller has just
+// made dead: its pages revert to the fence key, the hardware key it held
+// (if any) returns to the free pool, and the key leaves the table.
+func (vt *VTable) retireLocked(v VKey, st *vkeyState, hw Key) {
+	for _, r := range st.ranges {
+		// Fence assignments cannot fail: the ranges were validated when first
+		// assigned and the fence key is permanently allocated.
+		vt.pt.Assign(r.off, r.n, vt.fence) //nolint:errcheck
+	}
+	if hw != 0 {
+		vt.free = append(vt.free, hw)
+	}
+	next := maps.Clone(*vt.states.Load())
+	delete(next, v)
+	vt.states.Store(&next)
 }
 
 // FreeVirtual retires a virtual key: its pages revert to the fence key and
@@ -213,20 +312,19 @@ func (vt *VTable) FreeVirtual(v VKey) error {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
 	st := vt.state(v)
-	if st.pins > 0 {
-		return fmt.Errorf("pku: freeing pinned virtual key %d", v)
-	}
-	for _, r := range st.ranges {
-		if err := vt.pt.Assign(r.off, r.n, vt.fence); err != nil {
-			return err
+	for {
+		w := st.word.Load()
+		if w >= pinOne {
+			return fmt.Errorf("pku: freeing pinned virtual key %d", v)
+		}
+		if st.word.CompareAndSwap(w, pinDead) {
+			vt.retireLocked(v, st, Key(w&pinHW))
+			if w != 0 {
+				vt.gen.Add(1)
+			}
+			return nil
 		}
 	}
-	if st.hw != 0 {
-		vt.free = append(vt.free, st.hw)
-		vt.gen.Add(1)
-	}
-	delete(vt.states, v)
-	return nil
 }
 
 // Revoke forcibly retires a virtual key, pins notwithstanding: its pages
@@ -240,19 +338,12 @@ func (vt *VTable) FreeVirtual(v VKey) error {
 func (vt *VTable) Revoke(v VKey) {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
-	st := vt.states[v]
+	st := vt.lookup(v)
 	if st == nil {
 		return
 	}
-	for _, r := range st.ranges {
-		// Fence assignments cannot fail: the ranges were validated when first
-		// assigned and the fence key is permanently allocated.
-		vt.pt.Assign(r.off, r.n, vt.fence) //nolint:errcheck
-	}
-	if st.hw != 0 {
-		vt.free = append(vt.free, st.hw)
-	}
-	delete(vt.states, v)
+	w := st.word.Swap(pinDead)
+	vt.retireLocked(v, st, Key(w&pinHW))
 	vt.gen.Add(1)
 }
 
@@ -274,8 +365,8 @@ func (vt *VTable) GrantsOwnedKey(p PKRU) bool {
 			return true
 		}
 	}
-	for _, st := range vt.states {
-		if st.hw != 0 && p.CanRead(st.hw) {
+	for _, st := range *vt.states.Load() {
+		if hw := Key(st.word.Load() & pinHW); hw != 0 && p.CanRead(hw) {
 			return true
 		}
 	}
@@ -284,10 +375,10 @@ func (vt *VTable) GrantsOwnedKey(p PKRU) bool {
 
 // Pins reports the pin count currently held on v (0 for unknown keys).
 func (vt *VTable) Pins(v VKey) int {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	if st := vt.states[v]; st != nil {
-		return st.pins
+	if st := vt.lookup(v); st != nil {
+		if w := st.word.Load(); w&pinDead == 0 {
+			return int(w / pinOne)
+		}
 	}
 	return 0
 }
@@ -313,8 +404,6 @@ func (vt *VTable) Evictions() uint64 { return vt.evictions.Load() }
 
 // Mapped reports whether v currently holds a hardware key, and which.
 func (vt *VTable) Mapped(v VKey) (Key, bool) {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	st := vt.state(v)
-	return st.hw, st.hw != 0
+	hw := Key(vt.state(v).word.Load() & pinHW)
+	return hw, hw != 0
 }

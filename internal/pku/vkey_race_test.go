@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,5 +174,177 @@ func TestVTableGenerationRollover(t *testing.T) {
 	}
 	if k := pt.KeyAt(0); k != hw {
 		t.Fatalf("page tagged %d after rollover remap, want %d", k, hw)
+	}
+}
+
+// raceDomain is one tenant of TestVTableLockFreePinOracle: a virtual key
+// with a page of its own. retiring is raised before the key is freed or
+// revoked, so a holder that sees its pin torn away can tell a revocation
+// (legitimate) from an eviction of a pinned mapping (the bug).
+type raceDomain struct {
+	v        VKey
+	page     uint64
+	retiring atomic.Bool
+}
+
+// TestVTableLockFreePinOracle (ISSUE 21): the warm Bind is a CAS on the pin
+// word with no table lock, so everything the lock used to make atomic is
+// checked here against an oracle while it races. Six binders pin, inspect
+// and unpin 24 domains over 14 bindable hardware keys (so evictions run
+// throughout) while two churners replace domains by FreeVirtual, or by
+// Revoke under a holder's feet, and re-AllocVirtual. While a pin is held:
+// the hardware key is real, the domain's page is tagged with it, and no
+// other pinned virtual key maps to it.
+func TestVTableLockFreePinOracle(t *testing.T) {
+	const (
+		domains  = 24
+		binders  = 6
+		churners = 2
+		iters    = 400
+		churns   = 60
+	)
+	_, pt, vt := vtFixture(t, domains+churners*churns)
+	var nextPage atomic.Uint64
+	newDomain := func() *raceDomain {
+		d := &raceDomain{v: vt.AllocVirtual(), page: nextPage.Add(1) - 1}
+		if err := vt.AssignVirtual(d.v, d.page*shm.PageSize, shm.PageSize); err != nil {
+			t.Error(err)
+		}
+		return d
+	}
+	var slots [domains]atomic.Pointer[raceDomain]
+	for i := range slots {
+		slots[i].Store(newDomain())
+	}
+	// bind is Bind with today's contract for a key that no longer exists —
+	// a panic — turned into a result.
+	bind := func(v VKey) (hw Key, err error, gone bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg, _ := r.(string)
+				if !strings.Contains(msg, "unknown virtual key") {
+					panic(r)
+				}
+				gone = true
+			}
+		}()
+		hw, err = vt.Bind(v)
+		return hw, err, false
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < binders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < iters; i++ {
+				d := slots[rng.Intn(domains)].Load()
+				hw, err, gone := bind(d.v)
+				if gone {
+					if !d.retiring.Load() {
+						t.Errorf("binder %d: key %d vanished without being retired", w, d.v)
+					}
+					continue
+				}
+				if err != nil {
+					// At most `binders` pins are live at once, under the 14
+					// bindable keys: exhaustion here means the table counted
+					// a pin that nobody holds.
+					t.Errorf("binder %d: bind key %d: %v", w, d.v, err)
+					return
+				}
+				if hw == KeyDefault || hw == vt.Fence() {
+					t.Errorf("binder %d: key %d bound to reserved hardware key %d", w, d.v, hw)
+				}
+				if k := pt.KeyAt(d.page * shm.PageSize); k != hw && !d.retiring.Load() {
+					t.Errorf("binder %d: pinned key %d on hw %d but its page is tagged %d", w, d.v, hw, k)
+				}
+				for j := range slots {
+					o := slots[j].Load()
+					if o == d {
+						continue
+					}
+					st := vt.lookup(o.v)
+					if st == nil {
+						continue
+					}
+					if ow := st.word.Load(); ow >= pinOne && ow&pinDead == 0 && Key(ow&pinHW) == hw && !d.retiring.Load() {
+						t.Errorf("binder %d: pinned keys %d and %d share hardware key %d", w, d.v, o.v, hw)
+					}
+				}
+				vt.Unbind(d.v) // a no-op if the key was revoked meanwhile
+			}
+		}(w)
+	}
+	for c := 0; c < churners; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + c)))
+			for i := 0; i < churns; i++ {
+				// Each churner owns its own slots, so a domain is retired once.
+				slot := c + churners*rng.Intn(domains/churners)
+				old := slots[slot].Load()
+				slots[slot].Store(newDomain())
+				old.retiring.Store(true)
+				if i%2 == 0 {
+					vt.Revoke(old.v)
+				} else if err := vt.FreeVirtual(old.v); err != nil {
+					vt.Revoke(old.v) // a binder holds it: tear it down anyway
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if vt.Evictions() == 0 {
+		t.Fatal("24 domains over 14 hardware keys raced without one eviction")
+	}
+	// Quiescence: no pin survives its holder, every domain still binds, and
+	// warm rebinds of a mapped key move neither the generation nor a mapping.
+	for i := range slots {
+		d := slots[i].Load()
+		if n := vt.Pins(d.v); n != 0 {
+			t.Fatalf("key %d holds %d pins at quiescence", d.v, n)
+		}
+	}
+	d := slots[0].Load()
+	if _, err := vt.Bind(d.v); err != nil {
+		t.Fatal(err)
+	}
+	vt.Unbind(d.v)
+	g, ev := vt.Gen(), vt.Evictions()
+	for w := 0; w < binders; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if _, err := vt.Bind(d.v); err != nil {
+					t.Error(err)
+					return
+				}
+				vt.Unbind(d.v)
+			}
+		}()
+	}
+	wg.Wait()
+	if vt.Gen() != g || vt.Evictions() != ev {
+		t.Fatalf("warm rebinds moved the table: gen %d -> %d, evictions %d -> %d", g, vt.Gen(), ev, vt.Evictions())
+	}
+	// ErrAllKeysPinned means what it says: it appears exactly when the last
+	// bindable hardware key takes a pin, not one bind earlier.
+	pinned := 0
+	for i := range slots {
+		_, err := vt.Bind(slots[i].Load().v)
+		if err == nil {
+			pinned++
+			continue
+		}
+		if !errors.Is(err, ErrAllKeysPinned) {
+			t.Fatal(err)
+		}
+		break
+	}
+	if want := NumKeys - 2; pinned != want { // all but the default key and the fence
+		t.Fatalf("ErrAllKeysPinned after %d pins, want %d (every bindable key)", pinned, want)
 	}
 }

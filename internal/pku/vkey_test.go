@@ -143,3 +143,35 @@ func TestVTableGenerationStableWhenWarm(t *testing.T) {
 		t.Fatalf("generation moved %d -> %d across warm rebinds", g, vt.Gen())
 	}
 }
+
+// Virtual keys are never reissued while their owner lives (ISSUE 21): the
+// key space used to be 16 bits, so one long-lived session plus 65 536
+// session open/close cycles on the same store wrapped the counter, handed
+// out the invalid key 0, and then reissued key 1 over its live owner —
+// resetting its pins mid-call and putting two tenants in one domain.
+func TestVKeyNeverReissuedWhileLive(t *testing.T) {
+	_, _, vt := vtFixture(t, 2)
+	long := vt.AllocVirtual()
+	if err := vt.AssignVirtual(long, 0, shm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vt.Bind(long); err != nil { // a call in flight for the whole churn
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<16+2; i++ {
+		v := vt.AllocVirtual()
+		if v == 0 {
+			t.Errorf("cycle %d: AllocVirtual returned the invalid key 0", i)
+		}
+		if v == long {
+			t.Fatalf("cycle %d: reissued live key %d", i, v)
+		}
+		if err := vt.FreeVirtual(v); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	if n := vt.Pins(long); n != 1 {
+		t.Fatalf("long-lived key holds %d pins after the churn, want 1", n)
+	}
+	vt.Unbind(long)
+}

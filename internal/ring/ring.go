@@ -36,7 +36,14 @@ type Ring struct {
 	shards int
 	vnodes int
 	points []point // sorted by hash
+	// index[b] is the first point at or past the start of bucket b, the
+	// 1/4096th of the circle whose hashes have b as their top 12 bits
+	// (len(points) when there is none): a lookup starts there instead of
+	// bisecting the whole slice.
+	index [1 << indexBits]int32
 }
+
+const indexBits = 12
 
 // New builds a ring with the given shard count and virtual nodes per shard
 // (0 = DefaultVirtualNodes).
@@ -64,6 +71,13 @@ func New(shards, vnodesPerShard int) (*Ring, error) {
 		// every party computes the same ownership.
 		return r.points[i].shard < r.points[j].shard
 	})
+	i := 0
+	for b := range r.index {
+		for i < len(r.points) && r.points[i].hash>>(64-indexBits) < uint64(b) {
+			i++
+		}
+		r.index[b] = int32(i)
+	}
 	return r, nil
 }
 
@@ -84,9 +98,13 @@ func (r *Ring) Shard(key []byte) int {
 // both rings and the migration plan, so it needs ownership by position.
 func (r *Ring) Owner(h uint64) int { return r.owner(h) }
 
-// owner returns the shard owning hash position h.
+// owner returns the shard owning hash position h: the first point with
+// hash >= h, found by a short scan from the start of h's bucket.
 func (r *Ring) owner(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := int(r.index[h>>(64-indexBits)])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
+	}
 	if i == len(r.points) {
 		i = 0 // wrap
 	}

@@ -2,6 +2,8 @@ package ring
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -205,8 +207,60 @@ func TestRingPlanCoversMovedKeyspaceExactly(t *testing.T) {
 	}
 }
 
-// BenchmarkRingShard is the routing hot path: one hash + one binary
-// search over the vnode points.
+// ownerRef is the lookup the ring used before its circle was indexed: a
+// binary search over the sorted points. Placement, resize plans and
+// checkpoint reopen all depend on the indexed lookup agreeing with it.
+func ownerRef(r *Ring, h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].shard
+}
+
+// TestRingOwnerMatchesBinarySearch (ISSUE 21): the indexed Owner returns
+// the reference's shard for random hashes and for every edge the index
+// introduces — both ends of the circle, each point and its neighbours, and
+// each bucket boundary and its neighbours.
+func TestRingOwnerMatchesBinarySearch(t *testing.T) {
+	randoms := 1_000_000
+	if testing.Short() {
+		randoms = 50_000
+	}
+	for _, shards := range []int{1, 2, 3, 4, 7, 64} {
+		for _, vnodes := range []int{1, 128} {
+			r, err := New(shards, vnodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(h uint64) {
+				if got, want := r.Owner(h), ownerRef(r, h); got != want {
+					t.Fatalf("%d shards x %d vnodes: Owner(%#x) = %d, binary search says %d", shards, vnodes, h, got, want)
+				}
+			}
+			check(0)
+			check(^uint64(0))
+			for _, p := range r.points {
+				check(p.hash - 1)
+				check(p.hash)
+				check(p.hash + 1)
+			}
+			for b := uint64(0); b < 1<<indexBits; b++ {
+				edge := b << (64 - indexBits)
+				check(edge - 1)
+				check(edge)
+				check(edge + 1)
+			}
+			rng := rand.New(rand.NewSource(int64(shards*1000 + vnodes)))
+			for i := 0; i < randoms; i++ {
+				check(rng.Uint64())
+			}
+		}
+	}
+}
+
+// BenchmarkRingShard is the routing hot path: one hash, one index load and
+// a short scan of the vnode points.
 func BenchmarkRingShard(b *testing.B) {
 	r, err := New(4, DefaultVirtualNodes)
 	if err != nil {

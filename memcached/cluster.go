@@ -557,13 +557,17 @@ func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
 		return
 	}
 	// Attach failures feed the breaker too (a probe admitted by allow
-	// must always be reported, or the probe slot leaks).
-	if ss, err := s.sess(shard); err != nil {
+	// must always be reported, or the probe slot leaks). The op's own
+	// outcome — a miss, a CAS mismatch — stays in r.Err and reaches the
+	// breaker as nil: it is not the shard's failure, and classifying it
+	// would cost a miss more than the report itself.
+	ss, err := s.sess(shard)
+	if err != nil {
 		*r = BatchResult{Err: err}
 	} else {
-		ss.do(op, r)
+		err = ss.cross(op, r)
 	}
-	s.c.shardReport(shard, r.Err)
+	s.c.shardReport(shard, err)
 }
 
 // FlushAll removes every entry on every shard (including shards still

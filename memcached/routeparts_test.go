@@ -1,0 +1,96 @@
+package memcached
+
+import (
+	"testing"
+
+	"plibmc/internal/ring"
+)
+
+var routeSink int
+
+// BenchmarkRouteParts prices each piece the cluster tier wraps around a
+// per-shard session call, on the lib_read_128 shape (4 shards, 128 vnodes,
+// 20 B keys), with the whole routed Get and the bare session Get beside
+// them (make bench-gate; the rows are tabulated in DESIGN.md §13).
+func BenchmarkRouteParts(b *testing.B) {
+	c := newTestCluster(b, 4, ClusterConfig{})
+	s := newClusterSession(b, c)
+	key := []byte("user0000000000001234") // 20 B, the harness's key width
+	val := make([]byte, 128)
+	if err := s.Set(key, val, 0, 0); err != nil {
+		b.Fatal(err)
+	}
+	r := c.Ring()
+	sh := r.Shard(key)
+
+	b.Run("hash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			routeSink += int(ring.Hash(key))
+		}
+	})
+	b.Run("owner", func(b *testing.B) {
+		h := ring.Hash(key)
+		for i := 0; i < b.N; i++ {
+			routeSink += r.Owner(h)
+			h += 0x9e3779b97f4a7c15 // walk the whole circle
+		}
+	})
+	b.Run("routeMu", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.routeMu.RLock()
+			c.routeMu.RUnlock()
+		}
+	})
+	b.Run("allow+report-nil", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := c.shardAllow(sh); err != nil {
+				b.Fatal(err)
+			}
+			c.shardReport(sh, nil)
+		}
+	})
+	b.Run("report-nil", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.shardReport(sh, nil)
+		}
+	})
+	b.Run("report-miss", func(b *testing.B) {
+		// What doShard hands the breaker after a miss.
+		ss, err := s.sess(sh)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var res BatchResult
+		cerr := ss.cross(&BatchOp{Code: BatchGet, Key: []byte("absent")}, &res)
+		if res.Err != ErrNotFound {
+			b.Fatalf("miss = %v", res.Err)
+		}
+		for i := 0; i < b.N; i++ {
+			c.shardReport(sh, cerr)
+		}
+	})
+	b.Run("sess", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := s.sess(sh); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("session-get", func(b *testing.B) {
+		ss, _ := s.sess(sh)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := ss.Get(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("routed-get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.Get(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

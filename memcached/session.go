@@ -476,13 +476,19 @@ func retryOverloaded[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), 
 	}
 }
 
-// do carries one op across the gate in place. A failure of the crossing
-// itself (rejection, crash, killed process) replaces the result.
-func (s *Session) do(op *BatchOp, r *BatchResult) {
-	if _, err := call(s, s.fnOp, frame{op, r}); err != nil {
+// cross carries one op across the gate in place. A failure of the crossing
+// itself (rejection, crash, killed process) replaces the result and is
+// returned, so a router can feed its breaker the crossing's verdict without
+// having to tell it apart from the op's own outcome in r.Err.
+func (s *Session) cross(op *BatchOp, r *BatchResult) error {
+	_, err := call(s, s.fnOp, frame{op, r})
+	if err != nil {
 		*r = BatchResult{Err: err}
 	}
+	return err
 }
+
+func (s *Session) do(op *BatchOp, r *BatchResult) { s.cross(op, r) } //nolint:errcheck // also in r.Err
 
 // FlushAll removes every entry.
 func (s *Session) FlushAll() error {

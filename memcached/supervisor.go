@@ -101,10 +101,12 @@ func ShardDownFrame(err error) (frame string, ok bool) {
 	return "", false
 }
 
-// crossingFailure reports whether a session error indicates the shard
-// itself is in trouble (as opposed to a per-key miss or a client-side
-// condition): poison, a crossing that crashed, or a recovery window the
-// caller waited out. These feed the breaker; everything else resets it.
+// crossingFailure reports whether a crossing's error indicates the shard
+// itself is in trouble (as opposed to a client-side condition such as a
+// killed process or backpressure): poison, a crossing that crashed, or a
+// recovery window the caller waited out. These feed the breaker; everything
+// else — including nil, which is how every per-key outcome arrives —
+// resets it.
 func crossingFailure(err error) bool {
 	if err == nil {
 		return false
@@ -294,9 +296,11 @@ func (c *Cluster) breakerCooldown() time.Duration {
 	return time.Second
 }
 
-// shardAllow is the data path's pre-crossing check: one atomic bool plus
-// one atomic int32 in the healthy case. Callers that get nil must hand
-// the call's outcome to shardReport.
+// shardAllow is the data path's pre-crossing check: in the healthy case
+// three atomic loads (the health registry, the rebuilding flag, the breaker
+// state), which BenchmarkRouteParts prices together with shardReport(nil).
+// Callers that get nil must hand the crossing's error — not the op's own
+// outcome — to shardReport.
 func (c *Cluster) shardAllow(i int) error {
 	h := c.shardHealth(i)
 	if h.rebuilding.Load() {
@@ -349,7 +353,8 @@ func (c *Cluster) proxyAllow(sh int) error {
 	return nil
 }
 
-// shardReport feeds one crossing's outcome into shard i's breaker.
+// shardReport feeds one crossing's verdict into shard i's breaker: nil for
+// a crossing that completed, whatever its ops returned.
 func (c *Cluster) shardReport(i int, err error) {
 	state := ShardRecovering
 	if errors.Is(err, hodor.ErrPoisoned) {

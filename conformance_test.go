@@ -287,9 +287,9 @@ func testKV(t *testing.T, kv memcached.KV) {
 }
 
 // TestOpAllocs pins what one operation allocates on each session type: a
-// Get hit its value and nothing else, a Set nothing. The call frame lies
-// in the session, so no tier between the caller and core.Ctx may add to
-// that.
+// Get hit its value and nothing else, a Set nothing, a batch its results
+// and one value buffer. The call frame lies in the session, so no tier
+// between the caller and core.Ctx may add to that.
 func TestOpAllocs(t *testing.T) {
 	kvs := conformanceKVs(t)
 	for _, name := range []string{"session", "cluster-4"} {
@@ -306,46 +306,57 @@ func TestOpAllocs(t *testing.T) {
 		}
 	}
 
-	// The batch plane. What a batch returns is the caller's to keep, so it
-	// is allocated: on a 4-shard cluster a 64-key MGet costs its ops, its
-	// results twice over (routed, then as GetResults) and one result and
-	// one value buffer per shard — 11 — while the partition of the batch
-	// by shard is the session's own and costs nothing.
-	kv := kvs["cluster-4"]
-	keys := make([][]byte, 64)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("batch-%02d", i))
-		if err := kv.Set(keys[i], bytes.Repeat([]byte{byte(i)}, 128), 0, 0); err != nil {
+	// The batch plane. A batch allocates what its caller keeps — the
+	// results, and the one buffer all retrieved values share — and nothing
+	// else on either session type: MGet's ops and BatchResults are session
+	// scratch, so is the partition of a batch by shard, and every tier
+	// below works in the slots and the buffer it is lent.
+	for _, name := range []string{"session", "cluster-4"} {
+		kv := kvs[name]
+		keys := make([][]byte, 64)
+		gets, sets := make([]memcached.BatchOp, len(keys)), make([]memcached.BatchOp, 16)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("batch-%02d", i))
+			if err := kv.Set(keys[i], bytes.Repeat([]byte{byte(i)}, 128), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range gets {
+			gets[i] = memcached.BatchOp{Code: memcached.BatchGet, Key: keys[len(keys)-1-i]}
+		}
+		for i := range sets {
+			sets[i] = memcached.BatchOp{Code: memcached.BatchSet, Key: []byte(fmt.Sprintf("stored-%02d", i)), Value: []byte("v")}
+		}
+		if n := testing.AllocsPerRun(200, func() { kv.MGet(keys) }); n != 2 { //nolint:errcheck
+			t.Errorf("%s: 64-key MGet allocates %v times, want 2 (results, values)", name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { kv.ExecBatch(gets) }); n != 2 { //nolint:errcheck
+			t.Errorf("%s: 64-Get ExecBatch allocates %v times, want 2 (results, values)", name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { kv.ExecBatch(sets) }); n != 1 { //nolint:errcheck
+			t.Errorf("%s: 16-Set ExecBatch allocates %v times, want 1 (results)", name, n)
+		}
+		// Caller-owned means a later batch on the same session leaves an
+		// earlier one's results alone.
+		first, err := kv.MGet(keys)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := testing.AllocsPerRun(200, func() { kv.MGet(keys) }); n > 12 { //nolint:errcheck
-		t.Errorf("cluster-4: 64-key MGet allocates %v times, want at most 12", n)
-	}
-	// Caller-owned means a later batch on the same session leaves an
-	// earlier one's results alone.
-	first, err := kv.MGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := make([]memcached.BatchOp, len(keys))
-	for i := range keys {
-		ops[i] = memcached.BatchOp{Code: memcached.BatchGet, Key: keys[len(keys)-1-i]}
-	}
-	second, err := kv.ExecBatch(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kv.MGet(keys[:32]); err != nil {
-		t.Fatal(err)
-	}
-	for i := range keys {
-		want := bytes.Repeat([]byte{byte(i)}, 128)
-		if !first[i].Found || !bytes.Equal(first[i].Value, want) {
-			t.Fatalf("MGet result %d changed under later batches: %q", i, first[i].Value)
+		second, err := kv.ExecBatch(gets)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r := second[len(keys)-1-i]; r.Err != nil || !bytes.Equal(r.Value, want) {
-			t.Fatalf("ExecBatch result for key %d changed under a later batch: %q, %v", i, r.Value, r.Err)
+		if _, err := kv.MGet(keys[:32]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			want := bytes.Repeat([]byte{byte(i)}, 128)
+			if !first[i].Found || !bytes.Equal(first[i].Value, want) {
+				t.Fatalf("%s: MGet result %d changed under later batches: %q", name, i, first[i].Value)
+			}
+			if r := second[len(keys)-1-i]; r.Err != nil || !bytes.Equal(r.Value, want) {
+				t.Fatalf("%s: ExecBatch result for key %d changed under a later batch: %q, %v", name, i, r.Value, r.Err)
+			}
 		}
 	}
 }

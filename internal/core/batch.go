@@ -79,39 +79,14 @@ type BatchResult struct {
 // state online recovery must repair while sibling clients keep serving.
 var fpBatchMidDispatch = faultpoint.New("ops.batch.mid_dispatch")
 
-// ExecBatch executes ops in order under a single gate admission and returns
-// one result per op. Nested operations run at gate depth 2, so the whole
-// batch costs one admission and (through the session layer) one trampoline
-// crossing; one latency sample of class LatBatch covers the batch.
-//
-// The results, and the one buffer all retrieved values share, are
-// allocated fresh: they are the caller's to keep (a Session's ExecBatch
-// and MGet, the migrator). The value buffer is sized from the last batch's
-// high-water mark, so a 64-key MGet pays one allocation instead of 64.
-func (c *Ctx) ExecBatch(ops []BatchOp) []BatchResult {
-	res := make([]BatchResult, len(ops))
-	c.execBatch(ops, res, make([]byte, 0, c.batchVBufCap))
-	return res
-}
-
-// ExecBatchBorrowed is ExecBatch into buffers the context owns: the
-// results and their values are valid until this context's next batch and
-// not after. It is for a caller that is done with them by then — a socket
-// front end, which writes a run's replies before it starts the next run —
-// and saves it the two allocations per batch.
-func (c *Ctx) ExecBatchBorrowed(ops []BatchOp) []BatchResult {
-	if cap(c.batchRes) < len(ops) {
-		c.batchRes = make([]BatchResult, len(ops))
-	}
-	res := c.batchRes[:len(ops)]
-	clear(res)
-	c.batchVBuf = c.execBatch(ops, res, c.batchVBuf[:0])
-	return res
-}
-
-// execBatch is the one batch loop: it fills res, appends every retrieved
-// value to vbuf, and returns vbuf as grown.
-func (c *Ctx) execBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
+// ExecBatch, the one batch loop, executes ops in order under a single gate
+// admission — nested operations run at gate depth 2, so the whole batch
+// costs one admission and (through the session layer) one trampoline
+// crossing; one latency sample of class LatBatch covers the batch. It
+// works in what whoever entered the API lends it (DESIGN.md §12 "Who owns
+// the bytes"): res, one slot per op, is overwritten, and every value
+// retrieved is appended to vbuf, returned as grown — one buffer, not 64.
+func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	if len(ops) == 0 {
 		return vbuf
 	}
@@ -125,11 +100,14 @@ func (c *Ctx) execBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	c.stat(statBatchedOps, int64(len(ops)))
 	// Starts are recorded during dispatch and sliced out afterwards — an
 	// append may relocate the buffer, so sub-slices can only be taken once
-	// the batch is done growing it.
+	// the batch is done growing it. They are the library's own (§3.4): res
+	// is client memory, and no slot already written is read back to decide
+	// which get a value.
 	if cap(c.batchStarts) < len(ops) {
 		c.batchStarts = make([]int, len(ops))
 	}
 	starts := c.batchStarts[:len(ops)]
+	clear(res)
 	for i := range ops {
 		if i > 0 {
 			fpBatchMidDispatch.Maybe()
@@ -147,13 +125,10 @@ func (c *Ctx) execBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 		starts[i] = -1
 		vbuf = c.execBatchOne(&ops[i], &res[i], vbuf, &starts[i])
 	}
-	if cap(vbuf) > c.batchVBufCap {
-		c.batchVBufCap = cap(vbuf)
-	}
 	end := len(vbuf)
 	for i := len(ops) - 1; i >= 0; i-- {
 		if st := starts[i]; st >= 0 {
-			if res[i].Err == nil && end > st {
+			if end > st {
 				res[i].Value = vbuf[st:end:end]
 			}
 			end = st
@@ -162,10 +137,9 @@ func (c *Ctx) execBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	return vbuf
 }
 
-// Do executes one operation outside any batch, overwriting *r: the op
-// keeps its own latency class, its own gate admission and — for a
-// retrieval hit — its one value allocation, none of which a one-op
-// ExecBatch would (two more allocations, filed under LatBatch).
+// Do executes one operation outside any batch, overwriting *r: unlike a
+// one-op ExecBatch it keeps its own latency class and gate admission, and
+// a retrieval hit gets a value allocation of its own.
 func (c *Ctx) Do(op *BatchOp, r *BatchResult) {
 	*r = BatchResult{}
 	var start int

@@ -6,10 +6,18 @@ import (
 	"testing"
 )
 
+// execBatch runs ops with result slots and a value buffer of the test's
+// own, as a session does for its caller.
+func execBatch(c *Ctx, ops []BatchOp) []BatchResult {
+	res := make([]BatchResult, len(ops))
+	c.ExecBatch(ops, res, nil)
+	return res
+}
+
 // A heterogeneous batch executes in order with per-op results.
 func TestExecBatchMixed(t *testing.T) {
 	s, c := newStore(t, 1<<22, latOpts())
-	res := c.ExecBatch([]BatchOp{
+	res := execBatch(c, []BatchOp{
 		{Code: BatchSet, Key: []byte("a"), Value: []byte("1"), Flags: 7},
 		{Code: BatchGet, Key: []byte("a")},
 		{Code: BatchIncr, Key: []byte("a"), Delta: 4},
@@ -47,7 +55,7 @@ func TestExecBatchErrorIsolation(t *testing.T) {
 	if err := c.Set([]byte("have"), []byte("x"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	res := c.ExecBatch([]BatchOp{
+	res := execBatch(c, []BatchOp{
 		{Code: BatchAdd, Key: []byte("have"), Value: []byte("y")}, // exists
 		{Code: BatchSet, Key: []byte("k1"), Value: []byte("v1")},
 		{Code: BatchCAS, Key: []byte("k1"), Value: []byte("v2"), CAS: ^uint64(0)}, // mismatch
@@ -83,7 +91,7 @@ func TestExecBatchSingleAdmission(t *testing.T) {
 	for i := range ops {
 		ops[i] = BatchOp{Code: BatchSet, Key: []byte{byte('a' + i)}, Value: []byte("v")}
 	}
-	c.ExecBatch(ops)
+	execBatch(c, ops)
 	ls := s.Latency()
 	if n := ls.Classes[LatBatch].Count(); n != 1 {
 		t.Fatalf("batch latency samples = %d, want 1 (one sample covers the batch)", n)
@@ -98,7 +106,7 @@ func TestExecBatchSingleAdmission(t *testing.T) {
 
 func TestExecBatchEmpty(t *testing.T) {
 	s, c := newStore(t, 1<<22, latOpts())
-	if res := c.ExecBatch(nil); len(res) != 0 {
+	if res := execBatch(c, nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 	if st := s.Stats(); st.Batches != 0 {
@@ -106,13 +114,15 @@ func TestExecBatchEmpty(t *testing.T) {
 	}
 }
 
-// The two owners of a batch's buffers: ExecBatch's results are the
-// caller's and survive later batches; ExecBatchBorrowed's lie in the
-// context and are good until its next batch — same loop, same results.
+// A batch's result slots and value buffer are its caller's, lent for the
+// call: every slot is overwritten whatever it held, the values lie in the
+// buffer that was lent (or, once an append has relocated it, in the one
+// returned), a caller that keeps its pair has them untouched by later
+// batches, and one that lends the same pair again allocates nothing.
 func TestExecBatchOwners(t *testing.T) {
 	_, c := newStore(t, 1<<22, latOpts())
 	long, short := bytes.Repeat([]byte("L"), 100), []byte("s")
-	c.ExecBatch([]BatchOp{
+	execBatch(c, []BatchOp{
 		{Code: BatchSet, Key: []byte("long"), Value: long, Flags: 1},
 		{Code: BatchSet, Key: []byte("short"), Value: short, Flags: 2},
 	})
@@ -120,24 +130,38 @@ func TestExecBatchOwners(t *testing.T) {
 	check := func(name string, res []BatchResult) {
 		t.Helper()
 		if len(res) != 3 || !bytes.Equal(res[0].Value, long) || res[0].Flags != 1 ||
-			!errors.Is(res[1].Err, ErrNotFound) || !bytes.Equal(res[2].Value, short) || res[2].Flags != 2 {
+			!errors.Is(res[1].Err, ErrNotFound) || res[1].Value != nil ||
+			!bytes.Equal(res[2].Value, short) || res[2].Flags != 2 {
 			t.Fatalf("%s: %+v", name, res)
 		}
 	}
-	kept := c.ExecBatch(gets)
-	check("fresh", kept)
-	lent := c.ExecBatchBorrowed(gets)
-	check("borrowed", lent)
-	again := c.ExecBatchBorrowed(gets[2:])
-	if len(again) != 1 || !bytes.Equal(again[0].Value, short) {
-		t.Fatalf("second borrowed batch: %+v", again)
+	kept := execBatch(c, gets)
+	check("kept", kept)
+
+	stale := BatchResult{Value: []byte("stale"), Flags: 9, CAS: 9, Num: 9, Exptime: 9, Err: ErrExists}
+	res := []BatchResult{stale, stale, stale}
+	lent := make([]byte, 0, 256)
+	grown := c.ExecBatch(gets, res, lent)
+	check("lent", res)
+	if res[0].Num != 0 || res[0].Exptime != 0 || res[1].CAS != 0 {
+		t.Fatalf("a slot kept what it held before the batch: %+v", res)
 	}
-	if &again[0] != &lent[0] {
-		t.Error("a borrowed batch allocated its results afresh")
+	if len(grown) != len(long)+len(short) || &grown[0] != &lent[:1][0] || &res[0].Value[0] != &grown[0] {
+		t.Fatal("values do not lie in the buffer that was lent")
 	}
-	check("fresh, after two borrowed batches", kept)
-	if n := testing.AllocsPerRun(100, func() { c.ExecBatchBorrowed(gets) }); n != 0 {
-		t.Errorf("a warmed borrowed batch allocates %v times", n)
+	// Too small a buffer is relocated by append; the values follow it.
+	grown = c.ExecBatch(gets, res, make([]byte, 0, 8))
+	check("relocated", res)
+	if &res[0].Value[0] != &grown[0] {
+		t.Fatal("values do not lie in the buffer that was returned")
+	}
+	// A store-only batch never touches the buffer.
+	if got := c.ExecBatch([]BatchOp{{Code: BatchTouch, Key: []byte("long")}}, res[:1], nil); got != nil {
+		t.Fatalf("a batch without retrievals grew a value buffer: %d bytes", len(got))
+	}
+	check("kept, after three later batches", kept)
+	if n := testing.AllocsPerRun(100, func() { c.ExecBatch(gets, res, lent) }); n != 0 {
+		t.Errorf("a batch into lent buffers allocates %v times", n)
 	}
 }
 
@@ -146,13 +170,13 @@ func TestExecBatchOwners(t *testing.T) {
 // left in the context's scratch.
 func TestExecBatchAbortIgnoresStaleOffsets(t *testing.T) {
 	_, c := newStore(t, 1<<22, latOpts())
-	c.ExecBatch([]BatchOp{
+	execBatch(c, []BatchOp{
 		{Code: BatchSet, Key: []byte("long"), Value: bytes.Repeat([]byte("L"), 100)},
 		{Code: BatchSet, Key: []byte("short"), Value: []byte("s")},
 	})
-	c.ExecBatch([]BatchOp{{Code: BatchGet, Key: []byte("long")}, {Code: BatchGet, Key: []byte("long")}})
+	execBatch(c, []BatchOp{{Code: BatchGet, Key: []byte("long")}, {Code: BatchGet, Key: []byte("long")}})
 	c.AbortCheck = func() bool { return true }
-	res := c.ExecBatch([]BatchOp{{Code: BatchGet, Key: []byte("short")}, {Code: BatchGet, Key: []byte("long")}})
+	res := execBatch(c, []BatchOp{{Code: BatchGet, Key: []byte("short")}, {Code: BatchGet, Key: []byte("long")}})
 	if res[0].Err != nil || string(res[0].Value) != "s" || !errors.Is(res[1].Err, ErrCallAborted) {
 		t.Fatalf("aborted batch: %q %v, %v", res[0].Value, res[0].Err, res[1].Err)
 	}

@@ -28,7 +28,7 @@ func TestLatencyRecordsEveryClass(t *testing.T) {
 	if err := c.Delete(k); err != nil {
 		t.Fatal(err)
 	}
-	c.ExecBatch([]BatchOp{{Code: BatchSet, Key: k, Value: v}})
+	execBatch(c, []BatchOp{{Code: BatchSet, Key: k, Value: v}})
 	m := s.NewMaintainer(2)
 	m.RunOnce()
 

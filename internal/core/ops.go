@@ -32,21 +32,18 @@ type Ctx struct {
 	owner uint64
 	slot  uint64
 
-	evictCursor  uint64
-	opDepth      int
-	gateGen      uint64 // gate generation observed at enterOp (see exitOp)
-	rdSlot       uint64 // optimistic-reader announcement slot; 0 = none
-	rdEpoch      uint64 // epoch this context announced in its slot (see endRead)
-	latN         uint64 // operations seen since creation (latency sampling)
-	latSlot      uint64 // latency-histogram slot this context records into
-	nowCache     int64  // wall clock cached for the current admission (see now)
-	nowOK        bool
-	statDefer    bool // accumulate stats in statLocal instead of shared slots
-	statLocal    [numStatCounters]int64
-	batchStarts  []int         // value-offset scratch reused across batches
-	batchVBufCap int           // high-water value-buffer size of past batches
-	batchRes     []BatchResult // ExecBatchBorrowed's results, valid until the next batch
-	batchVBuf    []byte        // ... and the values they point into
+	evictCursor uint64
+	opDepth     int
+	gateGen     uint64 // gate generation observed at enterOp (see exitOp)
+	rdSlot      uint64 // optimistic-reader announcement slot; 0 = none
+	rdEpoch     uint64 // epoch this context announced in its slot (see endRead)
+	latN        uint64 // operations seen since creation (latency sampling)
+	latSlot     uint64 // latency-histogram slot this context records into
+	nowCache    int64  // wall clock cached for the current admission (see now)
+	nowOK       bool
+	statDefer   bool // accumulate stats in statLocal instead of shared slots
+	statLocal   [numStatCounters]int64
+	batchStarts []int // value-offset scratch reused across batches
 
 	// deadSelf reports whether this context's own owner token has been
 	// declared dead by the liveness oracle — i.e. this goroutine is a

@@ -508,18 +508,19 @@ type shardExec interface {
 	// doShard executes one op on the shard, overwriting *r; a refused or
 	// failed crossing lands in r.Err.
 	doShard(shard int, op *BatchOp, r *BatchResult)
-	// batchShard executes the shard's share of a batch in one crossing.
-	// The results need only last until routeBatch has copied them out.
-	batchShard(shard int, ops []BatchOp) ([]BatchResult, error)
+	// batchShard executes the shard's share of a batch in one crossing:
+	// res is overwritten, values are appended to vbuf, returned as grown.
+	batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error)
 }
 
 // batchPartition is routeBatch's working memory: each shard's share of
-// the batch and where in the batch each op came from. It belongs to
-// whoever models the thread — a ClusterSession, a proxy connection — and
-// is reused batch after batch.
+// the batch, where in the batch each op came from, and the slots a shard
+// fills before its results go to their places. It belongs to whoever models
+// the thread — a ClusterSession, a proxy connection — batch after batch.
 type batchPartition struct {
 	ops [][]BatchOp
 	idx [][]int
+	res []BatchResult
 }
 
 // readOnly reports whether a batch op leaves its entry as it found it;
@@ -604,41 +605,34 @@ func (s *ClusterSession) Stats() (core.Stats, error) {
 	return agg, nil
 }
 
-// ExecBatch executes ops, partitioned into one sub-batch per owning
-// shard: the one-crossing-per-shard amortization of the single-store
-// ExecBatch is preserved — a k-op batch over a cluster costs at most one
-// crossing per involved shard, not k. Results are reassembled into the
-// original op order. A crossing-level failure on one shard (open breaker,
-// crash, reaped session, dead process) fills that shard's result slots
-// with the wrapped error and the call continues: sibling shards' results
-// stay positionally aligned and the call itself returns nil.
-func (s *ClusterSession) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
-	out := make([]BatchResult, len(ops)) // the caller's to keep
-	s.c.routeBatch(ops, out, s, &s.part)
-	return out, nil
+func (s *ClusterSession) batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
+	return s.c.routeBatch(ops, res, vbuf, s, &s.part), nil
 }
 
-func (s *ClusterSession) batchShard(shard int, ops []BatchOp) ([]BatchResult, error) {
+func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
 	if err := s.c.shardAllow(shard); err != nil {
 		return nil, err
 	}
 	ss, err := s.sess(shard)
-	var res []BatchResult
 	if err == nil {
-		res, err = ss.ExecBatch(ops)
+		vbuf, err = ss.batch(ops, res, vbuf)
 	}
 	s.c.shardReport(shard, err)
-	return res, err
+	return vbuf, err
 }
 
 // routeBatch is the cluster's batch path: partition ops by owning shard
-// (in p, the caller's), hand each shard its share through x, and
-// reassemble the results positionally in out, one per op. During a
-// migration, every touched segment's guard is acquired once (re-taking a
-// held RLock could deadlock against the migrator's pending cutover) and
-// held until every crossing retires, and writes into such segments are
-// dirty-marked at route time.
-func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, x shardExec, p *batchPartition) {
+// (in p, the caller's), hand each shard its share through x — one crossing
+// per involved shard — and put the results in their places in out. One
+// value buffer is threaded through every shard and returned as grown: an
+// append that relocates it leaves earlier shards' values valid where they
+// were. A shard whose crossing fails (open breaker, crash, reaped session,
+// dead process) gets the wrapped error and no value in each of its slots,
+// and the batch goes on. During a migration, every touched segment's guard
+// is acquired once (re-taking a held RLock could deadlock against a pending
+// cutover) and held until every crossing retires, and writes into such
+// segments are dirty-marked at route time.
+func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, vbuf []byte, x shardExec, p *batchPartition) []byte {
 	c.routeMu.RLock()
 	defer c.routeMu.RUnlock()
 	n := c.Shards()
@@ -646,12 +640,12 @@ func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, x shardExec, p *b
 		p.ops, p.idx = append(p.ops, nil), append(p.idx, nil)
 	}
 	var held map[*migSeg]struct{}
-	var guards []*migSeg
 	if c.mig.Load() != nil {
 		held = make(map[*migSeg]struct{})
 	}
+	res := lend(&p.res, len(ops)) // no share is longer than the batch
 	defer func() {
-		for _, g := range guards {
+		for g := range held {
 			g.release()
 		}
 		// The partition outlives the batch: the caller's keys and values
@@ -660,14 +654,12 @@ func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, x shardExec, p *b
 			clear(p.ops[sh])
 			p.ops[sh], p.idx[sh] = p.ops[sh][:0], p.idx[sh][:0]
 		}
+		clear(res)
 	}()
 	for i := range ops {
 		sh, g := c.routeHash(ring.Hash(ops[i].Key), held)
 		if g != nil {
-			if _, ok := held[g]; !ok {
-				held[g] = struct{}{}
-				guards = append(guards, g)
-			}
+			held[g] = struct{}{}
 			if !readOnly(ops[i].Code) {
 				g.markDirty(ops[i].Key)
 			}
@@ -676,21 +668,24 @@ func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, x shardExec, p *b
 		p.idx[sh] = append(p.idx[sh], i)
 	}
 	for sh := 0; sh < n; sh++ {
-		if len(p.ops[sh]) == 0 {
+		share := p.ops[sh]
+		if len(share) == 0 {
 			continue
 		}
-		res, err := x.batchShard(sh, p.ops[sh])
-		if err != nil {
+		grown, err := x.batchShard(sh, share, res[:len(share)], vbuf)
+		if err != nil { // what a prefix of the share wrote stays behind in res
 			werr := fmt.Errorf("memcached: shard %d batch: %w", sh, err)
 			for _, idx := range p.idx[sh] {
 				out[idx] = BatchResult{Err: werr}
 			}
-		} else {
-			for j, idx := range p.idx[sh] {
-				out[idx] = res[j]
-			}
+			continue
+		}
+		vbuf = grown
+		for j, idx := range p.idx[sh] {
+			out[idx] = res[j]
 		}
 	}
+	return vbuf
 }
 
 // Healthy reports whether every attached per-shard session can still

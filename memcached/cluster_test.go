@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"plibmc/internal/client"
+	"plibmc/internal/faultpoint"
+	"plibmc/internal/hodor"
 )
 
 func newTestCluster(t testing.TB, shards int, cfg ClusterConfig) *Cluster {
@@ -197,6 +200,13 @@ func TestClusterMGetSplitsAndReassembles(t *testing.T) {
 // as plain misses. Before the per-shard error isolation, a failed
 // crossing aborted the whole batch — or worse, collapsed the failed
 // shard's slots and shifted every later result left.
+//
+// The result slots and the value buffer are the caller's, lent to every
+// shard, so the same must hold when a crossing dies half way through its
+// share (ops.batch.mid_dispatch): the ops that had already run wrote
+// their slots and their values, and none of that may show. And after any
+// of these returns the session's own scratch holds nothing of the
+// caller's.
 func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 	c := newTestCluster(t, 4, ClusterConfig{})
 	cc, err := c.NewClientProcess(1000)
@@ -228,14 +238,95 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 			t.Fatal("keys never spread over all 4 shards")
 		}
 	}
-	const dead = 2
 	// Interleave victim-shard and survivor-shard keys so any collapsing
 	// of the failed shard's slots would visibly shift later results.
-	var keys []string
-	for i := 0; i < 4; i++ {
-		keys = append(keys, byShard[dead][i])
-		keys = append(keys, byShard[(dead+1)%4][i], byShard[(dead+3)%4][i])
+	interleave := func(victim int) (keys []string) {
+		for i := 0; i < 4; i++ {
+			keys = append(keys, byShard[victim][i])
+			keys = append(keys, byShard[(victim+1)%4][i], byShard[(victim+3)%4][i])
+		}
+		return keys
 	}
+
+	// Shares are crossed in shard order, so the one-shot fault point fires
+	// in shard 0's, after the first of its four ops.
+	const crashed = 0
+	crash := func() {
+		t.Helper()
+		if err := faultpoint.Arm("ops.batch.mid_dispatch", func() {
+			panic("injected: crash between two ops of a shard's share")
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repaired := func() {
+		t.Helper()
+		lib := c.Shard(crashed).Library()
+		for deadline := time.Now().Add(10 * time.Second); lib.Recovering(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("crashed shard did not leave the Recovering state")
+			}
+		}
+	}
+	defer faultpoint.DisarmAll()
+	ckeys := interleave(crashed)
+	cops := make([]BatchOp, len(ckeys))
+	for i, k := range ckeys {
+		cops[i] = BatchOp{Code: BatchGet, Key: []byte(k)}
+	}
+	cops[0] = BatchOp{Code: BatchSet, Key: []byte(ckeys[0]), Value: []byte("rewritten")}
+	crash()
+	cres, err := s.ExecBatch(cops)
+	if err != nil {
+		t.Fatalf("ExecBatch must isolate a crashed crossing, got call error %v", err)
+	}
+	for i, k := range ckeys {
+		if c.ShardFor([]byte(k)) == crashed {
+			var ce *hodor.CrashError
+			if !errors.As(cres[i].Err, &ce) || !strings.Contains(cres[i].Err.Error(), fmt.Sprintf("shard %d", crashed)) {
+				t.Fatalf("cres[%d] (%s, crashed shard): %v, want the wrapped crash", i, k, cres[i].Err)
+			}
+			if r := cres[i]; r.Value != nil || r.Flags != 0 || r.CAS != 0 {
+				t.Fatalf("cres[%d] (%s, crashed shard) carries more than the error: %+v", i, k, cres[i])
+			}
+			continue
+		}
+		if cres[i].Err != nil || string(cres[i].Value) != "val-"+k {
+			t.Fatalf("cres[%d] (%s, live shard) = %q err=%v — misaligned", i, k, cres[i].Value, cres[i].Err)
+		}
+	}
+	scratchHoldsNothing(t, s)
+	repaired()
+	// The slot says the crossing failed; the op before the crash had run.
+	if v, _, err := s.Get([]byte(ckeys[0])); err != nil || string(v) != "rewritten" {
+		t.Fatalf("op executed before the crash = %q, %v; want it durable", v, err)
+	}
+	if err := s.Set([]byte(ckeys[0]), []byte("val-"+ckeys[0]), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// MGet: the first key's value was already in the buffer when its
+	// crossing died.
+	ckb := make([][]byte, len(ckeys))
+	for i, k := range ckeys {
+		ckb[i] = []byte(k)
+	}
+	crash()
+	cm, err := s.MGet(ckb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range ckeys {
+		if onCrashed := c.ShardFor([]byte(k)) == crashed; onCrashed && (cm[i].Found || cm[i].Value != nil) {
+			t.Fatalf("cm[%d] (%s, crashed shard) = %+v, want a bare miss", i, k, cm[i])
+		} else if !onCrashed && (!cm[i].Found || string(cm[i].Value) != "val-"+k) {
+			t.Fatalf("cm[%d] (%s, live shard) = %+v — misaligned", i, k, cm[i])
+		}
+	}
+	scratchHoldsNothing(t, s)
+	repaired()
+
+	const dead = 2
+	keys := interleave(dead)
 	cc.Proc(dead).Kill()
 
 	ops := make([]BatchOp, len(keys))
@@ -284,6 +375,48 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 		if !mres[i].Found || string(mres[i].Value) != "val-"+k {
 			t.Fatalf("mres[%d] (%s, live shard) = %+v — misaligned", i, k, mres[i])
 		}
+	}
+	scratchHoldsNothing(t, s)
+
+	// A plain Session's crossing is the whole call: it fails as one, and
+	// its scratch is wiped on that path too.
+	ss := s.Session(crashed)
+	crash()
+	if got, err := ss.MGet(ckb[:2]); err == nil || got != nil {
+		t.Fatalf("Session.MGet across a crashed crossing = %+v, %v", got, err)
+	}
+	scratchHoldsNothing(t, s)
+}
+
+// scratchHoldsNothing inspects everything a ClusterSession and its
+// per-shard Sessions keep between batches — MGet's ops and results, the
+// partition by shard — over its whole capacity: no key, value or error
+// of a finished batch may be reachable from it.
+func scratchHoldsNothing(t *testing.T, s *ClusterSession) {
+	t.Helper()
+	ops := func(where string, ops []BatchOp) {
+		for _, op := range ops[:cap(ops)] {
+			if op.Key != nil || op.Value != nil {
+				t.Fatalf("%s still holds an op of the last batch: %+v", where, op)
+			}
+		}
+	}
+	results := func(where string, res []BatchResult) {
+		for _, r := range res[:cap(res)] {
+			if r.Value != nil || r.Err != nil {
+				t.Fatalf("%s still holds a result of the last batch: %+v", where, r)
+			}
+		}
+	}
+	ops("ClusterSession MGet ops", s.ops)
+	results("ClusterSession MGet results", s.results)
+	for sh := range s.part.ops {
+		ops(fmt.Sprintf("partition share %d", sh), s.part.ops[sh])
+	}
+	results("partition results", s.part.res)
+	for sh, ss := range s.sessions {
+		ops(fmt.Sprintf("shard %d Session MGet ops", sh), ss.ops)
+		results(fmt.Sprintf("shard %d Session MGet results", sh), ss.results)
 	}
 }
 

@@ -68,7 +68,7 @@ func (rs *RemoteServer) handle(c net.Conn) {
 	rs.mu.Unlock()
 	ctx := rs.b.store.NewCtx(owner)
 	defer ctx.Close()
-	serve(c, &ctxBackend{ctx: ctx, version: "1.6.0-plib-hybrid"})
+	serve(c, &ctxBackend{Ctx: ctx, version: "1.6.0-plib-hybrid"})
 }
 
 // serve runs the shared read loop on c, dispatching each pipelined run of
@@ -78,24 +78,24 @@ func serve(c net.Conn, be wireBackend) {
 }
 
 // wireConn is one connection's dispatcher. A connection models a thread,
-// so the translation buffers of a run belong to it and are reused run
-// after run.
+// so what a run needs — its commands as ops, their result slots, the
+// buffer the retrieved values share — is its own, lent to the backend and
+// reused run after run.
 type wireConn struct {
 	be    wireBackend
 	ops   []core.BatchOp
 	spans []int // batch ops consumed per command
+	res   []core.BatchResult
+	vbuf  []byte
+	one   core.BatchResult // the lone op's result frame
 }
 
-// wireBackend is what a socket front end's dispatcher needs from the
-// store behind it. The hybrid server's is one direct context; the cluster
-// proxy's routes every op to its shard first.
+// wireBackend is what a socket front end's dispatcher needs from the store
+// behind it: core.Ctx's two entry points, with its contracts — the hybrid
+// server's is a Ctx, the cluster proxy's routes each op to its shard's Ctx.
 type wireBackend interface {
-	// do executes one op and returns its result, which lies in the
-	// backend (a connection models a thread) until the next call.
-	do(op *core.BatchOp) *core.BatchResult
-	// batch executes a run of ops, one result per op, in order. The
-	// results lie in the backend until its next call.
-	batch(ops []core.BatchOp) []core.BatchResult
+	Do(op *core.BatchOp, r *core.BatchResult)
+	ExecBatch(ops []core.BatchOp, res []core.BatchResult, vbuf []byte) []byte
 	// admin answers a command that is not a keyed operation: flush_all,
 	// stats, version, noop.
 	admin(cmd *protocol.Command) *protocol.Reply
@@ -103,22 +103,12 @@ type wireBackend interface {
 
 // ctxBackend serves a connection from one direct store context.
 type ctxBackend struct {
-	ctx     *core.Ctx
+	*core.Ctx
 	version string
-	res     core.BatchResult
-}
-
-func (b *ctxBackend) do(op *core.BatchOp) *core.BatchResult {
-	b.ctx.Do(op, &b.res)
-	return &b.res
-}
-
-func (b *ctxBackend) batch(ops []core.BatchOp) []core.BatchResult {
-	return b.ctx.ExecBatchBorrowed(ops)
 }
 
 func (b *ctxBackend) admin(cmd *protocol.Command) *protocol.Reply {
-	return adminCore(b.ctx, cmd, b.version)
+	return adminCore(b.Ctx, cmd, b.version)
 }
 
 // dispatchRun executes one pipelined run of commands against be and writes
@@ -148,11 +138,13 @@ func (wc *wireConn) dispatchRun(w *bufio.Writer, binary bool, cmds []protocol.Co
 			writeReply(w, binary, &cmds[i], be.admin(&cmds[i]))
 			i++
 		case 1:
-			rep := replyFor(&cmds[i], be.do(&ops[0]))
+			be.Do(&ops[0], &wc.one)
+			rep := replyFor(&cmds[i], &wc.one)
 			writeReply(w, binary, &cmds[i], &rep)
 			i++
 		default:
-			res := be.batch(ops)
+			res := lend(&wc.res, len(ops))
+			wc.vbuf = be.ExecBatch(ops, res, wc.vbuf[:0])
 			for k, n := range spans {
 				if cmd := &cmds[i+k]; n == 1 {
 					rep := replyFor(cmd, &res[0])

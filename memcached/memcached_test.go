@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -541,5 +542,43 @@ func TestErrKilledType(t *testing.T) {
 	e := &proc.ErrKilled{PID: 3}
 	if e.Error() == "" {
 		t.Fatal("empty ErrKilled")
+	}
+}
+
+// The buffer a batch's values share is sized from the batch in hand, not
+// from the largest batch the session ever ran: a 2 MiB MGet must not make
+// every later one-key MGet of a one-byte value allocate (and zero) 2 MiB.
+func TestBatchValueBufferTracksBatch(t *testing.T) {
+	s := newTestSession(t, newTestStore(t))
+	big := make([][]byte, 32)
+	for i := range big {
+		big[i] = []byte(fmt.Sprintf("big-%02d", i))
+		if err := s.Set(big[i], bytes.Repeat([]byte{byte(i)}, 64<<10), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small := [][]byte{[]byte("small")}
+	if err := s.Set(small[0], []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.MGet(big); err != nil || !res[31].Found || len(res[31].Value) != 64<<10 {
+		t.Fatalf("big MGet: %v", err)
+	}
+	one := func() {
+		if res, err := s.MGet(small); err != nil || string(res[0].Value) != "v" {
+			t.Fatalf("one-key MGet = %+v, %v", res, err)
+		}
+	}
+	one() // sized from the big batch, the last that retrieved anything
+	// Bytes, so MemStats rather than AllocsPerRun; summed over the hundred
+	// so that a background goroutine's stray allocation cannot fail it.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		one()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 100<<10 {
+		t.Fatalf("100 one-key MGets after a 2 MiB one allocate %d B, want < 1 KiB each", n)
 	}
 }

@@ -68,8 +68,6 @@ func (cs *ClusterServer) acceptLoop() {
 type connCtxs struct {
 	c     *Cluster
 	owner uint64
-	res   BatchResult   // the lone op's result frame
-	out   []BatchResult // a batch's results, valid until the next batch
 	part  batchPartition
 	ctxs  []*core.Ctx
 	// books pins each context to the Bookkeeper it was opened on: when
@@ -117,25 +115,15 @@ func (cs *ClusterServer) handle(c net.Conn) {
 	cs.seq++
 	owner := uint64(1)<<41 | cs.seq // distinct from local and hybrid owners
 	cs.mu.Unlock()
-	nsh := cs.c.Shards()
-	cc := &connCtxs{c: cs.c, owner: owner,
-		ctxs: make([]*core.Ctx, nsh), books: make([]*Bookkeeper, nsh)}
+	cc := &connCtxs{c: cs.c, owner: owner}
 	defer cc.close()
 	serve(c, cc)
 }
 
-func (cc *connCtxs) do(op *BatchOp) *BatchResult {
-	cc.c.routeOp(op, &cc.res, cc)
-	return &cc.res
-}
+func (cc *connCtxs) Do(op *BatchOp, r *BatchResult) { cc.c.routeOp(op, r, cc) }
 
-func (cc *connCtxs) batch(ops []BatchOp) []BatchResult {
-	if cap(cc.out) < len(ops) {
-		cc.out = make([]BatchResult, len(ops))
-	}
-	out := cc.out[:len(ops)]
-	cc.c.routeBatch(ops, out, cc, &cc.part)
-	return out
+func (cc *connCtxs) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
+	return cc.c.routeBatch(ops, res, vbuf, cc, &cc.part)
 }
 
 // The direct contexts bypass the hodor gate, so a shard behind an open
@@ -149,11 +137,11 @@ func (cc *connCtxs) doShard(shard int, op *BatchOp, r *BatchResult) {
 	cc.ctx(shard).Do(op, r)
 }
 
-func (cc *connCtxs) batchShard(shard int, ops []BatchOp) ([]BatchResult, error) {
+func (cc *connCtxs) batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
 	if err := cc.c.proxyAllow(shard); err != nil {
 		return nil, err
 	}
-	return cc.ctx(shard).ExecBatchBorrowed(ops), nil
+	return cc.ctx(shard).ExecBatch(ops, res, vbuf), nil
 }
 
 // admin answers the keyless commands against the whole cluster: they fan

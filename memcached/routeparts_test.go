@@ -1,6 +1,7 @@
 package memcached
 
 import (
+	"fmt"
 	"testing"
 
 	"plibmc/internal/ring"
@@ -92,5 +93,60 @@ func BenchmarkRouteParts(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkBatchParts prices a 64-key batch of gets tier by tier, on the
+// lib_mget64_128 shape (20 B keys, 128 B values): the core loop alone,
+// plus one crossing, plus partition and assembly over 4 shards (four
+// crossings of 16), all three into buffers the benchmark lends and so
+// allocation-free, then the public MGet, which adds the two allocations
+// the caller keeps (make bench-gate; the rows are tabulated in DESIGN.md
+// §12). A change to the batch plane says which row it moved.
+func BenchmarkBatchParts(b *testing.B) {
+	const n = 64
+	single := newTestSession(b, newTestStore(b))
+	routed := newClusterSession(b, newTestCluster(b, 4, ClusterConfig{}))
+	keys, ops := make([][]byte, n), make([]BatchOp, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%016d", i))
+		ops[i] = BatchOp{Code: BatchGet, Key: keys[i]}
+		for _, kv := range []KV{single, routed} {
+			if err := kv.Set(keys[i], make([]byte, 128), 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	res, vbuf := make([]BatchResult, n), make([]byte, 0, n*128)
+	row := func(name string, batch func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := batch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+		})
+	}
+	row("core-loop", func() error {
+		single.Ctx().ExecBatch(ops, res, vbuf)
+		return nil
+	})
+	row("one-crossing", func() error {
+		_, err := single.batch(ops, res, vbuf)
+		return err
+	})
+	row("routed-4-shards", func() error {
+		_, err := routed.batch(ops, res, vbuf)
+		return err
+	})
+	row("session-mget", func() error {
+		_, err := single.MGet(keys)
+		return err
+	})
+	row("cluster-mget", func() error {
+		_, err := routed.MGet(keys)
+		return err
 	})
 }

@@ -26,7 +26,7 @@ func TestServeAllocs(t *testing.T) {
 		name string
 		be   wireBackend
 	}{
-		{"hybrid", &ctxBackend{ctx: book.store.NewCtx(1<<40 | 1), version: "test"}},
+		{"hybrid", &ctxBackend{Ctx: book.store.NewCtx(1<<40 | 1), version: "test"}},
 		{"proxy", &connCtxs{c: cluster, owner: 1<<41 | 1}},
 	}
 	val := bytes.Repeat([]byte("v"), 128)

@@ -82,20 +82,27 @@ var (
 // crosses its store's gate, a ClusterSession first routes to the owning
 // shard's Session. do executes one op, overwriting *r; a failure of the
 // crossing itself (rejection, crash, shard down) lands in r.Err like the
-// op's own outcome.
+// op's own outcome. batch executes ops in order, overwriting res (one slot
+// per op) and appending every retrieved value to vbuf, returned as grown;
+// a Session whose one crossing fails returns that, and res is not to be read.
+// Both work in what they are lent and allocate nothing.
 type executor interface {
 	do(op *BatchOp, r *BatchResult)
-	ExecBatch(ops []BatchOp) ([]BatchResult, error)
+	batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error)
 }
 
-// verbs spells the single-key API once, for every executor. A session
-// models a thread, so it owns one call frame — op and res — and arguments
-// and result cross the gate where they lie: a frame built per call would
+// verbs spells the API once, for every executor. A session models a
+// thread, so it owns one call frame — op and res — and arguments and
+// result cross the gate where they lie: a frame built per call would
 // escape through the executor and cost every operation an allocation.
 type verbs struct {
 	x   executor
 	op  BatchOp
 	res BatchResult
+
+	ops     []BatchOp     // MGet's keys as ops, wiped before it returns
+	results []BatchResult // ... and their results
+	perGet  int           // value bytes per retrieval in the last batch that had any
 }
 
 func (v *verbs) exec(op BatchOp) *BatchResult {
@@ -175,27 +182,72 @@ func (v *verbs) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
 	return r.Value, r.Flags, r.Err
 }
 
-// MGet retrieves many keys as one batch of gets — one trampoline crossing
-// on a Session, one per involved shard on a ClusterSession — the
-// protected-library counterpart of the socket client's pipelined quiet-get
-// batching. Results are positional; a key that is missing, or whose shard
-// failed its crossing, has Found == false.
-func (v *verbs) MGet(keys [][]byte) ([]core.GetResult, error) {
-	ops := make([]BatchOp, len(keys))
-	for i, k := range keys {
-		ops[i] = BatchOp{Code: BatchGet, Key: k}
-	}
-	res, err := v.x.ExecBatch(ops)
-	if err != nil {
+// ExecBatch executes ops in order — through a single trampoline crossing
+// on a Session, one per owning shard on a ClusterSession — so
+// crossings-per-op falls as 1/len(ops). Results are positional and the
+// caller's to keep; each op's failure lands in its own BatchResult.Err
+// without affecting siblings, and so does one shard's failed crossing, in
+// each of that shard's slots. The returned error is a Session's own
+// crossing failing (rejection, crash): no results are available.
+func (v *verbs) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
+	res := make([]BatchResult, len(ops))
+	if err := v.runBatch(ops, res); err != nil {
 		return nil, err
 	}
-	out := make([]core.GetResult, len(res))
-	for i := range res {
-		if res[i].Err == nil {
-			out[i] = core.GetResult{Value: res[i].Value, Flags: res[i].Flags, CAS: res[i].CAS, Found: true}
+	return res, nil
+}
+
+// MGet retrieves many keys as one batch of gets, the protected-library
+// counterpart of the socket client's pipelined quiet-get batching. Results
+// are positional; a key that is missing, or whose shard failed its
+// crossing, has Found == false.
+func (v *verbs) MGet(keys [][]byte) ([]core.GetResult, error) {
+	ops, res := lend(&v.ops, len(keys)), lend(&v.results, len(keys))
+	for i, k := range keys {
+		ops[i].Code, ops[i].Key = BatchGet, k // all MGet ever writes there
+	}
+	var out []core.GetResult
+	err := v.runBatch(ops, res)
+	if err == nil {
+		out = make([]core.GetResult, len(keys))
+		for i := range res {
+			if r, o := &res[i], &out[i]; r.Err == nil { // by field: a literal is built on the stack, then copied
+				o.Value, o.Flags, o.CAS, o.Found = r.Value, r.Flags, r.CAS, true
+			}
 		}
 	}
-	return out, nil
+	// The scratch outlives the call; the caller's keys and values must not.
+	clear(ops)
+	clear(res)
+	return out, err
+}
+
+// runBatch lends a batch the one buffer all its retrieved values share,
+// sized for the batch in hand: its retrievals at what one returned in the
+// last batch that had any, plus an eighth so that a slightly fuller batch
+// does not relocate it. A batch of stores has no retrievals and gets none.
+func (v *verbs) runBatch(ops []BatchOp, res []BatchResult) error {
+	nget := 0
+	for i := range ops {
+		if c := ops[i].Code; c == BatchGet || c == BatchGAT || c == BatchExport {
+			nget++
+		}
+	}
+	n := nget * v.perGet
+	vbuf, err := v.x.batch(ops, res, make([]byte, 0, n+n/8)) // a cap of 0 allocates nothing
+	if err == nil && nget > 0 {
+		v.perGet = (len(vbuf) + nget - 1) / nget
+	}
+	return err
+}
+
+// lend returns n elements of *buf, the scratch of whoever models the
+// thread, replacing it if it is too short.
+func lend[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // entryNames is the library's export table (HODOR_FUNC_EXPORT analog).
@@ -278,7 +330,7 @@ type Session struct {
 	tenantPage uint64
 
 	fnOp    func(*proc.Thread, frame) (struct{}, error)
-	fnBatch func(*proc.Thread, []core.BatchOp) ([]core.BatchResult, error)
+	fnBatch func(*proc.Thread, batchFrame) ([]byte, error)
 	fnFlush func(*proc.Thread, struct{}) (struct{}, error)
 	fnStats func(*proc.Thread, struct{}) (core.Stats, error)
 }
@@ -288,6 +340,13 @@ type Session struct {
 type frame struct {
 	op  *BatchOp
 	res *BatchResult
+}
+
+// batchFrame is the same for a batch, value buffer included.
+type batchFrame struct {
+	ops  []BatchOp
+	res  []BatchResult
+	vbuf []byte
 }
 
 // NewSession creates a trampolined session for one client thread.
@@ -324,8 +383,8 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 		ctx.Do(f.op, f.res)
 		return struct{}{}, nil
 	}
-	s.fnBatch = func(_ *proc.Thread, ops []core.BatchOp) ([]core.BatchResult, error) {
-		return ctx.ExecBatch(ops), nil
+	s.fnBatch = func(_ *proc.Thread, f batchFrame) ([]byte, error) {
+		return ctx.ExecBatch(f.ops, f.res, f.vbuf), nil
 	}
 	s.fnFlush = func(_ *proc.Thread, _ struct{}) (struct{}, error) {
 		ctx.FlushAll()
@@ -501,14 +560,10 @@ func (s *Session) Stats() (core.Stats, error) {
 	return call(s, s.fnStats, struct{}{})
 }
 
-// ExecBatch executes ops in order through a single trampoline crossing:
-// one admission and one rights amplification cover the whole batch, so
-// crossings-per-op falls as 1/len(ops). Results are positional; each op's
-// failure lands in its own BatchResult.Err without affecting siblings.
-// The returned error is the crossing's own (rejection, crash), in which
-// case no results are available.
-func (s *Session) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
-	return call(s, s.fnBatch, ops)
+// batch carries ops across the gate in one crossing: one admission and one
+// rights amplification cover them all.
+func (s *Session) batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
+	return call(s, s.fnBatch, batchFrame{ops, res, vbuf})
 }
 
 // GetAsync is §3.1's asynchronous API: a direct call completes

@@ -173,9 +173,10 @@ bench-batch:
 
 # The gate tax, part by part (DESIGN.md §13 "What a warm crossing costs"):
 # each piece of a warm hodor crossing and of the cluster's routing wrapped
-# around it, priced alone beside the whole — and a 64-key batch tier by
-# tier (DESIGN.md §12 "What a batch costs"). A change to any of them says
-# which row it moved. Timings on a shared box: run by hand, not part of
-# check.
+# around it, priced alone beside the whole — a 64-key batch tier by tier
+# (DESIGN.md §12 "What a batch costs") — and what core.Ctx does once per
+# operation beneath them all (DESIGN.md §6 "What one operation costs"). A
+# change to any of them says which row it moved. Timings on a shared box:
+# run by hand, not part of check.
 bench-gate:
-	$(GO) test -run xxx -bench 'BenchmarkGateParts|BenchmarkRouteParts|BenchmarkBatchParts' -benchtime 2s ./internal/hodor ./memcached
+	$(GO) test -run xxx -bench 'BenchmarkGateParts|BenchmarkRouteParts|BenchmarkBatchParts|BenchmarkCoreParts' -benchtime 2s ./internal/hodor ./memcached ./internal/core

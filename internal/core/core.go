@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"plibmc/internal/ralloc"
 	"plibmc/internal/shm"
@@ -174,7 +173,6 @@ const (
 const (
 	htTable     = 0 // pptr to the bucket array
 	htHashPower = 8
-	htSize      = 16
 )
 
 // Store is a handle on a shared K-V store. Multiple Store handles — one per
@@ -205,11 +203,8 @@ type Store struct {
 	latMask    uint64 // sample period minus one
 	latEnabled bool
 
-	// nowFn supplies the store clock in unix seconds; overridable in tests.
-	// The default is the wall clock as of attach plus monotonic time since
-	// (memcached's own current_time construction): one clock read where
-	// time.Now makes two, and it neither follows a stepped wall clock nor
-	// counts time the machine spent suspended.
+	// nowFn, when set (SetClock), replaces the store clock, unix seconds.
+	// Unset, the clock is mono.Unix of each admission's stamp (Ctx.now).
 	nowFn func() int64
 
 	// aliveFn is the owner-liveness oracle (SetOwnerLiveness): grave
@@ -344,7 +339,6 @@ func attach(a *ralloc.Allocator, cfg uint64) (*Store, error) {
 		latency:      ralloc.LoadPptr(h, cfg+cfgLatency),
 		latSlots:     h.Load64(cfg + cfgLatSlots),
 		latMask:      h.Load64(cfg + cfgLatSampleMask),
-		nowFn:        startAnchoredClock(time.Now()),
 	}
 	s.latEnabled = h.Load64(cfg+cfgLatEnabled) != 0 && s.latency != 0 && s.latSlots != 0
 	if s.numItemLocks == 0 || s.numLRUs == 0 || s.seqLocks == 0 {
@@ -369,14 +363,8 @@ func (s *Store) ResetGate() {
 	}
 }
 
-// startAnchoredClock returns a unix-seconds clock that reads start's wall
-// time once and advances it by the monotonic time elapsed since.
-func startAnchoredClock(start time.Time) func() int64 {
-	wall := start.UnixNano()
-	return func() int64 { return (wall + int64(time.Since(start))) / int64(time.Second) }
-}
-
-// SetClock overrides the store's time source (tests and expiry benches).
+// SetClock overrides the store's time source (tests and expiry benches):
+// every admission then reads now, whatever stamp it was lent.
 func (s *Store) SetClock(now func() int64) { s.nowFn = now }
 
 // MemLimit returns the eviction watermark in bytes.

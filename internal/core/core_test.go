@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"plibmc/internal/mono"
 	"plibmc/internal/ralloc"
 	"plibmc/internal/shm"
 )
@@ -190,16 +191,25 @@ func TestAppendPrepend(t *testing.T) {
 	}
 }
 
-// TestDefaultClock (ISSUE 21): a store nobody called SetClock on tells unix
-// time from the wall clock read at attach plus monotonic time since. It
-// must track time.Now().Unix() to the second and never run backwards, and
-// a clock anchored in the past must have advanced by the time elapsed.
+// TestDefaultClock (ISSUE 21, 26): a store nobody called SetClock on tells
+// unix time from each admission's stamp — the process anchor's wall clock
+// plus monotonic time since. Admission by admission it must track
+// time.Now().Unix() to the second and never run backwards, whether the
+// context stamps itself or is lent the stamp.
 func TestDefaultClock(t *testing.T) {
-	s, _ := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
-	last := s.nowFn()
+	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
+	admit := func(lend bool) int64 {
+		if lend {
+			c.Stamp(mono.Now())
+		}
+		c.enterOp()
+		defer c.exitOp()
+		return c.now()
+	}
+	last := admit(false)
 	for i := 0; i < 200_000; i++ {
 		before := time.Now().Unix()
-		now := s.nowFn()
+		now := admit(i%2 == 0)
 		after := time.Now().Unix()
 		if now < last {
 			t.Fatalf("store clock stepped backwards: %d after %d", now, last)
@@ -209,9 +219,8 @@ func TestDefaultClock(t *testing.T) {
 		}
 		last = now
 	}
-	start := time.Now().Add(-90 * time.Minute)
-	if now, want := startAnchoredClock(start)(), time.Now().Unix(); now < want-1 || now > want+1 {
-		t.Fatalf("clock anchored 90 minutes ago reads %d, want %d", now, want)
+	if got := c.OwnClockReads(); got != 100_001 {
+		t.Fatalf("context stamped itself %d times, want only the 100001 admissions lent nothing", got)
 	}
 }
 

@@ -9,12 +9,7 @@ package core
 const (
 	DebugItemHNext   = itHNext
 	DebugItemLRUNext = itLRUNext
-	DebugItemLRUPrev = itLRUPrev
-	DebugItemHash    = itHash
-	DebugItemKeyLen  = itKeyLen
-	DebugItemValLen  = itValLen
 	DebugItemCheck   = itCheck
-	DebugItemValSum  = itValSum
 )
 
 // DebugStatCurrItems is the counter index of CurrItems within a stats slot
@@ -40,24 +35,8 @@ func (c *Ctx) DebugItemOffset(key []byte) uint64 {
 	return 0
 }
 
-// DebugBucketOff returns the heap offset of the bucket word that currently
-// owns key's hash. Only stable while no resize runs.
-func (c *Ctx) DebugBucketOff(key []byte) uint64 {
-	hash := hashKey(key)
-	lock := c.s.itemLockOff(hash)
-	c.lock(lock)
-	defer c.unlock(lock)
-	return c.s.bucketFor(hash)
-}
-
 // DebugValOff returns the heap offset of an item's value bytes.
 func (s *Store) DebugValOff(it uint64) uint64 { return s.itemValOff(it) }
 
 // DebugStatsSlotOff returns the heap offset of scattered-stats slot i.
 func (s *Store) DebugStatsSlotOff(i uint64) uint64 { return s.stats + i*statSlotSize }
-
-// DebugLRUHeadOff returns the heap offset of LRU list idx's head pptr.
-func (s *Store) DebugLRUHeadOff(idx uint64) uint64 { return s.lruHeadOff(idx) }
-
-// DebugLRUForKey returns the LRU list index key's item hashes onto.
-func DebugLRUForKey(s *Store, key []byte) uint64 { return s.lruFor(hashKey(key)) }

@@ -38,7 +38,7 @@ func (c *Ctx) enterOp() {
 	if c.opDepth++; c.opDepth > 1 {
 		return
 	}
-	c.nowOK = false // one clock read per admission; see Ctx.now
+	c.stamp, c.lent, c.nowOK = c.lent, 0, false // one stamp per admission; see Ctx.admitted
 	gate := c.s.cfg + cfgGate
 	for {
 		g := c.s.H.AtomicLoad64(gate)

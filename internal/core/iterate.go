@@ -21,7 +21,7 @@ func (c *Ctx) ForEach(fn func(e *Entry) bool) int {
 	c.enterOp()
 	defer c.exitOp()
 	s := c.s
-	now := s.nowFn()
+	now := c.now()
 	var e Entry
 	visited := 0
 	for li := uint64(0); li < s.numItemLocks; li++ {

@@ -15,17 +15,18 @@ package core
 // structure.
 //
 // Recording is sampled: one in every LatencySampleEvery operations per
-// context pays for the two clock reads, the rest pay one branch and one
+// context pays for a clock read at its end (its start is the admission's
+// stamp, usually lent — see Ctx.Stamp), the rest pay one branch and one
 // increment. Percentiles are unbiased under uniform sampling; totals count
 // sampled operations, not all operations (the scattered counters already
 // count every operation exactly).
 
 import (
 	"fmt"
-	"time"
 
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/histogram"
+	"plibmc/internal/mono"
 )
 
 // Operation classes, one histogram column each.
@@ -56,36 +57,32 @@ const (
 // Repair's histogram pass (and histogram.SharedRepair) must mend.
 var fpLatRecord = faultpoint.New("lat.record")
 
-// latEpoch anchors monotonic timestamps: time.Since(latEpoch) is one
-// monotonic clock read, and only differences of these values are recorded.
-var latEpoch = time.Now()
-
 // latOff returns the heap offset of one slot's histogram for class.
 func (s *Store) latOff(slot uint64, class int) uint64 {
 	return s.latency + slot*latSlotStride + uint64(class)*latHistStride
 }
 
-// opBegin is enterOp plus sampled latency capture: it returns a monotonic
-// start timestamp if this operation was chosen for recording, -1 otherwise.
+// opBegin is enterOp plus sampled latency capture: it returns the
+// admission's stamp if this operation was chosen for recording, else 0.
 // Only outermost operations sample (a nested GetAppend inside MGet, or an
 // eviction inside a Set, is part of its parent's latency).
-func (c *Ctx) opBegin() time.Duration {
+func (c *Ctx) opBegin() int64 {
 	c.enterOp()
 	if c.opDepth != 1 || !c.s.latEnabled {
-		return -1
+		return 0
 	}
 	if c.latN++; c.latN&c.s.latMask != 0 {
-		return -1
+		return 0
 	}
-	return time.Since(latEpoch)
+	return c.admitted()
 }
 
 // opEnd records the sampled latency (before exitOp, so a crash inside
 // recording presents as a crash mid-operation: gate count held, repair
 // required) and leaves the operation gate.
-func (c *Ctx) opEnd(class int, t0 time.Duration) {
-	if t0 >= 0 {
-		c.latRecord(class, time.Since(latEpoch)-t0)
+func (c *Ctx) opEnd(class int, t0 int64) {
+	if t0 != 0 {
+		c.latRecord(class, mono.Now()-t0)
 	}
 	c.exitOp()
 }
@@ -93,11 +90,8 @@ func (c *Ctx) opEnd(class int, t0 time.Duration) {
 // latRecord adds one sample to this context's slot. The three adds follow
 // histogram.SharedRecord's order — bucket, then total, then sum — with the
 // fault-matrix crash point between the first two.
-func (c *Ctx) latRecord(class int, d time.Duration) {
-	v := uint64(d)
-	if d < 0 {
-		v = 0
-	}
+func (c *Ctx) latRecord(class int, ns int64) {
+	v := uint64(max(ns, 0))
 	off := c.s.latOff(c.latSlot, class)
 	h := c.s.H
 	h.Add64(off+histogram.SharedOffCounts+uint64(histogram.SharedBucketOf(v))*8, 1)

@@ -112,7 +112,7 @@ func (c *Ctx) SweepExpired() int {
 	c.enterOp()
 	defer c.exitOp()
 	s := c.s
-	now := s.nowFn()
+	now := c.now()
 	removed := 0
 	for li := uint64(0); li < s.numItemLocks; li++ {
 		lock := s.itemLocks + li*8

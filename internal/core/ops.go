@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"plibmc/internal/faultpoint"
+	"plibmc/internal/mono"
 	"plibmc/internal/ralloc"
 )
 
@@ -39,7 +40,9 @@ type Ctx struct {
 	rdEpoch     uint64 // epoch this context announced in its slot (see endRead)
 	latN        uint64 // operations seen since creation (latency sampling)
 	latSlot     uint64 // latency-histogram slot this context records into
-	nowCache    int64  // wall clock cached for the current admission (see now)
+	lent, stamp int64  // stamp lent to the next admission (see Stamp), and the current one's; 0 = none
+	ownReads    uint64 // admissions this context stamped itself (see admitted)
+	nowCache    int64  // store clock cached for the current admission (see now)
 	nowOK       bool
 	statDefer   bool // accumulate stats in statLocal instead of shared slots
 	statLocal   [numStatCounters]int64
@@ -188,14 +191,36 @@ func (c *Ctx) capture(dst *[]byte, src []byte) []byte {
 	return b
 }
 
-// now returns the wall clock for the current top-level operation, reading
-// the store clock at most once per gate admission (enterOp invalidates the
-// cache at depth 1): a batch of k operations pays one clock read where the
-// unbatched path pays k. The cache never outlives an admission, so
-// clock-stepping tests still see fresh time on every call.
+// Stamp lends the next admission its one clock read (mono.Now; DESIGN.md
+// §12 "Who reads the clock"); enterOp consumes it. Expiry is decided from
+// it, so ns must be the caller's own reading, never one a client supplied.
+func (c *Ctx) Stamp(ns int64) { c.lent = ns }
+
+// admitted returns the admission's stamp, shared by now and the sampler:
+// the one lent, or — a context driven without a session (maintainer,
+// scrubber, a wire connection's, tests) — its own lazy read.
+func (c *Ctx) admitted() int64 {
+	if c.stamp == 0 {
+		c.stamp = mono.Now()
+		c.ownReads++
+	}
+	return c.stamp
+}
+
+// OwnClockReads counts the admissions this context stamped itself.
+func (c *Ctx) OwnClockReads() uint64 { return c.ownReads }
+
+// now returns the store clock, unix seconds, derived from the admission's
+// stamp at most once per gate admission (enterOp invalidates the cache at
+// depth 1), so a batch of k operations shares one. An injected clock
+// (SetClock) wins over the stamp and is read afresh each admission.
 func (c *Ctx) now() int64 {
 	if !c.nowOK {
-		c.nowCache = c.s.nowFn()
+		if fn := c.s.nowFn; fn != nil {
+			c.nowCache = fn()
+		} else {
+			c.nowCache = mono.Unix(c.admitted())
+		}
 		c.nowOK = true
 	}
 	return c.nowCache
@@ -255,8 +280,7 @@ func (c *Ctx) findLocked(key []byte, hash uint64) uint64 {
 // CAS generation. The returned slice is freshly allocated client-visible
 // memory (the plain-malloc output buffer of Fig. 4).
 func (c *Ctx) Get(key []byte) ([]byte, uint32, uint64, error) {
-	v, f, cas, err := c.GetAppend(nil, key)
-	return v, f, cas, err
+	return c.GetAppend(nil, key)
 }
 
 // GetAppend is Get appending the value to dst (which may be nil), for
@@ -268,11 +292,9 @@ func (c *Ctx) GetAppend(dst, key []byte) ([]byte, uint32, uint64, error) {
 		return dst, 0, 0, ErrKeyTooLong
 	}
 	defer c.opEnd(LatGet, c.opBegin())
-	c.stat(statGets, 1)
 	k := c.capture(&c.keyBuf, key)
 	hash := hashKey(k)
 	if flags, cas, vlen, found, ok := c.optGet(k, hash); ok {
-		c.stat(statGetFastpath, 1)
 		if !found {
 			c.stat(statGetMisses, 1)
 			return dst, 0, 0, ErrNotFound
@@ -287,6 +309,7 @@ func (c *Ctx) GetAppend(dst, key []byte) ([]byte, uint32, uint64, error) {
 // optimistic path falls back to, and the only retrieval that may write
 // (lazy expiry in findLocked, the LRU bump, and the touch variant).
 func (c *Ctx) getLockedAppend(dst, k []byte, hash uint64, touch bool, abs int64) ([]byte, uint32, uint64, error) {
+	c.stat(statGetLocked, 1)
 	s := c.s
 	lock := s.itemLockOff(hash)
 	c.lock(lock)
@@ -335,7 +358,6 @@ func (c *Ctx) GetAndTouchAppend(dst, key []byte, exptime int64) ([]byte, uint32,
 		return dst, 0, 0, ErrKeyTooLong
 	}
 	defer c.opEnd(LatTouch, c.opBegin())
-	c.stat(statGets, 1)
 	c.stat(statTouches, 1)
 	k := c.capture(&c.keyBuf, key)
 	return c.getLockedAppend(dst, k, hashKey(k), true, c.absExpiry(exptime))

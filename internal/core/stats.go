@@ -11,8 +11,13 @@ package core
 // (an item linked through one slot and unlinked through another); only the
 // sums are meaningful.
 
+// Count the exception: a Get ends in exactly one of statGetHits and
+// statGetMisses, so Gets is their sum, and one that takes the bucket lock
+// counts statGetLocked going in, so the optimistic ones are the rest — an
+// optimistic hit pays one add. The two Base words are where older heap
+// images counted Gets and optimistic Gets: read-only now (DESIGN.md §11).
 const (
-	statGets = iota
+	statGetsBase = iota
 	statGetHits
 	statGetMisses
 	statSets
@@ -27,7 +32,7 @@ const (
 	statTotalItems
 	statBytes
 	statFlushes
-	statGetFastpath
+	statGetFastpathBase
 	statSeqRetries
 	statRecoveries
 	statRepairDropped
@@ -36,6 +41,7 @@ const (
 	statItemsQuarantined
 	statBatches
 	statBatchedOps
+	statGetLocked
 	numStatCounters
 )
 
@@ -122,14 +128,16 @@ func (s *Store) Stats() Stats {
 		}
 		return uint64(sums[i])
 	}
+	gets := u(statGetHits) + u(statGetMisses)
+	locked := u(statGetLocked) + u(statGetsBase) - min(u(statGetFastpathBase), u(statGetsBase))
 	return Stats{
-		Gets: u(statGets), GetHits: u(statGetHits), GetMisses: u(statGetMisses),
+		Gets: gets, GetHits: u(statGetHits), GetMisses: u(statGetMisses),
 		Sets: u(statSets), Deletes: u(statDeletes), DeleteHits: u(statDeleteHits),
 		Incrs: u(statIncrs), Decrs: u(statDecrs), Touches: u(statTouches),
 		Evictions: u(statEvictions), Expired: u(statExpired), CASMismatch: u(statCASMismatch),
 		CurrItems: u(statCurrItems), TotalItems: u(statTotalItems), Bytes: u(statBytes),
 		Flushes:         u(statFlushes),
-		GetFastpathHits: u(statGetFastpath), SeqlockRetries: u(statSeqRetries),
+		GetFastpathHits: gets - min(locked, gets), SeqlockRetries: u(statSeqRetries),
 		Recoveries: u(statRecoveries), ItemsDroppedInRepair: u(statRepairDropped),
 		CorruptionsDetected: u(statCorruptDetected), ItemsQuarantined: u(statItemsQuarantined),
 		Batches: u(statBatches), BatchedOps: u(statBatchedOps),

@@ -3,6 +3,7 @@ package hodor
 import (
 	"testing"
 
+	"plibmc/internal/mono"
 	"plibmc/internal/pku"
 	"plibmc/internal/proc"
 	"plibmc/internal/shm"
@@ -52,11 +53,11 @@ func BenchmarkGateParts(b *testing.B) {
 
 	b.Run("clock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			partsSink += monoNow()
+			partsSink += mono.Now()
 		}
 	})
 	b.Run("admit", func(b *testing.B) {
-		start := monoNow()
+		start := mono.Now()
 		for i := 0; i < b.N; i++ {
 			if err := lib.admit(s, start); err != nil {
 				b.Fatal(err)

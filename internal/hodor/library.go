@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"plibmc/internal/histogram"
+	"plibmc/internal/mono"
 	"plibmc/internal/pku"
 	"plibmc/internal/proc"
 )
@@ -277,9 +278,8 @@ type Session struct {
 	Tenant *Domain
 
 	linked bool
-	// callStart is the start of the in-flight call on the gate clock
-	// (monoNow: monotonic nanoseconds since this package loaded, never 0),
-	// or 0 when the thread is in application code.
+	// callStart is the in-flight call's admission stamp (mono.Now, never
+	// 0), or 0 when the thread is in application code.
 	callStart atomic.Int64
 	// stackDepth models the trampoline's switch to the library-side stack.
 	stackDepth int
@@ -313,6 +313,11 @@ const (
 
 // InCall reports whether the session's thread is inside a library call.
 func (s *Session) InCall() bool { return s.callStart.Load() != 0 }
+
+// Stamp returns the in-flight call's admission stamp, the call's one clock
+// read. It is the trampoline's own value, never an argument nor memory the
+// client can write: an expiry decided from it obeys §3.4.
+func (s *Session) Stamp() int64 { return s.callStart.Load() }
 
 // StackDepth returns the current library-stack depth (0 in application code).
 func (s *Session) StackDepth() int { return s.stackDepth }
@@ -365,24 +370,14 @@ func (l *Library) callTimeout() time.Duration {
 	return time.Second
 }
 
-// epoch anchors the gate clock. Only the watchdog and the repair drain read
-// a call's start, and only as a difference, so a call is stamped with one
-// monotonic read (time.Since) instead of time.Now's wall-plus-monotonic pair.
-var epoch = time.Now()
-
-// monoNow reads the gate clock; the +1 keeps a stamp from ever being 0,
-// which callStart reserves for "not in a call".
-func monoNow() int64 { return int64(time.Since(epoch)) + 1 }
-
-// monoAt places an injected time on the gate clock.
-func monoAt(t time.Time) int64 { return int64(t.Sub(epoch)) + 1 }
-
 // admit gates a call on library health and load. It publishes the session's
 // in-flight record *before* loading the state word so that the repair
 // drain (which reads states in the opposite order) can never miss a call
 // that slipped past a Healthy check: either admit sees the Recovering
-// state, or the drain sees the published callStart.
-func (l *Library) admit(s *Session, start int64) error {
+// state, or the drain sees the published callStart. That stamp is re-read
+// after every park: the watchdog's budget bounds execution, not the wait
+// for a repair; only the grace period runs from arrival.
+func (l *Library) admit(s *Session, arrival int64) error {
 	if s.reaped.Load() {
 		// Zombie re-entry (Garmr): the watchdog terminated this session's
 		// thread; the session object resurfacing at the gate is an attack
@@ -393,6 +388,7 @@ func (l *Library) admit(s *Session, start int64) error {
 	if s.esc.Load() != escNone {
 		s.esc.Store(escNone)
 	}
+	start := arrival
 	for {
 		s.callStart.Store(start)
 		switch l.state.Load() {
@@ -412,10 +408,11 @@ func (l *Library) admit(s *Session, start int64) error {
 		if s.Thread.Proc.Killed() {
 			return &proc.ErrKilled{PID: s.Thread.Proc.ID}
 		}
-		if monoNow() > start+int64(l.grace()) {
+		if mono.Now() > arrival+int64(l.grace()) {
 			return ErrRecoveryTimeout
 		}
 		time.Sleep(100 * time.Microsecond)
+		start = mono.Now()
 	}
 }
 
@@ -534,7 +531,7 @@ func (s *Session) enter() error {
 		l.rejected.Add(1)
 		return eErr
 	}
-	if aErr := l.admit(s, monoNow()); aErr != nil {
+	if aErr := l.admit(s, mono.Now()); aErr != nil {
 		l.rejected.Add(1)
 		t.ExitLibrary()
 		return aErr
@@ -654,7 +651,7 @@ func (s *Session) leave(err *error) {
 	}
 	var exitStart time.Time
 	if l.Profile {
-		l.nanos.Add(uint64(monoNow() - s.callStart.Load()))
+		l.nanos.Add(uint64(mono.Now() - s.callStart.Load()))
 		exitStart = time.Now()
 	}
 	proc.WRPKRU(t, s.savedPKRU)
@@ -839,10 +836,9 @@ func (l *Library) DrainLiveCalls(timeout time.Duration) bool {
 func (l *Library) sweepLiveCalls(now time.Time) bool {
 	timeout := l.callTimeout()
 	budget := l.LiveCallBudget
-	nowNS := monoAt(now)
+	nowNS := mono.At(now)
 	l.mu.Lock()
-	sessions := make([]*Session, len(l.sessions))
-	copy(sessions, l.sessions)
+	sessions := append([]*Session(nil), l.sessions...)
 	l.mu.Unlock()
 	live := false
 	for _, s := range sessions {
@@ -853,9 +849,7 @@ func (l *Library) sweepLiveCalls(now time.Time) bool {
 		elapsed := time.Duration(nowNS - start)
 		if s.Thread.Proc.Killed() && elapsed > timeout {
 			s.reaped.Store(true)
-			l.mu.Lock()
-			l.defunct[s.Thread.LockOwner()] = true
-			l.mu.Unlock()
+			l.markDefunct(s.Thread.LockOwner())
 			continue
 		}
 		if !s.Thread.Proc.Killed() && budget > 0 && elapsed > 2*budget {
@@ -866,9 +860,7 @@ func (l *Library) sweepLiveCalls(now time.Time) bool {
 			s.esc.Store(escReaped)
 			l.tenantReaps.Add(1)
 			l.attacksContained.Add(1)
-			l.mu.Lock()
-			l.defunct[s.Thread.LockOwner()] = true
-			l.mu.Unlock()
+			l.markDefunct(s.Thread.LockOwner())
 			continue
 		}
 		live = true
@@ -909,10 +901,9 @@ func Wrap[A, R any](l *Library, name string, fn func(*proc.Thread, A) (R, error)
 func (l *Library) WatchdogSweep(now time.Time) int {
 	timeout := l.callTimeout()
 	budget := l.LiveCallBudget
-	nowNS := monoAt(now)
+	nowNS := mono.At(now)
 	l.mu.Lock()
-	sessions := make([]*Session, len(l.sessions))
-	copy(sessions, l.sessions)
+	sessions := append([]*Session(nil), l.sessions...)
 	l.mu.Unlock()
 	overdue := 0
 	for _, s := range sessions {

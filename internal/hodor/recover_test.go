@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"plibmc/internal/mono"
 	"plibmc/internal/proc"
 )
 
@@ -326,4 +327,96 @@ func TestCrashedCallDefunctBeforeRetire(t *testing.T) {
 			return !f.lib.Recovering() && !f.lib.Poisoned()
 		})
 	}
+}
+
+// TestParkedCallStampedAtAdmission (ISSUE 26): a call that parked through a
+// repair longer than twice the live-call budget is stamped when it is
+// admitted, not when it arrived — the budget bounds execution, and a call
+// that has executed for a millisecond must draw no warning and no reap
+// (which would fence an innocent session and start another repair). The
+// grace period is still measured from arrival.
+func TestParkedCallStampedAtAdmission(t *testing.T) {
+	const budget = 40 * time.Millisecond
+	f := newFixture(t)
+	f.lib.LiveCallBudget = budget
+	f.lib.RecoveryGrace = 10 * time.Second
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	f.lib.OnRecover(func(*CrashError) error {
+		close(entered)
+		<-release
+		return nil
+	})
+	boom := Wrap(f.lib, "boom", func(*proc.Thread, struct{}) (struct{}, error) { panic("die") })
+	boom(f.session(t), struct{}{})
+	<-entered
+
+	s := f.session(t)
+	inCall := make(chan int64)
+	block := make(chan struct{})
+	var began time.Time
+	slow := Wrap(f.lib, "slow", func(*proc.Thread, struct{}) (struct{}, error) {
+		began = time.Now()
+		inCall <- s.Stamp()
+		<-block
+		return struct{}{}, nil
+	})
+	arrival := mono.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := slow(s, struct{}{})
+		done <- err
+	}()
+	time.Sleep(5 * budget) // the caller parks while the repair is held
+	select {
+	case <-inCall:
+		t.Fatal("call ran while the library was recovering")
+	default:
+	}
+	close(release)
+	stamp := <-inCall // admitted, now executing
+	// Sweep as of a millisecond into the call's execution, however long this
+	// goroutine took to get here.
+	if n := f.lib.WatchdogSweep(began.Add(time.Millisecond)); n != 0 {
+		t.Fatalf("WatchdogSweep reaped %d calls; the parked call has only just been admitted", n)
+	}
+	if m := f.lib.Metrics(); m.TenantCallsReaped != 0 || m.TenantWarns != 0 || m.TenantAborts != 0 || m.AttacksContained != 0 {
+		t.Fatalf("watchdog escalated a just-admitted call: %+v", m)
+	}
+	if waited := time.Duration(stamp - arrival); waited < 5*budget {
+		t.Fatalf("admission stamp is %v after arrival, want the %v the call parked", waited, 5*budget)
+	}
+	close(block)
+	if err := <-done; err != nil {
+		t.Fatalf("parked call = %v", err)
+	}
+	if s.Reaped() {
+		t.Fatal("parked session was reaped")
+	}
+
+	// The grace period runs from arrival: TestRecoveryTimeout still holds
+	// with a budget set and the stamp re-read on every park.
+	f2 := newFixture(t)
+	f2.lib.LiveCallBudget = budget
+	f2.lib.RecoveryGrace = 30 * time.Millisecond
+	entered2 := make(chan struct{})
+	release2 := make(chan struct{})
+	f2.lib.OnRecover(func(*CrashError) error {
+		close(entered2)
+		<-release2
+		return nil
+	})
+	boom2 := Wrap(f2.lib, "boom", func(*proc.Thread, struct{}) (struct{}, error) { panic("die") })
+	boom2(f2.session(t), struct{}{})
+	<-entered2
+	ok := Wrap(f2.lib, "ok", func(_ *proc.Thread, x int) (int, error) { return x, nil })
+	t0 := time.Now()
+	if _, err := ok(f2.session(t), 1); !errors.Is(err, ErrRecoveryTimeout) {
+		t.Fatalf("err = %v, want ErrRecoveryTimeout", err)
+	}
+	if waited := time.Since(t0); waited > time.Second {
+		t.Fatalf("gave up after %v, want about the 30ms grace measured from arrival", waited)
+	}
+	close(release2)
+	waitFor(t, 2*time.Second, "repair completion", func() bool { return !f2.lib.Recovering() })
 }

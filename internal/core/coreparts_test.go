@@ -105,6 +105,9 @@ func BenchmarkCoreParts(b *testing.B) {
 	}
 	part("set-128B/set-lone", func() { c.Set(k, v128, 0, 0) }) //nolint:errcheck
 	part("set-128B/set-lone-lent", func() { c.Stamp(stamp); c.Set(k, v128, 0, 0) })
+	k5 := key("big5", 0)
+	part("set-5KB/set-lone", func() { c.Set(k5, v5k, 0, 0) }) //nolint:errcheck
+	part("set-5KB/set-lone-lent", func() { c.Stamp(stamp); c.Set(k5, v5k, 0, 0) })
 	sets, res := make([]BatchOp, n), make([]BatchResult, n)
 	for i := range sets {
 		sets[i] = BatchOp{Code: BatchSet, Key: key("user", i), Value: v128}

@@ -60,12 +60,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// valueSum is the checksum kept in itValSum: the CRC-32C of the value in
+// valueSumOf is the checksum kept in itValSum: the CRC-32C of the value in
 // the low half, which no single bit flip or burst of up to 32 bits leaves
 // unchanged, and the length plus one in the high half, so a sum taken over
 // a different length never matches and a zeroed header word never verifies.
+func valueSumOf(vlen uint64, crc uint32) uint64 { return (vlen+1)<<32 | uint64(crc) }
+
+// valueSum sums a value the library holds privately; itemValueSum sums
+// the one stored in an item, where it lies.
 func valueSum(value []byte) uint64 {
-	return (uint64(len(value))+1)<<32 | uint64(shm.CRC32C(0, value))
+	return valueSumOf(uint64(len(value)), shm.CRC32C(0, value))
+}
+
+func (s *Store) itemValueSum(it uint64) uint64 {
+	vlen := s.itemValLen(it)
+	return valueSumOf(vlen, s.H.SumBytes(s.itemValOff(it), vlen))
 }
 
 // itemCheckOf computes the header checksum binding an item's immutable
@@ -113,13 +122,18 @@ func (s *Store) keyEqual(it uint64, key []byte) bool {
 	return s.H.EqualBytes(s.itemKeyOff(it), key)
 }
 
-// newItem allocates and fills an item from library-private buffers. The
-// caller provides key and value that have already been captured from the
-// client (§3.4 idiom) along with the key's hash; no locks are held during
-// allocation, except on the replace-in-place paths that pass
-// canEvict=false. The stores here are plain: the item is private until
-// linkLocked publishes it through an atomic bucket store, and the grave
-// guarantees no optimistic reader can still be probing recycled memory.
+// newItem allocates and fills an item. The key has already been captured
+// from the client (it is compared again under the lock) and hash is its
+// hash. The value may still be the client's own slice: copying it into the
+// item, which only this thread can reach, is §3.4's copy into library
+// memory before any lock is taken, and the value checksum is taken from
+// the bytes that landed — never from the caller's slice — so a client
+// scribbling mid-call stores a self-consistent item, whatever it holds. No
+// locks are held during allocation, except on the replace-in-place paths
+// that pass canEvict=false. The stores here are plain: the item is private
+// until linkLocked publishes it through an atomic bucket store, and the
+// grave guarantees no optimistic reader can still be probing recycled
+// memory.
 // The exception is hNext, the block's first word, which a losing ralloc
 // pop may still be reading as a free-list link; every pre-publication
 // store to it (here, linkLocked, swapLocked) is relaxed.
@@ -143,9 +157,9 @@ func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int6
 	h.Store64(it+itItflags, 0)
 	h.Store64(it+itHash, hash)
 	h.Store64(it+itCheck, itemCheckOf(hash, uint32(len(key)), uint32(len(value)), flags))
-	h.Store64(it+itValSum, valueSum(value))
 	h.WriteBytes(it+itHeader, key)
 	h.WriteBytes(c.s.itemValOff(it), value)
+	h.Store64(it+itValSum, c.s.itemValueSum(it))
 	return it, nil
 }
 

@@ -55,9 +55,8 @@ func (c *Ctx) Install(key, value []byte, flags uint32, exptime int64, cas uint64
 	}
 	defer c.opEnd(LatSet, c.opBegin())
 	k := c.capture(&c.keyBuf, key)
-	v := c.capture(&c.valBuf, value)
 	hash := hashKey(k)
-	it, err := c.newItem(k, v, hash, flags, exptime, true)
+	it, err := c.newItem(k, value, hash, flags, exptime, true)
 	if err != nil {
 		return err
 	}

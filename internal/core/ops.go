@@ -14,7 +14,7 @@ import (
 // thread dies exactly there; all compile to a single atomic load unless a
 // test arms them.
 var (
-	fpStoreAfterAlloc   = faultpoint.New("ops.store.after_alloc") // item built, lock not yet taken
+	fpStoreAfterAlloc   = faultpoint.New("ops.store.after_alloc") // item built (or its value half copied), lock not yet taken
 	fpStoreLocked       = faultpoint.New("ops.store.locked")      // bucket lock held, store untouched
 	fpStoreMidSwap      = faultpoint.New("ops.store.mid_swap")    // inside the swap section: new at head, old still chained
 	fpStoreAfterLink    = faultpoint.New("ops.store.after_link")  // fully linked, lock still held
@@ -63,10 +63,13 @@ type Ctx struct {
 	// — instead of being reaped and repaired.
 	AbortCheck func() bool
 
-	// CaptureClientBuffers applies the copy-before-lock idiom. It defaults
-	// to true; the ablation benchmark turns it off to measure the idiom's
-	// cost (and gives up crash safety against concurrent client threads
-	// scribbling on arguments mid-call).
+	// CaptureClientBuffers applies the copy-before-lock idiom to what is
+	// read again under a lock: every key, and the data of Append/Prepend.
+	// (A stored value needs no capture: its one copy, into the still-private
+	// item, is the idiom — see newItem.) It defaults to true; the ablation
+	// benchmark turns it off to measure the idiom's cost (and gives up
+	// crash safety against concurrent client threads scribbling on
+	// arguments mid-call).
 	CaptureClientBuffers bool
 
 	// DisableOptimisticReads forces every Get onto the locked path — the
@@ -383,11 +386,11 @@ func (c *Ctx) store(mode storeMode, key, value []byte, flags uint32, exptime int
 	defer c.opEnd(LatSet, c.opBegin())
 	c.stat(statSets, 1)
 	k := c.capture(&c.keyBuf, key)
-	v := c.capture(&c.valBuf, value)
 	hash := hashKey(k)
 	// Build the replacement item entirely before acquiring the lock; the
 	// allocation may trigger eviction, which takes other locks by trylock.
-	it, err := c.newItem(k, v, hash, flags, c.absExpiry(exptime), true)
+	// The value moves once, from the caller's slice into the item (newItem).
+	it, err := c.newItem(k, value, hash, flags, c.absExpiry(exptime), true)
 	if err != nil {
 		return err
 	}

@@ -340,10 +340,7 @@ func (s *Store) Repair(c *Ctx) (RepairReport, error) {
 		h.Store64(it+itRefcount, 1) // exactly the link reference
 		s.setLinked(it, true)
 		s.lruInsertHead(s.lruFor(hash), it)
-		vlen := s.itemValLen(it)
-		val := grow(&c.valBuf, vlen)
-		h.ReadBytes(s.itemValOff(it), val)
-		if sum := valueSum(val); sum != h.Load64(it+itValSum) {
+		if sum := s.itemValueSum(it); sum != h.Load64(it+itValSum) {
 			h.Store64(it+itValSum, sum)
 			r.ValueSumsRestamped++
 		}

@@ -87,7 +87,51 @@ func TestRepairRestampsTornIncr(t *testing.T) {
 	}
 }
 
-// TestSet5KDoesNotAllocate: the value checksum and the word copies work in
+// TestSetStoresWhatLanded: a Set's value goes from the caller's slice
+// straight into the item and is summed there. At every length class the
+// bytes come back, the scrubber's deep verification accepts the item, and
+// neither the caller's slice afterwards nor a Get's result is an alias of
+// the heap.
+func TestSetStoresWhatLanded(t *testing.T) {
+	s, c := newStore(t, 1<<23, Options{HashPower: 8, NumItemLocks: 16})
+	key := []byte("landed")
+	for _, n := range []int{0, 1, 7, 8, 9, 128, 5120, MaxValueLen} {
+		val := make([]byte, n)
+		for i := range val {
+			val[i] = byte(i*131 + i>>8 + n)
+		}
+		want := bytes.Clone(val)
+		if err := c.Set(key, val, 0, 0); err != nil {
+			t.Fatalf("Set of %d bytes: %v", n, err)
+		}
+		for i := range val {
+			val[i] ^= 0xff // the caller reuses its buffer
+		}
+		got, _, _, err := c.Get(key)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Get after a %d-byte Set: wrong bytes (err %v)", n, err)
+		}
+		for i := range got {
+			got[i] ^= 0xff // and scribbles on what it was handed
+		}
+		if again, _, _, err := c.Get(key); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("second Get after a %d-byte Set: wrong bytes (err %v)", n, err)
+		}
+		it := c.DebugItemOffset(key)
+		if sum := s.H.Load64(it + itValSum); sum != valueSum(want) {
+			t.Fatalf("%d bytes: stored sum %#x, want %#x", n, sum, valueSum(want))
+		}
+		lock := s.itemLockOff(s.itemHash(it))
+		c.lock(lock)
+		reason := c.deepVerifyLocked(it)
+		c.unlock(lock)
+		if reason != "" {
+			t.Fatalf("%d bytes: deep verification: %s", n, reason)
+		}
+	}
+}
+
+// TestSet5KDoesNotAllocate: the value checksum and the copy work in
 // place; a 5 KB Set must stay off the Go heap.
 func TestSet5KDoesNotAllocate(t *testing.T) {
 	_, c := newStore(t, 1<<24, Options{HashPower: 8, NumItemLocks: 16})

@@ -13,6 +13,7 @@ package shm
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 const (
@@ -28,7 +29,20 @@ const (
 // own View. The zero value is not usable; create heaps with New or Load.
 type Heap struct {
 	words []uint64
+	raw   []byte // the memory of words as bytes (see newHeap)
 	size  uint64 // in bytes; always a multiple of PageSize
+}
+
+// newHeap builds every heap: zeroed words, and one byte view of them so
+// the bulk routines (bytes.go) run at memmove speed. The view is this
+// repository's only use of unsafe. It is Go-heap memory like words, so the
+// race detector shadows an access through either alike, and it agrees with
+// the word accessors byte for byte on the little-endian machines the
+// package header names. No alias of it leaves the package.
+func newHeap(size uint64) *Heap {
+	words := make([]uint64, size/WordSize)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)
+	return &Heap{words: words, raw: raw, size: size}
 }
 
 // New creates a heap of the given size in bytes, rounded up to a whole
@@ -37,11 +51,7 @@ func New(size uint64) *Heap {
 	if size == 0 {
 		size = PageSize
 	}
-	size = (size + PageSize - 1) &^ uint64(PageSize-1)
-	return &Heap{
-		words: make([]uint64, size/WordSize),
-		size:  size,
-	}
+	return newHeap((size + PageSize - 1) &^ uint64(PageSize-1))
 }
 
 // Size returns the heap size in bytes.

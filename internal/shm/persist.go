@@ -94,18 +94,12 @@ type ImageInfo struct {
 }
 
 // regionSpan returns the heap byte range region r covers in a heap of the
-// given size; the final region may be short.
+// given size; the final region may be short. An image body is the heap's
+// bytes verbatim, so regions are summed, written and loaded where they lie
+// (Heap.view).
 func regionSpan(size, r uint64) (start, n uint64) {
 	start = r * ImageRegionSize
 	return start, min(size-start, ImageRegionSize)
-}
-
-// regionBytes serializes region r of the heap into buf and returns the
-// filled prefix.
-func (h *Heap) regionBytes(r uint64, buf []byte) []byte {
-	start, n := regionSpan(h.size, r)
-	h.ReadBytes(start, buf[:n])
-	return buf[:n]
 }
 
 func regionCount(size uint64) uint64 {
@@ -119,11 +113,11 @@ func regionCount(size uint64) uint64 {
 // either the previous image or the complete new one — never a blend.
 func (h *Heap) WriteImage(path string, generation uint64) error {
 	nRegions := regionCount(h.size)
-	buf := make([]byte, ImageRegionSize)
 	table := make([]byte, nRegions*8)
 	var sum uint32
 	for r := uint64(0); r < nRegions; r++ {
-		sum = CRC32C(sum, h.regionBytes(r, buf))
+		start, n := regionSpan(h.size, r)
+		sum = CRC32C(sum, h.view(start, n, false))
 		binary.LittleEndian.PutUint64(table[r*8:], uint64(sum))
 	}
 	hdr := make([]byte, imageHeaderSize)
@@ -173,7 +167,8 @@ func (h *Heap) WriteImage(path string, generation uint64) error {
 		if r == nRegions/2 {
 			fpPersistMidImage.Maybe()
 		}
-		if _, err := w.Write(h.regionBytes(r, buf)); err != nil {
+		start, n := regionSpan(h.size, r)
+		if _, err := w.Write(h.view(start, n, false)); err != nil {
 			return werr(err)
 		}
 	}
@@ -318,12 +313,11 @@ func LoadImage(path string) (*Heap, ImageInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	h := &Heap{words: make([]uint64, info.HeapBytes/WordSize), size: info.HeapBytes}
-	buf := make([]byte, ImageRegionSize)
+	h := newHeap(info.HeapBytes)
 	var sum uint32
 	for reg := uint64(0); reg < info.Regions; reg++ {
 		start, n := regionSpan(info.HeapBytes, reg)
-		b := buf[:n]
+		b := h.view(start, n, true)
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, info, fmt.Errorf("%w: %s: region %d: %v", ErrImageTruncated, path, reg, err)
 		}
@@ -331,7 +325,6 @@ func LoadImage(path string) (*Heap, ImageInfo, error) {
 			return nil, info, fmt.Errorf("%w: %s: region %d (heap %#x..%#x) crc %#x, want %#x",
 				ErrImageChecksum, path, reg, start, start+n, sum, crcs[reg])
 		}
-		h.WriteBytes(start, b)
 	}
 	if uint64(sum) != wantImageCRC {
 		return nil, info, fmt.Errorf("%w: %s: image crc %#x, want %#x", ErrImageChecksum, path, sum, wantImageCRC)

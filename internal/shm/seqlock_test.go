@@ -85,7 +85,7 @@ func TestAtomicReadWriteBytes(t *testing.T) {
 		t.Fatalf("plain read of atomic write = %x", plain)
 	}
 	// Neighbouring bytes are untouched by the edge read-modify-writes.
-	if h.loadByte(12) != 0 || h.loadByte(13+uint64(len(src))) != 0 {
+	if h.Bytes(12, 1)[0] != 0 || h.Bytes(13+uint64(len(src)), 1)[0] != 0 {
 		t.Fatal("AtomicWriteBytes scribbled outside its span")
 	}
 }

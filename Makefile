@@ -190,7 +190,10 @@ bench-batch:
 # (DESIGN.md §12 "What a batch costs") — and what core.Ctx does once per
 # operation beneath them all (DESIGN.md §6 "What one operation costs"),
 # down to the heap's bulk byte routines those operations are made of. A
-# change to any of them says which row it moved. Timings on a shared box:
-# run by hand, not part of check.
+# change to any of them says which row it moved. Then contention, which no
+# one-thread row shows: routed Gets from one session per goroutine at one
+# and two CPUs, ops/s at each and the 2/1 ratio (DESIGN.md §6). Timings on
+# a shared box: run by hand, not part of check.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkGateParts|BenchmarkRouteParts|BenchmarkBatchParts|BenchmarkCoreParts|BenchmarkHeapBytes' -benchtime 2s ./internal/hodor ./memcached ./internal/core ./internal/shm
+	$(GO) test -run xxx -bench 'BenchmarkParallelGet' -cpu 1,2 -benchtime 2s ./memcached

@@ -88,12 +88,14 @@ type Options struct {
 	// abandoned: all statistics updates serialize on one lock (ablation).
 	LockedStats bool
 	// ReaderSlots is the number of optimistic-reader announcement slots in
-	// the shared heap. Each Ctx claims one at creation; a Ctx that finds
-	// none free simply never uses the lock-free read path.
+	// the shared heap. Each Ctx claims one at creation, counts its
+	// operations in it (gate.go) and takes its statistics and latency slots
+	// from its index; a Ctx that finds none free never uses the lock-free
+	// read path and counts in the gate's shared word.
 	ReaderSlots uint64
 	// LatencySlots is the number of scattered latency-histogram slots:
-	// like the statistics slots, contexts hash onto them by owner token so
-	// recording stays contention free at sane thread counts.
+	// like the statistics slots, contexts spread over them by reader slot
+	// so recording stays contention free at sane thread counts.
 	LatencySlots uint64
 	// LatencySampleEvery records the latency of one in every N operations
 	// per context (rounded up to a power of two; 0 means 8). Sampling keeps
@@ -156,7 +158,7 @@ const (
 	cfgStatSlots     = 80
 	cfgLockedStats   = 88
 	cfgStatsLock     = 96  // heap-resident lock word for LockedStats mode
-	cfgGate          = 104 // checkpoint gate: barrier bit + active-op count
+	cfgGate          = 104 // checkpoint gate: barrier bit + slotless active-op count
 	cfgSeqLocks      = 112 // pptr: per-stripe seqlock array (one word per item lock)
 	cfgReaders       = 120 // pptr: optimistic-reader slot array
 	cfgNumReaders    = 128
@@ -350,16 +352,17 @@ func attach(a *ralloc.Allocator, cfg uint64) (*Store, error) {
 // ResetGate clears the checkpoint gate and the optimistic-reader slots.
 // Call it when reopening a heap image from disk: a checkpoint is written
 // with the quiesce barrier raised, and neither the operations counted in
-// the gate nor the reader sections announced in the slots exist after a
-// reload (a slot left claimed or mid-section by a dead process would
-// otherwise pin the slot and stall grave reaping forever). Never call it
-// on a store with live clients.
+// the gate and its slots nor the reader sections announced in the slots
+// exist after a reload (a slot left claimed or mid-section by a dead
+// process would otherwise pin the slot and stall grave reaping forever).
+// Never call it on a store with live clients.
 func (s *Store) ResetGate() {
 	s.H.AtomicStore64(s.cfg+cfgGate, 0)
 	for i := uint64(0); i < s.numReaders; i++ {
 		slot := s.readerSlotOff(i)
 		s.H.AtomicStore64(slot+readerSlotOwner, 0)
 		s.H.AtomicStore64(slot+readerSlotEpoch, 0)
+		s.H.AtomicStore64(slot+readerSlotOp, 0)
 	}
 }
 

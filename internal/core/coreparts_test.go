@@ -62,7 +62,6 @@ func BenchmarkCoreParts(b *testing.B) {
 	part("clock", func() { c.stamp, c.nowOK = 0, false; partsSink += uint64(c.now()) })
 	part("stat-add", func() { c.stat(statGetHits, 1) })
 	part("reader-section", func() { c.beginRead(); c.endRead() })
-	part("pin", func() { s.increfIfLive(it); c.decref(it) })
 	part("check-valid", func() {
 		if !s.itemCheckValid(it) {
 			b.Fatal("valid item failed its check")

@@ -6,24 +6,35 @@ import "runtime"
 //
 // The paper flushes the store to its backing file only at orderly
 // shutdown, and calls full crash consistency future work (§6). As a step
-// in that direction this implementation supports *live checkpoints*: a
-// heap-resident gate counts in-flight operations; a checkpointer raises a
-// barrier bit, waits for the count to drain, snapshots the (now fully
-// consistent) heap, and drops the barrier. The fast-path cost is two
-// uncontended atomic adds per operation.
+// in that direction this implementation supports *live checkpoints*: the
+// gate counts in-flight operations; a checkpointer raises a barrier bit,
+// waits for the count to drain, snapshots the (now fully consistent) heap,
+// and drops the barrier. Entry is reentrant per context (an operation that
+// internally evicts or resizes does not deadlock itself).
 //
-// The gate word lives in the config block: bit 63 is the barrier, the low
-// bits count active operations. Entry is reentrant per context (an
-// operation that internally evicts or resizes does not deadlock itself).
+// The count is scattered like the statistics (§4): a context that holds
+// an optimistic-reader slot counts its operation in that slot's op word,
+// on a line no other thread writes, so an admission writes nothing shared.
+// Entry publishes the owner token there and then checks the barrier;
+// Quiesce raises the barrier and then reads every op word — Dekker order,
+// both sides seq-cst, so either the entrant sees the barrier and withdraws
+// or the quiescer sees the token and waits. Exit CASes the word from the
+// owner token back to zero: a zombie whose slot was retired, cleared by
+// RepairGate and reclaimed by a live context leaves the new owner's token
+// alone. A context with no slot (more live contexts than ReaderSlots) and
+// any entry that meets a raised barrier counts in the store-wide word
+// below instead.
 
 // Gate word layout: bit 63 is the barrier, bits 48–62 are a repair
-// generation, bits 0–47 count active operations. RepairGate bumps the
-// generation when it clears the count after a crash, so a decrement can
-// only land on the gate incarnation it entered: a watchdog-reaped zombie
-// whose deferred exitOp runs after repair must not consume a count
-// entered by a new live operation (Quiesce would then observe zero with
-// an op mid-flight and snapshot a torn heap). The generation wraps at
-// 2^15 repairs, far past any plausible window for a zombie to straddle.
+// generation, bits 0–47 count the operations of slotless entries.
+// RepairGate bumps the generation when it clears the count after a crash,
+// so a decrement can only land on the gate incarnation it entered: a
+// watchdog-reaped zombie whose deferred exitOp runs after repair must not
+// consume a count entered by a new live operation (Quiesce would then
+// observe zero with an op mid-flight and snapshot a torn heap). The
+// generation wraps at 2^15 repairs, far past any plausible window for a
+// zombie to straddle. Slot entries need no generation: their exit is
+// guarded by the owner token itself.
 const (
 	gateBarrier   = uint64(1) << 63
 	gateGenShift  = 48
@@ -31,35 +42,49 @@ const (
 	gateCountMask = uint64(1)<<gateGenShift - 1
 )
 
-// enterOp joins the active-operation count, waiting out any barrier, and
-// records the gate generation the count was entered under. Reentrant via
-// the context's depth counter.
+// enterOp admits an operation, waiting out any barrier, and records where
+// it was counted for exitOp. Reentrant via the context's depth counter.
 func (c *Ctx) enterOp() {
 	if c.opDepth++; c.opDepth > 1 {
 		return
 	}
 	c.stamp, c.lent, c.nowOK = c.lent, 0, false // one stamp per admission; see Ctx.admitted
+	h := c.s.H
 	gate := c.s.cfg + cfgGate
+	if slot := c.rdSlot; slot != 0 && h.CAS64(slot+readerSlotOp, 0, c.owner) {
+		if h.AtomicLoad64(gate)&gateBarrier == 0 {
+			c.opWord = slot + readerSlotOp
+			return
+		}
+		h.CAS64(slot+readerSlotOp, c.owner, 0) // a checkpoint is draining: withdraw
+	}
+	c.opWord = 0
 	for {
-		g := c.s.H.AtomicLoad64(gate)
+		g := h.AtomicLoad64(gate)
 		if g&gateBarrier != 0 {
 			runtime.Gosched() // a checkpoint is draining the store
 			continue
 		}
-		if c.s.H.CAS64(gate, g, g+1) {
+		if h.CAS64(gate, g, g+1) {
 			c.gateGen = g & gateGenMask
 			return
 		}
 	}
 }
 
-// exitOp leaves the active-operation count — but only on the gate
-// incarnation it entered: if the generation changed (RepairGate ran
-// because this thread was given up for dead) the count this context
-// entered is already gone, and decrementing would eat a live operation's
-// count. The zero check guards against underflow across a plain reset.
+// exitOp retires the operation where enterOp counted it. A slot entry
+// clears its op word only if it still holds this context's token. A
+// counted entry decrements only the gate incarnation it entered: if the
+// generation changed (RepairGate ran because this thread was given up for
+// dead) the count this context entered is already gone, and decrementing
+// would eat a live operation's count. The zero check guards against
+// underflow across a plain reset.
 func (c *Ctx) exitOp() {
 	if c.opDepth--; c.opDepth > 0 {
+		return
+	}
+	if c.opWord != 0 {
+		c.s.H.CAS64(c.opWord, c.owner, 0)
 		return
 	}
 	gate := c.s.cfg + cfgGate
@@ -75,6 +100,18 @@ func (c *Ctx) exitOp() {
 			return
 		}
 	}
+}
+
+// inFlight counts the operations the gate holds: the store-wide count plus
+// every reader slot whose op word is set.
+func (s *Store) inFlight() uint64 {
+	n := s.H.AtomicLoad64(s.cfg+cfgGate) & gateCountMask
+	for i := uint64(0); i < s.numReaders; i++ {
+		if s.H.AtomicLoad64(s.readerSlotOff(i)+readerSlotOp) != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Quiesce raises the barrier and waits until no operation is in flight.
@@ -106,7 +143,7 @@ func (s *Store) QuiesceWithAbort(abort func() bool) bool {
 			break
 		}
 	}
-	for s.H.AtomicLoad64(gate)&gateCountMask != 0 {
+	for s.inFlight() != 0 {
 		if abort != nil && abort() {
 			s.Unquiesce()
 			return false

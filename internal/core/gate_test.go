@@ -36,28 +36,78 @@ func TestQuiesceBlocksAndDrains(t *testing.T) {
 	}
 }
 
+// TestQuiesceWaitsForInFlight holds an operation open in each of the two
+// places the gate counts one — a reader slot's op word, and, for a context
+// that found every slot taken, the store-wide word — and Quiesce must wait
+// for it to drain.
 func TestQuiesceWaitsForInFlight(t *testing.T) {
-	s, _ := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
-	c := s.NewCtx(1)
-	// Hold an "operation" open by entering the gate manually.
-	c.enterOp()
-	quiesced := make(chan struct{})
-	go func() {
-		s.Quiesce()
-		close(quiesced)
-	}()
-	select {
-	case <-quiesced:
-		t.Fatal("Quiesce returned while an operation was in flight")
-	case <-time.After(20 * time.Millisecond):
+	s, holder := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16, ReaderSlots: 1})
+	overflow := s.NewCtx(2)
+	if holder.rdSlot == 0 || overflow.rdSlot != 0 {
+		t.Fatal("want one slot holder and one slotless context")
 	}
-	c.exitOp()
-	select {
-	case <-quiesced:
-	case <-time.After(time.Second):
-		t.Fatal("Quiesce never completed after drain")
+	for _, c := range []*Ctx{holder, overflow} {
+		// Hold an "operation" open by entering the gate manually.
+		c.enterOp()
+		if counted := c.opWord == 0; counted != (c == overflow) {
+			t.Fatalf("context %d: counted in the gate word = %v", c.owner, counted)
+		}
+		if n, _ := s.InFlightOps(); n != 1 {
+			t.Fatalf("context %d: InFlightOps = %d, want 1", c.owner, n)
+		}
+		quiesced := make(chan struct{})
+		go func() {
+			s.Quiesce()
+			close(quiesced)
+		}()
+		select {
+		case <-quiesced:
+			t.Fatalf("context %d: Quiesce returned while an operation was in flight", c.owner)
+		case <-time.After(20 * time.Millisecond):
+		}
+		c.exitOp()
+		select {
+		case <-quiesced:
+		case <-time.After(time.Second):
+			t.Fatalf("context %d: Quiesce never completed after drain", c.owner)
+		}
+		s.Unquiesce()
 	}
-	s.Unquiesce()
+}
+
+// TestZombieExitOntoReclaimedSlot: a slot holder is reaped mid-operation,
+// repair retires its slot and clears the gate, and a new context claims the
+// slot and enters. The zombie's late exitOp lands on the new owner's op
+// word and must leave it: the live operation stays counted, so Quiesce
+// still waits for it.
+func TestZombieExitOntoReclaimedSlot(t *testing.T) {
+	s, zombie := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
+	zombie.enterOp()
+	if zombie.opWord == 0 {
+		t.Fatal("a slot holder counted in the gate word")
+	}
+	s.RetireDeadReaders(deadOnly(zombie.owner))
+	s.RepairGate()
+	if n, _ := s.InFlightOps(); n != 0 {
+		t.Fatalf("InFlightOps = %d after RepairGate, want 0", n)
+	}
+	live := s.NewCtx(2)
+	if live.rdSlot != zombie.rdSlot {
+		t.Fatal("the live context did not reclaim the retired slot")
+	}
+	live.enterOp()
+	zombie.exitOp()
+	if n, _ := s.InFlightOps(); n != 1 {
+		t.Fatalf("InFlightOps = %d after the zombie's exit, want 1 (live op eaten)", n)
+	}
+	if s.QuiesceWithAbort(func() bool { return true }) {
+		s.Unquiesce()
+		t.Fatal("quiesced with the live operation in flight")
+	}
+	live.exitOp()
+	if n, _ := s.InFlightOps(); n != 0 {
+		t.Fatalf("InFlightOps = %d, want 0", n)
+	}
 }
 
 func TestGateReentrancy(t *testing.T) {
@@ -99,7 +149,7 @@ func TestConcurrentQuiesceUnderLoad(t *testing.T) {
 	// each quiesced window must observe zero in-flight operations.
 	for i := 0; i < 50; i++ {
 		s.Quiesce()
-		if g := s.H.AtomicLoad64(s.cfg+cfgGate) & gateCountMask; g != 0 {
+		if g, _ := s.InFlightOps(); g != 0 {
 			s.Unquiesce()
 			stop.Store(true)
 			wg.Wait()

@@ -6,18 +6,22 @@ import "runtime"
 //
 // An optimistic reader walks bucket chains without any lock, so it can
 // hold an item offset after a concurrent writer has unlinked the item and
-// dropped the last reference. If the item's memory were freed (and
-// possibly reallocated) at that instant, the reader's subsequent loads —
-// and worse, its pinning CAS on the refcount word — would hit recycled
-// memory. Seqlock validation rejects the *values* such a reader produces,
-// but cannot un-write a CAS.
+// dropped the last reference. Seqlock validation rejects the *values* such
+// a reader produces, but the reader still loads through the offset — the
+// next chain link, the key it compares, the length that bounds its copy —
+// and if the memory were freed and handed to another structure at that
+// instant, those loads would read words the allocator or a new owner is
+// writing. A reader writes nothing to an item (seqread.go), so what the
+// grave protects is exactly this: every block reachable from an announced
+// read section keeps its bytes, and stays an item, until that section
+// closes.
 //
 // The fix is a quarantine. Items whose refcount drops to zero are not
 // freed; they are pushed (lock-free, Treiber style) onto a heap-resident
 // "grave" list, linked through their now-unused lruNext word with raw heap
 // offsets. Quarantined items keep their bytes: a late reader that reaches
-// one sees a well-formed item with refcount zero, fails its increfIfLive,
-// and retries — it never writes to it.
+// one sees a well-formed item, and the seqlock — bumped by the unlink that
+// preceded the push — discards whatever it copied.
 //
 // Reapers free the quarantine in batches. Each optimistic reader owns one
 // announcement slot in a shared array: an epoch word it bumps to odd on
@@ -36,11 +40,13 @@ import "runtime"
 // Reapers never block readers and readers never wait for reapers, so the
 // scheme cannot deadlock — but a Ctx must never trigger a reap from
 // inside its own announced read section (it would wait on itself). The
-// read path therefore closes its section before dropping item references.
+// read path takes no item reference, so nothing it does inside a section
+// can push to the grave.
 
 const (
-	readerSlotOwner = 0 // CAS-claimed by one Ctx; 0 = free
-	readerSlotEpoch = 8 // odd while the owner is inside a read section
+	readerSlotOwner = 0  // CAS-claimed by one Ctx; 0 = free
+	readerSlotEpoch = 8  // odd while the owner is inside a read section
+	readerSlotOp    = 16 // the owner's token while it has an operation in flight (gate.go)
 	// readerSlotSize pads each slot to two cache lines so concurrent
 	// readers' announcements do not false-share.
 	readerSlotSize = 128
@@ -56,13 +62,15 @@ const graveNext = itLRUNext
 
 // graveReapThreshold is how many quarantined items accumulate before the
 // thread that pushes one also reaps. Maintenance passes reap regardless.
-const graveReapThreshold = 128
+// A variable only so a stress test can reap on every push.
+var graveReapThreshold uint64 = 128
 
 func (s *Store) readerSlotOff(i uint64) uint64 {
 	return s.readers + i*readerSlotSize
 }
 
-// claimReaderSlot finds a free announcement slot for this context. Best
+// claimReaderSlot finds a free announcement slot for this context and
+// scatters its statistics and latency slots by the slot's index. Best
 // effort: with every slot taken the context stays valid but never reads
 // optimistically.
 func (c *Ctx) claimReaderSlot() {
@@ -71,6 +79,7 @@ func (c *Ctx) claimReaderSlot() {
 		slot := s.readerSlotOff(i)
 		if s.H.CAS64(slot+readerSlotOwner, 0, c.owner) {
 			c.rdSlot = slot
+			c.scatter(i)
 			return
 		}
 	}

@@ -167,24 +167,8 @@ func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int6
 func (s *Store) itemHash(it uint64) uint64 { return s.H.Load64(it + itHash) }
 
 // incref pins an item the caller already knows is live (it holds the item
-// lock, or another reference).
+// lock, or another reference). Optimistic readers never pin.
 func (s *Store) incref(it uint64) { s.H.Add64(it+itRefcount, 1) }
-
-// increfIfLive pins an item only if it still has references — the lock-free
-// reader's pin. An item in the grave has refcount zero; the CAS loop
-// refuses it without ever writing, so a stale chain pointer can never
-// resurrect a dead item or scribble on quarantined memory.
-func (s *Store) increfIfLive(it uint64) bool {
-	for {
-		r := s.H.AtomicLoad64(it + itRefcount)
-		if r == 0 {
-			return false
-		}
-		if s.H.CAS64(it+itRefcount, r, r+1) {
-			return true
-		}
-	}
-}
 
 // decref unpins an item. When the last reference drops the item is
 // quarantined on the grave list rather than freed, so that a concurrent

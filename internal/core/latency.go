@@ -8,7 +8,7 @@ package core
 // fixed-layout shared histograms (histogram.SharedSize bytes each, padded
 // to cache lines) lives in the Ralloc heap, reachable from RootLatency:
 // one row per slot, one column per operation class. A context records into
-// the slot chosen by its owner token with three atomic adds, so recording
+// the slot its reader slot picks (Ctx.scatter) with three atomic adds, so recording
 // never contends across threads, and because the matrix is heap-resident
 // the histograms survive into crash images for post-mortem forensics
 // (plibdump -metrics) and are re-validated by Repair like any other shared

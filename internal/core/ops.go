@@ -27,15 +27,21 @@ var (
 // scratch buffers into which client arguments are captured before any lock
 // is acquired (the §3.4 fault-tolerance idiom — the key_prot/dat_prot
 // buffers of Fig. 4). A Ctx must be used by one thread at a time.
+//
+// The padding at each end keeps the words an operation writes (opDepth,
+// stamp, lent, latN, ...) off the cache lines of whatever the allocator
+// places beside the context — another thread's context, most often.
 type Ctx struct {
+	_     [64]byte
 	s     *Store
 	cache *ralloc.Cache
 	owner uint64
-	slot  uint64
+	slot  uint64 // statistics slot this context counts into
 
 	evictCursor uint64
 	opDepth     int
-	gateGen     uint64 // gate generation observed at enterOp (see exitOp)
+	opWord      uint64 // heap offset of the slot op word enterOp set; 0 = counted in the gate word
+	gateGen     uint64 // gate generation observed at a counted enterOp (see exitOp)
 	rdSlot      uint64 // optimistic-reader announcement slot; 0 = none
 	rdEpoch     uint64 // epoch this context announced in its slot (see endRead)
 	latN        uint64 // operations seen since creation (latency sampling)
@@ -92,6 +98,7 @@ type Ctx struct {
 	valBuf   []byte
 	auxBuf   []byte
 	evictBuf []byte
+	_        [64]byte
 }
 
 // loadChainHead reads a bucket's first item; loadChainNext follows hNext.
@@ -101,22 +108,36 @@ func loadChainNext(s *Store, it uint64) uint64     { return ralloc.LoadPptr(s.H,
 // NewCtx creates an operation context. owner must be a nonzero token unique
 // to the calling thread (proc.Thread.LockOwner provides one). The context
 // claims an optimistic-reader slot if one is free; with none available it
-// still works, it just serves every read through the locked path.
+// still works, it just serves every read through the locked path and
+// counts its operations in the gate's shared word.
 func (s *Store) NewCtx(owner uint64) *Ctx {
 	c := &Ctx{
 		s:                    s,
 		cache:                s.A.NewCache(),
 		owner:                owner,
-		slot:                 owner % s.statSlots,
 		CaptureClientBuffers: true,
 	}
-	if s.latSlots != 0 {
-		c.latSlot = owner % s.latSlots
-	}
 	c.deadSelf = func() bool { return s.ownerIsDead(owner) }
+	c.scatter(owner)
 	c.claimReaderSlot()
 	return c
 }
+
+// scatter picks the statistics and latency slots this context counts into
+// from n: the index of its reader slot, which no other live context holds,
+// or — slotless — its owner token. Tokens are PID<<20 | TID+1, so any
+// modulus up to 2^20 reduces them to the thread number alone, and the first
+// thread of every process would share one slot.
+func (c *Ctx) scatter(n uint64) {
+	c.slot = n % c.s.statSlots
+	if c.s.latSlots != 0 {
+		c.latSlot = n % c.s.latSlots
+	}
+}
+
+// Slots reports the statistics and latency-histogram slots this context
+// records into.
+func (c *Ctx) Slots() (stats, latency uint64) { return c.slot, c.latSlot }
 
 // lock acquires the heap-resident lock at off on behalf of this context.
 // The spin consults the owner-liveness oracle: once this context has been

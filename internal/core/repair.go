@@ -121,29 +121,34 @@ func (s *Store) HeldLocks() []HeldLock {
 }
 
 // InFlightOps reads the operation gate: the number of operations counted
-// in flight and whether a checkpoint barrier is raised.
+// in flight, in the gate word and in the reader slots, and whether a
+// checkpoint barrier is raised.
 func (s *Store) InFlightOps() (count uint64, barrier bool) {
-	g := s.H.AtomicLoad64(s.cfg + cfgGate)
-	return g & gateCountMask, g&gateBarrier != 0
+	return s.inFlight(), s.H.AtomicLoad64(s.cfg+cfgGate)&gateBarrier != 0
 }
 
-// RepairGate clears the operation gate's count and barrier and bumps its
-// generation. After a crash the gate can hold counts entered by threads
-// that died before their exitOp (the watchdog gave up on them mid-call);
-// with every live call drained those counts are unreclaimable and would
-// stall the next Quiesce forever. The generation bump makes any zombie's
-// late exitOp a no-op (see gate.go), so the cleared count cannot be
-// decremented on behalf of operations that no longer exist. Unlike
-// ResetGate this touches only the gate word, never the reader slots of
-// live contexts. Call only from a repair pass that has drained live calls.
+// RepairGate clears every operation the gate counts — the gate word's
+// count and barrier, and each reader slot's op word — and bumps the gate
+// word's generation. After a crash the gate can hold operations entered by
+// threads that died before their exitOp (the watchdog gave up on them
+// mid-call); with every live call drained those are unreclaimable and
+// would stall the next Quiesce forever. Neither kind of late exitOp can
+// then consume a live count (see gate.go): a counted one carries a stale
+// generation, a slot one CASes from its own token, which the cleared word
+// — or a reclaiming context's token — no longer holds. Unlike ResetGate
+// this leaves slot ownership and read sections alone. Call only from a
+// repair pass that has drained live calls.
 func (s *Store) RepairGate() {
 	gate := s.cfg + cfgGate
 	for {
 		g := s.H.AtomicLoad64(gate)
 		next := (g + uint64(1)<<gateGenShift) & gateGenMask
 		if s.H.CAS64(gate, g, next) {
-			return
+			break
 		}
+	}
+	for i := uint64(0); i < s.numReaders; i++ {
+		s.H.AtomicStore64(s.readerSlotOff(i)+readerSlotOp, 0)
 	}
 }
 

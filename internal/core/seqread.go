@@ -18,14 +18,21 @@ import "plibmc/internal/ralloc"
 //
 //  1. sample the stripe seqlock; odd → a writer is active, retry;
 //  2. announce a read section in this Ctx's reader slot (see grave.go) so
-//     no quarantined item can be freed under us;
+//     no block reachable from the chains can be freed under us;
 //  3. walk the chain with atomic pointer loads, compare keys;
-//  4. pin a match with increfIfLive — the only shared-state write a
-//     reader ever performs, and one that refuses dead items;
-//  5. copy value, flags and CAS into private scratch with relaxed loads;
-//  6. re-validate the seqlock. Unchanged ⇒ the snapshot is consistent:
-//     return it (a clean full walk with no match is likewise a validated
-//     miss). Changed ⇒ discard everything and retry.
+//  4. copy a match's value, flags and CAS into private scratch with
+//     relaxed loads, still inside the section — no pin: the section
+//     already keeps the item's bytes in place, and the refcount is a
+//     word every reader of a hot key would otherwise fight over;
+//  5. re-validate the seqlock and close the section. Unchanged ⇒ the
+//     snapshot is consistent: return it (a clean full walk with no match
+//     is likewise a validated miss). Changed ⇒ discard everything and
+//     retry. An item unlinked (and perhaps quarantined) under the walk was
+//     unlinked inside a write section on this stripe, so a copy of it
+//     never validates.
+//
+// The only words a reader writes are in its own slot, on lines no other
+// thread writes: an optimistic hit writes nothing shared.
 //
 // After optMaxAttempts failed validations — or whenever the lookup needs
 // a write the reader must not perform (lazy expiry, an LRU bump that is
@@ -35,7 +42,7 @@ import "plibmc/internal/ralloc"
 // The §3.4 crash-safety discipline is preserved: validation happens after
 // the copy into library-private memory, client-visible memory is touched
 // only after the section closes, and a reader that loses every race has
-// written nothing but a refcount it promptly returns.
+// written nothing outside its own slot.
 
 const (
 	// optMaxAttempts bounds validation retries before falling back to the
@@ -97,20 +104,13 @@ func (c *Ctx) optGet(key []byte, hash uint64) (flags uint32, cas uint64, vlen ui
 			c.stat(statSeqRetries, 1)
 			continue
 		}
-		var pinned uint64
 		var state int
-		flags, cas, vlen, found, pinned, state = c.optProbe(key, bucket, size)
+		flags, cas, vlen, found, state = c.optProbe(key, bucket, size)
 		valid := state == optOK && h.SeqValidate(seqOff, s0)
+		c.endRead()
 		if inject > 0 {
 			inject--
 			valid = false
-		}
-		// Close the section before dropping the pin: decref may push to
-		// the grave and reap, and a reaper must never wait on its own
-		// announced section.
-		c.endRead()
-		if pinned != 0 {
-			c.decref(pinned)
 		}
 		if state == optFallback {
 			return 0, 0, 0, false, false
@@ -123,18 +123,17 @@ func (c *Ctx) optGet(key []byte, hash uint64) (flags uint32, cas uint64, vlen ui
 	return 0, 0, 0, false, false
 }
 
-// optProbe performs one unlocked walk-pin-copy inside an announced read
+// optProbe performs one unlocked walk-and-copy inside an announced read
 // section. Every offset is bounds-checked before use: a torn walk may hand
 // us stale chain pointers, and the probe must fail by retrying, never by
-// faulting. It returns the item it pinned (0 if none) for the caller to
-// release outside the section.
-func (c *Ctx) optProbe(key []byte, bucket, size uint64) (flags uint32, cas uint64, vlen uint64, found bool, pinned uint64, state int) {
+// faulting.
+func (c *Ctx) optProbe(key []byte, bucket, size uint64) (flags uint32, cas uint64, vlen uint64, found bool, state int) {
 	s := c.s
 	h := s.H
 	it := ralloc.AtomicLoadPptr(h, bucket)
 	for steps := 0; it != 0; steps++ {
 		if steps >= optMaxChain || it%8 != 0 || it+itHeader > size {
-			return 0, 0, 0, false, 0, optRetry
+			return 0, 0, 0, false, optRetry
 		}
 		klen := uint64(h.RelaxedLoad32(it + itKeyLen))
 		if klen == uint64(len(key)) && it+itHeader+klen <= size && h.EqualBytes(it+itHeader, key) {
@@ -143,31 +142,29 @@ func (c *Ctx) optProbe(key []byte, bucket, size uint64) (flags uint32, cas uint6
 		it = ralloc.AtomicLoadPptr(h, it+itHNext)
 	}
 	if it == 0 {
-		return 0, 0, 0, false, 0, optOK // a full clean walk: validated miss
+		return 0, 0, 0, false, optOK // a full clean walk: validated miss
 	}
-	if !s.increfIfLive(it) {
-		return 0, 0, 0, false, 0, optRetry // dying item; chains have moved on
-	}
-	// Pinned: the memory cannot be freed or recycled under us. Key bytes,
-	// keyLen, valLen and flags are immutable after publication; casID and
-	// the value are seq-validated; exptime and lastAccess are advisory.
+	// The section keeps the memory in place (it may already be quarantined;
+	// then the seqlock will not validate). Key bytes, keyLen, valLen and
+	// flags are immutable after publication; casID and the value are
+	// seq-validated; exptime and lastAccess are advisory.
 	if !c.s.itemCheckValid(it) {
-		return 0, 0, 0, false, it, optFallback // locked path quarantines it
+		return 0, 0, 0, false, optFallback // locked path quarantines it
 	}
 	now := c.now()
 	if e := h.RelaxedLoad32(it + itExptime); e != 0 && int64(e) <= now {
-		return 0, 0, 0, false, it, optFallback // lazy expiry unlinks under the lock
+		return 0, 0, 0, false, optFallback // lazy expiry unlinks under the lock
 	}
 	if uint64(now)-h.RelaxedLoad64(it+itLastAccess) >= lruBumpInterval {
-		return 0, 0, 0, false, it, optFallback // the LRU bump is a write
+		return 0, 0, 0, false, optFallback // the LRU bump is a write
 	}
 	vlen = uint64(h.RelaxedLoad32(it + itValLen))
 	voff := it + itHeader + (uint64(len(key))+7)&^uint64(7)
 	if vlen > MaxValueLen || voff > size || voff+vlen > size {
-		return 0, 0, 0, false, it, optRetry
+		return 0, 0, 0, false, optRetry
 	}
 	h.AtomicReadBytes(voff, grow(&c.valBuf, vlen))
 	flags = h.RelaxedLoad32(it + itFlags)
 	cas = h.RelaxedLoad64(it + itCASID)
-	return flags, cas, vlen, true, it, optOK
+	return flags, cas, vlen, true, optOK
 }

@@ -262,7 +262,8 @@ func TestOptimisticFastpathCounting(t *testing.T) {
 }
 
 // TestGraveQuarantine verifies safe reclamation: removed items sit intact
-// in the quarantine (refusing new pins) until a reap drains them.
+// in the quarantine — still well-formed items, their key and value bytes
+// where a late reader would look — until a reap drains them.
 func TestGraveQuarantine(t *testing.T) {
 	s, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16, FixedSize: true})
 	k := []byte("doomed")
@@ -276,10 +277,6 @@ func TestGraveQuarantine(t *testing.T) {
 	if it == 0 {
 		t.Fatal("item not found")
 	}
-	if !s.increfIfLive(it) {
-		t.Fatal("increfIfLive refused a live item")
-	}
-	c.decref(it)
 
 	if err := c.Delete(k); err != nil {
 		t.Fatal(err)
@@ -287,12 +284,12 @@ func TestGraveQuarantine(t *testing.T) {
 	if got := s.GraveLen(); got != 1 {
 		t.Fatalf("GraveLen after delete = %d, want 1", got)
 	}
-	// Quarantined: memory intact, refcount zero, pin refused.
+	// Quarantined: refcount zero, memory intact.
 	if s.H.AtomicLoad64(it+itRefcount) != 0 {
 		t.Fatal("quarantined item has nonzero refcount")
 	}
-	if s.increfIfLive(it) {
-		t.Fatal("increfIfLive resurrected a quarantined item")
+	if !s.itemCheckValid(it) || !s.keyEqual(it, k) || string(s.H.Bytes(s.itemValOff(it), 1)) != "v" {
+		t.Fatal("quarantined item's bytes changed before the reap")
 	}
 	if freed := c.reapGrave(); freed != 1 {
 		t.Fatalf("reapGrave freed %d, want 1", freed)
@@ -310,7 +307,7 @@ func TestGraveQuarantine(t *testing.T) {
 // any maintenance pass.
 func TestGraveAutoReap(t *testing.T) {
 	s, c := newStore(t, 1<<24, Options{HashPower: 10, NumItemLocks: 16, FixedSize: true})
-	for i := 0; i < graveReapThreshold+10; i++ {
+	for i := 0; i < int(graveReapThreshold)+10; i++ {
 		k := []byte(fmt.Sprintf("k-%04d", i))
 		if err := c.Set(k, []byte("v"), 0, 0); err != nil {
 			t.Fatal(err)
@@ -321,6 +318,105 @@ func TestGraveAutoReap(t *testing.T) {
 	}
 	if got := s.GraveLen(); got >= graveReapThreshold {
 		t.Fatalf("GraveLen = %d, auto-reap never ran", got)
+	}
+}
+
+// TestUnpinnedReadsUnderReapChurn: optimistic readers take no reference on
+// the item they copy, so the read section alone must keep its bytes in
+// place. Writers delete and re-set a small key range with the grave reaping
+// on every push — each dead item is freed, and its memory reused, as soon
+// as the reaper has waited out the sections that might still see it — and
+// every value a reader returns must be one a writer stored under that key:
+// the key, a version, and a length and filler both derived from the
+// version. A copy from freed or recycled memory that slipped past the
+// seqlock would break one of the three. Run with -race.
+func TestUnpinnedReadsUnderReapChurn(t *testing.T) {
+	defer func(n uint64) { graveReapThreshold = n }(graveReapThreshold)
+	graveReapThreshold = 1
+	s, _ := newStore(t, 1<<22, Options{HashPower: 6, NumItemLocks: 8, FixedSize: true})
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("churn-%02d", i))
+	}
+	value := func(k []byte, ver uint64) []byte {
+		v := append(append([]byte{}, k...), fmt.Sprintf("|%08d|", ver)...)
+		for j := uint64(0); j < 8+ver%97; j++ {
+			v = append(v, byte('a'+ver%26))
+		}
+		return v
+	}
+	check := func(k, v []byte) string {
+		var ver uint64
+		if len(v) < len(k)+10 || !bytes.Equal(v[:len(k)], k) {
+			return fmt.Sprintf("value %q does not carry key %q", v, k)
+		}
+		if _, err := fmt.Sscanf(string(v[len(k):len(k)+10]), "|%08d|", &ver); err != nil {
+			return fmt.Sprintf("value %q for key %q has no version", v, k)
+		}
+		if want := value(k, ver); !bytes.Equal(v, want) {
+			return fmt.Sprintf("value %q for key %q, want %q", v, k, want)
+		}
+		return ""
+	}
+
+	const writers, readers, iters = 2, 2, 3000
+	fail := make(chan string, writers+readers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c := s.NewCtx(uint64(100 + id))
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(id)))
+			for i := 0; i < iters; i++ {
+				k := keys[rng.Intn(len(keys))]
+				if err := c.Delete(k); err != nil && !errors.Is(err, ErrNotFound) {
+					fail <- fmt.Sprintf("delete: %v", err)
+					return
+				}
+				if err := c.Set(k, value(k, uint64(i*writers+id)), 0, 0); err != nil {
+					fail <- fmt.Sprintf("set: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c := s.NewCtx(uint64(200 + id))
+			defer c.Close()
+			rng := rand.New(rand.NewSource(int64(1000 + id)))
+			for i := 0; i < iters; i++ {
+				k := keys[rng.Intn(len(keys))]
+				v, _, _, err := c.Get(k)
+				if errors.Is(err, ErrNotFound) {
+					continue
+				}
+				if err != nil {
+					fail <- fmt.Sprintf("get: %v", err)
+					return
+				}
+				if msg := check(k, v); msg != "" {
+					fail <- msg
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+	if st := s.Stats(); st.GetFastpathHits == 0 || st.GetHits == 0 {
+		t.Fatalf("no optimistic hit to check: %+v", st)
+	}
+	if _, err := s.A.Check(); err != nil {
+		t.Fatalf("heap verification after churn: %v", err)
 	}
 }
 

@@ -76,8 +76,8 @@ func BenchmarkGateParts(b *testing.B) {
 	})
 	b.Run("counters", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lib.calls.Add(1)
-			lib.crossings.Add(1)
+			s.calls.Add(1)
+			s.crossings.Add(1)
 		}
 	})
 	b.Run("wrpkru-x2", func(b *testing.B) {

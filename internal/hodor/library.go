@@ -85,8 +85,6 @@ type Library struct {
 	state     atomic.Int32
 	recoverFn func(*CrashError) error
 
-	calls      atomic.Uint64
-	crossings  atomic.Uint64
 	crashes    atomic.Uint64
 	rejected   atomic.Uint64
 	recoveries atomic.Uint64
@@ -102,7 +100,9 @@ type Library struct {
 	// exit restoration timed separately); populated only when Profile is on.
 	cross histogram.Atomic
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// sessions holds every session ever attached (none is removed), so the
+	// per-session call counters sum to the library's.
 	sessions []*Session
 	// defunct records lock-owner tokens whose execution context died
 	// mid-call (crash, or watchdog-reaped zombie). The repair coordinator
@@ -146,14 +146,24 @@ type Metrics struct {
 	GateRejections uint64
 }
 
-// Metrics returns the library's call counters.
+// Metrics returns the library's call counters. Calls and crossings are
+// counted per session, by the session's own thread, and summed here — the
+// scattered statistics array one layer up: a counter every thread adds to
+// is a cache line every thread fights over.
 func (l *Library) Metrics() Metrics {
+	var calls, crossings uint64
+	l.mu.Lock()
+	for _, s := range l.sessions {
+		calls += s.calls.Load()
+		crossings += s.crossings.Load()
+	}
+	l.mu.Unlock()
 	return Metrics{
-		Calls:             l.calls.Load(),
+		Calls:             calls,
 		Crashes:           l.crashes.Load(),
 		Rejected:          l.rejected.Load(),
 		Recoveries:        l.recoveries.Load(),
-		Crossings:         l.crossings.Load(),
+		Crossings:         crossings,
 		TotalTime:         time.Duration(l.nanos.Load()),
 		AttacksContained:  l.attacksContained.Load(),
 		TenantCallsReaped: l.tenantReaps.Load(),
@@ -265,8 +275,11 @@ func (e *overloadedError) Is(target error) bool { return target == ErrOverloaded
 
 // Session binds one client thread to one library: the per-thread state a
 // trampoline needs (saved register, the library-side stack, and the
-// in-flight call record the watchdog inspects).
+// in-flight call record the watchdog inspects). Every call writes it, so
+// 64 bytes of padding at each end keep those words off the lines of
+// whatever the allocator puts beside it.
 type Session struct {
+	_      [64]byte
 	Lib    *Library
 	Thread *proc.Thread
 
@@ -301,6 +314,9 @@ type Session struct {
 	// slotHeld records that admit charged this call against the admission
 	// limits, so the retire path knows to release them.
 	slotHeld bool
+	// calls and crossings are this session's shares of Metrics' counters.
+	calls, crossings atomic.Uint64
+	_                [64]byte
 }
 
 // Live-deadline escalation states (Session.esc).
@@ -567,7 +583,7 @@ func (s *Session) enter() error {
 		}
 		thw = k
 	}
-	l.calls.Add(1)
+	s.calls.Add(1)
 	// Entry crossing: stack switch plus rights amplification, timed from
 	// here (not from the call's start — admit may have parked through a
 	// recovery, and that wait is not crossing cost).
@@ -671,7 +687,7 @@ func (s *Session) leave(err *error) {
 	}
 	switch {
 	case crashed == nil:
-		l.crossings.Add(1)
+		s.crossings.Add(1)
 	case contained && s.reaped.Load():
 		// A fence denial unwinding an already-reaped zombie: the repair cycle
 		// for its reaping already ran (or is running), and the denial proves

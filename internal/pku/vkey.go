@@ -73,13 +73,18 @@ const (
 	pinOne  = 1 << 16
 )
 
-// vkeyState is one virtual key's mapping record.
+// vkeyState is one virtual key's mapping record. Every call that binds
+// the key CASes its pin word twice, so 64 bytes of padding at each end
+// keep the word off the lines of the other keys' records and of the
+// states map beside them.
 type vkeyState struct {
+	_    [64]byte
 	word atomic.Uint64 // the pin word
 	// lastUse is vt.clock (remaps so far) as of the latest Bind: keys bound
 	// since the last remap tie, keys idle since before it sort older.
 	lastUse atomic.Uint64
 	ranges  []vrange // page ranges tagged with this virtual key; guarded by vt.mu
+	_       [64]byte
 }
 
 // pin adds one pin if the word is mapped, returning the hardware key.

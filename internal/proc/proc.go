@@ -90,8 +90,11 @@ func (p *Process) NewThread() *Thread {
 
 // Thread is one client thread: a goroutine that has bound itself to a
 // simulated process. A Thread must be used by only one goroutine at a time,
-// exactly as an OS thread runs one flow of control.
+// exactly as an OS thread runs one flow of control. Every gate crossing
+// writes its register and library flag, so 64 bytes of padding at each
+// end keep them off the lines of whatever the allocator puts beside it.
 type Thread struct {
+	_    [64]byte
 	Proc *Process
 	TID  int
 
@@ -101,6 +104,7 @@ type Thread struct {
 	// last synchronized its register against (libmpk-style lazy PKRU sync;
 	// see pku.VTable). Only the hodor trampoline reads or writes it.
 	vtGen uint64
+	_     [64]byte
 }
 
 // VTGen returns the virtual-key mapping generation this thread last

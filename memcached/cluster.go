@@ -96,7 +96,7 @@ type Cluster struct {
 	// last segment is done (at that point both routing modes agree).
 	mig     atomic.Pointer[migration]
 	lastMig atomic.Pointer[migration] // survives completion, for status/wait
-	routeMu sync.RWMutex
+	routeMu routeLock
 	// resizeMu serializes Resize setup (one resize at a time).
 	resizeMu sync.Mutex
 
@@ -130,6 +130,41 @@ type Cluster struct {
 }
 
 func (c *Cluster) top() *topology { return c.topo.Load() }
+
+// routeStripes is the routing lock's width: enough that the readers of a
+// busy host seldom share a stripe, few enough that a resize or a rebuild,
+// the only writers, can cheaply take them all.
+const routeStripes = 16
+
+// routeLock is the routing barrier as a big-reader lock. Every operation
+// read-locks one stripe for its whole route-and-access span — the stripe
+// its ClusterSession or proxy connection was handed, round-robin, at
+// creation — so operations of different threads write different lines,
+// where one RWMutex made every operation of every thread add to the same
+// reader count. A writer takes every stripe, in order, which excludes
+// every reader exactly as the single lock did.
+type routeLock struct {
+	stripes [routeStripes]struct {
+		sync.RWMutex
+		_ [64]byte // no two stripes share a cache line
+	}
+	next atomic.Uint32
+}
+
+// stripe hands a new reader its stripe.
+func (l *routeLock) stripe() int { return int(l.next.Add(1) % routeStripes) }
+
+func (l *routeLock) Lock() {
+	for i := range l.stripes {
+		l.stripes[i].Lock()
+	}
+}
+
+func (l *routeLock) Unlock() {
+	for i := range l.stripes {
+		l.stripes[i].Unlock()
+	}
+}
 
 func (cfg *ClusterConfig) buildRing() (*ring.Ring, error) {
 	return ring.New(cfg.Shards, cfg.VirtualNodes)
@@ -424,7 +459,7 @@ func (cc *ClusterClient) Kill() {
 // the Session-shaped API. Like Session, a ClusterSession models a thread
 // and is not safe for concurrent use.
 func (cc *ClusterClient) NewSession() (*ClusterSession, error) {
-	cs := &ClusterSession{c: cc.c, cc: cc}
+	cs := &ClusterSession{c: cc.c, cc: cc, stripe: cc.c.routeMu.stripe()}
 	cs.x = cs
 	for i := 0; i < cc.c.Shards(); i++ {
 		if _, err := cs.sess(i); err != nil {
@@ -449,8 +484,9 @@ type ClusterSession struct {
 	// books mirrors ClusterClient.books at session granularity: a
 	// rebuilt shard's old session is dropped and a fresh one opened on
 	// the replacement store.
-	books []*Bookkeeper
-	part  batchPartition
+	books  []*Bookkeeper
+	part   batchPartition
+	stripe int // the routeMu stripe this session read-locks
 }
 
 // Session exposes the underlying per-shard session (tests, ablation).
@@ -533,10 +569,11 @@ func readOnly(code core.BatchCode) bool {
 // its authoritative shard, and — when the key sits in a mid-migration
 // segment — hold the segment's shared guard across the access and
 // dirty-mark a write so the pre-cutover recopy carries it to the
-// destination.
-func (c *Cluster) routeOp(op *BatchOp, r *BatchResult, x shardExec) {
-	c.routeMu.RLock()
-	defer c.routeMu.RUnlock()
+// destination. stripe is the caller's routeMu stripe.
+func (c *Cluster) routeOp(stripe int, op *BatchOp, r *BatchResult, x shardExec) {
+	mu := &c.routeMu.stripes[stripe]
+	mu.RLock()
+	defer mu.RUnlock()
 	sh, g := c.routeHash(ring.Hash(op.Key), nil)
 	x.doShard(sh, op, r)
 	if g != nil {
@@ -550,7 +587,7 @@ func (c *Cluster) routeOp(op *BatchOp, r *BatchResult, x shardExec) {
 	}
 }
 
-func (s *ClusterSession) do(op *BatchOp, r *BatchResult) { s.c.routeOp(op, r, s) }
+func (s *ClusterSession) do(op *BatchOp, r *BatchResult) { s.c.routeOp(s.stripe, op, r, s) }
 
 func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
 	if err := s.c.shardAllow(shard); err != nil {
@@ -574,8 +611,9 @@ func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
 // FlushAll removes every entry on every shard (including shards still
 // receiving a migration).
 func (s *ClusterSession) FlushAll() error {
-	s.c.routeMu.RLock()
-	defer s.c.routeMu.RUnlock()
+	mu := &s.c.routeMu.stripes[s.stripe]
+	mu.RLock()
+	defer mu.RUnlock()
 	for i := 0; i < s.c.Shards(); i++ {
 		ss, err := s.sess(i)
 		if err != nil {
@@ -606,7 +644,7 @@ func (s *ClusterSession) Stats() (core.Stats, error) {
 }
 
 func (s *ClusterSession) batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
-	return s.c.routeBatch(ops, res, vbuf, s, &s.part), nil
+	return s.c.routeBatch(s.stripe, ops, res, vbuf, s, &s.part), nil
 }
 
 func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
@@ -631,10 +669,12 @@ func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult,
 // and the batch goes on. During a migration, every touched segment's guard
 // is acquired once (re-taking a held RLock could deadlock against a pending
 // cutover) and held until every crossing retires, and writes into such
-// segments are dirty-marked at route time.
-func (c *Cluster) routeBatch(ops []BatchOp, out []BatchResult, vbuf []byte, x shardExec, p *batchPartition) []byte {
-	c.routeMu.RLock()
-	defer c.routeMu.RUnlock()
+// segments are dirty-marked at route time. stripe is the caller's routeMu
+// stripe.
+func (c *Cluster) routeBatch(stripe int, ops []BatchOp, out []BatchResult, vbuf []byte, x shardExec, p *batchPartition) []byte {
+	mu := &c.routeMu.stripes[stripe]
+	mu.RLock()
+	defer mu.RUnlock()
 	n := c.Shards()
 	for len(p.ops) < n { // a live resize can widen the cluster
 		p.ops, p.idx = append(p.ops, nil), append(p.idx, nil)

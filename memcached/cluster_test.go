@@ -420,6 +420,38 @@ func scratchHoldsNothing(t *testing.T, s *ClusterSession) {
 	}
 }
 
+// TestContextsScatterSlots: two ClusterSessions from two client processes
+// on one store are the first thread of each process, so their owner tokens
+// differ only in the PID bits, which any modulus up to 2^20 drops. Their
+// contexts must still count into different statistics and latency slots —
+// the paper's scattered array — and the sums must come out the same.
+func TestContextsScatterSlots(t *testing.T) {
+	c := newTestCluster(t, 1, ClusterConfig{})
+	a, b := newClusterSession(t, c), newClusterSession(t, c)
+	statA, latA := a.Session(0).Ctx().Slots()
+	statB, latB := b.Session(0).Ctx().Slots()
+	if statA == statB || latA == latB {
+		t.Fatalf("both sessions count into stats slot %d/%d, latency slot %d/%d", statA, statB, latA, latB)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		k := []byte(fmt.Sprintf("scatter-%d", i))
+		if err := a.Set(k, []byte("v"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := b.Get(k); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.Get([]byte("absent")); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("miss = %v", err)
+		}
+	}
+	st := c.Stats()
+	if st.Sets != n || st.Gets != 2*n || st.GetHits != n || st.GetMisses != n || st.CurrItems != n {
+		t.Fatalf("stats = %+v, want %d sets, %d gets (%d hits), %d items", st, n, 2*n, n, n)
+	}
+}
+
 func TestClusterExecBatchMixed(t *testing.T) {
 	c := newTestCluster(t, 3, ClusterConfig{})
 	s := newClusterSession(t, c)

@@ -66,10 +66,11 @@ func (cs *ClusterServer) acceptLoop() {
 // routed first) and, once routed, its shardExec (direct contexts behind
 // the breaker's peek).
 type connCtxs struct {
-	c     *Cluster
-	owner uint64
-	part  batchPartition
-	ctxs  []*core.Ctx
+	c      *Cluster
+	owner  uint64
+	stripe int // the routeMu stripe this connection read-locks
+	part   batchPartition
+	ctxs   []*core.Ctx
 	// books pins each context to the Bookkeeper it was opened on: when
 	// the supervisor rebuilds a shard, the stale context (bound to the
 	// dropped store's heap) is replaced on next use.
@@ -115,15 +116,15 @@ func (cs *ClusterServer) handle(c net.Conn) {
 	cs.seq++
 	owner := uint64(1)<<41 | cs.seq // distinct from local and hybrid owners
 	cs.mu.Unlock()
-	cc := &connCtxs{c: cs.c, owner: owner}
+	cc := &connCtxs{c: cs.c, owner: owner, stripe: cs.c.routeMu.stripe()}
 	defer cc.close()
 	serve(c, cc)
 }
 
-func (cc *connCtxs) Do(op *BatchOp, r *BatchResult) { cc.c.routeOp(op, r, cc) }
+func (cc *connCtxs) Do(op *BatchOp, r *BatchResult) { cc.c.routeOp(cc.stripe, op, r, cc) }
 
 func (cc *connCtxs) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
-	return cc.c.routeBatch(ops, res, vbuf, cc, &cc.part)
+	return cc.c.routeBatch(cc.stripe, ops, res, vbuf, cc, &cc.part)
 }
 
 // The direct contexts bypass the hodor gate, so a shard behind an open

@@ -2,6 +2,8 @@ package memcached
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"plibmc/internal/ring"
@@ -37,9 +39,10 @@ func BenchmarkRouteParts(b *testing.B) {
 		}
 	})
 	b.Run("routeMu", func(b *testing.B) {
+		mu := &c.routeMu.stripes[s.stripe]
 		for i := 0; i < b.N; i++ {
-			c.routeMu.RLock()
-			c.routeMu.RUnlock()
+			mu.RLock()
+			mu.RUnlock()
 		}
 	})
 	b.Run("allow+report-nil", func(b *testing.B) {
@@ -94,6 +97,60 @@ func BenchmarkRouteParts(b *testing.B) {
 			}
 		}
 	})
+}
+
+// parallelGetRate remembers BenchmarkParallelGet's ops/s per GOMAXPROCS,
+// so the run at -cpu 2 can report its ratio to the run at -cpu 1.
+var parallelGetRate = map[int]float64{}
+
+// BenchmarkParallelGet prices contention, the cost no single-thread row
+// shows: one ClusterSession per goroutine, each from its own client
+// process, all reading one 4-shard cluster of 128 B values — half the Gets
+// on 1 000 hot keys, the rest spread over 10 000. Run with -cpu 1,2 (make
+// bench-gate): ops/s at each, and at 2 the ratio to 1. Work that shares no
+// written line scales about 2× on two cores; every word two threads both
+// write takes from that.
+func BenchmarkParallelGet(b *testing.B) {
+	const records, hot = 10000, 1000
+	c := newTestCluster(b, 4, ClusterConfig{})
+	loader := newClusterSession(b, c)
+	keys, val := make([][]byte, records), make([]byte, 128)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%016d", i))
+		if err := loader.Set(keys[i], val, 0, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	sessions := make([]*ClusterSession, procs)
+	for i := range sessions {
+		sessions[i] = newClusterSession(b, c)
+	}
+	var next atomic.Int32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := next.Add(1) - 1
+		s, rng := sessions[i%int32(procs)], uint64(i+1)*0x9e3779b97f4a7c15
+		for pb.Next() {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			k := keys[rng%records]
+			if rng>>63 == 0 {
+				k = keys[rng%hot]
+			}
+			if _, _, err := s.Get(k); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	rate := float64(b.N) / b.Elapsed().Seconds()
+	parallelGetRate[procs] = rate
+	b.ReportMetric(rate, "ops/s")
+	if one := parallelGetRate[1]; procs > 1 && one > 0 {
+		b.ReportMetric(rate/one, "x-cpu1")
+	}
 }
 
 // BenchmarkBatchParts prices a 64-key batch of gets tier by tier, on the

@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -978,10 +979,15 @@ func TestModelCheckSeededViolation(t *testing.T) {
 		if !writer.doStore(model.Set, key, []byte("10000000"), 0) {
 			t.Fatal("seed set failed")
 		}
+		// Every reader is built before any starts: newMCWorker sets the
+		// store clock, a plain field that no running operation may race.
+		readers := make([]*mcWorker, nReaders)
+		for i := range readers {
+			readers[i] = newMCWorker(t, rsess[i], rec, 1+i, *modelcheckSeed+int64(round), false)
+		}
 		var wg sync.WaitGroup
 		done := make(chan struct{})
-		for i := 0; i < nReaders; i++ {
-			r := newMCWorker(t, rsess[i], rec, 1+i, *modelcheckSeed+int64(round), false)
+		for _, r := range readers {
 			wg.Add(1)
 			go func(r *mcWorker) {
 				defer wg.Done()
@@ -995,6 +1001,11 @@ func TestModelCheckSeededViolation(t *testing.T) {
 					default:
 					}
 					r.doGet(key) // no CAS observation: force the search path
+					// Yield so the reads spread across the writer's
+					// increments: a reader that spends its whole budget
+					// before the writer gets a CPU leaves the torn read far
+					// from any earlier one, and its witness cannot shrink.
+					runtime.Gosched()
 				}
 			}(r)
 		}

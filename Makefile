@@ -40,8 +40,10 @@ unsafecheck:
 # The wire gate (DESIGN.md §12 "Who owns the bytes"): both codecs with
 # their fuzz seed corpora, the socket client and the baseline server, then
 # every front end's wire tables — lone vs pipelined, the malformed-input
-# table, no alias of the read window kept past its run, and the
-# zero-allocation pin on the server path — all under the race detector,
+# table, no alias of the read window kept past its run, the zero-allocation
+# pin on the server path, failed crossings as server errors, a crash under
+# a connection repaired online, and connection churn bounded by the
+# servers' session pools — all under the race detector,
 # which is what would see a command used after its window moved on.
 wirecheck:
 	$(GO) test -race -count=1 ./internal/protocol ./internal/client ./internal/server
@@ -108,12 +110,13 @@ reshardcheck:
 # errors and their merged history linearizes exactly, the rebuilt shard
 # reopens from its checkpoint and serves fresh writes past the dead
 # heap's CAS mark — plus the breaker state machine, the degraded open,
-# the fail-fast frames on the proxy wire, and the session-pool recovery
-# classification, all under the race detector. The survivor-latency half
+# the fail-fast frames on the proxy wire, proxy traffic probing and closing
+# a half-open breaker, and the session-pool recovery classification, all
+# under the race detector. The survivor-latency half
 # of the claim is a self-gated benchmark (2x the quiet-baseline p99).
 survivecheck:
 	$(GO) test -race -count=1 -run 'TestSurviveCheck' .
-	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyAllowDoesNotConsumeProbe|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
+	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
 	$(GO) test -run xxx -bench BenchmarkRebuildSurvivor -benchtime 1x .
 
 # The disk-fault gate (DESIGN.md §16): inject EIO/ENOSPC/torn-rename at

@@ -17,12 +17,13 @@ import (
 )
 
 // AllocPage allocates one page-aligned, page-sized heap block under a
-// normal gate admission and returns its heap offset. The caller owns the
-// page's protection-key assignment.
+// normal gate admission and returns its heap offset, evicting to make room
+// exactly as an item allocation does, so a session opens on a full cache.
+// The caller owns the page's protection-key assignment.
 func (c *Ctx) AllocPage() (uint64, error) {
 	c.enterOp()
 	defer c.exitOp()
-	off, err := c.cache.Malloc(shm.PageSize)
+	off, err := c.allocWithEvict(shm.PageSize, true)
 	if err != nil {
 		return 0, err
 	}

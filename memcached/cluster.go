@@ -527,32 +527,22 @@ func (s *ClusterSession) sess(shard int) (*Session, error) {
 	return s.sessions[shard], nil
 }
 
-// Close closes every per-shard session.
+// Close closes every per-shard session, except one on a store the
+// supervisor has since replaced: like sess, it drops that one, because
+// teardown would touch the dead heap's allocator.
 func (s *ClusterSession) Close() {
-	for _, ss := range s.sessions {
-		if ss != nil {
+	shards := s.c.top().shards
+	for i, ss := range s.sessions {
+		if ss != nil && i < len(shards) && s.books[i] == shards[i] {
 			ss.Close()
 		}
 	}
 }
 
-// shardExec is how one tier reaches a shard once routing has picked it:
-// a ClusterSession crosses the shard's gate through its per-shard Session
-// and feeds the breaker, a proxy connection calls a direct core context
-// behind the breaker's peek. Each owns its own admission check.
-type shardExec interface {
-	// doShard executes one op on the shard, overwriting *r; a refused or
-	// failed crossing lands in r.Err.
-	doShard(shard int, op *BatchOp, r *BatchResult)
-	// batchShard executes the shard's share of a batch in one crossing:
-	// res is overwritten, values are appended to vbuf, returned as grown.
-	batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error)
-}
-
-// batchPartition is routeBatch's working memory: each shard's share of
-// the batch, where in the batch each op came from, and the slots a shard
-// fills before its results go to their places. It belongs to whoever models
-// the thread — a ClusterSession, a proxy connection — batch after batch.
+// batchPartition is a ClusterSession's batch working memory: each shard's
+// share of the batch, where in the batch each op came from, and the slots a
+// shard fills before its results go to their places. It belongs to the
+// session, which models the thread, batch after batch.
 type batchPartition struct {
 	ops [][]BatchOp
 	idx [][]int
@@ -565,17 +555,16 @@ func readOnly(code core.BatchCode) bool {
 	return code == BatchGet || code == BatchExport
 }
 
-// routeOp is the cluster's single-op path: route the key, run the op on
-// its authoritative shard, and — when the key sits in a mid-migration
-// segment — hold the segment's shared guard across the access and
-// dirty-mark a write so the pre-cutover recopy carries it to the
-// destination. stripe is the caller's routeMu stripe.
-func (c *Cluster) routeOp(stripe int, op *BatchOp, r *BatchResult, x shardExec) {
-	mu := &c.routeMu.stripes[stripe]
+// do is the cluster's single-op path: route the key, run the op on its
+// authoritative shard, and — when the key sits in a mid-migration segment —
+// hold the segment's shared guard across the access and dirty-mark a write
+// so the pre-cutover recopy carries it to the destination.
+func (s *ClusterSession) do(op *BatchOp, r *BatchResult) {
+	mu := &s.c.routeMu.stripes[s.stripe]
 	mu.RLock()
 	defer mu.RUnlock()
-	sh, g := c.routeHash(ring.Hash(op.Key), nil)
-	x.doShard(sh, op, r)
+	sh, g := s.c.routeHash(ring.Hash(op.Key), nil)
+	s.doShard(sh, op, r)
 	if g != nil {
 		if !readOnly(op.Code) {
 			// Conservatively dirty even on error: a failed op may still
@@ -586,8 +575,6 @@ func (c *Cluster) routeOp(stripe int, op *BatchOp, r *BatchResult, x shardExec) 
 		g.release()
 	}
 }
-
-func (s *ClusterSession) do(op *BatchOp, r *BatchResult) { s.c.routeOp(s.stripe, op, r, s) }
 
 func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
 	if err := s.c.shardAllow(shard); err != nil {
@@ -609,17 +596,22 @@ func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
 }
 
 // FlushAll removes every entry on every shard (including shards still
-// receiving a migration).
+// receiving a migration), each behind its breaker like any operation. It
+// stops at the first shard that refuses or fails.
 func (s *ClusterSession) FlushAll() error {
 	mu := &s.c.routeMu.stripes[s.stripe]
 	mu.RLock()
 	defer mu.RUnlock()
 	for i := 0; i < s.c.Shards(); i++ {
-		ss, err := s.sess(i)
-		if err != nil {
+		if err := s.c.shardAllow(i); err != nil {
 			return err
 		}
-		if err := ss.FlushAll(); err != nil {
+		ss, err := s.sess(i)
+		if err == nil {
+			err = ss.FlushAll()
+		}
+		s.c.shardReport(i, err)
+		if err != nil {
 			return err
 		}
 	}
@@ -643,10 +635,6 @@ func (s *ClusterSession) Stats() (core.Stats, error) {
 	return agg, nil
 }
 
-func (s *ClusterSession) batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
-	return s.c.routeBatch(s.stripe, ops, res, vbuf, s, &s.part), nil
-}
-
 func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
 	if err := s.c.shardAllow(shard); err != nil {
 		return nil, err
@@ -659,20 +647,21 @@ func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult,
 	return vbuf, err
 }
 
-// routeBatch is the cluster's batch path: partition ops by owning shard
-// (in p, the caller's), hand each shard its share through x — one crossing
-// per involved shard — and put the results in their places in out. One
-// value buffer is threaded through every shard and returned as grown: an
-// append that relocates it leaves earlier shards' values valid where they
-// were. A shard whose crossing fails (open breaker, crash, reaped session,
-// dead process) gets the wrapped error and no value in each of its slots,
-// and the batch goes on. During a migration, every touched segment's guard
-// is acquired once (re-taking a held RLock could deadlock against a pending
-// cutover) and held until every crossing retires, and writes into such
-// segments are dirty-marked at route time. stripe is the caller's routeMu
-// stripe.
-func (c *Cluster) routeBatch(stripe int, ops []BatchOp, out []BatchResult, vbuf []byte, x shardExec, p *batchPartition) []byte {
-	mu := &c.routeMu.stripes[stripe]
+// batch is the cluster's batch path: partition ops by owning shard (in the
+// session's partition), hand each shard its share — one crossing per
+// involved shard — and put the results in their places in out. One value
+// buffer is threaded through every shard and returned as grown: an append
+// that relocates it leaves earlier shards' values valid where they were. A
+// shard whose crossing fails (open breaker, crash, reaped session, dead
+// process) gets the wrapped error and no value in each of its slots, and
+// the batch goes on, so the returned error is always nil. During a
+// migration, every touched segment's guard is acquired once (re-taking a
+// held RLock could deadlock against a pending cutover) and held until every
+// crossing retires, and writes into such segments are dirty-marked at route
+// time.
+func (s *ClusterSession) batch(ops []BatchOp, out []BatchResult, vbuf []byte) ([]byte, error) {
+	c, p := s.c, &s.part
+	mu := &c.routeMu.stripes[s.stripe]
 	mu.RLock()
 	defer mu.RUnlock()
 	n := c.Shards()
@@ -712,7 +701,7 @@ func (c *Cluster) routeBatch(stripe int, ops []BatchOp, out []BatchResult, vbuf 
 		if len(share) == 0 {
 			continue
 		}
-		grown, err := x.batchShard(sh, share, res[:len(share)], vbuf)
+		grown, err := s.batchShard(sh, share, res[:len(share)], vbuf)
 		if err != nil { // what a prefix of the share wrote stays behind in res
 			werr := fmt.Errorf("memcached: shard %d batch: %w", sh, err)
 			for _, idx := range p.idx[sh] {
@@ -725,7 +714,7 @@ func (c *Cluster) routeBatch(stripe int, ops []BatchOp, out []BatchResult, vbuf 
 			out[idx] = res[j]
 		}
 	}
-	return vbuf
+	return vbuf, nil
 }
 
 // Healthy reports whether every attached per-shard session can still

@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	"plibmc/internal/core"
+	"plibmc/internal/hodor"
+	"plibmc/internal/proc"
 	"plibmc/internal/protocol"
 )
 
@@ -19,70 +21,96 @@ import (
 // processes keep calling through trampolines into the very same store.
 
 // RemoteServer is the bookkeeper's socket front end for remote clients.
-type RemoteServer struct {
-	b      *Bookkeeper
-	ln     net.Listener
-	connWG sync.WaitGroup
-	seq    uint64
-	mu     sync.Mutex
-}
+type RemoteServer struct{ frontEnd[*Session] }
 
-// ServeRemote starts accepting remote connections. Close the returned
-// server to stop.
+// ServeRemote starts accepting remote connections. The server is one client
+// process of the store, and each connection borrows one of its sessions, so
+// remote clients cross the gate like local ones. Close the returned server
+// to stop.
 func (b *Bookkeeper) ServeRemote(network, addr string) (*RemoteServer, error) {
-	ln, err := net.Listen(network, addr)
+	cp, err := b.NewClientProcess(b.cfg.OwnerUID)
 	if err != nil {
+		return nil, fmt.Errorf("memcached: hybrid attach: %w", err)
+	}
+	rs := &RemoteServer{frontEnd[*Session]{
+		pool: pool[*Session]{open: cp.NewSession},
+		admin: func(s *Session, cmd *protocol.Command) *protocol.Reply {
+			return adminCore(b.store, s.FlushAll, cmd, "1.6.0-plib-hybrid")
+		},
+	}}
+	if err := rs.listen(network, addr); err != nil {
 		return nil, fmt.Errorf("memcached: hybrid listener: %w", err)
 	}
-	rs := &RemoteServer{b: b, ln: ln}
-	go rs.acceptLoop()
 	return rs, nil
 }
 
-// Addr returns the listener address.
-func (rs *RemoteServer) Addr() net.Addr { return rs.ln.Addr() }
-
-// Close stops the listener and waits for in-flight connections.
-func (rs *RemoteServer) Close() {
-	rs.ln.Close()
-	rs.connWG.Wait()
+// frontEnd is what both socket servers are made of: a listener, and a pool
+// of gated sessions — a Session, or a ClusterSession — from which every
+// connection borrows one for its lifetime. admin answers the commands that
+// are not keyed operations, with the connection's session.
+type frontEnd[S interface {
+	executor
+	pooled
+}] struct {
+	ln     net.Listener
+	connWG sync.WaitGroup
+	pool   pool[S]
+	admin  func(s S, cmd *protocol.Command) *protocol.Reply
 }
 
-func (rs *RemoteServer) acceptLoop() {
+func (fe *frontEnd[S]) listen(network, addr string) error {
+	ln, err := net.Listen(network, addr)
+	if err != nil {
+		return err
+	}
+	fe.ln = ln
+	go fe.acceptLoop()
+	return nil
+}
+
+// Addr returns the listener address.
+func (fe *frontEnd[S]) Addr() net.Addr { return fe.ln.Addr() }
+
+// Close stops the listener, waits for in-flight connections and closes
+// the sessions they leave idle.
+func (fe *frontEnd[S]) Close() {
+	fe.ln.Close()
+	fe.connWG.Wait()
+	fe.pool.Close()
+}
+
+func (fe *frontEnd[S]) acceptLoop() {
 	for {
-		c, err := rs.ln.Accept()
+		c, err := fe.ln.Accept()
 		if err != nil {
 			return
 		}
-		rs.connWG.Add(1)
-		go rs.handle(c)
+		fe.connWG.Add(1)
+		go fe.handle(c)
 	}
 }
 
-func (rs *RemoteServer) handle(c net.Conn) {
-	defer rs.connWG.Done()
+// handle serves one connection with a borrowed session; a connection the
+// store cannot give a session is closed unanswered.
+func (fe *frontEnd[S]) handle(c net.Conn) {
+	defer fe.connWG.Done()
 	defer c.Close()
-	rs.mu.Lock()
-	rs.seq++
-	owner := uint64(1)<<40 | rs.seq // distinct from local thread owners
-	rs.mu.Unlock()
-	ctx := rs.b.store.NewCtx(owner)
-	defer ctx.Close()
-	serve(c, &ctxBackend{Ctx: ctx, version: "1.6.0-plib-hybrid"})
-}
-
-// serve runs the shared read loop on c, dispatching each pipelined run of
-// commands against be.
-func serve(c net.Conn, be wireBackend) {
-	protocol.ServeConn(c, 0, (&wireConn{be: be}).dispatchRun)
+	s, err := fe.pool.Get()
+	if err != nil {
+		return
+	}
+	defer fe.pool.Put(s)
+	wc := &wireConn{x: s, admin: func(cmd *protocol.Command) *protocol.Reply { return fe.admin(s, cmd) }}
+	protocol.ServeConn(c, 0, wc.dispatchRun)
 }
 
 // wireConn is one connection's dispatcher. A connection models a thread,
 // so what a run needs — its commands as ops, their result slots, the
-// buffer the retrieved values share — is its own, lent to the backend and
+// buffer the retrieved values share — is its own, lent to the session and
 // reused run after run.
 type wireConn struct {
-	be    wireBackend
+	x     executor
+	admin func(cmd *protocol.Command) *protocol.Reply
 	ops   []core.BatchOp
 	spans []int // batch ops consumed per command
 	res   []core.BatchResult
@@ -90,39 +118,17 @@ type wireConn struct {
 	one   core.BatchResult // the lone op's result frame
 }
 
-// wireBackend is what a socket front end's dispatcher needs from the store
-// behind it: core.Ctx's two entry points, with its contracts — the hybrid
-// server's is a Ctx, the cluster proxy's routes each op to its shard's Ctx.
-type wireBackend interface {
-	Do(op *core.BatchOp, r *core.BatchResult)
-	ExecBatch(ops []core.BatchOp, res []core.BatchResult, vbuf []byte) []byte
-	// admin answers a command that is not a keyed operation: flush_all,
-	// stats, version, noop.
-	admin(cmd *protocol.Command) *protocol.Reply
-}
-
-// ctxBackend serves a connection from one direct store context.
-type ctxBackend struct {
-	*core.Ctx
-	version string
-}
-
-func (b *ctxBackend) admin(cmd *protocol.Command) *protocol.Reply {
-	return adminCore(b.Ctx, cmd, b.version)
-}
-
-// dispatchRun executes one pipelined run of commands against be and writes
-// the replies in command order. Every contiguous stretch of keyed commands
-// (including the expansion of ASCII multi-key gets) rides one batch, so
-// remote pipelines amortize the gate exactly like local ExecBatch callers;
-// a lone op is executed on its own, which keeps its latency class, and
-// the admin verbs are answered one by one.
+// dispatchRun executes one pipelined run of commands over the connection's
+// session and writes the replies in command order. Every contiguous
+// stretch of keyed commands (including the expansion of ASCII multi-key
+// gets) rides one batch, so remote pipelines amortize the gate exactly
+// like local ExecBatch callers; a lone op is executed on its own, which
+// keeps its latency class, and the admin verbs are answered one by one.
 //
 // The commands borrow the connection's read window (protocol.ServeConn),
 // and so do the ops translated from them: the stores copy keys and values
 // into their heaps, and the ops are wiped before the window is released.
 func (wc *wireConn) dispatchRun(w *bufio.Writer, binary bool, cmds []protocol.Command) {
-	be := wc.be
 	for i := 0; i < len(cmds); {
 		ops, spans := wc.ops[:0], wc.spans[:0]
 		j := i
@@ -135,16 +141,22 @@ func (wc *wireConn) dispatchRun(w *bufio.Writer, binary bool, cmds []protocol.Co
 		}
 		switch len(ops) {
 		case 0:
-			writeReply(w, binary, &cmds[i], be.admin(&cmds[i]))
+			writeReply(w, binary, &cmds[i], wc.admin(&cmds[i]))
 			i++
 		case 1:
-			be.Do(&ops[0], &wc.one)
+			wc.x.do(&ops[0], &wc.one)
 			rep := replyFor(&cmds[i], &wc.one)
 			writeReply(w, binary, &cmds[i], &rep)
 			i++
 		default:
 			res := lend(&wc.res, len(ops))
-			wc.vbuf = be.ExecBatch(ops, res, wc.vbuf[:0])
+			if vbuf, err := wc.x.batch(ops, res, wc.vbuf[:0]); err != nil {
+				for k := range res { // the one crossing failed: so did every op
+					res[k] = core.BatchResult{Err: err}
+				}
+			} else {
+				wc.vbuf = vbuf
+			}
 			for k, n := range spans {
 				if cmd := &cmds[i+k]; n == 1 {
 					rep := replyFor(cmd, &res[0])
@@ -229,29 +241,46 @@ func writeReply(w *bufio.Writer, binary bool, cmd *protocol.Command, rep *protoc
 // writeValues renders an ASCII multi-key get: one VALUE block per hit
 // under a single END.
 func writeValues(w *bufio.Writer, cmd *protocol.Command, res []core.BatchResult) {
-	// A key whose shard is down must not masquerade as a miss: the
+	// A key whose crossing failed must not masquerade as a miss: the
 	// response ends with the SERVER_ERROR line instead of END so the
 	// client knows the multiget was partial.
-	var downFrame string
+	var failed *core.BatchResult
 	for i := range res {
 		if res[i].Err == nil {
 			protocol.WriteASCIIValue(w, cmd.KeyAt(i), res[i].Flags, res[i].Value, res[i].CAS)
-		} else if f, ok := ShardDownFrame(res[i].Err); ok && downFrame == "" {
-			downFrame = f
+		} else if failed == nil && gateFailure(res[i].Err) {
+			failed = &res[i]
 		}
 	}
-	if downFrame != "" {
-		fmt.Fprintf(w, "SERVER_ERROR %s\r\n", downFrame)
+	if failed != nil {
+		rep := replyFor(cmd, failed)
+		protocol.WriteASCIIReply(w, cmd, &rep)
 		return
 	}
 	w.WriteString("END\r\n")
 }
 
-// coreStatus translates a core error into a wire status.
+// gateFailure reports whether err is the gate's verdict rather than the
+// op's outcome: the crossing was refused (shard down, poisoned, still
+// recovering, overloaded, session reaped or process killed) or did not
+// complete (crashed, aborted by the watchdog). A breaker fast-fail unwraps
+// to ErrPoisoned or ErrRecoveryTimeout.
+func gateFailure(err error) bool {
+	var crash *hodor.CrashError
+	var killed *proc.ErrKilled
+	return errors.Is(err, hodor.ErrPoisoned) || errors.Is(err, hodor.ErrRecoveryTimeout) ||
+		errors.Is(err, hodor.ErrOverloaded) || errors.Is(err, hodor.ErrSessionReaped) ||
+		errors.Is(err, core.ErrCallAborted) || errors.As(err, &crash) || errors.As(err, &killed)
+}
+
+// coreStatus translates an op's error into a wire status; a failed
+// crossing is a temporary server failure, never a miss or a client error.
 func coreStatus(err error) protocol.Status {
 	switch {
 	case err == nil:
 		return protocol.StatusOK
+	case gateFailure(err):
+		return protocol.StatusTempFailure
 	case errors.Is(err, core.ErrNotFound):
 		return protocol.StatusKeyNotFound
 	case errors.Is(err, core.ErrExists), errors.Is(err, core.ErrCASMismatch):
@@ -262,8 +291,6 @@ func coreStatus(err error) protocol.Status {
 		return protocol.StatusValueTooLarge
 	case errors.Is(err, core.ErrNoSpace):
 		return protocol.StatusOutOfMemory
-	case errors.Is(err, ErrShardDown):
-		return protocol.StatusTempFailure
 	default:
 		return protocol.StatusInvalidArgs
 	}
@@ -275,7 +302,7 @@ func DispatchCore(ctx *core.Ctx, cmd *protocol.Command, version string) *protoco
 	var one [1]core.BatchOp
 	ops := appendOps(one[:0], cmd)
 	if len(ops) == 0 {
-		return adminCore(ctx, cmd, version)
+		return adminCore(ctx.Store(), func() error { ctx.FlushAll(); return nil }, cmd, version)
 	}
 	var r core.BatchResult
 	ctx.Do(&ops[0], &r)
@@ -284,16 +311,19 @@ func DispatchCore(ctx *core.Ctx, cmd *protocol.Command, version string) *protoco
 }
 
 // adminCore answers the commands that are not keyed operations against
-// one store context.
-func adminCore(ctx *core.Ctx, cmd *protocol.Command, version string) *protocol.Reply {
+// one store: stats are read from it directly, and flush is how the caller
+// empties it.
+func adminCore(store *core.Store, flush func() error, cmd *protocol.Command, version string) *protocol.Reply {
 	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
 	switch cmd.Op {
 	case protocol.OpFlushAll:
-		ctx.FlushAll()
+		if err := flush(); err != nil {
+			*rep = replyFor(cmd, &core.BatchResult{Err: err})
+		}
 	case protocol.OpStats:
 		if cmd.StatsArg == "latency" {
 			// The heap-resident scattered histograms, merged across slots.
-			ls := ctx.Store().Latency()
+			ls := store.Latency()
 			for class := 0; class < core.NumLatClasses; class++ {
 				h := &ls.Classes[class]
 				prefix := core.LatClassNames[class]
@@ -306,7 +336,7 @@ func adminCore(ctx *core.Ctx, cmd *protocol.Command, version string) *protocol.R
 			}
 			break
 		}
-		st := ctx.Store().Stats()
+		st := store.Stats()
 		rep.Stats = [][2]string{
 			{"cmd_get", strconv.FormatUint(st.Gets, 10)},
 			{"get_hits", strconv.FormatUint(st.GetHits, 10)},

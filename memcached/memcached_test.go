@@ -40,6 +40,37 @@ func newTestSession(t testing.TB, b *Bookkeeper) *Session {
 	return s
 }
 
+// A full cache makes room for a new session's arena page the way it does
+// for an item, by evicting: sessions open after the store fills up, as a
+// socket server's do whenever a connection comes in. The values here are
+// items of the page's own size class, so evicting one frees a page.
+func TestSessionOpensOnFullCache(t *testing.T) {
+	b, err := CreateStore(Config{HeapBytes: 4 << 20, HashPower: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Shutdown()
+	cp, err := b.NewClientProcess(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cp.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 3500)
+	for i := 0; b.Stats().Evictions < 100; i++ {
+		if err := s.Set([]byte(fmt.Sprintf("fill-%d", i)), val, 0, 0); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := cp.NewSession(); err != nil {
+			t.Fatalf("session %d on a full cache: %v", i+1, err)
+		}
+	}
+}
+
 func TestSessionBasicOps(t *testing.T) {
 	b := newTestStore(t)
 	s := newTestSession(t, b)

@@ -75,8 +75,8 @@ const (
 )
 
 // migOwnerSeq mints lock-owner tokens for the migrator's direct contexts
-// (segment walks, purge sweeps), in a space disjoint from local sessions
-// (pid<<20), the proxy (1<<41) and the hybrid server.
+// (segment walks, purge sweeps), in a space disjoint from every session's
+// (pid<<20 | tid+1).
 var migOwnerSeq atomic.Uint64
 
 func migOwner() uint64 { return uint64(1)<<42 | migOwnerSeq.Add(1) }

@@ -14,28 +14,40 @@ import (
 // A Session models a thread and is not safe for concurrent use; the pool
 // amortizes session setup (thread creation, Hodor attach, allocator cache)
 // across many brief borrowings.
-type SessionPool struct {
-	cp *ClientProcess
+type SessionPool struct{ pool[*Session] }
+
+// NewSessionPool creates a pool that will create at most max sessions
+// (0 = unlimited). Sessions are created lazily on first Get.
+func (cp *ClientProcess) NewSessionPool(max int) *SessionPool {
+	return &SessionPool{pool[*Session]{open: cp.NewSession, max: max}}
+}
+
+// pooled is what a pool holds: a Session, or a ClusterSession for the
+// cluster's socket server, whose connections each borrow one.
+type pooled interface {
+	Healthy() bool
+	Close()
+}
+
+// pool is the free list behind SessionPool and the socket servers. open
+// creates a session when none is idle.
+type pool[S pooled] struct {
+	open func() (S, error)
 
 	mu     sync.Mutex
-	free   []*Session
+	free   []S
 	total  int
 	max    int
 	closed bool
 }
 
-// NewSessionPool creates a pool that will create at most max sessions
-// (0 = unlimited). Sessions are created lazily on first Get.
-func (cp *ClientProcess) NewSessionPool(max int) *SessionPool {
-	return &SessionPool{cp: cp, max: max}
-}
-
 // Get borrows a session, creating one if none is idle.
-func (p *SessionPool) Get() (*Session, error) {
+func (p *pool[S]) Get() (S, error) {
+	var zero S
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("memcached: session pool is closed")
+		return zero, fmt.Errorf("memcached: session pool is closed")
 	}
 	// Idle sessions can die while pooled (their process killed); skip and
 	// release any that did rather than handing a borrower a dead session.
@@ -51,17 +63,17 @@ func (p *SessionPool) Get() (*Session, error) {
 	}
 	if p.max > 0 && p.total >= p.max {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("memcached: session pool exhausted (%d in use)", p.max)
+		return zero, fmt.Errorf("memcached: session pool exhausted (%d in use)", p.max)
 	}
 	p.total++
 	p.mu.Unlock()
 
-	s, err := p.cp.NewSession()
+	s, err := p.open()
 	if err != nil {
 		p.mu.Lock()
 		p.total--
 		p.mu.Unlock()
-		return nil, err
+		return zero, err
 	}
 	return s, nil
 }
@@ -71,7 +83,7 @@ func (p *SessionPool) Get() (*Session, error) {
 // reaped by the watchdog, or its process killed — is discarded instead of
 // re-pooled: recycling it would poison every future borrower with
 // ErrSessionReaped/ErrKilled.
-func (p *SessionPool) Put(s *Session) {
+func (p *pool[S]) Put(s S) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed || !s.Healthy() {
@@ -85,7 +97,7 @@ func (p *SessionPool) Put(s *Session) {
 // With borrows a session for the duration of fn — the common pattern for
 // request handlers. If fn returns a session-fatal error the session is
 // discarded rather than re-pooled.
-func (p *SessionPool) With(fn func(*Session) error) error {
+func (p *pool[S]) With(fn func(S) error) error {
 	s, err := p.Get()
 	if err != nil {
 		return err
@@ -129,7 +141,7 @@ func sessionFatal(err error) bool {
 
 // Close releases every idle session. Sessions still borrowed are released
 // when Put back.
-func (p *SessionPool) Close() {
+func (p *pool[S]) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
@@ -141,7 +153,7 @@ func (p *SessionPool) Close() {
 }
 
 // Stats reports pool occupancy: total created and currently idle.
-func (p *SessionPool) Stats() (total, idle int) {
+func (p *pool[S]) Stats() (total, idle int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total, len(p.free)

@@ -164,9 +164,6 @@ func (b *Bookkeeper) repairStore(cause *hodor.CrashError) error {
 // arena page back to the heap under the library's key — so a hostile
 // tenant cannot leak protection keys or heap pages by getting reaped.
 func (b *Bookkeeper) sweepDeadTenantDomains() {
-	if b.vt == nil {
-		return
-	}
 	b.tenantMu.Lock()
 	var dead []*Session
 	for s := range b.tenants {

@@ -14,20 +14,30 @@ import (
 // TestServeAllocs pins the server side of the wire at zero: from the bytes
 // in the read window to the reply bytes in the write buffer, a warmed
 // 16-deep pipeline of Sets and Get hits allocates nothing on the hybrid
-// backend or on the proxy's — frames are decoded where they lie, every
-// per-run buffer belongs to the connection or its contexts, replies are
-// rendered into the writer's own buffer. The client here is a byte string
-// and a fixed read buffer, so whatever is counted is the server's.
+// server or on the proxy — frames are decoded where they lie, every per-run
+// buffer belongs to the connection or its borrowed session, each crossing
+// of the gate works in what it is lent, replies are rendered into the
+// writer's own buffer. The client here is a byte string and a fixed read
+// buffer, so whatever is counted is the server's.
 func TestServeAllocs(t *testing.T) {
 	book := newTestStore(t)
 	defer book.Shutdown()
-	cluster := newTestCluster(t, 4, ClusterConfig{})
+	hybrid, err := book.ServeRemote("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hybrid.Close()
+	proxy, err := newTestCluster(t, 4, ClusterConfig{}).ServeRemote("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
 	backends := []struct {
-		name string
-		be   wireBackend
+		name  string
+		serve func(net.Conn) // the server's own connection handler
 	}{
-		{"hybrid", &ctxBackend{Ctx: book.store.NewCtx(1<<40 | 1), version: "test"}},
-		{"proxy", &connCtxs{c: cluster, owner: 1<<41 | 1}},
+		{"hybrid", func(c net.Conn) { hybrid.connWG.Add(1); hybrid.handle(c) }},
+		{"proxy", func(c net.Conn) { proxy.connWG.Add(1); proxy.handle(c) }},
 	}
 	val := bytes.Repeat([]byte("v"), 128)
 	for _, b := range backends {
@@ -36,7 +46,7 @@ func TestServeAllocs(t *testing.T) {
 			t.Run(b.name+"/"+proto, func(t *testing.T) {
 				client, srv := net.Pipe()
 				done := make(chan struct{})
-				go func() { serve(srv, b.be); close(done) }()
+				go func() { b.serve(srv); close(done) }()
 				defer func() { client.Close(); <-done }()
 
 				// The gets read keys the script never writes again, so the

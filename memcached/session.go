@@ -370,7 +370,7 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 	}
 	ctx := cp.b.store.NewCtx(th.LockOwner())
 	s := &Session{hs: hs, th: th, ctx: ctx, b: cp.b, direct: direct}
-	if !direct && cp.b.vt != nil {
+	if !direct {
 		if err := cp.b.attachTenant(s); err != nil {
 			ctx.Close()
 			return nil, err
@@ -417,8 +417,8 @@ func (s *Session) Ctx() *core.Ctx { return s.ctx }
 // the watchdog and inspect escalation through it).
 func (s *Session) Hodor() *hodor.Session { return s.hs }
 
-// TenantDomain returns this session's own protection domain, or nil when
-// tenant domains are disabled (or the session is direct).
+// TenantDomain returns this session's own protection domain, or nil for a
+// direct session.
 func (s *Session) TenantDomain() *hodor.Domain { return s.tenantDom }
 
 // TenantArena returns the heap offset and size of this session's private

@@ -64,9 +64,6 @@ type Config struct {
 	// is being repaired and how long the repair pass waits for surviving
 	// calls to drain. Zero means hodor's default (5s).
 	RecoveryGrace time.Duration
-	// DisableRecovery restores the paper's behaviour: a crash inside the
-	// library permanently poisons it instead of triggering online repair.
-	DisableRecovery bool
 
 	// LiveCallBudget is the per-call execution budget for live sessions
 	// (gate hardening): past it the watchdog escalates warn → abort-request
@@ -81,11 +78,6 @@ type Config struct {
 	// one noisy tenant cannot starve its siblings of gate slots. Zero
 	// means unlimited.
 	TenantQuota int
-	// DisableTenantDomains turns off per-session protection domains (each
-	// trampolined session otherwise gets its own virtual protection key
-	// and a page-sized arena for security-sensitive buffers, isolating
-	// tenants from each other and not just from the application).
-	DisableTenantDomains bool
 }
 
 // Bookkeeper is the bookkeeping process: it creates or reopens the store,
@@ -267,15 +259,13 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 		procs:   make(map[int]*proc.Process),
 		tenants: make(map[*Session]struct{}),
 	}
-	if !cfg.DisableTenantDomains {
-		// Per-tenant protection domains multiplex over the hardware keys
-		// the library does not use; the vtable reserves one more as the
-		// fence backing unmapped tenant keys.
-		vt, err := pku.NewVTable(pt)
-		if err != nil {
-			return nil, err
-		}
-		b.vt = vt
+	// Per-tenant protection domains (each trampolined session gets its own
+	// virtual protection key and a page-sized arena, isolating tenants from
+	// each other and not just from the application) multiplex over the
+	// hardware keys the library does not use; the vtable reserves one more
+	// as the fence backing unmapped tenant keys.
+	if b.vt, err = pku.NewVTable(pt); err != nil {
+		return nil, err
 	}
 	b.baseSeq.Store(1)
 	bkProc, err := proc.NewProcess(cfg.OwnerUID, heap, b.nextBase())
@@ -285,10 +275,8 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 	b.proc = bkProc
 	b.registerProc(bkProc)
 	b.maint = store.NewMaintainer(bkProc.NewThread().LockOwner())
-	if !cfg.DisableRecovery {
-		lib.OnRecover(b.repairStore)
-		store.SetOwnerLiveness(func(token uint64) bool { return !b.ownerDefunct(token) })
-	}
+	lib.OnRecover(b.repairStore)
+	store.SetOwnerLiveness(func(token uint64) bool { return !b.ownerDefunct(token) })
 	return b, nil
 }
 
@@ -309,8 +297,8 @@ func (b *Bookkeeper) Allocator() *ralloc.Allocator { return b.alloc }
 // Library exposes the Hodor library handle.
 func (b *Bookkeeper) Library() *hodor.Library { return b.lib }
 
-// VTable exposes the per-tenant protection-key table (nil when tenant
-// domains are disabled). Enforcement tests use it to inspect mappings.
+// VTable exposes the per-tenant protection-key table. Enforcement tests use
+// it to inspect mappings.
 func (b *Bookkeeper) VTable() *pku.VTable { return b.vt }
 
 // Domain exposes the library's protection domain (guarded heap access for

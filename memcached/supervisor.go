@@ -36,8 +36,8 @@ package memcached
 // corrupt image would win the candidate race on the next open. Dropping
 // it keeps the last good checkpoint authoritative. Stragglers still
 // holding sessions on the old store get ErrPoisoned from its gate, and
-// the cluster handles (ClusterClient/ClusterSession/proxy conns)
-// re-attach by Bookkeeper identity on their next use.
+// the cluster handles (ClusterClient/ClusterSession) re-attach by
+// Bookkeeper identity on their next use.
 
 import (
 	"errors"
@@ -164,9 +164,9 @@ type shardBreaker struct {
 }
 
 // allow is the data-path admission check: nil means proceed (and report
-// the outcome via report); an error is the typed fast-fail. Callers that
-// cannot report MUST use allowPeek instead — a probe admitted here and
-// never reported strands the breaker until the supervisor times it out.
+// the outcome via report); an error is the typed fast-fail. A probe
+// admitted here and never reported strands the breaker until the
+// supervisor times it out.
 func (br *shardBreaker) allow(shard int) error {
 	switch br.state.Load() {
 	case breakerClosed:
@@ -177,21 +177,6 @@ func (br *shardBreaker) allow(shard int) error {
 			br.probes.Add(1)
 			return nil // this caller is the probe
 		}
-	}
-	br.fastFails.Add(1)
-	return shardDown(shard, ShardState(br.reason.Load()))
-}
-
-// allowPeek is the non-probing admission check, for callers that cannot
-// feed an outcome back (the proxy's direct contexts bypass the hodor
-// gate, so a dispatched call produces no crossing verdict to report).
-// Closed and half-open pass — a half-open breaker keeps its probe slot
-// for a reporting caller — while open and an in-flight probe fail fast.
-// A report-less path can therefore never strand the breaker in probe.
-func (br *shardBreaker) allowPeek(shard int) error {
-	switch br.state.Load() {
-	case breakerClosed, breakerHalfOpen:
-		return nil
 	}
 	br.fastFails.Add(1)
 	return shardDown(shard, ShardState(br.reason.Load()))
@@ -322,37 +307,6 @@ func (c *Cluster) shardAllow(i int) error {
 	return err
 }
 
-// proxyAllow is the proxy tier's pre-dispatch check. The proxy reaches
-// shards through direct core contexts — no hodor gate — so a poisoned
-// store would never refuse it; the explicit state check stands in for
-// the gate, and trips the breaker so later dispatches skip the check's
-// library load too. Admission is peek-only: proxy dispatches carry no
-// crossing verdict to report, so they must never take the probe slot.
-func (c *Cluster) proxyAllow(sh int) error {
-	h := c.shardHealth(sh)
-	if h.rebuilding.Load() {
-		h.br.fastFails.Add(1)
-		return shardDown(sh, ShardRebuilding)
-	}
-	err := h.br.allowPeek(sh)
-	if err != nil && !c.supSeen.Load() {
-		// Same unsupervised fallback as shardAllow; a half-opened
-		// breaker passes the peek.
-		c.breakerTick(&h.br, time.Now())
-		if h.br.state.Load() == breakerHalfOpen {
-			err = nil
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if st := c.State(sh); st == ShardPoisoned || st == ShardRebuilding {
-		h.br.trip(ShardRebuilding)
-		return shardDown(sh, st)
-	}
-	return nil
-}
-
 // shardReport feeds one crossing's verdict into shard i's breaker: nil for
 // a crossing that completed, whatever its ops returned.
 func (c *Cluster) shardReport(i int, err error) {
@@ -459,7 +413,7 @@ func (c *Cluster) StopSupervisor() {
 
 // casRebuildGap is the generation bump a rebuilt shard adds past the
 // dead store's CAS high-water mark. The mark is read with a plain atomic
-// load while stragglers (direct proxy contexts mid-unwind) could in
+// load while stragglers (calls still unwinding in the dead store) could in
 // principle still be incrementing, so the gap swallows any in-flight
 // mints; the result is that no CAS token observed before the crash can
 // ever be re-minted by the replacement.

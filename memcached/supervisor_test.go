@@ -362,59 +362,54 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// Proxy admission is peek-only: it never consumes the half-open probe
-// slot. The proxy's direct contexts bypass the gate and report no
-// outcome, so a probe taken there would strand the breaker in probe
-// forever — half-open must survive any amount of proxy traffic until a
-// reporting caller takes the probe.
-func TestProxyAllowDoesNotConsumeProbe(t *testing.T) {
+// Proxy connections are gated sessions, so their traffic takes the
+// half-open probe and reports it like any client's: with no other client
+// at all, one clean get over the wire closes a half-open breaker.
+func TestProxyTrafficClosesHalfOpenBreaker(t *testing.T) {
 	cfg := ClusterConfig{BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond}
 	c := newTestCluster(t, 2, cfg)
 	h := c.shardHealth(0)
 	t0 := time.Now()
 	c.SuperviseOnce(t0) // attended: the fallback clock stays out
+	srv, err := c.ServeRemote("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	get := func(key []byte) string {
+		t.Helper()
+		if _, err := fmt.Fprintf(conn, "get %s\r\n", key); err != nil {
+			t.Fatal(err)
+		}
+		l, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimRight(l, "\r\n")
+	}
+	k0 := keyOwnedBy(t, c, 0, "probe")
 
 	c.shardReport(0, hodor.ErrRecoveryTimeout)
-	if h.br.state.Load() != breakerOpen {
-		t.Fatal("threshold-1 failure did not open the breaker")
-	}
-	if err := c.proxyAllow(0); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("proxy admission while open = %v, want fast-fail", err)
+	if got := get(k0); got != "SERVER_ERROR shard 0 recovering" {
+		t.Fatalf("get behind the open breaker = %q", got)
 	}
 	c.SuperviseOnce(t0.Add(10 * time.Millisecond))  // stamp the cooldown
 	c.SuperviseOnce(t0.Add(100 * time.Millisecond)) // past it: half-open
 	if h.br.state.Load() != breakerHalfOpen {
 		t.Fatal("breaker did not half-open")
 	}
-
-	// Any amount of proxy traffic passes through half-open without
-	// taking the probe slot.
-	for i := 0; i < 5; i++ {
-		if err := c.proxyAllow(0); err != nil {
-			t.Fatalf("proxy admission during half-open: %v", err)
-		}
+	if got := get(k0); got != "END" {
+		t.Fatalf("probing get = %q, want a clean miss", got)
 	}
-	if h.br.state.Load() != breakerHalfOpen {
-		t.Fatal("proxyAllow consumed the probe slot")
-	}
-
-	// The probe belongs to a reporting caller; while it is in flight the
-	// proxy fails fast (one probe total), and a clean report closes.
-	if err := c.shardAllow(0); err != nil {
-		t.Fatalf("probe refused: %v", err)
-	}
-	if h.br.state.Load() != breakerProbe {
-		t.Fatal("reporting caller did not take the probe")
-	}
-	if err := c.proxyAllow(0); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("proxy admission during probe = %v, want fast-fail", err)
-	}
-	c.shardReport(0, nil)
-	if h.br.state.Load() != breakerClosed {
-		t.Fatal("clean probe did not close the breaker")
-	}
-	if err := c.proxyAllow(0); err != nil {
-		t.Fatalf("proxy admission after close: %v", err)
+	if st := h.br.state.Load(); st != breakerClosed || h.br.probes.Load() != 1 {
+		t.Fatalf("after the proxy's probe: breaker %s, %d probes; want closed after one",
+			breakerStateName(st), h.br.probes.Load())
 	}
 }
 

@@ -116,17 +116,19 @@ reshardcheck:
 # of the claim is a self-gated benchmark (2x the quiet-baseline p99).
 survivecheck:
 	$(GO) test -race -count=1 -run 'TestSurviveCheck' .
-	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
+	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestProxyFlushAllFailsBehindOpenBreaker|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
 	$(GO) test -run xxx -bench BenchmarkRebuildSurvivor -benchtime 1x .
 
 # The disk-fault gate (DESIGN.md §16): inject EIO/ENOSPC/torn-rename at
 # every step of the image-write path (create, write, sync, close, rename)
 # and require containment — the prior checkpoint generation stays the
 # loadable state, no half-built temp survives, the failure is counted and
-# exported, and the store itself stays healthy and keeps serving.
+# exported, and the store itself stays healthy and keeps serving. A heap
+# word that moves while an image is written fails that write, and
+# checkpoints taken under live traffic reload.
 diskfault:
-	$(GO) test -race -count=1 -run 'TestWriteImageFault|TestWriteImageTornRename|TestCheckpointSlotsSurviveFaults' ./internal/shm
-	$(GO) test -race -count=1 -run 'TestDiskFaultCheckpointDegrades' ./memcached
+	$(GO) test -race -count=1 -run 'TestWriteImageFault|TestWriteImageTornRename|TestWriteImageHeapChangedMidWrite|TestCheckpointSlotsSurviveFaults' ./internal/shm
+	$(GO) test -race -count=1 -run 'TestDiskFaultCheckpointDegrades|TestCheckpointWhileServing' ./memcached
 
 # The cost ledger (ROADMAP aim 1): five named workloads, ten end-to-end
 # metrics, a traced per-layer ladder; results land in benchmark/out/.

@@ -220,13 +220,13 @@ func runRepairFailFaultAt(t *testing.T) {
 
 	// The supervisor pass is the recovery: detach, rebuild (empty — the
 	// shards are in-memory), re-attach.
-	c.SuperviseOnce(time.Now())
+	c.SuperviseOnce()
 	deadline := time.Now().Add(5 * time.Second)
 	for c.State(victim) != memcached.ShardHealthy {
 		if time.Now().After(deadline) {
 			t.Fatalf("victim shard never healthy after rebuild (state %v)", c.State(victim))
 		}
-		c.SuperviseOnce(time.Now())
+		c.SuperviseOnce()
 		time.Sleep(time.Millisecond)
 	}
 	if sm := c.Metrics().Supervisor; sm.Rebuilds < 1 {

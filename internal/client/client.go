@@ -252,28 +252,23 @@ func (c *Client) Prepend(key, value []byte) error {
 }
 
 func (c *Client) simpleStore(op protocol.Op, key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	rep, err := c.roundTrip(&protocol.Command{
+	return c.exec(&protocol.Command{
 		Op: op, Key: key, Value: value, Flags: flags, Exptime: exptime, CAS: cas,
 	})
-	if err != nil {
-		return err
+}
+
+// exec runs a command whose reply carries only its status.
+func (c *Client) exec(cmd *protocol.Command) error {
+	rep, err := c.roundTrip(cmd)
+	if err == nil && rep.Status != protocol.StatusOK {
+		err = statusErr(rep.Status)
 	}
-	if rep.Status != protocol.StatusOK {
-		return statusErr(rep.Status)
-	}
-	return nil
+	return err
 }
 
 // Delete removes a key.
 func (c *Client) Delete(key []byte) error {
-	rep, err := c.roundTrip(&protocol.Command{Op: protocol.OpDelete, Key: key})
-	if err != nil {
-		return err
-	}
-	if rep.Status != protocol.StatusOK {
-		return statusErr(rep.Status)
-	}
-	return nil
+	return c.exec(&protocol.Command{Op: protocol.OpDelete, Key: key})
 }
 
 // Increment adds delta to a numeric value.
@@ -311,20 +306,13 @@ func (c *Client) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, uint64,
 
 // Touch updates a key's expiry.
 func (c *Client) Touch(key []byte, exptime int64) error {
-	rep, err := c.roundTrip(&protocol.Command{Op: protocol.OpTouch, Key: key, Exptime: exptime})
-	if err != nil {
-		return err
-	}
-	if rep.Status != protocol.StatusOK {
-		return statusErr(rep.Status)
-	}
-	return nil
+	return c.exec(&protocol.Command{Op: protocol.OpTouch, Key: key, Exptime: exptime})
 }
 
-// FlushAll empties the server.
+// FlushAll empties the server. A server that could not flush everything
+// (a cluster proxy with a shard down) answers with an error status.
 func (c *Client) FlushAll() error {
-	_, err := c.roundTrip(&protocol.Command{Op: protocol.OpFlushAll})
-	return err
+	return c.exec(&protocol.Command{Op: protocol.OpFlushAll})
 }
 
 // Stats fetches the server's statistics.

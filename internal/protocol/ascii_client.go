@@ -178,8 +178,12 @@ func ReadASCIIReply(r *bufio.Reader, c *Command) (*Reply, error) {
 		}
 		return &Reply{Status: StatusKeyNotFound}, nil
 	case OpFlushAll:
-		if _, err := readLine(r); err != nil {
+		line, err := readLine(r)
+		if err != nil {
 			return nil, err
+		}
+		if string(line) != "OK" {
+			return nil, fmt.Errorf("protocol: flush_all reply %q", line)
 		}
 		return &Reply{Status: StatusOK}, nil
 	case OpStats:

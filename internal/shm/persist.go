@@ -111,13 +111,23 @@ func regionCount(size uint64) uint64 {
 // to crashes of the writer itself: the image is written to a temporary
 // file, synced, and renamed into place, so a crash at any point leaves
 // either the previous image or the complete new one — never a blend.
+//
+// The heap is read twice, once to sum it and once to write it, through
+// word loads: even a quiesced store sees a gate entrant set its op word
+// and withdraw. A region whose bytes changed between the two reads fails
+// the write rather than leave an image its own checksums refuse.
 func (h *Heap) WriteImage(path string, generation uint64) error {
 	nRegions := regionCount(h.size)
 	table := make([]byte, nRegions*8)
+	buf := make([]byte, ImageRegionSize)
+	region := func(r uint64) []byte {
+		start, n := regionSpan(h.size, r)
+		h.AtomicReadBytes(start, buf[:n])
+		return buf[:n]
+	}
 	var sum uint32
 	for r := uint64(0); r < nRegions; r++ {
-		start, n := regionSpan(h.size, r)
-		sum = CRC32C(sum, h.view(start, n, false))
+		sum = CRC32C(sum, region(r))
 		binary.LittleEndian.PutUint64(table[r*8:], uint64(sum))
 	}
 	hdr := make([]byte, imageHeaderSize)
@@ -163,12 +173,16 @@ func (h *Heap) WriteImage(path string, generation uint64) error {
 	if _, err := w.Write(table); err != nil {
 		return werr(err)
 	}
+	sum = 0
 	for r := uint64(0); r < nRegions; r++ {
 		if r == nRegions/2 {
 			fpPersistMidImage.Maybe()
 		}
-		start, n := regionSpan(h.size, r)
-		if _, err := w.Write(h.view(start, n, false)); err != nil {
+		b := region(r)
+		if sum = CRC32C(sum, b); uint64(sum) != binary.LittleEndian.Uint64(table[r*8:]) {
+			return werr(fmt.Errorf("region %d changed while it was written", r))
+		}
+		if _, err := w.Write(b); err != nil {
 			return werr(err)
 		}
 	}

@@ -363,3 +363,33 @@ func TestWriteImageCrashAtFaultPoints(t *testing.T) {
 		})
 	}
 }
+
+// A heap word that changes between WriteImage's summing read and its
+// writing read (a gate entrant setting its op word and withdrawing while a
+// checkpoint runs) must not leave an image its own checksums refuse: the
+// write fails, or it writes an image that loads. The next write, on a
+// still heap, succeeds.
+func TestWriteImageHeapChangedMidWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.heap")
+	h := New(4 * ImageRegionSize)
+	const word = ImageRegionSize + 8
+	if err := faultpoint.Arm("persist.header", func() { h.AtomicStore64(word, 7) }); err != nil {
+		t.Fatal(err)
+	}
+	defer faultpoint.DisarmAll()
+	if err := h.WriteImage(path, 1); err == nil {
+		if _, _, err := LoadImage(path); err != nil {
+			t.Fatalf("WriteImage wrote an image that does not load: %v", err)
+		}
+	}
+	if err := h.WriteImage(path, 2); err != nil {
+		t.Fatal(err)
+	}
+	back, info, err := LoadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Generation != 2 || back.Load64(word) != 7 {
+		t.Fatalf("retried image: gen %d, word %d", info.Generation, back.Load64(word))
+	}
+}

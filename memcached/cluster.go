@@ -13,6 +13,7 @@ import (
 
 	"plibmc/internal/core"
 	"plibmc/internal/metrics"
+	"plibmc/internal/mono"
 	"plibmc/internal/ring"
 )
 
@@ -70,9 +71,10 @@ type ClusterConfig struct {
 	// circuit breaker; poison trips it immediately regardless.
 	// 0 means 3.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker stays open before the
-	// supervisor lets a half-open probe through, measured on the
-	// supervisor's clock. 0 means 1s.
+	// BreakerCooldown is how long a tripped breaker refuses every call
+	// before it lets one probe through, measured from the trip. A probe
+	// that has not reported within one cooldown is handed to the next
+	// caller. 0 means 1s.
 	BreakerCooldown time.Duration
 }
 
@@ -121,12 +123,10 @@ type Cluster struct {
 	supMu   sync.Mutex
 	supStop chan struct{}
 	supDone chan struct{}
-	// supSeen flips true the first time a supervisor attends this cluster
-	// (StartSupervisor or a direct SuperviseOnce pass); until then the
-	// breaker refusal path runs the clock transitions inline, so an
-	// embedder that never starts the supervisor still gets half-open
-	// probes instead of a permanent fast-fail.
-	supSeen atomic.Bool
+
+	// now is the breakers' clock (mono.Now; tests step it). Only a
+	// refused call reads it.
+	now func() int64
 }
 
 func (c *Cluster) top() *topology { return c.topo.Load() }
@@ -212,7 +212,7 @@ func CreateCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.setupShard(b, i)
 		shards = append(shards, b)
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{cfg: cfg, now: mono.Now}
 	c.topo.Store(&topology{ring: r, shards: shards})
 	if cfg.Dir != "" {
 		if err := writeRingManifest(cfg.Dir, r.Shards(), r.VirtualNodes()); err != nil {
@@ -284,7 +284,7 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("memcached: no shard opened from %s: %s",
 			cfg.Dir, strings.Join(openErrs, "; "))
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{cfg: cfg, now: mono.Now}
 	c.topo.Store(&topology{ring: r, shards: shards})
 	for _, i := range degraded {
 		h := c.shardHealth(i)
@@ -744,7 +744,7 @@ const (
 
 // State reports shard i's coarse health.
 func (c *Cluster) State(i int) ShardState {
-	if hs := c.health.Load(); hs != nil && i < len(*hs) && (*hs)[i].rebuilding.Load() {
+	if hs := c.health.Load(); hs != nil && i < len(*hs) && (*hs)[i].br.word.Load()&brStateMask == brRebuilding {
 		return ShardRebuilding
 	}
 	lib := c.top().shards[i].Library()

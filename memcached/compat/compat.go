@@ -296,75 +296,53 @@ func (b plibBackend) mget(keys [][]byte) (map[string][]byte, error) {
 	return out, nil
 }
 
-// sockBackend adapts the socket client.
+// sockBackend adapts the socket client: each call's error goes through
+// sockErr.
 type sockBackend struct{ c *client.Client }
+
+// sockErr maps the socket client's reply sentinels onto the library's
+// outcome errors. Every other error — a dead connection, a server error —
+// passes through, so ret reports it as Failure, never as a miss or a
+// refusal. The baseline server answers NOT_STORED only to an append or
+// prepend on a missing key, which the protected library calls ErrNotFound.
+func sockErr(err error) error {
+	switch {
+	case errors.Is(err, client.ErrNotFound), errors.Is(err, client.ErrNotStored):
+		return memcached.ErrNotFound
+	case errors.Is(err, client.ErrExists):
+		return memcached.ErrExists
+	case errors.Is(err, client.ErrNonNumeric):
+		return memcached.ErrNotNumeric
+	case errors.Is(err, client.ErrOutOfMemory):
+		return memcached.ErrNoSpace
+	}
+	return err
+}
 
 func (b sockBackend) Get(key []byte) ([]byte, uint32, error) {
 	v, f, _, err := b.c.Get(key)
-	if err != nil {
-		return nil, 0, memcached.ErrNotFound
-	}
-	return v, f, nil
-}
-func (b sockBackend) Set(k, v []byte, f uint32, e int64) error { return b.c.Set(k, v, f, e) }
-func (b sockBackend) mget(keys [][]byte) (map[string][]byte, error) {
-	return b.c.MGet(keys)
+	return v, f, sockErr(err)
 }
 func (b sockBackend) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
 	v, f, _, err := b.c.GetAndTouch(key, exptime)
-	if err != nil {
-		return nil, 0, memcached.ErrNotFound
-	}
-	return v, f, nil
+	return v, f, sockErr(err)
 }
-func (b sockBackend) Add(k, v []byte, f uint32, e int64) error {
-	if err := b.c.Add(k, v, f, e); err != nil {
-		return memcached.ErrExists
-	}
-	return nil
-}
+func (b sockBackend) Set(k, v []byte, f uint32, e int64) error { return sockErr(b.c.Set(k, v, f, e)) }
+func (b sockBackend) Add(k, v []byte, f uint32, e int64) error { return sockErr(b.c.Add(k, v, f, e)) }
 func (b sockBackend) Replace(k, v []byte, f uint32, e int64) error {
-	if err := b.c.Replace(k, v, f, e); err != nil {
-		return memcached.ErrNotFound
-	}
-	return nil
+	return sockErr(b.c.Replace(k, v, f, e))
 }
-func (b sockBackend) Delete(k []byte) error {
-	if err := b.c.Delete(k); err != nil {
-		return memcached.ErrNotFound
-	}
-	return nil
-}
+func (b sockBackend) Delete(k []byte) error { return sockErr(b.c.Delete(k)) }
 func (b sockBackend) Increment(k []byte, d uint64) (uint64, error) {
 	v, err := b.c.Increment(k, d)
-	if err != nil {
-		return 0, memcached.ErrNotFound
-	}
-	return v, nil
+	return v, sockErr(err)
 }
 func (b sockBackend) Decrement(k []byte, d uint64) (uint64, error) {
 	v, err := b.c.Decrement(k, d)
-	if err != nil {
-		return 0, memcached.ErrNotFound
-	}
-	return v, nil
+	return v, sockErr(err)
 }
-func (b sockBackend) Append(k, d []byte) error {
-	if err := b.c.Append(k, d); err != nil {
-		return memcached.ErrNotFound
-	}
-	return nil
-}
-func (b sockBackend) Prepend(k, d []byte) error {
-	if err := b.c.Prepend(k, d); err != nil {
-		return memcached.ErrNotFound
-	}
-	return nil
-}
-func (b sockBackend) Touch(k []byte, e int64) error {
-	if err := b.c.Touch(k, e); err != nil {
-		return memcached.ErrNotFound
-	}
-	return nil
-}
-func (b sockBackend) FlushAll() error { return b.c.FlushAll() }
+func (b sockBackend) Append(k, d []byte) error                      { return sockErr(b.c.Append(k, d)) }
+func (b sockBackend) Prepend(k, d []byte) error                     { return sockErr(b.c.Prepend(k, d)) }
+func (b sockBackend) Touch(k []byte, e int64) error                 { return sockErr(b.c.Touch(k, e)) }
+func (b sockBackend) FlushAll() error                               { return sockErr(b.c.FlushAll()) }
+func (b sockBackend) mget(keys [][]byte) (map[string][]byte, error) { return b.c.MGet(keys) }

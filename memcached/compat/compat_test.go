@@ -210,3 +210,32 @@ func TestBadKeyAndBigValue(t *testing.T) {
 		t.Fatalf("big value = %v", rc)
 	}
 }
+
+// A round trip that fails is a Failure, never an outcome: on a closed
+// connection no call reads as a miss (NOTFOUND) or a refusal (NOT_STORED).
+func TestSocketFailureIsNotAnOutcome(t *testing.T) {
+	m := socketSt(t)
+	m.backend.(sockBackend).c.Close()
+	k := []byte("k")
+	if _, _, rc := m.Get(k); rc != Failure {
+		t.Fatalf("get on a closed connection = %v", rc)
+	}
+	if _, _, rc := m.GAT(k, 0); rc != Failure {
+		t.Fatalf("gat on a closed connection = %v", rc)
+	}
+	if _, rc := m.Increment(k, 1); rc != Failure {
+		t.Fatalf("incr on a closed connection = %v", rc)
+	}
+	for name, call := range map[string]func() ReturnT{
+		"delete":  func() ReturnT { return m.Delete(k) },
+		"add":     func() ReturnT { return m.Add(k, []byte("v"), 0, 0) },
+		"replace": func() ReturnT { return m.Replace(k, []byte("v"), 0, 0) },
+		"append":  func() ReturnT { return m.Append(k, []byte("v")) },
+		"touch":   func() ReturnT { return m.Touch(k, 0) },
+		"flush":   m.Flush,
+	} {
+		if rc := call(); rc != Failure {
+			t.Fatalf("%s on a closed connection = %v", name, rc)
+		}
+	}
+}

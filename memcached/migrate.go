@@ -130,7 +130,7 @@ type migration struct {
 	finished chan struct{}
 
 	cliMu sync.Mutex
-	cli   *migClient // current attempt's processes, for KillMigrator
+	cli   *ClusterSession // current attempt's session, for KillMigrator
 }
 
 func (m *migration) segmentsDone() int {
@@ -360,44 +360,6 @@ func (c *Cluster) KillMigrator() {
 	m.cliMu.Unlock()
 }
 
-// migClient is one migration attempt's client identity: a ClusterClient
-// (so lazily-added shards attach the normal way) plus one session per
-// shard it has touched.
-type migClient struct {
-	cc   *ClusterClient
-	sess map[int]*Session
-}
-
-func newMigClient(c *Cluster) (*migClient, error) {
-	cc, err := c.NewClientProcess(migUID)
-	if err != nil {
-		return nil, err
-	}
-	return &migClient{cc: cc, sess: make(map[int]*Session)}, nil
-}
-
-func (mc *migClient) session(shard int) (*Session, error) {
-	if s, ok := mc.sess[shard]; ok {
-		return s, nil
-	}
-	cp, err := mc.cc.proc(shard)
-	if err != nil {
-		return nil, err
-	}
-	s, err := cp.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	mc.sess[shard] = s
-	return s, nil
-}
-
-func (mc *migClient) close() {
-	for _, s := range mc.sess {
-		s.Close() // kill-safe: dead sessions defer teardown to recovery
-	}
-}
-
 // run is the migrator goroutine: stray sweep, then bounded attempts,
 // then a terminal finish/abort/park.
 func (m *migration) run() {
@@ -449,7 +411,11 @@ func (m *migration) attempt() (err error) {
 			err = fmt.Errorf("memcached: migrator crashed: %v", r)
 		}
 	}()
-	cli, err := newMigClient(m.c)
+	cc, err := m.c.NewClientProcess(migUID)
+	if err != nil {
+		return err
+	}
+	cli, err := cc.NewSession()
 	if err != nil {
 		return err
 	}
@@ -460,7 +426,7 @@ func (m *migration) attempt() (err error) {
 		m.cliMu.Lock()
 		m.cli = nil
 		m.cliMu.Unlock()
-		cli.close()
+		cli.Close() // kill-safe: dead sessions defer teardown to recovery
 	}()
 	// One walk per source shard covers all its pending segments.
 	bySrc := make(map[int][]int)
@@ -508,12 +474,12 @@ func (m *migration) collectKeys(src int) map[int][][]byte {
 
 // copySegment bulk-copies keys (collected by the walk) source→destination
 // and then cuts the segment over.
-func (m *migration) copySegment(cli *migClient, s *migSeg, keys [][]byte) error {
-	from, err := cli.session(s.seg.From)
+func (m *migration) copySegment(cli *ClusterSession, s *migSeg, keys [][]byte) error {
+	from, err := cli.sess(s.seg.From)
 	if err != nil {
 		return err
 	}
-	to, err := cli.session(s.seg.To)
+	to, err := cli.sess(s.seg.To)
 	if err != nil {
 		return err
 	}

@@ -10,13 +10,13 @@ package memcached
 // corpse. This file closes that gap with the same discipline the
 // ring-sharing literature applies to dead peers (reap and rebuild):
 //
-//   - A per-cluster supervisor (SuperviseOnce under an injectable clock,
-//     StartSupervisor for the background loop) watches shard health and
-//     escalates a poisoned shard through a recovery ladder: detach the
-//     dead store → reopen from the best checkpoint candidate (the
-//     existing ImageCandidates fallback chain) → if no image verifies,
-//     rebuild empty — then re-attach the replacement under the routing
-//     barrier so survivor shards serve uninterrupted throughout.
+//   - A per-cluster supervisor (SuperviseOnce for one pass,
+//     StartSupervisor for the background loop) only rebuilds: it walks
+//     a poisoned shard through a recovery ladder: detach the dead store
+//     → reopen from the best checkpoint candidate (the existing
+//     ImageCandidates fallback chain) → if no image verifies, rebuild
+//     empty — then re-attach the replacement under the routing barrier
+//     so survivor shards serve uninterrupted throughout.
 //
 //   - The rebuilt shard resumes in the dead store's CAS space: the old
 //     heap's CAS high-water mark survives in memory even after poison
@@ -24,12 +24,15 @@ package memcached
 //     it plus a generation gap — a CAS token minted before the crash can
 //     never be re-minted after it (no ABA on retried CAS).
 //
-//   - A per-shard circuit breaker (closed → open on poison or a run of
-//     consecutive crossing failures → half-open probe) makes the down
-//     window cheap: callers get a typed, retryable error in nanoseconds
-//     instead of a parked crossing, MGet/ExecBatch keep positional
-//     per-shard isolation, and the proxy reports distinct
-//     "SERVER_ERROR shard N recovering|rebuilding" frames.
+//   - A per-shard circuit breaker, one atomic word (closed → open on
+//     poison or a run of consecutive crossing failures → one probe after
+//     the cooldown, never into a poisoned store), makes the down window
+//     cheap: callers get a typed, retryable error in nanoseconds instead
+//     of a parked crossing, MGet/ExecBatch keep positional per-shard
+//     isolation, and the proxy reports distinct
+//     "SERVER_ERROR shard N recovering|rebuilding" frames. The breaker
+//     keeps its own time: a refused caller reads the cluster clock and
+//     takes the probe when it is due, so it needs no supervisor.
 //
 // The old Bookkeeper is dropped, not Shutdown: Shutdown on a poisoned
 // store writes its (suspect) heap to disk, and a newer-generation
@@ -117,123 +120,52 @@ func crossingFailure(err error) bool {
 		errors.As(err, &crash)
 }
 
-// Breaker states. The data path only ever does atomic loads/CASes on
-// these; all clock-based transitions (open → half-open after the
-// cooldown) belong to the supervisor, so serving threads never read a
-// clock on the fast path.
+// The breaker word. One atomic int64 per shard is the whole breaker:
+//
+//	stamp<<3 | poisoned<<2 | state
+//
+// state is closed, open, probe or rebuilding, and closed is stored as 0,
+// so the healthy path is one load compared with zero. poisoned records
+// that the trip was a poison verdict, which picks the fast-fail's frame
+// and cause. stamp is the cluster clock (Cluster.now) at the last
+// transition: the trip, or the probe's admission. Every transition is one
+// CAS of the whole word, and nothing ticks it: the timed ones run where a
+// call is refused (refuse), so only a refused caller reads the clock.
 const (
-	breakerClosed   int32 = iota // healthy: every call passes
-	breakerOpen                  // tripped: every call fails fast
-	breakerHalfOpen              // cooled down: the next call probes
-	breakerProbe                 // one probe in flight; others fail fast
+	brClosed int64 = iota
+	brOpen
+	brProbe
+	brRebuilding       // rebuildShard owns the word; calls fail fast
+	brStateMask  int64 = 3
+	brPoisoned   int64 = 4
+	brStampShift       = 3
 )
-
-func breakerStateName(s int32) string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	case breakerProbe:
-		return "probe"
-	}
-	return "unknown"
-}
 
 // shardBreaker is one shard's circuit breaker.
 type shardBreaker struct {
-	state  atomic.Int32
-	fails  atomic.Int32 // consecutive crossing failures while closed
-	reason atomic.Int32 // ShardState reported while non-closed
-	// openedAt is stamped by the supervisor on its first observation of
-	// the open state (0 = not yet observed); the cooldown runs on the
-	// supervisor's injectable clock, never the data path's.
-	openedAt atomic.Int64
-	// probedAt is the same discipline for the probe state: zeroed when a
-	// caller takes the probe slot, stamped by the supervisor on its first
-	// observation, and a probe that outlives the cooldown without ever
-	// reporting (caller died mid-crossing) is reverted to open so the
-	// breaker cannot wedge in probe.
-	probedAt atomic.Int64
+	word  atomic.Int64
+	fails atomic.Int32 // consecutive crossing failures while closed
 
 	trips     atomic.Uint64
 	fastFails atomic.Uint64
 	probes    atomic.Uint64
 }
 
-// allow is the data-path admission check: nil means proceed (and report
-// the outcome via report); an error is the typed fast-fail. A probe
-// admitted here and never reported strands the breaker until the
-// supervisor times it out.
-func (br *shardBreaker) allow(shard int) error {
-	switch br.state.Load() {
-	case breakerClosed:
-		return nil
-	case breakerHalfOpen:
-		if br.state.CompareAndSwap(breakerHalfOpen, breakerProbe) {
-			br.probedAt.Store(0) // fresh probe: the supervisor restamps
-			br.probes.Add(1)
-			return nil // this caller is the probe
-		}
+// wordState is the lifecycle condition a refusal reports.
+func wordState(w int64) ShardState {
+	switch {
+	case w&brStateMask == brRebuilding:
+		return ShardRebuilding
+	case w&brPoisoned != 0:
+		return ShardPoisoned
 	}
-	br.fastFails.Add(1)
-	return shardDown(shard, ShardState(br.reason.Load()))
-}
-
-// report feeds one call's outcome back. Any non-shard-level outcome
-// (success or a per-key error) closes a probing breaker and clears the
-// failure run; a crossing failure counts toward the trip threshold, and
-// poison trips immediately.
-func (br *shardBreaker) report(err error, threshold int, state ShardState) {
-	if !crossingFailure(err) {
-		if br.fails.Load() != 0 {
-			br.fails.Store(0)
-		}
-		if s := br.state.Load(); s == breakerProbe || s == breakerHalfOpen {
-			br.state.Store(breakerClosed)
-		}
-		return
-	}
-	if br.state.Load() == breakerProbe {
-		br.reopen(state)
-		return
-	}
-	n := br.fails.Add(1)
-	if errors.Is(err, hodor.ErrPoisoned) || int(n) >= threshold {
-		br.trip(state)
-	}
-}
-
-// trip opens the breaker (idempotent; counts only the transition).
-func (br *shardBreaker) trip(reason ShardState) {
-	br.reason.Store(int32(reason))
-	if br.state.Swap(breakerOpen) != breakerOpen {
-		br.trips.Add(1)
-		br.openedAt.Store(0) // restart the cooldown
-	}
-}
-
-// reopen is a failed probe: back to open, cooldown restarted.
-func (br *shardBreaker) reopen(reason ShardState) {
-	br.reason.Store(int32(reason))
-	br.openedAt.Store(0)
-	br.state.Store(breakerOpen)
-	br.trips.Add(1)
-}
-
-// close resets the breaker to closed (rebuild finished).
-func (br *shardBreaker) close() {
-	br.fails.Store(0)
-	br.state.Store(breakerClosed)
+	return ShardRecovering
 }
 
 // shardHealth is the supervisor's per-shard lifecycle record. Grown
 // lazily and kept outside topology so it survives rebuilds and resizes.
 type shardHealth struct {
-	br         shardBreaker
-	rebuilding atomic.Bool // a rebuild is in flight; State reports ShardRebuilding
+	br shardBreaker
 
 	rebuilds        atomic.Uint64 // completed rebuilds
 	rebuiltEmpty    atomic.Uint64 // rebuilds that found no loadable image
@@ -281,91 +213,91 @@ func (c *Cluster) breakerCooldown() time.Duration {
 	return time.Second
 }
 
-// shardAllow is the data path's pre-crossing check: in the healthy case
-// three atomic loads (the health registry, the rebuilding flag, the breaker
-// state), which BenchmarkRouteParts prices together with shardReport(nil).
-// Callers that get nil must hand the crossing's error — not the op's own
-// outcome — to shardReport.
+// shardAllow is the data path's pre-crossing check: on the healthy path
+// one load of the breaker word after the registry's, which
+// BenchmarkRouteParts prices together with shardReport(nil). Callers that
+// get nil must hand the crossing's error — not the op's own outcome — to
+// shardReport.
 func (c *Cluster) shardAllow(i int) error {
-	h := c.shardHealth(i)
-	if h.rebuilding.Load() {
-		h.br.fastFails.Add(1)
-		return shardDown(i, ShardRebuilding)
+	br := &c.shardHealth(i).br
+	if w := br.word.Load(); w != brClosed {
+		return c.refuse(i, br, w)
 	}
-	err := h.br.allow(i)
-	if err != nil && !c.supSeen.Load() {
-		// No supervisor has ever attended this cluster (an embedder that
-		// never calls StartSupervisor): run the clock transitions inline
-		// so the breaker still half-opens after the cooldown instead of
-		// fast-failing forever. Refusal path only — the healthy fast
-		// path never reads a clock.
-		c.breakerTick(&h.br, time.Now())
-		if h.br.state.Load() == breakerHalfOpen {
-			err = h.br.allow(i)
-		}
+	return nil
+}
+
+// refuse is shardAllow off the healthy path. When the probe is due it
+// hands it to this caller; everyone else fails fast.
+func (c *Cluster) refuse(i int, br *shardBreaker, w int64) error {
+	if now := c.now(); c.probeDue(i, w, now) &&
+		br.word.CompareAndSwap(w, now<<brStampShift|w&brPoisoned|brProbe) {
+		br.probes.Add(1)
+		return nil
 	}
-	return err
+	br.fastFails.Add(1)
+	return shardDown(i, wordState(w))
+}
+
+// probeDue reports whether word w hands the probe to a caller refused at
+// now: an open breaker past its cooldown, or a probe that has not reported
+// for as long (its caller died or is parked mid-crossing). Never while the
+// shard's store is poisoned: only a rebuild closes that breaker.
+func (c *Cluster) probeDue(i int, w, now int64) bool {
+	st := w & brStateMask
+	return (st == brOpen || st == brProbe) &&
+		now-w>>brStampShift >= int64(c.breakerCooldown()) &&
+		!c.top().shards[i].Library().Poisoned()
 }
 
 // shardReport feeds one crossing's verdict into shard i's breaker: nil for
-// a crossing that completed, whatever its ops returned.
+// a crossing that completed, whatever its ops returned. A healthy crossing
+// clears the failure run and closes a probing breaker. A crossing failure
+// reopens a probing breaker, restarting the cooldown; a closed one trips on
+// poison or on the BreakerThreshold-th consecutive failure. A rebuild owns
+// the word, so reports against it are dropped.
 func (c *Cluster) shardReport(i int, err error) {
-	state := ShardRecovering
-	if errors.Is(err, hodor.ErrPoisoned) {
-		state = ShardPoisoned
-	}
-	c.shardHealth(i).br.report(err, c.breakerThreshold(), state)
-}
-
-// SuperviseOnce runs one supervisor pass at the given time: poisoned
-// shards enter the rebuild ladder, open breakers past the cooldown go
-// half-open. Tests drive it directly with a fake clock (the same
-// injectable-clock discipline as WatchdogSweep); production uses
-// StartSupervisor.
-func (c *Cluster) SuperviseOnce(now time.Time) {
-	c.supSeen.Store(true)
-	top := c.top()
-	for i := range top.shards {
-		h := c.shardHealth(i)
-		if top.shards[i].Library().Poisoned() && !h.rebuilding.Load() {
-			h.br.trip(ShardRebuilding)
-			if err := c.rebuildShard(i, now); err != nil {
-				h.rebuildFailures.Add(1) // breaker stays open; retried next pass
-			}
-			continue
+	br := &c.shardHealth(i).br
+	if !crossingFailure(err) {
+		if br.fails.Load() != 0 {
+			br.fails.Store(0)
 		}
-		c.breakerTick(&h.br, now)
+		if w := br.word.Load(); w&brStateMask == brProbe {
+			br.word.CompareAndSwap(w, brClosed)
+		}
+		return
 	}
-}
-
-// breakerTick runs the clock-based breaker transitions for one shard.
-func (c *Cluster) breakerTick(br *shardBreaker, now time.Time) {
-	switch br.state.Load() {
-	case breakerOpen:
-		opened := br.openedAt.Load()
-		if opened == 0 {
-			// First observation after the trip: the cooldown starts on the
-			// supervisor's clock, not the data path's.
-			br.openedAt.Store(now.UnixNano())
+	poisoned := errors.Is(err, hodor.ErrPoisoned)
+	w := br.word.Load()
+	switch w & brStateMask {
+	case brClosed:
+		if n := br.fails.Add(1); !poisoned && int(n) < c.breakerThreshold() {
 			return
 		}
-		if now.Sub(time.Unix(0, opened)) >= c.breakerCooldown() {
-			br.state.CompareAndSwap(breakerOpen, breakerHalfOpen)
+	case brOpen:
+		if poisoned { // a late poison verdict: the frame turns "rebuilding"
+			br.word.CompareAndSwap(w, w|brPoisoned)
 		}
-	case breakerProbe:
-		// A probe whose caller never reports (died mid-crossing, or
-		// parked on a gate that outlived the cooldown) must not wedge
-		// the breaker: revert the stale probe to open and restart the
-		// cooldown. A late report from the timed-out caller finds the
-		// state already open and leaves it for the next cycle.
-		started := br.probedAt.Load()
-		if started == 0 {
-			br.probedAt.Store(now.UnixNano())
-			return
-		}
-		if now.Sub(time.Unix(0, started)) >= c.breakerCooldown() {
-			if br.state.CompareAndSwap(breakerProbe, breakerOpen) {
-				br.openedAt.Store(0)
+		return
+	case brRebuilding:
+		return
+	}
+	next := c.now()<<brStampShift | brOpen
+	if poisoned {
+		next |= brPoisoned
+	}
+	if br.word.CompareAndSwap(w, next) {
+		br.trips.Add(1)
+	}
+}
+
+// SuperviseOnce runs one supervisor pass: every poisoned shard enters the
+// rebuild ladder. The breaker needs no pass; it keeps its own time.
+// Production runs it from StartSupervisor.
+func (c *Cluster) SuperviseOnce() {
+	for i, b := range c.top().shards {
+		if b.Library().Poisoned() {
+			if err := c.rebuildShard(i); err != nil {
+				c.shardHealth(i).rebuildFailures.Add(1) // retried next pass
 			}
 		}
 	}
@@ -376,7 +308,6 @@ func (c *Cluster) breakerTick(br *shardBreaker, now time.Time) {
 func (c *Cluster) StartSupervisor(interval time.Duration) {
 	c.supMu.Lock()
 	defer c.supMu.Unlock()
-	c.supSeen.Store(true)
 	if c.supStop != nil {
 		return
 	}
@@ -391,7 +322,7 @@ func (c *Cluster) StartSupervisor(interval time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				c.SuperviseOnce(time.Now())
+				c.SuperviseOnce()
 			}
 		}
 	}()
@@ -425,10 +356,11 @@ const casRebuildGap = 1 << 16
 //	(no verifying image) rebuild empty → re-attach under routeMu
 //
 // Survivor shards route around it the whole time (their topology entries
-// are untouched until the single pointer swap). Returns with the breaker
-// closed on success; on failure the breaker stays open and the next
-// supervisor pass retries.
-func (c *Cluster) rebuildShard(i int, now time.Time) error {
+// are untouched until the single pointer swap). The rebuild owns the
+// breaker word while it runs, and leaves it closed on success; on failure
+// it leaves it open on the poisoned store, and the next supervisor pass
+// retries.
+func (c *Cluster) rebuildShard(i int) error {
 	// Exclude a concurrent resize: both reshape the topology. A live
 	// migration keeps the shard set in flux — park until it finishes
 	// (the poisoned shard keeps failing fast behind its open breaker).
@@ -441,24 +373,19 @@ func (c *Cluster) rebuildShard(i int, now time.Time) error {
 		return fmt.Errorf("memcached: shard %d rebuild deferred: migration in flight", i)
 	}
 
-	h := c.shardHealth(i)
-	if !h.rebuilding.CompareAndSwap(false, true) {
-		return nil // already in flight
-	}
-	defer h.rebuilding.Store(false)
-	start := time.Now()
-
 	old := c.top().shards[i]
 	// Re-verify poison now that the lock is held: a caller whose
 	// Poisoned() precheck passed but then queued behind a completed
 	// rebuild (manual RebuildShard racing the supervisor, or two
 	// supervisor passes) must not re-run the ladder on the healthy
 	// replacement — detaching it would silently discard every write it
-	// accepted since. Close the breaker the caller tripped and keep it.
+	// accepted since.
 	if lib := old.Library(); lib == nil || !lib.Poisoned() {
-		h.br.close()
 		return nil
 	}
+	h := c.shardHealth(i)
+	h.br.word.Store(c.now()<<brStampShift | brPoisoned | brRebuilding)
+	start := time.Now()
 	// The dead store's CAS high-water mark survives poison in memory.
 	preCAS := old.Store().CASCounter()
 	old.StopMaintenance()
@@ -481,6 +408,7 @@ func (c *Cluster) rebuildShard(i int, now time.Time) error {
 	if nb == nil {
 		created, err := createShardPastCandidates(sc)
 		if err != nil {
+			h.br.word.Store(c.now()<<brStampShift | brPoisoned | brOpen)
 			return fmt.Errorf("memcached: shard %d rebuild: %w", i, err)
 		}
 		nb = created
@@ -519,13 +447,14 @@ func (c *Cluster) rebuildShard(i int, now time.Time) error {
 		nb.Checkpoint() //nolint:errcheck // degraded disk must not fail the rebuild
 	}
 
-	h.br.close()
+	h.br.fails.Store(0)
+	h.br.word.Store(brClosed)
 	h.rebuilds.Add(1)
 	if !fromImage {
 		h.rebuiltEmpty.Add(1)
 	}
 	h.lastRebuildNS.Store(int64(time.Since(start)))
-	h.lastRebuildAt.Store(now.UnixNano())
+	h.lastRebuildAt.Store(time.Now().UnixNano())
 	return nil
 }
 
@@ -563,8 +492,7 @@ func (c *Cluster) RebuildShard(i int) error {
 	if !c.top().shards[i].Library().Poisoned() {
 		return fmt.Errorf("memcached: shard %d is not poisoned", i)
 	}
-	c.shardHealth(i).br.trip(ShardRebuilding)
-	return c.rebuildShard(i, time.Now())
+	return c.rebuildShard(i)
 }
 
 // ShardStatus is one shard's lifecycle snapshot, for /admin and stats.
@@ -579,16 +507,32 @@ type ShardStatus struct {
 	FastFails     uint64     `json:"breaker_fast_fails"`
 }
 
+// breakerName is what /admin/shards calls breaker word w: an open breaker
+// whose next refused caller would take the probe reads "half-open", and a
+// rebuild's word reads "open".
+func (c *Cluster) breakerName(i int, w, now int64) string {
+	switch {
+	case w == brClosed:
+		return "closed"
+	case w&brStateMask == brProbe:
+		return "probe"
+	case w&brStateMask == brOpen && c.probeDue(i, w, now):
+		return "half-open"
+	}
+	return "open"
+}
+
 // ShardStatuses snapshots every shard's lifecycle state.
 func (c *Cluster) ShardStatuses() []ShardStatus {
 	n := len(c.top().shards)
 	out := make([]ShardStatus, n)
+	now := c.now()
 	for i := 0; i < n; i++ {
 		h := c.shardHealth(i)
 		out[i] = ShardStatus{
 			Shard:         i,
 			State:         c.State(i),
-			Breaker:       breakerStateName(h.br.state.Load()),
+			Breaker:       c.breakerName(i, h.br.word.Load(), now),
 			Rebuilds:      h.rebuilds.Load(),
 			RebuiltEmpty:  h.rebuiltEmpty.Load(),
 			RebuiltAtOpen: h.rebuiltAtOpen.Load(),

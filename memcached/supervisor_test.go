@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"plibmc/internal/client"
 	"plibmc/internal/core"
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/hodor"
@@ -144,7 +146,7 @@ func TestSupervisorRebuildsPoisonedShardEmpty(t *testing.T) {
 		t.Fatalf("second get = %v, want breaker fast-fail", err)
 	}
 
-	c.SuperviseOnce(time.Now())
+	c.SuperviseOnce()
 
 	if c.Shard(victim) == old {
 		t.Fatal("supervisor did not replace the poisoned bookkeeper")
@@ -236,7 +238,7 @@ func TestSupervisorRebuildsFromCheckpoint(t *testing.T) {
 
 	poisonShard(t, c, victim)
 	preCAS := c.Shard(victim).Store().CASCounter()
-	c.SuperviseOnce(time.Now())
+	c.SuperviseOnce()
 
 	if st := c.State(victim); st != ShardHealthy {
 		t.Fatalf("state after rebuild = %d, want healthy", st)
@@ -271,29 +273,39 @@ func TestSupervisorRebuildsFromCheckpoint(t *testing.T) {
 	assertSingleOwner(t, c)
 }
 
-// The breaker's full state machine, driven on the supervisor's injectable
-// clock: consecutive crossing failures open it, the cooldown half-opens
-// it, exactly one probe is admitted, a failed probe re-opens, a clean
-// probe closes, and a poison verdict trips instantly.
+// stepClock hands c's breakers a clock that moves only when the test
+// moves it.
+func stepClock(c *Cluster) *atomic.Int64 {
+	clk := new(atomic.Int64)
+	c.now = clk.Load
+	return clk
+}
+
+// breakerOf is shard i's breaker as /admin/shards names it.
+func breakerOf(c *Cluster, i int) string { return c.ShardStatuses()[i].Breaker }
+
+// The breaker's full state machine on a stepped clock: consecutive
+// crossing failures open it, the cooldown — counted from the trip — makes
+// it half-open, exactly one probe is admitted, a failed probe re-opens and
+// restarts the cooldown, a clean probe closes, and a poison verdict trips
+// instantly.
 func TestBreakerStateMachine(t *testing.T) {
 	cfg := ClusterConfig{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond}
 	c := newTestCluster(t, 1, cfg)
 	h := c.shardHealth(0)
-	// Attend the cluster up front: this test drives every clock transition
-	// explicitly, so the unsupervised data-path fallback (which reads the
-	// real clock) must stay out of the way.
-	c.SuperviseOnce(time.Now())
+	clk := stepClock(c)
+	step := func(d time.Duration) { clk.Add(int64(d)) }
 
 	if err := c.shardAllow(0); err != nil {
 		t.Fatalf("closed breaker refused: %v", err)
 	}
 	c.shardReport(0, nil)
 	c.shardReport(0, hodor.ErrRecoveryTimeout)
-	if h.br.state.Load() != breakerClosed {
+	if breakerOf(c, 0) != "closed" {
 		t.Fatal("one failure below threshold opened the breaker")
 	}
 	c.shardReport(0, hodor.ErrRecoveryTimeout)
-	if h.br.state.Load() != breakerOpen {
+	if breakerOf(c, 0) != "open" {
 		t.Fatal("threshold run of failures did not open the breaker")
 	}
 	err := c.shardAllow(0)
@@ -311,19 +323,14 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("recovering fast-fail must unwrap to a retryable gate error")
 	}
 
-	// Cooldown runs on the supervisor's clock: first pass stamps, a pass
-	// inside the window holds, a pass past it half-opens.
-	t0 := time.Now()
-	c.SuperviseOnce(t0)
-	if h.br.state.Load() != breakerOpen {
-		t.Fatal("stamping pass changed state")
+	// The cooldown runs from the trip: a refusal inside it holds the
+	// breaker open, and past it the breaker is half-open.
+	step(49 * time.Millisecond)
+	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "open" {
+		t.Fatalf("inside the cooldown: allow = %v, breaker %s", err, breakerOf(c, 0))
 	}
-	c.SuperviseOnce(t0.Add(49 * time.Millisecond))
-	if h.br.state.Load() != breakerOpen {
-		t.Fatal("breaker half-opened inside the cooldown")
-	}
-	c.SuperviseOnce(t0.Add(51 * time.Millisecond))
-	if h.br.state.Load() != breakerHalfOpen {
+	step(2 * time.Millisecond)
+	if breakerOf(c, 0) != "half-open" {
 		t.Fatal("breaker did not half-open past the cooldown")
 	}
 
@@ -336,29 +343,79 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 	// Failed probe: straight back to open, cooldown restarted.
 	c.shardReport(0, hodor.ErrRecoveryTimeout)
-	if h.br.state.Load() != breakerOpen {
+	if breakerOf(c, 0) != "open" {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
-	c.SuperviseOnce(t0.Add(100 * time.Millisecond)) // restamp
-	c.SuperviseOnce(t0.Add(200 * time.Millisecond))
-	if h.br.state.Load() != breakerHalfOpen {
+	step(49 * time.Millisecond)
+	if breakerOf(c, 0) != "open" {
+		t.Fatal("failed probe did not restart the cooldown")
+	}
+	step(time.Millisecond)
+	if breakerOf(c, 0) != "half-open" {
 		t.Fatal("breaker did not half-open after the failed probe's cooldown")
 	}
 	if err := c.shardAllow(0); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
 	c.shardReport(0, ErrNotFound) // a per-key verdict is a healthy crossing
-	if h.br.state.Load() != breakerClosed {
+	if breakerOf(c, 0) != "closed" {
 		t.Fatal("clean probe did not close the breaker")
 	}
 
 	// Poison trips instantly, threshold notwithstanding.
 	c.shardReport(0, hodor.ErrPoisoned)
-	if h.br.state.Load() != breakerOpen {
+	if breakerOf(c, 0) != "open" {
 		t.Fatal("poison verdict did not trip the breaker")
 	}
 	if h.br.trips.Load() < 2 {
 		t.Fatalf("trips = %d, want every open transition counted", h.br.trips.Load())
+	}
+	if h.br.probes.Load() != 2 {
+		t.Fatalf("probes = %d, want 2", h.br.probes.Load())
+	}
+}
+
+// The probe is one CAS on the word: however many callers are refused at
+// once past the cooldown, exactly one of them is admitted.
+func TestBreakerOneProbeUnderContention(t *testing.T) {
+	c := newTestCluster(t, 1, ClusterConfig{BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond})
+	clk := stepClock(c)
+	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	clk.Add(int64(time.Second))
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if c.shardAllow(0) == nil {
+					admitted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := admitted.Load(); n != 1 {
+		t.Fatalf("%d callers admitted past the cooldown, want exactly one probe", n)
+	}
+}
+
+// The healthy path reads no clock: a closed breaker admits calls and takes
+// their reports, per-key verdicts included, without calling Cluster.now.
+func TestBreakerHealthyPathReadsNoClock(t *testing.T) {
+	c := newTestCluster(t, 1, ClusterConfig{})
+	var reads atomic.Int64
+	c.now = func() int64 { return reads.Add(1) }
+	for i := 0; i < 100; i++ {
+		if err := c.shardAllow(0); err != nil {
+			t.Fatalf("closed breaker refused: %v", err)
+		}
+		c.shardReport(0, nil)
+		c.shardReport(0, ErrNotFound)
+	}
+	if n := reads.Load(); n != 0 {
+		t.Fatalf("healthy path read the clock %d times", n)
 	}
 }
 
@@ -369,8 +426,7 @@ func TestProxyTrafficClosesHalfOpenBreaker(t *testing.T) {
 	cfg := ClusterConfig{BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond}
 	c := newTestCluster(t, 2, cfg)
 	h := c.shardHealth(0)
-	t0 := time.Now()
-	c.SuperviseOnce(t0) // attended: the fallback clock stays out
+	clk := stepClock(c)
 	srv, err := c.ServeRemote("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -399,104 +455,158 @@ func TestProxyTrafficClosesHalfOpenBreaker(t *testing.T) {
 	if got := get(k0); got != "SERVER_ERROR shard 0 recovering" {
 		t.Fatalf("get behind the open breaker = %q", got)
 	}
-	c.SuperviseOnce(t0.Add(10 * time.Millisecond))  // stamp the cooldown
-	c.SuperviseOnce(t0.Add(100 * time.Millisecond)) // past it: half-open
-	if h.br.state.Load() != breakerHalfOpen {
+	clk.Add(int64(100 * time.Millisecond)) // past the cooldown: half-open
+	if breakerOf(c, 0) != "half-open" {
 		t.Fatal("breaker did not half-open")
 	}
 	if got := get(k0); got != "END" {
 		t.Fatalf("probing get = %q, want a clean miss", got)
 	}
-	if st := h.br.state.Load(); st != breakerClosed || h.br.probes.Load() != 1 {
+	if st := breakerOf(c, 0); st != "closed" || h.br.probes.Load() != 1 {
 		t.Fatalf("after the proxy's probe: breaker %s, %d probes; want closed after one",
-			breakerStateName(st), h.br.probes.Load())
+			st, h.br.probes.Load())
 	}
 }
 
 // A probe whose caller never reports (died mid-crossing) cannot wedge
-// the breaker: the supervisor times the stale probe back to open and the
-// next cooldown hands the slot to a fresh caller.
+// the breaker: one cooldown after its admission the next refused caller
+// takes the probe over, and its clean report closes the breaker.
 func TestBreakerStaleProbeTimesOut(t *testing.T) {
 	cfg := ClusterConfig{BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond}
 	c := newTestCluster(t, 1, cfg)
 	h := c.shardHealth(0)
-	t0 := time.Now()
-	c.SuperviseOnce(t0)
+	clk := stepClock(c)
+	step := func(d time.Duration) { clk.Add(int64(d)) }
 
 	c.shardReport(0, hodor.ErrRecoveryTimeout)
-	c.SuperviseOnce(t0.Add(10 * time.Millisecond))
-	c.SuperviseOnce(t0.Add(100 * time.Millisecond))
+	step(100 * time.Millisecond)
 	if err := c.shardAllow(0); err != nil {
 		t.Fatalf("probe refused: %v", err)
 	}
-	if h.br.state.Load() != breakerProbe {
+	if breakerOf(c, 0) != "probe" {
 		t.Fatal("probe not taken")
 	}
 
-	// The probe never reports. Supervisor passes: stamp, hold inside the
-	// window, then time the stale probe back to open.
-	c.SuperviseOnce(t0.Add(110 * time.Millisecond))
-	if h.br.state.Load() != breakerProbe {
-		t.Fatal("stamping pass changed the probe state")
+	// The probe never reports. Inside one cooldown of its admission every
+	// other caller is refused and the probe stands.
+	step(10 * time.Millisecond)
+	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "probe" {
+		t.Fatalf("refusal beside a live probe = %v, breaker %s", err, breakerOf(c, 0))
 	}
-	c.SuperviseOnce(t0.Add(120 * time.Millisecond))
-	if h.br.state.Load() != breakerProbe {
-		t.Fatal("probe timed out inside the cooldown window")
-	}
-	c.SuperviseOnce(t0.Add(200 * time.Millisecond))
-	if h.br.state.Load() != breakerOpen {
-		t.Fatal("stale probe did not revert to open")
+	step(39 * time.Millisecond)
+	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "probe" {
+		t.Fatalf("probe timed out inside the cooldown window: %v, breaker %s", err, breakerOf(c, 0))
 	}
 
-	// The next cooldown re-arms a fresh probe, which closes cleanly.
-	c.SuperviseOnce(t0.Add(210 * time.Millisecond))
-	c.SuperviseOnce(t0.Add(300 * time.Millisecond))
+	// A cooldown after its admission the stale probe goes to a fresh
+	// caller, which closes the breaker cleanly.
+	step(time.Millisecond)
 	if err := c.shardAllow(0); err != nil {
 		t.Fatalf("fresh probe refused: %v", err)
 	}
+	if n := h.br.probes.Load(); n != 2 {
+		t.Fatalf("probes = %d, want the stale one and its successor", n)
+	}
 	c.shardReport(0, nil)
-	if h.br.state.Load() != breakerClosed {
+	if breakerOf(c, 0) != "closed" {
 		t.Fatal("fresh probe did not close the breaker")
 	}
 }
 
-// An embedder that never starts the supervisor still recovers: when no
-// supervisor has ever attended the cluster, the breaker refusal path
-// runs the clock transitions inline, so a tripped breaker half-opens
-// after the cooldown instead of fast-failing forever.
+// The breaker keeps its own time, so a cluster whose embedder never starts
+// the supervisor still recovers: a tripped breaker hands the probe to the
+// first caller refused past the cooldown instead of fast-failing forever.
 func TestUnsupervisedBreakerRecovers(t *testing.T) {
 	cfg := ClusterConfig{BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond}
 	c := newTestCluster(t, 1, cfg)
-	h := c.shardHealth(0)
+	clk := stepClock(c)
 
 	c.shardReport(0, hodor.ErrRecoveryTimeout)
-	if h.br.state.Load() != breakerOpen {
+	if breakerOf(c, 0) != "open" {
 		t.Fatal("failure did not open the breaker")
 	}
-	// The first refusal stamps the cooldown on the data path's clock;
-	// refusals past the cooldown half-open it and admit a probe.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := c.shardAllow(0)
-		if err == nil {
-			break // the fallback half-opened; this caller is the probe
-		}
-		if !errors.Is(err, ErrShardDown) {
-			t.Fatalf("refusal = %v, want ErrShardDown", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never half-opened without a supervisor")
-		}
-		time.Sleep(time.Millisecond)
+	clk.Add(int64(19 * time.Millisecond))
+	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("refusal = %v, want ErrShardDown", err)
+	}
+	clk.Add(int64(time.Millisecond))
+	if err := c.shardAllow(0); err != nil {
+		t.Fatalf("breaker never half-opened without a supervisor: %v", err)
 	}
 	c.shardReport(0, nil)
-	if h.br.state.Load() != breakerClosed {
+	if breakerOf(c, 0) != "closed" {
 		t.Fatal("clean probe did not close the breaker")
 	}
 	if err := c.shardAllow(0); err != nil {
 		t.Fatalf("allow after unsupervised recovery: %v", err)
 	}
 	c.shardReport(0, nil)
+}
+
+// An open breaker on a poisoned store is refused past any number of
+// cooldowns — a probe could only cross into a gate that refuses every
+// call — and only a rebuild closes it.
+func TestBreakerPoisonedStoreStaysOpenUntilRebuild(t *testing.T) {
+	defer faultpoint.DisarmAll()
+	cfg := supervisorTestConfig()
+	cfg.BreakerCooldown = 50 * time.Millisecond
+	c := newTestCluster(t, 2, cfg)
+	clk := stepClock(c)
+	s := newClusterSession(t, c)
+	key := keyOwnedBy(t, c, 0, "dead")
+
+	poisonShard(t, c, 0)
+	if _, _, err := s.Get(key); !errors.Is(err, hodor.ErrPoisoned) {
+		t.Fatalf("get on the poisoned shard = %v, want its gate's poison verdict", err)
+	}
+	for n := 0; n < 10; n++ {
+		clk.Add(int64(time.Second)) // twenty cooldowns
+		_, _, err := s.Get(key)
+		if f, _ := ShardDownFrame(err); f != "shard 0 rebuilding" || !errors.Is(err, hodor.ErrPoisoned) {
+			t.Fatalf("get %d behind the poisoned store = %v, want the rebuilding fast-fail", n, err)
+		}
+		if st := breakerOf(c, 0); st != "open" {
+			t.Fatalf("breaker on a poisoned store reads %s, want open", st)
+		}
+	}
+	if n := c.shardHealth(0).br.probes.Load(); n != 0 {
+		t.Fatalf("%d probes sent into a poisoned store", n)
+	}
+
+	c.SuperviseOnce()
+	if st := breakerOf(c, 0); st != "closed" {
+		t.Fatalf("breaker after the rebuild = %s, want closed", st)
+	}
+	if _, _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("get on the rebuilt shard = %v, want a clean miss", err)
+	}
+}
+
+// A straggler — a call still unwinding in a dead store — may report
+// ErrPoisoned after the rebuild attached a healthy replacement. Its
+// verdict trips the breaker, but the store behind it is healthy, so one
+// cooldown later a normal probe closes the breaker.
+func TestBreakerStragglerPoisonHeals(t *testing.T) {
+	c := newTestCluster(t, 1, ClusterConfig{BreakerCooldown: 50 * time.Millisecond})
+	clk := stepClock(c)
+
+	c.shardReport(0, hodor.ErrPoisoned)
+	err := c.shardAllow(0)
+	if f, _ := ShardDownFrame(err); f != "shard 0 rebuilding" || !errors.Is(err, hodor.ErrPoisoned) {
+		t.Fatalf("allow after a poison verdict = %v, want the rebuilding fast-fail", err)
+	}
+	clk.Add(int64(49 * time.Millisecond))
+	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("allow inside the cooldown = %v, want a fast-fail", err)
+	}
+	clk.Add(int64(time.Millisecond))
+	if err := c.shardAllow(0); err != nil {
+		t.Fatalf("probe against the healthy store refused: %v", err)
+	}
+	c.shardReport(0, nil)
+	if st := breakerOf(c, 0); st != "closed" {
+		t.Fatalf("breaker after the clean probe = %s, want closed", st)
+	}
 }
 
 // A rebuild request that queued behind a completed rebuild must not
@@ -509,7 +619,7 @@ func TestRebuildShardSkipsHealthyReplacement(t *testing.T) {
 	s := newClusterSession(t, c)
 
 	poisonShard(t, c, 0)
-	c.SuperviseOnce(time.Now())
+	c.SuperviseOnce()
 	rebuilt := c.Shard(0)
 	key := keyOwnedBy(t, c, 0, "post")
 	if err := s.Set(key, []byte("survives"), 0, 0); err != nil {
@@ -519,8 +629,7 @@ func TestRebuildShardSkipsHealthyReplacement(t *testing.T) {
 	// A manual RebuildShard whose Poisoned() precheck passed before the
 	// supervisor won the race reaches the ladder only now; it must see
 	// the healthy replacement and stand down.
-	c.shardHealth(0).br.trip(ShardRebuilding)
-	if err := c.rebuildShard(0, time.Now()); err != nil {
+	if err := c.rebuildShard(0); err != nil {
 		t.Fatalf("queued rebuild on healthy shard: %v", err)
 	}
 	if c.Shard(0) != rebuilt {
@@ -538,15 +647,19 @@ func TestRebuildShardSkipsHealthyReplacement(t *testing.T) {
 }
 
 // While a rebuild is in flight every caller fails fast with the
-// "rebuilding" frame — no waiting on the routing barrier.
+// "rebuilding" frame — no waiting on the routing barrier — and State()
+// and /admin/shards report the same state.
 func TestShardAllowFastFailsWhileRebuilding(t *testing.T) {
 	c := newTestCluster(t, 2, ClusterConfig{})
 	h := c.shardHealth(1)
-	h.rebuilding.Store(true)
-	defer h.rebuilding.Store(false)
+	h.br.word.Store(brPoisoned | brRebuilding)
+	defer h.br.word.Store(brClosed)
 
 	if st := c.State(1); st != ShardRebuilding {
 		t.Fatalf("state = %d, want rebuilding", st)
+	}
+	if st := c.ShardStatuses()[1]; st.State != ShardRebuilding || st.Breaker != "open" {
+		t.Fatalf("/admin/shards during the rebuild = %+v, want rebuilding behind an open breaker", st)
 	}
 	err := c.shardAllow(1)
 	if !errors.Is(err, ErrShardDown) || !errors.Is(err, hodor.ErrPoisoned) {
@@ -558,9 +671,12 @@ func TestShardAllowFastFailsWhileRebuilding(t *testing.T) {
 	if h.br.fastFails.Load() == 0 {
 		t.Fatal("fast-fail not counted")
 	}
-	h.rebuilding.Store(false)
+	h.br.word.Store(brClosed)
 	if err := c.shardAllow(1); err != nil {
-		t.Fatalf("allow after rebuild flag cleared: %v", err)
+		t.Fatalf("allow after the rebuild closed the word: %v", err)
+	}
+	if st := c.ShardStatuses()[1]; st.State != ShardHealthy || st.Breaker != "closed" || c.State(1) != ShardHealthy {
+		t.Fatalf("/admin/shards after the rebuild = %+v, State() = %d", st, c.State(1))
 	}
 }
 
@@ -704,7 +820,7 @@ func TestProxyReportsShardDownFrames(t *testing.T) {
 		}
 	}
 
-	c.shardHealth(0).rebuilding.Store(true)
+	c.shardHealth(0).br.word.Store(brPoisoned | brRebuilding)
 
 	send("get %s\r\n", k0)
 	if got := line(); got != "SERVER_ERROR shard 0 rebuilding" {
@@ -730,10 +846,10 @@ func TestProxyReportsShardDownFrames(t *testing.T) {
 		t.Fatalf("multiget over down shard = %q", lines)
 	}
 
-	c.shardHealth(0).rebuilding.Store(false)
+	c.shardHealth(0).br.word.Store(brClosed)
 
-	// Back up: the fast-fail path never tripped the breaker open, so the
-	// first request after the flag clears is served.
+	// Back up: the first request after the rebuild closes the word is
+	// served.
 	send("get %s\r\n", k0)
 	if got := line(); !strings.HasPrefix(got, "VALUE ") {
 		t.Fatalf("get after recovery = %q", got)
@@ -744,6 +860,38 @@ func TestProxyReportsShardDownFrames(t *testing.T) {
 	// The operator view counted the refusals.
 	if st := c.ShardStatuses()[0]; st.FastFails == 0 {
 		t.Fatalf("fast-fails not counted: %+v", st)
+	}
+}
+
+// A proxy flush_all that cannot reach a shard fails on the wire, and the
+// socket client reports that failure instead of reading it as success.
+func TestProxyFlushAllFailsBehindOpenBreaker(t *testing.T) {
+	c := newTestCluster(t, 2, ClusterConfig{BreakerThreshold: 1})
+	stepClock(c)
+	srv, err := c.ServeRemote("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c.shardReport(1, hodor.ErrRecoveryTimeout)
+	for _, proto := range []client.Protocol{client.Binary, client.ASCII} {
+		cl, err := client.Dial("tcp", srv.Addr().String(), proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.FlushAll(); err == nil {
+			t.Fatalf("protocol %d: flush_all with shard 1 down reported success", proto)
+		}
+		cl.Close()
+	}
+	c.shardHealth(1).br.word.Store(brClosed)
+	cl, err := client.Dial("tcp", srv.Addr().String(), client.Binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.FlushAll(); err != nil {
+		t.Fatalf("flush_all with every shard up: %v", err)
 	}
 }
 

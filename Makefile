@@ -19,7 +19,7 @@ check: build fmtcheck unsafecheck wirecheck faultmatrix corruptmatrix modelcheck
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
 	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
-	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting' ./internal/core ./internal/hodor ./memcached
+	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn' ./internal/core ./internal/hodor ./memcached
 
 fmtcheck:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt would change:"; gofmt -l .; exit 1; }

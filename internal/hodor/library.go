@@ -101,9 +101,11 @@ type Library struct {
 	cross histogram.Atomic
 
 	mu sync.Mutex
-	// sessions holds every session ever attached (none is removed), so the
-	// per-session call counters sum to the library's.
-	sessions []*Session
+	// sessions holds the attached sessions by their thread's lock-owner
+	// token. Detach removes one and folds its call counters into calls and
+	// crossings, so the sums stay the library's.
+	sessions         map[uint64]*Session
+	calls, crossings uint64
 	// defunct records lock-owner tokens whose execution context died
 	// mid-call (crash, or watchdog-reaped zombie). The repair coordinator
 	// uses it to decide which heap-resident locks are safe to break.
@@ -151,8 +153,8 @@ type Metrics struct {
 // scattered statistics array one layer up: a counter every thread adds to
 // is a cache line every thread fights over.
 func (l *Library) Metrics() Metrics {
-	var calls, crossings uint64
 	l.mu.Lock()
+	calls, crossings := l.calls, l.crossings
 	for _, s := range l.sessions {
 		calls += s.calls.Load()
 		crossings += s.crossings.Load()
@@ -181,12 +183,12 @@ func (l *Library) CrossingLatency() histogram.Snapshot { return l.cross.Snapshot
 // NewLibrary creates a library in the given domain.
 func NewLibrary(name string, ownerUID int, d *Domain) *Library {
 	return &Library{
-		Name:        name,
-		OwnerUID:    ownerUID,
-		Domain:      d,
-		CallTimeout: time.Second,
-		entries:     make(map[string]bool),
-		defunct:     make(map[uint64]bool),
+		Name:     name,
+		OwnerUID: ownerUID,
+		Domain:   d,
+		entries:  make(map[string]bool),
+		sessions: make(map[uint64]*Session),
+		defunct:  make(map[uint64]bool),
 	}
 }
 
@@ -349,12 +351,34 @@ func (s *Session) Reaped() bool { return s.reaped.Load() }
 func (s *Session) AbortRequested() bool { return s.esc.Load() >= escAbort }
 
 // attach registers a session; the loader calls this for linked processes.
-func (l *Library) attach(t *proc.Thread) *Session {
-	s := &Session{Lib: l, Thread: t, linked: true}
+// A thread holds at most one session on a library: its token is the key.
+func (l *Library) attach(t *proc.Thread) (*Session, error) {
+	tok := t.LockOwner()
 	l.mu.Lock()
-	l.sessions = append(l.sessions, s)
-	l.mu.Unlock()
-	return s
+	defer l.mu.Unlock()
+	if l.sessions[tok] != nil {
+		return nil, fmt.Errorf("hodor: thread %d of process %d is already attached to %q", t.TID, t.Proc.ID, l.Name)
+	}
+	s := &Session{Lib: l, Thread: t, linked: true}
+	l.sessions[tok] = s
+	return s, nil
+}
+
+// Detach ends the session, on its own thread: later calls fail with
+// ErrNotLinked, and it leaves the table, its counters folded into the
+// library's — unless a (reaped zombie's) call is still in flight on it.
+func (s *Session) Detach() {
+	l := s.Lib
+	s.linked = false
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tok := s.Thread.LockOwner()
+	if l.sessions[tok] != s || s.callStart.Load() != 0 {
+		return
+	}
+	delete(l.sessions, tok)
+	l.calls += s.calls.Load()
+	l.crossings += s.crossings.Load()
 }
 
 // A CrashError wraps a panic that escaped library code: a segfault inside a
@@ -372,7 +396,8 @@ func (e *CrashError) Error() string {
 // into the library domain, used when Library.CopyArgs is enabled.
 type Copier interface{ LibCopy() any }
 
-func (l *Library) grace() time.Duration {
+// Grace is RecoveryGrace, or its default of five seconds.
+func (l *Library) Grace() time.Duration {
 	if l.RecoveryGrace > 0 {
 		return l.RecoveryGrace
 	}
@@ -424,7 +449,7 @@ func (l *Library) admit(s *Session, arrival int64) error {
 		if s.Thread.Proc.Killed() {
 			return &proc.ErrKilled{PID: s.Thread.Proc.ID}
 		}
-		if mono.Now() > arrival+int64(l.grace()) {
+		if mono.Now() > arrival+int64(l.Grace()) {
 			return ErrRecoveryTimeout
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -717,7 +742,7 @@ func (l *Library) crashedCall(s *Session, crashed any, err *error) (contained bo
 	// a repair drain that observes this call retired must also observe the
 	// token defunct, or the crasher's held locks would survive the drain's
 	// final ForceReleaseDeadLocks with nothing left to retrigger recovery.
-	// (TokenDefunct still reports the token alive until callStart clears, so
+	// (TokenState still reports the token alive until callStart clears, so
 	// the locks are not broken under this unwinding call.)
 	l.markDefunct(s.Thread.LockOwner())
 	return contained
@@ -783,57 +808,39 @@ func (l *Library) TriggerRecovery(token uint64, cause any) {
 	l.noteCrash(token, cause)
 }
 
-// TokenDefunct reports whether a lock-owner token belongs to an execution
-// context that can no longer run library code: it crashed mid-call, was
-// reaped by the watchdog, or belongs to a killed process with no call in
-// flight. A live in-flight call — even of a killed process, which runs to
-// completion — is never defunct, so breaking the locks of defunct tokens
-// cannot race with their owners.
-func (l *Library) TokenDefunct(token uint64) bool {
+// TokenState reports whether a lock-owner token has a live call in flight
+// (active), and whether its execution context can no longer run library
+// code (defunct): it crashed mid-call, was reaped, or belongs to a killed
+// process with no call in flight. An in-flight call — even of a killed
+// process, which runs to completion — is never defunct, so breaking the
+// locks of defunct tokens cannot race with their owners. Neither means
+// hodor holds nothing against the token (it may never have seen it, or the
+// session detached); an oracle may then ask the process registry.
+func (l *Library) TokenState(token uint64) (active, defunct bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, s := range l.sessions {
-		if s.Thread.LockOwner() != token {
-			continue
-		}
-		if s.reaped.Load() {
-			return true
-		}
-		if s.callStart.Load() != 0 {
-			return false // running; run-to-completion protects it
-		}
-		if s.Thread.Proc.Killed() {
-			return true
+	if s := l.sessions[token]; s != nil {
+		switch {
+		case s.reaped.Load():
+			return false, true
+		case s.callStart.Load() != 0:
+			return true, false // running; run-to-completion protects it
+		case s.Thread.Proc.Killed():
+			return false, true
 		}
 	}
-	return l.defunct[token]
-}
-
-// TokenActive reports whether the token's session has a live call in
-// flight right now. Liveness oracles layered above TokenDefunct (which
-// consult process-level kill state for threads hodor has never seen)
-// must check this first: an active call may belong to a killed process
-// and still runs to completion.
-func (l *Library) TokenActive(token uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, s := range l.sessions {
-		if s.Thread.LockOwner() == token && !s.reaped.Load() && s.callStart.Load() != 0 {
-			return true
-		}
-	}
-	return false
+	return false, l.defunct[token]
 }
 
 // DrainLiveCalls waits for every live in-flight call to retire, so that a
-// repair pass can assume exclusive access to the shared state. Calls of
-// killed processes that outlive the watchdog timeout are reaped (marked
-// defunct) rather than waited for. Returns false if live calls remain
-// when the timeout expires.
+// repair pass can assume exclusive access to the shared state. It sweeps
+// as the watchdog does, so overdue calls are reaped, not waited for: a
+// tenant spinning inside the gate cannot stall the drain into poison.
+// Returns false if live calls remain when the timeout expires.
 func (l *Library) DrainLiveCalls(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		if !l.sweepLiveCalls(time.Now()) {
+		if _, live := l.sweep(time.Now()); !live {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -841,47 +848,6 @@ func (l *Library) DrainLiveCalls(timeout time.Duration) bool {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-}
-
-// sweepLiveCalls reports whether any live call is still in flight,
-// reaping overdue calls of killed processes along the way. With
-// LiveCallBudget set it also reaps live calls that have overrun twice
-// their budget: without this a hostile tenant spinning inside the gate
-// would stall the drain past its deadline and poison the library — the
-// drain itself would become the denial-of-service vector.
-func (l *Library) sweepLiveCalls(now time.Time) bool {
-	timeout := l.callTimeout()
-	budget := l.LiveCallBudget
-	nowNS := mono.At(now)
-	l.mu.Lock()
-	sessions := append([]*Session(nil), l.sessions...)
-	l.mu.Unlock()
-	live := false
-	for _, s := range sessions {
-		start := s.callStart.Load()
-		if start == 0 || s.reaped.Load() {
-			continue
-		}
-		elapsed := time.Duration(nowNS - start)
-		if s.Thread.Proc.Killed() && elapsed > timeout {
-			s.reaped.Store(true)
-			l.markDefunct(s.Thread.LockOwner())
-			continue
-		}
-		if !s.Thread.Proc.Killed() && budget > 0 && elapsed > 2*budget {
-			// Live-budget reap during a drain: recovery is already in
-			// progress, so only fence the session and record its token —
-			// no new recovery cycle to start.
-			s.reaped.Store(true)
-			s.esc.Store(escReaped)
-			l.tenantReaps.Add(1)
-			l.attacksContained.Add(1)
-			l.markDefunct(s.Thread.LockOwner())
-			continue
-		}
-		live = true
-	}
-	return live
 }
 
 // RegisterEntry records an entry point name in the library's export table
@@ -915,47 +881,59 @@ func Wrap[A, R any](l *Library, name string, fn func(*proc.Thread, A) (R, error)
 // library with no repair routine). now is injected for testability. It
 // returns the number of calls reaped.
 func (l *Library) WatchdogSweep(now time.Time) int {
+	reaped, _ := l.sweep(now)
+	return reaped
+}
+
+// sweep is WatchdogSweep's walk, shared with DrainLiveCalls; it also
+// reports whether an unreaped call is still in flight. A reap during a
+// drain starts no second repair: the library is already Recovering.
+func (l *Library) sweep(now time.Time) (reaped int, live bool) {
 	timeout := l.callTimeout()
 	budget := l.LiveCallBudget
 	nowNS := mono.At(now)
+	var inCall []*Session
 	l.mu.Lock()
-	sessions := append([]*Session(nil), l.sessions...)
+	for _, s := range l.sessions {
+		if s.callStart.Load() != 0 && !s.reaped.Load() {
+			inCall = append(inCall, s)
+		}
+	}
 	l.mu.Unlock()
-	overdue := 0
-	for _, s := range sessions {
+	for _, s := range inCall {
 		start := s.callStart.Load()
-		if start == 0 || s.reaped.Load() {
+		if start == 0 {
 			continue
 		}
 		elapsed := time.Duration(nowNS - start)
-		if s.Thread.Proc.Killed() {
-			if elapsed > timeout {
-				overdue++
-				s.reaped.Store(true)
+		killed := s.Thread.Proc.Killed()
+		switch {
+		case killed && elapsed > timeout:
+			if s.reaped.CompareAndSwap(false, true) {
+				reaped++
 				l.noteCrash(s.Thread.LockOwner(), "watchdog: overdue call of killed process")
 			}
 			continue
-		}
-		if budget <= 0 {
-			continue
-		}
-		switch {
+		case killed || budget <= 0 || elapsed <= budget:
 		case elapsed > 2*budget:
-			overdue++
-			s.reaped.Store(true)
-			s.esc.Store(escReaped)
-			l.tenantReaps.Add(1)
-			l.attacksContained.Add(1)
-			l.noteCrash(s.Thread.LockOwner(), "watchdog: live call exceeded its execution budget")
+			if s.reaped.CompareAndSwap(false, true) {
+				reaped++
+				s.esc.Store(escReaped)
+				l.tenantReaps.Add(1)
+				l.attacksContained.Add(1)
+				l.noteCrash(s.Thread.LockOwner(), "watchdog: live call exceeded its execution budget")
+			}
+			continue
 		case elapsed > budget+budget/2:
 			if s.esc.CompareAndSwap(escWarned, escAbort) || s.esc.CompareAndSwap(escNone, escAbort) {
 				l.tenantAborts.Add(1)
 			}
-		default: // elapsed > budget
-			if elapsed > budget && s.esc.CompareAndSwap(escNone, escWarned) {
+		default:
+			if s.esc.CompareAndSwap(escNone, escWarned) {
 				l.tenantWarns.Add(1)
 			}
 		}
+		live = true
 	}
-	return overdue
+	return reaped, live
 }

@@ -123,8 +123,8 @@ func (Loader) Load(p *proc.Process, bin Binary, libs ...*Library) (*LoadResult, 
 }
 
 // Attach binds a thread of the loaded process to a library, returning the
-// session through which trampolined calls are made. It fails if the
-// library was not linked by Load.
+// session through which trampolined calls are made. It fails if Load did
+// not link the library, or if the thread already has a session on it.
 func (r *LoadResult) Attach(t *proc.Thread, l *Library) (*Session, error) {
 	if t.Proc != r.Process {
 		return nil, fmt.Errorf("hodor: thread belongs to process %d, not %d", t.Proc.ID, r.Process.ID)
@@ -135,5 +135,5 @@ func (r *LoadResult) Attach(t *proc.Thread, l *Library) (*Session, error) {
 	if !linked {
 		return nil, ErrNotLinked
 	}
-	return l.attach(t), nil
+	return l.attach(t)
 }

@@ -230,10 +230,11 @@ func TestWatchdogTriggersRecovery(t *testing.T) {
 		return !f.lib.Recovering() && !f.lib.Poisoned()
 	})
 	// The reaped token is defunct even though its goroutine is parked.
-	if !f.lib.TokenDefunct(s.Thread.LockOwner()) {
+	active, defunct := f.lib.TokenState(s.Thread.LockOwner())
+	if !defunct {
 		t.Fatal("reaped session's token should be defunct")
 	}
-	if f.lib.TokenActive(s.Thread.LockOwner()) {
+	if active {
 		t.Fatal("reaped session's token should not be active")
 	}
 	close(block)
@@ -246,7 +247,7 @@ func TestTokenActive(t *testing.T) {
 	f := newFixture(t)
 	s := f.session(t)
 	tok := s.Thread.LockOwner()
-	if f.lib.TokenActive(tok) {
+	if active, _ := f.lib.TokenState(tok); active {
 		t.Fatal("idle session reported active")
 	}
 	inCall := make(chan struct{})
@@ -259,16 +260,16 @@ func TestTokenActive(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); slow(s, struct{}{}) }()
 	<-inCall
-	if !f.lib.TokenActive(tok) {
+	if active, _ := f.lib.TokenState(tok); !active {
 		t.Fatal("in-flight call not reported active")
 	}
 	f.p.Kill()
-	if f.lib.TokenDefunct(tok) {
+	if _, defunct := f.lib.TokenState(tok); defunct {
 		t.Fatal("in-flight call of killed process reported defunct (run-to-completion)")
 	}
 	close(block)
 	<-done
-	if !f.lib.TokenDefunct(tok) {
+	if _, defunct := f.lib.TokenState(tok); !defunct {
 		t.Fatal("killed process with no call in flight should be defunct")
 	}
 }
@@ -308,7 +309,7 @@ func TestCrashedCallDefunctBeforeRetire(t *testing.T) {
 				if sawCall && !in {
 					// The call retired. With the correct ordering the
 					// token is already defunct at this instant.
-					if !f.lib.TokenDefunct(tok) {
+					if _, defunct := f.lib.TokenState(tok); !defunct {
 						bad.Store(true)
 					}
 					return

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"plibmc/internal/client"
+	"plibmc/internal/hodor"
 	"plibmc/internal/proc"
 )
 
@@ -68,6 +69,48 @@ func TestSessionOpensOnFullCache(t *testing.T) {
 		if _, err := cp.NewSession(); err != nil {
 			t.Fatalf("session %d on a full cache: %v", i+1, err)
 		}
+	}
+}
+
+// TestSessionChurn: one client process opening, using and closing a
+// session over and over leaves nothing behind in the gate. Every call is
+// still counted, a closed session is unlinked, and the liveness oracle
+// answers for a closed session's token from the process registry: alive
+// while its process lives, dead once it is killed.
+func TestSessionChurn(t *testing.T) {
+	const cycles = 20000
+	b := newTestStore(t)
+	defer b.Shutdown()
+	cp, err := b.NewClientProcess(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := b.Library().Metrics().Calls
+	var last *Session
+	for i := 0; i < cycles; i++ {
+		s, err := cp.NewSession()
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if err := s.Set([]byte(fmt.Sprintf("churn-%d", i%64)), []byte("v"), 0, 0); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+		s.Close()
+		last = s
+	}
+	if calls := b.Library().Metrics().Calls - before; calls != cycles {
+		t.Fatalf("library counted %d calls, want %d", calls, cycles)
+	}
+	if err := last.Set([]byte("k"), []byte("v"), 0, 0); !errors.Is(err, hodor.ErrNotLinked) {
+		t.Fatalf("call on a closed session = %v, want ErrNotLinked", err)
+	}
+	tok := last.Thread().LockOwner()
+	if b.ownerDefunct(tok) {
+		t.Fatal("closed session of a live process reads dead")
+	}
+	cp.Kill()
+	if !b.ownerDefunct(tok) {
+		t.Fatal("closed session of a killed process reads alive")
 	}
 }
 

@@ -42,11 +42,8 @@ import (
 // hodor's own books decide, falling back to the process registry for
 // threads that crashed outside any trampolined call (the maintainer).
 func (b *Bookkeeper) ownerDefunct(token uint64) bool {
-	if b.lib.TokenActive(token) {
-		return false
-	}
-	if b.lib.TokenDefunct(token) {
-		return true
+	if active, defunct := b.lib.TokenState(token); active || defunct {
+		return defunct
 	}
 	pid := int(token >> 20)
 	b.procMu.Lock()
@@ -75,10 +72,7 @@ var fpRepairFail = faultpoint.New("recover.repair_fail")
 func (b *Bookkeeper) repairStore(cause *hodor.CrashError) error {
 	fpRepairFail.Maybe()
 	dead := b.ownerDefunct
-	grace := b.lib.RecoveryGrace
-	if grace <= 0 {
-		grace = 5 * time.Second
-	}
+	grace := b.lib.Grace()
 	repairStart := time.Now()
 	deadline := repairStart.Add(grace)
 	// Every pass below re-breaks locks and announcements; accumulate what

@@ -373,6 +373,7 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 	if !direct {
 		if err := cp.b.attachTenant(s); err != nil {
 			ctx.Close()
+			hs.Detach()
 			return nil, err
 		}
 		// Cooperative abort: the batch dispatcher polls the watchdog's
@@ -487,10 +488,10 @@ func (s *Session) Healthy() bool {
 	return !s.hs.Reaped() && !s.th.Proc.Killed()
 }
 
-// Close returns the session's cached heap blocks to the shared pool and
-// tears down its tenant domain. A session whose process died or that the
-// watchdog reaped leaves teardown to the recovery sweep — a fenced context
-// must not touch the allocator.
+// Close returns the session's cached heap blocks to the shared pool, tears
+// down its tenant domain and detaches it from the gate. A session whose
+// process died or that the watchdog reaped leaves teardown to the recovery
+// sweep — a fenced context must not touch the allocator.
 func (s *Session) Close() {
 	if s.tenantDom != nil && !s.hs.Reaped() && !s.th.Proc.Killed() {
 		s.b.detachTenant(s)
@@ -500,6 +501,7 @@ func (s *Session) Close() {
 		s.tenantDom = nil
 	}
 	s.ctx.Close()
+	s.hs.Detach()
 }
 
 // call dispatches through the trampoline, or directly in No-Hodor mode.
@@ -528,11 +530,7 @@ func call[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), a A) (R, er
 // total wait for pathological cases (a hostile tenant camping on the gate —
 // whom the watchdog will reap within 2x its budget anyway).
 func retryOverloaded[A, R any](s *Session, fn func(*proc.Thread, A) (R, error), a A) (R, error) {
-	grace := s.hs.Lib.RecoveryGrace
-	if grace <= 0 {
-		grace = 5 * time.Second
-	}
-	deadline := time.Now().Add(grace)
+	deadline := time.Now().Add(s.hs.Lib.Grace())
 	backoff := 2 * time.Microsecond
 	for {
 		time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff)+1)))

@@ -58,7 +58,8 @@ type Config struct {
 	// still allocated so the heap layout is identical either way).
 	LatencySampleEvery uint64
 	DisableLatency     bool
-	// CallTimeout bounds in-library execution for killed processes.
+	// CallTimeout bounds in-library execution for killed processes. Zero
+	// means hodor's default (1s).
 	CallTimeout time.Duration
 	// RecoveryGrace bounds both how long a call blocks while the store
 	// is being repaired and how long the repair pass waits for surviving
@@ -143,9 +144,6 @@ type Bookkeeper struct {
 func (c *Config) fill() {
 	if c.HeapBytes == 0 {
 		c.HeapBytes = 64 << 20
-	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = time.Second
 	}
 }
 

@@ -19,7 +19,7 @@ check: build fmtcheck unsafecheck wirecheck faultmatrix corruptmatrix modelcheck
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
 	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
-	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn' ./internal/core ./internal/hodor ./memcached
+	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn|TestLoopStartStopRace' ./internal/core ./internal/hodor ./memcached
 
 fmtcheck:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt would change:"; gofmt -l .; exit 1; }
@@ -97,11 +97,12 @@ shardcheck:
 # survives being killed mid-segment and crashing inside its own gate
 # crossing (both shards repair online and the migration resumes), the
 # batch plane keeps positional alignment when one shard's crossing fails,
-# and the resized manifest wins over a stale config on reopen — all under
-# the race detector.
+# the resized manifest wins over a stale config on reopen, and a grown
+# shard runs the cluster's maintenance and checkpoint loops, so a crash
+# after a grow reopens every key — all under the race detector.
 reshardcheck:
 	$(GO) test -race -count=1 -short -run 'TestModelCheckResize|TestResizeCrashIsolation|TestClusterReopenAfterResize' .
-	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure' ./memcached
+	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure|TestResizedShardsRunClusterLoops|TestReopenAfterGrowWithoutShutdown' ./memcached
 	$(GO) test -race -count=1 ./internal/ring
 
 # The shard-lifecycle gate (DESIGN.md §16): an unrepairable crash poisons

@@ -17,7 +17,6 @@ package histogram
 
 import (
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"plibmc/internal/shm"
@@ -176,35 +175,4 @@ func (s *Snapshot) Max() time.Duration {
 		}
 	}
 	return 0
-}
-
-// Atomic is a process-local histogram with the shared bucket layout and
-// lock-free recording, for hot paths outside the heap (hodor trampoline
-// crossing latency). The zero value is ready to use.
-type Atomic struct {
-	counts [SharedBuckets]atomic.Uint64
-	total  atomic.Uint64
-	sum    atomic.Uint64
-}
-
-// Record adds one sample.
-func (a *Atomic) Record(d time.Duration) {
-	v := uint64(d)
-	if int64(d) < 0 {
-		v = 0
-	}
-	a.counts[SharedBucketOf(v)].Add(1)
-	a.total.Add(1)
-	a.sum.Add(v)
-}
-
-// Snapshot copies the histogram into a queryable snapshot.
-func (a *Atomic) Snapshot() Snapshot {
-	var s Snapshot
-	for i := range a.counts {
-		s.Counts[i] = a.counts[i].Load()
-	}
-	s.Total = a.total.Load()
-	s.Sum = a.sum.Load()
-	return s
 }

@@ -108,18 +108,6 @@ func TestSharedRepair(t *testing.T) {
 	}
 }
 
-func TestAtomic(t *testing.T) {
-	var a Atomic
-	for i := 1; i <= 3; i++ {
-		a.Record(time.Duration(i))
-	}
-	a.Record(-1) // clamps to 0
-	s := a.Snapshot()
-	if s.Count() != 4 || s.Counts[0] != 1 {
-		t.Fatalf("count=%d zero-bucket=%d", s.Count(), s.Counts[0])
-	}
-}
-
 // Percentile boundary semantics, shared with H via percentileRank: the p'th
 // percentile of n samples is the ceil(p/100*n)'th smallest, so the median of
 // an odd count is the middle sample, not the one below it.

@@ -458,7 +458,6 @@ func ExampleCall() {
 
 func TestLibraryMetrics(t *testing.T) {
 	f := newFixture(t)
-	f.lib.Profile = true
 	s := f.session(t)
 	noop := func(*proc.Thread, struct{}) (struct{}, error) { return struct{}{}, nil }
 	for i := 0; i < 10; i++ {
@@ -470,61 +469,11 @@ func TestLibraryMetrics(t *testing.T) {
 	if m.Calls != 10 || m.Crashes != 0 || m.Rejected != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if m.TotalTime <= 0 {
-		t.Fatal("profiling enabled but no time accumulated")
-	}
 	// A crash increments both counters; subsequent calls are rejected.
 	Call(s, func(*proc.Thread, struct{}) (struct{}, error) { panic("bug") }, struct{}{})
 	Call(s, noop, struct{}{})
 	m = f.lib.Metrics()
 	if m.Calls != 11 || m.Crashes != 1 || m.Rejected != 1 {
 		t.Fatalf("metrics after crash = %+v", m)
-	}
-}
-
-func TestCrossingProfile(t *testing.T) {
-	f := newFixture(t)
-	f.lib.Profile = true
-	s := f.session(t)
-	entry := func(th *proc.Thread, x int) (int, error) { return x * 2, nil }
-	const n = 10
-	for i := 0; i < n; i++ {
-		if v, err := Call(s, entry, i); err != nil || v != i*2 {
-			t.Fatalf("call %d: %v %v", i, v, err)
-		}
-	}
-	m := f.lib.Metrics()
-	if m.Calls != n || m.Crossings != n {
-		t.Fatalf("Calls=%d Crossings=%d, want %d/%d (one completed round trip per call)",
-			m.Calls, m.Crossings, n, n)
-	}
-	if m.TotalTime <= 0 {
-		t.Fatal("Profile should accumulate TotalTime")
-	}
-	cl := f.lib.CrossingLatency()
-	if cl.Count() != 2*n {
-		t.Fatalf("crossing samples = %d, want %d (one per rights transition)", cl.Count(), 2*n)
-	}
-	if cl.Percentile(99) <= 0 || cl.Mean() <= 0 {
-		t.Fatalf("crossing latency p99=%v mean=%v", cl.Percentile(99), cl.Mean())
-	}
-}
-
-func TestCrossingProfileOff(t *testing.T) {
-	f := newFixture(t)
-	s := f.session(t)
-	entry := func(th *proc.Thread, x int) (int, error) { return x, nil }
-	if _, err := Call(s, entry, 1); err != nil {
-		t.Fatal(err)
-	}
-	m := f.lib.Metrics()
-	if m.Crossings != 1 {
-		t.Fatalf("Crossings = %d, want 1 (counted even without Profile)", m.Crossings)
-	}
-	if cl := f.lib.CrossingLatency(); cl.Count() != 0 {
-		t.Fatalf("Profile off should record no crossing samples, got %d", cl.Count())
-	}
-	if m.TotalTime != 0 {
-		t.Fatal("Profile off should not accumulate TotalTime")
 	}
 }

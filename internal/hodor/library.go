@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"plibmc/internal/histogram"
 	"plibmc/internal/mono"
 	"plibmc/internal/pku"
 	"plibmc/internal/proc"
@@ -72,14 +71,6 @@ type Library struct {
 	// tenant cannot starve its siblings of gate slots. Zero means unlimited.
 	TenantQuota int
 
-	// Profile enables per-call latency accounting and per-crossing
-	// trampoline profiling (five clock reads per call on top of the one
-	// every call makes — leave off for production-shaped benchmarks).
-	// Per-crossing PKU costs are where protected-library systems live or
-	// die (libmpk), so each rights transition — amplify on the way in,
-	// restore on the way out — is timed into a lock-free histogram.
-	Profile bool
-
 	initFn    func(*proc.Process) error
 	entries   map[string]bool
 	state     atomic.Int32
@@ -88,7 +79,6 @@ type Library struct {
 	crashes    atomic.Uint64
 	rejected   atomic.Uint64
 	recoveries atomic.Uint64
-	nanos      atomic.Uint64
 	// Gate-hardening counters (the containment metrics plane).
 	attacksContained atomic.Uint64 // attacks provably denied (fence/pku/forged-register/zombie re-entry)
 	tenantReaps      atomic.Uint64 // live calls reaped for exceeding their execution budget
@@ -96,9 +86,6 @@ type Library struct {
 	tenantAborts     atomic.Uint64 // live calls asked to abort cooperatively
 	gateRejections   atomic.Uint64 // admissions refused for overload/quota/pin exhaustion
 	inflight         atomic.Int64  // currently admitted calls (MaxInFlight accounting)
-	// cross holds per-crossing trampoline latency (entry amplification and
-	// exit restoration timed separately); populated only when Profile is on.
-	cross histogram.Atomic
 
 	mu sync.Mutex
 	// sessions holds the attached sessions by their thread's lock-owner
@@ -123,13 +110,11 @@ type Metrics struct {
 	Recoveries uint64 // completed quarantine→repair→resume cycles
 	// Crossings counts completed round-trip gate crossings: one per call
 	// that retired without crashing. Each round trip comprises two PKRU
-	// transitions (amplify on entry, restore on exit), timed individually
-	// in CrossingLatency. Rejected calls never cross; crashed calls never
-	// complete theirs. Crossings/ops is the figure of merit batching
-	// drives down (ISSUE 6: < 0.1 on the batched 95/5 mix).
+	// transitions (amplify on entry, restore on exit). Rejected calls
+	// never cross; crashed calls never complete theirs. Crossings/ops is
+	// the figure of merit batching drives down (< 0.1 on the batched 95/5
+	// mix).
 	Crossings uint64
-	// TotalTime is accumulated in-library time; zero unless Profile is on.
-	TotalTime time.Duration
 	// AttacksContained counts provably denied hostile actions: protection
 	// faults and lock-fence denials unwinding a call, forged registers
 	// scrubbed at the gate, zombie re-entry refusals, and live-budget
@@ -166,7 +151,6 @@ func (l *Library) Metrics() Metrics {
 		Rejected:          l.rejected.Load(),
 		Recoveries:        l.recoveries.Load(),
 		Crossings:         crossings,
-		TotalTime:         time.Duration(l.nanos.Load()),
 		AttacksContained:  l.attacksContained.Load(),
 		TenantCallsReaped: l.tenantReaps.Load(),
 		TenantWarns:       l.tenantWarns.Load(),
@@ -174,11 +158,6 @@ func (l *Library) Metrics() Metrics {
 		GateRejections:    l.gateRejections.Load(),
 	}
 }
-
-// CrossingLatency returns the distribution of individual trampoline
-// crossing times (one sample per rights transition). Empty unless Profile
-// is on.
-func (l *Library) CrossingLatency() histogram.Snapshot { return l.cross.Snapshot() }
 
 // NewLibrary creates a library in the given domain.
 func NewLibrary(name string, ownerUID int, d *Domain) *Library {
@@ -609,13 +588,7 @@ func (s *Session) enter() error {
 		thw = k
 	}
 	s.calls.Add(1)
-	// Entry crossing: stack switch plus rights amplification, timed from
-	// here (not from the call's start — admit may have parked through a
-	// recovery, and that wait is not crossing cost).
-	var crossStart time.Time
-	if l.Profile {
-		crossStart = time.Now()
-	}
+	// Entry crossing: stack switch plus rights amplification.
 	s.stackDepth++ // switch to the library-side stack
 	saved := t.PKRU()
 	// Lazy PKRU synchronization (libmpk): a remap since this thread last
@@ -659,9 +632,6 @@ func (s *Session) enter() error {
 		amp = amp.WithAccess(thw)
 	}
 	proc.WRPKRU(t, amp)
-	if l.Profile {
-		l.cross.Record(time.Since(crossStart))
-	}
 	return nil
 }
 
@@ -690,11 +660,6 @@ func (s *Session) leave(err *error) {
 	if crashed != nil {
 		contained = l.crashedCall(s, crashed, err)
 	}
-	var exitStart time.Time
-	if l.Profile {
-		l.nanos.Add(uint64(mono.Now() - s.callStart.Load()))
-		exitStart = time.Now()
-	}
 	proc.WRPKRU(t, s.savedPKRU)
 	if tvt := s.tenantTable(); tvt != nil {
 		tvt.Unbind(s.Tenant.VKey)
@@ -706,10 +671,6 @@ func (s *Session) leave(err *error) {
 	s.callStart.Store(0)
 	l.releaseSlot(s)
 	t.ExitLibrary()
-	if l.Profile {
-		// Exit crossing: rights restoration plus stack switch back.
-		l.cross.Record(time.Since(exitStart))
-	}
 	switch {
 	case crashed == nil:
 		s.crossings.Add(1)

@@ -92,41 +92,20 @@ func (b *Bookkeeper) CheckpointGeneration() uint64 {
 // StartCheckpointing writes a checkpoint every interval until
 // StopCheckpointing. Errors are reported through the returned channel
 // (buffered; unread errors are dropped). ErrRecovering is expected when a
-// tick lands during a repair and is not reported.
+// tick lands during a repair and is not reported. Idempotent while
+// running: a second call's channel receives nothing.
 func (b *Bookkeeper) StartCheckpointing(interval time.Duration) <-chan error {
 	errs := make(chan error, 4)
-	if b.stopCkpt != nil {
-		return errs
-	}
-	b.stopCkpt = make(chan struct{})
-	b.ckptDone = make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		defer close(b.ckptDone)
-		for {
+	b.ckptLoop.start(interval, func() {
+		if err := b.Checkpoint(); err != nil && err != ErrRecovering {
 			select {
-			case <-t.C:
-				if err := b.Checkpoint(); err != nil && err != ErrRecovering {
-					select {
-					case errs <- err:
-					default:
-					}
-				}
-			case <-b.stopCkpt:
-				return
+			case errs <- err:
+			default:
 			}
 		}
-	}()
+	})
 	return errs
 }
 
 // StopCheckpointing stops the periodic checkpointer.
-func (b *Bookkeeper) StopCheckpointing() {
-	if b.stopCkpt == nil {
-		return
-	}
-	close(b.stopCkpt)
-	<-b.ckptDone
-	b.stopCkpt, b.ckptDone = nil, nil
-}
+func (b *Bookkeeper) StopCheckpointing() { b.ckptLoop.stop() }

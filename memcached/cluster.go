@@ -81,10 +81,13 @@ type ClusterConfig struct {
 // topology is one immutable snapshot of the cluster's shape: the
 // authoritative ring plus the attachable shard set (which may be wider
 // than the ring mid-migration, and after a shrink keeps the drained
-// shards attachable until Shutdown). Swapped wholesale under routeMu.
+// shards attachable until Shutdown), each shard's store beside its
+// lifecycle record. Swapped wholesale under routeMu; a rebuild replaces a
+// store and keeps its record, a resize appends fresh ones.
 type topology struct {
 	ring   *ring.Ring
 	shards []*Bookkeeper
+	health []*shardHealth
 }
 
 // Cluster is the multi-store handle.
@@ -99,8 +102,13 @@ type Cluster struct {
 	mig     atomic.Pointer[migration]
 	lastMig atomic.Pointer[migration] // survives completion, for status/wait
 	routeMu routeLock
-	// resizeMu serializes Resize setup (one resize at a time).
+	// resizeMu serializes everything that installs a store as a shard —
+	// Resize setup, rebuilds — with the loop starts whose cadence install
+	// applies.
 	resizeMu sync.Mutex
+	// maintEvery and ckptEvery are the cadences install starts a shard's
+	// loops at (0 = not started). Guarded by resizeMu.
+	maintEvery, ckptEvery time.Duration
 
 	// Migration accounting (cumulative across resizes).
 	resizes    atomic.Uint64 // Resize calls that started a migration
@@ -108,21 +116,7 @@ type Cluster struct {
 	keysMoved  atomic.Uint64 // entries installed on their destination
 	migRetries atomic.Uint64 // migrator attempts restarted after a crash
 
-	// Lifecycle plane (supervisor.go): per-shard breaker + rebuild
-	// records, grown lazily, kept outside topology so they survive
-	// rebuilds and resizes.
-	health   atomic.Pointer[[]*shardHealth]
-	healthMu sync.Mutex
-
-	// Background-loop cadences, recorded so a rebuilt shard resumes its
-	// maintenance and checkpoint loops at the cluster's rate.
-	maintEvery atomic.Int64 // nanoseconds; 0 = not running
-	ckptEvery  atomic.Int64
-
-	// Supervisor loop handle.
-	supMu   sync.Mutex
-	supStop chan struct{}
-	supDone chan struct{}
+	sup loop // the supervisor (supervisor.go)
 
 	// now is the breakers' clock (mono.Now; tests step it). Only a
 	// refused call reads it.
@@ -130,6 +124,16 @@ type Cluster struct {
 }
 
 func (c *Cluster) top() *topology { return c.topo.Load() }
+
+// clone copies t, so a change to the copy's shard set publishes as one
+// pointer swap.
+func (t *topology) clone() *topology {
+	return &topology{
+		ring:   t.ring,
+		shards: append([]*Bookkeeper(nil), t.shards...),
+		health: append([]*shardHealth(nil), t.health...),
+	}
+}
 
 // routeStripes is the routing lock's width: enough that the readers of a
 // busy host seldom share a stripe, few enough that a resize or a rebuild,
@@ -180,12 +184,21 @@ func (cfg *ClusterConfig) shardConfig(i int) Config {
 	return sc
 }
 
-// setupShard applies the cluster-level invariants to a freshly created or
-// reopened shard: the disjoint CAS space and the (optional) test clock.
-func (cfg *ClusterConfig) setupShard(b *Bookkeeper, i int) {
+// install makes b shard i — the one way a store, created, reopened,
+// grown or rebuilt, becomes a shard: it enters the shard's CAS space,
+// takes the (optional) test clock, and starts maintenance and, when it has
+// a backing file, checkpointing at the cluster's recorded cadence. The
+// caller holds resizeMu or has not yet published the cluster.
+func (c *Cluster) install(b *Bookkeeper, i int) {
 	b.Store().SeedCAS(shardCASBase(i)) // no-op past the base; see SeedCAS
-	if cfg.Clock != nil {
-		b.Store().SetClock(cfg.Clock)
+	if c.cfg.Clock != nil {
+		b.Store().SetClock(c.cfg.Clock)
+	}
+	if c.maintEvery > 0 {
+		b.StartMaintenance(c.maintEvery)
+	}
+	if c.ckptEvery > 0 && b.cfg.Path != "" {
+		b.StartCheckpointing(c.ckptEvery)
 	}
 }
 
@@ -200,20 +213,20 @@ func CreateCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("memcached: cluster dir: %w", err)
 		}
 	}
-	var shards []*Bookkeeper
+	c := &Cluster{cfg: cfg, now: mono.Now}
+	top := &topology{ring: r}
 	for i := 0; i < cfg.Shards; i++ {
 		b, err := CreateStore(cfg.shardConfig(i))
 		if err != nil {
-			for _, prev := range shards {
+			for _, prev := range top.shards {
 				prev.Shutdown() //nolint:errcheck
 			}
 			return nil, fmt.Errorf("memcached: shard %d: %w", i, err)
 		}
-		cfg.setupShard(b, i)
-		shards = append(shards, b)
+		c.install(b, i)
+		top.shards, top.health = append(top.shards, b), append(top.health, &shardHealth{})
 	}
-	c := &Cluster{cfg: cfg, now: mono.Now}
-	c.topo.Store(&topology{ring: r, shards: shards})
+	c.topo.Store(top)
 	if cfg.Dir != "" {
 		if err := writeRingManifest(cfg.Dir, r.Shards(), r.VirtualNodes()); err != nil {
 			c.Shutdown() //nolint:errcheck
@@ -258,39 +271,35 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 	// so the surviving shards' data comes back online. Only when *every*
 	// shard fails to open is the error surfaced — that shape means the
 	// directory itself is wrong, not one damaged failure domain.
-	var shards []*Bookkeeper
-	var degraded []int
+	c := &Cluster{cfg: cfg, now: mono.Now}
+	top := &topology{ring: r}
 	var openErrs []string
 	for i := 0; i < cfg.Shards; i++ {
+		h := &shardHealth{}
 		b, err := OpenStore(cfg.shardConfig(i))
 		if err != nil {
 			openErrs = append(openErrs, fmt.Sprintf("shard %d: %v", i, err))
 			b, err = createShardPastCandidates(cfg.shardConfig(i))
 			if err != nil {
-				for _, prev := range shards {
+				for _, prev := range top.shards {
 					prev.Shutdown() //nolint:errcheck
 				}
 				return nil, fmt.Errorf("memcached: shard %d: %w", i, err)
 			}
-			degraded = append(degraded, i)
+			h.rebuiltAtOpen.Store(true)
+			h.rebuiltEmpty.Add(1)
 		}
-		cfg.setupShard(b, i)
-		shards = append(shards, b)
+		c.install(b, i)
+		top.shards, top.health = append(top.shards, b), append(top.health, h)
 	}
-	if len(degraded) == cfg.Shards {
-		for _, prev := range shards {
+	if len(openErrs) == cfg.Shards {
+		for _, prev := range top.shards {
 			prev.Shutdown() //nolint:errcheck
 		}
 		return nil, fmt.Errorf("memcached: no shard opened from %s: %s",
 			cfg.Dir, strings.Join(openErrs, "; "))
 	}
-	c := &Cluster{cfg: cfg, now: mono.Now}
-	c.topo.Store(&topology{ring: r, shards: shards})
-	for _, i := range degraded {
-		h := c.shardHealth(i)
-		h.rebuiltAtOpen.Store(true)
-		h.rebuiltEmpty.Add(1)
-	}
+	c.topo.Store(top)
 	if hasReshardMarker(cfg.Dir) {
 		// An interrupted migration parked here. The sources never lose
 		// data before the manifest advances, so the manifest ring is
@@ -322,18 +331,22 @@ func (c *Cluster) Ring() *ring.Ring { return c.top().ring }
 func (c *Cluster) ShardFor(key []byte) int { return c.top().ring.Shard(key) }
 
 // StartMaintenance starts every shard's maintenance loop. The cadence is
-// recorded so a shard rebuilt by the supervisor resumes it.
+// recorded so a shard installed later — grown or rebuilt — starts it too.
 func (c *Cluster) StartMaintenance(interval time.Duration) {
-	c.maintEvery.Store(int64(interval))
+	c.resizeMu.Lock()
+	defer c.resizeMu.Unlock()
+	c.maintEvery = interval
 	for _, b := range c.top().shards {
 		b.StartMaintenance(interval)
 	}
 }
 
 // StartCheckpointing starts every shard's checkpoint loop. The cadence is
-// recorded so a shard rebuilt by the supervisor resumes it.
+// recorded so a shard installed later — grown or rebuilt — starts it too.
 func (c *Cluster) StartCheckpointing(interval time.Duration) {
-	c.ckptEvery.Store(int64(interval))
+	c.resizeMu.Lock()
+	defer c.resizeMu.Unlock()
+	c.ckptEvery = interval
 	for _, b := range c.top().shards {
 		b.StartCheckpointing(interval)
 	}
@@ -392,11 +405,6 @@ type ClusterClient struct {
 
 	mu    sync.Mutex
 	procs []*ClientProcess
-	// books records which Bookkeeper each proc is attached to. When the
-	// supervisor rebuilds a shard the topology entry changes identity;
-	// the next access re-attaches to the replacement instead of carrying
-	// calls into the dropped (poisoned) store forever.
-	books []*Bookkeeper
 }
 
 // NewClientProcess attaches a client application to every current shard.
@@ -412,28 +420,24 @@ func (c *Cluster) NewClientProcess(uid int) (*ClusterClient, error) {
 
 // proc returns the per-shard client process, attaching on demand to
 // shards that joined after this client was created and re-attaching when
-// the supervisor has replaced the shard's Bookkeeper.
+// the supervisor has replaced the shard's Bookkeeper, instead of carrying
+// calls into the dropped (poisoned) store forever.
 func (cc *ClusterClient) proc(shard int) (*ClientProcess, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for len(cc.procs) <= shard {
-		i := len(cc.procs)
-		b := cc.c.top().shards[i]
-		cp, err := b.NewClientProcess(cc.uid)
-		if err != nil {
-			return nil, fmt.Errorf("memcached: shard %d attach: %w", i, err)
-		}
-		cc.procs = append(cc.procs, cp)
-		cc.books = append(cc.books, b)
+		cc.procs = append(cc.procs, nil)
 	}
-	if b := cc.c.top().shards[shard]; cc.books[shard] != b {
-		cp, err := b.NewClientProcess(cc.uid)
-		if err != nil {
-			return nil, fmt.Errorf("memcached: shard %d re-attach: %w", shard, err)
-		}
-		cc.procs[shard], cc.books[shard] = cp, b
+	b := cc.c.top().shards[shard]
+	if cp := cc.procs[shard]; cp != nil && cp.b == b {
+		return cp, nil
 	}
-	return cc.procs[shard], nil
+	cp, err := b.NewClientProcess(cc.uid)
+	if err != nil {
+		return nil, fmt.Errorf("memcached: shard %d attach: %w", shard, err)
+	}
+	cc.procs[shard] = cp
+	return cp, nil
 }
 
 // Proc exposes the per-shard client process (fault injection in tests),
@@ -451,7 +455,9 @@ func (cc *ClusterClient) Kill() {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for _, cp := range cc.procs {
-		cp.Kill()
+		if cp != nil {
+			cp.Kill()
+		}
 	}
 }
 
@@ -481,50 +487,37 @@ type ClusterSession struct {
 	c        *Cluster
 	cc       *ClusterClient
 	sessions []*Session
-	// books mirrors ClusterClient.books at session granularity: a
-	// rebuilt shard's old session is dropped and a fresh one opened on
-	// the replacement store.
-	books  []*Bookkeeper
-	part   batchPartition
-	stripe int // the routeMu stripe this session read-locks
+	part     batchPartition
+	stripe   int // the routeMu stripe this session read-locks
 }
 
 // Session exposes the underlying per-shard session (tests, ablation).
 func (s *ClusterSession) Session(shard int) *Session { return s.sessions[shard] }
 
 // sess returns the per-shard session, attaching on demand to shards that
-// joined after this session was opened. ClusterSession models a thread,
-// so the slice needs no lock; the shared process table locks internally.
+// joined after this session was opened, and opening a fresh one when the
+// supervisor has replaced the shard's store. The old session belongs to a
+// poisoned store — dropped, not closed (teardown would touch the dead
+// heap's allocator). ClusterSession models a thread, so the slice needs
+// no lock; the shared process table locks internally.
 func (s *ClusterSession) sess(shard int) (*Session, error) {
 	for len(s.sessions) <= shard {
-		i := len(s.sessions)
-		cp, err := s.cc.proc(i)
-		if err != nil {
-			return nil, err
-		}
-		ss, err := cp.NewSession()
-		if err != nil {
-			return nil, fmt.Errorf("memcached: shard %d session: %w", i, err)
-		}
-		s.sessions = append(s.sessions, ss)
-		s.books = append(s.books, s.c.top().shards[i])
+		s.sessions = append(s.sessions, nil)
 	}
-	if b := s.c.top().shards[shard]; s.books[shard] != b {
-		// The supervisor replaced this shard. proc() re-attaches at the
-		// process level first; then open a fresh session on it. The old
-		// session belongs to a poisoned store — dropped, not closed
-		// (teardown would touch the dead heap's allocator).
-		cp, err := s.cc.proc(shard)
-		if err != nil {
-			return nil, err
-		}
-		ss, err := cp.NewSession()
-		if err != nil {
-			return nil, fmt.Errorf("memcached: shard %d session re-attach: %w", shard, err)
-		}
-		s.sessions[shard], s.books[shard] = ss, b
+	b := s.c.top().shards[shard]
+	if ss := s.sessions[shard]; ss != nil && ss.b == b {
+		return ss, nil
 	}
-	return s.sessions[shard], nil
+	cp, err := s.cc.proc(shard)
+	if err != nil {
+		return nil, err
+	}
+	ss, err := cp.NewSession()
+	if err != nil {
+		return nil, fmt.Errorf("memcached: shard %d session: %w", shard, err)
+	}
+	s.sessions[shard] = ss
+	return ss, nil
 }
 
 // Close closes every per-shard session, except one on a store the
@@ -533,7 +526,7 @@ func (s *ClusterSession) sess(shard int) (*Session, error) {
 func (s *ClusterSession) Close() {
 	shards := s.c.top().shards
 	for i, ss := range s.sessions {
-		if ss != nil && i < len(shards) && s.books[i] == shards[i] {
+		if ss != nil && i < len(shards) && ss.b == shards[i] {
 			ss.Close()
 		}
 	}
@@ -744,10 +737,11 @@ const (
 
 // State reports shard i's coarse health.
 func (c *Cluster) State(i int) ShardState {
-	if hs := c.health.Load(); hs != nil && i < len(*hs) && (*hs)[i].br.word.Load()&brStateMask == brRebuilding {
+	top := c.top()
+	if top.health[i].br.word.Load()&brStateMask == brRebuilding {
 		return ShardRebuilding
 	}
-	lib := c.top().shards[i].Library()
+	lib := top.shards[i].Library()
 	switch {
 	case lib.Poisoned():
 		return ShardPoisoned

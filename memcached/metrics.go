@@ -50,10 +50,8 @@ type Metrics struct {
 	// its per-context sampling period (1 = every operation).
 	Latency     core.LatencySnapshot
 	SampleEvery uint64
-	// Library is hodor's call accounting; Crossing the per-crossing
-	// trampoline latency distribution (empty unless Library profiling on).
+	// Library is hodor's call accounting.
 	Library    hodor.Metrics
-	Crossing   histogram.Snapshot
 	Recovery   RecoveryMetrics
 	Checkpoint CheckpointMetrics
 	// Heap occupancy.
@@ -90,7 +88,6 @@ func (b *Bookkeeper) Metrics() Metrics {
 		Latency:       b.store.Latency(),
 		SampleEvery:   b.store.LatencySampleEvery(),
 		Library:       b.lib.Metrics(),
-		Crossing:      b.lib.CrossingLatency(),
 		HeapLiveBytes: b.alloc.LiveBytes(),
 		HeapCapacity:  b.alloc.Capacity(),
 	}
@@ -178,10 +175,6 @@ func (m *Metrics) Samples() []metrics.Sample {
 	g("plibmc_batched_ops_total", float64(m.Ops.BatchedOps))
 	g("plibmc_crossings_per_op", m.CrossingsPerOp())
 	g("plibmc_mean_batch_size", m.MeanBatchSize())
-	if m.Crossing.Count() > 0 {
-		cr := m.Crossing
-		out = latencyQuantiles(out, "plibmc_trampoline_crossing_seconds", &cr)
-	}
 
 	// Gate-hardening containment counters.
 	g("plibmc_attacks_contained_total", float64(m.Library.AttacksContained))

@@ -242,20 +242,21 @@ func (c *Cluster) Resize(newShards int) error {
 	if err != nil {
 		return err
 	}
-	shards := append([]*Bookkeeper(nil), top.shards...)
-	var created []*Bookkeeper
-	for len(shards) < newShards {
-		i := len(shards)
+	newTop := top.clone()
+	shutdownCreated := func() {
+		for _, nb := range newTop.shards[len(top.shards):] {
+			nb.Shutdown() //nolint:errcheck
+		}
+	}
+	for i := len(top.shards); i < newShards; i++ {
 		b, err := CreateStore(c.cfg.shardConfig(i))
 		if err != nil {
-			for _, nb := range created {
-				nb.Shutdown() //nolint:errcheck
-			}
+			shutdownCreated()
 			return fmt.Errorf("memcached: shard %d: %w", i, err)
 		}
-		c.cfg.setupShard(b, i)
-		shards = append(shards, b)
-		created = append(created, b)
+		c.install(b, i)
+		newTop.shards = append(newTop.shards, b)
+		newTop.health = append(newTop.health, &shardHealth{})
 	}
 	plan := ring.Plan(top.ring, to)
 	m := &migration{c: c, from: top.ring, to: to, finished: make(chan struct{})}
@@ -266,9 +267,7 @@ func (c *Cluster) Resize(newShards int) error {
 	m.buildIndex()
 	if c.cfg.Dir != "" {
 		if err := writeReshardMarker(c.cfg.Dir, top.ring.Shards(), newShards); err != nil {
-			for _, nb := range created {
-				nb.Shutdown() //nolint:errcheck
-			}
+			shutdownCreated()
 			return err
 		}
 	}
@@ -278,7 +277,6 @@ func (c *Cluster) Resize(newShards int) error {
 	// every in-flight op predates the migration (and saw the old single
 	// ring, which stays authoritative until its segment cuts over) and
 	// every later op sees it.
-	newTop := &topology{ring: top.ring, shards: shards}
 	c.routeMu.Lock()
 	c.topo.Store(newTop)
 	c.mig.Store(m)
@@ -601,7 +599,9 @@ func (m *migration) cutover(from, to *Session, s *migSeg) error {
 // come first — after it, no route reaches a source for a moved key).
 func (m *migration) finish() {
 	c := m.c
-	c.topo.Store(&topology{ring: m.to, shards: c.top().shards})
+	top := c.top().clone()
+	top.ring = m.to
+	c.topo.Store(top)
 	if c.cfg.Dir != "" {
 		if err := writeRingManifest(c.cfg.Dir, m.to.Shards(), m.to.VirtualNodes()); err != nil {
 			// Keep serving on the new ring; the stale manifest plus marker

@@ -135,10 +135,7 @@ type Bookkeeper struct {
 	lastRepairTime time.Duration
 	lastRepairAt   time.Time
 
-	stopMaint chan struct{}
-	maintDone chan struct{}
-	stopCkpt  chan struct{}
-	ckptDone  chan struct{}
+	maintLoop, ckptLoop loop
 }
 
 func (c *Config) fill() {
@@ -331,35 +328,56 @@ func (b *Bookkeeper) RunMaintenanceOnce() core.MaintReport {
 }
 
 // StartMaintenance runs maintenance on an interval until StopMaintenance.
+// Idempotent while running.
 func (b *Bookkeeper) StartMaintenance(interval time.Duration) {
-	if b.stopMaint != nil {
+	b.maintLoop.start(interval, func() { b.RunMaintenanceOnce() })
+}
+
+// StopMaintenance stops the background maintenance loop.
+func (b *Bookkeeper) StopMaintenance() { b.maintLoop.stop() }
+
+// loop is one background ticker loop: start runs fn once per interval
+// until stop, which waits out the pass in flight. Safe for concurrent use:
+// the mutex is held across stop's wait, so at most one goroutine runs a
+// loop's passes, and start on a running loop is a no-op.
+type loop struct {
+	mu   sync.Mutex
+	quit chan struct{}
+	done chan struct{}
+}
+
+func (l *loop) start(interval time.Duration, fn func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.quit != nil {
 		return
 	}
-	b.stopMaint = make(chan struct{})
-	b.maintDone = make(chan struct{})
+	quit, done := make(chan struct{}), make(chan struct{})
+	l.quit, l.done = quit, done
 	go func() {
+		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		defer close(b.maintDone)
 		for {
 			select {
-			case <-t.C:
-				b.RunMaintenanceOnce()
-			case <-b.stopMaint:
+			case <-quit:
 				return
+			case <-t.C:
+				fn()
 			}
 		}
 	}()
 }
 
-// StopMaintenance stops the background maintenance loop.
-func (b *Bookkeeper) StopMaintenance() {
-	if b.stopMaint == nil {
+func (l *loop) stop() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.quit == nil {
 		return
 	}
-	close(b.stopMaint)
-	<-b.maintDone
-	b.stopMaint, b.maintDone = nil, nil
+	close(l.quit)
+	<-l.done
+	l.quit, l.done = nil, nil
 }
 
 // Shutdown stops maintenance and checkpointing and writes a final

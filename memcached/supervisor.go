@@ -162,8 +162,9 @@ func wordState(w int64) ShardState {
 	return ShardRecovering
 }
 
-// shardHealth is the supervisor's per-shard lifecycle record. Grown
-// lazily and kept outside topology so it survives rebuilds and resizes.
+// shardHealth is the supervisor's per-shard lifecycle record. It rides in
+// the topology beside the shard's store: a rebuild keeps it, a resize
+// appends a fresh one.
 type shardHealth struct {
 	br shardBreaker
 
@@ -175,29 +176,8 @@ type shardHealth struct {
 	lastRebuildAt   atomic.Int64  // unix nanos when it completed
 }
 
-// shardHealth returns shard i's lifecycle record, growing the registry
-// if needed. The fast path is one atomic load.
-func (c *Cluster) shardHealth(i int) *shardHealth {
-	if hs := c.health.Load(); hs != nil && i < len(*hs) {
-		return (*hs)[i]
-	}
-	c.healthMu.Lock()
-	defer c.healthMu.Unlock()
-	var cur []*shardHealth
-	if hs := c.health.Load(); hs != nil {
-		cur = *hs
-	}
-	if i < len(cur) {
-		return cur[i]
-	}
-	grown := make([]*shardHealth, i+1)
-	copy(grown, cur)
-	for j := len(cur); j <= i; j++ {
-		grown[j] = &shardHealth{}
-	}
-	c.health.Store(&grown)
-	return grown[i]
-}
+// shardHealth returns shard i's lifecycle record.
+func (c *Cluster) shardHealth(i int) *shardHealth { return c.top().health[i] }
 
 func (c *Cluster) breakerThreshold() int {
 	if c.cfg.BreakerThreshold > 0 {
@@ -214,7 +194,7 @@ func (c *Cluster) breakerCooldown() time.Duration {
 }
 
 // shardAllow is the data path's pre-crossing check: on the healthy path
-// one load of the breaker word after the registry's, which
+// one load of the breaker word after the topology's, which
 // BenchmarkRouteParts prices together with shardReport(nil). Callers that
 // get nil must hand the crossing's error — not the op's own outcome — to
 // shardReport.
@@ -305,42 +285,11 @@ func (c *Cluster) SuperviseOnce() {
 
 // StartSupervisor starts the background lifecycle loop: one SuperviseOnce
 // pass per interval on the wall clock. Idempotent while running.
-func (c *Cluster) StartSupervisor(interval time.Duration) {
-	c.supMu.Lock()
-	defer c.supMu.Unlock()
-	if c.supStop != nil {
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	c.supStop, c.supDone = stop, done
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.SuperviseOnce()
-			}
-		}
-	}()
-}
+func (c *Cluster) StartSupervisor(interval time.Duration) { c.sup.start(interval, c.SuperviseOnce) }
 
 // StopSupervisor stops the background lifecycle loop and waits for the
 // in-flight pass (if any) to finish.
-func (c *Cluster) StopSupervisor() {
-	c.supMu.Lock()
-	stop, done := c.supStop, c.supDone
-	c.supStop, c.supDone = nil, nil
-	c.supMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+func (c *Cluster) StopSupervisor() { c.sup.stop() }
 
 // casRebuildGap is the generation bump a rebuilt shard adds past the
 // dead store's CAS high-water mark. The mark is read with a plain atomic
@@ -373,7 +322,8 @@ func (c *Cluster) rebuildShard(i int) error {
 		return fmt.Errorf("memcached: shard %d rebuild deferred: migration in flight", i)
 	}
 
-	old := c.top().shards[i]
+	top := c.top()
+	old := top.shards[i]
 	// Re-verify poison now that the lock is held: a caller whose
 	// Poisoned() precheck passed but then queued behind a completed
 	// rebuild (manual RebuildShard racing the supervisor, or two
@@ -383,7 +333,7 @@ func (c *Cluster) rebuildShard(i int) error {
 	if lib := old.Library(); lib == nil || !lib.Poisoned() {
 		return nil
 	}
-	h := c.shardHealth(i)
+	h := top.health[i]
 	h.br.word.Store(c.now()<<brStampShift | brPoisoned | brRebuilding)
 	start := time.Now()
 	// The dead store's CAS high-water mark survives poison in memory.
@@ -413,30 +363,18 @@ func (c *Cluster) rebuildShard(i int) error {
 		}
 		nb = created
 	}
-	c.cfg.setupShard(nb, i)
 	// Resume in the dead store's CAS space, bumped a generation: stale
 	// tokens from before the crash can never ABA against new mints.
-	seed := preCAS
-	if base := shardCASBase(i); seed < base {
-		seed = base
-	}
-	nb.Store().SeedCAS(seed + casRebuildGap)
-
-	// Resume the background loops at the cluster's recorded cadence.
-	if iv := c.maintEvery.Load(); iv > 0 {
-		nb.StartMaintenance(time.Duration(iv))
-	}
-	if iv := c.ckptEvery.Load(); iv > 0 && sc.Path != "" {
-		nb.StartCheckpointing(time.Duration(iv))
-	}
+	nb.Store().SeedCAS(max(preCAS, shardCASBase(i)) + casRebuildGap)
+	c.install(nb, i)
 
 	// Re-attach under the routing barrier: one write-locked pointer swap,
 	// the same discipline Resize uses. Survivors never see a torn view.
+	// The shard keeps its lifecycle record.
 	c.routeMu.Lock()
-	top := c.top()
-	shards := append([]*Bookkeeper(nil), top.shards...)
-	shards[i] = nb
-	c.topo.Store(&topology{ring: top.ring, shards: shards})
+	next := c.top().clone()
+	next.shards[i] = nb
+	c.topo.Store(next)
 	c.routeMu.Unlock()
 
 	// If the shard came back empty, persist that fact immediately: the
@@ -475,9 +413,9 @@ func createShardPastCandidates(sc Config) (*Bookkeeper, error) {
 				gen = cand.Generation
 			}
 		}
-		b.repairReportMu.Lock()
+		b.repairMu.Lock()
 		b.ckptGen = gen
-		b.repairReportMu.Unlock()
+		b.repairMu.Unlock()
 	}
 	return b, nil
 }
@@ -524,11 +462,10 @@ func (c *Cluster) breakerName(i int, w, now int64) string {
 
 // ShardStatuses snapshots every shard's lifecycle state.
 func (c *Cluster) ShardStatuses() []ShardStatus {
-	n := len(c.top().shards)
-	out := make([]ShardStatus, n)
+	health := c.top().health
+	out := make([]ShardStatus, len(health))
 	now := c.now()
-	for i := 0; i < n; i++ {
-		h := c.shardHealth(i)
+	for i, h := range health {
 		out[i] = ShardStatus{
 			Shard:         i,
 			State:         c.State(i),
@@ -558,11 +495,7 @@ type SupervisorMetrics struct {
 func (c *Cluster) supervisorMetrics() SupervisorMetrics {
 	var m SupervisorMetrics
 	var lastAt, lastNS int64
-	hs := c.health.Load()
-	if hs == nil {
-		return m
-	}
-	for _, h := range *hs {
+	for _, h := range c.top().health {
 		m.Rebuilds += h.rebuilds.Load()
 		m.RebuiltEmpty += h.rebuiltEmpty.Load()
 		m.RebuildFailures += h.rebuildFailures.Load()

@@ -97,12 +97,14 @@ shardcheck:
 # survives being killed mid-segment and crashing inside its own gate
 # crossing (both shards repair online and the migration resumes), the
 # batch plane keeps positional alignment when one shard's crossing fails,
-# the resized manifest wins over a stale config on reopen, and a grown
+# the resized manifest wins over a stale config on reopen, a grown
 # shard runs the cluster's maintenance and checkpoint loops, so a crash
-# after a grow reopens every key — all under the race detector.
+# after a grow reopens every key, a resize that aborts, parks or cannot
+# write its manifest loses no acknowledged write, and a resize is refused
+# while a shard is poisoned — all under the race detector.
 reshardcheck:
 	$(GO) test -race -count=1 -short -run 'TestModelCheckResize|TestResizeCrashIsolation|TestClusterReopenAfterResize' .
-	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure|TestResizedShardsRunClusterLoops|TestReopenAfterGrowWithoutShutdown' ./memcached
+	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure|TestResizedShardsRunClusterLoops|TestReopenAfterGrowWithoutShutdown|TestResizeAbortKeepsWrites|TestResizeParkKeepsWrites|TestResizeManifestFailureKeepsWrites|TestResizeRefusesPoisonedShard' ./memcached
 	$(GO) test -race -count=1 ./internal/ring
 
 # The shard-lifecycle gate (DESIGN.md §16): an unrepairable crash poisons

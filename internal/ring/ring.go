@@ -94,8 +94,8 @@ func (r *Ring) Shard(key []byte) int {
 }
 
 // Owner maps an already-computed hash position to its owning shard. The
-// dual-ring routing layer hashes a key once and then resolves it against
-// both rings and the migration plan, so it needs ownership by position.
+// migrator hashes a key once and then resolves it against a ring and the
+// migration plan, so it needs ownership by position.
 func (r *Ring) Owner(h uint64) int { return r.owner(h) }
 
 // owner returns the shard owning hash position h: the first point with

@@ -27,18 +27,17 @@ import (
 // proxy (proxy.go), and offline tooling (plibdump over a shard directory)
 // all share.
 //
-// A key lives on exactly one shard: the one the authoritative ring names
-// or, mid-migration, the one the dual-ring rule in routeHash names. Every
-// read and write of a key goes to that shard, so cluster operations are
-// linearizable per key with no second copy to keep coherent.
+// A key lives on exactly one shard: the one the authoritative ring names.
+// Every read and write of a key goes to that shard, so cluster operations
+// are linearizable per key with no second copy to keep coherent.
 //
-// The ring and shard set live together in one immutable topology
-// snapshot behind an atomic pointer: a live resize
-// (migrate.go) installs a wider shard set up front, streams the moved
-// hash segments between shards in the background, and swaps in the new
-// ring only when every segment has cut over. Routing is therefore always
-// one atomic load plus, during a migration, the dual-ring decision in
-// routeHash.
+// The ring, the shard set and a live resize's migration live together in
+// one immutable topology snapshot behind an atomic pointer, swapped only
+// under routeMu's write lock: a live resize (migrate.go) installs a wider
+// shard set and its migration up front, streams the moved hash segments
+// between shards in the background, and swaps in the new ring at one
+// cutover. Routing is therefore one atomic load and the ring's lookup;
+// during a migration a write also dirty-marks its key.
 
 // ShardImageName returns the backing-file name of shard i inside a
 // cluster directory — the naming contract between the cluster and
@@ -82,12 +81,14 @@ type ClusterConfig struct {
 // authoritative ring plus the attachable shard set (which may be wider
 // than the ring mid-migration, and after a shrink keeps the drained
 // shards attachable until Shutdown), each shard's store beside its
-// lifecycle record. Swapped wholesale under routeMu; a rebuild replaces a
-// store and keeps its record, a resize appends fresh ones.
+// lifecycle record, and the live resize's migration (nil in steady state).
+// Swapped wholesale under routeMu (publish); a rebuild replaces a store
+// and keeps its record, a resize appends fresh ones.
 type topology struct {
 	ring   *ring.Ring
 	shards []*Bookkeeper
 	health []*shardHealth
+	mig    *migration
 }
 
 // Cluster is the multi-store handle.
@@ -95,12 +96,7 @@ type Cluster struct {
 	cfg  ClusterConfig
 	topo atomic.Pointer[topology]
 
-	// mig is the live migration, nil in steady state. Installed under
-	// routeMu's write lock so no operation can straddle the moment the
-	// dual-ring routing rules take effect; cleared lock-free when the
-	// last segment is done (at that point both routing modes agree).
-	mig     atomic.Pointer[migration]
-	lastMig atomic.Pointer[migration] // survives completion, for status/wait
+	lastMig atomic.Pointer[migration] // the latest resize, for status/wait
 	routeMu routeLock
 	// resizeMu serializes everything that installs a store as a shard —
 	// Resize setup, rebuilds — with the loop starts whose cadence install
@@ -112,7 +108,7 @@ type Cluster struct {
 
 	// Migration accounting (cumulative across resizes).
 	resizes    atomic.Uint64 // Resize calls that started a migration
-	segsMoved  atomic.Uint64 // segments cut over
+	segsMoved  atomic.Uint64 // plibmc_migration_segments_moved_total: + plan size at each cutover
 	keysMoved  atomic.Uint64 // entries installed on their destination
 	migRetries atomic.Uint64 // migrator attempts restarted after a crash
 
@@ -132,7 +128,18 @@ func (t *topology) clone() *topology {
 		ring:   t.ring,
 		shards: append([]*Bookkeeper(nil), t.shards...),
 		health: append([]*shardHealth(nil), t.health...),
+		mig:    t.mig,
 	}
+}
+
+// publish swaps in an edited copy of the topology under routeMu's write
+// lock, so no operation straddles the change.
+func (c *Cluster) publish(edit func(*topology)) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	next := c.top().clone()
+	edit(next)
+	c.topo.Store(next)
 }
 
 // routeStripes is the routing lock's width: enough that the readers of a
@@ -325,9 +332,7 @@ func (c *Cluster) Shard(i int) *Bookkeeper { return c.top().shards[i] }
 // Ring exposes the authoritative placement ring.
 func (c *Cluster) Ring() *ring.Ring { return c.top().ring }
 
-// ShardFor returns the shard owning key on the authoritative ring. During
-// a live migration the instantaneous owner may differ per segment; use a
-// session's operations (which route with the migration rules) for access.
+// ShardFor returns the shard owning key on the authoritative ring.
 func (c *Cluster) ShardFor(key []byte) int { return c.top().ring.Shard(key) }
 
 // StartMaintenance starts every shard's maintenance loop. The cadence is
@@ -358,7 +363,7 @@ func (c *Cluster) StartCheckpointing(interval time.Duration) {
 // first error is returned.
 func (c *Cluster) Shutdown() error {
 	c.StopSupervisor()
-	if m := c.mig.Load(); m != nil {
+	if m := c.lastMig.Load(); m != nil {
 		m.stopped.Store(true)
 		select {
 		case <-m.finished:
@@ -467,8 +472,9 @@ func (cc *ClusterClient) Kill() {
 func (cc *ClusterClient) NewSession() (*ClusterSession, error) {
 	cs := &ClusterSession{c: cc.c, cc: cc, stripe: cc.c.routeMu.stripe()}
 	cs.x = cs
-	for i := 0; i < cc.c.Shards(); i++ {
-		if _, err := cs.sess(i); err != nil {
+	t := cc.c.top()
+	for i := range t.shards {
+		if _, err := cs.sess(t, i); err != nil {
 			cs.Close()
 			return nil, err
 		}
@@ -479,9 +485,8 @@ func (cc *ClusterClient) NewSession() (*ClusterSession, error) {
 // ClusterSession routes the Session API across shards: single-key ops go
 // to the owning shard's fast lane; MGet/ExecBatch split into per-shard
 // sub-batches so each shard still sees one gate crossing for its whole
-// share of the batch. During a live resize every route goes through the
-// dual-ring rules in routeHash, holding the key's segment guard across
-// the shard access so a cutover can never slide under an in-flight op.
+// share of the batch. Each call routes by one topology, loaded under its
+// routeMu stripe; during a live resize a write then dirty-marks its key.
 type ClusterSession struct {
 	verbs
 	c        *Cluster
@@ -494,17 +499,17 @@ type ClusterSession struct {
 // Session exposes the underlying per-shard session (tests, ablation).
 func (s *ClusterSession) Session(shard int) *Session { return s.sessions[shard] }
 
-// sess returns the per-shard session, attaching on demand to shards that
-// joined after this session was opened, and opening a fresh one when the
-// supervisor has replaced the shard's store. The old session belongs to a
-// poisoned store — dropped, not closed (teardown would touch the dead
-// heap's allocator). ClusterSession models a thread, so the slice needs
-// no lock; the shared process table locks internally.
-func (s *ClusterSession) sess(shard int) (*Session, error) {
+// sess returns the per-shard session of topology t, attaching on demand
+// to shards that joined after this session was opened, and opening a
+// fresh one when the supervisor has replaced the shard's store. The old
+// session belongs to a poisoned store — dropped, not closed (teardown
+// would touch the dead heap's allocator). ClusterSession models a thread,
+// so the slice needs no lock; the shared process table locks internally.
+func (s *ClusterSession) sess(t *topology, shard int) (*Session, error) {
 	for len(s.sessions) <= shard {
 		s.sessions = append(s.sessions, nil)
 	}
-	b := s.c.top().shards[shard]
+	b := t.shards[shard]
 	if ss := s.sessions[shard]; ss != nil && ss.b == b {
 		return ss, nil
 	}
@@ -548,29 +553,24 @@ func readOnly(code core.BatchCode) bool {
 	return code == BatchGet || code == BatchExport
 }
 
-// do is the cluster's single-op path: route the key, run the op on its
-// authoritative shard, and — when the key sits in a mid-migration segment —
-// hold the segment's shared guard across the access and dirty-mark a write
-// so the pre-cutover recopy carries it to the destination.
+// do is the cluster's single-op path: load the topology, run the op on the
+// shard its ring names, and during a migration dirty-mark a write after its
+// crossing, so the cutover's recopy carries it to the destination. The mark
+// comes even on error: a failed op may still have written, and one extra
+// recopy is cheaper than reasoning about which error paths mutate.
 func (s *ClusterSession) do(op *BatchOp, r *BatchResult) {
 	mu := &s.c.routeMu.stripes[s.stripe]
 	mu.RLock()
 	defer mu.RUnlock()
-	sh, g := s.c.routeHash(ring.Hash(op.Key), nil)
-	s.doShard(sh, op, r)
-	if g != nil {
-		if !readOnly(op.Code) {
-			// Conservatively dirty even on error: a failed op may still
-			// have observed state, and one extra recopy is cheaper than
-			// reasoning about which error paths mutate.
-			g.markDirty(op.Key)
-		}
-		g.release()
+	t := s.c.top()
+	s.doShard(t, t.ring.Shard(op.Key), op, r)
+	if t.mig != nil && !readOnly(op.Code) {
+		t.mig.markWritten(op.Key)
 	}
 }
 
-func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
-	if err := s.c.shardAllow(shard); err != nil {
+func (s *ClusterSession) doShard(t *topology, shard int, op *BatchOp, r *BatchResult) {
+	if err := s.c.shardAllow(t, shard); err != nil {
 		*r = BatchResult{Err: err}
 		return
 	}
@@ -579,13 +579,13 @@ func (s *ClusterSession) doShard(shard int, op *BatchOp, r *BatchResult) {
 	// outcome — a miss, a CAS mismatch — stays in r.Err and reaches the
 	// breaker as nil: it is not the shard's failure, and classifying it
 	// would cost a miss more than the report itself.
-	ss, err := s.sess(shard)
+	ss, err := s.sess(t, shard)
 	if err != nil {
 		*r = BatchResult{Err: err}
 	} else {
 		err = ss.cross(op, r)
 	}
-	s.c.shardReport(shard, err)
+	s.c.shardReport(t, shard, err)
 }
 
 // FlushAll removes every entry on every shard (including shards still
@@ -595,15 +595,16 @@ func (s *ClusterSession) FlushAll() error {
 	mu := &s.c.routeMu.stripes[s.stripe]
 	mu.RLock()
 	defer mu.RUnlock()
-	for i := 0; i < s.c.Shards(); i++ {
-		if err := s.c.shardAllow(i); err != nil {
+	t := s.c.top()
+	for i := range t.shards {
+		if err := s.c.shardAllow(t, i); err != nil {
 			return err
 		}
-		ss, err := s.sess(i)
+		ss, err := s.sess(t, i)
 		if err == nil {
 			err = ss.FlushAll()
 		}
-		s.c.shardReport(i, err)
+		s.c.shardReport(t, i, err)
 		if err != nil {
 			return err
 		}
@@ -614,8 +615,9 @@ func (s *ClusterSession) FlushAll() error {
 // Stats aggregates the store counters across shards.
 func (s *ClusterSession) Stats() (core.Stats, error) {
 	var agg core.Stats
-	for i := 0; i < s.c.Shards(); i++ {
-		ss, err := s.sess(i)
+	t := s.c.top()
+	for i := range t.shards {
+		ss, err := s.sess(t, i)
 		if err != nil {
 			return core.Stats{}, err
 		}
@@ -628,15 +630,15 @@ func (s *ClusterSession) Stats() (core.Stats, error) {
 	return agg, nil
 }
 
-func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
-	if err := s.c.shardAllow(shard); err != nil {
+func (s *ClusterSession) batchShard(t *topology, shard int, ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
+	if err := s.c.shardAllow(t, shard); err != nil {
 		return nil, err
 	}
-	ss, err := s.sess(shard)
+	ss, err := s.sess(t, shard)
 	if err == nil {
 		vbuf, err = ss.batch(ops, res, vbuf)
 	}
-	s.c.shardReport(shard, err)
+	s.c.shardReport(t, shard, err)
 	return vbuf, err
 }
 
@@ -648,28 +650,20 @@ func (s *ClusterSession) batchShard(shard int, ops []BatchOp, res []BatchResult,
 // shard whose crossing fails (open breaker, crash, reaped session, dead
 // process) gets the wrapped error and no value in each of its slots, and
 // the batch goes on, so the returned error is always nil. During a
-// migration, every touched segment's guard is acquired once (re-taking a
-// held RLock could deadlock against a pending cutover) and held until every
-// crossing retires, and writes into such segments are dirty-marked at route
-// time.
+// migration the batch's writes are dirty-marked once every crossing has
+// retired, as a single op's are after its crossing.
 func (s *ClusterSession) batch(ops []BatchOp, out []BatchResult, vbuf []byte) ([]byte, error) {
-	c, p := s.c, &s.part
-	mu := &c.routeMu.stripes[s.stripe]
+	p := &s.part
+	mu := &s.c.routeMu.stripes[s.stripe]
 	mu.RLock()
 	defer mu.RUnlock()
-	n := c.Shards()
+	t := s.c.top()
+	n := len(t.shards)
 	for len(p.ops) < n { // a live resize can widen the cluster
 		p.ops, p.idx = append(p.ops, nil), append(p.idx, nil)
 	}
-	var held map[*migSeg]struct{}
-	if c.mig.Load() != nil {
-		held = make(map[*migSeg]struct{})
-	}
 	res := lend(&p.res, len(ops)) // no share is longer than the batch
 	defer func() {
-		for g := range held {
-			g.release()
-		}
 		// The partition outlives the batch: the caller's keys and values
 		// must not ride along in it.
 		for sh := range p.ops {
@@ -679,13 +673,7 @@ func (s *ClusterSession) batch(ops []BatchOp, out []BatchResult, vbuf []byte) ([
 		clear(res)
 	}()
 	for i := range ops {
-		sh, g := c.routeHash(ring.Hash(ops[i].Key), held)
-		if g != nil {
-			held[g] = struct{}{}
-			if !readOnly(ops[i].Code) {
-				g.markDirty(ops[i].Key)
-			}
-		}
+		sh := t.ring.Shard(ops[i].Key)
 		p.ops[sh] = append(p.ops[sh], ops[i])
 		p.idx[sh] = append(p.idx[sh], i)
 	}
@@ -694,7 +682,7 @@ func (s *ClusterSession) batch(ops []BatchOp, out []BatchResult, vbuf []byte) ([
 		if len(share) == 0 {
 			continue
 		}
-		grown, err := s.batchShard(sh, share, res[:len(share)], vbuf)
+		grown, err := s.batchShard(t, sh, share, res[:len(share)], vbuf)
 		if err != nil { // what a prefix of the share wrote stays behind in res
 			werr := fmt.Errorf("memcached: shard %d batch: %w", sh, err)
 			for _, idx := range p.idx[sh] {
@@ -705,6 +693,13 @@ func (s *ClusterSession) batch(ops []BatchOp, out []BatchResult, vbuf []byte) ([
 		vbuf = grown
 		for j, idx := range p.idx[sh] {
 			out[idx] = res[j]
+		}
+	}
+	if t.mig != nil {
+		for i := range ops {
+			if !readOnly(ops[i].Code) {
+				t.mig.markWritten(ops[i].Key)
+			}
 		}
 	}
 	return vbuf, nil
@@ -757,11 +752,11 @@ func (c *Cluster) State(i int) ShardState {
 type MigrationMetrics struct {
 	State         int // 0 idle, 1 migrating
 	Resizes       uint64
-	SegmentsMoved uint64 // segments cut over, cumulative
+	SegmentsMoved uint64 // cumulative; grows by the plan size at each resize's one cutover
 	KeysMoved     uint64 // entries installed on a destination, cumulative
 	Retries       uint64 // migrator attempts restarted after a crash
 	SegmentsTotal int    // current migration's plan size
-	SegmentsDone  int    // current migration's cutovers so far
+	SegmentsDone  int    // current migration's segments copied so far; all move at its cutover
 }
 
 // ClusterMetrics is the per-shard metrics snapshot plus the migration and
@@ -782,10 +777,10 @@ func (c *Cluster) Metrics() ClusterMetrics {
 		KeysMoved:     c.keysMoved.Load(),
 		Retries:       c.migRetries.Load(),
 	}
-	if m := c.mig.Load(); m != nil {
+	if m := c.lastMig.Load(); m != nil && m.active() {
 		cm.Migration.State = 1
 		cm.Migration.SegmentsTotal = len(m.segs)
-		cm.Migration.SegmentsDone = m.segmentsDone()
+		cm.Migration.SegmentsDone = m.segmentsCopied()
 	}
 	cm.Supervisor = c.supervisorMetrics()
 	for i, b := range c.top().shards {

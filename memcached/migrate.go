@@ -16,46 +16,47 @@ import (
 	"plibmc/internal/ring"
 )
 
-// Live resharding (ISSUE 9 tentpole). Resize(newShards) computes the
-// ring.Plan between the current and target rings and streams exactly the
-// moved hash segments between shards in the background, while clients
-// keep serving. The protocol, per segment:
+// Live resharding. Resize(newShards) computes the ring.Plan between the
+// current and target rings and streams exactly the moved hash segments
+// between shards in the background, while clients keep serving. A resize
+// is one state of the topology: it carries the migration beside the old
+// ring, and every operation routes by the old ring until the one cutover.
+// The protocol:
 //
-//  1. Walk the source shard (one ForEach pass per source, shared across
-//     that source's pending segments) and collect the keys hashing into
-//     the segment.
-//  2. Bulk-copy them in batches: a BatchExport sub-batch on the source
-//     (one gate crossing, no LRU rejuvenation, absolute expiry carried
-//     along) feeds a BatchInstall sub-batch on the destination (one
-//     crossing, CAS generation preserved verbatim — shard-disjoint CAS
-//     spaces make the source's generations safe to replay there).
-//  3. Cut over under the segment's write lock: writes that landed on the
-//     source since routing became migration-aware were dirty-marked at
-//     route time, and are re-copied (or re-deleted) here while no client
-//     op can hold the segment. Setting done flips the segment's routing
-//     to the destination before the lock releases.
+//  1. Walk each source shard once (one ForEach pass, shared across that
+//     source's pending segments) and bucket the keys by plan segment.
+//  2. Bulk-copy each segment in batches: a BatchExport sub-batch on the
+//     source (one gate crossing, no LRU rejuvenation, absolute expiry
+//     carried along) feeds a BatchInstall sub-batch on the destination
+//     (one crossing, CAS generation preserved verbatim — shard-disjoint
+//     CAS spaces make the source's generations safe to replay there).
+//     A write that lands in a moving segment marks its key dirty after
+//     its crossing, so a dirty set holds every key written since the
+//     migration began.
+//  3. Cut over once: recopy the dirty sets without the lock (export misses
+//     propagate as deletes), then, under routeMu's write lock — no client
+//     operation in flight — recopy what was written meanwhile, advance
+//     ring.json, and swap the topology to the new ring.
+//  4. Purge the sources' copies of moved keys.
 //
-// Routing during all of this is dual-ring: a key in an uncut segment
-// goes to the segment's source *while holding the segment guard in
-// shared mode*, a key in a cut segment goes to its destination, and a
-// key outside the plan goes where both rings agree. So an existing key
-// never misses: it is always fully present on whichever side routing
-// currently picks.
+// Until step 3's swap the sources are authoritative, and every way out
+// short of it — a failed recopy, a failed manifest write, an abort, a park
+// — leaves them so: a write is never acknowledged by a shard the old ring
+// does not name, so none is lost when the destinations' copies are purged.
 //
 // The migrator runs as client-grade work: its export/install batches
 // cross the gate through ordinary sessions, so a migrator crash — the
 // migrate.mid_segment fault point between batches, or a crash inside a
 // crossing — is survived exactly like any client crash. Both shards
 // repair online, the attempt's processes are abandoned, and a fresh
-// attempt re-walks the pending segments (done segments stay done;
-// re-copying a partially copied segment is idempotent because Install
-// overwrites and cutover reconciles deletes).
+// attempt re-walks the segments not yet copied (copying again is
+// idempotent because Install overwrites, and the dirty sets stay).
 
-// fpMigrateMidSegment fires between copy batches of a segment — after
-// some of its keys have been installed on the destination but before the
-// segment cuts over. The crash-isolation tier arms it to kill the
-// migrator at the worst possible moment and prove both shards stay
-// healthy and the migration is restartable.
+// fpMigrateMidSegment fires between copy batches of a segment, and once
+// more after its last batch, before the segment counts as copied. The
+// crash-isolation tier arms it to kill the migrator at the worst possible
+// moment and prove both shards stay healthy and the migration is
+// restartable.
 var fpMigrateMidSegment = faultpoint.New("migrate.mid_segment")
 
 // ErrResizeInProgress is returned by Resize while a migration is live.
@@ -81,34 +82,35 @@ var migOwnerSeq atomic.Uint64
 
 func migOwner() uint64 { return uint64(1)<<42 | migOwnerSeq.Add(1) }
 
-// migSeg is one plan segment's migration state. The RWMutex is the
-// routing guard: client ops touching the segment hold it shared for the
-// duration of their shard access; cutover holds it exclusively while it
-// re-copies the dirty set and flips done. dirty collects keys written on
-// the source since the migration started — marked at route time, before
-// the write executes, so a mark is always conservative.
+// migSeg is one plan segment's migration state: whether its bulk copy is
+// done, and the keys written in it since the migration began.
 type migSeg struct {
-	seg ring.Segment
-
-	mu   sync.RWMutex
-	done bool // guarded by mu; true once routing flipped to seg.To
-
-	doneA atomic.Bool // mirror of done for lock-free progress reads
+	seg    ring.Segment
+	copied atomic.Bool
 
 	dmu   sync.Mutex
 	dirty map[string]struct{}
 }
 
-func (s *migSeg) release() { s.mu.RUnlock() }
-
-// markDirty records a source-side write for the pre-cutover recopy.
-// Never cleared before cutover, and no new marks can arrive after (done
-// flips under the exclusive lock while every marker holds the shared
-// one).
-func (s *migSeg) markDirty(key []byte) {
+// markDirty records keys for the cutover's recopy.
+func (s *migSeg) markDirty(keys ...[]byte) {
 	s.dmu.Lock()
-	s.dirty[string(key)] = struct{}{}
+	for _, k := range keys {
+		s.dirty[string(k)] = struct{}{}
+	}
 	s.dmu.Unlock()
+}
+
+// takeDirty empties the dirty set and returns what it held.
+func (s *migSeg) takeDirty() [][]byte {
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	keys := make([][]byte, 0, len(s.dirty))
+	for k := range s.dirty {
+		keys = append(keys, []byte(k))
+	}
+	clear(s.dirty)
+	return keys
 }
 
 // migration is one live resize: the two rings, the plan, and the
@@ -133,10 +135,21 @@ type migration struct {
 	cli   *ClusterSession // current attempt's session, for KillMigrator
 }
 
-func (m *migration) segmentsDone() int {
+// active reports whether the migration has yet to reach its terminal
+// state (purge included).
+func (m *migration) active() bool {
+	select {
+	case <-m.finished:
+		return false
+	default:
+		return true
+	}
+}
+
+func (m *migration) segmentsCopied() int {
 	n := 0
 	for _, s := range m.segs {
-		if s.doneA.Load() {
+		if s.copied.Load() {
 			n++
 		}
 	}
@@ -160,6 +173,16 @@ func (m *migration) segFor(h uint64) int {
 	return -1
 }
 
+// markWritten dirty-marks key when it lies in a moving segment. A client
+// operation calls it after its write's crossing, still under its routeMu
+// stripe, so the cutover's locked recopy sees every mark of every write
+// that has landed.
+func (m *migration) markWritten(key []byte) {
+	if i := m.segFor(ring.Hash(key)); i >= 0 {
+		m.segs[i].markDirty(key)
+	}
+}
+
 func (m *migration) buildIndex() {
 	m.wrapped = -1
 	for i, s := range m.segs {
@@ -178,85 +201,52 @@ func (m *migration) buildIndex() {
 	}
 }
 
-// routeHash is the routing core: old ring unless the hash's segment has
-// cut over.
-//
-// With no live migration the authoritative ring decides alone. During
-// one, a hash inside an uncut plan segment routes to the segment's
-// source with the shared guard held — the cutover takes the guard
-// exclusively, so an op holding it can never interleave with the final
-// recopy — and to the destination the moment done is set. A hash outside
-// the plan goes where both rings agree.
-//
-// held, when non-nil, is a batch's already-held guard set: a guard in it
-// is not re-acquired (a second RLock on the same mutex can deadlock
-// against a writer queued between the two) but is still returned so the
-// op can dirty-mark. Callers passing held own membership bookkeeping and
-// release; single-key callers (held == nil) release the returned guard.
-func (c *Cluster) routeHash(h uint64, held map[*migSeg]struct{}) (int, *migSeg) {
-	m := c.mig.Load()
-	if m == nil {
-		return c.top().ring.Owner(h), nil
-	}
-	i := m.segFor(h)
-	if i < 0 {
-		return m.from.Owner(h), nil
-	}
-	s := m.segs[i]
-	if held != nil {
-		if _, ok := held[s]; ok {
-			// Still in the pre-cutover state: done cannot flip while this
-			// batch holds the shared lock.
-			return s.seg.From, s
-		}
-	}
-	s.mu.RLock()
-	if s.done {
-		s.mu.RUnlock()
-		return s.seg.To, nil
-	}
-	return s.seg.From, s
-}
-
 // Resize rebalances the cluster to newShards shards, live. New shards (on
 // grow) are created and attached immediately; the keyspace then migrates
-// in the background and the authoritative ring advances only when every
-// moved segment has cut over. Shrink migrates the dying shards' keyspace
-// onto the survivors and leaves the drained shards attached (and empty)
-// until Shutdown. Returns once the migration is underway; WaitResize or
-// MigrationStatus observe completion. One resize runs at a time.
+// in the background and the authoritative ring advances at the one
+// cutover, once every moved segment has been copied. Shrink migrates the
+// dying shards' keyspace onto the survivors and leaves the drained shards
+// attached (and empty) until Shutdown. Returns once the migration is
+// underway; WaitResize or MigrationStatus observe completion. One resize
+// runs at a time, and only while every shard is healthy.
 func (c *Cluster) Resize(newShards int) error {
 	if newShards < 1 {
 		return fmt.Errorf("memcached: resize to %d shards", newShards)
 	}
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
-	if c.mig.Load() != nil {
+	if m := c.lastMig.Load(); m != nil && m.active() {
 		return ErrResizeInProgress
 	}
 	top := c.top()
 	if newShards == top.ring.Shards() {
 		return nil
 	}
+	// The migrator walks every shard with direct contexts, which a store
+	// under repair or poisoned would stall.
+	for i := range top.shards {
+		if st := c.State(i); st != ShardHealthy {
+			return fmt.Errorf("memcached: resize refused: shard %d is not healthy (state %d)", i, st)
+		}
+	}
 	to, err := ring.New(newShards, top.ring.VirtualNodes())
 	if err != nil {
 		return err
 	}
-	newTop := top.clone()
-	shutdownCreated := func() {
-		for _, nb := range newTop.shards[len(top.shards):] {
+	var grown []*Bookkeeper
+	shutdownGrown := func() {
+		for _, nb := range grown {
 			nb.Shutdown() //nolint:errcheck
 		}
 	}
 	for i := len(top.shards); i < newShards; i++ {
 		b, err := CreateStore(c.cfg.shardConfig(i))
 		if err != nil {
-			shutdownCreated()
+			shutdownGrown()
 			return fmt.Errorf("memcached: shard %d: %w", i, err)
 		}
 		c.install(b, i)
-		newTop.shards = append(newTop.shards, b)
-		newTop.health = append(newTop.health, &shardHealth{})
+		grown = append(grown, b)
 	}
 	plan := ring.Plan(top.ring, to)
 	m := &migration{c: c, from: top.ring, to: to, finished: make(chan struct{})}
@@ -267,20 +257,16 @@ func (c *Cluster) Resize(newShards int) error {
 	m.buildIndex()
 	if c.cfg.Dir != "" {
 		if err := writeReshardMarker(c.cfg.Dir, top.ring.Shards(), newShards); err != nil {
-			shutdownCreated()
+			shutdownGrown()
 			return err
 		}
 	}
-	// The write barrier: no client op may straddle the moment the
-	// dual-ring rules take effect. Every op holds routeMu shared for its
-	// whole route-and-access span, so once this exclusive section ends,
-	// every in-flight op predates the migration (and saw the old single
-	// ring, which stays authoritative until its segment cuts over) and
-	// every later op sees it.
-	c.routeMu.Lock()
-	c.topo.Store(newTop)
-	c.mig.Store(m)
-	c.routeMu.Unlock()
+	c.publish(func(t *topology) {
+		for _, b := range grown {
+			t.shards, t.health = append(t.shards, b), append(t.health, &shardHealth{})
+		}
+		t.mig = m
+	})
 	c.lastMig.Store(m)
 	c.resizes.Add(1)
 	go m.run()
@@ -304,14 +290,16 @@ func (c *Cluster) WaitResize(timeout time.Duration) error {
 
 // MigrationStatus is the admin-plane view of the most recent resize.
 type MigrationStatus struct {
-	Active        bool   `json:"active"`
-	FromShards    int    `json:"from_shards"`
-	ToShards      int    `json:"to_shards"`
-	SegmentsTotal int    `json:"segments_total"`
-	SegmentsDone  int    `json:"segments_done"`
-	KeysMoved     uint64 `json:"keys_moved"`
-	Retries       uint64 `json:"retries"`
-	Error         string `json:"error,omitempty"`
+	Active        bool `json:"active"`
+	FromShards    int  `json:"from_shards"`
+	ToShards      int  `json:"to_shards"`
+	SegmentsTotal int  `json:"segments_total"`
+	// SegmentsDone counts the segments whose keys have been copied to
+	// their destination. They move all at once, at the one cutover.
+	SegmentsDone int    `json:"segments_done"`
+	KeysMoved    uint64 `json:"keys_moved"`
+	Retries      uint64 `json:"retries"`
+	Error        string `json:"error,omitempty"`
 }
 
 // MigrationStatus reports the most recent resize's progress (zero value
@@ -322,20 +310,16 @@ func (c *Cluster) MigrationStatus() MigrationStatus {
 		return MigrationStatus{}
 	}
 	st := MigrationStatus{
+		Active:        m.active(),
 		FromShards:    m.from.Shards(),
 		ToShards:      m.to.Shards(),
 		SegmentsTotal: len(m.segs),
-		SegmentsDone:  m.segmentsDone(),
+		SegmentsDone:  m.segmentsCopied(),
 		KeysMoved:     c.keysMoved.Load(),
 		Retries:       c.migRetries.Load(),
 	}
-	select {
-	case <-m.finished:
-		if m.err != nil {
-			st.Error = m.err.Error()
-		}
-	default:
-		st.Active = true
+	if !st.Active && m.err != nil {
+		st.Error = m.err.Error()
 	}
 	return st
 }
@@ -347,7 +331,7 @@ func (c *Cluster) MigrationStatus() MigrationStatus {
 // kill landed inside a crossing, and a fresh attempt resumes the pending
 // segments.
 func (c *Cluster) KillMigrator() {
-	m := c.mig.Load()
+	m := c.lastMig.Load()
 	if m == nil {
 		return
 	}
@@ -366,10 +350,7 @@ func (m *migration) run() {
 	// checkpoint older than the last resize can carry keys the current
 	// ring places elsewhere; unreachable today, such a key must not be
 	// resurrected when this resize routes its hash back to that shard.
-	// After the sweep the copy protocol owns everything that moves. Must
-	// precede the first cutover: the sweep judges placement by the old
-	// ring, which only stays true of every key until routing starts
-	// flipping segments.
+	// After the sweep the copy protocol owns everything that moves.
 	m.c.purgeRing(m.from)
 
 	var lastErr error
@@ -399,10 +380,10 @@ func (m *migration) run() {
 	m.abort(fmt.Errorf("memcached: migration failed after %d attempts: %w", migMaxAttempts, lastErr))
 }
 
-// attempt copies and cuts over every pending segment with a fresh client
-// identity. Any panic out of the copy machinery (fault points, killed-
-// process paths) is contained here: the attempt fails, the migration —
-// and both shards — survive.
+// attempt copies every segment not yet copied and cuts over, with a fresh
+// client identity. Any panic out of the copy machinery (fault points,
+// killed-process paths) is contained here: the attempt fails, the
+// migration — and both shards — survive.
 func (m *migration) attempt() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -430,7 +411,7 @@ func (m *migration) attempt() (err error) {
 	bySrc := make(map[int][]int)
 	var srcs []int
 	for i, s := range m.segs {
-		if s.doneA.Load() {
+		if s.copied.Load() {
 			continue
 		}
 		if len(bySrc[s.seg.From]) == 0 {
@@ -442,15 +423,18 @@ func (m *migration) attempt() (err error) {
 	for _, src := range srcs {
 		keysBySeg := m.collectKeys(src)
 		for _, si := range bySrc[src] {
-			if m.stopped.Load() {
-				return errMigrationParked
-			}
-			if err := m.copySegment(cli, m.segs[si], keysBySeg[si]); err != nil {
+			s, keys := m.segs[si], keysBySeg[si]
+			if err := m.copyKeys(cli, s, keys, false); err != nil {
 				return fmt.Errorf("segment %d: %w", si, err)
 			}
+			if len(keys) > 0 {
+				// The canonical mid-segment moment: data copied, cutover pending.
+				fpMigrateMidSegment.Maybe()
+			}
+			s.copied.Store(true)
 		}
 	}
-	return nil
+	return m.cutover(cli)
 }
 
 // collectKeys walks source shard src once and buckets every key belonging
@@ -462,7 +446,7 @@ func (m *migration) collectKeys(src int) map[int][][]byte {
 	defer ctx.Close()
 	ctx.ForEach(func(e *core.Entry) bool {
 		i := m.segFor(ring.Hash(e.Key))
-		if i >= 0 && m.segs[i].seg.From == src && !m.segs[i].doneA.Load() {
+		if i >= 0 && m.segs[i].seg.From == src && !m.segs[i].copied.Load() {
 			out[i] = append(out[i], append([]byte(nil), e.Key...))
 		}
 		return true
@@ -470,43 +454,39 @@ func (m *migration) collectKeys(src int) map[int][][]byte {
 	return out
 }
 
-// copySegment bulk-copies keys (collected by the walk) source→destination
-// and then cuts the segment over.
-func (m *migration) copySegment(cli *ClusterSession, s *migSeg, keys [][]byte) error {
-	from, err := cli.sess(s.seg.From)
+// copyKeys moves keys from s's source to its destination, one export/
+// install crossing pair per migBatchSize keys: the bulk copy of the walk's
+// keys, or (recopy) a dirty set, where an export miss is a delete to carry
+// over. Only the bulk copy passes the fault point, which may write through
+// the cluster.
+func (m *migration) copyKeys(cli *ClusterSession, s *migSeg, keys [][]byte, recopy bool) error {
+	t := m.c.top()
+	from, err := cli.sess(t, s.seg.From)
 	if err != nil {
 		return err
 	}
-	to, err := cli.sess(s.seg.To)
+	to, err := cli.sess(t, s.seg.To)
 	if err != nil {
 		return err
 	}
 	for off := 0; off < len(keys); off += migBatchSize {
-		if off > 0 {
+		if off > 0 && !recopy {
 			fpMigrateMidSegment.Maybe()
 		}
 		if m.stopped.Load() {
 			return errMigrationParked
 		}
-		end := off + migBatchSize
-		if end > len(keys) {
-			end = len(keys)
-		}
-		if err := m.copyBatch(from, to, keys[off:end], false); err != nil {
+		if err := m.copyBatch(from, to, keys[off:min(off+migBatchSize, len(keys))], recopy); err != nil {
 			return err
 		}
 	}
-	if len(keys) > 0 {
-		// The canonical mid-segment moment: data copied, cutover pending.
-		fpMigrateMidSegment.Maybe()
-	}
-	return m.cutover(from, to, s)
+	return nil
 }
 
 // copyBatch moves one batch: export on the source (one crossing), install
 // on the destination (one crossing). Export misses are keys deleted since
-// the walk; in recopy mode (the dirty set at cutover) a miss means the
-// source-side write was a delete, which must propagate as a delete.
+// the walk; in recopy mode a miss means the source-side write was a
+// delete, which must propagate as a delete.
 func (m *migration) copyBatch(from, to *Session, keys [][]byte, recopy bool) error {
 	ops := make([]BatchOp, len(keys))
 	for i, k := range keys {
@@ -560,102 +540,110 @@ func (m *migration) copyBatch(from, to *Session, keys [][]byte, recopy bool) err
 	return nil
 }
 
-// cutover flips one segment to its destination. Under the exclusive
-// guard — no client op can be touching the segment — it re-copies the
-// dirty set (writes that landed on the source mid-copy; export misses
-// propagate as deletes) and sets done, atomically switching routing for
-// the segment's whole arc. The deferred unlock keeps both shards
-// reachable even if the recopy crashes: the segment simply stays uncut
-// and the next attempt redoes it.
-func (m *migration) cutover(from, to *Session, s *migSeg) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dmu.Lock()
-	dirty := make([][]byte, 0, len(s.dirty))
-	for k := range s.dirty {
-		dirty = append(dirty, []byte(k))
+// recopy carries every segment's dirty set to its destination. The sets
+// not yet copied when a copy fails, or crashes, are marked again: their
+// keys stay dirty.
+func (m *migration) recopy(cli *ClusterSession) error {
+	dirty, done := make([][][]byte, len(m.segs)), 0
+	for i, s := range m.segs {
+		dirty[i] = s.takeDirty()
 	}
-	s.dmu.Unlock()
-	for off := 0; off < len(dirty); off += migBatchSize {
-		end := off + migBatchSize
-		if end > len(dirty) {
-			end = len(dirty)
+	defer func() {
+		for i := done; i < len(m.segs); i++ {
+			m.segs[i].markDirty(dirty[i]...)
 		}
-		if err := m.copyBatch(from, to, dirty[off:end], true); err != nil {
+	}()
+	for ; done < len(m.segs); done++ {
+		if err := m.copyKeys(cli, m.segs[done], dirty[done], true); err != nil {
 			return err
 		}
 	}
-	s.done = true
-	s.doneA.Store(true)
-	m.c.segsMoved.Add(1)
 	return nil
 }
 
-// finish installs the target ring. Order matters: the topology swap
-// happens before mig clears, so routing is never without a rule set; the
-// manifest advances before the purge, so a crash mid-purge reopens onto
-// the new ring with the marker still there to finish the sweep; the purge
-// deletes every moved key's source copy (and is the reason the swap must
-// come first — after it, no route reaches a source for a moved key).
-func (m *migration) finish() {
+// cutover is the migration's one transition. Every segment is copied, so
+// one recopy round without the lock carries most of the dirty sets; then,
+// under routeMu's write lock, with no client operation in flight, a final
+// round carries what was written meanwhile, ring.json advances, and the
+// topology swaps to the new ring. A failure returns before the swap, so
+// the sources stay authoritative.
+func (m *migration) cutover(cli *ClusterSession) error {
+	if err := m.recopy(cli); err != nil {
+		return err
+	}
 	c := m.c
-	top := c.top().clone()
-	top.ring = m.to
-	c.topo.Store(top)
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	if err := m.recopy(cli); err != nil {
+		return err
+	}
 	if c.cfg.Dir != "" {
 		if err := writeRingManifest(c.cfg.Dir, m.to.Shards(), m.to.VirtualNodes()); err != nil {
-			// Keep serving on the new ring; the stale manifest plus marker
-			// still reopen safely (old placement, swept strays).
-			c.mig.Store(nil)
-			m.err = err
-			close(m.finished)
-			return
+			return err
 		}
 	}
-	c.mig.Store(nil)
-	c.purgeStale()
-	if c.cfg.Dir != "" {
-		removeReshardMarker(c.cfg.Dir)
-	}
-	m.err = nil
-	close(m.finished)
+	next := c.top().clone()
+	next.ring, next.mig = m.to, nil
+	c.topo.Store(next)
+	c.segsMoved.Add(uint64(len(m.segs)))
+	return nil
 }
 
-// abort reverts to the old ring after repeated attempt failures: the
-// sources never lost a byte, so clearing mig restores exact pre-resize
-// routing, and the purge (old ring) deletes whatever partial copies
-// landed on the destinations.
+// finish follows a cutover: the sweep deletes every moved key's source
+// copy. A crash mid-sweep reopens onto the new ring (the manifest advanced
+// first) with the marker still there to finish it.
+func (m *migration) finish() {
+	m.sweep()
+	m.end(nil)
+}
+
+// abort ends the migration on the old ring after repeated attempt
+// failures: the sources never lost a byte, and the sweep deletes whatever
+// copies landed on the destinations.
 func (m *migration) abort(err error) {
-	c := m.c
-	c.mig.Store(nil)
-	c.purgeStale()
-	if c.cfg.Dir != "" {
-		removeReshardMarker(c.cfg.Dir)
-	}
-	m.err = err
-	close(m.finished)
+	m.leave()
+	m.sweep()
+	m.end(err)
 }
 
 // park stops without cleanup (Shutdown): the marker stays so the next
 // OpenCluster sweeps, and the caller is about to flush every shard.
 func (m *migration) park(err error) {
-	m.c.mig.Store(nil)
+	m.leave()
+	m.end(err)
+}
+
+// leave takes the migration out of the topology, which keeps the old ring.
+func (m *migration) leave() { m.c.publish(func(t *topology) { t.mig = nil }) }
+
+// sweep deletes the strays the authoritative ring does not place, then
+// the marker that said there might be some.
+func (m *migration) sweep() {
+	m.c.purgeStale()
+	if m.c.cfg.Dir != "" {
+		removeReshardMarker(m.c.cfg.Dir)
+	}
+}
+
+func (m *migration) end(err error) {
 	m.err = err
 	close(m.finished)
 }
 
 // waitHealthy blocks until every shard's library is out of repair, so a
-// fresh attempt doesn't immediately impale itself on a poisoned gate.
+// fresh attempt doesn't immediately impale itself on a poisoned gate. A
+// poisoned shard ends the wait at once: only a rebuild clears it, and a
+// rebuild waits for the migration.
 func (m *migration) waitHealthy() error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		healthy := true
-		for _, b := range m.c.top().shards {
+		for i, b := range m.c.top().shards {
 			lib := b.Library()
-			if lib.Poisoned() || lib.Recovering() {
-				healthy = false
-				break
+			if lib.Poisoned() {
+				return fmt.Errorf("memcached: shard %d is poisoned", i)
 			}
+			healthy = healthy && !lib.Recovering()
 		}
 		if healthy {
 			return nil

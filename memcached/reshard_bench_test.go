@@ -20,7 +20,7 @@ import (
 //	                  ring pair — the two should agree, pinning that the
 //	                  migrator moves only what the ring says moved
 //	p99-steady-us     client Get p99 before the resize
-//	p99-migrate-us    client Get p99 while segments stream and cut over
+//	p99-migrate-us    client Get p99 while segments stream and the resize cuts over
 func BenchmarkResizeMigration(b *testing.B) {
 	const nKeys = 50_000
 	val := make([]byte, 128)

@@ -47,20 +47,20 @@ func BenchmarkRouteParts(b *testing.B) {
 	})
 	b.Run("allow+report-nil", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := c.shardAllow(sh); err != nil {
+			if err := c.shardAllow(c.top(), sh); err != nil {
 				b.Fatal(err)
 			}
-			c.shardReport(sh, nil)
+			c.shardReport(c.top(), sh, nil)
 		}
 	})
 	b.Run("report-nil", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.shardReport(sh, nil)
+			c.shardReport(c.top(), sh, nil)
 		}
 	})
 	b.Run("report-miss", func(b *testing.B) {
 		// What doShard hands the breaker after a miss.
-		ss, err := s.sess(sh)
+		ss, err := s.sess(c.top(), sh)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,18 +70,18 @@ func BenchmarkRouteParts(b *testing.B) {
 			b.Fatalf("miss = %v", res.Err)
 		}
 		for i := 0; i < b.N; i++ {
-			c.shardReport(sh, cerr)
+			c.shardReport(c.top(), sh, cerr)
 		}
 	})
 	b.Run("sess", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.sess(sh); err != nil {
+			if _, err := s.sess(c.top(), sh); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("session-get", func(b *testing.B) {
-		ss, _ := s.sess(sh)
+		ss, _ := s.sess(c.top(), sh)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := ss.Get(key); err != nil {

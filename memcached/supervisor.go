@@ -193,23 +193,23 @@ func (c *Cluster) breakerCooldown() time.Duration {
 	return time.Second
 }
 
-// shardAllow is the data path's pre-crossing check: on the healthy path
-// one load of the breaker word after the topology's, which
-// BenchmarkRouteParts prices together with shardReport(nil). Callers that
-// get nil must hand the crossing's error — not the op's own outcome — to
-// shardReport.
-func (c *Cluster) shardAllow(i int) error {
-	br := &c.shardHealth(i).br
+// shardAllow is the data path's pre-crossing check against shard i of the
+// operation's topology t: on the healthy path one load of the breaker
+// word, which BenchmarkRouteParts prices together with shardReport(nil).
+// Callers that get nil must hand the crossing's error — not the op's own
+// outcome — to shardReport.
+func (c *Cluster) shardAllow(t *topology, i int) error {
+	br := &t.health[i].br
 	if w := br.word.Load(); w != brClosed {
-		return c.refuse(i, br, w)
+		return c.refuse(t, i, br, w)
 	}
 	return nil
 }
 
 // refuse is shardAllow off the healthy path. When the probe is due it
 // hands it to this caller; everyone else fails fast.
-func (c *Cluster) refuse(i int, br *shardBreaker, w int64) error {
-	if now := c.now(); c.probeDue(i, w, now) &&
+func (c *Cluster) refuse(t *topology, i int, br *shardBreaker, w int64) error {
+	if now := c.now(); c.probeDue(t.shards[i], w, now) &&
 		br.word.CompareAndSwap(w, now<<brStampShift|w&brPoisoned|brProbe) {
 		br.probes.Add(1)
 		return nil
@@ -221,12 +221,12 @@ func (c *Cluster) refuse(i int, br *shardBreaker, w int64) error {
 // probeDue reports whether word w hands the probe to a caller refused at
 // now: an open breaker past its cooldown, or a probe that has not reported
 // for as long (its caller died or is parked mid-crossing). Never while the
-// shard's store is poisoned: only a rebuild closes that breaker.
-func (c *Cluster) probeDue(i int, w, now int64) bool {
+// shard's store b is poisoned: only a rebuild closes that breaker.
+func (c *Cluster) probeDue(b *Bookkeeper, w, now int64) bool {
 	st := w & brStateMask
 	return (st == brOpen || st == brProbe) &&
 		now-w>>brStampShift >= int64(c.breakerCooldown()) &&
-		!c.top().shards[i].Library().Poisoned()
+		!b.Library().Poisoned()
 }
 
 // shardReport feeds one crossing's verdict into shard i's breaker: nil for
@@ -235,8 +235,8 @@ func (c *Cluster) probeDue(i int, w, now int64) bool {
 // reopens a probing breaker, restarting the cooldown; a closed one trips on
 // poison or on the BreakerThreshold-th consecutive failure. A rebuild owns
 // the word, so reports against it are dropped.
-func (c *Cluster) shardReport(i int, err error) {
-	br := &c.shardHealth(i).br
+func (c *Cluster) shardReport(t *topology, i int, err error) {
+	br := &t.health[i].br
 	if !crossingFailure(err) {
 		if br.fails.Load() != 0 {
 			br.fails.Store(0)
@@ -313,12 +313,10 @@ func (c *Cluster) rebuildShard(i int) error {
 	// Exclude a concurrent resize: both reshape the topology. A live
 	// migration keeps the shard set in flux — park until it finishes
 	// (the poisoned shard keeps failing fast behind its open breaker).
-	// Checked under resizeMu: Resize installs the migration while holding
-	// the same lock, so a check before Lock() could race a Resize that
-	// slips in between and leave the rebuild swapping topology mid-flight.
+	// Checked under resizeMu, which Resize holds while it starts one.
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
-	if c.mig.Load() != nil {
+	if m := c.lastMig.Load(); m != nil && m.active() {
 		return fmt.Errorf("memcached: shard %d rebuild deferred: migration in flight", i)
 	}
 
@@ -368,14 +366,9 @@ func (c *Cluster) rebuildShard(i int) error {
 	nb.Store().SeedCAS(max(preCAS, shardCASBase(i)) + casRebuildGap)
 	c.install(nb, i)
 
-	// Re-attach under the routing barrier: one write-locked pointer swap,
-	// the same discipline Resize uses. Survivors never see a torn view.
-	// The shard keeps its lifecycle record.
-	c.routeMu.Lock()
-	next := c.top().clone()
-	next.shards[i] = nb
-	c.topo.Store(next)
-	c.routeMu.Unlock()
+	// Re-attach under the routing barrier: survivors never see a torn
+	// view. The shard keeps its lifecycle record.
+	c.publish(func(t *topology) { t.shards[i] = nb })
 
 	// If the shard came back empty, persist that fact immediately: the
 	// seeded generation makes this image outrank the stale candidates,
@@ -448,13 +441,13 @@ type ShardStatus struct {
 // breakerName is what /admin/shards calls breaker word w: an open breaker
 // whose next refused caller would take the probe reads "half-open", and a
 // rebuild's word reads "open".
-func (c *Cluster) breakerName(i int, w, now int64) string {
+func (c *Cluster) breakerName(b *Bookkeeper, w, now int64) string {
 	switch {
 	case w == brClosed:
 		return "closed"
 	case w&brStateMask == brProbe:
 		return "probe"
-	case w&brStateMask == brOpen && c.probeDue(i, w, now):
+	case w&brStateMask == brOpen && c.probeDue(b, w, now):
 		return "half-open"
 	}
 	return "open"
@@ -462,14 +455,14 @@ func (c *Cluster) breakerName(i int, w, now int64) string {
 
 // ShardStatuses snapshots every shard's lifecycle state.
 func (c *Cluster) ShardStatuses() []ShardStatus {
-	health := c.top().health
-	out := make([]ShardStatus, len(health))
+	t := c.top()
+	out := make([]ShardStatus, len(t.health))
 	now := c.now()
-	for i, h := range health {
+	for i, h := range t.health {
 		out[i] = ShardStatus{
 			Shard:         i,
 			State:         c.State(i),
-			Breaker:       c.breakerName(i, h.br.word.Load(), now),
+			Breaker:       c.breakerName(t.shards[i], h.br.word.Load(), now),
 			Rebuilds:      h.rebuilds.Load(),
 			RebuiltEmpty:  h.rebuiltEmpty.Load(),
 			RebuiltAtOpen: h.rebuiltAtOpen.Load(),

@@ -296,19 +296,19 @@ func TestBreakerStateMachine(t *testing.T) {
 	clk := stepClock(c)
 	step := func(d time.Duration) { clk.Add(int64(d)) }
 
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("closed breaker refused: %v", err)
 	}
-	c.shardReport(0, nil)
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, nil)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	if breakerOf(c, 0) != "closed" {
 		t.Fatal("one failure below threshold opened the breaker")
 	}
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	if breakerOf(c, 0) != "open" {
 		t.Fatal("threshold run of failures did not open the breaker")
 	}
-	err := c.shardAllow(0)
+	err := c.shardAllow(c.top(), 0)
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("open breaker allow = %v, want ErrShardDown", err)
 	}
@@ -326,7 +326,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	// The cooldown runs from the trip: a refusal inside it holds the
 	// breaker open, and past it the breaker is half-open.
 	step(49 * time.Millisecond)
-	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "open" {
+	if err := c.shardAllow(c.top(), 0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "open" {
 		t.Fatalf("inside the cooldown: allow = %v, breaker %s", err, breakerOf(c, 0))
 	}
 	step(2 * time.Millisecond)
@@ -335,14 +335,14 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Exactly one probe; the loser fails fast.
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("probe slot refused: %v", err)
 	}
-	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) {
+	if err := c.shardAllow(c.top(), 0); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("second caller during probe = %v, want fast-fail", err)
 	}
 	// Failed probe: straight back to open, cooldown restarted.
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	if breakerOf(c, 0) != "open" {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
@@ -354,16 +354,16 @@ func TestBreakerStateMachine(t *testing.T) {
 	if breakerOf(c, 0) != "half-open" {
 		t.Fatal("breaker did not half-open after the failed probe's cooldown")
 	}
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
-	c.shardReport(0, ErrNotFound) // a per-key verdict is a healthy crossing
+	c.shardReport(c.top(), 0, ErrNotFound) // a per-key verdict is a healthy crossing
 	if breakerOf(c, 0) != "closed" {
 		t.Fatal("clean probe did not close the breaker")
 	}
 
 	// Poison trips instantly, threshold notwithstanding.
-	c.shardReport(0, hodor.ErrPoisoned)
+	c.shardReport(c.top(), 0, hodor.ErrPoisoned)
 	if breakerOf(c, 0) != "open" {
 		t.Fatal("poison verdict did not trip the breaker")
 	}
@@ -380,7 +380,7 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestBreakerOneProbeUnderContention(t *testing.T) {
 	c := newTestCluster(t, 1, ClusterConfig{BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond})
 	clk := stepClock(c)
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	clk.Add(int64(time.Second))
 	var admitted atomic.Int64
 	var wg sync.WaitGroup
@@ -389,7 +389,7 @@ func TestBreakerOneProbeUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if c.shardAllow(0) == nil {
+				if c.shardAllow(c.top(), 0) == nil {
 					admitted.Add(1)
 				}
 			}
@@ -408,11 +408,11 @@ func TestBreakerHealthyPathReadsNoClock(t *testing.T) {
 	var reads atomic.Int64
 	c.now = func() int64 { return reads.Add(1) }
 	for i := 0; i < 100; i++ {
-		if err := c.shardAllow(0); err != nil {
+		if err := c.shardAllow(c.top(), 0); err != nil {
 			t.Fatalf("closed breaker refused: %v", err)
 		}
-		c.shardReport(0, nil)
-		c.shardReport(0, ErrNotFound)
+		c.shardReport(c.top(), 0, nil)
+		c.shardReport(c.top(), 0, ErrNotFound)
 	}
 	if n := reads.Load(); n != 0 {
 		t.Fatalf("healthy path read the clock %d times", n)
@@ -451,7 +451,7 @@ func TestProxyTrafficClosesHalfOpenBreaker(t *testing.T) {
 	}
 	k0 := keyOwnedBy(t, c, 0, "probe")
 
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	if got := get(k0); got != "SERVER_ERROR shard 0 recovering" {
 		t.Fatalf("get behind the open breaker = %q", got)
 	}
@@ -478,9 +478,9 @@ func TestBreakerStaleProbeTimesOut(t *testing.T) {
 	clk := stepClock(c)
 	step := func(d time.Duration) { clk.Add(int64(d)) }
 
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	step(100 * time.Millisecond)
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("probe refused: %v", err)
 	}
 	if breakerOf(c, 0) != "probe" {
@@ -490,24 +490,24 @@ func TestBreakerStaleProbeTimesOut(t *testing.T) {
 	// The probe never reports. Inside one cooldown of its admission every
 	// other caller is refused and the probe stands.
 	step(10 * time.Millisecond)
-	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "probe" {
+	if err := c.shardAllow(c.top(), 0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "probe" {
 		t.Fatalf("refusal beside a live probe = %v, breaker %s", err, breakerOf(c, 0))
 	}
 	step(39 * time.Millisecond)
-	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "probe" {
+	if err := c.shardAllow(c.top(), 0); !errors.Is(err, ErrShardDown) || breakerOf(c, 0) != "probe" {
 		t.Fatalf("probe timed out inside the cooldown window: %v, breaker %s", err, breakerOf(c, 0))
 	}
 
 	// A cooldown after its admission the stale probe goes to a fresh
 	// caller, which closes the breaker cleanly.
 	step(time.Millisecond)
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("fresh probe refused: %v", err)
 	}
 	if n := h.br.probes.Load(); n != 2 {
 		t.Fatalf("probes = %d, want the stale one and its successor", n)
 	}
-	c.shardReport(0, nil)
+	c.shardReport(c.top(), 0, nil)
 	if breakerOf(c, 0) != "closed" {
 		t.Fatal("fresh probe did not close the breaker")
 	}
@@ -521,26 +521,26 @@ func TestUnsupervisedBreakerRecovers(t *testing.T) {
 	c := newTestCluster(t, 1, cfg)
 	clk := stepClock(c)
 
-	c.shardReport(0, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 0, hodor.ErrRecoveryTimeout)
 	if breakerOf(c, 0) != "open" {
 		t.Fatal("failure did not open the breaker")
 	}
 	clk.Add(int64(19 * time.Millisecond))
-	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) {
+	if err := c.shardAllow(c.top(), 0); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("refusal = %v, want ErrShardDown", err)
 	}
 	clk.Add(int64(time.Millisecond))
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("breaker never half-opened without a supervisor: %v", err)
 	}
-	c.shardReport(0, nil)
+	c.shardReport(c.top(), 0, nil)
 	if breakerOf(c, 0) != "closed" {
 		t.Fatal("clean probe did not close the breaker")
 	}
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("allow after unsupervised recovery: %v", err)
 	}
-	c.shardReport(0, nil)
+	c.shardReport(c.top(), 0, nil)
 }
 
 // An open breaker on a poisoned store is refused past any number of
@@ -590,20 +590,20 @@ func TestBreakerStragglerPoisonHeals(t *testing.T) {
 	c := newTestCluster(t, 1, ClusterConfig{BreakerCooldown: 50 * time.Millisecond})
 	clk := stepClock(c)
 
-	c.shardReport(0, hodor.ErrPoisoned)
-	err := c.shardAllow(0)
+	c.shardReport(c.top(), 0, hodor.ErrPoisoned)
+	err := c.shardAllow(c.top(), 0)
 	if f, _ := ShardDownFrame(err); f != "shard 0 rebuilding" || !errors.Is(err, hodor.ErrPoisoned) {
 		t.Fatalf("allow after a poison verdict = %v, want the rebuilding fast-fail", err)
 	}
 	clk.Add(int64(49 * time.Millisecond))
-	if err := c.shardAllow(0); !errors.Is(err, ErrShardDown) {
+	if err := c.shardAllow(c.top(), 0); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("allow inside the cooldown = %v, want a fast-fail", err)
 	}
 	clk.Add(int64(time.Millisecond))
-	if err := c.shardAllow(0); err != nil {
+	if err := c.shardAllow(c.top(), 0); err != nil {
 		t.Fatalf("probe against the healthy store refused: %v", err)
 	}
-	c.shardReport(0, nil)
+	c.shardReport(c.top(), 0, nil)
 	if st := breakerOf(c, 0); st != "closed" {
 		t.Fatalf("breaker after the clean probe = %s, want closed", st)
 	}
@@ -661,7 +661,7 @@ func TestShardAllowFastFailsWhileRebuilding(t *testing.T) {
 	if st := c.ShardStatuses()[1]; st.State != ShardRebuilding || st.Breaker != "open" {
 		t.Fatalf("/admin/shards during the rebuild = %+v, want rebuilding behind an open breaker", st)
 	}
-	err := c.shardAllow(1)
+	err := c.shardAllow(c.top(), 1)
 	if !errors.Is(err, ErrShardDown) || !errors.Is(err, hodor.ErrPoisoned) {
 		t.Fatalf("allow during rebuild = %v", err)
 	}
@@ -672,7 +672,7 @@ func TestShardAllowFastFailsWhileRebuilding(t *testing.T) {
 		t.Fatal("fast-fail not counted")
 	}
 	h.br.word.Store(brClosed)
-	if err := c.shardAllow(1); err != nil {
+	if err := c.shardAllow(c.top(), 1); err != nil {
 		t.Fatalf("allow after the rebuild closed the word: %v", err)
 	}
 	if st := c.ShardStatuses()[1]; st.State != ShardHealthy || st.Breaker != "closed" || c.State(1) != ShardHealthy {
@@ -873,7 +873,7 @@ func TestProxyFlushAllFailsBehindOpenBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c.shardReport(1, hodor.ErrRecoveryTimeout)
+	c.shardReport(c.top(), 1, hodor.ErrRecoveryTimeout)
 	for _, proto := range []client.Protocol{client.Binary, client.ASCII} {
 		cl, err := client.Dial("tcp", srv.Addr().String(), proto)
 		if err != nil {

@@ -3,10 +3,10 @@ package plibmc
 // Live-resharding verification (ISSUE 9).
 //
 //   - TestModelCheckResize: the sharded mixed torture run with a live
-//     4→6 resize injected mid-flight. Every op routes through the
-//     dual-ring layer while segments stream and cut over; the merged
-//     history must linearize exactly and no client may see a single
-//     crash-grade error.
+//     4→6 resize injected mid-flight. Every op routes by the old ring
+//     while segments stream, and by the new one after the cutover; the
+//     merged history must linearize exactly and no client may see a
+//     single crash-grade error.
 //   - TestResizeCrashIsolation: the migrator is killed mid-segment
 //     (migrate.mid_segment), and in a second round crashes *inside* a
 //     gate crossing (ops.batch.mid_dispatch) so a shard must repair
@@ -36,11 +36,11 @@ import (
 
 // TestModelCheckResize: the cluster torture workload of
 // TestModelCheckSharded with a Resize(4→6) launched while the workers
-// are mid-flight. The dual-ring routing layer must keep every key's
-// history linearizable across segment cutovers: a key is served by its
-// old shard until its segment's final recopy completes under the
-// exclusive guard, and by its new shard after — never neither, never
-// both. FlushAll stays excluded, as in the steady-state sharded run.
+// are mid-flight. Every key's history must stay linearizable across the
+// cutover: a key is served by its old shard until the final recopy
+// completes under routeMu's write lock, and by its new shard after —
+// never neither, never both. FlushAll stays excluded, as in the
+// steady-state sharded run.
 func TestModelCheckResize(t *testing.T) {
 	opBudget := *modelcheckOps
 	if testing.Short() {
@@ -89,7 +89,7 @@ func TestModelCheckResize(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				ok := w.step(keys, false)
 				if ok && w.rng.Intn(4) == 0 {
-					ok = w.doBatch(keys) // batches hold several segment guards at once
+					ok = w.doBatch(keys) // batches span several moving segments at once
 				}
 				if !ok {
 					w.t.Errorf("worker %d died", w.id)

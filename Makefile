@@ -42,18 +42,19 @@ unsafecheck:
 # every front end's wire tables — lone vs pipelined, the malformed-input
 # table, no alias of the read window kept past its run, the zero-allocation
 # pin on the server path, failed crossings as server errors, a crash under
-# a connection repaired online, and connection churn bounded by the
-# servers' session pools — all under the race detector,
+# a connection repaired online, connection churn bounded by the
+# servers' session pools, and the KV conformance table over every session
+# type and every server in both protocols — all under the race detector,
 # which is what would see a command used after its window moved on.
 wirecheck:
 	$(GO) test -race -count=1 ./internal/protocol ./internal/client ./internal/server
-	$(GO) test -race -count=1 -run 'TestWire|TestMalformed|TestServe' . ./memcached
+	$(GO) test -race -count=1 -run 'TestWire|TestMalformed|TestServe|TestKVConformance' . ./memcached
 
 # Explore from the seed corpora, 30 s a target (the seeds themselves run
 # in every plain `go test`). A failing input is written under
 # internal/protocol/testdata/fuzz/: commit it with the fix.
 fuzz:
-	for f in FuzzBinaryCommand FuzzASCIICommand FuzzBinaryReply FuzzServeConnChunking; do \
+	for f in FuzzBinaryCommand FuzzASCIICommand FuzzBinaryReply FuzzASCIIReply FuzzServeConnChunking; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=30s ./internal/protocol || exit 1; \
 	done
 
@@ -100,11 +101,12 @@ shardcheck:
 # the resized manifest wins over a stale config on reopen, a grown
 # shard runs the cluster's maintenance and checkpoint loops, so a crash
 # after a grow reopens every key, a resize that aborts, parks or cannot
-# write its manifest loses no acknowledged write, and a resize is refused
-# while a shard is poisoned — all under the race detector.
+# write its manifest loses no acknowledged write, a resize is refused
+# while a shard is poisoned, and a shard poisoned mid-resize ends the
+# resize instead of wedging it — all under the race detector.
 reshardcheck:
 	$(GO) test -race -count=1 -short -run 'TestModelCheckResize|TestResizeCrashIsolation|TestClusterReopenAfterResize' .
-	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure|TestResizedShardsRunClusterLoops|TestReopenAfterGrowWithoutShutdown|TestResizeAbortKeepsWrites|TestResizeParkKeepsWrites|TestResizeManifestFailureKeepsWrites|TestResizeRefusesPoisonedShard' ./memcached
+	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure|TestResizedShardsRunClusterLoops|TestReopenAfterGrowWithoutShutdown|TestResizeAbortKeepsWrites|TestResizeParkKeepsWrites|TestResizeManifestFailureKeepsWrites|TestResizeRefusesPoisonedShard|TestResizeAbortsOnShardPoisonedMidMigration' ./memcached
 	$(GO) test -race -count=1 ./internal/ring
 
 # The shard-lifecycle gate (DESIGN.md §16): an unrepairable crash poisons
@@ -113,13 +115,14 @@ reshardcheck:
 # errors and their merged history linearizes exactly, the rebuilt shard
 # reopens from its checkpoint and serves fresh writes past the dead
 # heap's CAS mark — plus the breaker state machine, the degraded open,
-# the fail-fast frames on the proxy wire, proxy traffic probing and closing
+# the fail-fast frames on the proxy wire (read back by a socket session as
+# failures naming the shard), proxy traffic probing and closing
 # a half-open breaker, and the session-pool recovery classification, all
 # under the race detector. The survivor-latency half
 # of the claim is a self-gated benchmark (2x the quiet-baseline p99).
 survivecheck:
 	$(GO) test -race -count=1 -run 'TestSurviveCheck' .
-	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestProxyFlushAllFailsBehindOpenBreaker|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
+	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestProxyFlushAllFailsBehindOpenBreaker|TestSocketSessionNamesPoisonedShard|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
 	$(GO) test -run xxx -bench BenchmarkRebuildSurvivor -benchtime 1x .
 
 # The disk-fault gate (DESIGN.md §16): inject EIO/ENOSPC/torn-rename at

@@ -14,14 +14,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"plibmc/internal/client"
 	"plibmc/internal/core"
 	"plibmc/internal/model"
 	"plibmc/internal/protocol"
+	"plibmc/internal/server"
 	"plibmc/memcached"
 )
 
@@ -70,8 +73,69 @@ func conformanceKVs(t *testing.T) map[string]memcached.KV {
 	return kvs
 }
 
+// socketKVs builds a SocketSession over each of the three servers — the
+// baseline, the hybrid front end and the cluster proxy — in each protocol,
+// every one over its own fresh server.
+func socketKVs(t *testing.T) map[string]memcached.KV {
+	t.Helper()
+	cfg := memcached.Config{HeapBytes: 16 << 20, HashPower: 10}
+	servers := map[string]func(sock string) net.Addr{
+		"baseline": func(sock string) net.Addr {
+			srv, err := server.New(server.Config{Network: "unix", Addr: sock, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve()
+			t.Cleanup(srv.Close)
+			return srv.Addr()
+		},
+		"hybrid": func(sock string) net.Addr {
+			book, err := memcached.CreateStore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { book.Shutdown() })
+			rs, err := book.ServeRemote("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rs.Close)
+			return rs.Addr()
+		},
+		"proxy": func(sock string) net.Addr {
+			c, err := memcached.CreateCluster(memcached.ClusterConfig{Shards: 4, Store: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Shutdown() })
+			cs, err := c.ServeRemote("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cs.Close)
+			return cs.Addr()
+		},
+	}
+	kvs := map[string]memcached.KV{}
+	dir := t.TempDir()
+	for name, start := range servers {
+		for proto, wire := range map[string]client.Protocol{"ascii": client.ASCII, "binary": client.Binary} {
+			addr := start(filepath.Join(dir, name+"-"+proto+".sock"))
+			c, err := client.Dial("unix", addr.String(), wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			kvs[name+"-"+proto] = memcached.NewSocketSession(c)
+		}
+	}
+	return kvs
+}
+
 func TestKVConformance(t *testing.T) {
-	for name, kv := range conformanceKVs(t) {
+	kvs := conformanceKVs(t)
+	maps.Copy(kvs, socketKVs(t))
+	for name, kv := range kvs {
 		t.Run(name, func(t *testing.T) { testKV(t, kv) })
 	}
 }

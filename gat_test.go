@@ -69,7 +69,8 @@ func TestGATOverWireBothProtocols(t *testing.T) {
 		if err := c.Set([]byte("k"), []byte("wire-value"), 3, 10); err != nil {
 			t.Fatal(err)
 		}
-		v, flags, _, err := c.GetAndTouch([]byte("k"), 500)
+		kv := memcached.NewSocketSession(c)
+		v, flags, err := kv.GetAndTouch([]byte("k"), 500)
 		if err != nil || string(v) != "wire-value" || flags != 3 {
 			t.Fatalf("proto %d: gat = %q %d %v", proto, v, flags, err)
 		}
@@ -77,8 +78,8 @@ func TestGATOverWireBothProtocols(t *testing.T) {
 		if _, _, _, err := c.Get([]byte("k")); err != nil {
 			t.Fatalf("proto %d: expiry not extended over the wire: %v", proto, err)
 		}
-		if _, _, _, err := c.GetAndTouch([]byte("missing"), 10); err == nil {
-			t.Fatalf("proto %d: gat on missing should fail", proto)
+		if _, _, err := kv.GetAndTouch([]byte("missing"), 10); !errors.Is(err, memcached.ErrNotFound) {
+			t.Fatalf("proto %d: gat on missing = %v", proto, err)
 		}
 		now = 5000
 		c.Close()
@@ -123,7 +124,7 @@ func TestGATHybridAndSessionAndCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	rv, _, _, err := rc.GetAndTouch([]byte("k"), 2000)
+	rv, _, err := memcached.NewSocketSession(rc).GetAndTouch([]byte("k"), 2000)
 	if err != nil || string(rv) != "v" {
 		t.Fatalf("hybrid gat = %q, %v", rv, err)
 	}

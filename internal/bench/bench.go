@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -121,7 +122,7 @@ func NewFixture(kind Kind, opts Options) (*Fixture, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &sockKV{c}, nil
+				return &kvThread{memcached.NewSocketSession(c), func() { c.Close() }}, nil
 			},
 			Close: srv.Close,
 		}, nil
@@ -158,7 +159,7 @@ func NewFixture(kind Kind, opts Options) (*Fixture, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &plibKV{s}, nil
+				return &kvThread{s, s.Close}, nil
 			},
 			CoreStats: b.Stats,
 			LibMetrics: func() hodor.Metrics {
@@ -173,33 +174,24 @@ func NewFixture(kind Kind, opts Options) (*Fixture, error) {
 	return nil, fmt.Errorf("bench: unknown kind %d", kind)
 }
 
-type sockKV struct{ c *client.Client }
+// kvThread is one benchmark thread's handle: a socket or a library
+// session behind the one API.
+type kvThread struct {
+	kv    memcached.KV
+	close func()
+}
 
-func (s *sockKV) Get(key []byte) error {
-	_, _, _, err := s.c.Get(key)
+func (t *kvThread) Get(key []byte) error {
+	_, _, err := t.kv.Get(key)
 	return err
 }
-func (s *sockKV) Set(key, value []byte) error { return s.c.Set(key, value, 0, 0) }
-func (s *sockKV) Delete(key []byte) error     { return s.c.Delete(key) }
-func (s *sockKV) Incr(key []byte, d uint64) error {
-	_, err := s.c.Increment(key, d)
+func (t *kvThread) Set(key, value []byte) error { return t.kv.Set(key, value, 0, 0) }
+func (t *kvThread) Delete(key []byte) error     { return t.kv.Delete(key) }
+func (t *kvThread) Incr(key []byte, d uint64) error {
+	_, err := t.kv.Increment(key, d)
 	return err
 }
-func (s *sockKV) Close() { s.c.Close() }
-
-type plibKV struct{ s *memcached.Session }
-
-func (p *plibKV) Get(key []byte) error {
-	_, _, err := p.s.Get(key)
-	return err
-}
-func (p *plibKV) Set(key, value []byte) error { return p.s.Set(key, value, 0, 0) }
-func (p *plibKV) Delete(key []byte) error     { return p.s.Delete(key) }
-func (p *plibKV) Incr(key []byte, d uint64) error {
-	_, err := p.s.Increment(key, d)
-	return err
-}
-func (p *plibKV) Close() { p.s.Close() }
+func (t *kvThread) Close() { t.close() }
 
 // Preload stores the workload's record set through one thread handle.
 func Preload(f *Fixture, w ycsb.Workload) error {
@@ -328,7 +320,7 @@ func Throughput(f *Fixture, w ycsb.Workload, threads int, dur time.Duration) (fl
 				if kind == ycsb.OpRead {
 					// A miss is a valid YCSB outcome (evicted record);
 					// only transport/store failures abort the run.
-					if err := t.Get(key); err != nil && !isMiss(err) {
+					if err := t.Get(key); err != nil && !errors.Is(err, memcached.ErrNotFound) {
 						errCh <- err
 						return
 					}

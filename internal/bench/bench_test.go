@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"plibmc/internal/ycsb"
+	"plibmc/memcached"
 )
 
 func TestFixturesAllKinds(t *testing.T) {
@@ -35,7 +37,7 @@ func TestFixturesAllKinds(t *testing.T) {
 			if err := th.Delete([]byte("k")); err != nil {
 				t.Fatal(err)
 			}
-			if err := th.Get([]byte("k")); err == nil || !isMiss(err) {
+			if err := th.Get([]byte("k")); !errors.Is(err, memcached.ErrNotFound) {
 				t.Fatalf("expected miss, got %v", err)
 			}
 		})

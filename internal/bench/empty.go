@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -13,18 +12,7 @@ import (
 	"plibmc/internal/pku"
 	"plibmc/internal/proc"
 	"plibmc/internal/shm"
-	"plibmc/memcached"
 )
-
-// isMiss reports whether err is a key-not-found outcome rather than a
-// failure of the system under test.
-func isMiss(err error) bool {
-	if errors.Is(err, memcached.ErrNotFound) {
-		return true
-	}
-	// The socket client renders statuses as text.
-	return err != nil && (err.Error() == "memcached: NOT_FOUND")
-}
 
 // The §2 microbenchmarks: "an empty call into a Hodor library takes about
 // 40 ns … about two orders of magnitude faster than an empty messaging

@@ -1,8 +1,9 @@
-// Package client is the socket client for the baseline server: the role of
-// libmemcached. It speaks either wire protocol over a single connection,
-// and implements multi-get batching (quiet gets terminated by a noop) —
-// the paper notes that "much of the client library is devoted to batching
-// of requests" precisely because each round trip is so expensive.
+// Package client is the socket transport for the baseline server: the
+// wire half of libmemcached. It speaks either wire protocol over a single
+// connection: one command per round trip (Do), or many in one write
+// (Pipeline) — the paper notes that "much of the client library is devoted
+// to batching of requests" precisely because each round trip is so
+// expensive. The key-value verbs over it are memcached.SocketSession's.
 //
 // A Client corresponds to a memcached_st: it is not safe for concurrent
 // use; create one per client thread.
@@ -170,29 +171,72 @@ func (c *Client) armDeadline() {
 	}
 }
 
-// roundTrip sends one command and reads its reply.
-func (c *Client) roundTrip(cmd *protocol.Command) (*protocol.Reply, error) {
+// Do sends one command and reads its reply. A failure of the transport
+// or of the reply's parse closes the connection (see Pipeline).
+func (c *Client) Do(cmd *protocol.Command) (*protocol.Reply, error) {
 	c.armDeadline()
-	if c.proto == Binary {
-		if err := protocol.WriteBinaryCommand(c.w, cmd); err != nil {
-			return nil, err
-		}
-		if err := c.w.Flush(); err != nil {
-			return nil, err
-		}
-		if cmd.Op == protocol.OpStats {
-			return c.readBinaryStats()
-		}
-		rep, _, err := protocol.ReadBinaryReply(c.r)
-		return rep, err
+	err := c.write(cmd)
+	if err == nil {
+		err = c.w.Flush()
 	}
-	if err := protocol.WriteASCIICommand(c.w, cmd); err != nil {
-		return nil, err
+	var rep *protocol.Reply
+	if err == nil {
+		rep, err = c.read(cmd)
+	}
+	if err != nil {
+		return nil, c.fail(err)
+	}
+	return rep, nil
+}
+
+// Pipeline sends cmds in one write and one flush, then reads their
+// replies in order into reps, which must have room for one per command.
+// No command may be quiet: each must be answered. A failure of the
+// transport, or a reply that does not parse, closes the connection, since
+// the replies still in flight would otherwise answer the next call;
+// Reconnect starts afresh.
+func (c *Client) Pipeline(cmds []protocol.Command, reps []*protocol.Reply) error {
+	c.armDeadline()
+	for i := range cmds {
+		if err := c.write(&cmds[i]); err != nil {
+			return c.fail(err)
+		}
 	}
 	if err := c.w.Flush(); err != nil {
-		return nil, err
+		return c.fail(err)
 	}
-	return protocol.ReadASCIIReply(c.r, cmd)
+	for i := range cmds {
+		rep, err := c.read(&cmds[i])
+		if err != nil {
+			return c.fail(err)
+		}
+		reps[i] = rep
+	}
+	return nil
+}
+
+// fail closes the connection after err left it out of step, and returns err.
+func (c *Client) fail(err error) error {
+	c.conn.Close() //nolint:errcheck
+	return err
+}
+
+func (c *Client) write(cmd *protocol.Command) error {
+	if c.proto == Binary {
+		return protocol.WriteBinaryCommand(c.w, cmd)
+	}
+	return protocol.WriteASCIICommand(c.w, cmd)
+}
+
+func (c *Client) read(cmd *protocol.Command) (*protocol.Reply, error) {
+	if c.proto == ASCII {
+		return protocol.ReadASCIIReply(c.r, cmd)
+	}
+	if cmd.Op == protocol.OpStats {
+		return c.readBinaryStats()
+	}
+	rep, _, err := protocol.ReadBinaryReply(c.r)
+	return rep, err
 }
 
 func (c *Client) readBinaryStats() (*protocol.Reply, error) {
@@ -211,7 +255,7 @@ func (c *Client) readBinaryStats() (*protocol.Reply, error) {
 
 // Get fetches one key.
 func (c *Client) Get(key []byte) (value []byte, flags uint32, cas uint64, err error) {
-	rep, err := c.roundTrip(&protocol.Command{Op: protocol.OpGet, Key: key})
+	rep, err := c.Do(&protocol.Command{Op: protocol.OpGet, Key: key})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -223,101 +267,16 @@ func (c *Client) Get(key []byte) (value []byte, flags uint32, cas uint64, err er
 
 // Set stores a value unconditionally.
 func (c *Client) Set(key, value []byte, flags uint32, exptime int64) error {
-	return c.simpleStore(protocol.OpSet, key, value, flags, exptime, 0)
-}
-
-// Add stores only if the key is absent.
-func (c *Client) Add(key, value []byte, flags uint32, exptime int64) error {
-	return c.simpleStore(protocol.OpAdd, key, value, flags, exptime, 0)
-}
-
-// Replace stores only if the key is present.
-func (c *Client) Replace(key, value []byte, flags uint32, exptime int64) error {
-	return c.simpleStore(protocol.OpReplace, key, value, flags, exptime, 0)
-}
-
-// CAS stores only if the generation matches.
-func (c *Client) CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	return c.simpleStore(protocol.OpCAS, key, value, flags, exptime, cas)
-}
-
-// Append concatenates after the existing value.
-func (c *Client) Append(key, value []byte) error {
-	return c.simpleStore(protocol.OpAppend, key, value, 0, 0, 0)
-}
-
-// Prepend concatenates before the existing value.
-func (c *Client) Prepend(key, value []byte) error {
-	return c.simpleStore(protocol.OpPrepend, key, value, 0, 0, 0)
-}
-
-func (c *Client) simpleStore(op protocol.Op, key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	return c.exec(&protocol.Command{
-		Op: op, Key: key, Value: value, Flags: flags, Exptime: exptime, CAS: cas,
-	})
-}
-
-// exec runs a command whose reply carries only its status.
-func (c *Client) exec(cmd *protocol.Command) error {
-	rep, err := c.roundTrip(cmd)
+	rep, err := c.Do(&protocol.Command{Op: protocol.OpSet, Key: key, Value: value, Flags: flags, Exptime: exptime})
 	if err == nil && rep.Status != protocol.StatusOK {
 		err = statusErr(rep.Status)
 	}
 	return err
 }
 
-// Delete removes a key.
-func (c *Client) Delete(key []byte) error {
-	return c.exec(&protocol.Command{Op: protocol.OpDelete, Key: key})
-}
-
-// Increment adds delta to a numeric value.
-func (c *Client) Increment(key []byte, delta uint64) (uint64, error) {
-	return c.incrDecr(protocol.OpIncr, key, delta)
-}
-
-// Decrement subtracts delta, saturating at zero.
-func (c *Client) Decrement(key []byte, delta uint64) (uint64, error) {
-	return c.incrDecr(protocol.OpDecr, key, delta)
-}
-
-func (c *Client) incrDecr(op protocol.Op, key []byte, delta uint64) (uint64, error) {
-	rep, err := c.roundTrip(&protocol.Command{Op: op, Key: key, Delta: delta})
-	if err != nil {
-		return 0, err
-	}
-	if rep.Status != protocol.StatusOK {
-		return 0, statusErr(rep.Status)
-	}
-	return rep.Numeric, nil
-}
-
-// GetAndTouch fetches a key and updates its expiry in one round trip.
-func (c *Client) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, uint64, error) {
-	rep, err := c.roundTrip(&protocol.Command{Op: protocol.OpGAT, Key: key, Exptime: exptime})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if rep.Status != protocol.StatusOK {
-		return nil, 0, 0, statusErr(rep.Status)
-	}
-	return rep.Value, rep.Flags, rep.CAS, nil
-}
-
-// Touch updates a key's expiry.
-func (c *Client) Touch(key []byte, exptime int64) error {
-	return c.exec(&protocol.Command{Op: protocol.OpTouch, Key: key, Exptime: exptime})
-}
-
-// FlushAll empties the server. A server that could not flush everything
-// (a cluster proxy with a shard down) answers with an error status.
-func (c *Client) FlushAll() error {
-	return c.exec(&protocol.Command{Op: protocol.OpFlushAll})
-}
-
 // Stats fetches the server's statistics.
 func (c *Client) Stats() (map[string]string, error) {
-	rep, err := c.roundTrip(&protocol.Command{Op: protocol.OpStats})
+	rep, err := c.Do(&protocol.Command{Op: protocol.OpStats})
 	if err != nil {
 		return nil, err
 	}
@@ -330,97 +289,22 @@ func (c *Client) Stats() (map[string]string, error) {
 
 // Version fetches the server version string.
 func (c *Client) Version() (string, error) {
-	rep, err := c.roundTrip(&protocol.Command{Op: protocol.OpVersion})
+	rep, err := c.Do(&protocol.Command{Op: protocol.OpVersion})
 	if err != nil {
 		return "", err
 	}
 	return rep.Version, nil
 }
 
-// MGet fetches many keys in one batch. With the binary protocol it
-// pipelines quiet gets terminated by a noop: one write, one read, any
-// number of keys — the batching that makes socket memcached tolerable.
-func (c *Client) MGet(keys [][]byte) (map[string][]byte, error) {
-	c.armDeadline()
-	out := make(map[string][]byte, len(keys))
-	if c.proto == ASCII {
-		// "get k1 k2 ..." in a single line; VALUE blocks then END.
-		c.w.WriteString("get")
-		for _, k := range keys {
-			c.w.WriteByte(' ')
-			c.w.Write(k)
-		}
-		c.w.WriteString("\r\n")
-		if err := c.w.Flush(); err != nil {
-			return nil, err
-		}
-		for {
-			var rep protocol.Reply
-			end, err := protocol.ReadASCIIValue(c.r, &rep)
-			if err != nil {
-				return nil, err
-			}
-			if end {
-				return out, nil
-			}
-			out[string(rep.Key)] = rep.Value
-		}
-	}
-	for i, k := range keys {
-		if err := protocol.WriteBinaryCommand(c.w, &protocol.Command{
-			Op: protocol.OpGet, Key: k, Quiet: true, Opaque: uint32(i),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := protocol.WriteBinaryCommand(c.w, &protocol.Command{Op: protocol.OpNoop, Opaque: ^uint32(0)}); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	for {
-		rep, opcode, err := protocol.ReadBinaryReply(c.r)
-		if err != nil {
-			return nil, err
-		}
-		if opcode == 0x0a { // noop: end of batch
-			return out, nil
-		}
-		if rep.Status == protocol.StatusOK && int(rep.Opaque) < len(keys) {
-			out[string(keys[rep.Opaque])] = rep.Value
-		}
-	}
-}
+// ErrNotFound is Get's miss, one error so that a miss costs no
+// allocation. Like every status error it reads "memcached: " and the
+// status's text.
+var ErrNotFound = fmt.Errorf("memcached: %v", protocol.StatusKeyNotFound)
 
-// One sentinel per status a server can answer with, so callers can tell
-// outcomes apart with errors.Is and a miss costs no allocation. Each
-// reads "memcached: " and the status's text.
-var (
-	ErrNotFound       = sentinel(protocol.StatusKeyNotFound)
-	ErrExists         = sentinel(protocol.StatusKeyExists)
-	ErrValueTooLarge  = sentinel(protocol.StatusValueTooLarge)
-	ErrInvalidArgs    = sentinel(protocol.StatusInvalidArgs)
-	ErrNotStored      = sentinel(protocol.StatusNotStored)
-	ErrNonNumeric     = sentinel(protocol.StatusNonNumeric)
-	ErrUnknownCommand = sentinel(protocol.StatusUnknownCommand)
-	ErrOutOfMemory    = sentinel(protocol.StatusOutOfMemory)
-	ErrTempFailure    = sentinel(protocol.StatusTempFailure)
-)
-
-// statusErrs is filled by sentinel while the variables above initialise.
-var statusErrs = map[protocol.Status]error{}
-
-func sentinel(s protocol.Status) error {
-	statusErrs[s] = fmt.Errorf("memcached: %v", s)
-	return statusErrs[s]
-}
-
-// statusErr is the error for a reply status other than OK: its sentinel,
-// or a fresh error for a status this client has no name for.
+// statusErr is the error for a reply status other than OK.
 func statusErr(s protocol.Status) error {
-	if err, ok := statusErrs[s]; ok {
-		return err
+	if s == protocol.StatusKeyNotFound {
+		return ErrNotFound
 	}
 	return fmt.Errorf("memcached: %v", s)
 }

@@ -3,7 +3,7 @@ package client
 import (
 	"bufio"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"testing"
@@ -27,28 +27,6 @@ func startServer(t *testing.T, name string) string {
 func TestDialValidation(t *testing.T) {
 	if _, err := Dial("unix", "/nonexistent/never.sock", Binary); err == nil {
 		t.Fatal("dial of missing socket should fail")
-	}
-}
-
-func TestASCIIMGetSingleServer(t *testing.T) {
-	sock := startServer(t, "ascii")
-	c, err := Dial("unix", sock, ASCII)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 10; i++ {
-		if err := c.Set([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)), 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := [][]byte{[]byte("k1"), []byte("k3"), []byte("missing"), []byte("k7")}
-	got, err := c.MGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || string(got["k3"]) != "v3" {
-		t.Fatalf("ascii mget = %v", got)
 	}
 }
 
@@ -76,41 +54,84 @@ func scriptedServer(t *testing.T, reply string) string {
 	return sock
 }
 
-// TestASCIIMGetDistrustsServer: the length on a VALUE line is the
+// TestASCIIReplyDistrustsServer: the length on a VALUE line is the
 // server's claim, not a fact. A negative one used to panic in makeslice, a
-// huge one to allocate it, and the data block's CRLF went unchecked.
-func TestASCIIMGetDistrustsServer(t *testing.T) {
-	keys := [][]byte{[]byte("a"), []byte("b")}
+// huge one to allocate it, and the data block's CRLF went unchecked. A
+// SERVER_ERROR is a status, not a hit.
+func TestASCIIReplyDistrustsServer(t *testing.T) {
+	get := &protocol.Command{Op: protocol.OpGet, Key: []byte("a")}
 	for _, reply := range []string{
 		"VALUE a 0 -3 1\r\nxyz\r\nEND\r\n",
 		"VALUE a 0 9999999999 1\r\nxyz\r\nEND\r\n",
 		"VALUE a 0 3 1\r\nxyzXXEND\r\n",
 		"VALUE a 0 3\r\nxy",
 		"VALUE a notaflag 3 1\r\nxyz\r\nEND\r\n",
-		"SERVER_ERROR out of memory\r\n",
 	} {
 		c, err := Dial("unix", scriptedServer(t, reply), ASCII)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := c.MGet(keys); err == nil {
-			t.Errorf("reply %q: MGet returned %v, want an error", reply, got)
+		if rep, err := c.Do(get); err == nil {
+			t.Errorf("reply %q: Do returned %+v, want an error", reply, rep)
 		}
 		c.Close()
 	}
-	c, err := Dial("unix", scriptedServer(t, "VALUE a 5 3 1\r\nxyz\r\nVALUE b 0 0\r\n\r\nEND\r\n"), ASCII)
+	for reply, want := range map[string]protocol.Reply{
+		"SERVER_ERROR out of memory\r\n":  {Status: protocol.StatusOutOfMemory},
+		"VALUE a 5 3 1\r\nxyz\r\nEND\r\n": {Status: protocol.StatusOK, Flags: 5, Value: []byte("xyz"), CAS: 1},
+		"VALUE a 0 0\r\n\r\nEND\r\n":      {Status: protocol.StatusOK, Value: []byte{}},
+	} {
+		c, err := Dial("unix", scriptedServer(t, reply), ASCII)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Do(get)
+		if err != nil || rep.Status != want.Status || rep.Flags != want.Flags || rep.CAS != want.CAS ||
+			string(rep.Value) != string(want.Value) || (want.Value != nil) != (rep.Value != nil) {
+			t.Errorf("reply %q: %+v, %v; want %+v", reply, rep, err, want)
+		}
+		c.Close()
+	}
+}
+
+// A reply that does not parse, in the middle of a pipeline, closes the
+// connection: the replies behind it are never read as the next call's.
+func TestPipelineBadReplyLeavesNoStaleReply(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "bad.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		bufio.NewReader(conn).ReadString('\n')            //nolint:errcheck
+		conn.Write([]byte("VALUE a 0 1\r\nx\r\nEND\r\n" + // a's reply
+			"VALUE b 0 bad\r\n" + // b's, which does not parse
+			"END\r\nVALUE c 0 1\r\nz\r\nEND\r\n")) //nolint:errcheck // c's, stale once b failed
+		io.Copy(io.Discard, conn) //nolint:errcheck // held open until the client hangs up
+	}()
+	c, err := Dial("unix", sock, ASCII)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	got, err := c.MGet(keys)
-	if err != nil || len(got) != 2 || string(got["a"]) != "xyz" || got["b"] == nil || len(got["b"]) != 0 {
-		t.Fatalf("well-formed multi-get: %q, %v", got, err)
+	k := func(s string) protocol.Command { return protocol.Command{Op: protocol.OpGet, Key: []byte(s)} }
+	cmds := []protocol.Command{k("a"), k("b"), k("c")}
+	if err := c.Pipeline(cmds, make([]*protocol.Reply, len(cmds))); err == nil {
+		t.Fatal("a pipeline with an unparseable reply succeeded")
+	}
+	if rep, err := c.Do(&cmds[2]); err == nil {
+		t.Fatalf("the call after a failed pipeline read %+v", rep)
 	}
 }
 
-// TestStatusSentinels: each non-OK status is one package-level error whose
-// text is what callers have always seen, and a miss allocates nothing.
+// TestStatusSentinels: a miss is one package-level error whose text is
+// what callers have always seen, and it allocates nothing.
 func TestStatusSentinels(t *testing.T) {
 	sock := startServer(t, "sentinel")
 	for _, proto := range []Protocol{Binary, ASCII} {
@@ -121,10 +142,6 @@ func TestStatusSentinels(t *testing.T) {
 		defer c.Close()
 		if _, _, _, err := c.Get([]byte("absent")); !errors.Is(err, ErrNotFound) || err.Error() != "memcached: NOT_FOUND" {
 			t.Errorf("miss: %v", err)
-		}
-		c.Set([]byte("k"), []byte("v"), 0, 0) //nolint:errcheck
-		if err := c.Add([]byte("k"), []byte("v"), 0, 0); !errors.Is(err, ErrExists) {
-			t.Errorf("add over an entry: %v, want ErrExists", err)
 		}
 	}
 	if n := testing.AllocsPerRun(100, func() { statusErr(protocol.StatusKeyNotFound) }); n != 0 { //nolint:errcheck

@@ -207,6 +207,9 @@ func WriteASCIIReply(w *bufio.Writer, c *Command, rep *Reply) error {
 			}
 			_, err := w.WriteString("NOT_STORED\r\n")
 			return err
+		case StatusNotStored:
+			_, err := w.WriteString("NOT_STORED\r\n")
+			return err
 		default:
 			_, err := fmt.Fprintf(w, "SERVER_ERROR %v\r\n", rep.Status)
 			return err

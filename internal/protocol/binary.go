@@ -271,6 +271,10 @@ func ReadBinaryReply(r *bufio.Reader) (*Reply, byte, error) {
 		return nil, 0, err
 	}
 	rep.Key, rep.Value = body[extLen:extLen+keyLen], body[extLen+keyLen:]
+	if rep.Status != StatusOK && len(rep.Value) > 0 {
+		// An error frame's value is its detail (see WriteBinaryReply).
+		rep.Message, rep.Value = string(rep.Value), nil
+	}
 	switch opcode {
 	case binGet, binGetQ, binGetK, binGetKQ, binGAT:
 		if extLen >= 4 {

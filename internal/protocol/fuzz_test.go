@@ -211,6 +211,66 @@ func FuzzBinaryReply(f *testing.F) {
 	})
 }
 
+// FuzzASCIIReply: the ASCII reply parser meets a server's bytes. Whatever
+// they are, it returns a reply or an error and never panics. A well-formed
+// reply to any op — its own status lines, and the ERROR, CLIENT_ERROR and
+// SERVER_ERROR lines any op may get instead — parses, and is read to its
+// end and no further: the VERSION line behind it is what the next read
+// finds.
+func FuzzASCIIReply(f *testing.F) {
+	for op := OpGet; op <= OpGAT; op++ {
+		for pick := 0; pick < len(asciiReplyStatuses)+2; pick++ {
+			f.Add(uint8(op), uint8(pick), "shard 1 rebuilding", []byte("VALUE k 0 3 1\r\nabc\r\nEND\r\n"))
+		}
+	}
+	f.Add(uint8(OpIncr), uint8(0), "", []byte("CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"))
+	f.Add(uint8(OpGet), uint8(0), "", []byte("VALUE k 0 -3\r\nxyz\r\nEND\r\n"))
+	f.Add(uint8(OpStats), uint8(0), "", []byte("STAT a b\r\nSTAT c\r\nEND\r\n"))
+	f.Fuzz(func(t *testing.T, op, pick uint8, msg string, raw []byte) {
+		c := &Command{Op: Op(op) % (OpGAT + 1), Key: []byte("k")}
+		if c.Op == OpNoop || c.Op == OpQuit {
+			return // no ASCII reply
+		}
+		ReadASCIIReply(bufio.NewReader(bytes.NewReader(raw)), c) //nolint:errcheck // it must only not panic
+		msg = strings.Map(func(r rune) rune {
+			if r == '\r' || r == '\n' {
+				return -1
+			}
+			return r
+		}, msg)
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		counter := c.Op == OpIncr || c.Op == OpDecr
+		switch i := int(pick) % (len(asciiReplyStatuses) + 2); i {
+		case len(asciiReplyStatuses):
+			w.WriteString("CLIENT_ERROR " + msg + "\r\n")
+		case len(asciiReplyStatuses) + 1:
+			w.WriteString("SERVER_ERROR " + msg + "\r\n")
+		default:
+			st := asciiReplyStatuses[i]
+			if counter && (st == StatusKeyExists || st == StatusNotStored || st == StatusValueTooLarge) {
+				return // never a counter's answer
+			}
+			WriteASCIIReply(w, c, &Reply{Status: st, Message: msg, Value: raw, Flags: 7, CAS: 9, //nolint:errcheck
+				Numeric: uint64(len(raw)), Version: msg})
+		}
+		w.WriteString("VERSION trailer\r\n")
+		w.Flush()
+		sent := bytes.Clone(buf.Bytes())
+		r := bufio.NewReader(&buf)
+		if _, err := ReadASCIIReply(r, c); err != nil {
+			t.Fatalf("%v reply %q: %v", c.Op, sent, err)
+		}
+		if rep, err := ReadASCIIReply(r, &Command{Op: OpVersion}); err != nil || rep.Version != "trailer" {
+			t.Fatalf("after the %v reply in %q the next read is %+v, %v", c.Op, sent, rep, err)
+		}
+	})
+}
+
+// asciiReplyStatuses are the statuses WriteASCIIReply renders for a server.
+var asciiReplyStatuses = []Status{StatusOK, StatusKeyNotFound, StatusKeyExists, StatusValueTooLarge,
+	StatusInvalidArgs, StatusNotStored, StatusNonNumeric, StatusUnknownCommand, StatusOutOfMemory, StatusTempFailure}
+
 func encodeReplyBytes(c *Command, rep *Reply) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)

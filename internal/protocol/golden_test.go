@@ -138,3 +138,19 @@ func TestGoldenASCIIGetReply(t *testing.T) {
 		t.Fatalf("ascii get reply = %q", got)
 	}
 }
+
+// An append or prepend on a missing key is not stored, and says so the way
+// memcached does: a bare NOT_STORED, not a server error.
+func TestGoldenASCIINotStoredReply(t *testing.T) {
+	for _, op := range []Op{OpAppend, OpPrepend} {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := WriteASCIIReply(w, &Command{Op: op, Key: []byte("k")}, &Reply{Status: StatusNotStored}); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if got := buf.String(); got != "NOT_STORED\r\n" {
+			t.Fatalf("ascii %v reply = %q", op, got)
+		}
+	}
+}

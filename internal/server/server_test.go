@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"strings"
@@ -13,6 +15,7 @@ import (
 
 	"plibmc/internal/client"
 	"plibmc/internal/protocol"
+	"plibmc/memcached"
 )
 
 // startServer launches a server on a Unix socket in a temp dir and returns
@@ -38,54 +41,55 @@ func startServer(t testing.TB, threads int) (*Server, func(p client.Protocol) *c
 
 func testClientOps(t *testing.T, c *client.Client) {
 	t.Helper()
-	if err := c.Set([]byte("k"), []byte("v1"), 5, 0); err != nil {
+	kv := memcached.NewSocketSession(c)
+	if err := kv.Set([]byte("k"), []byte("v1"), 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, flags, cas, err := c.Get([]byte("k"))
+	v, flags, cas, err := kv.Gets([]byte("k"))
 	if err != nil || string(v) != "v1" || flags != 5 || cas == 0 {
 		t.Fatalf("get = %q flags=%d cas=%d err=%v", v, flags, cas, err)
 	}
-	if _, _, _, err := c.Get([]byte("nope")); err == nil {
-		t.Fatal("miss should error")
+	if _, _, err := kv.Get([]byte("nope")); !errors.Is(err, memcached.ErrNotFound) {
+		t.Fatalf("miss = %v", err)
 	}
-	if err := c.Add([]byte("k"), []byte("x"), 0, 0); err == nil {
-		t.Fatal("add on existing should fail")
+	if err := kv.Add([]byte("k"), []byte("x"), 0, 0); !errors.Is(err, memcached.ErrExists) {
+		t.Fatalf("add on existing = %v", err)
 	}
-	if err := c.Replace([]byte("k"), []byte("v2"), 0, 0); err != nil {
+	if err := kv.Replace([]byte("k"), []byte("v2"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CAS([]byte("k"), []byte("v3"), 0, 0, cas); err == nil {
-		t.Fatal("stale cas should fail")
+	if err := kv.CAS([]byte("k"), []byte("v3"), 0, 0, cas); !errors.Is(err, memcached.ErrCASMismatch) {
+		t.Fatalf("stale cas = %v", err)
 	}
-	_, _, cas2, _ := c.Get([]byte("k"))
-	if err := c.CAS([]byte("k"), []byte("v3"), 0, 0, cas2); err != nil {
+	_, _, cas2, _ := kv.Gets([]byte("k"))
+	if err := kv.CAS([]byte("k"), []byte("v3"), 0, 0, cas2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Append([]byte("k"), []byte("+tail")); err != nil {
+	if err := kv.Append([]byte("k"), []byte("+tail")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Prepend([]byte("k"), []byte("head+")); err != nil {
+	if err := kv.Prepend([]byte("k"), []byte("head+")); err != nil {
 		t.Fatal(err)
 	}
-	v, _, _, _ = c.Get([]byte("k"))
+	v, _, _ = kv.Get([]byte("k"))
 	if string(v) != "head+v3+tail" {
 		t.Fatalf("value = %q", v)
 	}
-	c.Set([]byte("n"), []byte("10"), 0, 0)
-	if n, err := c.Increment([]byte("n"), 7); err != nil || n != 17 {
+	kv.Set([]byte("n"), []byte("10"), 0, 0)
+	if n, err := kv.Increment([]byte("n"), 7); err != nil || n != 17 {
 		t.Fatalf("incr = %d, %v", n, err)
 	}
-	if n, err := c.Decrement([]byte("n"), 20); err != nil || n != 0 {
+	if n, err := kv.Decrement([]byte("n"), 20); err != nil || n != 0 {
 		t.Fatalf("decr = %d, %v", n, err)
 	}
-	if err := c.Touch([]byte("k"), 1000); err != nil {
+	if err := kv.Touch([]byte("k"), 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete([]byte("k")); err != nil {
+	if err := kv.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete([]byte("k")); err == nil {
-		t.Fatal("double delete should fail")
+	if err := kv.Delete([]byte("k")); !errors.Is(err, memcached.ErrNotFound) {
+		t.Fatalf("double delete = %v", err)
 	}
 	ver, err := c.Version()
 	if err != nil || !strings.Contains(ver, "baseline") {
@@ -95,11 +99,11 @@ func testClientOps(t *testing.T, c *client.Client) {
 	if err != nil || stats["cmd_get"] == "" {
 		t.Fatalf("stats = %v, %v", stats, err)
 	}
-	if err := c.FlushAll(); err != nil {
+	if err := kv.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Get([]byte("n")); err == nil {
-		t.Fatal("flushed key still present")
+	if _, _, err := kv.Get([]byte("n")); !errors.Is(err, memcached.ErrNotFound) {
+		t.Fatalf("flushed key: %v", err)
 	}
 }
 
@@ -117,7 +121,7 @@ func TestMGetBatching(t *testing.T) {
 	for _, proto := range []client.Protocol{client.Binary, client.ASCII} {
 		name := map[client.Protocol]string{client.Binary: "binary", client.ASCII: "ascii"}[proto]
 		t.Run(name, func(t *testing.T) {
-			_, dial := startServer(t, 4)
+			srv, dial := startServer(t, 4)
 			c := dial(proto)
 			var keys [][]byte
 			for i := 0; i < 50; i++ {
@@ -129,17 +133,34 @@ func TestMGetBatching(t *testing.T) {
 					}
 				}
 			}
-			got, err := c.MGet(keys)
+			got, err := memcached.NewSocketSession(c).MGet(keys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != 25 {
-				t.Fatalf("mget returned %d values, want 25", len(got))
+			for i, r := range got {
+				if want := fmt.Sprintf("val-%02d", i); r.Found != (i%2 == 0) || r.Found && string(r.Value) != want {
+					t.Fatalf("mget[%s] = %q, %v", keys[i], r.Value, r.Found)
+				}
 			}
-			for i := 0; i < 50; i += 2 {
-				k := fmt.Sprintf("key-%02d", i)
-				if string(got[k]) != fmt.Sprintf("val-%02d", i) {
-					t.Fatalf("mget[%s] = %q", k, got[k])
+			if proto == client.ASCII {
+				// The same keys as one multi-key get line: every hit, in key
+				// order with the CAS its set minted, under a single END.
+				var want strings.Builder
+				for i := 0; i < 50; i += 2 {
+					fmt.Fprintf(&want, "VALUE key-%02d 0 6 %d\r\nval-%02d\r\n", i, i/2+1, i)
+				}
+				want.WriteString("END\r\n")
+				raw, err := net.Dial("unix", srv.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer raw.Close()
+				if _, err := fmt.Fprintf(raw, "get %s\r\n", bytes.Join(keys, []byte(" "))); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, want.Len())
+				if _, err := io.ReadFull(raw, got); err != nil || string(got) != want.String() {
+					t.Fatalf("multi-key get = %q, %v; want %q", got, err, want.String())
 				}
 			}
 		})
@@ -267,12 +288,8 @@ func TestExpiryIntegration(t *testing.T) {
 	if _, _, _, err := c.Get([]byte("k")); err == nil {
 		t.Fatal("expired key served over the wire")
 	}
-	var e error
-	if _, e = c.Increment([]byte("k"), 1); e == nil {
-		t.Fatal("incr on expired key should fail")
-	}
-	if !errors.Is(e, e) { // sanity: errors flow through
-		t.Fatal("impossible")
+	if _, err := memcached.NewSocketSession(c).Increment([]byte("k"), 1); !errors.Is(err, memcached.ErrNotFound) {
+		t.Fatalf("incr on expired key = %v", err)
 	}
 }
 

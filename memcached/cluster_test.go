@@ -592,17 +592,20 @@ func TestClusterProxyWire(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				keys = append(keys, []byte(fmt.Sprintf("%s-wire-%d", name, i)))
 			}
-			got, err := cl.MGet(keys)
+			kv := NewSocketSession(cl)
+			got, err := kv.MGet(keys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != 60 {
-				t.Fatalf("mget = %d values, want 60", len(got))
+			for i, r := range got {
+				if !r.Found || string(r.Value) != fmt.Sprintf("wv-%d", i) {
+					t.Fatalf("mget %s = %q, %v", keys[i], r.Value, r.Found)
+				}
 			}
-			if n, err := cl.Increment([]byte(name+"-n"), 1); err == nil && n != 0 {
-				t.Fatalf("incr on absent key = %d", n)
+			if n, err := kv.Increment([]byte(name+"-n"), 1); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("incr on absent key = %d, %v", n, err)
 			}
-			if err := cl.Delete(keys[0]); err != nil {
+			if err := kv.Delete(keys[0]); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, _, err := cl.Get(keys[0]); err == nil {

@@ -29,7 +29,9 @@ func plibSt(t *testing.T) *St {
 	return m
 }
 
-func socketSt(t *testing.T) *St {
+// socketSt returns a handle over a socket to a fresh baseline server, and
+// the connection under it.
+func socketSt(t *testing.T) (*St, *client.Client) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "mc.sock")
 	srv, err := server.New(server.Config{Network: "unix", Addr: sock, Threads: 2})
@@ -45,7 +47,7 @@ func socketSt(t *testing.T) *St {
 	t.Cleanup(func() { c.Close() })
 	m := Create()
 	m.UseSocket(c)
-	return m
+	return m, c
 }
 
 // testClassicAPI runs the same drop-in calls against any backend: the
@@ -116,8 +118,12 @@ func testClassicAPI(t *testing.T, m *St) {
 	}
 }
 
-func TestClassicAPIOverPlib(t *testing.T)   { testClassicAPI(t, plibSt(t)) }
-func TestClassicAPIOverSocket(t *testing.T) { testClassicAPI(t, socketSt(t)) }
+func TestClassicAPIOverPlib(t *testing.T) { testClassicAPI(t, plibSt(t)) }
+
+func TestClassicAPIOverSocket(t *testing.T) {
+	m, _ := socketSt(t)
+	testClassicAPI(t, m)
+}
 
 // St.MGet over the plib backend batches: the whole key set crosses the
 // gate once (ISSUE 6 satellite).
@@ -173,7 +179,7 @@ func TestNetworkConfigNoOps(t *testing.T) {
 		t.Fatalf("strict SetBehavior = %v", rc)
 	}
 	// Socket backend keeps accepting them even in strict mode.
-	ms := socketSt(t)
+	ms, _ := socketSt(t)
 	ms.SetStrict(true)
 	if rc := ms.AddServer("localhost", 11211); rc != Success {
 		t.Fatalf("socket AddServer = %v", rc)
@@ -214,8 +220,8 @@ func TestBadKeyAndBigValue(t *testing.T) {
 // A round trip that fails is a Failure, never an outcome: on a closed
 // connection no call reads as a miss (NOTFOUND) or a refusal (NOT_STORED).
 func TestSocketFailureIsNotAnOutcome(t *testing.T) {
-	m := socketSt(t)
-	m.backend.(sockBackend).c.Close()
+	m, c := socketSt(t)
+	c.Close()
 	k := []byte("k")
 	if _, _, rc := m.Get(k); rc != Failure {
 		t.Fatalf("get on a closed connection = %v", rc)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"plibmc/internal/client"
 	"plibmc/internal/core"
 	"plibmc/internal/hodor"
 	"plibmc/internal/proc"
@@ -173,40 +174,42 @@ func (wc *wireConn) dispatchRun(w *bufio.Writer, binary bool, cmds []protocol.Co
 	}
 }
 
+// opCodes is the one translation between the wire's keyed operations and
+// the data plane's batch codes, indexed by wire op: appendOps reads it
+// from wire to store, a SocketSession (through wireOp) back. A command
+// that is not a keyed operation (flush_all, stats, version, noop, quit)
+// has no entry.
+var opCodes = [...]struct {
+	code  core.BatchCode
+	keyed bool
+}{
+	protocol.OpGet: {core.BatchGet, true}, protocol.OpGAT: {core.BatchGAT, true},
+	protocol.OpSet: {core.BatchSet, true}, protocol.OpAdd: {core.BatchAdd, true},
+	protocol.OpReplace: {core.BatchReplace, true}, protocol.OpCAS: {core.BatchCAS, true},
+	protocol.OpAppend: {core.BatchAppend, true}, protocol.OpPrepend: {core.BatchPrepend, true},
+	protocol.OpDelete: {core.BatchDelete, true}, protocol.OpIncr: {core.BatchIncr, true},
+	protocol.OpDecr: {core.BatchDecr, true}, protocol.OpTouch: {core.BatchTouch, true},
+}
+
+// wireOp is code's wire op, read back from opCodes; ok is false for the
+// migration's codes, which have none.
+func wireOp(code core.BatchCode) (op protocol.Op, ok bool) {
+	for i, e := range opCodes {
+		if e.keyed && e.code == code {
+			return protocol.Op(i), true
+		}
+	}
+	return 0, false
+}
+
 // appendOps appends cmd's batch encoding to ops — one op, or one per key
 // for an ASCII multi-key get — and nothing for a command that is not a
-// keyed operation (flush_all, stats, version, noop). It is the one
-// translation from the wire's vocabulary to the data plane's.
+// keyed operation.
 func appendOps(ops []core.BatchOp, cmd *protocol.Command) []core.BatchOp {
-	var code core.BatchCode
-	switch cmd.Op {
-	case protocol.OpGet:
-		code = core.BatchGet
-	case protocol.OpGAT:
-		code = core.BatchGAT
-	case protocol.OpSet:
-		code = core.BatchSet
-	case protocol.OpAdd:
-		code = core.BatchAdd
-	case protocol.OpReplace:
-		code = core.BatchReplace
-	case protocol.OpCAS:
-		code = core.BatchCAS
-	case protocol.OpAppend:
-		code = core.BatchAppend
-	case protocol.OpPrepend:
-		code = core.BatchPrepend
-	case protocol.OpDelete:
-		code = core.BatchDelete
-	case protocol.OpIncr:
-		code = core.BatchIncr
-	case protocol.OpDecr:
-		code = core.BatchDecr
-	case protocol.OpTouch:
-		code = core.BatchTouch
-	default:
+	if int(cmd.Op) >= len(opCodes) || !opCodes[cmd.Op].keyed {
 		return ops
 	}
+	code := opCodes[cmd.Op].code
 	// Each code reads only its own fields (see BatchOp), so the command's
 	// are copied across wholesale.
 	ops = append(ops, core.BatchOp{Code: code, Key: cmd.Key, Value: cmd.Value,
@@ -273,27 +276,164 @@ func gateFailure(err error) bool {
 		errors.Is(err, core.ErrCallAborted) || errors.As(err, &crash) || errors.As(err, &killed)
 }
 
+// outcomes pairs each library error that is a key's outcome with the wire
+// status that carries it: the one translation between the two, read by
+// coreStatus from error to status and by replyErr back, each taking the
+// first row that matches. Two rows are read one way only: a CAS mismatch
+// travels as EXISTS, and NOT_STORED is the baseline's answer to an append
+// or prepend on a missing key.
+var outcomes = [...]struct {
+	status protocol.Status
+	err    error
+}{
+	{protocol.StatusKeyNotFound, core.ErrNotFound},
+	{protocol.StatusKeyExists, core.ErrExists},
+	{protocol.StatusKeyExists, core.ErrCASMismatch},
+	{protocol.StatusNonNumeric, core.ErrNotNumeric},
+	{protocol.StatusValueTooLarge, core.ErrValueTooBig},
+	{protocol.StatusOutOfMemory, core.ErrNoSpace},
+	{protocol.StatusNotStored, core.ErrNotFound},
+}
+
 // coreStatus translates an op's error into a wire status; a failed
 // crossing is a temporary server failure, never a miss or a client error.
 func coreStatus(err error) protocol.Status {
-	switch {
-	case err == nil:
+	if err == nil {
 		return protocol.StatusOK
-	case gateFailure(err):
-		return protocol.StatusTempFailure
-	case errors.Is(err, core.ErrNotFound):
-		return protocol.StatusKeyNotFound
-	case errors.Is(err, core.ErrExists), errors.Is(err, core.ErrCASMismatch):
-		return protocol.StatusKeyExists
-	case errors.Is(err, core.ErrNotNumeric):
-		return protocol.StatusNonNumeric
-	case errors.Is(err, core.ErrValueTooBig):
-		return protocol.StatusValueTooLarge
-	case errors.Is(err, core.ErrNoSpace):
-		return protocol.StatusOutOfMemory
-	default:
-		return protocol.StatusInvalidArgs
 	}
+	if gateFailure(err) {
+		return protocol.StatusTempFailure
+	}
+	for i := range outcomes {
+		if errors.Is(err, outcomes[i].err) {
+			return outcomes[i].status
+		}
+	}
+	return protocol.StatusInvalidArgs
+}
+
+// replyErr translates a reply's status into the library's error: a key's
+// outcome, or else the server's failure in the server's words.
+func replyErr(rep *protocol.Reply) error {
+	if rep.Status == protocol.StatusOK {
+		return nil
+	}
+	for i := range outcomes {
+		if outcomes[i].status == rep.Status {
+			return outcomes[i].err
+		}
+	}
+	if rep.Message != "" {
+		return fmt.Errorf("memcached: %v: %s", rep.Status, rep.Message)
+	}
+	return fmt.Errorf("memcached: %v", rep.Status)
+}
+
+// SocketSession is the key-value API over a connection to any memcached
+// server — the baseline, or either front end here: the verbs a Session
+// has, one round trip per operation and one pipelined write per batch. A
+// failure of the connection fails the call (the batch, for a batch) and
+// closes the connection; Reconnect the client to go on. Like its client it
+// is not safe for concurrent use.
+type SocketSession struct {
+	verbs
+	c    *client.Client
+	cmds []protocol.Command // a batch's commands, wiped after it
+	reps []*protocol.Reply  // ... their replies
+	sent []int              // ... and the op each command carries
+}
+
+var _ KV = (*SocketSession)(nil)
+
+// NewSocketSession speaks the API over c, which the caller keeps and closes.
+func NewSocketSession(c *client.Client) *SocketSession {
+	s := &SocketSession{c: c}
+	s.x = s
+	return s
+}
+
+// wireCommand renders op as the command that carries it over the wire, or
+// refuses it into r: a key too long for the wire, as libmemcached does,
+// or a code with no wire op. A CAS with token 0 can never match, so it
+// goes as a Get, whose hit is the mismatch (as a binary Set with cas 0 it
+// would store unconditionally).
+func wireCommand(cmd *protocol.Command, op *BatchOp, r *BatchResult) bool {
+	w, ok := wireOp(op.Code)
+	switch {
+	case len(op.Key) > core.MaxKeyLen:
+		*r = BatchResult{Err: ErrKeyTooLong}
+		return false
+	case !ok:
+		*r = BatchResult{Err: fmt.Errorf("memcached: batch op %d has no wire command", op.Code)}
+		return false
+	case op.Code == BatchCAS && op.CAS == 0:
+		*cmd = protocol.Command{Op: protocol.OpGet, Key: op.Key}
+	default:
+		*cmd = protocol.Command{Op: w, Key: op.Key, Value: op.Value,
+			Flags: op.Flags, Exptime: op.Exptime, Delta: op.Delta, CAS: op.CAS}
+	}
+	return true
+}
+
+// wireResult is op's result from rep, the reply to its command. The value
+// owns its bytes already.
+func wireResult(op *BatchOp, rep *protocol.Reply, r *BatchResult) {
+	err := replyErr(rep)
+	if op.Code == BatchCAS && (err == ErrExists || err == nil && op.CAS == 0) {
+		err = ErrCASMismatch
+	}
+	*r = BatchResult{Err: err}
+	if err == nil {
+		r.Value, r.Flags, r.CAS, r.Num = rep.Value, rep.Flags, rep.CAS, rep.Numeric
+	}
+}
+
+func (s *SocketSession) do(op *BatchOp, r *BatchResult) {
+	var cmd protocol.Command
+	if !wireCommand(&cmd, op, r) {
+		return
+	}
+	rep, err := s.c.Do(&cmd)
+	if err != nil {
+		*r = BatchResult{Err: err}
+		return
+	}
+	wireResult(op, rep, r)
+}
+
+// batch pipelines every op the wire can carry. The values own their bytes,
+// so vbuf is returned as lent.
+func (s *SocketSession) batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]byte, error) {
+	cmds, sent := s.cmds[:0], s.sent[:0]
+	for i := range ops {
+		var cmd protocol.Command
+		if wireCommand(&cmd, &ops[i], &res[i]) {
+			cmds, sent = append(cmds, cmd), append(sent, i)
+		}
+	}
+	reps := lend(&s.reps, len(cmds))
+	var err error
+	if len(cmds) > 0 {
+		err = s.c.Pipeline(cmds, reps)
+	}
+	if err == nil {
+		for k, i := range sent {
+			wireResult(&ops[i], reps[k], &res[i])
+		}
+	}
+	clear(cmds)
+	clear(reps)
+	s.cmds, s.sent = cmds, sent
+	return vbuf, err
+}
+
+// FlushAll empties the server.
+func (s *SocketSession) FlushAll() error {
+	rep, err := s.c.Do(&protocol.Command{Op: protocol.OpFlushAll})
+	if err != nil {
+		return err
+	}
+	return replyErr(rep)
 }
 
 // DispatchCore executes one protocol command against a protected-library

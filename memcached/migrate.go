@@ -421,7 +421,10 @@ func (m *migration) attempt() (err error) {
 	}
 	sort.Ints(srcs)
 	for _, src := range srcs {
-		keysBySeg := m.collectKeys(src)
+		keysBySeg, err := m.collectKeys(src)
+		if err != nil {
+			return err
+		}
 		for _, si := range bySrc[src] {
 			s, keys := m.segs[si], keysBySeg[si]
 			if err := m.copyKeys(cli, s, keys, false); err != nil {
@@ -439,10 +442,16 @@ func (m *migration) attempt() (err error) {
 
 // collectKeys walks source shard src once and buckets every key belonging
 // to one of its pending segments. Keys written after the walk are covered
-// by the dirty set; keys deleted after it surface as export misses.
-func (m *migration) collectKeys(src int) map[int][][]byte {
+// by the dirty set; keys deleted after it surface as export misses. A
+// poisoned source fails the attempt unwalked: its dead crasher may hold a
+// stripe the walk would wait on forever.
+func (m *migration) collectKeys(src int) (map[int][][]byte, error) {
+	b := m.c.top().shards[src]
+	if b.Library().Poisoned() {
+		return nil, fmt.Errorf("memcached: shard %d is poisoned", src)
+	}
 	out := make(map[int][][]byte)
-	ctx := m.c.top().shards[src].Store().NewCtx(migOwner())
+	ctx := b.Store().NewCtx(migOwner())
 	defer ctx.Close()
 	ctx.ForEach(func(e *core.Entry) bool {
 		i := m.segFor(ring.Hash(e.Key))
@@ -451,7 +460,7 @@ func (m *migration) collectKeys(src int) map[int][][]byte {
 		}
 		return true
 	})
-	return out
+	return out, nil
 }
 
 // copyKeys moves keys from s's source to its destination, one export/
@@ -617,10 +626,10 @@ func (m *migration) park(err error) {
 func (m *migration) leave() { m.c.publish(func(t *topology) { t.mig = nil }) }
 
 // sweep deletes the strays the authoritative ring does not place, then
-// the marker that said there might be some.
+// the marker that said there might be some — unless a poisoned shard went
+// unswept, whose strays the next OpenCluster's sweep must still find.
 func (m *migration) sweep() {
-	m.c.purgeStale()
-	if m.c.cfg.Dir != "" {
+	if m.c.purgeStale() && m.c.cfg.Dir != "" {
 		removeReshardMarker(m.c.cfg.Dir)
 	}
 }
@@ -658,16 +667,24 @@ func (m *migration) waitHealthy() error {
 // purgeStale sweeps every shard against the current authoritative ring,
 // deleting entries the ring does not place where they sit: moved keys'
 // source copies after a completed migration, partial destination copies
-// after an aborted one.
-func (c *Cluster) purgeStale() { c.purgeRing(c.top().ring) }
+// after an aborted one. It reports whether every shard was swept.
+func (c *Cluster) purgeStale() bool { return c.purgeRing(c.top().ring) }
 
-func (c *Cluster) purgeRing(r *ring.Ring) {
+func (c *Cluster) purgeRing(r *ring.Ring) bool {
+	all := true
 	for i, b := range c.top().shards {
-		purgeShard(b, r, i)
+		all = purgeShard(b, r, i) && all
 	}
+	return all
 }
 
-func purgeShard(b *Bookkeeper, r *ring.Ring, self int) {
+// purgeShard deletes the entries of b that r places elsewhere, and reports
+// false, walking nothing, when b is poisoned: its dead crasher may hold a
+// stripe the walk would wait on forever.
+func purgeShard(b *Bookkeeper, r *ring.Ring, self int) bool {
+	if b.Library().Poisoned() {
+		return false
+	}
 	ctx := b.Store().NewCtx(migOwner())
 	defer ctx.Close()
 	var doomed [][]byte
@@ -680,6 +697,7 @@ func purgeShard(b *Bookkeeper, r *ring.Ring, self int) {
 	for _, k := range doomed {
 		ctx.Delete(k) //nolint:errcheck // raced deletes are fine
 	}
+	return true
 }
 
 // --- durable ring geometry -------------------------------------------------

@@ -253,3 +253,55 @@ func TestResizeRefusesPoisonedShard(t *testing.T) {
 		t.Fatalf("ring = %d shards, want 3", got)
 	}
 }
+
+// A shard poisoned while a resize is in flight ends the resize with an
+// error instead of wedging it: no walk enters the poisoned store, whose
+// stripe the dead crasher still holds. The supervisor then rebuilds the
+// shard, and the same resize completes.
+func TestResizeAbortsOnShardPoisonedMidMigration(t *testing.T) {
+	defer faultpoint.DisarmAll()
+	cfg := supervisorTestConfig()
+	cfg.VirtualNodes = 8
+	c := newTestCluster(t, 2, cfg)
+	s := newClusterSession(t, c)
+	for i := 0; i < 200; i++ {
+		if err := s.Set(resizeTestKey(i), []byte("v"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked, release := make(chan struct{}), make(chan struct{})
+	if err := faultpoint.Arm("migrate.mid_segment", func() {
+		close(blocked)
+		<-release
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	<-blocked
+	poisonShard(t, c, 0)
+	faultpoint.DisarmAll()
+	close(release)
+	done := make(chan error, 1)
+	go func() { done <- c.WaitResize(15 * time.Second) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("the resize completed over a poisoned shard")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitResize did not return within 10 s of the poison")
+	}
+	c.SuperviseOnce()
+	if st := c.State(0); st != ShardHealthy {
+		t.Fatalf("shard 0 state %d after the supervisor pass, want healthy", st)
+	}
+	if err := c.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitResize(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	assertSingleOwner(t, c)
+}

@@ -879,7 +879,7 @@ func TestProxyFlushAllFailsBehindOpenBreaker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.FlushAll(); err == nil {
+		if err := NewSocketSession(cl).FlushAll(); err == nil {
 			t.Fatalf("protocol %d: flush_all with shard 1 down reported success", proto)
 		}
 		cl.Close()
@@ -890,8 +890,52 @@ func TestProxyFlushAllFailsBehindOpenBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.FlushAll(); err != nil {
+	if err := NewSocketSession(cl).FlushAll(); err != nil {
 		t.Fatalf("flush_all with every shard up: %v", err)
+	}
+}
+
+// A SocketSession over the proxy reports a poisoned shard as the failure
+// it is, naming the shard, in both protocols: never a miss, a non-numeric
+// value or a reply it cannot parse.
+func TestSocketSessionNamesPoisonedShard(t *testing.T) {
+	defer faultpoint.DisarmAll()
+	c := newTestCluster(t, 2, supervisorTestConfig())
+	srv, err := c.ServeRemote("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	k, up := keyOwnedBy(t, c, 1, "down"), keyOwnedBy(t, c, 0, "up")
+	poisonShard(t, c, 1)
+	faultpoint.DisarmAll()
+	// The first crossing into the poisoned store opens the breaker, whose
+	// fast-fails name the shard.
+	if _, _, err := newClusterSession(t, c).Get(k); err == nil {
+		t.Fatal("get on the poisoned shard succeeded")
+	}
+	for _, proto := range []client.Protocol{client.ASCII, client.Binary} {
+		cl, err := client.Dial("tcp", srv.Addr().String(), proto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv := NewSocketSession(cl)
+		for name, call := range map[string]func() error{
+			"get":    func() error { _, _, err := kv.Get(k); return err },
+			"delete": func() error { return kv.Delete(k) },
+			"touch":  func() error { return kv.Touch(k, 0) },
+			"incr":   func() error { _, err := kv.Increment(k, 1); return err },
+		} {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "shard 1 rebuilding") ||
+				errors.Is(err, ErrNotFound) || errors.Is(err, ErrNotNumeric) {
+				t.Errorf("protocol %d: %s on the poisoned shard = %v, want a failure naming shard 1", proto, name, err)
+			}
+		}
+		// Each failure was a reply read whole: the connection still serves.
+		if err := kv.Set(up, []byte("v"), 0, 0); err != nil {
+			t.Errorf("protocol %d: set on the healthy shard after the failures: %v", proto, err)
+		}
+		cl.Close()
 	}
 }
 

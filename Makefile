@@ -13,13 +13,15 @@ test:
 # check is the gate for concurrency-sensitive changes: vet everything, then
 # run the packages that carry the seqlock/grave protocol under the race
 # detector (which exercises the sync/atomic build of the relaxed accessors),
-# a short chaos soak, and the crash-at-every-point fault matrix.
+# a short chaos soak, the crash-at-every-point fault matrix, and the coarse
+# clock: its ticker, and the watchdog and store on a stepped clock.
 check: build fmtcheck unsafecheck wirecheck faultmatrix corruptmatrix modelcheck gatehard shardcheck reshardcheck survivecheck diskfault
 	$(GO) vet ./...
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
 	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
-	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn|TestLoopStartStopRace' ./internal/core ./internal/hodor ./memcached
+	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn|TestLoopStartStopRace|TestWatchdogNeverEarlyOnCoarseStamps|TestStoreClockIsTheWord|TestSessionPoolDiscardsReapedSession' ./internal/core ./internal/hodor ./memcached
+	$(GO) test -race -count=1 ./internal/mono
 
 fmtcheck:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt would change:"; gofmt -l .; exit 1; }
@@ -116,13 +118,14 @@ reshardcheck:
 # reopens from its checkpoint and serves fresh writes past the dead
 # heap's CAS mark — plus the breaker state machine, the degraded open,
 # the fail-fast frames on the proxy wire (read back by a socket session as
-# failures naming the shard), proxy traffic probing and closing
+# failures naming the shard, as the crossing that trips the breaker names
+# it too), proxy traffic probing and closing
 # a half-open breaker, and the session-pool recovery classification, all
 # under the race detector. The survivor-latency half
 # of the claim is a self-gated benchmark (2x the quiet-baseline p99).
 survivecheck:
 	$(GO) test -race -count=1 -run 'TestSurviveCheck' .
-	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestProxyFlushAllFailsBehindOpenBreaker|TestSocketSessionNamesPoisonedShard|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
+	$(GO) test -race -count=1 -run 'TestSupervisor|TestBreaker|TestUnsupervisedBreakerRecovers|TestShardAllowFastFailsWhileRebuilding|TestOpenClusterDegraded|TestProxyReportsShardDownFrames|TestProxyTrafficClosesHalfOpenBreaker|TestProxyFlushAllFailsBehindOpenBreaker|TestSocketSessionNamesPoisonedShard|TestTrippingCrossingNamesShard|TestRebuildShard|TestSessionFatalClassifiesRecoveryErrors|TestSessionPoolKeepsSessionOnShardDown' ./memcached
 	$(GO) test -run xxx -bench BenchmarkRebuildSurvivor -benchtime 1x .
 
 # The disk-fault gate (DESIGN.md §16): inject EIO/ENOSPC/torn-rename at

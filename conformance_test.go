@@ -136,7 +136,7 @@ func TestKVConformance(t *testing.T) {
 	kvs := conformanceKVs(t)
 	maps.Copy(kvs, socketKVs(t))
 	for name, kv := range kvs {
-		t.Run(name, func(t *testing.T) { testKV(t, kv) })
+		t.Run(name, func(t *testing.T) { testKV(t, kv, strings.HasSuffix(name, "-ascii")) })
 	}
 }
 
@@ -164,8 +164,10 @@ const (
 // — plus an over-long key, in each of the three forms. Each observed
 // result must be the one the reference model allows from the prepared
 // state, the three forms must agree with each other, and a read
-// afterwards must see the model's successor state.
-func testKV(t *testing.T, kv memcached.KV) {
+// afterwards must see the model's successor state. Over an ASCII
+// connection, a key that would end the command line early is refused with
+// ErrBadKey before anything is written; everywhere else it is a key.
+func testKV(t *testing.T, kv memcached.KV, ascii bool) {
 	sides := 0
 	// apply runs op in the given form, records what it returned in op, and
 	// returns its error.
@@ -347,6 +349,35 @@ func testKV(t *testing.T, kv memcached.KV) {
 				t.Errorf("over-long key, %s, form %d: %v; want ErrKeyTooLong", verb.name, form, err)
 			}
 		}
+	}
+
+	// Keys that would smuggle a second command onto an ASCII line. The
+	// first smuggles a quiet delete, which answers nothing, so the stream
+	// stays in step and the key it names must survive; then every verb in
+	// every form.
+	survivor := []byte("survivor")
+	if err := kv.Set(survivor, []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := kv.Get([]byte("x\r\ndelete survivor noreply")); ascii != errors.Is(err, memcached.ErrBadKey) {
+		t.Errorf("get of a key holding a second command: %v; want ErrBadKey only over ASCII", err)
+	}
+	if v, _, err := kv.Get(survivor); err != nil || string(v) != "v" {
+		t.Fatalf("after a key holding a delete of it, a key set before it = %q, %v", v, err)
+	}
+	for _, key := range []string{"x\r\nflush_all", "x flush_all", "tab\tkey", "del\x7f"} {
+		for _, verb := range verbs {
+			for form := 0; form < numForms; form++ {
+				op := verb.op
+				op.Key = key
+				if err := apply(form, &op); ascii != errors.Is(err, memcached.ErrBadKey) {
+					t.Errorf("key %q, %s, form %d: %v; want ErrBadKey only over ASCII", key, verb.name, form, err)
+				}
+			}
+		}
+	}
+	if v, _, err := kv.Get(survivor); err != nil || string(v) != "v" {
+		t.Errorf("after the smuggling keys, a key set before them = %q, %v", v, err)
 	}
 }
 

@@ -46,6 +46,7 @@ import (
 	"plibmc/internal/hodor"
 	"plibmc/internal/linearcheck"
 	"plibmc/internal/model"
+	"plibmc/internal/mono"
 	"plibmc/internal/pku"
 	"plibmc/internal/proc"
 	"plibmc/memcached"
@@ -599,6 +600,8 @@ func TestGateHardAdmissionControl(t *testing.T) {
 // latency and time-to-resume are the numbers EXPERIMENTS.md records.
 func TestGateHardLiveReapOnline(t *testing.T) {
 	budget := 5 * time.Millisecond
+	thaw := mono.Still() // a budget of five ticks: the watchdog steps the clock
+	defer thaw()
 	book := ghStore(t, memcached.Config{LiveCallBudget: budget, CallTimeout: 5 * time.Second})
 	lib := book.Library()
 
@@ -636,8 +639,21 @@ func TestGateHardLiveReapOnline(t *testing.T) {
 		}
 	}()
 
-	wdStop := make(chan struct{})
-	wdDone := gatehard.DriveWatchdog(lib, 500*time.Microsecond, wdStop)
+	// The watchdog publishes the clock before each sweep, so no call's
+	// stamp lags it by more than one sweep interval.
+	wdStop, wdDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(wdDone)
+		for {
+			select {
+			case <-wdStop:
+				return
+			case <-time.After(500 * time.Microsecond):
+				mono.Publish(mono.Now())
+				lib.WatchdogSweep(time.Now())
+			}
+		}
+	}()
 
 	t0 := time.Now()
 	spinErr := make(chan error, 1)

@@ -171,9 +171,22 @@ func (c *Client) armDeadline() {
 	}
 }
 
+// Check refuses a command the connection's protocol cannot carry (over
+// ASCII, protocol.ErrBadKey). Do and Pipeline check before they write a
+// byte, so a refusal leaves the connection open.
+func (c *Client) Check(cmd *protocol.Command) error {
+	if c.proto == ASCII {
+		return protocol.CheckASCIIKeys(cmd)
+	}
+	return nil
+}
+
 // Do sends one command and reads its reply. A failure of the transport
 // or of the reply's parse closes the connection (see Pipeline).
 func (c *Client) Do(cmd *protocol.Command) (*protocol.Reply, error) {
+	if err := c.Check(cmd); err != nil {
+		return nil, err
+	}
 	c.armDeadline()
 	err := c.write(cmd)
 	if err == nil {
@@ -196,6 +209,11 @@ func (c *Client) Do(cmd *protocol.Command) (*protocol.Reply, error) {
 // the replies still in flight would otherwise answer the next call;
 // Reconnect starts afresh.
 func (c *Client) Pipeline(cmds []protocol.Command, reps []*protocol.Reply) error {
+	for i := range cmds {
+		if err := c.Check(&cmds[i]); err != nil {
+			return err
+		}
+	}
 	c.armDeadline()
 	for i := range cmds {
 		if err := c.write(&cmds[i]); err != nil {
@@ -272,28 +290,6 @@ func (c *Client) Set(key, value []byte, flags uint32, exptime int64) error {
 		err = statusErr(rep.Status)
 	}
 	return err
-}
-
-// Stats fetches the server's statistics.
-func (c *Client) Stats() (map[string]string, error) {
-	rep, err := c.Do(&protocol.Command{Op: protocol.OpStats})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(rep.Stats))
-	for _, kv := range rep.Stats {
-		out[kv[0]] = kv[1]
-	}
-	return out, nil
-}
-
-// Version fetches the server version string.
-func (c *Client) Version() (string, error) {
-	rep, err := c.Do(&protocol.Command{Op: protocol.OpVersion})
-	if err != nil {
-		return "", err
-	}
-	return rep.Version, nil
 }
 
 // ErrNotFound is Get's miss, one error so that a miss costs no

@@ -151,3 +151,28 @@ func TestStatusSentinels(t *testing.T) {
 		t.Errorf("unnamed status: %v", err)
 	}
 }
+
+// A key the ASCII protocol cannot carry is refused before a byte is
+// written — by Do, and by Pipeline for the whole batch — and the
+// connection stays open and in step.
+func TestASCIIBadKeyLeavesConnectionInStep(t *testing.T) {
+	c, err := Dial("unix", startServer(t, "badkey"), ASCII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Set([]byte("k"), []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte("x\r\ndelete k")
+	if _, err := c.Do(&protocol.Command{Op: protocol.OpGet, Key: bad}); !errors.Is(err, protocol.ErrBadKey) {
+		t.Fatalf("Do = %v, want ErrBadKey", err)
+	}
+	cmds := []protocol.Command{{Op: protocol.OpGet, Key: []byte("k")}, {Op: protocol.OpDelete, Key: bad}}
+	if err := c.Pipeline(cmds, make([]*protocol.Reply, len(cmds))); !errors.Is(err, protocol.ErrBadKey) {
+		t.Fatalf("Pipeline = %v, want ErrBadKey", err)
+	}
+	if v, _, _, err := c.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after the refusals = %q, %v; want the key, on the same connection", v, err)
+	}
+}

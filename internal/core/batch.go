@@ -88,7 +88,6 @@ var fpBatchMidDispatch = faultpoint.New("ops.batch.mid_dispatch")
 // retrieved is appended to vbuf, returned as grown — one buffer, not 64.
 func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	if len(ops) == 0 {
-		c.lent = 0 // no admission to consume it
 		return vbuf
 	}
 	defer c.opEnd(LatBatch, c.opBegin())
@@ -145,7 +144,6 @@ func (c *Ctx) Do(op *BatchOp, r *BatchResult) {
 	*r = BatchResult{}
 	var start int
 	r.Value = c.execBatchOne(op, r, nil, &start)
-	c.lent = 0 // an op refused before its admission must not leave the next one a stale stamp
 }
 
 // execBatchOne dispatches one operation into the ordinary op

@@ -206,7 +206,7 @@ type Store struct {
 	latEnabled bool
 
 	// nowFn, when set (SetClock), replaces the store clock, unix seconds.
-	// Unset, the clock is mono.Unix of each admission's stamp (Ctx.now).
+	// Unset, it is mono.Unix of the coarse clock (Ctx.now).
 	nowFn func() int64
 
 	// aliveFn is the owner-liveness oracle (SetOwnerLiveness): grave
@@ -367,7 +367,7 @@ func (s *Store) ResetGate() {
 }
 
 // SetClock overrides the store's time source (tests and expiry benches):
-// every admission then reads now, whatever stamp it was lent.
+// every admission then reads now instead of the coarse clock.
 func (s *Store) SetClock(now func() int64) { s.nowFn = now }
 
 // MemLimit returns the eviction watermark in bytes.

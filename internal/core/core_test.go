@@ -191,36 +191,36 @@ func TestAppendPrepend(t *testing.T) {
 	}
 }
 
-// TestDefaultClock (ISSUE 21, 26): a store nobody called SetClock on tells
-// unix time from each admission's stamp — the process anchor's wall clock
-// plus monotonic time since. Admission by admission it must track
-// time.Now().Unix() to the second and never run backwards, whether the
-// context stamps itself or is lent the stamp.
+// TestDefaultClock: a store nobody called SetClock on tells unix time
+// from the coarse clock — the process anchor's wall clock plus monotonic
+// time since. Admission by admission it must track time.Now().Unix() to
+// the second and never run backwards, whether a store holds the clock
+// ticking or the word falls back to a precise read.
 func TestDefaultClock(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
-	admit := func(lend bool) int64 {
-		if lend {
-			c.Stamp(mono.Now())
-		}
+	admit := func() int64 {
 		c.enterOp()
 		defer c.exitOp()
 		return c.now()
 	}
-	last := admit(false)
-	for i := 0; i < 200_000; i++ {
-		before := time.Now().Unix()
-		now := admit(i%2 == 0)
-		after := time.Now().Unix()
-		if now < last {
-			t.Fatalf("store clock stepped backwards: %d after %d", now, last)
+	last := admit()
+	for _, ticking := range []bool{false, true} {
+		if ticking {
+			mono.Hold()
+			defer mono.Release()
 		}
-		if now < before-1 || now > after+1 {
-			t.Fatalf("store clock reads %d, wall clock %d..%d", now, before, after)
+		for i := 0; i < 100_000; i++ {
+			before := time.Now().Unix()
+			now := admit()
+			after := time.Now().Unix()
+			if now < last {
+				t.Fatalf("ticking=%v: store clock stepped backwards: %d after %d", ticking, now, last)
+			}
+			if now < before-1 || now > after+1 {
+				t.Fatalf("ticking=%v: store clock reads %d, wall clock %d..%d", ticking, now, before, after)
+			}
+			last = now
 		}
-		last = now
-	}
-	if got := c.OwnClockReads(); got != 100_001 {
-		t.Fatalf("context stamped itself %d times, want only the 100001 admissions lent nothing", got)
 	}
 }
 

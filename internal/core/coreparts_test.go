@@ -14,12 +14,13 @@ var partsSink uint64
 // and 5 KB values), so a change to the store's fixed per-op cost can say
 // which row it moved (make bench-gate; the rows are tabulated in DESIGN.md
 // §6). The sampler rows include the op gate they cannot run without: of
-// every 8 operations 7 take the unsampled row and one a sampled row. Each
-// whole comes three ways: alone and stamping itself (a bare context),
-// alone and lent its stamp (what a session drives — the clock row is
-// absent from it), and as one of 64 in an ExecBatch, which pays the gate,
-// sampler, stamp and statistics once per batch. The parts need not sum to
-// the whole: each loop keeps its own lines hot.
+// every 8 operations 7 take the unsampled row and one the sampled row. Each
+// whole comes three ways: alone with no store holding the coarse clock
+// (the clock row: a precise read per admission), alone with it ticking
+// (what a session drives: one load of the word), and as one of 64 in an
+// ExecBatch, which pays the gate, sampler, clock and statistics once per
+// batch. The parts need not sum to the whole: each loop keeps its own
+// lines hot.
 func BenchmarkCoreParts(b *testing.B) {
 	const n = 64
 	s, c := newStore(b, 1<<26, Options{HashPower: 12, NumItemLocks: 64})
@@ -44,8 +45,6 @@ func BenchmarkCoreParts(b *testing.B) {
 	if it == 0 {
 		b.Fatal("primed key not found")
 	}
-	stamp := mono.Now()
-
 	part := func(name string, fn func()) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -53,13 +52,13 @@ func BenchmarkCoreParts(b *testing.B) {
 			}
 		})
 	}
+	ticking := func(run func()) { mono.Hold(); defer mono.Release(); run() }
 	part("hash", func() { partsSink += hashKey(k) })
 	part("key-capture", func() { partsSink += uint64(len(c.capture(&c.keyBuf, k))) })
 	part("op-gate", func() { c.enterOp(); c.exitOp() })
 	part("gate+sampler-unsampled", func() { c.latN = 0; c.opEnd(LatGet, c.opBegin()) })
 	part("gate+sampler-sampled", func() { c.latN = s.latMask; c.opEnd(LatGet, c.opBegin()) })
-	part("gate+sampler-sampled-lent", func() { c.latN = s.latMask; c.Stamp(stamp); c.opEnd(LatGet, c.opBegin()) })
-	part("clock", func() { c.stamp, c.nowOK = 0, false; partsSink += uint64(c.now()) })
+	part("clock", func() { c.nowOK = false; partsSink += uint64(c.now()) })
 	part("stat-add", func() { c.stat(statGetHits, 1) })
 	part("reader-section", func() { c.beginRead(); c.endRead() })
 	part("check-valid", func() {
@@ -90,31 +89,33 @@ func BenchmarkCoreParts(b *testing.B) {
 			part(sh.name+"/copy-out", func() { partsSink += uint64(len(append(dst[:0], c.valBuf[:sh.vlen]...))) })
 		}
 		part(sh.name+"/get-lone", func() { c.GetAppend(dst[:0], k) }) //nolint:errcheck
-		part(sh.name+"/get-lone-lent", func() { c.Stamp(stamp); c.GetAppend(dst[:0], k) })
 		ops, res := make([]BatchOp, n), make([]BatchResult, n)
 		for i := range ops {
 			ops[i] = BatchOp{Code: BatchGet, Key: sh.key(i)}
 		}
-		b.Run(sh.name+"/get-in-batch64", func(b *testing.B) {
-			for i := 0; i < b.N; i += n {
-				c.Stamp(stamp)
-				c.ExecBatch(ops, res, dst[:0])
-			}
+		ticking(func() {
+			part(sh.name+"/get-lone-coarse", func() { c.GetAppend(dst[:0], k) }) //nolint:errcheck
+			b.Run(sh.name+"/get-in-batch64", func(b *testing.B) {
+				for i := 0; i < b.N; i += n {
+					c.ExecBatch(ops, res, dst[:0])
+				}
+			})
 		})
 	}
-	part("set-128B/set-lone", func() { c.Set(k, v128, 0, 0) }) //nolint:errcheck
-	part("set-128B/set-lone-lent", func() { c.Stamp(stamp); c.Set(k, v128, 0, 0) })
 	k5 := key("big5", 0)
-	part("set-5KB/set-lone", func() { c.Set(k5, v5k, 0, 0) }) //nolint:errcheck
-	part("set-5KB/set-lone-lent", func() { c.Stamp(stamp); c.Set(k5, v5k, 0, 0) })
+	part("set-128B/set-lone", func() { c.Set(k, v128, 0, 0) }) //nolint:errcheck
+	part("set-5KB/set-lone", func() { c.Set(k5, v5k, 0, 0) })  //nolint:errcheck
 	sets, res := make([]BatchOp, n), make([]BatchResult, n)
 	for i := range sets {
 		sets[i] = BatchOp{Code: BatchSet, Key: key("user", i), Value: v128}
 	}
-	b.Run("set-128B/set-in-batch64", func(b *testing.B) {
-		for i := 0; i < b.N; i += n {
-			c.Stamp(stamp)
-			c.ExecBatch(sets, res, nil)
-		}
+	ticking(func() {
+		part("set-128B/set-lone-coarse", func() { c.Set(k, v128, 0, 0) }) //nolint:errcheck
+		part("set-5KB/set-lone-coarse", func() { c.Set(k5, v5k, 0, 0) })  //nolint:errcheck
+		b.Run("set-128B/set-in-batch64", func(b *testing.B) {
+			for i := 0; i < b.N; i += n {
+				c.ExecBatch(sets, res, nil)
+			}
+		})
 	})
 }

@@ -48,7 +48,7 @@ func (c *Ctx) enterOp() {
 	if c.opDepth++; c.opDepth > 1 {
 		return
 	}
-	c.stamp, c.lent, c.nowOK = c.lent, 0, false // one stamp per admission; see Ctx.admitted
+	c.nowOK = false // one clock read per admission; see Ctx.now
 	h := c.s.H
 	gate := c.s.cfg + cfgGate
 	if slot := c.rdSlot; slot != 0 && h.CAS64(slot+readerSlotOp, 0, c.owner) {

@@ -188,9 +188,9 @@ func TestOptimisticHitCountsOnce(t *testing.T) {
 }
 
 // TestBatchAdoptsOneStamp: every operation of a batch tells time from the
-// one stamp its admission was lent — here a stamp three hours ahead of the
-// clock, which nothing but adoption could produce — and a context lent
-// nothing stamps a batch itself exactly once.
+// one read of the coarse clock its admission made — here a word three
+// hours ahead, which nothing but that read could produce — and the next
+// admission reads the word again.
 func TestBatchAdoptsOneStamp(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	const n = 64
@@ -201,23 +201,16 @@ func TestBatchAdoptsOneStamp(t *testing.T) {
 		ops[n+i] = BatchOp{Code: BatchExport, Key: k}
 	}
 	res := make([]BatchResult, len(ops))
-	stamp := mono.At(time.Now().Add(3 * time.Hour))
-	c.Stamp(stamp)
-	c.ExecBatch(ops, res, nil)
-	for i := n; i < 2*n; i++ {
-		if res[i].Err != nil || res[i].Exptime != mono.Unix(stamp)+10 {
-			t.Fatalf("op %d: expiry %d (%v), want %d from the lent stamp", i, res[i].Exptime, res[i].Err, mono.Unix(stamp)+10)
+	resume := mono.Still()
+	defer resume()
+	for _, ahead := range []time.Duration{3 * time.Hour, 5 * time.Hour} {
+		stamp := mono.At(time.Now().Add(ahead))
+		mono.Publish(stamp)
+		c.ExecBatch(ops, res, nil)
+		for i := n; i < 2*n; i++ {
+			if res[i].Err != nil || res[i].Exptime != mono.Unix(stamp)+10 {
+				t.Fatalf("%v ahead, op %d: expiry %d (%v), want %d from the word", ahead, i, res[i].Exptime, res[i].Err, mono.Unix(stamp)+10)
+			}
 		}
-	}
-	if r := c.OwnClockReads(); r != 0 {
-		t.Fatalf("a batch lent its stamp read the clock %d times", r)
-	}
-	// The stamp was consumed: the next admission is on the real clock again.
-	c.ExecBatch(ops, res, nil)
-	if got, want := res[n].Exptime, time.Now().Unix()+10; got < want-1 || got > want+1 {
-		t.Fatalf("unlent batch: expiry %d, want about %d", got, want)
-	}
-	if r := c.OwnClockReads(); r != 1 {
-		t.Fatalf("a %d-op batch lent nothing read the clock %d times, want once", len(ops), r)
 	}
 }

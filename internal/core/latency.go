@@ -15,11 +15,10 @@ package core
 // structure.
 //
 // Recording is sampled: one in every LatencySampleEvery operations per
-// context pays for a clock read at its end (its start is the admission's
-// stamp, usually lent — see Ctx.Stamp), the rest pay one branch and one
-// increment. Percentiles are unbiased under uniform sampling; totals count
-// sampled operations, not all operations (the scattered counters already
-// count every operation exactly).
+// context pays for two precise clock reads, at its start and its end; the
+// rest pay one branch and one increment. Percentiles are unbiased under
+// uniform sampling; totals count sampled operations, not all operations
+// (the scattered counters already count every operation exactly).
 
 import (
 	"fmt"
@@ -62,8 +61,8 @@ func (s *Store) latOff(slot uint64, class int) uint64 {
 	return s.latency + slot*latSlotStride + uint64(class)*latHistStride
 }
 
-// opBegin is enterOp plus sampled latency capture: it returns the
-// admission's stamp if this operation was chosen for recording, else 0.
+// opBegin is enterOp plus sampled latency capture: it returns a precise
+// start (mono.Now) if this operation was chosen for recording, else 0.
 // Only outermost operations sample (a nested GetAppend inside MGet, or an
 // eviction inside a Set, is part of its parent's latency).
 func (c *Ctx) opBegin() int64 {
@@ -74,7 +73,7 @@ func (c *Ctx) opBegin() int64 {
 	if c.latN++; c.latN&c.s.latMask != 0 {
 		return 0
 	}
-	return c.admitted()
+	return mono.Now()
 }
 
 // opEnd records the sampled latency (before exitOp, so a crash inside

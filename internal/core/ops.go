@@ -29,7 +29,7 @@ var (
 // buffers of Fig. 4). A Ctx must be used by one thread at a time.
 //
 // The padding at each end keeps the words an operation writes (opDepth,
-// stamp, lent, latN, ...) off the cache lines of whatever the allocator
+// nowCache, latN, ...) off the cache lines of whatever the allocator
 // places beside the context — another thread's context, most often.
 type Ctx struct {
 	_     [64]byte
@@ -46,8 +46,6 @@ type Ctx struct {
 	rdEpoch     uint64 // epoch this context announced in its slot (see endRead)
 	latN        uint64 // operations seen since creation (latency sampling)
 	latSlot     uint64 // latency-histogram slot this context records into
-	lent, stamp int64  // stamp lent to the next admission (see Stamp), and the current one's; 0 = none
-	ownReads    uint64 // admissions this context stamped itself (see admitted)
 	nowCache    int64  // store clock cached for the current admission (see now)
 	nowOK       bool
 	statDefer   bool // accumulate stats in statLocal instead of shared slots
@@ -215,35 +213,17 @@ func (c *Ctx) capture(dst *[]byte, src []byte) []byte {
 	return b
 }
 
-// Stamp lends the next admission its one clock read (mono.Now; DESIGN.md
-// §12 "Who reads the clock"); enterOp consumes it. Expiry is decided from
-// it, so ns must be the caller's own reading, never one a client supplied.
-func (c *Ctx) Stamp(ns int64) { c.lent = ns }
-
-// admitted returns the admission's stamp, shared by now and the sampler:
-// the one lent, or — a context driven without a session (maintainer,
-// scrubber, a wire connection's, tests) — its own lazy read.
-func (c *Ctx) admitted() int64 {
-	if c.stamp == 0 {
-		c.stamp = mono.Now()
-		c.ownReads++
-	}
-	return c.stamp
-}
-
-// OwnClockReads counts the admissions this context stamped itself.
-func (c *Ctx) OwnClockReads() uint64 { return c.ownReads }
-
-// now returns the store clock, unix seconds, derived from the admission's
-// stamp at most once per gate admission (enterOp invalidates the cache at
-// depth 1), so a batch of k operations shares one. An injected clock
-// (SetClock) wins over the stamp and is read afresh each admission.
+// now returns the store clock, unix seconds: the coarse clock (mono.Coarse,
+// one load of a word no client can write; DESIGN.md §12 "Who reads the
+// clock"), read at most once per gate admission (enterOp invalidates the
+// cache at depth 1), so a batch of k operations shares one. An injected
+// clock (SetClock) wins and is read afresh each admission.
 func (c *Ctx) now() int64 {
 	if !c.nowOK {
 		if fn := c.s.nowFn; fn != nil {
 			c.nowCache = fn()
 		} else {
-			c.nowCache = mono.Unix(c.admitted())
+			c.nowCache = mono.Unix(mono.Coarse())
 		}
 		c.nowOK = true
 	}

@@ -28,8 +28,12 @@ func deferRecover(errp *error) {
 // the shape memcached sessions have (a fixed-key library domain plus a
 // virtual tenant domain), so a change to the gate can say which row it
 // moved (make bench-gate; the rows are tabulated in DESIGN.md §13). The
-// parts need not sum to the whole: each loop keeps its own lines hot.
+// coarse clock ticks throughout, as it does under any open store: clock is
+// a precise read, clock-coarse the load admission makes instead. The parts
+// need not sum to the whole: each loop keeps its own lines hot.
 func BenchmarkGateParts(b *testing.B) {
+	mono.Hold()
+	defer mono.Release()
 	h := shm.New(4 * shm.PageSize)
 	pt := pku.NewPageTable(h)
 	dom, _ := NewDomain(h, pt)
@@ -54,6 +58,11 @@ func BenchmarkGateParts(b *testing.B) {
 	b.Run("clock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			partsSink += mono.Now()
+		}
+	})
+	b.Run("clock-coarse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			partsSink += mono.Coarse()
 		}
 	})
 	b.Run("admit", func(b *testing.B) {

@@ -272,8 +272,9 @@ type Session struct {
 	Tenant *Domain
 
 	linked bool
-	// callStart is the in-flight call's admission stamp (mono.Now, never
-	// 0), or 0 when the thread is in application code.
+	// callStart is the in-flight call's admission stamp (mono.Coarse, or
+	// mono.Now after a park; never 0), or 0 when the thread is in
+	// application code.
 	callStart atomic.Int64
 	// stackDepth models the trampoline's switch to the library-side stack.
 	stackDepth int
@@ -310,11 +311,6 @@ const (
 
 // InCall reports whether the session's thread is inside a library call.
 func (s *Session) InCall() bool { return s.callStart.Load() != 0 }
-
-// Stamp returns the in-flight call's admission stamp, the call's one clock
-// read. It is the trampoline's own value, never an argument nor memory the
-// client can write: an expiry decided from it obeys §3.4.
-func (s *Session) Stamp() int64 { return s.callStart.Load() }
 
 // StackDepth returns the current library-stack depth (0 in application code).
 func (s *Session) StackDepth() int { return s.stackDepth }
@@ -551,7 +547,7 @@ func (s *Session) enter() error {
 		l.rejected.Add(1)
 		return eErr
 	}
-	if aErr := l.admit(s, mono.Now()); aErr != nil {
+	if aErr := l.admit(s, mono.Coarse()); aErr != nil {
 		l.rejected.Add(1)
 		t.ExitLibrary()
 		return aErr
@@ -839,8 +835,9 @@ func Wrap[A, R any](l *Library, name string, fn func(*proc.Thread, A) (R, error)
 // overdue call of a killed process — fenced, its locks broken, the store
 // repaired online while sibling tenants keep serving. Since a reaped
 // thread may hold locks, reaping triggers a recovery cycle (or poisons a
-// library with no repair routine). now is injected for testability. It
-// returns the number of calls reaped.
+// library with no repair routine). now is injected for testability. A
+// call is judged by the time it has surely run (mono.Elapsed): a coarse
+// stamp can only make a reap later. It returns the number of calls reaped.
 func (l *Library) WatchdogSweep(now time.Time) int {
 	reaped, _ := l.sweep(now)
 	return reaped
@@ -866,7 +863,7 @@ func (l *Library) sweep(now time.Time) (reaped int, live bool) {
 		if start == 0 {
 			continue
 		}
-		elapsed := time.Duration(nowNS - start)
+		elapsed := time.Duration(mono.Elapsed(start, nowNS))
 		killed := s.Thread.Proc.Killed()
 		switch {
 		case killed && elapsed > timeout:

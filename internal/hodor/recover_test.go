@@ -358,7 +358,7 @@ func TestParkedCallStampedAtAdmission(t *testing.T) {
 	var began time.Time
 	slow := Wrap(f.lib, "slow", func(*proc.Thread, struct{}) (struct{}, error) {
 		began = time.Now()
-		inCall <- s.Stamp()
+		inCall <- s.callStart.Load()
 		<-block
 		return struct{}{}, nil
 	})

@@ -32,6 +32,38 @@ func blockedCall(t *testing.T, s *Session) (release func()) {
 // sweep sees it that old without the test sleeping.
 func backdate(s *Session, d time.Duration) { s.callStart.Store(mono.Now() - int64(d)) }
 
+// TestWatchdogNeverEarlyOnCoarseStamps: a call admitted on the coarse
+// clock began somewhere between its stamp and the next publication, so the
+// watchdog measures it from the stamp plus the widest gap. Admitted just
+// before a publication, a call is not reaped at twice its budget after its
+// stamp, and is reaped one gap later.
+func TestWatchdogNeverEarlyOnCoarseStamps(t *testing.T) {
+	const budget, gap = 10 * time.Millisecond, 3 * time.Millisecond
+	resume := mono.Still()
+	defer resume()
+	f := newFixture(t)
+	f.lib.LiveCallBudget = budget
+	s := f.session(t)
+	t0 := mono.Now()
+	mono.Publish(t0)
+	release := blockedCall(t, s)
+	defer release()
+	if got := s.callStart.Load(); got != t0 {
+		t.Fatalf("call stamped %d, want the published word %d", got, t0)
+	}
+	mono.Publish(t0 + int64(gap))
+	at := func(d time.Duration) time.Time { return mono.Time(t0 + int64(d)) }
+	if n := f.lib.WatchdogSweep(at(2*budget + gap)); n != 0 || s.Reaped() {
+		t.Fatalf("reaped %d at twice the budget plus the gap after the stamp; the call may have begun a gap late", n)
+	}
+	if !s.AbortRequested() {
+		t.Fatal("no abort request past 1.5 budgets of sure execution")
+	}
+	if n := f.lib.WatchdogSweep(at(2*budget + gap + time.Microsecond)); n != 1 || !s.Reaped() {
+		t.Fatalf("reaped %d a gap past twice the budget, want 1", n)
+	}
+}
+
 // TestAttachTwiceFails: the table is keyed by the thread's token, so a
 // thread holds one session per library until it detaches.
 func TestAttachTwiceFails(t *testing.T) {

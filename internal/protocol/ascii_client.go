@@ -3,18 +3,45 @@ package protocol
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
 // Client-side ASCII parsing: decode the server's reply to a command.
 
-// WriteASCIICommand renders a command in the ASCII protocol.
+// ErrBadKey refuses a key the ASCII protocol cannot carry: past MaxKeyLen,
+// or holding a space or control byte, which would end the line early and
+// run the rest as a command (libmemcached's BAD_KEY_PROVIDED).
+var ErrBadKey = errors.New("protocol: key not valid in the ASCII protocol")
+
+// CheckASCIIKeys returns ErrBadKey if a key of c, the multi-key line's
+// included, cannot travel in an ASCII command line.
+func CheckASCIIKeys(c *Command) error {
+	for i := 0; i <= len(c.Keys); i++ {
+		if k := c.KeyAt(i); len(k) > MaxKeyLen || slices.ContainsFunc(k, func(b byte) bool { return b <= ' ' || b == 0x7f }) {
+			return ErrBadKey
+		}
+	}
+	return nil
+}
+
+// WriteASCIICommand renders a command in the ASCII protocol, or refuses it
+// with ErrBadKey before writing a byte.
 func WriteASCIICommand(w *bufio.Writer, c *Command) error {
+	if err := CheckASCIIKeys(c); err != nil {
+		return err
+	}
 	switch c.Op {
 	case OpGet:
-		_, err := fmt.Fprintf(w, "gets %s\r\n", c.Key)
+		w.WriteString("gets")
+		for i := 0; i <= len(c.Keys); i++ {
+			w.WriteByte(' ')
+			w.Write(c.KeyAt(i))
+		}
+		_, err := w.WriteString("\r\n")
 		return err
 	case OpSet, OpAdd, OpReplace, OpAppend, OpPrepend, OpCAS:
 		fmt.Fprintf(w, "%v %s %d %d %d", c.Op, c.Key, c.Flags, c.Exptime, len(c.Value))
@@ -40,17 +67,9 @@ func WriteASCIICommand(w *bufio.Writer, c *Command) error {
 	case OpGAT:
 		_, err := fmt.Fprintf(w, "gat %d %s\r\n", c.Exptime, c.Key)
 		return err
-	case OpFlushAll:
-		_, err := w.WriteString("flush_all\r\n")
-		return err
-	case OpStats:
-		_, err := w.WriteString("stats\r\n")
-		return err
-	case OpVersion:
-		_, err := w.WriteString("version\r\n")
-		return err
-	case OpQuit:
-		_, err := w.WriteString("quit\r\n")
+	case OpFlushAll, OpStats, OpVersion, OpQuit:
+		w.WriteString(c.Op.String())
+		_, err := w.WriteString("\r\n")
 		return err
 	default:
 		return fmt.Errorf("protocol: op %v has no ASCII encoding", c.Op)

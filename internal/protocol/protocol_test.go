@@ -3,7 +3,9 @@ package protocol
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -308,5 +310,40 @@ func TestStatusStrings(t *testing.T) {
 		if op.String() == "" {
 			t.Errorf("empty name for op %d", op)
 		}
+	}
+}
+
+// TestWriteASCIICommandRefusesBadKeys: a key the ASCII line cannot carry —
+// past MaxKeyLen, or holding a space, a control byte or DEL, which would
+// end the line early — is refused with ErrBadKey before a byte is written,
+// on the multi-key line too; any other key, multi-key line included,
+// renders as it is.
+func TestWriteASCIICommandRefusesBadKeys(t *testing.T) {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	for _, c := range []Command{
+		{Op: OpGet, Key: []byte("x\r\nflush_all")},
+		{Op: OpSet, Key: []byte("a b"), Value: []byte("v")},
+		{Op: OpDelete, Key: []byte("tab\tkey")},
+		{Op: OpTouch, Key: []byte("del\x7f")},
+		{Op: OpIncr, Key: []byte("nul\x00"), Delta: 1},
+		{Op: OpGAT, Key: bytes.Repeat([]byte("k"), MaxKeyLen+1)},
+		{Op: OpGet, Key: []byte("ok"), Keys: [][]byte{[]byte("fine"), []byte("bad\nkey")}},
+	} {
+		if err := WriteASCIICommand(w, &c); !errors.Is(err, ErrBadKey) {
+			t.Errorf("%v %q %q: %v; want ErrBadKey", c.Op, c.Key, c.Keys, err)
+		}
+	}
+	w.Flush()
+	if buf.Len() != 0 {
+		t.Fatalf("refused commands wrote %q", buf.Bytes())
+	}
+	c := Command{Op: OpGet, Key: []byte("a"), Keys: [][]byte{[]byte("b"), []byte("\xc3\xa9"), bytes.Repeat([]byte("k"), MaxKeyLen)}}
+	if err := WriteASCIICommand(w, &c); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if want := "gets a b \xc3\xa9 " + strings.Repeat("k", MaxKeyLen) + "\r\n"; buf.String() != want {
+		t.Fatalf("multi-key line = %q, want %q", buf.String(), want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,13 +92,13 @@ func testClientOps(t *testing.T, c *client.Client) {
 	if err := kv.Delete([]byte("k")); !errors.Is(err, memcached.ErrNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
-	ver, err := c.Version()
-	if err != nil || !strings.Contains(ver, "baseline") {
-		t.Fatalf("version = %q, %v", ver, err)
+	ver, err := c.Do(&protocol.Command{Op: protocol.OpVersion})
+	if err != nil || !strings.Contains(ver.Version, "baseline") {
+		t.Fatalf("version = %+v, %v", ver, err)
 	}
-	stats, err := c.Stats()
-	if err != nil || stats["cmd_get"] == "" {
-		t.Fatalf("stats = %v, %v", stats, err)
+	stats, err := c.Do(&protocol.Command{Op: protocol.OpStats})
+	if err != nil || !slices.ContainsFunc(stats.Stats, func(kv [2]string) bool { return kv[0] == "cmd_get" && kv[1] != "" }) {
+		t.Fatalf("stats = %+v, %v", stats, err)
 	}
 	if err := kv.FlushAll(); err != nil {
 		t.Fatal(err)

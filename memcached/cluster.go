@@ -580,12 +580,12 @@ func (s *ClusterSession) doShard(t *topology, shard int, op *BatchOp, r *BatchRe
 	// breaker as nil: it is not the shard's failure, and classifying it
 	// would cost a miss more than the report itself.
 	ss, err := s.sess(t, shard)
-	if err != nil {
-		*r = BatchResult{Err: err}
-	} else {
+	if err == nil {
 		err = ss.cross(op, r)
 	}
-	s.c.shardReport(t, shard, err)
+	if err = s.c.shardReport(t, shard, err); err != nil {
+		*r = BatchResult{Err: err}
+	}
 }
 
 // FlushAll removes every entry on every shard (including shards still
@@ -604,8 +604,7 @@ func (s *ClusterSession) FlushAll() error {
 		if err == nil {
 			err = ss.FlushAll()
 		}
-		s.c.shardReport(t, i, err)
-		if err != nil {
+		if err := s.c.shardReport(t, i, err); err != nil {
 			return err
 		}
 	}
@@ -638,8 +637,7 @@ func (s *ClusterSession) batchShard(t *topology, shard int, ops []BatchOp, res [
 	if err == nil {
 		vbuf, err = ss.batch(ops, res, vbuf)
 	}
-	s.c.shardReport(t, shard, err)
-	return vbuf, err
+	return vbuf, s.c.shardReport(t, shard, err)
 }
 
 // batch is the cluster's batch path: partition ops by owning shard (in the

@@ -3,6 +3,7 @@ package memcached
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"plibmc/internal/client"
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/hodor"
+	"plibmc/internal/protocol"
 )
 
 func newTestCluster(t testing.TB, shards int, cfg ClusterConfig) *Cluster {
@@ -611,16 +613,13 @@ func TestClusterProxyWire(t *testing.T) {
 			if _, _, _, err := cl.Get(keys[0]); err == nil {
 				t.Fatal("deleted key still present")
 			}
-			ver, err := cl.Version()
-			if err != nil || !strings.Contains(ver, "cluster") {
-				t.Fatalf("version = %q %v", ver, err)
+			ver, err := cl.Do(&protocol.Command{Op: protocol.OpVersion})
+			if err != nil || !strings.Contains(ver.Version, "cluster") {
+				t.Fatalf("version = %+v %v", ver, err)
 			}
-			stats, err := cl.Stats()
-			if err != nil || stats["shards"] != "4" {
-				t.Fatalf("stats shards = %q %v", stats["shards"], err)
-			}
-			if stats["shard0:state"] != "0" {
-				t.Fatalf("shard0 state = %q", stats["shard0:state"])
+			stats, err := cl.Do(&protocol.Command{Op: protocol.OpStats})
+			if err != nil || !slices.Contains(stats.Stats, [2]string{"shards", "4"}) || !slices.Contains(stats.Stats, [2]string{"shard0:state", "0"}) {
+				t.Fatalf("stats = %v %v; want shards 4, shard0:state 0", stats, err)
 			}
 		})
 	}

@@ -116,7 +116,7 @@ func (m *St) ret(err error) ReturnT {
 		return NotFound
 	case errors.Is(err, memcached.ErrExists), errors.Is(err, memcached.ErrCASMismatch):
 		return DataExists
-	case errors.Is(err, memcached.ErrKeyTooLong):
+	case errors.Is(err, memcached.ErrKeyTooLong), errors.Is(err, memcached.ErrBadKey):
 		return BadKeyProvided
 	case errors.Is(err, memcached.ErrValueTooBig):
 		return E2Big

@@ -352,12 +352,13 @@ func NewSocketSession(c *client.Client) *SocketSession {
 	return s
 }
 
-// wireCommand renders op as the command that carries it over the wire, or
-// refuses it into r: a key too long for the wire, as libmemcached does,
-// or a code with no wire op. A CAS with token 0 can never match, so it
-// goes as a Get, whose hit is the mismatch (as a binary Set with cas 0 it
-// would store unconditionally).
-func wireCommand(cmd *protocol.Command, op *BatchOp, r *BatchResult) bool {
+// command renders op as the command that carries it over the wire, or
+// refuses it into r, as libmemcached does: a key too long for the wire or
+// one the connection's protocol cannot carry (ErrBadKey), or a code with
+// no wire op. A CAS with token 0 can never match, so it goes as a Get,
+// whose hit is the mismatch (as a binary Set with cas 0 it would store
+// unconditionally).
+func (s *SocketSession) command(cmd *protocol.Command, op *BatchOp, r *BatchResult) bool {
 	w, ok := wireOp(op.Code)
 	switch {
 	case len(op.Key) > core.MaxKeyLen:
@@ -371,6 +372,10 @@ func wireCommand(cmd *protocol.Command, op *BatchOp, r *BatchResult) bool {
 	default:
 		*cmd = protocol.Command{Op: w, Key: op.Key, Value: op.Value,
 			Flags: op.Flags, Exptime: op.Exptime, Delta: op.Delta, CAS: op.CAS}
+	}
+	if err := s.c.Check(cmd); err != nil {
+		*r = BatchResult{Err: err}
+		return false
 	}
 	return true
 }
@@ -390,7 +395,7 @@ func wireResult(op *BatchOp, rep *protocol.Reply, r *BatchResult) {
 
 func (s *SocketSession) do(op *BatchOp, r *BatchResult) {
 	var cmd protocol.Command
-	if !wireCommand(&cmd, op, r) {
+	if !s.command(&cmd, op, r) {
 		return
 	}
 	rep, err := s.c.Do(&cmd)
@@ -407,7 +412,7 @@ func (s *SocketSession) batch(ops []BatchOp, res []BatchResult, vbuf []byte) ([]
 	cmds, sent := s.cmds[:0], s.sent[:0]
 	for i := range ops {
 		var cmd protocol.Command
-		if wireCommand(&cmd, &ops[i], &res[i]) {
+		if s.command(&cmd, &ops[i], &res[i]) {
 			cmds, sent = append(cmds, cmd), append(sent, i)
 		}
 	}

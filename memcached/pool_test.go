@@ -9,6 +9,7 @@ import (
 
 	"plibmc/internal/gatehard"
 	"plibmc/internal/hodor"
+	"plibmc/internal/mono"
 	"plibmc/internal/proc"
 )
 
@@ -95,6 +96,8 @@ func TestSessionPoolWithConcurrent(t *testing.T) {
 // out, poisoning every borrower with ErrSessionReaped.
 func TestSessionPoolDiscardsReapedSession(t *testing.T) {
 	budget := 2 * time.Millisecond
+	resume := mono.Still() // a budget of two ticks: step the clock instead
+	defer resume()
 	b, err := CreateStore(Config{HeapBytes: 32 << 20, HashPower: 8, NumItemLocks: 16,
 		LiveCallBudget: budget, CallTimeout: 5 * time.Second})
 	if err != nil {
@@ -116,8 +119,10 @@ func TestSessionPoolDiscardsReapedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reap the borrowed session: a hostile spin inside the gate plus one
-	// watchdog sweep with the clock past the live-call budget.
+	// Reap the borrowed session: a hostile spin inside the gate, stamped t0,
+	// then one step of the clock and one watchdog sweep 2.5 budgets past it.
+	t0 := mono.Now()
+	mono.Publish(t0)
 	spinErr := make(chan error, 1)
 	go func() {
 		spinErr <- gatehard.HostileSpin(s.Hodor(), gatehard.SpinOpts{MaxSpin: 10 * time.Second})
@@ -129,7 +134,9 @@ func TestSessionPoolDiscardsReapedSession(t *testing.T) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	b.Library().WatchdogSweep(time.Now().Add(budget * 5 / 2))
+	step := t0 + int64(mono.Period)
+	mono.Publish(step)
+	b.Library().WatchdogSweep(mono.Time(step + int64(budget*5/2)))
 	<-spinErr
 	if !s.Hodor().Reaped() {
 		t.Fatal("session not reaped")

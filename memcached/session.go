@@ -8,8 +8,8 @@ import (
 
 	"plibmc/internal/core"
 	"plibmc/internal/hodor"
-	"plibmc/internal/mono"
 	"plibmc/internal/proc"
+	"plibmc/internal/protocol"
 	"plibmc/internal/shm"
 )
 
@@ -22,6 +22,7 @@ var (
 	ErrKeyTooLong  = core.ErrKeyTooLong
 	ErrValueTooBig = core.ErrValueTooBig
 	ErrNoSpace     = core.ErrNoSpace
+	ErrBadKey      = protocol.ErrBadKey // an ASCII SocketSession's refusal; the rest take any key
 )
 
 // BatchOp and BatchResult are the batched-call ABI, re-exported from the
@@ -381,24 +382,14 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 		ctx.AbortCheck = hs.AbortRequested
 	}
 	s.x = s
-	// Every call lends the store its one clock read (DESIGN.md §12 "Who reads
-	// the clock"): the trampoline's own admission stamp — never an argument nor
-	// client-writable memory (§3.4) — or, with no trampoline, a read made here.
-	stamp := hs.Stamp
-	if direct {
-		stamp = mono.Now
-	}
 	s.fnOp = func(_ *proc.Thread, f frame) (struct{}, error) {
-		ctx.Stamp(stamp())
 		ctx.Do(f.op, f.res)
 		return struct{}{}, nil
 	}
 	s.fnBatch = func(_ *proc.Thread, f batchFrame) ([]byte, error) {
-		ctx.Stamp(stamp())
 		return ctx.ExecBatch(f.ops, f.res, f.vbuf), nil
 	}
 	s.fnFlush = func(_ *proc.Thread, _ struct{}) (struct{}, error) {
-		ctx.Stamp(stamp())
 		ctx.FlushAll()
 		return struct{}{}, nil
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"plibmc/internal/core"
+	"plibmc/internal/mono"
 	"plibmc/internal/ralloc"
 	"plibmc/internal/shm"
 )
@@ -33,70 +34,54 @@ func stampSessions(t *testing.T, cfg Config) (b *Bookkeeper, gated, direct *Sess
 	return b, gated, direct
 }
 
-// TestOneStampPerCall (ISSUE 26): below the session layer an operation
-// reads no clock. Every kind of call — single ops, a batch, an MGet, a
-// flush — on a gated and on a direct session leaves its context having
-// stamped nothing itself, with every operation latency-sampled (so the
-// sampler's start is the lent stamp too) and expiries in play (so the store
-// clock is derived from it); a context driven bare stamps each admission
-// itself, once.
-func TestOneStampPerCall(t *testing.T) {
-	b, gated, direct := stampSessions(t, Config{LatencySampleEvery: 1})
-	k, v := []byte("k"), []byte("v")
+// TestStoreClockIsTheWord: with the coarse clock held still an hour in the
+// past, an item whose absolute expiry is ten seconds past the word — an
+// hour gone by the precise clock — is a hit on every path: a gated and a
+// direct session, single ops, ExecBatch, MGet, and a set after FlushAll,
+// with every operation latency-sampled. Nothing reads the precise clock
+// for expiry.
+func TestStoreClockIsTheWord(t *testing.T) {
+	_, gated, direct := stampSessions(t, Config{LatencySampleEvery: 1})
+	resume := mono.Still()
+	defer resume()
+	word := mono.Now() - int64(time.Hour)
+	mono.Publish(word)
+	exp := mono.Unix(word) + 10 // past the 30-day cutoff: absolute
+	v := []byte("v")
 	for _, s := range []*Session{gated, direct} {
-		before := b.Store().Latency()
-		for i := 0; i < 10; i++ {
-			if err := s.Set(k, v, 0, 100); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := s.Get(k); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := s.GetAndTouch(k, 200); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := s.ExecBatch([]BatchOp{
-			{Code: BatchSet, Key: k, Value: v, Exptime: 50}, {Code: BatchGet, Key: k}, {Code: BatchTouch, Key: k, Exptime: 60},
-		}); err != nil {
+		k, kb := []byte("k"), []byte("kb")
+		if err := s.Set(k, v, 0, exp); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.MGet([][]byte{k, []byte("absent")}); err != nil {
-			t.Fatal(err)
+		if _, _, err := s.Get(k); err != nil {
+			t.Fatalf("direct=%v: Get of an item with 10s to live: %v", s.direct, err)
+		}
+		res, err := s.ExecBatch([]BatchOp{
+			{Code: BatchSet, Key: kb, Value: v, Exptime: exp}, {Code: BatchGet, Key: kb}, {Code: BatchTouch, Key: k, Exptime: exp},
+		})
+		if err != nil || res[1].Err != nil || res[2].Err != nil {
+			t.Fatalf("direct=%v: ExecBatch = %+v, %v; want the set item hit and touched", s.direct, res, err)
+		}
+		got, err := s.MGet([][]byte{k, kb})
+		if err != nil || !got[0].Found || !got[1].Found {
+			t.Fatalf("direct=%v: MGet = %+v, %v; want both hit", s.direct, got, err)
 		}
 		if err := s.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Get(make([]byte, 300)); !errors.Is(err, ErrKeyTooLong) { // refused before admission: its stamp goes unused
-			t.Fatalf("oversized key = %v", err)
+		if err := s.Set(k, v, 0, exp); err != nil {
+			t.Fatal(err)
 		}
-		if n := s.Ctx().OwnClockReads(); n != 0 {
-			t.Fatalf("direct=%v: the context read the clock itself %d times; every call lends it a stamp", s.direct, n)
-		}
-		after := b.Store().Latency()
-		var sampled uint64
-		for c := range after.Classes {
-			sampled += after.Classes[c].Total - before.Classes[c].Total
-		}
-		if sampled != 33 {
-			t.Fatalf("direct=%v: %d latency samples from 33 admissions", s.direct, sampled)
-		}
-	}
-	// Bare use of the same context (the ablation benchmarks): the stamp the
-	// refused Get left behind must not be adopted, stale, by this admission.
-	c := gated.Ctx()
-	for i := uint64(1); i <= 3; i++ {
-		c.Set(k, v, 0, 100) //nolint:errcheck
-		if n := c.OwnClockReads(); n != i {
-			t.Fatalf("bare context stamped itself %d times in %d admissions", n, i)
+		if _, _, err := s.Get(k); err != nil {
+			t.Fatalf("direct=%v: Get after FlushAll and a set with 10s to live: %v", s.direct, err)
 		}
 	}
 }
 
-// TestInjectedClockOverridesLentStamp: Store.SetClock wins over the stamp a
-// gated session lends, so an item expires on the call after the clock is
-// stepped — each admission reads the injected clock afresh.
-func TestInjectedClockOverridesLentStamp(t *testing.T) {
+// TestInjectedClockOverridesTheWord: Store.SetClock wins over the coarse
+// clock, so an item expires on the call after the injected clock is
+// stepped — each admission reads it afresh, once.
+func TestInjectedClockOverridesTheWord(t *testing.T) {
 	b, gated, direct := stampSessions(t, Config{})
 	now := int64(1_000_000)
 	reads := 0
@@ -131,8 +116,7 @@ func TestInjectedClockOverridesLentStamp(t *testing.T) {
 }
 
 // TestGatedAndDirectAgreeOnExpiry: with no injected clock, a gated session
-// (clock: the trampoline's stamp) and a direct one (clock: its own read)
-// tell the same time. An item with one second to live is visible to both
+// and a direct one tell the same time, both from the coarse clock. An item with one second to live is visible to both
 // until the unix second turns and to neither after; a later call never sees
 // what an earlier one saw expire.
 func TestGatedAndDirectAgreeOnExpiry(t *testing.T) {

@@ -26,6 +26,7 @@ import (
 
 	"plibmc/internal/core"
 	"plibmc/internal/hodor"
+	"plibmc/internal/mono"
 	"plibmc/internal/pku"
 	"plibmc/internal/proc"
 	"plibmc/internal/ralloc"
@@ -136,6 +137,7 @@ type Bookkeeper struct {
 	lastRepairAt   time.Time
 
 	maintLoop, ckptLoop loop
+	clockOnce           sync.Once
 }
 
 func (c *Config) fill() {
@@ -272,8 +274,13 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 	b.maint = store.NewMaintainer(bkProc.NewThread().LockOwner())
 	lib.OnRecover(b.repairStore)
 	store.SetOwnerLiveness(func(token uint64) bool { return !b.ownerDefunct(token) })
+	mono.Hold() // the coarse clock ticks while the store is open
 	return b, nil
 }
+
+// releaseClock drops the store's hold on the coarse clock, once: at
+// Shutdown, or when a rebuild retires a poisoned store.
+func (b *Bookkeeper) releaseClock() { b.clockOnce.Do(mono.Release) }
 
 // nextBase hands out a distinct page-aligned virtual base for each process
 // mapping, so no two processes see the heap at the same address.
@@ -386,6 +393,7 @@ func (l *loop) stop() {
 // same generation-stamped machinery as live checkpoints, so it is always
 // the newest generation on disk.
 func (b *Bookkeeper) Shutdown() error {
+	defer b.releaseClock()
 	b.StopMaintenance()
 	b.StopCheckpointing()
 	if b.cfg.Path == "" {

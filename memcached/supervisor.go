@@ -234,8 +234,10 @@ func (c *Cluster) probeDue(b *Bookkeeper, w, now int64) bool {
 // clears the failure run and closes a probing breaker. A crossing failure
 // reopens a probing breaker, restarting the cooldown; a closed one trips on
 // poison or on the BreakerThreshold-th consecutive failure. A rebuild owns
-// the word, so reports against it are dropped.
-func (c *Cluster) shardReport(t *topology, i int, err error) {
+// the word, so reports against it are dropped. It returns err, named as
+// the breaker's fast-fails are (errors.Is still reaches err) if this
+// report tripped the breaker, so the first op into a failed shard names it.
+func (c *Cluster) shardReport(t *topology, i int, err error) error {
 	br := &t.health[i].br
 	if !crossingFailure(err) {
 		if br.fails.Load() != 0 {
@@ -244,22 +246,22 @@ func (c *Cluster) shardReport(t *topology, i int, err error) {
 		if w := br.word.Load(); w&brStateMask == brProbe {
 			br.word.CompareAndSwap(w, brClosed)
 		}
-		return
+		return err
 	}
 	poisoned := errors.Is(err, hodor.ErrPoisoned)
 	w := br.word.Load()
 	switch w & brStateMask {
 	case brClosed:
 		if n := br.fails.Add(1); !poisoned && int(n) < c.breakerThreshold() {
-			return
+			return err
 		}
 	case brOpen:
 		if poisoned { // a late poison verdict: the frame turns "rebuilding"
 			br.word.CompareAndSwap(w, w|brPoisoned)
 		}
-		return
+		return err
 	case brRebuilding:
-		return
+		return err
 	}
 	next := c.now()<<brStampShift | brOpen
 	if poisoned {
@@ -267,7 +269,9 @@ func (c *Cluster) shardReport(t *topology, i int, err error) {
 	}
 	if br.word.CompareAndSwap(w, next) {
 		br.trips.Add(1)
+		return &shardDownError{shard: i, state: wordState(next), cause: err}
 	}
+	return err
 }
 
 // SuperviseOnce runs one supervisor pass: every poisoned shard enters the
@@ -369,6 +373,7 @@ func (c *Cluster) rebuildShard(i int) error {
 	// Re-attach under the routing barrier: survivors never see a torn
 	// view. The shard keeps its lifecycle record.
 	c.publish(func(t *topology) { t.shards[i] = nb })
+	old.releaseClock()
 
 	// If the shard came back empty, persist that fact immediately: the
 	// seeded generation makes this image outrank the stale candidates,

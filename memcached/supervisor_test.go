@@ -895,6 +895,30 @@ func TestProxyFlushAllFailsBehindOpenBreaker(t *testing.T) {
 	}
 }
 
+// The crossing that trips a breaker fails as the fast-fails after it do,
+// naming its shard, on the single-op and on the batch path, and
+// errors.Is still reaches what the crossing itself returned.
+func TestTrippingCrossingNamesShard(t *testing.T) {
+	defer faultpoint.DisarmAll()
+	c := newTestCluster(t, 2, supervisorTestConfig())
+	k := keyOwnedBy(t, c, 1, "down")
+	poisonShard(t, c, 1)
+	faultpoint.DisarmAll()
+	cs := newClusterSession(t, c)
+	_, _, err := cs.Get(k)
+	if frame, ok := ShardDownFrame(err); !ok || frame != "shard 1 rebuilding" || !errors.Is(err, hodor.ErrPoisoned) {
+		t.Fatalf("the tripping Get = %v; want shard 1 named, wrapping ErrPoisoned", err)
+	}
+	c.shardHealth(1).br.word.Store(brClosed)
+	res, err := cs.ExecBatch([]BatchOp{{Code: BatchGet, Key: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame, ok := ShardDownFrame(res[0].Err); !ok || frame != "shard 1 rebuilding" || !errors.Is(res[0].Err, hodor.ErrPoisoned) {
+		t.Fatalf("the tripping batch = %v; want shard 1 named, wrapping ErrPoisoned", res[0].Err)
+	}
+}
+
 // A SocketSession over the proxy reports a poisoned shard as the failure
 // it is, naming the shard, in both protocols: never a miss, a non-numeric
 // value or a reply it cannot parse.
@@ -909,11 +933,8 @@ func TestSocketSessionNamesPoisonedShard(t *testing.T) {
 	k, up := keyOwnedBy(t, c, 1, "down"), keyOwnedBy(t, c, 0, "up")
 	poisonShard(t, c, 1)
 	faultpoint.DisarmAll()
-	// The first crossing into the poisoned store opens the breaker, whose
-	// fast-fails name the shard.
-	if _, _, err := newClusterSession(t, c).Get(k); err == nil {
-		t.Fatal("get on the poisoned shard succeeded")
-	}
+	// The first op is the crossing into the poisoned store that opens the
+	// breaker; it names the shard as the fast-fails after it do.
 	for _, proto := range []client.Protocol{client.ASCII, client.Binary} {
 		cl, err := client.Dial("tcp", srv.Addr().String(), proto)
 		if err != nil {

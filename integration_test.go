@@ -375,10 +375,11 @@ func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 			}
 		}
 	}
-	// frames checks a binary reply stream: exactly these frames, all OK.
+	// frames checks a binary reply stream: exactly these frames.
 	type frame struct {
-		opcode byte // 0x00 get, 0x0a noop
+		opcode byte // 0x00 get, 0x08 flush, 0x0a noop
 		value  string
+		status protocol.Status
 	}
 	frames := func(want ...frame) func(*testing.T, []byte) {
 		return func(t *testing.T, got []byte) {
@@ -389,9 +390,9 @@ func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reply stream % x: frame %d of %d: %v", got, i, len(want), err)
 				}
-				if opcode != f.opcode || rep.Status != protocol.StatusOK || string(rep.Value) != f.value {
-					t.Fatalf("frame %d = opcode %#x status %v value %q; want %#x OK %q",
-						i, opcode, rep.Status, rep.Value, f.opcode, f.value)
+				if opcode != f.opcode || rep.Status != f.status || string(rep.Value) != f.value {
+					t.Fatalf("frame %d = opcode %#x status %v value %q; want %#x %v %q",
+						i, opcode, rep.Status, rep.Value, f.opcode, f.status, f.value)
 				}
 			}
 			if rest, _ := io.ReadAll(r); len(rest) != 0 {
@@ -443,10 +444,24 @@ func TestMalformedASCIIAllFrontEnds(t *testing.T) {
 		{"quiet lone", []exchange{
 			{bin(setq("q1", "v")), true, frames()},
 			{bin(getq("q-absent")), true, frames()},
-			{bin(getq("q1")), true, frames(frame{0x00, "v"})}}},
+			{bin(getq("q1")), true, frames(frame{0x00, "v", 0})}}},
 		{"quiet mid-pipeline", []exchange{
 			{bin(setq("q2", "w"), getq("q-absent"), getq("q2"), protocol.Command{Op: protocol.OpNoop}), true,
-				frames(frame{0x00, "w"}, frame{0x0a, ""})}}},
+				frames(frame{0x00, "w", 0}, frame{0x0a, "", 0})}}},
+		// noreply silences flush_all, incr, decr and touch as it does the
+		// stores and delete, so the replies after them stay in step.
+		{"noreply", []exchange{
+			{"set n 0 0 1\r\n5\r\nincr n 2 noreply\r\ndecr n 1 noreply\r\ntouch n 0 noreply\r\nget n\r\n" +
+				"flush_all noreply\r\nget n\r\n", true,
+				lines("STORED\r\n", "VALUE n 0 1 ", "6\r\n", "END\r\n", "END\r\n")}}},
+		// A delayed flush is refused, not run at once: nothing is flushed.
+		// An undelayed one still flushes.
+		{"delayed flush", []exchange{
+			{"set d 0 0 1\r\nv\r\nflush_all 60\r\nget d\r\nflush_all 0\r\nget d\r\n", true,
+				lines("STORED\r\n", "CLIENT_ERROR ", "VALUE d 0 1 ", "v\r\n", "END\r\n", "OK\r\n", "END\r\n")},
+			{bin(setq("bd", "w"), protocol.Command{Op: protocol.OpFlushAll, Exptime: 60},
+				protocol.Command{Op: protocol.OpGet, Key: []byte("bd")}, protocol.Command{Op: protocol.OpFlushAll}, getq("bd")), true,
+				frames(frame{0x08, "", protocol.StatusInvalidArgs}, frame{0x00, "w", 0}, frame{0x08, "", 0})}}},
 	}
 	for _, fe := range []struct {
 		name string

@@ -86,6 +86,11 @@ var fpBatchMidDispatch = faultpoint.New("ops.batch.mid_dispatch")
 // works in what whoever entered the API lends it (DESIGN.md §12 "Who owns
 // the bytes"): res, one slot per op, is overwritten, and every value
 // retrieved is appended to vbuf, returned as grown — one buffer, not 64.
+//
+// The batch makes two passes. The key pass (keypass.go) captures and hashes
+// every key once and touches each key's bucket and chain head, so the
+// batch's cache misses overlap; the dispatch loop then runs each op on its
+// captured key and hash.
 func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	if len(ops) == 0 {
 		return vbuf
@@ -98,17 +103,19 @@ func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 	defer c.statFlushDeferred()
 	c.stat(statBatches, 1)
 	c.stat(statBatchedOps, int64(len(ops)))
+	slots := c.keySlots(len(ops))
+	for i := range ops {
+		c.takeKey(&slots[i], ops[i].Key)
+	}
+	c.touchChains(slots)
 	// Starts are recorded during dispatch and sliced out afterwards — an
 	// append may relocate the buffer, so sub-slices can only be taken once
 	// the batch is done growing it. They are the library's own (§3.4): res
 	// is client memory, and no slot already written is read back to decide
 	// which get a value.
-	if cap(c.batchStarts) < len(ops) {
-		c.batchStarts = make([]int, len(ops))
-	}
-	starts := c.batchStarts[:len(ops)]
 	clear(res)
 	for i := range ops {
+		sl := &slots[i]
 		if i > 0 {
 			fpBatchMidDispatch.Maybe()
 			// Cooperative abort (gate hardening): between operations the
@@ -117,17 +124,20 @@ func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 			// escalating to a reap-and-repair cycle.
 			if c.AbortCheck != nil && c.AbortCheck() {
 				for j := i; j < len(ops); j++ {
-					res[j].Err, starts[j] = ErrCallAborted, -1
+					res[j].Err, slots[j].start = ErrCallAborted, -1
 				}
 				break
 			}
 		}
-		starts[i] = -1
-		vbuf = c.execBatchOne(&ops[i], &res[i], vbuf, &starts[i])
+		if sl.klen < 0 {
+			res[i].Err = ErrKeyTooLong
+			continue
+		}
+		vbuf = c.execBatchOne(&ops[i], &res[i], vbuf, &sl.start, c.slotKey(sl, ops[i].Key), sl.hash)
 	}
 	end := len(vbuf)
 	for i := len(ops) - 1; i >= 0; i-- {
-		if st := starts[i]; st >= 0 {
+		if st := slots[i].start; st >= 0 {
 			if end > st {
 				res[i].Value = vbuf[st:end:end]
 			}
@@ -142,47 +152,53 @@ func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 // a retrieval hit gets a value allocation of its own.
 func (c *Ctx) Do(op *BatchOp, r *BatchResult) {
 	*r = BatchResult{}
+	k, hash, err := c.takeOne(op.Key)
+	if err != nil {
+		r.Err = err
+		return
+	}
 	var start int
-	r.Value = c.execBatchOne(op, r, nil, &start)
+	r.Value = c.execBatchOne(op, r, nil, &start, k, hash)
 }
 
-// execBatchOne dispatches one operation into the ordinary op
-// implementations; their own enterOp calls nest inside the batch's.
-// Retrieval ops append their value to vbuf and record the start offset in
-// *start; every other op leaves *start at -1. Returns the grown buffer.
-func (c *Ctx) execBatchOne(op *BatchOp, r *BatchResult, vbuf []byte, start *int) []byte {
+// execBatchOne dispatches one operation, its key k already captured and
+// hashed, into the inner forms of the op implementations; their own
+// enterOp calls nest inside the batch's. Retrieval ops append their value
+// to vbuf and record the start offset in *start; every other op leaves
+// *start alone. Returns the grown buffer.
+func (c *Ctx) execBatchOne(op *BatchOp, r *BatchResult, vbuf []byte, start *int, k []byte, hash uint64) []byte {
 	switch op.Code {
 	case BatchGet:
 		*start = len(vbuf)
-		vbuf, r.Flags, r.CAS, r.Err = c.GetAppend(vbuf, op.Key)
+		vbuf, r.Flags, r.CAS, r.Err = c.getAppend(vbuf, k, hash)
 	case BatchGAT:
 		*start = len(vbuf)
-		vbuf, r.Flags, r.CAS, r.Err = c.GetAndTouchAppend(vbuf, op.Key, op.Exptime)
+		vbuf, r.Flags, r.CAS, r.Err = c.getAndTouchAppend(vbuf, k, hash, op.Exptime)
 	case BatchSet:
-		r.Err = c.Set(op.Key, op.Value, op.Flags, op.Exptime)
+		r.Err = c.storeKey(modeSet, k, hash, op.Value, op.Flags, op.Exptime, 0)
 	case BatchAdd:
-		r.Err = c.Add(op.Key, op.Value, op.Flags, op.Exptime)
+		r.Err = c.storeKey(modeAdd, k, hash, op.Value, op.Flags, op.Exptime, 0)
 	case BatchReplace:
-		r.Err = c.Replace(op.Key, op.Value, op.Flags, op.Exptime)
+		r.Err = c.storeKey(modeReplace, k, hash, op.Value, op.Flags, op.Exptime, 0)
 	case BatchCAS:
-		r.Err = c.CAS(op.Key, op.Value, op.Flags, op.Exptime, op.CAS)
+		r.Err = c.storeKey(modeCAS, k, hash, op.Value, op.Flags, op.Exptime, op.CAS)
 	case BatchAppend:
-		r.Err = c.Append(op.Key, op.Value)
+		r.Err = c.pendKey(k, hash, op.Value, false)
 	case BatchPrepend:
-		r.Err = c.Prepend(op.Key, op.Value)
+		r.Err = c.pendKey(k, hash, op.Value, true)
 	case BatchDelete:
-		r.Err = c.Delete(op.Key)
+		r.Err = c.deleteKey(k, hash)
 	case BatchIncr:
-		r.Num, r.Err = c.Increment(op.Key, op.Delta)
+		r.Num, r.Err = c.incrDecrKey(k, hash, op.Delta, false)
 	case BatchDecr:
-		r.Num, r.Err = c.Decrement(op.Key, op.Delta)
+		r.Num, r.Err = c.incrDecrKey(k, hash, op.Delta, true)
 	case BatchTouch:
-		r.Err = c.Touch(op.Key, op.Exptime)
+		r.Err = c.touchKey(k, hash, op.Exptime)
 	case BatchExport:
 		*start = len(vbuf)
-		vbuf, r.Flags, r.CAS, r.Exptime, r.Err = c.ExportAppend(vbuf, op.Key)
+		vbuf, r.Flags, r.CAS, r.Exptime, r.Err = c.exportAppend(vbuf, k, hash)
 	case BatchInstall:
-		r.Err = c.Install(op.Key, op.Value, op.Flags, op.Exptime, op.CAS)
+		r.Err = c.installKey(k, hash, op.Value, op.Flags, op.Exptime, op.CAS)
 	default:
 		r.Err = fmt.Errorf("core: unknown batch op code %d", op.Code)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -179,5 +180,109 @@ func TestExecBatchAbortIgnoresStaleOffsets(t *testing.T) {
 	res := execBatch(c, []BatchOp{{Code: BatchGet, Key: []byte("short")}, {Code: BatchGet, Key: []byte("long")}})
 	if res[0].Err != nil || string(res[0].Value) != "s" || !errors.Is(res[1].Err, ErrCallAborted) {
 		t.Fatalf("aborted batch: %q %v, %v", res[0].Value, res[0].Err, res[1].Err)
+	}
+}
+
+// keyPassOps is a batch that mixes every kind of op the key pass feeds:
+// keys repeat (a Get after a Set of the same key must see the new value),
+// and a 251-byte key sits in the middle. Expiries are absolute, so both
+// runs store the same ones whatever the clock reads.
+func keyPassOps() []BatchOp {
+	const exp = 2_000_000_000
+	k := func(s string) []byte { return []byte(s) }
+	return []BatchOp{
+		{Code: BatchSet, Key: k("a"), Value: k("1"), Flags: 3},
+		{Code: BatchGet, Key: k("a")},
+		{Code: BatchIncr, Key: k("a"), Delta: 41},
+		{Code: BatchGet, Key: k("a")},
+		{Code: BatchAppend, Key: k("a"), Value: k("x")},
+		{Code: BatchGAT, Key: k("a"), Exptime: exp},
+		{Code: BatchSet, Key: k("b"), Value: k("bee")},
+		{Code: BatchGet, Key: bytes.Repeat(k("k"), MaxKeyLen+1)},
+		{Code: BatchTouch, Key: k("b"), Exptime: exp + 1},
+		{Code: BatchDelete, Key: k("b")},
+		{Code: BatchGet, Key: k("b")},
+		{Code: BatchDelete, Key: k("b")},
+		{Code: BatchIncr, Key: k("c"), Delta: 1},
+		{Code: BatchSet, Key: k("c"), Value: k("9")},
+		{Code: BatchDecr, Key: k("c"), Delta: 4},
+		{Code: BatchGAT, Key: k("miss")},
+		{Code: BatchGet, Key: k("c")},
+	}
+}
+
+// storeState renders every live entry of a store, keyed and sorted.
+func storeState(c *Ctx) map[string]string {
+	m := map[string]string{}
+	c.ForEach(func(e *Entry) bool {
+		m[string(e.Key)] = fmt.Sprintf("%q flags=%d exp=%d cas=%d", e.Value, e.Flags, e.Exptime, e.CAS)
+		return true
+	})
+	return m
+}
+
+// The key pass changes where a batch's keys are captured and hashed, not
+// what the batch does: slot for slot, results and the store left behind
+// equal those of the same ops run one by one through Do — on a table mid
+// expansion (where the pass touches nothing) and with optimistic reads
+// off as well, and for a batch of one.
+func TestExecBatchKeyPassMatchesLoneOps(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		expand bool
+		noOpt  bool
+		ops    []BatchOp
+	}{
+		{"mixed", false, false, keyPassOps()},
+		{"mid-expansion", true, false, keyPassOps()},
+		{"no-optimistic-reads", false, true, keyPassOps()},
+		{"one-op", false, false, keyPassOps()[:1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(batch bool) ([]BatchResult, map[string]string) {
+				s, c := newStore(t, 1<<22, Options{HashPower: 6, NumItemLocks: 16})
+				c.DisableOptimisticReads = tc.noOpt
+				for i := 0; i < 300; i++ { // filler, so an expansion has buckets left to move
+					if err := c.Set([]byte(fmt.Sprintf("fill-%d", i)), []byte("f"), 0, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.expand {
+					if err := s.StartExpand(c, 8); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.ExpandStep(c, 20); err != nil || !s.Expanding() {
+						t.Fatalf("want a table mid expansion: %v", err)
+					}
+				}
+				res := make([]BatchResult, len(tc.ops))
+				if batch {
+					c.ExecBatch(tc.ops, res, nil)
+				} else {
+					for i := range tc.ops {
+						c.Do(&tc.ops[i], &res[i])
+					}
+				}
+				if tc.expand && !s.Expanding() {
+					t.Fatal("the expansion finished under the ops")
+				}
+				return res, storeState(c)
+			}
+			got, gotState := run(true)
+			want, wantState := run(false)
+			for i := range want {
+				g, w := got[i], want[i]
+				if !bytes.Equal(g.Value, w.Value) || g.Flags != w.Flags || g.CAS != w.CAS ||
+					g.Num != w.Num || g.Exptime != w.Exptime || g.Err != w.Err {
+					t.Errorf("op %d (code %d): batch %+v, lone %+v", i, tc.ops[i].Code, g, w)
+				}
+			}
+			if len(tc.ops) > 7 && got[7].Err != ErrKeyTooLong {
+				t.Errorf("long key: %v, want ErrKeyTooLong", got[7].Err)
+			}
+			if fmt.Sprint(gotState) != fmt.Sprint(wantState) {
+				t.Errorf("store after the batch:\n%v\nafter the lone ops:\n%v", gotState, wantState)
+			}
+		})
 	}
 }

@@ -14,18 +14,25 @@ type GetResult struct {
 }
 
 // MGet looks up every key and returns one result per key, in order.
-// Missing (or expired) keys yield Found == false. Each lookup rides the
-// lock-free optimistic path of GetAppend, so an uncontended batch takes
-// no locks at all.
+// Missing (or expired) keys yield Found == false. It runs ExecBatch's key
+// pass first (keypass.go), then each lookup rides the lock-free optimistic
+// path of GetAppend, so an uncontended batch takes no locks at all.
 func (c *Ctx) MGet(keys [][]byte) []GetResult {
-	// One latency sample covers the whole batch; the nested GetAppends run
+	// One latency sample covers the whole batch; the nested lookups run
 	// at operation depth 2 and never sample themselves.
 	defer c.opEnd(LatMGet, c.opBegin())
+	slots := c.keySlots(len(keys))
+	for i, k := range keys {
+		c.takeKey(&slots[i], k)
+	}
+	c.touchChains(slots)
 	res := make([]GetResult, len(keys))
 	for i, k := range keys {
-		v, flags, cas, err := c.GetAppend(nil, k)
-		if err == nil {
-			res[i] = GetResult{Value: v, Flags: flags, CAS: cas, Found: true}
+		if sl := &slots[i]; sl.klen >= 0 {
+			v, flags, cas, err := c.getAppend(nil, c.slotKey(sl, k), sl.hash)
+			if err == nil {
+				res[i] = GetResult{Value: v, Flags: flags, CAS: cas, Found: true}
+			}
 		}
 	}
 	return res

@@ -14,12 +14,15 @@ package core
 // rejuvenate its entries on the shard they are leaving) and returns the
 // entry's absolute expiry so the destination can store it verbatim.
 func (c *Ctx) ExportAppend(dst, key []byte) ([]byte, uint32, uint64, int64, error) {
-	if len(key) > MaxKeyLen {
-		return dst, 0, 0, 0, ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return dst, 0, 0, 0, err
 	}
+	return c.exportAppend(dst, k, hash)
+}
+
+func (c *Ctx) exportAppend(dst, k []byte, hash uint64) ([]byte, uint32, uint64, int64, error) {
 	defer c.opEnd(LatGet, c.opBegin())
-	k := c.capture(&c.keyBuf, key)
-	hash := hashKey(k)
 	s := c.s
 	lock := s.itemLockOff(hash)
 	c.lock(lock)
@@ -47,15 +50,18 @@ func (c *Ctx) ExportAppend(dst, key []byte) ([]byte, uint32, uint64, int64, erro
 // counter. The item is private until linkLocked publishes it, so the
 // CAS overwrite after newItem is invisible to concurrent readers.
 func (c *Ctx) Install(key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	if len(key) > MaxKeyLen {
-		return ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return err
 	}
+	return c.installKey(k, hash, value, flags, exptime, cas)
+}
+
+func (c *Ctx) installKey(k []byte, hash uint64, value []byte, flags uint32, exptime int64, cas uint64) error {
 	if len(value) > MaxValueLen {
 		return ErrValueTooBig
 	}
 	defer c.opEnd(LatSet, c.opBegin())
-	k := c.capture(&c.keyBuf, key)
-	hash := hashKey(k)
 	it, err := c.newItem(k, value, hash, flags, exptime, true)
 	if err != nil {
 		return err

@@ -50,7 +50,9 @@ type Ctx struct {
 	nowOK       bool
 	statDefer   bool // accumulate stats in statLocal instead of shared slots
 	statLocal   [numStatCounters]int64
-	batchStarts []int // value-offset scratch reused across batches
+	batchSlots  []opSlot // per-op scratch reused across batches (keypass.go)
+	keyArena    []byte   // a batch's captured keys, back to back
+	touched     uint64   // sink for the key pass's loads
 
 	// deadSelf reports whether this context's own owner token has been
 	// declared dead by the liveness oracle — i.e. this goroutine is a
@@ -292,12 +294,18 @@ func (c *Ctx) Get(key []byte) ([]byte, uint32, uint64, error) {
 // lookup (seqread.go); only contended, expiring, bump-due or repeatedly
 // invalidated lookups pay for the bucket lock.
 func (c *Ctx) GetAppend(dst, key []byte) ([]byte, uint32, uint64, error) {
-	if len(key) > MaxKeyLen {
-		return dst, 0, 0, ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return dst, 0, 0, err
 	}
+	return c.getAppend(dst, k, hash)
+}
+
+// getAppend is GetAppend's inner form, on a key already captured and
+// hashed. Every keyed entry point splits so; batch dispatch, whose key
+// pass captured and hashed the keys (keypass.go), calls the inner forms.
+func (c *Ctx) getAppend(dst, k []byte, hash uint64) ([]byte, uint32, uint64, error) {
 	defer c.opEnd(LatGet, c.opBegin())
-	k := c.capture(&c.keyBuf, key)
-	hash := hashKey(k)
 	if flags, cas, vlen, found, ok := c.optGet(k, hash); ok {
 		if !found {
 			c.stat(statGetMisses, 1)
@@ -358,13 +366,17 @@ func (c *Ctx) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, uint64, er
 // GetAndTouchAppend is GetAndTouch appending the value to dst (which may
 // be nil), for callers that reuse buffers.
 func (c *Ctx) GetAndTouchAppend(dst, key []byte, exptime int64) ([]byte, uint32, uint64, error) {
-	if len(key) > MaxKeyLen {
-		return dst, 0, 0, ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return dst, 0, 0, err
 	}
+	return c.getAndTouchAppend(dst, k, hash, exptime)
+}
+
+func (c *Ctx) getAndTouchAppend(dst, k []byte, hash uint64, exptime int64) ([]byte, uint32, uint64, error) {
 	defer c.opEnd(LatTouch, c.opBegin())
 	c.stat(statTouches, 1)
-	k := c.capture(&c.keyBuf, key)
-	return c.getLockedAppend(dst, k, hashKey(k), true, c.absExpiry(exptime))
+	return c.getLockedAppend(dst, k, hash, true, c.absExpiry(exptime))
 }
 
 // storeMode selects among the memcached storage commands.
@@ -378,16 +390,19 @@ const (
 )
 
 func (c *Ctx) store(mode storeMode, key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	if len(key) > MaxKeyLen {
-		return ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return err
 	}
+	return c.storeKey(mode, k, hash, value, flags, exptime, cas)
+}
+
+func (c *Ctx) storeKey(mode storeMode, k []byte, hash uint64, value []byte, flags uint32, exptime int64, cas uint64) error {
 	if len(value) > MaxValueLen {
 		return ErrValueTooBig
 	}
 	defer c.opEnd(LatSet, c.opBegin())
 	c.stat(statSets, 1)
-	k := c.capture(&c.keyBuf, key)
-	hash := hashKey(k)
 	// Build the replacement item entirely before acquiring the lock; the
 	// allocation may trigger eviction, which takes other locks by trylock.
 	// The value moves once, from the caller's slice into the item (newItem).
@@ -458,13 +473,16 @@ func (c *Ctx) CAS(key, value []byte, flags uint32, exptime int64, cas uint64) er
 
 // Delete removes key from the store.
 func (c *Ctx) Delete(key []byte) error {
-	if len(key) > MaxKeyLen {
-		return ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return err
 	}
+	return c.deleteKey(k, hash)
+}
+
+func (c *Ctx) deleteKey(k []byte, hash uint64) error {
 	defer c.opEnd(LatDelete, c.opBegin())
 	c.stat(statDeletes, 1)
-	k := c.capture(&c.keyBuf, key)
-	hash := hashKey(k)
 	s := c.s
 	lock := s.itemLockOff(hash)
 	c.lock(lock)
@@ -482,14 +500,17 @@ func (c *Ctx) Delete(key []byte) error {
 
 // Touch updates the expiry of an existing entry.
 func (c *Ctx) Touch(key []byte, exptime int64) error {
-	if len(key) > MaxKeyLen {
-		return ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return err
 	}
+	return c.touchKey(k, hash, exptime)
+}
+
+func (c *Ctx) touchKey(k []byte, hash uint64, exptime int64) error {
 	defer c.opEnd(LatTouch, c.opBegin())
 	c.stat(statTouches, 1)
-	k := c.capture(&c.keyBuf, key)
 	abs := c.absExpiry(exptime)
-	hash := hashKey(k)
 	s := c.s
 	lock := s.itemLockOff(hash)
 	c.lock(lock)
@@ -516,17 +537,20 @@ func (c *Ctx) Decrement(key []byte, delta uint64) (uint64, error) {
 }
 
 func (c *Ctx) incrDecr(key []byte, delta uint64, decr bool) (uint64, error) {
-	if len(key) > MaxKeyLen {
-		return 0, ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return 0, err
 	}
+	return c.incrDecrKey(k, hash, delta, decr)
+}
+
+func (c *Ctx) incrDecrKey(k []byte, hash uint64, delta uint64, decr bool) (uint64, error) {
 	defer c.opEnd(LatSet, c.opBegin())
 	if decr {
 		c.stat(statDecrs, 1)
 	} else {
 		c.stat(statIncrs, 1)
 	}
-	k := c.capture(&c.keyBuf, key)
-	hash := hashKey(k)
 	s := c.s
 	lock := s.itemLockOff(hash)
 	c.lock(lock)
@@ -609,14 +633,17 @@ func (c *Ctx) Append(key, data []byte) error { return c.pend(key, data, false) }
 func (c *Ctx) Prepend(key, data []byte) error { return c.pend(key, data, true) }
 
 func (c *Ctx) pend(key, data []byte, front bool) error {
-	if len(key) > MaxKeyLen {
-		return ErrKeyTooLong
+	k, hash, err := c.takeOne(key)
+	if err != nil {
+		return err
 	}
+	return c.pendKey(k, hash, data, front)
+}
+
+func (c *Ctx) pendKey(k []byte, hash uint64, data []byte, front bool) error {
 	defer c.opEnd(LatSet, c.opBegin())
 	c.stat(statSets, 1)
-	k := c.capture(&c.keyBuf, key)
 	d := c.capture(&c.valBuf, data)
-	hash := hashKey(k)
 	s := c.s
 	lock := s.itemLockOff(hash)
 	c.lock(lock)

@@ -130,6 +130,7 @@ func decodeASCII(c *Command, b []byte) (int, error) {
 		if string(name) == "decr" {
 			c.Op = OpDecr
 		}
+		c.Quiet = len(args) > 2 && string(args[2]) == "noreply"
 	case "gat":
 		if len(args) < 2 {
 			return 0, fmt.Errorf("protocol: gat needs exptime and key")
@@ -148,8 +149,20 @@ func decodeASCII(c *Command, b []byte) (int, error) {
 			return 0, fmt.Errorf("protocol: bad touch exptime")
 		}
 		c.Op, c.Key, c.Exptime = OpTouch, args[0], exp
+		c.Quiet = len(args) > 2 && string(args[2]) == "noreply"
 	case "flush_all":
+		// flush_all [delay] [noreply]
 		c.Op = OpFlushAll
+		if len(args) > 0 && string(args[len(args)-1]) == "noreply" {
+			c.Quiet, args = true, args[:len(args)-1]
+		}
+		if len(args) > 0 {
+			exp, err := parseExptime(args[0])
+			if err != nil {
+				return 0, fmt.Errorf("protocol: bad flush_all delay")
+			}
+			c.Exptime = exp
+		}
 	case "stats":
 		c.Op = OpStats
 		if len(args) > 0 {
@@ -241,6 +254,10 @@ func WriteASCIIReply(w *bufio.Writer, c *Command, rep *Reply) error {
 		_, err := w.WriteString("NOT_FOUND\r\n")
 		return err
 	case OpFlushAll:
+		if rep.Status == StatusInvalidArgs { // a delayed flush, refused
+			_, err := fmt.Fprintf(w, "%v\r\n", rep.Status)
+			return err
+		}
 		_, err := w.WriteString("OK\r\n")
 		return err
 	case OpStats:

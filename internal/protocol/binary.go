@@ -134,6 +134,10 @@ func WriteBinaryCommand(w *bufio.Writer, c *Command) error {
 		head = binary.BigEndian.AppendUint32(head, 0xffffffff) // no auto-vivify
 	case OpTouch, OpGAT:
 		head = binary.BigEndian.AppendUint32(head, uint32(c.Exptime))
+	case OpFlushAll:
+		if c.Exptime != 0 {
+			head = binary.BigEndian.AppendUint32(head, uint32(c.Exptime))
+		}
 	}
 	return writeBinFrame(w, head, binReqMagic, opcode, len(head)-binHeaderLen, 0, c.Opaque, c.CAS, c.Key, c.Value)
 }
@@ -190,7 +194,7 @@ func decodeBinary(c *Command, b []byte) (int, error) {
 		if extLen >= 8 {
 			c.Delta = binary.BigEndian.Uint64(body[0:])
 		}
-	case OpTouch, OpGAT:
+	case OpTouch, OpGAT, OpFlushAll:
 		if extLen >= 4 {
 			c.Exptime = int64(binary.BigEndian.Uint32(body[0:]))
 		}

@@ -118,9 +118,12 @@ type Command struct {
 	// Keys carries the extra keys of a multi-key ASCII "get k1 k2 …"
 	// (Key holds the first); empty for single-key commands. Servers expand
 	// a populated Keys into one lookup per key under a single END.
-	Keys    [][]byte
-	Value   []byte
-	Flags   uint32
+	Keys  [][]byte
+	Value []byte
+	Flags uint32
+	// Exptime is a store's, touch's or gat's expiry, and flush_all's delay.
+	// No server here keeps a delayed flush (it would put a check on every
+	// hit): each answers a nonzero one StatusInvalidArgs and flushes nothing.
 	Exptime int64
 	Delta   uint64 // incr/decr amount
 	CAS     uint64

@@ -236,6 +236,10 @@ func Dispatch(st *Store, cmd *protocol.Command, version string) *protocol.Reply 
 			rep.Value, rep.Flags, rep.CAS = v, flags, cas
 		}
 	case protocol.OpFlushAll:
+		if cmd.Exptime != 0 {
+			rep.Status = protocol.StatusInvalidArgs
+			break
+		}
 		st.FlushAll()
 	case protocol.OpStats:
 		switch cmd.StatsArg {

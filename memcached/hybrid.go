@@ -462,7 +462,9 @@ func adminCore(store *core.Store, flush func() error, cmd *protocol.Command, ver
 	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
 	switch cmd.Op {
 	case protocol.OpFlushAll:
-		if err := flush(); err != nil {
+		if cmd.Exptime != 0 {
+			rep.Status = protocol.StatusInvalidArgs
+		} else if err := flush(); err != nil {
 			*rep = replyFor(cmd, &core.BatchResult{Err: err})
 		}
 	case protocol.OpStats:

@@ -251,6 +251,55 @@ func TestMGetSingleCrossing(t *testing.T) {
 	}
 }
 
+// A batch split over shards gets, slot for slot, what its ops get one by
+// one, each shard's share running through the key pass (one capture and
+// one hash per key, its buckets touched before the first probe): keys
+// repeat within and across shards, and one too long to store fails alone.
+func TestExecBatchKeyPassAcrossShards(t *testing.T) {
+	var ops []BatchOp
+	for i := 0; i < 48; i++ {
+		k := []byte(fmt.Sprintf("kp%02d", i%12))
+		switch i % 6 {
+		case 0:
+			ops = append(ops, BatchOp{Code: BatchSet, Key: k, Value: []byte(fmt.Sprint(i)), Flags: uint32(i)})
+		case 1, 4:
+			ops = append(ops, BatchOp{Code: BatchGet, Key: k})
+		case 2:
+			ops = append(ops, BatchOp{Code: BatchIncr, Key: k, Delta: 7})
+		case 3:
+			ops = append(ops, BatchOp{Code: BatchAppend, Key: k, Value: []byte("+")})
+		case 5:
+			ops = append(ops, BatchOp{Code: BatchDelete, Key: k})
+		}
+	}
+	ops[20] = BatchOp{Code: BatchGet, Key: bytes.Repeat([]byte("x"), 251)}
+	batched := newClusterSession(t, newTestCluster(t, 4, ClusterConfig{}))
+	lone := newClusterSession(t, newTestCluster(t, 4, ClusterConfig{}))
+	got, err := batched.ExecBatch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ops {
+		w := *lone.exec(ops[i])
+		g := got[i]
+		if !bytes.Equal(g.Value, w.Value) || g.Flags != w.Flags || g.CAS != w.CAS || g.Num != w.Num || !errors.Is(g.Err, w.Err) || !errors.Is(w.Err, g.Err) {
+			t.Errorf("op %d (code %d %q): batch %+v, lone %+v", i, ops[i].Code, ops[i].Key, g, w)
+		}
+	}
+	if !errors.Is(got[20].Err, ErrKeyTooLong) {
+		t.Errorf("long key: %v", got[20].Err)
+	}
+	var keys [][]byte
+	for i := 0; i < 12; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("kp%02d", i)))
+	}
+	a, errA := batched.MGet(keys)
+	b, errB := lone.MGet(keys)
+	if errA != nil || errB != nil || fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("stores differ after the batch:\n%v %v\n%v %v", a, errA, b, errB)
+	}
+}
+
 func TestCrossProcessSharing(t *testing.T) {
 	// Two independent client processes (distinct UIDs, distinct heap
 	// bases) share one store through the protected library.

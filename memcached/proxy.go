@@ -43,7 +43,9 @@ func (c *Cluster) admin(s *ClusterSession, cmd *protocol.Command) *protocol.Repl
 	case protocol.OpFlushAll:
 		// A flush that cannot reach every shard must not claim it
 		// flushed the cluster.
-		if err := s.FlushAll(); err != nil {
+		if cmd.Exptime != 0 {
+			rep.Status = protocol.StatusInvalidArgs
+		} else if err := s.FlushAll(); err != nil {
 			*rep = replyFor(cmd, &BatchResult{Err: err})
 		}
 	case protocol.OpStats:

@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -204,6 +205,50 @@ func BenchmarkBatchParts(b *testing.B) {
 	})
 	row("cluster-mget", func() error {
 		_, err := routed.MGet(keys)
+		return err
+	})
+
+	// The -cold rows draw every batch at random from the lib_mget64_128
+	// data set — 100 000 records of 128 B over 4 shards of hash power 15
+	// — so the buckets and items a batch reaches are not in cache, as they
+	// are above. one-crossing-cold runs on one such shard (its 25 000
+	// records), cluster-mget-cold on all four.
+	const records, draws = 100_000, 1 << 10
+	shard := Config{HeapBytes: 32 << 20, HashPower: 15, NumItemLocks: 64}
+	book, err := CreateStore(shard)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { book.Shutdown() })
+	coldSingle := newTestSession(b, book)
+	coldRouted := newClusterSession(b, newTestCluster(b, 4, ClusterConfig{Store: shard}))
+	all := make([][]byte, records)
+	for i := range all {
+		all[i] = []byte(fmt.Sprintf("user%016d", i))
+		if err := coldRouted.Set(all[i], make([]byte, 128), 0, 0); err != nil {
+			b.Fatal(err)
+		}
+		if i < records/4 {
+			if err := coldSingle.Set(all[i], make([]byte, 128), 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	coldKeys, coldOps := make([][]byte, draws*n), make([]BatchOp, draws*n)
+	for i := range coldKeys {
+		coldKeys[i] = all[rng.IntN(records)]
+		coldOps[i] = BatchOp{Code: BatchGet, Key: all[rng.IntN(records/4)]}
+	}
+	draw := 0
+	row("one-crossing-cold", func() error {
+		draw = (draw + 1) % draws
+		_, err := coldSingle.batch(coldOps[draw*n:(draw+1)*n], res, vbuf)
+		return err
+	})
+	row("cluster-mget-cold", func() error {
+		draw = (draw + 1) % draws
+		_, err := coldRouted.MGet(coldKeys[draw*n : (draw+1)*n])
 		return err
 	})
 }

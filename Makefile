@@ -14,10 +14,13 @@ test:
 # run the packages that carry the seqlock/grave protocol under the race
 # detector (which exercises the sync/atomic build of the relaxed accessors),
 # a short chaos soak, the crash-at-every-point fault matrix, and the coarse
-# clock: its ticker, and the watchdog and store on a stepped clock.
+# clock: its ticker, and the watchdog and store on a stepped clock. The
+# quiesce-under-load test runs 100 times: a count that sees a phantom entry
+# fails it only now and then (its gate model runs in the core line above).
 check: build fmtcheck unsafecheck wirecheck faultmatrix corruptmatrix modelcheck gatehard shardcheck reshardcheck survivecheck diskfault
 	$(GO) vet ./...
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
+	$(GO) test -race -count=100 -run 'TestConcurrentQuiesceUnderLoad$$' ./internal/core
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
 	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
 	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn|TestLoopStartStopRace|TestWatchdogNeverEarlyOnCoarseStamps|TestStoreClockIsTheWord|TestSessionPoolDiscardsReapedSession' ./internal/core ./internal/hodor ./memcached
@@ -179,7 +182,7 @@ corruptmatrix-long:
 
 # The locked-vs-optimistic read path ablation (DESIGN.md §6).
 bench-seqlock:
-	$(GO) test -run xxx -bench BenchmarkAblationSeqlockRead -benchtime 2s .
+	$(GO) test -run xxx -bench BenchmarkAblationSeqlockRead -benchtime 2s ./internal/core
 
 # Time-to-resume after an injected crash (DESIGN.md "Failure model").
 bench-recovery:
@@ -194,7 +197,8 @@ bench-metrics:
 # on the 95/5 mix, plus the MGet amortization pair. These benchmarks gate
 # themselves — BenchmarkAblationBatch fails above 0.1 crossings/op at batch
 # sizes >= 16, BenchmarkMGetAmortization fails below a 2x per-key speedup
-# for the 64-key batched path.
+# for the 64-key batched path: the median of per-round ratios, the lone
+# Gets and the MGets timed in alternating rounds of one run.
 bench-batch:
 	$(GO) test -run xxx -bench 'BenchmarkAblationBatch|BenchmarkMGetAmortization' -benchtime 2s .
 

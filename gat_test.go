@@ -30,15 +30,18 @@ func TestGATCore(t *testing.T) {
 	now := int64(1000)
 	s.SetClock(func() int64 { return now })
 	c := s.NewCtx(1)
+	gat := func(exptime int64) (r core.BatchResult) {
+		c.Do(&core.BatchOp{Code: core.BatchGAT, Key: []byte("k"), Exptime: exptime}, &r)
+		return r
+	}
 
-	if _, _, _, err := c.GetAndTouch([]byte("k"), 50); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("gat missing = %v", err)
+	if r := gat(50); !errors.Is(r.Err, core.ErrNotFound) {
+		t.Fatalf("gat missing = %v", r.Err)
 	}
 	c.Set([]byte("k"), []byte("v"), 7, 10) // dies at 1010
 	now = 1005
-	v, flags, _, err := c.GetAndTouch([]byte("k"), 100) // now dies at 1105
-	if err != nil || string(v) != "v" || flags != 7 {
-		t.Fatalf("gat = %q %d %v", v, flags, err)
+	if r := gat(100); r.Err != nil || string(r.Value) != "v" || r.Flags != 7 { // now dies at 1105
+		t.Fatalf("gat = %q %d %v", r.Value, r.Flags, r.Err)
 	}
 	now = 1050 // past the original expiry, inside the extended one
 	if _, _, _, err := c.Get([]byte("k")); err != nil {

@@ -133,7 +133,7 @@ func (c *Ctx) ExecBatch(ops []BatchOp, res []BatchResult, vbuf []byte) []byte {
 			res[i].Err = ErrKeyTooLong
 			continue
 		}
-		vbuf = c.execBatchOne(&ops[i], &res[i], vbuf, &sl.start, c.slotKey(sl, ops[i].Key), sl.hash)
+		vbuf = c.execBatchOne(&ops[i], &res[i], vbuf, &sl.start, c.slotKey(sl), sl.hash)
 	}
 	end := len(vbuf)
 	for i := len(ops) - 1; i >= 0; i-- {

@@ -224,14 +224,15 @@ func storeState(c *Ctx) map[string]string {
 // The key pass changes where a batch's keys are captured and hashed, not
 // what the batch does: slot for slot, results and the store left behind
 // equal those of the same ops run one by one through Do — on a table mid
-// expansion (where the pass touches nothing) and with optimistic reads
-// off as well, and for a batch of one.
+// expansion (where the pass touches nothing), from a context without a
+// reader slot (which reads only under locks) as well, and for a batch of
+// one.
 func TestExecBatchKeyPassMatchesLoneOps(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		expand bool
-		noOpt  bool
-		ops    []BatchOp
+		name     string
+		expand   bool
+		slotless bool
+		ops      []BatchOp
 	}{
 		{"mixed", false, false, keyPassOps()},
 		{"mid-expansion", true, false, keyPassOps()},
@@ -241,7 +242,9 @@ func TestExecBatchKeyPassMatchesLoneOps(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(batch bool) ([]BatchResult, map[string]string) {
 				s, c := newStore(t, 1<<22, Options{HashPower: 6, NumItemLocks: 16})
-				c.DisableOptimisticReads = tc.noOpt
+				if tc.slotless {
+					c.releaseReaderSlot()
+				}
 				for i := 0; i < 300; i++ { // filler, so an expansion has buckets left to move
 					if err := c.Set([]byte(fmt.Sprintf("fill-%d", i)), []byte("f"), 0, 0); err != nil {
 						t.Fatal(err)

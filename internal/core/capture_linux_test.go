@@ -27,9 +27,6 @@ func TestExecBatchCaptureOutlivesScribbledKeys(t *testing.T) {
 		ops[i] = BatchOp{Code: BatchSet, Key: key, Value: []byte("v")}
 	}
 	s, c := newStore(t, 1<<24, Options{HashPower: 10, NumItemLocks: 16})
-	if !c.CaptureClientBuffers {
-		t.Fatal("capture is off by default")
-	}
 	var stop atomic.Bool
 	done := make(chan struct{})
 	go func() {

@@ -424,24 +424,3 @@ func (s *Store) SeedCAS(base uint64) {
 		}
 	}
 }
-
-// hashKey is 64-bit FNV-1a with a murmur3 finalizer, filling the
-// chain-hash role of memcached's Jenkins/Murmur hash. Plain FNV-1a leaves
-// its high bits poorly mixed on short sequential keys — bad for the
-// hash-selected LRU lists, which are chosen from the high bits — so the
-// finalizer avalanches every bit. Hand-rolled to stay allocation free.
-func hashKey(key []byte) uint64 {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}

@@ -28,6 +28,14 @@ func newStore(t testing.TB, heapBytes uint64, opts Options) (*Store, *Ctx) {
 	return s, s.NewCtx(1)
 }
 
+// do runs one operation through Ctx.Do, the one way a keyed verb other
+// than Get, GetAppend and Set enters the store.
+func do(c *Ctx, op BatchOp) BatchResult {
+	var r BatchResult
+	c.Do(&op, &r)
+	return r
+}
+
 func TestSetGet(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	if err := c.Set([]byte("hello"), []byte("world"), 7, 0); err != nil {
@@ -67,16 +75,16 @@ func TestSetOverwrite(t *testing.T) {
 func TestAddReplace(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	k := []byte("k")
-	if err := c.Replace(k, []byte("v"), 0, 0); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchReplace, Key: k, Value: []byte("v")}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("replace missing = %v", err)
 	}
-	if err := c.Add(k, []byte("v1"), 0, 0); err != nil {
+	if err := do(c, BatchOp{Code: BatchAdd, Key: k, Value: []byte("v1")}).Err; err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(k, []byte("v2"), 0, 0); !errors.Is(err, ErrExists) {
+	if err := do(c, BatchOp{Code: BatchAdd, Key: k, Value: []byte("v2")}).Err; !errors.Is(err, ErrExists) {
 		t.Fatalf("add existing = %v", err)
 	}
-	if err := c.Replace(k, []byte("v3"), 0, 0); err != nil {
+	if err := do(c, BatchOp{Code: BatchReplace, Key: k, Value: []byte("v3")}).Err; err != nil {
 		t.Fatal(err)
 	}
 	v, _, _, _ := c.Get(k)
@@ -88,15 +96,15 @@ func TestAddReplace(t *testing.T) {
 func TestCAS(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	k := []byte("k")
-	if err := c.CAS(k, []byte("v"), 0, 0, 1); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchCAS, Key: k, Value: []byte("v"), CAS: 1}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cas on missing = %v", err)
 	}
 	c.Set(k, []byte("v1"), 0, 0)
 	_, _, cas, _ := c.Get(k)
-	if err := c.CAS(k, []byte("v2"), 0, 0, cas+99); !errors.Is(err, ErrCASMismatch) {
+	if err := do(c, BatchOp{Code: BatchCAS, Key: k, Value: []byte("v2"), CAS: cas + 99}).Err; !errors.Is(err, ErrCASMismatch) {
 		t.Fatalf("stale cas = %v", err)
 	}
-	if err := c.CAS(k, []byte("v2"), 0, 0, cas); err != nil {
+	if err := do(c, BatchOp{Code: BatchCAS, Key: k, Value: []byte("v2"), CAS: cas}).Err; err != nil {
 		t.Fatal(err)
 	}
 	v, _, cas2, _ := c.Get(k)
@@ -112,11 +120,11 @@ func TestCAS(t *testing.T) {
 func TestDelete(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	k := []byte("k")
-	if err := c.Delete(k); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete missing = %v", err)
 	}
 	c.Set(k, []byte("v"), 0, 0)
-	if err := c.Delete(k); err != nil {
+	if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := c.Get(k); !errors.Is(err, ErrNotFound) {
@@ -127,38 +135,38 @@ func TestDelete(t *testing.T) {
 func TestIncrDecr(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	k := []byte("n")
-	if _, err := c.Increment(k, 1); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 1}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("incr missing = %v", err)
 	}
 	c.Set(k, []byte("10"), 0, 0)
-	if v, err := c.Increment(k, 5); err != nil || v != 15 {
-		t.Fatalf("incr = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 5}); r.Err != nil || r.Num != 15 {
+		t.Fatalf("incr = %d, %v", r.Num, r.Err)
 	}
 	// Width change: 15 + 90 = 105 (2 -> 3 digits, item replaced).
-	if v, err := c.Increment(k, 90); err != nil || v != 105 {
-		t.Fatalf("incr across width = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 90}); r.Err != nil || r.Num != 105 {
+		t.Fatalf("incr across width = %d, %v", r.Num, r.Err)
 	}
 	got, _, _, _ := c.Get(k)
 	if string(got) != "105" {
 		t.Fatalf("stored = %q", got)
 	}
-	if v, err := c.Decrement(k, 5); err != nil || v != 100 {
-		t.Fatalf("decr = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchDecr, Key: k, Delta: 5}); r.Err != nil || r.Num != 100 {
+		t.Fatalf("decr = %d, %v", r.Num, r.Err)
 	}
 	// Decrement saturates at zero.
-	if v, err := c.Decrement(k, 1000); err != nil || v != 0 {
-		t.Fatalf("saturating decr = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchDecr, Key: k, Delta: 1000}); r.Err != nil || r.Num != 0 {
+		t.Fatalf("saturating decr = %d, %v", r.Num, r.Err)
 	}
 	got, _, _, _ = c.Get(k)
 	if string(got) != "0" {
 		t.Fatalf("stored after saturation = %q", got)
 	}
 	c.Set(k, []byte("not a number"), 0, 0)
-	if _, err := c.Increment(k, 1); !errors.Is(err, ErrNotNumeric) {
+	if err := do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 1}).Err; !errors.Is(err, ErrNotNumeric) {
 		t.Fatalf("incr non-numeric = %v", err)
 	}
 	c.Set(k, []byte(""), 0, 0)
-	if _, err := c.Increment(k, 1); !errors.Is(err, ErrNotNumeric) {
+	if err := do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 1}).Err; !errors.Is(err, ErrNotNumeric) {
 		t.Fatalf("incr empty = %v", err)
 	}
 }
@@ -167,22 +175,22 @@ func TestIncrWraps(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	k := []byte("n")
 	c.Set(k, []byte("18446744073709551615"), 0, 0) // 2^64-1
-	if v, err := c.Increment(k, 1); err != nil || v != 0 {
-		t.Fatalf("wrapping incr = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 1}); r.Err != nil || r.Num != 0 {
+		t.Fatalf("wrapping incr = %d, %v", r.Num, r.Err)
 	}
 }
 
 func TestAppendPrepend(t *testing.T) {
 	_, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16})
 	k := []byte("k")
-	if err := c.Append(k, []byte("x")); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchAppend, Key: k, Value: []byte("x")}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("append missing = %v", err)
 	}
 	c.Set(k, []byte("mid"), 0, 0)
-	if err := c.Append(k, []byte("-end")); err != nil {
+	if err := do(c, BatchOp{Code: BatchAppend, Key: k, Value: []byte("-end")}).Err; err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Prepend(k, []byte("start-")); err != nil {
+	if err := do(c, BatchOp{Code: BatchPrepend, Key: k, Value: []byte("start-")}).Err; err != nil {
 		t.Fatal(err)
 	}
 	v, _, _, _ := c.Get(k)
@@ -230,7 +238,7 @@ func TestTouchAndExpiry(t *testing.T) {
 	s.SetClock(func() int64 { return now })
 
 	k := []byte("k")
-	if err := c.Touch(k, 100); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchTouch, Key: k, Exptime: 100}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatalf("touch missing = %v", err)
 	}
 	c.Set(k, []byte("v"), 0, 50) // relative: expires at now+50
@@ -250,7 +258,7 @@ func TestTouchAndExpiry(t *testing.T) {
 	// Touch extends life.
 	c.Set(k, []byte("v"), 0, 50)
 	now += 40
-	if err := c.Touch(k, 100); err != nil {
+	if err := do(c, BatchOp{Code: BatchTouch, Key: k, Exptime: 100}).Err; err != nil {
 		t.Fatal(err)
 	}
 	now += 60
@@ -285,7 +293,7 @@ func TestValidation(t *testing.T) {
 	if _, _, _, err := c.Get(longKey); !errors.Is(err, ErrKeyTooLong) {
 		t.Fatalf("long key get = %v", err)
 	}
-	if err := c.Delete(longKey); !errors.Is(err, ErrKeyTooLong) {
+	if err := do(c, BatchOp{Code: BatchDelete, Key: longKey}).Err; !errors.Is(err, ErrKeyTooLong) {
 		t.Fatalf("long key delete = %v", err)
 	}
 	big := make([]byte, MaxValueLen+1)
@@ -321,8 +329,8 @@ func TestStatsCounting(t *testing.T) {
 	c.Set([]byte("b"), []byte("2"), 0, 0)
 	c.Get([]byte("a"))
 	c.Get([]byte("missing"))
-	c.Delete([]byte("b"))
-	c.Increment([]byte("a"), 1)
+	do(c, BatchOp{Code: BatchDelete, Key: []byte("b")})
+	do(c, BatchOp{Code: BatchIncr, Key: []byte("a"), Delta: 1})
 	st := s.Stats()
 	if st.Sets != 2 || st.Gets != 2 || st.GetHits != 1 || st.GetMisses != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -377,7 +385,7 @@ func TestManyKeysAndCollisions(t *testing.T) {
 	}
 	// Delete every third, verify the rest intact.
 	for i := 0; i < n; i += 3 {
-		if err := c.Delete([]byte(fmt.Sprintf("key-%06d", i))); err != nil {
+		if err := do(c, BatchOp{Code: BatchDelete, Key: []byte(fmt.Sprintf("key-%06d", i))}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -436,21 +444,20 @@ func TestQuickIncrDecrArithmetic(t *testing.T) {
 		if err := c.Set(k, []byte(strconv.FormatUint(start, 10)), 0, 0); err != nil {
 			return false
 		}
-		var got uint64
-		var err error
+		var r BatchResult
 		var want uint64
 		if decr {
-			got, err = c.Decrement(k, delta)
+			r = do(c, BatchOp{Code: BatchDecr, Key: k, Delta: delta})
 			if delta > start {
 				want = 0
 			} else {
 				want = start - delta
 			}
 		} else {
-			got, err = c.Increment(k, delta)
+			r = do(c, BatchOp{Code: BatchIncr, Key: k, Delta: delta})
 			want = start + delta // wraps
 		}
-		if err != nil || got != want {
+		if r.Err != nil || r.Num != want {
 			return false
 		}
 		v, _, _, err := c.Get(k)
@@ -481,5 +488,46 @@ func TestQuickAbsExpiry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The operations' allocation counts, pinned: a Set, a Do'd Set, and a
+// GetAppend hit into a lent buffer allocate nothing; a Get hit allocates
+// its value; a 64-key MGet allocates its result slice and the one buffer
+// its values share, grown by append (8 on 64 short values). The bound
+// leaves room for the runtime's growth policy, not for a value apiece.
+func TestOpAllocs(t *testing.T) {
+	_, c := newStore(t, 1<<24, Options{HashPower: 10, NumItemLocks: 64})
+	k, v := []byte("key"), []byte("value-value")
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("mget-%03d", i))
+		if err := c.Set(keys[i], v, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Set(k, v, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	set := BatchOp{Code: BatchSet, Key: k, Value: v}
+	var r BatchResult
+	c.MGet(keys) // size the context's batch scratch
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Set", 0, func() { c.Set(k, v, 0, 0) }}, //nolint:errcheck
+		{"GetAppend hit, lent buffer", 0, func() { buf, _, _, _ = c.GetAppend(buf[:0], k) }},
+		{"Get hit", 1, func() { c.Get(k) }}, //nolint:errcheck
+		{"Do Set", 0, func() { c.Do(&set, &r) }},
+		{"MGet of 64", 10, func() { c.MGet(keys) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n > tc.max {
+			t.Errorf("%s: %v allocations, want ≤ %v", tc.name, n, tc.max)
+		} else {
+			t.Logf("%s: %v allocations", tc.name, n)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"plibmc/internal/mono"
+	"plibmc/internal/ring"
 )
 
 var partsSink uint64
@@ -37,7 +38,7 @@ func BenchmarkCoreParts(b *testing.B) {
 		}
 	}
 	k := key("user", 0)
-	hash := hashKey(k)
+	hash := ring.Hash(k)
 	lock := s.itemLockOff(hash)
 	c.lock(lock)
 	it := c.findLocked(k, hash)
@@ -53,7 +54,7 @@ func BenchmarkCoreParts(b *testing.B) {
 		})
 	}
 	ticking := func(run func()) { mono.Hold(); defer mono.Release(); run() }
-	part("hash", func() { partsSink += hashKey(k) })
+	part("hash", func() { partsSink += ring.Hash(k) })
 	part("key-capture", func() { partsSink += uint64(len(c.capture(&c.keyBuf, k))) })
 	part("op-gate", func() { c.enterOp(); c.exitOp() })
 	part("gate+sampler-unsampled", func() { c.latN = 0; c.opEnd(LatGet, c.opBegin()) })
@@ -76,7 +77,7 @@ func BenchmarkCoreParts(b *testing.B) {
 		{"hit-5KB", func(i int) []byte { return key("big5", i) }, 5 << 10},
 	} {
 		k := sh.key(0)
-		hash := hashKey(k)
+		hash := ring.Hash(k)
 		dst := make([]byte, 0, n*sh.vlen)
 		part(sh.name+"/probe", func() {
 			c.enterOp()

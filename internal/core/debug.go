@@ -5,6 +5,8 @@ package core
 // flip bits in a specific item header, chain link, LRU word or stats slot.
 // Nothing here is part of the operation API.
 
+import "plibmc/internal/ring"
+
 // Exported item-field offsets (relative to an item's base offset).
 const (
 	DebugItemHNext   = itHNext
@@ -21,7 +23,7 @@ const DebugStatCurrItems = statCurrItems
 // test can locate an item it is about to corrupt (or just corrupted).
 func (c *Ctx) DebugItemOffset(key []byte) uint64 {
 	k := append([]byte(nil), key...)
-	hash := hashKey(k)
+	hash := ring.Hash(k)
 	lock := c.s.itemLockOff(hash)
 	c.lock(lock)
 	defer c.unlock(lock)

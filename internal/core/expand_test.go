@@ -96,7 +96,7 @@ func TestExpandMutationsDuringMigration(t *testing.T) {
 		model[k] = v
 	}
 	del := func(k string) {
-		err := c.Delete([]byte(k))
+		err := do(c, BatchOp{Code: BatchDelete, Key: []byte(k)}).Err
 		if _, ok := model[k]; ok != (err == nil) {
 			t.Fatalf("delete %s: %v (model %v)", k, err, ok)
 		}
@@ -313,7 +313,7 @@ func TestQuickModelWithExpansion(t *testing.T) {
 				}
 			case 7:
 				k := fmt.Sprintf("key-%02d", rng.Intn(60))
-				err := c.Delete([]byte(k))
+				err := do(c, BatchOp{Code: BatchDelete, Key: []byte(k)}).Err
 				if _, ok := model[k]; ok != (err == nil) {
 					t.Fatalf("seed %d: delete %s = %v", seed, k, err)
 				}

@@ -18,12 +18,16 @@ import "runtime"
 // Entry publishes the owner token there and then checks the barrier;
 // Quiesce raises the barrier and then reads every op word — Dekker order,
 // both sides seq-cst, so either the entrant sees the barrier and withdraws
-// or the quiescer sees the token and waits. Exit CASes the word from the
-// owner token back to zero: a zombie whose slot was retired, cleared by
-// RepairGate and reclaimed by a live context leaves the new owner's token
-// alone. A context with no slot (more live contexts than ReaderSlots) and
-// any entry that meets a raised barrier counts in the store-wide word
-// below instead.
+// or the quiescer sees the token and waits. Quiesce fences each word it
+// finds drained (0 → opFence) and Unquiesce lifts the fences: an entrant
+// that published after the scan passed its slot would withdraw anyway, but
+// until it did, its token would count an operation that never runs in a
+// quiesced store. Against a fence its publish fails instead. Exit CASes
+// the word from the owner token back to zero: a zombie whose slot was
+// retired, cleared by RepairGate and reclaimed by a live context leaves the
+// new owner's token alone. A context with no slot (more live contexts than
+// ReaderSlots) and any entry that meets a raised barrier or a fence counts
+// in the store-wide word below instead.
 
 // Gate word layout: bit 63 is the barrier, bits 48–62 are a repair
 // generation, bits 0–47 count the operations of slotless entries.
@@ -36,6 +40,7 @@ import "runtime"
 // zombie to straddle. Slot entries need no generation: their exit is
 // guarded by the owner token itself.
 const (
+	opFence       = uint64(1) << 63 // a drained op word while quiesced; no owner token has bit 63
 	gateBarrier   = uint64(1) << 63
 	gateGenShift  = 48
 	gateGenMask   = uint64(0x7fff) << gateGenShift
@@ -103,15 +108,27 @@ func (c *Ctx) exitOp() {
 }
 
 // inFlight counts the operations the gate holds: the store-wide count plus
-// every reader slot whose op word is set.
+// every reader slot whose op word holds a token.
 func (s *Store) inFlight() uint64 {
 	n := s.H.AtomicLoad64(s.cfg+cfgGate) & gateCountMask
 	for i := uint64(0); i < s.numReaders; i++ {
-		if s.H.AtomicLoad64(s.readerSlotOff(i)+readerSlotOp) != 0 {
+		if w := s.H.AtomicLoad64(s.readerSlotOff(i) + readerSlotOp); w != 0 && w != opFence {
 			n++
 		}
 	}
 	return n
+}
+
+// drained reports whether the gate holds nothing, fencing every op word it
+// finds drained so that no entrant publishes there until Unquiesce.
+func (s *Store) drained() bool {
+	done := s.H.AtomicLoad64(s.cfg+cfgGate)&gateCountMask == 0
+	for i := uint64(0); i < s.numReaders; i++ {
+		if off := s.readerSlotOff(i) + readerSlotOp; !s.H.CAS64(off, 0, opFence) && s.H.AtomicLoad64(off) != opFence {
+			done = false
+		}
+	}
+	return done
 }
 
 // Quiesce raises the barrier and waits until no operation is in flight.
@@ -143,7 +160,7 @@ func (s *Store) QuiesceWithAbort(abort func() bool) bool {
 			break
 		}
 	}
-	for s.inFlight() != 0 {
+	for !s.drained() {
 		if abort != nil && abort() {
 			s.Unquiesce()
 			return false
@@ -153,8 +170,12 @@ func (s *Store) QuiesceWithAbort(abort func() bool) bool {
 	return true
 }
 
-// Unquiesce drops the barrier raised by Quiesce.
+// Unquiesce lifts the fences Quiesce left in the op words, then drops the
+// barrier raised by Quiesce.
 func (s *Store) Unquiesce() {
+	for i := uint64(0); i < s.numReaders; i++ {
+		s.H.CAS64(s.readerSlotOff(i)+readerSlotOp, opFence, 0)
+	}
 	gate := s.cfg + cfgGate
 	for {
 		g := s.H.AtomicLoad64(gate)

@@ -16,17 +16,21 @@ import (
 // crash (it never runs again) or be reaped (declared dead while it runs on
 // as a zombie) at any step, and a live idle context may move to a free
 // reader slot — which is how a slot retired from a zombie gets reclaimed.
-// Every reachable state must satisfy two invariants:
+// Every reachable state must satisfy three invariants:
 //
 //   - no live operation is in flight while the store is quiesced;
+//   - between Quiesce returning and Unquiesce, InFlightOps reads zero: no
+//     counted entry exists, not even one that is about to withdraw;
 //   - every live operation in flight is still counted: a slot entry's op
 //     word holds its token, and the gate word counts at least the live
 //     counted entries of its generation — nothing lost, nothing eaten.
 //
-// Dead contexts are outside both: the liveness oracle reports an owner dead
-// only once it may no longer touch the heap, and repair clears their counts.
-// The seeded variants reproduce plausible mistakes, and the enumerator must
-// name each one.
+// Dead contexts are outside all three: the liveness oracle reports an owner
+// dead only once it may no longer touch the heap, and repair clears their
+// counts. The seeded variants reproduce plausible mistakes, and the
+// enumerator must name each one with its shortest schedule. (With the
+// fences, checking the barrier before publishing is no mistake: an entrant
+// that publishes late meets a fence.)
 
 const (
 	gmSlots = 2
@@ -44,12 +48,19 @@ const (
 	gmExit          // exitOp
 )
 
+// gmFence is opFence, the op word Quiesce leaves in a drained slot.
+const gmFence int8 = 3
+
 // Quiescer program counters: raise the barrier, read the gate word's count
-// and then each slot's op word (any nonzero restarts the scan), hold.
+// and then fence each slot's op word (a token restarts the scan), hold,
+// then lift each fence and drop the barrier. Giving up mid-scan lifts the
+// fences too.
 const (
-	gmQIdle int8 = iota
-	gmQScan      // + i: reading word i of the scan
-	gmQHeld = gmQScan + 1 + gmSlots
+	gmQIdle    int8 = iota
+	gmQScan         // + i: reading word i of the scan
+	gmQHeld    = gmQScan + 1 + gmSlots
+	gmQRelease = gmQHeld + 1          // + i: lifting slot i's fence
+	gmQDrop    = gmQRelease + gmSlots // dropping the barrier
 )
 
 // Repairer program counters, in memcached.repairStore's order once live
@@ -71,7 +82,7 @@ type gmCtx struct {
 type gmState struct {
 	barrier    bool
 	gen, count int8
-	owner, op  [gmSlots]int8 // per reader slot: owner token, op word (token = context index + 1)
+	owner, op  [gmSlots]int8 // per reader slot: owner token, op word (token = context index + 1, or gmFence)
 	ctx        [2]gmCtx
 	q, qLeft   int8 // quiescer pc, quiesce attempts left
 	r, rLeft   int8 // repairer pc, repairs left
@@ -81,15 +92,15 @@ type gmState struct {
 // gmBugs seeds the variants the enumerator must reject.
 type gmBugs struct {
 	blindExit  bool // exitOp stores 0 to its op word instead of CASing from its token
-	checkFirst bool // enterOp checks the barrier before it publishes its token
 	blindEnter bool // enterOp stores its token instead of CASing from 0
+	phantom    bool // Quiesce fences no op word, so a late entrant's token shows until it withdraws
 }
 
 func (b gmBugs) next(s gmState, emit func(gmState)) {
 	for i := range s.ctx {
 		b.ctxSteps(s, i, emit)
 	}
-	quiescerSteps(s, emit)
+	b.quiescerSteps(s, emit)
 	repairerSteps(s, emit)
 	// A grave reaper may expire a dead owner's slot at any time
 	// (expireIfDead), not only inside a repair.
@@ -139,34 +150,21 @@ func (b gmBugs) ctxSteps(s gmState, i int, emit func(gmState)) {
 			return
 		}
 		tc.ops--
-		switch {
-		case c.slot == gmNone:
+		tc.pc = gmPublish
+		if c.slot == gmNone {
 			tc.pc = gmCounted
-		case b.checkFirst:
-			tc.pc = gmCheck
-		default:
-			tc.pc = gmPublish
 		}
 	case gmPublish:
 		if s.op[c.slot] != 0 && !b.blindEnter {
-			tc.pc = gmCounted // a stale token holds the word: count in the gate word
+			tc.pc = gmCounted // a stale token or a fence holds the word: count in the gate word
 			break
 		}
 		t.op[c.slot] = tok
 		tc.pc = gmCheck
-		if b.checkFirst {
-			tc.pc, tc.word = gmInOp, c.slot
-		}
 	case gmCheck:
-		switch {
-		case b.checkFirst && s.barrier:
-			tc.pc = gmCounted
-		case b.checkFirst:
-			tc.pc = gmPublish
-		case s.barrier:
-			tc.pc = gmWithdraw
-		default:
-			tc.pc, tc.word = gmInOp, c.slot
+		tc.pc, tc.word = gmInOp, c.slot
+		if s.barrier {
+			tc.pc, tc.word = gmWithdraw, gmNone
 		}
 	case gmWithdraw:
 		if s.op[c.slot] == tok {
@@ -195,7 +193,7 @@ func (b gmBugs) ctxSteps(s gmState, i int, emit func(gmState)) {
 	emit(t)
 }
 
-func quiescerSteps(s gmState, emit func(gmState)) {
+func (b gmBugs) quiescerSteps(s gmState, emit func(gmState)) {
 	t := s
 	switch {
 	case s.q == gmQIdle:
@@ -205,17 +203,26 @@ func quiescerSteps(s gmState, emit func(gmState)) {
 		}
 		t.barrier, t.q = true, gmQScan
 	case s.q == gmQHeld:
+		t.q = gmQRelease
+	case s.q >= gmQRelease && s.q < gmQDrop:
+		if i := s.q - gmQRelease; s.op[i] == gmFence {
+			t.op[i] = 0
+		}
+		t.q++
+	case s.q == gmQDrop:
 		t.barrier, t.q, t.qLeft = false, gmQIdle, s.qLeft-1
 	default:
 		a := t
-		a.barrier, a.q, a.qLeft = false, gmQIdle, s.qLeft-1 // QuiesceWithAbort gives up
+		a.q = gmQRelease // QuiesceWithAbort gives up: Unquiesce
 		emit(a)
-		w := s.count
-		if i := s.q - gmQScan; i > 0 {
-			w = s.op[i-1]
-		}
 		t.q++
-		if w != 0 {
+		if i := s.q - gmQScan - 1; i < 0 {
+			if s.count != 0 {
+				t.q = gmQScan
+			}
+		} else if w := s.op[i]; w == 0 && !b.phantom {
+			t.op[i] = gmFence
+		} else if w != 0 && w != gmFence {
 			t.q = gmQScan
 		}
 	}
@@ -261,6 +268,17 @@ func repairerSteps(s gmState, emit func(gmState)) {
 
 // violation names the invariant s breaks, or returns "".
 func (s gmState) violation() string {
+	if s.q == gmQHeld {
+		n := s.count
+		for _, w := range s.op {
+			if w != 0 && w != gmFence {
+				n++
+			}
+		}
+		if n != 0 {
+			return fmt.Sprintf("InFlightOps reads %d while the store is quiesced", n)
+		}
+	}
 	var counted int8
 	for i, c := range s.ctx {
 		if c.dead || c.pc != gmInOp {
@@ -301,7 +319,7 @@ func gmInitial() []gmState {
 	return out
 }
 
-// key packs s into 55 bits for the visited set: each field, plus one so
+// key packs s into 58 bits for the visited set: each field, plus one so
 // gmNone packs as zero, in a width that fits every value it takes.
 func (s gmState) key() uint64 {
 	var k uint64
@@ -322,7 +340,7 @@ func (s gmState) key() uint64 {
 	put(s.count, 3)
 	for j := range s.owner {
 		put(s.owner[j], 2)
-		put(s.op[j], 2)
+		put(s.op[j], 3)
 	}
 	for _, c := range s.ctx {
 		put(c.pc, 3)
@@ -334,7 +352,7 @@ func (s gmState) key() uint64 {
 		put(flag(c.dead), 1)
 		put(flag(c.frozen), 1)
 	}
-	put(s.q, 3)
+	put(s.q, 4)
 	put(s.qLeft, 2)
 	put(s.r, 3)
 	put(s.rLeft, 2)
@@ -343,39 +361,112 @@ func (s gmState) key() uint64 {
 }
 
 // gmExplore visits every state reachable within depth steps and returns
-// the number visited and the first violation found, with the state that
-// breaks it.
+// the number visited and the first violation found, with the shortest
+// schedule that reaches it (the search is breadth first) and the state
+// that breaks it.
 func gmExplore(bugs gmBugs, depth int) (int, string) {
-	seen := map[uint64]bool{}
+	parent := map[uint64]uint64{} // visited state → the state it was first reached from
 	var frontier []gmState
 	for _, s := range gmInitial() {
-		seen[s.key()] = true
+		parent[s.key()] = s.key()
 		frontier = append(frontier, s)
 	}
 	for d := 0; d <= depth && len(frontier) > 0; d++ {
 		var next []gmState
 		for _, s := range frontier {
 			if v := s.violation(); v != "" {
-				return len(seen), fmt.Sprintf("%s at depth %d in %+v", v, d, s)
+				return len(parent), fmt.Sprintf("%s at depth %d after %s in %+v", v, d, gmWitness(bugs, parent, s), s)
 			}
 			if d == depth {
 				continue
 			}
+			k := s.key()
 			bugs.next(s, func(t gmState) {
-				if k := t.key(); !seen[k] {
-					seen[k] = true
+				tk := t.key()
+				if _, ok := parent[tk]; !ok {
+					parent[tk] = k
 					next = append(next, t)
 				}
 			})
 		}
 		frontier = next
 	}
-	return len(seen), ""
+	return len(parent), ""
 }
+
+// gmWitness replays the parent chain that ends at s from its initial state
+// and names each step.
+func gmWitness(bugs gmBugs, parent map[uint64]uint64, s gmState) string {
+	var keys []uint64
+	for k := s.key(); ; k = parent[k] {
+		keys = append([]uint64{k}, keys...)
+		if parent[k] == k {
+			break
+		}
+	}
+	var cur gmState
+	for _, init := range gmInitial() {
+		if init.key() == keys[0] {
+			cur = init
+		}
+	}
+	var steps []string
+	for _, k := range keys[1:] {
+		var nxt gmState
+		bugs.next(cur, func(t gmState) {
+			if t.key() == k {
+				nxt = t
+			}
+		})
+		steps = append(steps, gmStep(cur, nxt))
+		cur = nxt
+	}
+	return strings.Join(steps, "; ")
+}
+
+var gmPCNames = [...]string{"idle", "publish", "check", "withdraw", "counted", "in-op", "exit"}
+
+// gmStep names the transition from a to b.
+func gmStep(a, b gmState) string {
+	for i := range a.ctx {
+		x, y := a.ctx[i], b.ctx[i]
+		switch {
+		case y.frozen && !x.frozen:
+			return fmt.Sprintf("ctx%d crashes", i)
+		case y.dead && !x.dead:
+			return fmt.Sprintf("ctx%d is reaped", i)
+		case y.slot != x.slot:
+			return fmt.Sprintf("ctx%d claims slot %d", i, y.slot)
+		case y.pc != x.pc || y.ops != x.ops:
+			return fmt.Sprintf("ctx%d %s→%s", i, gmPCNames[x.pc], gmPCNames[y.pc])
+		}
+	}
+	switch {
+	case a.q == gmQIdle && b.q != gmQIdle:
+		return "quiescer raises the barrier"
+	case a.q == gmQHeld:
+		return "quiescer unquiesces"
+	case a.q == gmQDrop:
+		return "quiescer drops the barrier"
+	case a.q > gmQHeld:
+		return fmt.Sprintf("quiescer lifts slot %d's fence", a.q-gmQRelease)
+	case b.q == gmQRelease:
+		return "quiescer gives up"
+	case a.q == gmQScan:
+		return "quiescer reads the gate count"
+	case a.q != gmQIdle:
+		return fmt.Sprintf("quiescer reads slot %d", a.q-gmQScan-1)
+	case a.r != b.r:
+		return fmt.Sprintf("repairer %s", gmRNames[a.r])
+	}
+	return fmt.Sprintf("reaper expires a slot (owners %v)", b.owner)
+}
+
+var gmRNames = [...]string{"drains", "retires dead readers", "clears the gate word", "clears slot 0", "clears slot 1", "resumes"}
 
 // gmDepth is two steps past the longest witness below: the blind exit needs
 // 16 — enter, reap, the repair's six steps, a reclaim, a live entry, and
-// the zombie's exit. About 670 000 states lie within it.
+// the zombie's exit. About 650 000 states lie within it.
 const gmDepth = 18
 
 func TestGateModelExhaustive(t *testing.T) {
@@ -393,8 +484,10 @@ func TestGateModelFindsSeededBugs(t *testing.T) {
 		want string
 	}{
 		{"exitOp as a blind store", gmBugs{blindExit: true}, "count in slot"},
-		{"barrier check before publish", gmBugs{checkFirst: true}, "quiesced"},
-		{"publish as a blind store", gmBugs{blindEnter: true}, "count in slot"},
+		{"publish as a blind store", gmBugs{blindEnter: true}, "while the store is quiesced"},
+		// Without the fences, InFlightOps counts an entry that published
+		// its token after the scan passed its slot and will withdraw.
+		{"phantom entry counted", gmBugs{phantom: true}, "InFlightOps reads 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, v := gmExplore(tc.bugs, gmDepth)

@@ -77,10 +77,10 @@ func TestGetCountsTheException(t *testing.T) {
 	check("seqlock retry")
 
 	// Get-and-touch is a write: always locked.
-	if _, _, _, err := c.GetAndTouch([]byte("a"), 0); err != nil {
+	if err := do(c, BatchOp{Code: BatchGAT, Key: []byte("a")}).Err; err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.GetAndTouch([]byte("absent"), 0); !errors.Is(err, ErrNotFound) {
+	if err := do(c, BatchOp{Code: BatchGAT, Key: []byte("absent")}).Err; !errors.Is(err, ErrNotFound) {
 		t.Fatal(err)
 	}
 	hits, misses, locked = hits+1, misses+1, locked+2
@@ -104,12 +104,12 @@ func TestGetCountsTheException(t *testing.T) {
 	hits++
 	check("after bump")
 
-	// The ablation toggle, and a context with no reader slot.
-	c.DisableOptimisticReads = true
+	// A context with no reader slot reads under the lock.
+	c.releaseReaderSlot()
 	get("b", nil) // its bump fell due too, but this one never probes
-	c.DisableOptimisticReads = false
+	c.claimReaderSlot()
 	hits, locked = hits+1, locked+1
-	check("optimistic reads off")
+	check("slotless")
 
 	// A batch defers its counts and publishes them once; same arithmetic.
 	ops := []BatchOp{
@@ -121,9 +121,13 @@ func TestGetCountsTheException(t *testing.T) {
 	c.ExecBatch(ops, res, nil)
 	hits, misses, locked = hits+3, misses+1, locked+1 // an export is a migration read, not a Get
 	check("batch")
+	batches := s.Stats().Batches
 	c.MGet([][]byte{[]byte("a"), []byte("absent")})
 	hits, misses = hits+1, misses+1
 	check("mget")
+	if st := s.Stats(); st.Batches != batches+1 || st.BatchedOps < 2 {
+		t.Fatalf("an MGet is one batch: batches %d → %d, batched ops %d", batches, st.Batches, st.BatchedOps)
+	}
 }
 
 // TestStatsFromOlderImage: a heap image written before ISSUE 26 counted
@@ -147,7 +151,7 @@ func TestStatsFromOlderImage(t *testing.T) {
 	}
 	c.Set([]byte("k"), []byte("v"), 0, 0)
 	c.Get([]byte("k"))
-	c.GetAndTouch([]byte("k"), 0)
+	do(c, BatchOp{Code: BatchGAT, Key: []byte("k")})
 	if st := s.Stats(); st.Gets != 102 || st.GetFastpathHits != 89 || st.GetHits != 72 {
 		t.Fatalf("after two more: gets %d (%d hits), fast path %d; want 102 (72), 89", st.Gets, st.GetHits, st.GetFastpathHits)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "plibmc/internal/ralloc"
+import (
+	"plibmc/internal/ralloc"
+	"plibmc/internal/ring"
+)
 
 // The key pass. A batch's per-key work is mostly waiting on memory: the
 // bucket word, then the chain head's header, then its key and value, each
@@ -25,9 +28,9 @@ import "plibmc/internal/ralloc"
 // quarantined meanwhile still holds the words we load. What it loads is
 // never trusted: dispatch re-reads everything under its own seqlock or lock.
 // It is skipped while the table is expanding (a key's bucket then depends
-// on the expansion cursor, which belongs under the item lock), when no
-// section can be opened, and with optimistic reads off (the design without
-// reader sections); the captured keys and hashes serve in every case.
+// on the expansion cursor, which belongs under the item lock) and when no
+// section can be opened, as for a context without a reader slot; the
+// captured keys and hashes serve in every case.
 
 // opSlot is one batch operation's scratch, kept by the context across
 // batches: where the key pass left its key and hash, the chain head it
@@ -49,8 +52,7 @@ func (c *Ctx) keySlots(n int) []opSlot {
 	return c.batchSlots[:n]
 }
 
-// takeKey captures key into the arena (unless capture is off: then the
-// client's slice is used as is) and hashes the captured bytes.
+// takeKey captures key into the arena and hashes the captured bytes.
 func (c *Ctx) takeKey(sl *opSlot, key []byte) {
 	sl.start, sl.head = -1, 0
 	if len(key) > MaxKeyLen {
@@ -58,38 +60,30 @@ func (c *Ctx) takeKey(sl *opSlot, key []byte) {
 		return
 	}
 	sl.koff, sl.klen = len(c.keyArena), len(key)
-	if !c.CaptureClientBuffers {
-		sl.hash = hashKey(key)
-		return
-	}
 	c.keyArena = append(c.keyArena, key...)
-	sl.hash = hashKey(c.keyArena[sl.koff:])
+	sl.hash = ring.Hash(c.keyArena[sl.koff:])
 }
 
-// slotKey returns the key takeKey left in sl; key is the op's own, the one
-// used when capture is off.
-func (c *Ctx) slotKey(sl *opSlot, key []byte) []byte {
-	if !c.CaptureClientBuffers {
-		return key
-	}
+// slotKey returns the key takeKey captured for sl.
+func (c *Ctx) slotKey(sl *opSlot) []byte {
 	return c.keyArena[sl.koff : sl.koff+sl.klen : sl.koff+sl.klen]
 }
 
-// takeOne is the front half every keyed entry point shares outside a
-// batch: the length check, the capture and the hash.
+// takeOne is the front half Do, GetAppend and Set share outside a batch:
+// the length check, the capture and the hash.
 func (c *Ctx) takeOne(key []byte) ([]byte, uint64, error) {
 	if len(key) > MaxKeyLen {
 		return nil, 0, ErrKeyTooLong
 	}
 	k := c.capture(&c.keyBuf, key)
-	return k, hashKey(k), nil
+	return k, ring.Hash(k), nil
 }
 
 // touchChains loads every slot's bucket word, then the header and key
 // lines of every chain head, inside one read section. The loaded words are
 // summed into c.touched only so that no load is dead code.
 func (c *Ctx) touchChains(slots []opSlot) {
-	if c.rdSlot == 0 || c.DisableOptimisticReads {
+	if c.rdSlot == 0 {
 		return
 	}
 	s := c.s

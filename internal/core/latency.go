@@ -33,7 +33,6 @@ const (
 	LatGet = iota
 	LatSet
 	LatDelete
-	LatMGet
 	LatTouch
 	LatMaint
 	LatBatch
@@ -42,7 +41,7 @@ const (
 
 // LatClassNames names each class for exporters, index-aligned with the
 // constants above.
-var LatClassNames = [NumLatClasses]string{"get", "set", "delete", "mget", "touch", "maint", "batch"}
+var LatClassNames = [NumLatClasses]string{"get", "set", "delete", "touch", "maint", "batch"}
 
 // Matrix geometry: each histogram padded to whole cache lines so two
 // classes of one slot never false-share, and slots are line-aligned runs.
@@ -63,7 +62,7 @@ func (s *Store) latOff(slot uint64, class int) uint64 {
 
 // opBegin is enterOp plus sampled latency capture: it returns a precise
 // start (mono.Now) if this operation was chosen for recording, else 0.
-// Only outermost operations sample (a nested GetAppend inside MGet, or an
+// Only outermost operations sample (a nested Get inside a batch, or an
 // eviction inside a Set, is part of its parent's latency).
 func (c *Ctx) opBegin() int64 {
 	c.enterOp()

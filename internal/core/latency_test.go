@@ -22,10 +22,10 @@ func TestLatencyRecordsEveryClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MGet([][]byte{k, []byte("miss")})
-	if err := c.Touch(k, 60); err != nil {
+	if err := do(c, BatchOp{Code: BatchTouch, Key: k, Exptime: 60}).Err; err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(k); err != nil {
+	if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil {
 		t.Fatal(err)
 	}
 	execBatch(c, []BatchOp{{Code: BatchSet, Key: k, Value: v}})
@@ -38,14 +38,14 @@ func TestLatencyRecordsEveryClass(t *testing.T) {
 			t.Errorf("class %q recorded no samples", name)
 		}
 	}
-	// The nested GetAppends inside MGet must not sample themselves: one
-	// Get plus one Set-path lookup-free op per class above, so the get
-	// class saw exactly the one explicit Get.
+	// The nested lookups inside MGet must not sample themselves, so the
+	// get class saw exactly the one explicit Get, and an MGet is a batch:
+	// it and the ExecBatch are one sample each.
 	if n := ls.Classes[LatGet].Count(); n != 1 {
 		t.Fatalf("get class count = %d, want 1 (MGet inner lookups must not double-sample)", n)
 	}
-	if n := ls.Classes[LatMGet].Count(); n != 1 {
-		t.Fatalf("mget class count = %d, want 1", n)
+	if n := ls.Classes[LatBatch].Count(); n != 2 {
+		t.Fatalf("batch class count = %d, want 2 (one MGet, one ExecBatch)", n)
 	}
 }
 

@@ -177,7 +177,7 @@ func TestAttachSecondHandle(t *testing.T) {
 	if err != nil || string(v) != "across processes" {
 		t.Fatalf("second handle sees %q, %v", v, err)
 	}
-	if err := c2.Delete([]byte("shared")); err != nil {
+	if err := do(c2, BatchOp{Code: BatchDelete, Key: []byte("shared")}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := c1.Get([]byte("shared")); !errors.Is(err, ErrNotFound) {

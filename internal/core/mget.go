@@ -14,26 +14,27 @@ type GetResult struct {
 }
 
 // MGet looks up every key and returns one result per key, in order.
-// Missing (or expired) keys yield Found == false. It runs ExecBatch's key
-// pass first (keypass.go), then each lookup rides the lock-free optimistic
-// path of GetAppend, so an uncontended batch takes no locks at all.
+// Missing (or expired) keys yield Found == false. It is one ExecBatch of
+// BatchGet ops, built in scratch the context keeps, so a batch of lookups
+// has one loop, one key pass and one latency sample (class LatBatch). The
+// values share one fresh buffer that the caller owns.
 func (c *Ctx) MGet(keys [][]byte) []GetResult {
-	// One latency sample covers the whole batch; the nested lookups run
-	// at operation depth 2 and never sample themselves.
-	defer c.opEnd(LatMGet, c.opBegin())
-	slots := c.keySlots(len(keys))
-	for i, k := range keys {
-		c.takeKey(&slots[i], k)
+	if cap(c.mgetOps) < len(keys) {
+		c.mgetOps = make([]BatchOp, len(keys))
+		c.mgetRes = make([]BatchResult, len(keys))
 	}
-	c.touchChains(slots)
-	res := make([]GetResult, len(keys))
+	ops, res := c.mgetOps[:len(keys)], c.mgetRes[:len(keys)]
 	for i, k := range keys {
-		if sl := &slots[i]; sl.klen >= 0 {
-			v, flags, cas, err := c.getAppend(nil, c.slotKey(sl, k), sl.hash)
-			if err == nil {
-				res[i] = GetResult{Value: v, Flags: flags, CAS: cas, Found: true}
-			}
+		ops[i] = BatchOp{Code: BatchGet, Key: k}
+	}
+	c.ExecBatch(ops, res, nil)
+	out := make([]GetResult, len(keys))
+	for i := range res {
+		if r := &res[i]; r.Err == nil {
+			out[i] = GetResult{Value: r.Value, Flags: r.Flags, CAS: r.CAS, Found: true}
 		}
 	}
-	return res
+	clear(ops) // keep no client key, nor the caller's values, alive
+	clear(res)
+	return out
 }

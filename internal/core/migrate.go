@@ -1,26 +1,18 @@
 package core
 
 // Migration primitives (live resharding). A segment migrator streams
-// entries between two protected-library stores: ExportAppend reads an
-// entry off the source without disturbing its LRU position and carries
-// the absolute expiry along, Install writes it into the destination
-// preserving the source's CAS generation verbatim. Because each shard
-// seeds its CAS counter into a disjoint space (shard index in the high
-// bits), a migrated entry's CAS stays globally unique and client CAS
-// tokens taken before the move keep validating after it.
+// entries between two protected-library stores in batches: a BatchExport
+// op reads an entry off the source without disturbing its LRU position and
+// carries the absolute expiry along, a BatchInstall op writes it into the
+// destination preserving the source's CAS generation verbatim. Because
+// each shard seeds its CAS counter into a disjoint space (shard index in
+// the high bits), a migrated entry's CAS stays globally unique and client
+// CAS tokens taken before the move keep validating after it.
 
-// ExportAppend retrieves key for migration, appending the value to dst:
-// a locked read that skips the LRU bump (copying a segment must not
-// rejuvenate its entries on the shard they are leaving) and returns the
-// entry's absolute expiry so the destination can store it verbatim.
-func (c *Ctx) ExportAppend(dst, key []byte) ([]byte, uint32, uint64, int64, error) {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return dst, 0, 0, 0, err
-	}
-	return c.exportAppend(dst, k, hash)
-}
-
+// exportAppend is a locked read that skips the LRU bump (copying a
+// segment must not rejuvenate its entries on the shard they are leaving)
+// and returns the entry's absolute expiry so the destination can store it
+// verbatim.
 func (c *Ctx) exportAppend(dst, k []byte, hash uint64) ([]byte, uint32, uint64, int64, error) {
 	defer c.opEnd(LatGet, c.opBegin())
 	s := c.s
@@ -44,19 +36,11 @@ func (c *Ctx) exportAppend(dst, k []byte, hash uint64) ([]byte, uint32, uint64, 
 	return append(dst, prot...), flags, cas, exptime, nil
 }
 
-// Install unconditionally stores a migrated entry: exptime is already
+// installKey unconditionally stores a migrated entry: exptime is already
 // absolute (no relative-cutoff interpretation) and the entry's CAS
 // generation is set to cas rather than a fresh one from this store's
 // counter. The item is private until linkLocked publishes it, so the
 // CAS overwrite after newItem is invisible to concurrent readers.
-func (c *Ctx) Install(key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return err
-	}
-	return c.installKey(k, hash, value, flags, exptime, cas)
-}
-
 func (c *Ctx) installKey(k []byte, hash uint64, value []byte, flags uint32, exptime int64, cas uint64) error {
 	if len(value) > MaxValueLen {
 		return ErrValueTooBig

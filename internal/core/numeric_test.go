@@ -42,7 +42,7 @@ func TestIncrOverflowValueNotNumeric(t *testing.T) {
 	if err := c.Set([]byte("big"), []byte("18446744073709551616"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Increment([]byte("big"), 1); !errors.Is(err, ErrNotNumeric) {
+	if err := do(c, BatchOp{Code: BatchIncr, Key: []byte("big"), Delta: 1}).Err; !errors.Is(err, ErrNotNumeric) {
 		t.Fatalf("incr on 2^64 value: err = %v, want ErrNotNumeric", err)
 	}
 	// The value must be untouched by the failed increment.
@@ -54,8 +54,8 @@ func TestIncrOverflowValueNotNumeric(t *testing.T) {
 	if err := c.Set([]byte("max"), []byte("18446744073709551615"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := c.Increment([]byte("max"), 1); err != nil || v != 0 {
-		t.Fatalf("incr of 2^64-1 by 1 = %d, %v; want wrap to 0", v, err)
+	if r := do(c, BatchOp{Code: BatchIncr, Key: []byte("max"), Delta: 1}); r.Err != nil || r.Num != 0 {
+		t.Fatalf("incr of 2^64-1 by 1 = %d, %v; want wrap to 0", r.Num, r.Err)
 	}
 }
 
@@ -66,10 +66,10 @@ func TestDecrFeedsOwnCounter(t *testing.T) {
 	if err := c.Set([]byte("n"), []byte("10"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Decrement([]byte("n"), 3); err != nil {
+	if err := do(c, BatchOp{Code: BatchDecr, Key: []byte("n"), Delta: 3}).Err; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Increment([]byte("n"), 1); err != nil {
+	if err := do(c, BatchOp{Code: BatchIncr, Key: []byte("n"), Delta: 1}).Err; err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -107,8 +107,8 @@ func TestIncrInPlaceBumpsLRU(t *testing.T) {
 	// Past the bump interval, an in-place increment (100 -> 101, same
 	// width) must move ctr back to the head.
 	now += lruBumpInterval + 1
-	if v, err := c.Increment([]byte("ctr"), 1); err != nil || v != 101 {
-		t.Fatalf("incr = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchIncr, Key: []byte("ctr"), Delta: 1}); r.Err != nil || r.Num != 101 {
+		t.Fatalf("incr = %d, %v", r.Num, r.Err)
 	}
 	if !lruHeadIs(s, "ctr") {
 		t.Fatal("in-place increment did not bump the item to the LRU head")
@@ -123,8 +123,8 @@ func TestIncrInPlaceBumpsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	now += lruBumpInterval + 1
-	if v, err := c.Increment([]byte("wide"), 1); err != nil || v != 1000 {
-		t.Fatalf("incr = %d, %v", v, err)
+	if r := do(c, BatchOp{Code: BatchIncr, Key: []byte("wide"), Delta: 1}); r.Err != nil || r.Num != 1000 {
+		t.Fatalf("incr = %d, %v", r.Num, r.Err)
 	}
 	if !lruHeadIs(s, "wide") {
 		t.Fatal("width-change increment did not land at the LRU head")
@@ -143,10 +143,10 @@ func TestIncrDecrExpiredReaps(t *testing.T) {
 		name string
 		run  func(key []byte) error
 	}{
-		{"incr", func(k []byte) error { _, err := c.Increment(k, 1); return err }},
-		{"decr", func(k []byte) error { _, err := c.Decrement(k, 1); return err }},
-		{"append", func(k []byte) error { return c.Append(k, []byte("x")) }},
-		{"prepend", func(k []byte) error { return c.Prepend(k, []byte("x")) }},
+		{"incr", func(k []byte) error { return do(c, BatchOp{Code: BatchIncr, Key: k, Delta: 1}).Err }},
+		{"decr", func(k []byte) error { return do(c, BatchOp{Code: BatchDecr, Key: k, Delta: 1}).Err }},
+		{"append", func(k []byte) error { return do(c, BatchOp{Code: BatchAppend, Key: k, Value: []byte("x")}).Err }},
+		{"prepend", func(k []byte) error { return do(c, BatchOp{Code: BatchPrepend, Key: k, Value: []byte("x")}).Err }},
 	} {
 		key := []byte("exp-" + op.name)
 		if err := c.Set(key, []byte("123"), 0, 5); err != nil { // relative: expires at now+5

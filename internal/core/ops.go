@@ -28,6 +28,10 @@ var (
 // is acquired (the §3.4 fault-tolerance idiom — the key_prot/dat_prot
 // buffers of Fig. 4). A Ctx must be used by one thread at a time.
 //
+// An operation enters through Do or ExecBatch as a BatchOp (batch.go).
+// Get, GetAppend and Set are fronts over the same inner forms, and MGet is
+// one ExecBatch.
+//
 // The padding at each end keeps the words an operation writes (opDepth,
 // nowCache, latN, ...) off the cache lines of whatever the allocator
 // places beside the context — another thread's context, most often.
@@ -50,9 +54,11 @@ type Ctx struct {
 	nowOK       bool
 	statDefer   bool // accumulate stats in statLocal instead of shared slots
 	statLocal   [numStatCounters]int64
-	batchSlots  []opSlot // per-op scratch reused across batches (keypass.go)
-	keyArena    []byte   // a batch's captured keys, back to back
-	touched     uint64   // sink for the key pass's loads
+	batchSlots  []opSlot  // per-op scratch reused across batches (keypass.go)
+	mgetOps     []BatchOp // MGet's batch and its results, reused across calls
+	mgetRes     []BatchResult
+	keyArena    []byte // a batch's captured keys, back to back
+	touched     uint64 // sink for the key pass's loads
 
 	// deadSelf reports whether this context's own owner token has been
 	// declared dead by the liveness oracle — i.e. this goroutine is a
@@ -68,19 +74,6 @@ type Ctx struct {
 	// cleanly — results for the executed prefix, typed errors for the rest
 	// — instead of being reaped and repaired.
 	AbortCheck func() bool
-
-	// CaptureClientBuffers applies the copy-before-lock idiom to what is
-	// read again under a lock: every key, and the data of Append/Prepend.
-	// (A stored value needs no capture: its one copy, into the still-private
-	// item, is the idiom — see newItem.) It defaults to true; the ablation
-	// benchmark turns it off to measure the idiom's cost (and gives up
-	// crash safety against concurrent client threads scribbling on
-	// arguments mid-call).
-	CaptureClientBuffers bool
-
-	// DisableOptimisticReads forces every Get onto the locked path — the
-	// pre-seqlock design, kept as an ablation toggle.
-	DisableOptimisticReads bool
 
 	// forceSeqRetries injects this many artificial validation failures
 	// into each optimistic lookup, so tests can deterministically drive
@@ -112,10 +105,9 @@ func loadChainNext(s *Store, it uint64) uint64     { return ralloc.LoadPptr(s.H,
 // counts its operations in the gate's shared word.
 func (s *Store) NewCtx(owner uint64) *Ctx {
 	c := &Ctx{
-		s:                    s,
-		cache:                s.A.NewCache(),
-		owner:                owner,
-		CaptureClientBuffers: true,
+		s:     s,
+		cache: s.A.NewCache(),
+		owner: owner,
 	}
 	c.deadSelf = func() bool { return s.ownerIsDead(owner) }
 	c.scatter(owner)
@@ -207,9 +199,6 @@ func (c *Ctx) scratch(n uint64) []byte { return grow(&c.evictBuf, n) }
 // lock is taken, so that a concurrent client thread mutating (or unmapping)
 // the argument cannot fault or corrupt the library mid-operation.
 func (c *Ctx) capture(dst *[]byte, src []byte) []byte {
-	if !c.CaptureClientBuffers {
-		return src
-	}
 	b := grow(dst, uint64(len(src)))
 	copy(b, src)
 	return b
@@ -302,8 +291,8 @@ func (c *Ctx) GetAppend(dst, key []byte) ([]byte, uint32, uint64, error) {
 }
 
 // getAppend is GetAppend's inner form, on a key already captured and
-// hashed. Every keyed entry point splits so; batch dispatch, whose key
-// pass captured and hashed the keys (keypass.go), calls the inner forms.
+// hashed. Every op has such an inner form, and execBatchOne is the one
+// place that dispatches to them (batch.go).
 func (c *Ctx) getAppend(dst, k []byte, hash uint64) ([]byte, uint32, uint64, error) {
 	defer c.opEnd(LatGet, c.opBegin())
 	if flags, cas, vlen, found, ok := c.optGet(k, hash); ok {
@@ -356,23 +345,9 @@ func (c *Ctx) getLockedAppend(dst, k []byte, hash uint64, touch bool, abs int64)
 	return out, flags, cas, nil
 }
 
-// GetAndTouch retrieves the value under key and atomically updates its
-// expiry (memcached's "gat" command): one lock acquisition for both. The
-// touch is a write, so this always runs the locked path.
-func (c *Ctx) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, uint64, error) {
-	return c.GetAndTouchAppend(nil, key, exptime)
-}
-
-// GetAndTouchAppend is GetAndTouch appending the value to dst (which may
-// be nil), for callers that reuse buffers.
-func (c *Ctx) GetAndTouchAppend(dst, key []byte, exptime int64) ([]byte, uint32, uint64, error) {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return dst, 0, 0, err
-	}
-	return c.getAndTouchAppend(dst, k, hash, exptime)
-}
-
+// getAndTouchAppend retrieves the value under k and updates its expiry
+// (memcached's "gat" command): one lock acquisition for both. The touch is
+// a write, so this always runs the locked path.
 func (c *Ctx) getAndTouchAppend(dst, k []byte, hash uint64, exptime int64) ([]byte, uint32, uint64, error) {
 	defer c.opEnd(LatTouch, c.opBegin())
 	c.stat(statTouches, 1)
@@ -389,14 +364,9 @@ const (
 	modeCAS
 )
 
-func (c *Ctx) store(mode storeMode, key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return err
-	}
-	return c.storeKey(mode, k, hash, value, flags, exptime, cas)
-}
-
+// storeKey stores value under k as mode says: unconditionally (Set), only
+// if absent (Add), only if present (Replace), or only if the entry's CAS
+// generation still equals cas (CAS).
 func (c *Ctx) storeKey(mode storeMode, k []byte, hash uint64, value []byte, flags uint32, exptime int64, cas uint64) error {
 	if len(value) > MaxValueLen {
 		return ErrValueTooBig
@@ -453,33 +423,14 @@ func (c *Ctx) storeKey(mode storeMode, k []byte, hash uint64, value []byte, flag
 
 // Set unconditionally stores value under key.
 func (c *Ctx) Set(key, value []byte, flags uint32, exptime int64) error {
-	return c.store(modeSet, key, value, flags, exptime, 0)
-}
-
-// Add stores value only if key is absent.
-func (c *Ctx) Add(key, value []byte, flags uint32, exptime int64) error {
-	return c.store(modeAdd, key, value, flags, exptime, 0)
-}
-
-// Replace stores value only if key is present.
-func (c *Ctx) Replace(key, value []byte, flags uint32, exptime int64) error {
-	return c.store(modeReplace, key, value, flags, exptime, 0)
-}
-
-// CAS stores value only if the entry's CAS generation still equals cas.
-func (c *Ctx) CAS(key, value []byte, flags uint32, exptime int64, cas uint64) error {
-	return c.store(modeCAS, key, value, flags, exptime, cas)
-}
-
-// Delete removes key from the store.
-func (c *Ctx) Delete(key []byte) error {
 	k, hash, err := c.takeOne(key)
 	if err != nil {
 		return err
 	}
-	return c.deleteKey(k, hash)
+	return c.storeKey(modeSet, k, hash, value, flags, exptime, 0)
 }
 
+// deleteKey removes k from the store.
 func (c *Ctx) deleteKey(k []byte, hash uint64) error {
 	defer c.opEnd(LatDelete, c.opBegin())
 	c.stat(statDeletes, 1)
@@ -498,15 +449,7 @@ func (c *Ctx) deleteKey(k []byte, hash uint64) error {
 	return nil
 }
 
-// Touch updates the expiry of an existing entry.
-func (c *Ctx) Touch(key []byte, exptime int64) error {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return err
-	}
-	return c.touchKey(k, hash, exptime)
-}
-
+// touchKey updates the expiry of an existing entry.
 func (c *Ctx) touchKey(k []byte, hash uint64, exptime int64) error {
 	defer c.opEnd(LatTouch, c.opBegin())
 	c.stat(statTouches, 1)
@@ -525,25 +468,9 @@ func (c *Ctx) touchKey(k []byte, hash uint64, exptime int64) error {
 	return nil
 }
 
-// Increment adds delta to the ASCII-numeric value under key and returns the
-// new value; Decrement subtracts, saturating at zero (memcached semantics).
-func (c *Ctx) Increment(key []byte, delta uint64) (uint64, error) {
-	return c.incrDecr(key, delta, false)
-}
-
-// Decrement subtracts delta from the value under key, saturating at zero.
-func (c *Ctx) Decrement(key []byte, delta uint64) (uint64, error) {
-	return c.incrDecr(key, delta, true)
-}
-
-func (c *Ctx) incrDecr(key []byte, delta uint64, decr bool) (uint64, error) {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return 0, err
-	}
-	return c.incrDecrKey(k, hash, delta, decr)
-}
-
+// incrDecrKey adds delta to the ASCII-numeric value under k and returns
+// the new value, or with decr subtracts it, saturating at zero (memcached
+// semantics).
 func (c *Ctx) incrDecrKey(k []byte, hash uint64, delta uint64, decr bool) (uint64, error) {
 	defer c.opEnd(LatSet, c.opBegin())
 	if decr {
@@ -625,21 +552,8 @@ func (c *Ctx) incrDecrKey(k []byte, hash uint64, delta uint64, decr bool) (uint6
 	return v, nil
 }
 
-// Append appends data to an existing value; Prepend prepends it. Both are
-// atomic with respect to concurrent operations on the same key.
-func (c *Ctx) Append(key, data []byte) error { return c.pend(key, data, false) }
-
-// Prepend prepends data to an existing value.
-func (c *Ctx) Prepend(key, data []byte) error { return c.pend(key, data, true) }
-
-func (c *Ctx) pend(key, data []byte, front bool) error {
-	k, hash, err := c.takeOne(key)
-	if err != nil {
-		return err
-	}
-	return c.pendKey(k, hash, data, front)
-}
-
+// pendKey appends data to an existing value, or with front prepends it,
+// atomically with respect to concurrent operations on the same key.
 func (c *Ctx) pendKey(k []byte, hash uint64, data []byte, front bool) error {
 	defer c.opEnd(LatSet, c.opBegin())
 	c.stat(statSets, 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"plibmc/internal/ralloc"
+	"plibmc/internal/ring"
 	"plibmc/internal/shm"
 )
 
@@ -208,7 +209,7 @@ func (c *Ctx) validItem(it uint64) bool {
 	}
 	key := grow(&c.keyBuf, klen)
 	s.H.ReadBytes(it+itHeader, key)
-	return hashKey(key) == s.H.Load64(it+itHash)
+	return ring.Hash(key) == s.H.Load64(it+itHash)
 }
 
 // Repair rebuilds the store's structures from whatever survived a crash.

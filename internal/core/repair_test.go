@@ -30,7 +30,7 @@ func TestReapExpiresDeadReader(t *testing.T) {
 	if err := c1.Set([]byte("k"), []byte("v"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Delete([]byte("k")); err != nil {
+	if err := do(c1, BatchOp{Code: BatchDelete, Key: []byte("k")}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if s.GraveLen() == 0 {
@@ -78,7 +78,7 @@ func TestReapWaitsForLiveReader(t *testing.T) {
 	if err := c1.Set([]byte("k"), []byte("v"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Delete([]byte("k")); err != nil {
+	if err := do(c1, BatchOp{Code: BatchDelete, Key: []byte("k")}).Err; err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan int, 1)
@@ -203,7 +203,7 @@ func TestRepairStructural(t *testing.T) {
 		if err := c1.Set(key(i), []byte("doomed"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := c1.Delete(key(i)); err != nil {
+		if err := do(c1, BatchOp{Code: BatchDelete, Key: key(i)}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestRepairStructural(t *testing.T) {
 	// Damage 1: a client dies between the table unlink and the LRU unlink
 	// of key-000 — item lock held, orphan still on its LRU list.
 	c2 := s.NewCtx(2)
-	crashOp(t, "lru.unlink.before_lru", func() { _ = c2.Delete(key(0)) })
+	crashOp(t, "lru.unlink.before_lru", func() { _ = do(c2, BatchOp{Code: BatchDelete, Key: key(0)}).Err })
 
 	// Damage 2: a torn hNext — the longest chain's head points into
 	// garbage, so harvesting must truncate and the tail items become
@@ -308,7 +308,7 @@ func TestRepairStructural(t *testing.T) {
 	if err := c1.Set([]byte("brand-new"), []byte("x"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Delete([]byte("brand-new")); err != nil {
+	if err := do(c1, BatchOp{Code: BatchDelete, Key: []byte("brand-new")}).Err; err != nil {
 		t.Fatal(err)
 	}
 }

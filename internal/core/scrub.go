@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"plibmc/internal/ralloc"
+	"plibmc/internal/ring"
 )
 
 // Corruption containment.
@@ -97,7 +98,7 @@ func (c *Ctx) deepVerifyLocked(it uint64) string {
 	}
 	key := grow(&c.keyBuf, klen)
 	s.H.ReadBytes(it+itHeader, key)
-	if hashKey(key) != s.H.Load64(it+itHash) {
+	if ring.Hash(key) != s.H.Load64(it+itHash) {
 		return "stored hash does not match key"
 	}
 	if s.itemValueSum(it) != s.H.Load64(it+itValSum) {

@@ -66,7 +66,7 @@ const (
 // ok=true, found distinguishes a validated hit — value in c.valBuf[:vlen]
 // — from a validated miss.
 func (c *Ctx) optGet(key []byte, hash uint64) (flags uint32, cas uint64, vlen uint64, found, ok bool) {
-	if c.rdSlot == 0 || c.DisableOptimisticReads {
+	if c.rdSlot == 0 {
 		return 0, 0, 0, false, false
 	}
 	s := c.s

@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"plibmc/internal/ring"
+	"plibmc/internal/ycsb"
 )
 
 // TestSeqreadStressLinearizable hammers Get against concurrent Set/Delete
@@ -15,8 +19,8 @@ import (
 // from exactly one writer, and flags matching that writer. A torn seqlock
 // read, a wrong-key match on a spliced chain, or a read from freed memory
 // all violate one of these. Reader contexts cover the optimistic path, the
-// injected-retry path, the exhausted-retries fallback, and the ablation
-// toggle; run with -race for the memory-model half of the argument.
+// injected-retry path, the exhausted-retries fallback, and a context
+// without a reader slot; run with -race for the memory-model half of the argument.
 func TestSeqreadStressLinearizable(t *testing.T) {
 	s, _ := newStore(t, 1<<24, Options{HashPower: 10, NumItemLocks: 64, FixedSize: true})
 	const writers = 3
@@ -59,10 +63,10 @@ func TestSeqreadStressLinearizable(t *testing.T) {
 	}
 
 	// Four reader flavours: plain optimistic, one injected retry per call,
-	// injections exhausting every attempt (permanent lock fallback), and
-	// the DisableOptimisticReads ablation toggle. Readers run a fixed
-	// iteration count so they do real work even when goroutines end up
-	// serialized on a single-core machine.
+	// injections exhausting every attempt (permanent lock fallback), and a
+	// context without a reader slot (locked reads only). Readers run a
+	// fixed iteration count so they do real work even when goroutines end
+	// up serialized on a single-core machine.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(id int) {
@@ -75,7 +79,7 @@ func TestSeqreadStressLinearizable(t *testing.T) {
 			case 2:
 				c.forceSeqRetries = optMaxAttempts
 			case 3:
-				c.DisableOptimisticReads = true
+				c.releaseReaderSlot()
 			}
 			rng := rand.New(rand.NewSource(int64(1000 + id)))
 			for i := 0; i < readerIters; i++ {
@@ -123,7 +127,7 @@ func TestSeqreadStressLinearizable(t *testing.T) {
 			for i := 0; i < writerIters; i++ {
 				k := keys[rng.Intn(len(keys))]
 				if rng.Intn(4) == 0 {
-					if err := c.Delete(k); err != nil && !errors.Is(err, ErrNotFound) {
+					if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil && !errors.Is(err, ErrNotFound) {
 						fail <- fmt.Sprintf("delete: %v", err)
 						return
 					}
@@ -251,13 +255,13 @@ func TestOptimisticFastpathCounting(t *testing.T) {
 	}
 	c.forceSeqRetries = 0
 
-	// The ablation toggle pins every read to the locked path.
-	c.DisableOptimisticReads = true
+	// A context without a reader slot never takes the fast path.
+	c.releaseReaderSlot()
 	if _, _, _, err := c.Get(k); err != nil {
 		t.Fatal(err)
 	}
 	if fastpath() != 3 {
-		t.Fatal("DisableOptimisticReads must suppress the fast path")
+		t.Fatal("a slotless context took the fast path")
 	}
 }
 
@@ -270,7 +274,7 @@ func TestGraveQuarantine(t *testing.T) {
 	if err := c.Set(k, []byte("v"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	hash := hashKey(k)
+	hash := ring.Hash(k)
 	s.H.LockAcquire(s.itemLockOff(hash), c.owner)
 	it := c.findLocked(k, hash)
 	s.H.LockRelease(s.itemLockOff(hash))
@@ -278,7 +282,7 @@ func TestGraveQuarantine(t *testing.T) {
 		t.Fatal("item not found")
 	}
 
-	if err := c.Delete(k); err != nil {
+	if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if got := s.GraveLen(); got != 1 {
@@ -312,7 +316,7 @@ func TestGraveAutoReap(t *testing.T) {
 		if err := c.Set(k, []byte("v"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Delete(k); err != nil {
+		if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +375,7 @@ func TestUnpinnedReadsUnderReapChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id)))
 			for i := 0; i < iters; i++ {
 				k := keys[rng.Intn(len(keys))]
-				if err := c.Delete(k); err != nil && !errors.Is(err, ErrNotFound) {
+				if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil && !errors.Is(err, ErrNotFound) {
 					fail <- fmt.Sprintf("delete: %v", err)
 					return
 				}
@@ -451,8 +455,8 @@ func TestReaderSlotExhaustion(t *testing.T) {
 	}
 }
 
-// TestGetAndTouchAppend covers the buffer-reusing variant: the value lands
-// in the caller's buffer and the expiry really moves.
+// TestGetAndTouchAppend covers get-and-touch into a lent buffer: the value
+// lands in the caller's buffer and the expiry really moves.
 func TestGetAndTouchAppend(t *testing.T) {
 	s, c := newStore(t, 1<<22, Options{HashPower: 8, NumItemLocks: 16, FixedSize: true})
 	now := int64(1000)
@@ -461,12 +465,13 @@ func TestGetAndTouchAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := append(make([]byte, 0, 64), "prefix:"...)
-	out, _, cas, err := c.GetAndTouchAppend(dst, []byte("k"), 500)
-	if err != nil {
+	res := make([]BatchResult, 1)
+	out := c.ExecBatch([]BatchOp{{Code: BatchGAT, Key: []byte("k"), Exptime: 500}}, res, dst)
+	if err := res[0].Err; err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != "prefix:value" || cas == 0 {
-		t.Fatalf("GetAndTouchAppend = %q cas=%d", out, cas)
+	if string(out) != "prefix:value" || string(res[0].Value) != "value" || res[0].CAS == 0 {
+		t.Fatalf("get-and-touch = %q (value %q) cas=%d", out, res[0].Value, res[0].CAS)
 	}
 	if &out[0] != &dst[:1][0] {
 		t.Fatal("append did not reuse the caller's buffer")
@@ -479,5 +484,64 @@ func TestGetAndTouchAppend(t *testing.T) {
 	now += 500
 	if _, _, _, err := c.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("item outlived touched expiry: %v", err)
+	}
+}
+
+// BenchmarkAblationSeqlockRead: the locked read path vs the lock-free
+// optimistic (seqlock) read path, on the 95/5 read-mostly mix the paper's
+// headline figures use. The per-bucket spinlock is the residual
+// synchronization left on Get once domain crossings are cheap; the seqlock
+// path removes it. The locked arm's contexts hold no reader slot, the
+// configuration a store runs when its contexts outnumber ReaderSlots, so
+// they also count every operation in the store-wide gate word.
+func BenchmarkAblationSeqlockRead(b *testing.B) {
+	for _, optimistic := range []bool{false, true} {
+		name := "locked"
+		if optimistic {
+			name = "seqlock"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, setup := newStore(b, 256<<20, Options{HashPower: 14, NumItemLocks: 1024, FixedSize: true})
+			val := make([]byte, 128)
+			key := make([]byte, 0, 20)
+			for i := uint64(0); i < 4096; i++ {
+				key = ycsb.KeyInto(key, i)
+				if err := setup.Set(key, val, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			setup.Close()
+			var seq atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				id := seq.Add(1)
+				c := s.NewCtx(id * 31)
+				defer c.Close()
+				if !optimistic {
+					c.releaseReaderSlot()
+				}
+				k := make([]byte, 0, 20)
+				v := make([]byte, 128)
+				var buf []byte
+				i := id * 2654435761
+				for pb.Next() {
+					k = ycsb.KeyInto(k, i%4096)
+					if i%20 == 19 {
+						if err := c.Set(k, v, 0, 0); err != nil {
+							b.Error(err)
+							return
+						}
+					} else {
+						buf, _, _, _ = c.GetAppend(buf[:0], k)
+					}
+					i++
+				}
+			})
+			st := s.Stats()
+			if st.Gets > 0 {
+				b.ReportMetric(float64(st.GetFastpathHits)/float64(st.Gets), "fastpath/get")
+			}
+			b.ReportMetric(float64(st.SeqlockRetries), "seq-retries")
+		})
 	}
 }

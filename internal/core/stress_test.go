@@ -45,7 +45,7 @@ func TestQuickModelAgainstMap(t *testing.T) {
 					return false
 				}
 			case 3: // delete
-				err := c.Delete([]byte(k))
+				err := do(c, BatchOp{Code: BatchDelete, Key: []byte(k)}).Err
 				_, ok := model[k]
 				if ok != (err == nil) {
 					return false
@@ -53,7 +53,7 @@ func TestQuickModelAgainstMap(t *testing.T) {
 				delete(model, k)
 			case 4: // add
 				v := fmt.Sprintf("add-%d", rng.Intn(1000))
-				err := c.Add([]byte(k), []byte(v), 0, 0)
+				err := do(c, BatchOp{Code: BatchAdd, Key: []byte(k), Value: []byte(v)}).Err
 				if _, ok := model[k]; ok {
 					if !errors.Is(err, ErrExists) {
 						return false
@@ -65,7 +65,7 @@ func TestQuickModelAgainstMap(t *testing.T) {
 					model[k] = v
 				}
 			case 5: // append
-				err := c.Append([]byte(k), []byte("+"))
+				err := do(c, BatchOp{Code: BatchAppend, Key: []byte(k), Value: []byte("+")}).Err
 				if cur, ok := model[k]; ok {
 					if err != nil {
 						return false
@@ -136,15 +136,15 @@ func TestConcurrentMixedOps(t *testing.T) {
 						return
 					}
 				case 3:
-					if err := c.Delete(k); err != nil && !errors.Is(err, ErrNotFound) {
+					if err := do(c, BatchOp{Code: BatchDelete, Key: k}).Err; err != nil && !errors.Is(err, ErrNotFound) {
 						fail <- fmt.Sprintf("delete: %v", err)
 						return
 					}
 				case 4:
 					nk := []byte(fmt.Sprintf("ctr-%03d", rng.Intn(20)))
-					_, err := c.Increment(nk, 1)
+					err := do(c, BatchOp{Code: BatchIncr, Key: nk, Delta: 1}).Err
 					if errors.Is(err, ErrNotFound) {
-						c.Add(nk, []byte("0"), 0, 0)
+						do(c, BatchOp{Code: BatchAdd, Key: nk, Value: []byte("0")})
 					} else if err != nil && !errors.Is(err, ErrNotNumeric) {
 						fail <- fmt.Sprintf("incr: %v", err)
 						return
@@ -262,7 +262,7 @@ func TestPersistenceRestart(t *testing.T) {
 	if err := c2.Set([]byte("new-after-restart"), []byte("yes"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Delete([]byte("key-0")); err != nil {
+	if err := do(c2, BatchOp{Code: BatchDelete, Key: []byte("key-0")}).Err; err != nil {
 		t.Fatal(err)
 	}
 	st := s2.Stats()
@@ -340,7 +340,7 @@ func TestItemAllocRaceClean(t *testing.T) {
 				if err := c.Set(key, []byte("v"), 0, 0); err != nil {
 					t.Error(err)
 				}
-				if err := c.Delete(key); err != nil {
+				if err := do(c, BatchOp{Code: BatchDelete, Key: key}).Err; err != nil {
 					t.Error(err)
 				}
 				c.Close()

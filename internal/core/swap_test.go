@@ -14,13 +14,14 @@ import (
 	"testing"
 
 	"plibmc/internal/faultpoint"
+	"plibmc/internal/ring"
 )
 
 // chainHas walks key's bucket chain directly (no locks, no seqlock
 // validation — the callers below run on the mutating thread, which holds
 // the item lock).
 func chainHas(s *Store, key []byte) bool {
-	hash := hashKey(key)
+	hash := ring.Hash(key)
 	it := loadChainHead(s, s.bucketFor(hash))
 	for steps := 0; it != 0 && steps < 64; steps++ {
 		if s.keyEqual(it, key) {
@@ -52,19 +53,19 @@ func TestSwapKeepsKeyReachable(t *testing.T) {
 			func() error { return c.Set(key, []byte("abcdef"), 0, 0) }},
 		{"replace",
 			func() error { return c.Set(key, []byte("123"), 0, 0) },
-			func() error { return c.Replace(key, []byte("wxyz"), 0, 0) }},
+			func() error { return do(c, BatchOp{Code: BatchReplace, Key: key, Value: []byte("wxyz")}).Err }},
 		{"incr width change",
 			func() error { return c.Set(key, []byte("99"), 0, 0) },
-			func() error { _, err := c.Increment(key, 1); return err }},
+			func() error { return do(c, BatchOp{Code: BatchIncr, Key: key, Delta: 1}).Err }},
 		{"decr width change",
 			func() error { return c.Set(key, []byte("100"), 0, 0) },
-			func() error { _, err := c.Decrement(key, 1); return err }},
+			func() error { return do(c, BatchOp{Code: BatchDecr, Key: key, Delta: 1}).Err }},
 		{"append",
 			func() error { return c.Set(key, []byte("ab"), 0, 0) },
-			func() error { return c.Append(key, []byte("cd")) }},
+			func() error { return do(c, BatchOp{Code: BatchAppend, Key: key, Value: []byte("cd")}).Err }},
 		{"prepend",
 			func() error { return c.Set(key, []byte("ab"), 0, 0) },
-			func() error { return c.Prepend(key, []byte("cd")) }},
+			func() error { return do(c, BatchOp{Code: BatchPrepend, Key: key, Value: []byte("cd")}).Err }},
 	}
 	for _, p := range paths {
 		if err := p.setup(); err != nil {
@@ -94,7 +95,7 @@ func TestSwapKeepsKeyReachable(t *testing.T) {
 	if err := faultpoint.Arm("ops.store.mid_swap", func() { fired = true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(key); err != nil {
+	if err := do(c, BatchOp{Code: BatchDelete, Key: key}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set([]byte("fresh"), []byte("v"), 0, 0); err != nil {
@@ -143,7 +144,7 @@ func TestRepairDropsShadowedDuplicate(t *testing.T) {
 	}
 	// The shadowed copy must be gone from the chain, not merely behind
 	// the new one.
-	hash := hashKey(key)
+	hash := ring.Hash(key)
 	n := 0
 	for it := loadChainHead(s, s.bucketFor(hash)); it != 0; it = loadChainNext(s, it) {
 		if s.keyEqual(it, key) {

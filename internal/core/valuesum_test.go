@@ -61,7 +61,7 @@ func TestRepairRestampsTornIncr(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := s.NewCtx(2)
-	crashOp(t, "ops.incr.mid_rewrite", func() { _, _ = c2.Increment([]byte("counter"), 1) })
+	crashOp(t, "ops.incr.mid_rewrite", func() { do(c2, BatchOp{Code: BatchIncr, Key: []byte("counter"), Delta: 1}) })
 
 	it := c1.DebugItemOffset([]byte("counter"))
 	if it == 0 || s.H.Load64(it+itValSum) != valueSum([]byte("41")) {

@@ -111,11 +111,15 @@ func (r *Ring) owner(h uint64) int {
 	return r.points[i].shard
 }
 
-// Hash is the ring's key hash: FNV-1a 64-bit with a murmur3-style final
-// mix. Raw FNV-1a avalanches poorly in the high bits on short, similar
-// keys (exactly what vnode labels are), which skews arc ownership badly;
-// the finalizer restores uniformity. Stable across processes and builds
-// (no seed), which the deterministic-placement contract requires.
+// Hash is the one key hash: the ring's placement hash and the store's
+// chain hash (internal/core), FNV-1a 64-bit with a murmur3-style final mix.
+// Raw FNV-1a avalanches poorly in the high bits on short, similar keys
+// (exactly what vnode labels and sequential keys are), which skews arc
+// ownership and the store's hash-selected LRU lists, chosen from the high
+// bits; the finalizer restores uniformity. Stable across processes and
+// builds (no seed), which the deterministic-placement contract requires;
+// its bits are persisted in ring.json's points and in every item header,
+// so a change to them is an image format change.
 func Hash(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037

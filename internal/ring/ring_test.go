@@ -277,3 +277,23 @@ func BenchmarkRingShard(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Hash's bits are persisted: ring.json's points and every item header's
+// stored hash (the store's chain hash is this function). A change to any
+// of these values is an image format change, not a refactor.
+func TestHashGolden(t *testing.T) {
+	for _, tc := range []struct {
+		key  string
+		want uint64
+	}{
+		{"", 0xefd01f60ba992926},
+		{"a", 0x82a2a958a9bece5b},
+		{"user0000000000000001", 0xed49604f9c35345b},
+		{"key-000", 0xdb6d5deeea28ee27},
+		{"shard-3#17", 0x524761eb12547502},
+	} {
+		if got := Hash([]byte(tc.key)); got != tc.want {
+			t.Errorf("Hash(%q) = %#016x, want %#016x", tc.key, got, tc.want)
+		}
+	}
+}

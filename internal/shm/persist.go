@@ -31,8 +31,10 @@ import (
 const (
 	fileMagic = 0x50_4C_49_42_48_45_41_50 // "PLIBHEAP"
 	// fileVersion 3 changed every checksum, in images and in the items
-	// they hold, from CRC-64/FNV to CRC-32C; older images are refused.
-	fileVersion = 3
+	// they hold, from CRC-64/FNV to CRC-32C; 4 dropped a column from the
+	// store's latency matrix, which moves the heap layout. Older images
+	// are refused.
+	fileVersion = 4
 
 	// ImageRegionSize is the per-region checksum granularity: one CRC per
 	// 64 KiB of heap, matching the allocator's superblock (chunk) size, so

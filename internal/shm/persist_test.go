@@ -290,10 +290,10 @@ func TestImageCandidatesOrdering(t *testing.T) {
 	}
 }
 
-// An image of the previous format (version 2: CRC-64 image sums, FNV value
-// sums inside the items) must be refused by version, never loaded and left
-// for the scrubber to quarantine item by item; and a slot holding one must
-// rank behind a slot that loads, however new its generation claims to be.
+// An image of the previous format (the version just retired) must be
+// refused by version, never loaded and misread; and a slot holding one
+// must rank behind a slot that loads, however new its generation claims
+// to be.
 func TestOldImageVersionRefused(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "store.heap")
 	h := New(PageSize)
@@ -309,7 +309,7 @@ func TestOldImageVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(full[8:], 2) // the version field
+	binary.LittleEndian.PutUint64(full[8:], fileVersion-1) // the version field
 	if err := os.WriteFile(old, full, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -694,8 +694,9 @@ func purgeShard(b *Bookkeeper, r *ring.Ring, self int) bool {
 		}
 		return true
 	})
+	var res core.BatchResult // raced deletes are fine
 	for _, k := range doomed {
-		ctx.Delete(k) //nolint:errcheck // raced deletes are fine
+		ctx.Do(&core.BatchOp{Code: core.BatchDelete, Key: k}, &res)
 	}
 	return true
 }

@@ -402,7 +402,10 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 // Thread exposes the session's simulated thread.
 func (s *Session) Thread() *proc.Thread { return s.th }
 
-// Ctx exposes the raw operation context (ablation benchmarks).
+// Ctx exposes the raw operation context, outside the gate: the cost
+// ledger's bare-core rungs, and tests that reach into the store beneath a
+// session. The session itself enters it only through Ctx.Do and
+// Ctx.ExecBatch.
 func (s *Session) Ctx() *core.Ctx { return s.ctx }
 
 // Hodor exposes the underlying hodor session (gate-hardening tests drive

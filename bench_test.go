@@ -449,10 +449,7 @@ func BenchmarkMGetAmortization(b *testing.B) {
 		}
 		return float64(time.Since(t0).Nanoseconds()) / (reps * batch)
 	}
-	// The gate judges the longest run, which spans several collection
-	// cycles: the MGet side's speed can change by a fifth from one cycle to
-	// the next, with where its results land, so a short run can sit in one
-	// mode.
+	// The gate judges the longest run, the one with the most rounds.
 	var speedup float64
 	var n int
 	b.Run("paired-rounds", func(b *testing.B) {

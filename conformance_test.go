@@ -17,8 +17,11 @@ import (
 	"maps"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"plibmc/internal/client"
 	"plibmc/internal/core"
@@ -382,8 +385,8 @@ func testKV(t *testing.T, kv memcached.KV, ascii bool) {
 }
 
 // TestOpAllocs pins what one operation allocates on each session type: a
-// Get hit its value and nothing else, a Set nothing, a batch its results
-// and one value buffer. The call frame lies in the session, so no tier
+// Get hit its value and nothing else, a Set nothing, a batch nothing. The
+// call frame lies in the session, and so does a batch's, so no tier
 // between the caller and core.Ctx may add to that.
 func TestOpAllocs(t *testing.T) {
 	kvs := conformanceKVs(t)
@@ -401,18 +404,20 @@ func TestOpAllocs(t *testing.T) {
 		}
 	}
 
-	// The batch plane. A batch allocates what its caller keeps — the
-	// results, and the one buffer all retrieved values share — and nothing
-	// else on either session type: MGet's ops and BatchResults are session
-	// scratch, so is the partition of a batch by shard, and every tier
-	// below works in the slots and the buffer it is lent.
+	// The batch plane. A batch allocates nothing on either session type:
+	// its results and the one buffer all retrieved values share are the
+	// session's, lent to the caller until the session's next batch; MGet's
+	// ops and BatchResults are session scratch, so is the partition of a
+	// batch by shard, and every tier below works in the slots and the
+	// buffer it is lent.
 	for _, name := range []string{"session", "cluster-4"} {
 		kv := kvs[name]
 		keys := make([][]byte, 64)
 		gets, sets := make([]memcached.BatchOp, len(keys)), make([]memcached.BatchOp, 16)
+		want := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 128) }
 		for i := range keys {
 			keys[i] = []byte(fmt.Sprintf("batch-%02d", i))
-			if err := kv.Set(keys[i], bytes.Repeat([]byte{byte(i)}, 128), 0, 0); err != nil {
+			if err := kv.Set(keys[i], want(i), 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -422,36 +427,135 @@ func TestOpAllocs(t *testing.T) {
 		for i := range sets {
 			sets[i] = memcached.BatchOp{Code: memcached.BatchSet, Key: []byte(fmt.Sprintf("stored-%02d", i)), Value: []byte("v")}
 		}
-		if n := testing.AllocsPerRun(200, func() { kv.MGet(keys) }); n != 2 { //nolint:errcheck
-			t.Errorf("%s: 64-key MGet allocates %v times, want 2 (results, values)", name, n)
+		if n := testing.AllocsPerRun(200, func() { kv.MGet(keys) }); n != 0 { //nolint:errcheck
+			t.Errorf("%s: 64-key MGet allocates %v times, want 0", name, n)
 		}
-		if n := testing.AllocsPerRun(200, func() { kv.ExecBatch(gets) }); n != 2 { //nolint:errcheck
-			t.Errorf("%s: 64-Get ExecBatch allocates %v times, want 2 (results, values)", name, n)
+		if n := testing.AllocsPerRun(200, func() { kv.ExecBatch(gets) }); n != 0 { //nolint:errcheck
+			t.Errorf("%s: 64-Get ExecBatch allocates %v times, want 0", name, n)
 		}
-		if n := testing.AllocsPerRun(200, func() { kv.ExecBatch(sets) }); n != 1 { //nolint:errcheck
-			t.Errorf("%s: 16-Set ExecBatch allocates %v times, want 1 (results)", name, n)
+		if n := testing.AllocsPerRun(200, func() { kv.ExecBatch(sets) }); n != 0 { //nolint:errcheck
+			t.Errorf("%s: 16-Set ExecBatch allocates %v times, want 0", name, n)
 		}
-		// Caller-owned means a later batch on the same session leaves an
-		// earlier one's results alone.
+		if n := testing.AllocsPerRun(200, func() { kv.MGet(keys); kv.ExecBatch(sets) }); n != 0 { //nolint:errcheck
+			t.Errorf("%s: MGet and a batch of stores in turn allocate %v times, want 0", name, n)
+		}
+
+		checkMGet := func(when string, res []core.GetResult, err error) {
+			t.Helper()
+			if err != nil || len(res) != len(keys) {
+				t.Fatalf("%s: MGet %s: %d results, %v", name, when, len(res), err)
+			}
+			for i := range keys {
+				if !res[i].Found || !bytes.Equal(res[i].Value, want(i)) {
+					t.Fatalf("%s: MGet result %d %s: %+v", name, i, when, res[i])
+				}
+			}
+		}
+		checkGets := func(when string, res []memcached.BatchResult, err error) {
+			t.Helper()
+			if err != nil || len(res) != len(gets) {
+				t.Fatalf("%s: ExecBatch %s: %d results, %v", name, when, len(res), err)
+			}
+			for i := range keys {
+				if r := res[len(keys)-1-i]; r.Err != nil || !bytes.Equal(r.Value, want(i)) {
+					t.Fatalf("%s: ExecBatch result for key %d %s: %q, %v", name, i, when, r.Value, r.Err)
+				}
+			}
+		}
+		// Lent until the next batch: single ops in between leave an
+		// earlier batch's results alone.
+		single := func() {
+			if _, _, err := kv.Get(keys[3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Set([]byte("between"), bytes.Repeat([]byte("x"), 128), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 		first, err := kv.MGet(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
+		single()
+		checkMGet("after a Get and a Set", first, err)
 		second, err := kv.ExecBatch(gets)
-		if err != nil {
+		single()
+		checkGets("after a Get and a Set", second, err)
+
+		// A caller may scribble over what it was lent; the next batch is
+		// still right, whichever kind ran before it.
+		scribble := []byte("scribbled")
+		for i := range second {
+			for j := range second[i].Value {
+				second[i].Value[j] = 0xee
+			}
+			second[i] = memcached.BatchResult{Value: scribble, Flags: 7, CAS: 7, Num: 7, Exptime: 7, Err: errors.New("scribbled")}
+		}
+		first, err = kv.MGet(keys)
+		checkMGet("after the last results were scribbled over", first, err)
+		for i := range first {
+			for j := range first[i].Value {
+				first[i].Value[j] = 0xee
+			}
+			first[i] = core.GetResult{Value: scribble, Flags: 7, CAS: 7, Found: true}
+		}
+		second, err = kv.ExecBatch(gets)
+		checkGets("after the last results were scribbled over", second, err)
+		if err := kv.Delete(keys[5]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := kv.MGet(keys[:32]); err != nil {
+		for i := range second {
+			second[i] = memcached.BatchResult{Value: scribble, Err: errors.New("scribbled")}
+		}
+		if res, err := kv.MGet(keys); err != nil || res[5].Found || res[5].Value != nil || res[5].Flags != 0 || res[5].CAS != 0 {
+			t.Fatalf("%s: a miss in a scribbled-over frame = %+v, %v; want a bare miss", name, res[5], err)
+		}
+		if err := kv.Set(keys[5], want(5), 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		for i := range keys {
-			want := bytes.Repeat([]byte{byte(i)}, 128)
-			if !first[i].Found || !bytes.Equal(first[i].Value, want) {
-				t.Fatalf("%s: MGet result %d changed under later batches: %q", name, i, first[i].Value)
+
+		// What a session keeps follows the batch in hand: the slots of a
+		// batch of 1024 and the buffer of a 1 MiB value are not kept for
+		// the small batches after them.
+		many, manyGets := make([][]byte, 1024), make([]memcached.BatchOp, 1024)
+		for i := range many {
+			many[i], manyGets[i] = keys[i%len(keys)], gets[i%len(gets)]
+		}
+		if res, err := kv.MGet(many); err != nil || len(res) != len(many) || !res[1023].Found {
+			t.Fatalf("%s: 1024-key MGet: %d results, %v", name, len(res), err)
+		}
+		if res, err := kv.MGet(keys); err != nil || cap(res) > 4*len(keys) {
+			t.Errorf("%s: a 64-key MGet after a 1024-key one returns %d slots of %d, %v", name, len(res), cap(res), err)
+		}
+		if res, err := kv.ExecBatch(manyGets); err != nil || len(res) != len(manyGets) {
+			t.Fatalf("%s: 1024-Get ExecBatch: %d results, %v", name, len(res), err)
+		}
+		if res, err := kv.ExecBatch(gets); err != nil || cap(res) > 4*len(gets) {
+			t.Errorf("%s: a 64-Get ExecBatch after a 1024-Get one returns %d slots of %d, %v", name, len(res), cap(res), err)
+		}
+		huge := []byte("huge")
+		if err := kv.Set(huge, make([]byte, 1<<20), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		var freed atomic.Bool
+		func() {
+			res, err := kv.MGet([][]byte{huge})
+			if err != nil || len(res[0].Value) != 1<<20 {
+				t.Fatalf("%s: MGet of a 1 MiB value: %d bytes, %v", name, len(res[0].Value), err)
 			}
-			if r := second[len(keys)-1-i]; r.Err != nil || !bytes.Equal(r.Value, want) {
-				t.Fatalf("%s: ExecBatch result for key %d changed under a later batch: %q, %v", name, i, r.Value, r.Err)
-			}
+			// The only value of its batch starts the buffer it was read into.
+			runtime.SetFinalizer(&res[0].Value[0], func(*byte) { freed.Store(true) })
+		}()
+		for i := 0; i < 4; i++ {
+			first, err = kv.MGet(keys)
+			checkMGet("after a 1 MiB one", first, err)
+		}
+		for i := 0; i < 100 && !freed.Load(); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if !freed.Load() {
+			t.Errorf("%s: small MGets after a 1 MiB one still keep its buffer", name)
+		}
+		if err := kv.Delete(huge); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -208,7 +208,7 @@ func TestClusterMGetSplitsAndReassembles(t *testing.T) {
 // share (ops.batch.mid_dispatch): the ops that had already run wrote
 // their slots and their values, and none of that may show. And after any
 // of these returns the session's own scratch holds nothing of the
-// caller's.
+// caller's, and what it lends holds no pointer into the caller's bytes.
 func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 	c := newTestCluster(t, 4, ClusterConfig{})
 	cc, err := c.NewClientProcess(1000)
@@ -277,6 +277,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 		cops[i] = BatchOp{Code: BatchGet, Key: []byte(k)}
 	}
 	cops[0] = BatchOp{Code: BatchSet, Key: []byte(ckeys[0]), Value: []byte("rewritten")}
+	caller := opBytes(cops) // the caller's bytes: these, and below the keys of later batches
 	crash()
 	cres, err := s.ExecBatch(cops)
 	if err != nil {
@@ -297,7 +298,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 			t.Fatalf("cres[%d] (%s, live shard) = %q err=%v — misaligned", i, k, cres[i].Value, cres[i].Err)
 		}
 	}
-	scratchHoldsNothing(t, s)
+	scratchHoldsNothing(t, s, caller)
 	repaired()
 	// The slot says the crossing failed; the op before the crash had run.
 	if v, _, err := s.Get([]byte(ckeys[0])); err != nil || string(v) != "rewritten" {
@@ -312,6 +313,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 	for i, k := range ckeys {
 		ckb[i] = []byte(k)
 	}
+	caller = append(caller, ckb...)
 	crash()
 	cm, err := s.MGet(ckb)
 	if err != nil {
@@ -324,7 +326,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 			t.Fatalf("cm[%d] (%s, live shard) = %+v — misaligned", i, k, cm[i])
 		}
 	}
-	scratchHoldsNothing(t, s)
+	scratchHoldsNothing(t, s, caller)
 	repaired()
 
 	const dead = 2
@@ -335,6 +337,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 	for i, k := range keys {
 		ops[i] = BatchOp{Code: BatchGet, Key: []byte(k)}
 	}
+	caller = append(caller, opBytes(ops)...)
 	res, err := s.ExecBatch(ops)
 	if err != nil {
 		t.Fatalf("ExecBatch must isolate a shard failure, got call error %v", err)
@@ -356,6 +359,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 			t.Fatalf("res[%d] (%s, live shard) = %q err=%v — misaligned", i, k, res[i].Value, res[i].Err)
 		}
 	}
+	scratchHoldsNothing(t, s, caller)
 
 	// MGet over the same interleaving: dead shard's keys degrade to
 	// misses, live keys stay found at their requested positions.
@@ -363,6 +367,7 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 	for i, k := range keys {
 		bkeys[i] = []byte(k)
 	}
+	caller = append(caller, bkeys...)
 	mres, err := s.MGet(bkeys)
 	if err != nil {
 		t.Fatal(err)
@@ -378,23 +383,75 @@ func TestClusterExecBatchShardFailureAlignment(t *testing.T) {
 			t.Fatalf("mres[%d] (%s, live shard) = %+v — misaligned", i, k, mres[i])
 		}
 	}
-	scratchHoldsNothing(t, s)
+	scratchHoldsNothing(t, s, caller)
 
 	// A plain Session's crossing is the whole call: it fails as one, and
-	// its scratch is wiped on that path too.
+	// returns nothing — not the results of the batch before it — and its
+	// scratch is wiped on that path too.
 	ss := s.Session(crashed)
+	if _, err := ss.MGet(ckb[:2]); err != nil {
+		t.Fatal(err)
+	}
 	crash()
 	if got, err := ss.MGet(ckb[:2]); err == nil || got != nil {
 		t.Fatalf("Session.MGet across a crashed crossing = %+v, %v", got, err)
 	}
-	scratchHoldsNothing(t, s)
+	scratchHoldsNothing(t, s, caller)
+	repaired()
+	if _, err := ss.ExecBatch(cops[1:3]); err != nil {
+		t.Fatal(err)
+	}
+	crash()
+	if got, err := ss.ExecBatch(cops[1:3]); err == nil || got != nil {
+		t.Fatalf("Session.ExecBatch across a crashed crossing = %+v, %v", got, err)
+	}
+	scratchHoldsNothing(t, s, caller)
+	repaired()
+
+	// An empty batch is an empty result, on either session type.
+	for _, kv := range []KV{s, ss} {
+		if got, err := kv.ExecBatch(nil); err != nil || len(got) != 0 {
+			t.Fatalf("%T.ExecBatch(nil) = %+v, %v; want no results and no error", kv, got, err)
+		}
+	}
+	scratchHoldsNothing(t, s, caller)
+}
+
+// opBytes lists the keys and values of ops.
+func opBytes(ops []BatchOp) [][]byte {
+	var b [][]byte
+	for _, op := range ops {
+		b = append(b, op.Key, op.Value)
+	}
+	return b
+}
+
+// overlaps reports whether a and b share a byte.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	for i := range a {
+		if &a[i] == &b[0] {
+			return true
+		}
+	}
+	for i := range b {
+		if &b[i] == &a[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // scratchHoldsNothing inspects everything a ClusterSession and its
-// per-shard Sessions keep between batches — MGet's ops and results, the
-// partition by shard — over its whole capacity: no key, value or error
-// of a finished batch may be reachable from it.
-func scratchHoldsNothing(t *testing.T, s *ClusterSession) {
+// per-shard Sessions keep between batches, over its whole capacity. MGet's
+// ops and results and the partition by shard are scratch: no key, value
+// or error of a finished batch may be reachable from them. The results and
+// the value buffer a batch lends (gets, batched, vbuf) may hold the last
+// batch's results, but nothing of caller's bytes: no key or value it
+// handed in.
+func scratchHoldsNothing(t *testing.T, s *ClusterSession, caller [][]byte) {
 	t.Helper()
 	ops := func(where string, ops []BatchOp) {
 		for _, op := range ops[:cap(ops)] {
@@ -410,8 +467,25 @@ func scratchHoldsNothing(t *testing.T, s *ClusterSession) {
 			}
 		}
 	}
+	foreign := func(where string, b []byte) {
+		for _, c := range caller {
+			if overlaps(b, c) {
+				t.Fatalf("%s holds the caller's bytes %q", where, c)
+			}
+		}
+	}
+	lent := func(where string, v *verbs) {
+		for i, r := range v.gets[:cap(v.gets)] {
+			foreign(fmt.Sprintf("%s MGet result %d", where, i), r.Value)
+		}
+		for i, r := range v.batched[:cap(v.batched)] {
+			foreign(fmt.Sprintf("%s ExecBatch result %d", where, i), r.Value)
+		}
+		foreign(where+" value buffer", v.vbuf[:cap(v.vbuf)])
+	}
 	ops("ClusterSession MGet ops", s.ops)
 	results("ClusterSession MGet results", s.results)
+	lent("ClusterSession", &s.verbs)
 	for sh := range s.part.ops {
 		ops(fmt.Sprintf("partition share %d", sh), s.part.ops[sh])
 	}
@@ -419,6 +493,7 @@ func scratchHoldsNothing(t *testing.T, s *ClusterSession) {
 	for sh, ss := range s.sessions {
 		ops(fmt.Sprintf("shard %d Session MGet ops", sh), ss.ops)
 		results(fmt.Sprintf("shard %d Session MGet results", sh), ss.results)
+		lent(fmt.Sprintf("shard %d Session", sh), &ss.verbs)
 	}
 }
 

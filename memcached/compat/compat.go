@@ -229,7 +229,8 @@ func (m *St) Flush() ReturnT {
 // MGet is memcached_mget + memcached_fetch collapsed into one call:
 // retrieve many keys at once. Over the socket backend this is one
 // pipelined write; over the protected library it is one trampoline
-// crossing for the whole batch.
+// crossing for the whole batch. The map is the caller's: its values are
+// copied out of the handle's lent results into one buffer per call.
 func (m *St) MGet(keys [][]byte) (map[string][]byte, ReturnT) {
 	if m.kv == nil {
 		return nil, ClientError
@@ -238,10 +239,16 @@ func (m *St) MGet(keys [][]byte) (map[string][]byte, ReturnT) {
 	if err != nil {
 		return nil, Failure
 	}
+	n := 0
+	for _, r := range res {
+		n += len(r.Value)
+	}
+	buf := make([]byte, 0, n)
 	out := make(map[string][]byte, len(res))
 	for i, r := range res {
 		if r.Found {
-			out[string(keys[i])] = r.Value
+			buf = append(buf, r.Value...)
+			out[string(keys[i])] = buf[len(buf)-len(r.Value) : len(buf) : len(buf)]
 		}
 	}
 	return out, Success

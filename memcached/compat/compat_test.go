@@ -161,6 +161,28 @@ func TestMGetSingleCrossingOverPlib(t *testing.T) {
 	}
 }
 
+// The map St.MGet returns is the caller's, as memcached_fetch's results
+// are: a later St.MGet on the same handle, which reuses the session's lent
+// results and value bytes, leaves it intact.
+func TestMGetMapOutlivesNextMGet(t *testing.T) {
+	m := plibSt(t)
+	keys := [][]byte{[]byte("a"), []byte("b")}
+	m.Set(keys[0], []byte("1"), 0, 0)
+	m.Set(keys[1], []byte("2"), 0, 0)
+	first, rc := m.MGet(keys)
+	if rc != Success {
+		t.Fatalf("mget = %v", rc)
+	}
+	m.Set(keys[0], []byte("x"), 0, 0)
+	m.Set(keys[1], []byte("y"), 0, 0)
+	if second, rc := m.MGet(keys); rc != Success || string(second["a"]) != "x" || string(second["b"]) != "y" {
+		t.Fatalf("second mget = %q, %v", second, rc)
+	}
+	if string(first["a"]) != "1" || string(first["b"]) != "2" {
+		t.Fatalf("a second MGet changed the first one's map to %q", first)
+	}
+}
+
 func TestNetworkConfigNoOps(t *testing.T) {
 	m := plibSt(t)
 	// Default: accepted and ignored (drop-in behaviour).

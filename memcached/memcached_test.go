@@ -668,9 +668,9 @@ func TestErrKilledType(t *testing.T) {
 	}
 }
 
-// The buffer a batch's values share is sized from the batch in hand, not
-// from the largest batch the session ever ran: a 2 MiB MGet must not make
-// every later one-key MGet of a one-byte value allocate (and zero) 2 MiB.
+// The buffer a batch's values share follows the batch in hand, not the
+// largest batch the session ever ran: a 2 MiB MGet must not make every
+// later one-key MGet of a one-byte value allocate (and zero) 2 MiB.
 func TestBatchValueBufferTracksBatch(t *testing.T) {
 	s := newTestSession(t, newTestStore(t))
 	big := make([][]byte, 32)
@@ -692,7 +692,7 @@ func TestBatchValueBufferTracksBatch(t *testing.T) {
 			t.Fatalf("one-key MGet = %+v, %v", res, err)
 		}
 	}
-	one() // sized from the big batch, the last that retrieved anything
+	one() // drops the big batch's buffer
 	// Bytes, so MemStats rather than AllocsPerRun; summed over the hundred
 	// so that a background goroutine's stray allocation cannot fail it.
 	var before, after runtime.MemStats

@@ -157,10 +157,11 @@ func BenchmarkParallelGet(b *testing.B) {
 // BenchmarkBatchParts prices a 64-key batch of gets tier by tier, on the
 // lib_mget64_128 shape (20 B keys, 128 B values): the core loop alone,
 // plus one crossing, plus partition and assembly over 4 shards (four
-// crossings of 16), all three into buffers the benchmark lends and so
-// allocation-free, then the public MGet, which adds the two allocations
-// the caller keeps (make bench-gate; the rows are tabulated in DESIGN.md
-// §12). A change to the batch plane says which row it moved.
+// crossings of 16), all three into buffers the benchmark lends, then the
+// public MGet, which adds the session's own frame and the conversion to
+// GetResults; every row is allocation-free (make bench-gate; the rows are
+// tabulated in DESIGN.md §12). A change to the batch plane says which row
+// it moved.
 func BenchmarkBatchParts(b *testing.B) {
 	const n = 64
 	single := newTestSession(b, newTestStore(b))

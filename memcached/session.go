@@ -55,7 +55,10 @@ const (
 // paper's memcached_* entry points as methods. *Session (one store) and
 // *ClusterSession (sharded) implement it, so code that does not care about
 // topology — compat.St, the model checkers, the conformance table — takes
-// a KV.
+// a KV. A single op's value is the caller's; what MGet and ExecBatch
+// return is lent until the handle's next MGet or ExecBatch, which may
+// reuse it while it runs: a caller that keeps it, or passes it to that
+// batch, copies it.
 type KV interface {
 	Get(key []byte) ([]byte, uint32, error)
 	Gets(key []byte) ([]byte, uint32, uint64, error)
@@ -97,14 +100,17 @@ type executor interface {
 // thread, so it owns one call frame — op and res — and arguments and
 // result cross the gate where they lie: a frame built per call would
 // escape through the executor and cost every operation an allocation.
+// A batch's frame is the session's too, results and value bytes included.
 type verbs struct {
 	x   executor
 	op  BatchOp
 	res BatchResult
 
-	ops     []BatchOp     // MGet's keys as ops, wiped before it returns
-	results []BatchResult // ... and their results
-	perGet  int           // value bytes per retrieval in the last batch that had any
+	ops     []BatchOp        // MGet's keys as ops, wiped before it returns
+	results []BatchResult    // ... and their results
+	gets    []core.GetResult // MGet's results, lent until the next batch
+	batched []BatchResult    // ExecBatch's results, the same
+	vbuf    []byte           // the value bytes both lend, the same
 }
 
 func (v *verbs) exec(op BatchOp) *BatchResult {
@@ -186,13 +192,14 @@ func (v *verbs) GetAndTouch(key []byte, exptime int64) ([]byte, uint32, error) {
 
 // ExecBatch executes ops in order — through a single trampoline crossing
 // on a Session, one per owning shard on a ClusterSession — so
-// crossings-per-op falls as 1/len(ops). Results are positional and the
-// caller's to keep; each op's failure lands in its own BatchResult.Err
-// without affecting siblings, and so does one shard's failed crossing, in
-// each of that shard's slots. The returned error is a Session's own
-// crossing failing (rejection, crash): no results are available.
+// crossings-per-op falls as 1/len(ops). Results are positional, and lent
+// with their values until the session's next MGet or ExecBatch (copy to
+// keep); each op's failure lands in its own BatchResult.Err without
+// affecting siblings, and so does one shard's failed crossing, in each of
+// that shard's slots. The returned error is a Session's own crossing
+// failing (rejection, crash): no results are available.
 func (v *verbs) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
-	res := make([]BatchResult, len(ops))
+	res := fit(&v.batched, len(ops))
 	if err := v.runBatch(ops, res); err != nil {
 		return nil, err
 	}
@@ -201,46 +208,48 @@ func (v *verbs) ExecBatch(ops []BatchOp) ([]BatchResult, error) {
 
 // MGet retrieves many keys as one batch of gets, the protected-library
 // counterpart of the socket client's pipelined quiet-get batching. Results
-// are positional; a key that is missing, or whose shard failed its
-// crossing, has Found == false.
+// are positional and lent as ExecBatch's are; a key that is missing, or
+// whose shard failed its crossing, has Found == false.
 func (v *verbs) MGet(keys [][]byte) ([]core.GetResult, error) {
-	ops, res := lend(&v.ops, len(keys)), lend(&v.results, len(keys))
+	ops, res := fit(&v.ops, len(keys)), fit(&v.results, len(keys))
 	for i, k := range keys {
 		ops[i].Code, ops[i].Key = BatchGet, k // all MGet ever writes there
 	}
 	var out []core.GetResult
 	err := v.runBatch(ops, res)
 	if err == nil {
-		out = make([]core.GetResult, len(keys))
+		out = fit(&v.gets, len(keys))
 		for i := range res {
 			if r, o := &res[i], &out[i]; r.Err == nil { // by field: a literal is built on the stack, then copied
 				o.Value, o.Flags, o.CAS, o.Found = r.Value, r.Flags, r.CAS, true
+			} else {
+				*o = core.GetResult{}
 			}
 		}
 	}
-	// The scratch outlives the call; the caller's keys and values must not.
+	// The scratch outlives the call; the caller's keys must not.
 	clear(ops)
 	clear(res)
 	return out, err
 }
 
-// runBatch lends a batch the one buffer all its retrieved values share,
-// sized for the batch in hand: its retrievals at what one returned in the
-// last batch that had any, plus an eighth so that a slightly fuller batch
-// does not relocate it. A batch of stores has no retrievals and gets none.
+// runBatch lends a batch the session's value buffer; every retrieved value
+// is appended to it. The buffer follows the batch in hand: a batch whose
+// values fill under a quarter of it drops it, so a huge batch does not
+// leave its buffer to the small ones after it, and a batch that returns no
+// value bytes neither uses nor judges it. A failed crossing leaves no
+// result behind.
 func (v *verbs) runBatch(ops []BatchOp, res []BatchResult) error {
-	nget := 0
-	for i := range ops {
-		if c := ops[i].Code; c == BatchGet || c == BatchGAT || c == BatchExport {
-			nget++
-		}
+	vbuf, err := v.x.batch(ops, res, v.vbuf[:0])
+	if err != nil {
+		clear(res)
+		return err
 	}
-	n := nget * v.perGet
-	vbuf, err := v.x.batch(ops, res, make([]byte, 0, n+n/8)) // a cap of 0 allocates nothing
-	if err == nil && nget > 0 {
-		v.perGet = (len(vbuf) + nget - 1) / nget
+	if len(vbuf) > 0 && cap(vbuf) > 4*len(vbuf) {
+		vbuf = nil
 	}
-	return err
+	v.vbuf = vbuf
+	return nil
 }
 
 // lend returns n elements of *buf, the scratch of whoever models the
@@ -250,6 +259,19 @@ func lend[T any](buf *[]T, n int) []T {
 		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
+}
+
+// fit is lend for a session's batch frame, which follows the batch in
+// hand: it also replaces a buffer more than four times longer than n, and
+// clears what lies past n, so that nothing of a larger earlier batch stays
+// reachable from it.
+func fit[T any](buf *[]T, n int) []T {
+	if cap(*buf) > 4*n {
+		*buf = nil
+	}
+	s := lend(buf, n)
+	clear((*buf)[n:])
+	return s
 }
 
 // entryNames is the library's export table (HODOR_FUNC_EXPORT analog).

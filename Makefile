@@ -103,7 +103,9 @@ shardcheck:
 # survives being killed mid-segment and crashing inside its own gate
 # crossing (both shards repair online and the migration resumes), the
 # batch plane keeps positional alignment when one shard's crossing fails,
-# the resized manifest wins over a stale config on reopen, a grown
+# the resized manifest wins over a stale config on reopen (and the
+# daemon reopens a directory, never formats it, whatever -shards says or
+# whichever shard's images are lost), a grown
 # shard runs the cluster's maintenance and checkpoint loops, so a crash
 # after a grow reopens every key, a resize that aborts, parks or cannot
 # write its manifest loses no acknowledged write, a resize is refused
@@ -111,6 +113,7 @@ shardcheck:
 # resize instead of wedging it — all under the race detector.
 reshardcheck:
 	$(GO) test -race -count=1 -short -run 'TestModelCheckResize|TestResizeCrashIsolation|TestClusterReopenAfterResize' .
+	$(GO) test -race -count=1 ./cmd/memcachedd
 	$(GO) test -race -count=1 -run 'TestClusterExecBatchShardFailure|TestResizedShardsRunClusterLoops|TestReopenAfterGrowWithoutShutdown|TestResizeAbortKeepsWrites|TestResizeParkKeepsWrites|TestResizeManifestFailureKeepsWrites|TestResizeRefusesPoisonedShard|TestResizeAbortsOnShardPoisonedMidMigration' ./memcached
 	$(GO) test -race -count=1 ./internal/ring
 

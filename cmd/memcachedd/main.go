@@ -11,6 +11,16 @@
 // checkpoint slots, and repair domain.
 //
 //	memcachedd -shards 4 -path /var/lib/plibmc -listen tcp:0.0.0.0:11211
+//
+// With -shards 1 it is the bookkeeping daemon of one protected-library
+// store (paper §6): it keeps the store alive, runs its maintenance, serves
+// remote processes over the socket, checkpoints it every -checkpoint-secs
+// and flushes it on shutdown, so a restart resumes with its contents.
+//
+//	memcachedd -shards 1 -path /var/lib/plibmc -listen unix:/tmp/plib.sock
+//
+// A -path directory that already holds a cluster is reopened at the
+// geometry its ring.json records, whatever -shards says.
 package main
 
 import (
@@ -27,7 +37,6 @@ import (
 	"time"
 
 	"plibmc/internal/server"
-	"plibmc/internal/shm"
 	"plibmc/memcached"
 )
 
@@ -41,7 +50,6 @@ func main() {
 
 		shards  = flag.Int("shards", 0, "front a cluster of N protected-library stores instead of the baseline (0 = baseline)")
 		path    = flag.String("path", "", "cluster mode: directory holding one backing file per shard (empty = in-memory shards)")
-		vnodes  = flag.Int("vnodes", 0, "cluster mode: virtual nodes per shard on the placement ring (0 = default)")
 		ckptSec = flag.Int("checkpoint-secs", 0, "cluster mode: per-shard checkpoint interval in seconds (0 = only on shutdown)")
 	)
 	flag.Parse()
@@ -59,7 +67,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	if *shards > 0 {
-		runCluster(network, addr, *shards, *path, *vnodes, *ckptSec, *memMB, *hashPow, *metrics, sig)
+		runCluster(network, addr, *shards, *path, *ckptSec, *memMB, *hashPow, *metrics, sig)
 		return
 	}
 
@@ -91,42 +99,19 @@ func main() {
 
 // runCluster serves the sharded proxy tier: N protected-library stores
 // behind one listener.
-func runCluster(network, addr string, shards int, dir string, vnodes int,
+func runCluster(network, addr string, shards int, dir string,
 	ckptSec int, memMB int64, hashPow uint, metricsAddr string,
 	sig chan os.Signal) {
-	cfg := memcached.ClusterConfig{
-		Shards:       shards,
-		VirtualNodes: vnodes,
-		Dir:          dir,
+	c, reopened, err := openCluster(memcached.ClusterConfig{
+		Shards: shards,
+		Dir:    dir,
 		Store: memcached.Config{
 			// The per-process memory budget divides across shards so
 			// -m means the same thing in both modes.
 			HeapBytes: uint64(memMB<<20) / uint64(shards),
 			HashPower: hashPow,
 		},
-	}
-	open := dir != ""
-	if open {
-		// Reopen when every shard has a loadable image; otherwise format.
-		// A clean shutdown leaves .a/.b checkpoint slots rather than the
-		// bare base file, so check candidate slots, not the base path.
-		for i := 0; i < shards; i++ {
-			base := filepath.Join(dir, memcached.ShardImageName(i))
-			if len(shm.ImageCandidates(base)) == 0 {
-				open = false
-				break
-			}
-		}
-	}
-	var (
-		c   *memcached.Cluster
-		err error
-	)
-	if open {
-		c, err = memcached.OpenCluster(cfg)
-	} else {
-		c, err = memcached.CreateCluster(cfg)
-	}
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memcachedd:", err)
 		os.Exit(1)
@@ -137,7 +122,7 @@ func runCluster(network, addr string, shards int, dir string, vnodes int,
 		os.Exit(1)
 	}
 	fmt.Printf("memcachedd: %d-shard cluster proxy on %s:%s (reopened=%v)\n",
-		shards, network, addr, open)
+		c.Shards(), network, addr, reopened)
 	c.StartMaintenance(time.Second)
 	c.StartSupervisor(time.Second)
 	if ckptSec > 0 && dir != "" {
@@ -192,4 +177,31 @@ func runCluster(network, addr string, shards int, dir string, vnodes int,
 	agg := c.Stats()
 	fmt.Printf("memcachedd: cluster stopped; %d items, %d gets (%d hits), %d sets across %d shards\n",
 		agg.CurrItems, agg.Gets, agg.GetHits, agg.Sets, c.Shards())
+}
+
+// openCluster reopens the cluster in cfg.Dir, or creates one when there is
+// no directory or it holds nothing a cluster leaves behind: no ring.json
+// and no shard image or checkpoint slot. Anything else is an existing
+// cluster, and OpenCluster takes its geometry from ring.json and rebuilds
+// only the shards whose images are lost. When that fails the error is
+// returned: formatting over the directory would destroy what survives and
+// let its stale checkpoint generations outrank the new store's.
+func openCluster(cfg memcached.ClusterConfig) (c *memcached.Cluster, reopened bool, err error) {
+	if cfg.Dir == "" || !holdsCluster(cfg.Dir) {
+		c, err = memcached.CreateCluster(cfg)
+		return c, false, err
+	}
+	c, err = memcached.OpenCluster(cfg)
+	return c, true, err
+}
+
+// holdsCluster reports whether dir holds a ring manifest or any file of a
+// shard's image.
+func holdsCluster(dir string) bool {
+	for _, pattern := range []string{"ring.json", "shard-*.img*"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -93,10 +93,6 @@ type Options struct {
 	// from its index; a Ctx that finds none free never uses the lock-free
 	// read path and counts in the gate's shared word.
 	ReaderSlots uint64
-	// LatencySlots is the number of scattered latency-histogram slots:
-	// like the statistics slots, contexts spread over them by reader slot
-	// so recording stays contention free at sane thread counts.
-	LatencySlots uint64
 	// LatencySampleEvery records the latency of one in every N operations
 	// per context (rounded up to a power of two; 0 means 8). Sampling keeps
 	// the two clock reads off most operations, whose cost would otherwise
@@ -129,9 +125,6 @@ func (o *Options) fill(cap uint64) {
 	}
 	if o.ReaderSlots == 0 {
 		o.ReaderSlots = 64
-	}
-	if o.LatencySlots == 0 {
-		o.LatencySlots = 16
 	}
 	if o.LatencySampleEvery == 0 {
 		o.LatencySampleEvery = 8
@@ -266,7 +259,7 @@ func Create(a *ralloc.Allocator, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	latency, err := c.Calloc(opts.LatencySlots * latSlotStride)
+	latency, err := c.Calloc(latencySlots * latSlotStride)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +284,7 @@ func Create(a *ralloc.Allocator, opts Options) (*Store, error) {
 	ralloc.StorePptr(h, cfg+cfgReaders, readers)
 	h.Store64(cfg+cfgNumReaders, opts.ReaderSlots)
 	ralloc.StorePptr(h, cfg+cfgLatency, latency)
-	h.Store64(cfg+cfgLatSlots, opts.LatencySlots)
+	h.Store64(cfg+cfgLatSlots, latencySlots)
 	h.Store64(cfg+cfgLatSampleMask, opts.LatencySampleEvery-1)
 	if !opts.DisableLatency {
 		h.Store64(cfg+cfgLatEnabled, 1)

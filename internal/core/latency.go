@@ -45,9 +45,14 @@ var LatClassNames = [NumLatClasses]string{"get", "set", "delete", "touch", "main
 
 // Matrix geometry: each histogram padded to whole cache lines so two
 // classes of one slot never false-share, and slots are line-aligned runs.
+// Like the statistics slots, contexts spread over the latencySlots slots
+// by reader slot, so recording stays contention free at sane thread
+// counts. A store created with another count (the image's config block
+// records it) still attaches.
 const (
 	latHistStride = (histogram.SharedSize + 63) &^ 63
 	latSlotStride = NumLatClasses * latHistStride
+	latencySlots  = 16
 )
 
 // fpLatRecord crashes between the bucket-count add and the total add,

@@ -2,8 +2,8 @@ package linearcheck
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sort"
-	"strconv"
 	"strings"
 
 	"plibmc/internal/model"
@@ -199,15 +199,16 @@ type frame struct {
 	vi       int           // variant currently applied
 }
 
-// cacheKey encodes (linearized-set, state) for memoization.
-func cacheKey(lin []uint64, st model.State) string {
-	var b strings.Builder
-	for _, w := range lin {
-		b.WriteString(strconv.FormatUint(w, 36))
-		b.WriteByte(',')
-	}
-	b.WriteString(st.Canon())
-	return b.String()
+// memoKey names one search configuration: the linearized set as a
+// 128-bit Zobrist hash (the XOR of two random words per linearized op,
+// kept up to date as ops are linearized and taken back, so a step costs
+// O(1) however long the history) and the model state's canonical form.
+// Two different sets that hash alike make a false hit, which can only
+// prune the search: at odds near 2^-128 it could turn "ok" into a
+// reported violation, but it can never hide a violation.
+type memoKey struct {
+	lin   [2]uint64
+	state string
 }
 
 // checkKey runs the Wing&Gong/Lowe search over one key's subhistory:
@@ -228,8 +229,14 @@ func checkKey(sub []model.Op, m *model.Model, budget int64) (verdict, int64) {
 	}
 
 	head := buildEntries(sub)
-	lin := make([]uint64, (len(sub)+63)/64)
-	cache := make(map[string]struct{})
+	rng := rand.New(rand.NewPCG(uint64(len(sub)), 0))
+	zob := make([][2]uint64, len(sub))
+	for i := range zob {
+		zob[i] = [2]uint64{rng.Uint64(), rng.Uint64()}
+	}
+	var lin [2]uint64 // Zobrist hash of the linearized set
+	flip := func(op int) { lin[0] ^= zob[op][0]; lin[1] ^= zob[op][1] }
+	cache := make(map[memoKey]struct{})
 	var stack []frame
 	state := model.State{}
 	var steps int64
@@ -238,10 +245,9 @@ func checkKey(sub []model.Op, m *model.Model, budget int64) (verdict, int64) {
 	// apply tries variants of e starting at vi; on the first uncached
 	// one it commits the linearization and returns true.
 	apply := func(e *entry, prior model.State, variants []model.State, vi int) bool {
-		word, bit := e.op/64, uint64(1)<<(e.op%64)
-		lin[word] |= bit
+		flip(e.op)
 		for ; vi < len(variants); vi++ {
-			key := cacheKey(lin, variants[vi])
+			key := memoKey{lin, variants[vi].Canon()}
 			if _, seen := cache[key]; seen {
 				continue
 			}
@@ -254,7 +260,7 @@ func checkKey(sub []model.Op, m *model.Model, budget int64) (verdict, int64) {
 			e.lift()
 			return true
 		}
-		lin[word] &^= bit
+		flip(e.op)
 		return false
 	}
 
@@ -287,8 +293,7 @@ func checkKey(sub []model.Op, m *model.Model, budget int64) (verdict, int64) {
 		if !sub[f.entry.op].Pending {
 			nonPending++
 		}
-		word, bit := f.entry.op/64, uint64(1)<<(f.entry.op%64)
-		lin[word] &^= bit
+		flip(f.entry.op)
 		state = f.prior
 		if apply(f.entry, f.prior, f.variants, f.vi+1) {
 			cur = head.next

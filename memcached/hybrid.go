@@ -29,7 +29,7 @@ type RemoteServer struct{ frontEnd[*Session] }
 // remote clients cross the gate like local ones. Close the returned server
 // to stop.
 func (b *Bookkeeper) ServeRemote(network, addr string) (*RemoteServer, error) {
-	cp, err := b.NewClientProcess(b.cfg.OwnerUID)
+	cp, err := b.NewClientProcess(ownerUID)
 	if err != nil {
 		return nil, fmt.Errorf("memcached: hybrid attach: %w", err)
 	}

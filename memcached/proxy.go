@@ -21,7 +21,7 @@ type ClusterServer struct{ frontEnd[*ClusterSession] }
 // ServeRemote starts accepting remote connections for the cluster. Close
 // the returned server to stop.
 func (c *Cluster) ServeRemote(network, addr string) (*ClusterServer, error) {
-	cc, err := c.NewClientProcess(c.cfg.Store.OwnerUID)
+	cc, err := c.NewClientProcess(ownerUID)
 	if err != nil {
 		return nil, fmt.Errorf("memcached: cluster attach: %w", err)
 	}

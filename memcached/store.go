@@ -36,6 +36,10 @@ import (
 // LibraryName is the protected library's name in loader output.
 const LibraryName = "libmemcached-plib"
 
+// ownerUID is the store owner; library initialization runs with this
+// effective UID (paper §3.3).
+const ownerUID = 0
+
 // Config configures a store.
 type Config struct {
 	// HeapBytes is the shared heap size (the paper gave Ralloc 60 GB;
@@ -43,22 +47,15 @@ type Config struct {
 	HeapBytes uint64
 	// Path is the backing file. Empty means in-memory only (no Flush).
 	Path string
-	// OwnerUID is the store owner; library initialization runs with this
-	// effective UID (paper §3.3). Default 0.
-	OwnerUID int
-	// HashPower, NumLRUs, MemLimit, FixedSize, NumItemLocks mirror the
-	// core store options; zero values choose defaults.
+	// HashPower, NumItemLocks, MemLimit and FixedSize mirror the core
+	// store options of the same names; zero values choose defaults.
 	HashPower    uint
-	NumLRUs      uint64
 	NumItemLocks uint64
 	MemLimit     uint64
 	FixedSize    bool
 	// LatencySampleEvery is the per-context latency sampling period
 	// (1 = record every operation); zero chooses the core default.
-	// DisableLatency turns recording off entirely (the histogram matrix is
-	// still allocated so the heap layout is identical either way).
 	LatencySampleEvery uint64
-	DisableLatency     bool
 	// CallTimeout bounds in-library execution for killed processes. Zero
 	// means hodor's default (1s).
 	CallTimeout time.Duration
@@ -156,12 +153,10 @@ func CreateStore(cfg Config) (*Bookkeeper, error) {
 	}
 	store, err := core.Create(alloc, core.Options{
 		HashPower:          cfg.HashPower,
-		NumLRUs:            cfg.NumLRUs,
 		NumItemLocks:       cfg.NumItemLocks,
 		MemLimit:           cfg.MemLimit,
 		FixedSize:          cfg.FixedSize,
 		LatencySampleEvery: cfg.LatencySampleEvery,
-		DisableLatency:     cfg.DisableLatency,
 	})
 	if err != nil {
 		return nil, err
@@ -242,7 +237,7 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 	if err := dom.ProtectAll(); err != nil {
 		return nil, err
 	}
-	lib := hodor.NewLibrary(LibraryName, cfg.OwnerUID, dom)
+	lib := hodor.NewLibrary(LibraryName, ownerUID, dom)
 	lib.CallTimeout = cfg.CallTimeout
 	lib.RecoveryGrace = cfg.RecoveryGrace
 	lib.LiveCallBudget = cfg.LiveCallBudget
@@ -265,7 +260,7 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 		return nil, err
 	}
 	b.baseSeq.Store(1)
-	bkProc, err := proc.NewProcess(cfg.OwnerUID, heap, b.nextBase())
+	bkProc, err := proc.NewProcess(ownerUID, heap, b.nextBase())
 	if err != nil {
 		return nil, err
 	}

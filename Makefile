@@ -22,7 +22,7 @@ check: build fmtcheck unsafecheck wirecheck faultmatrix corruptmatrix modelcheck
 	$(GO) test -race -count=1 ./internal/core ./internal/shm
 	$(GO) test -race -count=100 -run 'TestConcurrentQuiesceUnderLoad$$' ./internal/core
 	$(GO) test -race -count=1 -short -run TestChaosKillsNeverCorrupt .
-	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency' ./memcached ./internal/metrics ./internal/server
+	$(GO) test -race -count=1 -run 'TestMetrics|TestWrite|TestStatsLatency|TestClusterMetrics' ./memcached ./internal/metrics ./internal/server
 	$(GO) test -race -count=1 -run 'TestExecBatch|TestMGet|TestAsyncCallbackImmediate|TestHybridPipelineBatches|TestSessionMGet|TestVirtualDomains|TestCrossingAccounting|TestSessionChurn|TestLoopStartStopRace|TestWatchdogNeverEarlyOnCoarseStamps|TestStoreClockIsTheWord|TestSessionPoolDiscardsReapedSession' ./internal/core ./internal/hodor ./memcached
 	$(GO) test -race -count=1 ./internal/mono
 

@@ -19,7 +19,7 @@
 //
 //	memcachedd -shards 1 -path /var/lib/plibmc -listen unix:/tmp/plib.sock
 //
-// A -path directory that already holds a cluster is reopened at the
+// A -path directory that already holds a shard image is reopened at the
 // geometry its ring.json records, whatever -shards says.
 package main
 
@@ -46,7 +46,7 @@ func main() {
 		threads = flag.Int("threads", 4, "number of server threads (the paper compares 4 and 8)")
 		memMB   = flag.Int64("m", 1024, "memory limit in MiB")
 		hashPow = flag.Uint("hashpower", 16, "log2 of the bucket count")
-		metrics = flag.String("metrics-addr", "", "serve /metrics (Prometheus) and /debug/vars over HTTP on this address")
+		metrics = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) over HTTP on this address; with -shards, every shard's store metrics under a shard label, and /admin")
 
 		shards  = flag.Int("shards", 0, "front a cluster of N protected-library stores instead of the baseline (0 = baseline)")
 		path    = flag.String("path", "", "cluster mode: directory holding one backing file per shard (empty = in-memory shards)")
@@ -180,14 +180,15 @@ func runCluster(network, addr string, shards int, dir string,
 }
 
 // openCluster reopens the cluster in cfg.Dir, or creates one when there is
-// no directory or it holds nothing a cluster leaves behind: no ring.json
-// and no shard image or checkpoint slot. Anything else is an existing
-// cluster, and OpenCluster takes its geometry from ring.json and rebuilds
-// only the shards whose images are lost. When that fails the error is
-// returned: formatting over the directory would destroy what survives and
-// let its stale checkpoint generations outrank the new store's.
+// no directory or it holds no shard image or checkpoint slot. A ring.json
+// alone holds no data (a daemon killed before its first checkpoint leaves
+// just that), so it is created over. Anything else is an existing cluster,
+// and OpenCluster takes its geometry from ring.json and rebuilds only the
+// shards whose images are lost. When that fails the error is returned:
+// formatting over the directory would destroy what survives and let its
+// stale checkpoint generations outrank the new store's.
 func openCluster(cfg memcached.ClusterConfig) (c *memcached.Cluster, reopened bool, err error) {
-	if cfg.Dir == "" || !holdsCluster(cfg.Dir) {
+	if cfg.Dir == "" || !holdsImage(cfg.Dir) {
 		c, err = memcached.CreateCluster(cfg)
 		return c, false, err
 	}
@@ -195,13 +196,8 @@ func openCluster(cfg memcached.ClusterConfig) (c *memcached.Cluster, reopened bo
 	return c, true, err
 }
 
-// holdsCluster reports whether dir holds a ring manifest or any file of a
-// shard's image.
-func holdsCluster(dir string) bool {
-	for _, pattern := range []string{"ring.json", "shard-*.img*"} {
-		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) > 0 {
-			return true
-		}
-	}
-	return false
+// holdsImage reports whether dir holds any file of a shard's image.
+func holdsImage(dir string) bool {
+	m, _ := filepath.Glob(filepath.Join(dir, "shard-*.img*"))
+	return len(m) > 0
 }

@@ -139,6 +139,28 @@ func TestOpenClusterCreatesInEmptyDir(t *testing.T) {
 	}
 }
 
+// A daemon killed before its first checkpoint leaves ring.json and no
+// shard image: that holds no data, so the restart creates at -shards.
+func TestOpenClusterCreatesOverBareRing(t *testing.T) {
+	dir, _ := seedDir(t, 2)
+	images, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil || len(images) == 0 {
+		t.Fatalf("seeded cluster left no images (%v)", err)
+	}
+	for _, p := range images {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ring.json")); err != nil {
+		t.Fatalf("seeded cluster left no ring.json: %v", err)
+	}
+	c := open(t, testConfig(3, dir), false)
+	if c.Shards() != 3 || c.Ring().Shards() != 3 {
+		t.Fatalf("created %d shards on a %d-shard ring, want 3", c.Shards(), c.Ring().Shards())
+	}
+}
+
 // One shard is the bookkeeping daemon of one store: it serves remote
 // clients over a unix socket, flushes on shutdown and reopens with its
 // contents.

@@ -1,21 +1,15 @@
 // Package metrics renders metric samples in the Prometheus text exposition
-// format and as expvar-style JSON, with no dependency beyond the standard
-// library. The collectors live with the things they observe (the store, the
-// hodor library, the baseline server); this package only knows how to write
-// what they hand it.
+// format, with no dependency beyond the standard library. The collectors
+// live with the things they observe (the store, the cluster, the baseline
+// server); this package only knows how to write what they hand it.
 //
-// The global expvar registry is deliberately avoided: it panics on
-// duplicate publication, which makes any component that registered itself
-// impossible to construct twice in one process (every test that builds two
-// stores would die). Handlers here render from a snapshot taken per
-// request instead.
+// Nothing registers globally: a handler renders from a snapshot taken per
+// request, so any number of stores can live in one process.
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -72,59 +66,13 @@ func WriteProm(w io.Writer, samples []Sample) {
 	io.WriteString(w, b.String())
 }
 
-// WriteVars renders a flat map as a JSON object with sorted keys (the
-// /debug/vars shape). Values may be numbers (rendered bare) or strings.
-func WriteVars(w io.Writer, vars map[string]any) {
-	keys := make([]string, 0, len(vars))
-	for k := range vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(",\n")
-		}
-		fmt.Fprintf(&b, "%q: ", k)
-		switch v := vars[k].(type) {
-		case string:
-			fmt.Fprintf(&b, "%q", v)
-		case float64:
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		case uint64:
-			b.WriteString(strconv.FormatUint(v, 10))
-		case int64:
-			b.WriteString(strconv.FormatInt(v, 10))
-		case int:
-			b.WriteString(strconv.Itoa(v))
-		case bool:
-			b.WriteString(strconv.FormatBool(v))
-		default:
-			fmt.Fprintf(&b, "%q", fmt.Sprint(v))
-		}
-	}
-	b.WriteString("\n}\n")
-	io.WriteString(w, b.String())
-}
-
-// Collector produces the current samples and vars on demand; handlers call
-// it once per scrape.
-type Collector func() ([]Sample, map[string]any)
-
-// Handler builds an http.Handler serving /metrics (Prometheus text) and
-// /debug/vars (expvar-shaped JSON) from the collector.
-func Handler(collect Collector) http.Handler {
+// Handler builds an http.Handler serving /metrics (Prometheus text) from
+// collect, which it calls once per scrape.
+func Handler(collect func() []Sample) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		samples, _ := collect()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteProm(w, samples)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		_, vars := collect()
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		WriteVars(w, vars)
+		WriteProm(w, collect())
 	})
 	return mux
 }

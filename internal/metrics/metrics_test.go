@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -19,24 +18,6 @@ func TestWriteProm(t *testing.T) {
 		`esc{v="a\"b\\c\nd"} 1` + "\n"
 	if got != want {
 		t.Fatalf("WriteProm:\n%q\nwant\n%q", got, want)
-	}
-}
-
-func TestWriteVars(t *testing.T) {
-	var b strings.Builder
-	WriteVars(&b, map[string]any{
-		"z": uint64(2), "a": int64(-1), "m": 1.5, "s": "x", "b": true,
-	})
-	var m map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &m); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, b.String())
-	}
-	if m["z"] != 2.0 || m["a"] != -1.0 || m["m"] != 1.5 || m["s"] != "x" || m["b"] != true {
-		t.Fatalf("round trip = %v", m)
-	}
-	// Keys must come out sorted for stable scrapes.
-	if i, j := strings.Index(b.String(), `"a"`), strings.Index(b.String(), `"z"`); i > j {
-		t.Fatal("keys not sorted")
 	}
 }
 

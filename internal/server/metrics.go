@@ -49,23 +49,5 @@ func (s *Store) Samples() []metrics.Sample {
 	return out
 }
 
-// MetricsHandler serves /metrics and /debug/vars for the baseline store.
-func (s *Store) MetricsHandler() http.Handler {
-	return metrics.Handler(func() ([]metrics.Sample, map[string]any) {
-		snap := s.Snapshot()
-		return s.Samples(), map[string]any{
-			"cmd_get":      snap.Gets,
-			"cmd_set":      snap.Sets,
-			"cmd_delete":   snap.Deletes,
-			"cmd_touch":    snap.Touches,
-			"get_hits":     snap.GetHits,
-			"get_misses":   snap.GetMisses,
-			"touch_hits":   snap.TouchHits,
-			"touch_misses": snap.TouchMisses,
-			"curr_items":   snap.CurrItems,
-			"bytes":        snap.Bytes,
-			"evictions":    snap.Evictions,
-			"expired":      snap.Expired,
-		}
-	})
-}
+// MetricsHandler serves /metrics for the baseline store.
+func (s *Store) MetricsHandler() http.Handler { return metrics.Handler(s.Samples) }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -729,12 +730,13 @@ const (
 )
 
 // State reports shard i's coarse health.
-func (c *Cluster) State(i int) ShardState {
-	top := c.top()
-	if top.health[i].br.word.Load()&brStateMask == brRebuilding {
+func (c *Cluster) State(i int) ShardState { return c.top().state(i) }
+
+func (t *topology) state(i int) ShardState {
+	if t.health[i].br.word.Load()&brStateMask == brRebuilding {
 		return ShardRebuilding
 	}
-	lib := top.shards[i].Library()
+	lib := t.shards[i].Library()
 	switch {
 	case lib.Poisoned():
 		return ShardPoisoned
@@ -768,53 +770,50 @@ type ClusterMetrics struct {
 
 // Metrics collects every shard's merged snapshot.
 func (c *Cluster) Metrics() ClusterMetrics {
-	var cm ClusterMetrics
-	cm.Migration = MigrationMetrics{
+	cm := ClusterMetrics{Migration: c.migrationMetrics(), Supervisor: c.supervisorMetrics()}
+	t := c.top()
+	for i, b := range t.shards {
+		cm.Shards = append(cm.Shards, b.Metrics())
+		cm.States = append(cm.States, t.state(i))
+	}
+	return cm
+}
+
+func (c *Cluster) migrationMetrics() MigrationMetrics {
+	mm := MigrationMetrics{
 		Resizes:       c.resizes.Load(),
 		SegmentsMoved: c.segsMoved.Load(),
 		KeysMoved:     c.keysMoved.Load(),
 		Retries:       c.migRetries.Load(),
 	}
 	if m := c.lastMig.Load(); m != nil && m.active() {
-		cm.Migration.State = 1
-		cm.Migration.SegmentsTotal = len(m.segs)
-		cm.Migration.SegmentsDone = m.segmentsCopied()
+		mm.State = 1
+		mm.SegmentsTotal = len(m.segs)
+		mm.SegmentsDone = m.segmentsCopied()
 	}
-	cm.Supervisor = c.supervisorMetrics()
-	for i, b := range c.top().shards {
-		cm.Shards = append(cm.Shards, b.Metrics())
-		cm.States = append(cm.States, c.State(i))
-	}
-	return cm
+	return mm
 }
 
-// Samples renders the cluster snapshot as Prometheus samples: the
-// per-shard routing/health plane, then each shard's full store snapshot
-// under a shard label.
+// Samples renders the cluster snapshot as Prometheus samples: every row of
+// each shard's store plane (Metrics.Samples) with shard as its first label,
+// each shard's state, then the rows only a cluster has. Every shard renders
+// the same rows in the same order, so they are interleaved row by row to
+// keep each metric's series together.
 func (cm *ClusterMetrics) Samples() []metrics.Sample {
-	var out []metrics.Sample
+	per := make([][]metrics.Sample, len(cm.Shards))
 	for i := range cm.Shards {
-		m := &cm.Shards[i]
-		shard := fmt.Sprintf("%d", i)
-		g := func(name string, v float64, labels ...string) {
-			out = append(out, metrics.Sample{
-				Name:   name,
-				Labels: metrics.L(append([]string{"shard", shard}, labels...)...),
-				Value:  v,
-			})
+		per[i] = cm.Shards[i].Samples()
+	}
+	var out []metrics.Sample
+	for row := 0; len(per) > 0 && row < len(per[0]); row++ {
+		for i := range per {
+			s := per[i][row]
+			s.Labels = append([][2]string{{"shard", strconv.Itoa(i)}}, s.Labels...)
+			out = append(out, s)
 		}
-		g("plibmc_shard_ops_total", float64(m.Ops.Gets), "op", "get")
-		g("plibmc_shard_ops_total", float64(m.Ops.Sets), "op", "set")
-		g("plibmc_shard_ops_total", float64(m.Ops.Deletes), "op", "delete")
-		g("plibmc_shard_ops_total", float64(m.Ops.Incrs), "op", "incr")
-		g("plibmc_shard_ops_total", float64(m.Ops.Decrs), "op", "decr")
-		g("plibmc_shard_ops_total", float64(m.Ops.Touches), "op", "touch")
-		g("plibmc_shard_state", float64(cm.States[i]))
-		g("plibmc_shard_curr_items", float64(m.Ops.CurrItems))
-		g("plibmc_shard_bytes", float64(m.Ops.Bytes))
-		g("plibmc_shard_repairs_total", float64(m.Recovery.Repairs))
-		g("plibmc_shard_checkpoint_last_generation", float64(m.Checkpoint.LastGeneration))
-		g("plibmc_shard_checkpoint_failures_total", float64(m.Checkpoint.Failures))
+	}
+	for i, st := range cm.States {
+		out = append(out, metrics.Sample{Name: "plibmc_shard_state", Labels: metrics.L("shard", strconv.Itoa(i)), Value: float64(st)})
 	}
 	out = append(out,
 		metrics.Sample{Name: "plibmc_migration_state", Value: float64(cm.Migration.State)},
@@ -833,42 +832,10 @@ func (cm *ClusterMetrics) Samples() []metrics.Sample {
 	return out
 }
 
-// Vars renders a flat expvar-style map: aggregate counters plus per-shard
-// state.
-func (cm *ClusterMetrics) Vars() map[string]any {
-	var ops core.Stats
-	for i := range cm.Shards {
-		addStats(&ops, cm.Shards[i].Ops)
-	}
-	v := map[string]any{
-		"shards":                   len(cm.Shards),
-		"cmd_get":                  ops.Gets,
-		"cmd_set":                  ops.Sets,
-		"cmd_delete":               ops.Deletes,
-		"curr_items":               ops.CurrItems,
-		"bytes":                    ops.Bytes,
-		"migration_state":          cm.Migration.State,
-		"migration_resizes":        cm.Migration.Resizes,
-		"migration_segments_moved": cm.Migration.SegmentsMoved,
-		"migration_keys_moved":     cm.Migration.KeysMoved,
-		"migration_retries":        cm.Migration.Retries,
-		"shard_rebuilds":           cm.Supervisor.Rebuilds,
-		"shard_rebuilt_empty":      cm.Supervisor.RebuiltEmpty,
-		"shard_rebuild_failures":   cm.Supervisor.RebuildFailures,
-		"shard_rebuilt_at_open":    cm.Supervisor.RebuiltAtOpen,
-		"breaker_trips":            cm.Supervisor.BreakerTrips,
-		"breaker_fast_fails":       cm.Supervisor.BreakerFastFails,
-	}
-	for i, st := range cm.States {
-		v[fmt.Sprintf("shard_%d_state", i)] = int(st)
-	}
-	return v
-}
-
-// MetricsHandler serves /metrics and /debug/vars for the whole cluster.
+// MetricsHandler serves /metrics for the whole cluster.
 func (c *Cluster) MetricsHandler() http.Handler {
-	return metrics.Handler(func() ([]metrics.Sample, map[string]any) {
+	return metrics.Handler(func() []metrics.Sample {
 		cm := c.Metrics()
-		return cm.Samples(), cm.Vars()
+		return cm.Samples()
 	})
 }

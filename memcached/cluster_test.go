@@ -11,6 +11,7 @@ import (
 	"plibmc/internal/client"
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/hodor"
+	"plibmc/internal/metrics"
 	"plibmc/internal/protocol"
 )
 
@@ -597,39 +598,59 @@ func TestClusterPersistence(t *testing.T) {
 	}
 }
 
+// The cluster's /metrics is every shard's store plane under a shard label,
+// first, plus the rows only a cluster has; no series appears twice and
+// /debug/vars is gone.
 func TestClusterMetricsSamples(t *testing.T) {
 	c := newTestCluster(t, 2, ClusterConfig{})
 	s := newClusterSession(t, c)
-	s.Set([]byte("m"), []byte("v"), 0, 0)
-	s.Get([]byte("m"))
-	cm := c.Metrics()
-	samples := cm.Samples()
-	want := map[string]bool{
-		"plibmc_shard_ops_total": false,
-		"plibmc_shard_state":     false,
+	for i := 0; i < 20; i++ {
+		k := []byte(fmt.Sprintf("m-%d", i))
+		s.Set(k, []byte("v"), 0, 0)
+		s.Get(k)
 	}
-	shardLabels := map[string]bool{}
-	for _, smp := range samples {
-		if _, ok := want[smp.Name]; ok {
-			want[smp.Name] = true
+	series := scrape(t, c.MetricsHandler())
+	cm := c.Metrics()
+	for i := range cm.Shards {
+		shard := fmt.Sprintf(`{shard="%d"`, i)
+		for _, want := range []string{
+			`plibmc_op_latency_seconds` + shard + `,op="get",quantile="0.99"}`,
+			`plibmc_ops_total` + shard + `,op="set"}`,
+			`plibmc_trampoline_crossings_total` + shard + `}`,
+			`plibmc_recovery_repairs_total` + shard + `}`,
+			`plibmc_checkpoint_failures_total` + shard + `}`,
+		} {
+			if _, ok := series[want]; !ok {
+				t.Errorf("/metrics missing %s", want)
+			}
 		}
-		if smp.Name == "plibmc_shard_state" {
-			shardLabels[fmt.Sprint(smp.Labels)] = true
-			if smp.Value != float64(ShardHealthy) {
-				t.Fatalf("healthy shard reports state %v", smp.Value)
+		if v := series[`plibmc_shard_state`+shard+`}`]; v != fmt.Sprint(int(ShardHealthy)) {
+			t.Errorf("shard %d state = %q, want healthy", i, v)
+		}
+		// Every row of the shard's store plane is served, shard first.
+		var b strings.Builder
+		for _, smp := range cm.Shards[i].Samples() {
+			smp.Labels = append(metrics.L("shard", fmt.Sprint(i)), smp.Labels...)
+			b.Reset()
+			metrics.WriteProm(&b, []metrics.Sample{smp})
+			key := b.String()[:strings.LastIndexByte(b.String(), ' ')]
+			if _, ok := series[key]; !ok {
+				t.Errorf("/metrics missing store row %s", key)
 			}
 		}
 	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("metric %s missing from samples", name)
+	for key := range series {
+		if strings.Contains(key, "{") && !strings.Contains(key, `{shard="`) {
+			t.Errorf("series %s is not labelled shard first", key)
+		}
+		if strings.HasPrefix(key, "plibmc_shard_ops_total") {
+			t.Errorf("duplicate family still served: %s", key)
 		}
 	}
-	if len(shardLabels) != 2 {
-		t.Fatalf("shard_state label sets = %v, want one per shard", shardLabels)
-	}
-	if v := cm.Vars(); v["shards"] != 2 {
-		t.Fatalf("vars shards = %v", v["shards"])
+	for _, want := range []string{"plibmc_migration_state", "plibmc_shard_rebuilds_total", "plibmc_breaker_trips_total"} {
+		if _, ok := series[want]; !ok {
+			t.Errorf("/metrics missing cluster row %s", want)
+		}
 	}
 }
 

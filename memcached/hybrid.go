@@ -483,19 +483,7 @@ func adminCore(store *core.Store, flush func() error, cmd *protocol.Command, ver
 			}
 			break
 		}
-		st := store.Stats()
-		rep.Stats = [][2]string{
-			{"cmd_get", strconv.FormatUint(st.Gets, 10)},
-			{"get_hits", strconv.FormatUint(st.GetHits, 10)},
-			{"get_misses", strconv.FormatUint(st.GetMisses, 10)},
-			{"cmd_set", strconv.FormatUint(st.Sets, 10)},
-			{"cmd_delete", strconv.FormatUint(st.Deletes, 10)},
-			{"cmd_touch", strconv.FormatUint(st.Touches, 10)},
-			{"curr_items", strconv.FormatUint(st.CurrItems, 10)},
-			{"bytes", strconv.FormatUint(st.Bytes, 10)},
-			{"evictions", strconv.FormatUint(st.Evictions, 10)},
-			{"expired", strconv.FormatUint(st.Expired, 10)},
-		}
+		rep.Stats = appendStats(nil, store.Stats())
 	case protocol.OpVersion:
 		rep.Version = version
 	case protocol.OpNoop:
@@ -503,4 +491,21 @@ func adminCore(store *core.Store, flush func() error, cmd *protocol.Command, ver
 		rep.Status = protocol.StatusUnknownCommand
 	}
 	return rep
+}
+
+// appendStats appends the default memcached counter set over st: the one
+// spelling a store's and a cluster's stats replies share.
+func appendStats(out [][2]string, st core.Stats) [][2]string {
+	return append(out,
+		[2]string{"cmd_get", strconv.FormatUint(st.Gets, 10)},
+		[2]string{"get_hits", strconv.FormatUint(st.GetHits, 10)},
+		[2]string{"get_misses", strconv.FormatUint(st.GetMisses, 10)},
+		[2]string{"cmd_set", strconv.FormatUint(st.Sets, 10)},
+		[2]string{"cmd_delete", strconv.FormatUint(st.Deletes, 10)},
+		[2]string{"cmd_touch", strconv.FormatUint(st.Touches, 10)},
+		[2]string{"curr_items", strconv.FormatUint(st.CurrItems, 10)},
+		[2]string{"bytes", strconv.FormatUint(st.Bytes, 10)},
+		[2]string{"evictions", strconv.FormatUint(st.Evictions, 10)},
+		[2]string{"expired", strconv.FormatUint(st.Expired, 10)},
+	)
 }

@@ -203,59 +203,11 @@ func (m *Metrics) Samples() []metrics.Sample {
 	return out
 }
 
-// Vars renders the snapshot as a flat expvar-style map.
-func (m *Metrics) Vars() map[string]any {
-	v := map[string]any{
-		"cmd_get":                  m.Ops.Gets,
-		"cmd_set":                  m.Ops.Sets,
-		"cmd_delete":               m.Ops.Deletes,
-		"cmd_touch":                m.Ops.Touches,
-		"get_hits":                 m.Ops.GetHits,
-		"get_misses":               m.Ops.GetMisses,
-		"curr_items":               m.Ops.CurrItems,
-		"bytes":                    m.Ops.Bytes,
-		"evictions":                m.Ops.Evictions,
-		"expired":                  m.Ops.Expired,
-		"heap_live_bytes":          m.HeapLiveBytes,
-		"heap_capacity_bytes":      m.HeapCapacity,
-		"latency_sample_every":     m.SampleEvery,
-		"trampoline_calls":         m.Library.Calls,
-		"trampoline_crossings":     m.Library.Crossings,
-		"batches":                  m.Ops.Batches,
-		"batched_ops":              m.Ops.BatchedOps,
-		"crossings_per_op":         m.CrossingsPerOp(),
-		"mean_batch_size":          m.MeanBatchSize(),
-		"attacks_contained":        m.Library.AttacksContained,
-		"tenant_calls_reaped":      m.Library.TenantCallsReaped,
-		"tenant_warns":             m.Library.TenantWarns,
-		"tenant_aborts":            m.Library.TenantAborts,
-		"gate_rejections":          m.Library.GateRejections,
-		"recovery_repairs":         uint64(m.Recovery.Repairs),
-		"recovery_locks_broken":    uint64(m.Recovery.LocksBroken),
-		"recovery_readers_retired": uint64(m.Recovery.ReadersRetired),
-		"recovery_last_resume_ns":  int64(m.Recovery.TimeToResume),
-		"corruption_detected":      m.Ops.CorruptionsDetected,
-		"corruption_quarantined":   m.Ops.ItemsQuarantined,
-		"checkpoints":              uint64(m.Checkpoint.Checkpoints),
-		"checkpoint_failures":      uint64(m.Checkpoint.Failures),
-		"checkpoint_last_error":    m.Checkpoint.LastError,
-		"checkpoint_last_gen":      m.Checkpoint.LastGeneration,
-	}
-	for class := 0; class < core.NumLatClasses; class++ {
-		h := m.Latency.Classes[class]
-		name := core.LatClassNames[class]
-		v["latency_"+name+"_count"] = h.Count()
-		v["latency_"+name+"_p50_ns"] = int64(h.Percentile(50))
-		v["latency_"+name+"_p99_ns"] = int64(h.Percentile(99))
-	}
-	return v
-}
-
-// MetricsHandler serves /metrics (Prometheus text exposition) and
-// /debug/vars (expvar-shaped JSON) for this store.
+// MetricsHandler serves /metrics (Prometheus text exposition) for this
+// store.
 func (b *Bookkeeper) MetricsHandler() http.Handler {
-	return metrics.Handler(func() ([]metrics.Sample, map[string]any) {
+	return metrics.Handler(func() []metrics.Sample {
 		m := b.Metrics()
-		return m.Samples(), m.Vars()
+		return m.Samples()
 	})
 }

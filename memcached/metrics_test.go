@@ -1,8 +1,7 @@
 package memcached
 
 import (
-	"encoding/json"
-	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -51,9 +50,40 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestMetricsHandler scrapes /metrics and /debug/vars through the real
-// handler — the smoke test the acceptance criteria name: Prometheus text
-// with per-op-class quantiles, crossing counts, recovery counters.
+// scrape serves GET /metrics from h and returns each series (name and
+// label set) with its value, failing the test on a series that appears
+// twice. /metrics is the only format: /debug/vars must answer 404.
+func scrape(t *testing.T, h http.Handler) map[string]string {
+	t.Helper()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	if code := get("/debug/vars").Code; code != http.StatusNotFound {
+		t.Errorf("/debug/vars answered %d, want 404", code)
+	}
+	rec := get("/metrics")
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("content type = %q", ct)
+	}
+	series := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("malformed /metrics line %q", line)
+		}
+		if _, dup := series[line[:i]]; dup {
+			t.Errorf("series %s appears twice", line[:i])
+		}
+		series[line[:i]] = line[i+1:]
+	}
+	return series
+}
+
+// TestMetricsHandler scrapes /metrics through the real handler: Prometheus
+// text with per-op-class quantiles, crossing counts, recovery counters,
+// each series once.
 func TestMetricsHandler(t *testing.T) {
 	b, err := CreateStore(Config{HeapBytes: 16 << 20, HashPower: 10, NumItemLocks: 64, LatencySampleEvery: 1})
 	if err != nil {
@@ -69,59 +99,28 @@ func TestMetricsHandler(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(b.MetricsHandler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type = %q", ct)
-	}
-	text := string(body)
-	for _, want := range []string{
-		`plibmc_op_latency_seconds{op="get",quantile="0.5"}`,
-		`plibmc_op_latency_seconds{op="get",quantile="0.99"}`,
-		`plibmc_op_latency_seconds{op="set",quantile="0.99"}`,
-		`plibmc_op_latency_seconds_count{op="get"} 20`,
-		`plibmc_ops_total{op="get"} 20`,
-		"plibmc_trampoline_crossings_total",
-		"plibmc_recovery_repairs_total",
-		"plibmc_recovery_locks_broken_total",
-		"plibmc_heap_live_bytes",
+	series := scrape(t, b.MetricsHandler())
+	for want, value := range map[string]string{
+		`plibmc_op_latency_seconds{op="get",quantile="0.5"}`:  "",
+		`plibmc_op_latency_seconds{op="get",quantile="0.99"}`: "",
+		`plibmc_op_latency_seconds{op="set",quantile="0.99"}`: "",
+		`plibmc_op_latency_seconds_count{op="get"}`:           "20",
+		`plibmc_ops_total{op="get"}`:                          "20",
+		"plibmc_trampoline_crossings_total":                   "",
+		"plibmc_recovery_repairs_total":                       "",
+		"plibmc_recovery_locks_broken_total":                  "",
+		"plibmc_heap_live_bytes":                              "",
 	} {
-		if !strings.Contains(text, want) {
+		got, ok := series[want]
+		if !ok {
 			t.Errorf("/metrics missing %q", want)
+		} else if value != "" && got != value {
+			t.Errorf("%s = %s, want %s", want, got, value)
 		}
 	}
 	// The quantile sample must carry a positive value, not just exist.
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, `plibmc_op_latency_seconds{op="get",quantile="0.99"}`) {
-			fields := strings.Fields(line)
-			if len(fields) != 2 || fields[1] == "0" {
-				t.Errorf("get p99 sample = %q, want positive value", line)
-			}
-		}
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, body)
-	}
-	if got, ok := vars["cmd_get"].(float64); !ok || got != 20 {
-		t.Fatalf("vars cmd_get = %v, want 20", vars["cmd_get"])
-	}
-	if _, ok := vars["latency_get_p99_ns"]; !ok {
-		t.Fatal("vars missing latency_get_p99_ns")
+	if v := series[`plibmc_op_latency_seconds{op="get",quantile="0.99"}`]; v == "0" {
+		t.Errorf("get p99 sample = %s, want positive value", v)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"plibmc/internal/core"
 	"plibmc/internal/protocol"
 )
 
@@ -81,39 +82,34 @@ func (c *Cluster) statsReply(cmd *protocol.Command) *protocol.Reply {
 		}
 		return rep
 	}
-	agg := c.Stats()
-	cm := c.Metrics()
-	mm := cm.Migration
-	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
-	rep.Stats = [][2]string{
-		{"shards", strconv.Itoa(c.Shards())},
-		{"cmd_get", strconv.FormatUint(agg.Gets, 10)},
-		{"get_hits", strconv.FormatUint(agg.GetHits, 10)},
-		{"get_misses", strconv.FormatUint(agg.GetMisses, 10)},
-		{"cmd_set", strconv.FormatUint(agg.Sets, 10)},
-		{"cmd_delete", strconv.FormatUint(agg.Deletes, 10)},
-		{"cmd_touch", strconv.FormatUint(agg.Touches, 10)},
-		{"curr_items", strconv.FormatUint(agg.CurrItems, 10)},
-		{"bytes", strconv.FormatUint(agg.Bytes, 10)},
-		{"evictions", strconv.FormatUint(agg.Evictions, 10)},
-		{"expired", strconv.FormatUint(agg.Expired, 10)},
-		{"migration_state", strconv.Itoa(mm.State)},
-		{"migration_resizes", strconv.FormatUint(mm.Resizes, 10)},
-		{"migration_segments_moved", strconv.FormatUint(mm.SegmentsMoved, 10)},
-		{"migration_keys_moved", strconv.FormatUint(mm.KeysMoved, 10)},
-		{"shard_rebuilds", strconv.FormatUint(cm.Supervisor.Rebuilds, 10)},
-		{"shard_rebuilt_empty", strconv.FormatUint(cm.Supervisor.RebuiltEmpty, 10)},
-		{"breaker_trips", strconv.FormatUint(cm.Supervisor.BreakerTrips, 10)},
-		{"breaker_fast_fails", strconv.FormatUint(cm.Supervisor.BreakerFastFails, 10)},
+	// One topology and one read of each store serve every line.
+	t := c.top()
+	per := make([]core.Stats, len(t.shards))
+	var agg core.Stats
+	for sh, b := range t.shards {
+		per[sh] = b.Stats()
+		addStats(&agg, per[sh])
 	}
-	for sh := 0; sh < c.Shards(); sh++ {
-		status := c.ShardStatuses()[sh]
-		st := c.Shard(sh).Stats()
+	mm, sup := c.migrationMetrics(), c.supervisorMetrics()
+	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
+	rep.Stats = appendStats([][2]string{{"shards", strconv.Itoa(len(t.shards))}}, agg)
+	rep.Stats = append(rep.Stats,
+		[2]string{"migration_state", strconv.Itoa(mm.State)},
+		[2]string{"migration_resizes", strconv.FormatUint(mm.Resizes, 10)},
+		[2]string{"migration_segments_moved", strconv.FormatUint(mm.SegmentsMoved, 10)},
+		[2]string{"migration_keys_moved", strconv.FormatUint(mm.KeysMoved, 10)},
+		[2]string{"shard_rebuilds", strconv.FormatUint(sup.Rebuilds, 10)},
+		[2]string{"shard_rebuilt_empty", strconv.FormatUint(sup.RebuiltEmpty, 10)},
+		[2]string{"breaker_trips", strconv.FormatUint(sup.BreakerTrips, 10)},
+		[2]string{"breaker_fast_fails", strconv.FormatUint(sup.BreakerFastFails, 10)},
+	)
+	for sh, status := range c.shardStatuses(t) {
+		st := &per[sh]
 		rep.Stats = append(rep.Stats,
 			[2]string{fmt.Sprintf("shard%d:curr_items", sh), strconv.FormatUint(st.CurrItems, 10)},
 			[2]string{fmt.Sprintf("shard%d:cmd_get", sh), strconv.FormatUint(st.Gets, 10)},
 			[2]string{fmt.Sprintf("shard%d:cmd_set", sh), strconv.FormatUint(st.Sets, 10)},
-			[2]string{fmt.Sprintf("shard%d:state", sh), strconv.Itoa(int(c.State(sh)))},
+			[2]string{fmt.Sprintf("shard%d:state", sh), strconv.Itoa(int(status.State))},
 			[2]string{fmt.Sprintf("shard%d:breaker", sh), status.Breaker},
 			[2]string{fmt.Sprintf("shard%d:rebuilds", sh), strconv.FormatUint(status.Rebuilds, 10)},
 		)

@@ -441,6 +441,9 @@ type ShardStatus struct {
 	RebuiltAtOpen bool       `json:"rebuilt_at_open"`
 	BreakerTrips  uint64     `json:"breaker_trips"`
 	FastFails     uint64     `json:"breaker_fast_fails"`
+	// CheckpointLastError is the message of the shard's most recent
+	// failed checkpoint ("" if none has failed).
+	CheckpointLastError string `json:"checkpoint_last_error,omitempty"`
 }
 
 // breakerName is what /admin/shards calls breaker word w: an open breaker
@@ -459,20 +462,27 @@ func (c *Cluster) breakerName(b *Bookkeeper, w, now int64) string {
 }
 
 // ShardStatuses snapshots every shard's lifecycle state.
-func (c *Cluster) ShardStatuses() []ShardStatus {
-	t := c.top()
+func (c *Cluster) ShardStatuses() []ShardStatus { return c.shardStatuses(c.top()) }
+
+func (c *Cluster) shardStatuses(t *topology) []ShardStatus {
 	out := make([]ShardStatus, len(t.health))
 	now := c.now()
 	for i, h := range t.health {
+		b := t.shards[i]
+		b.repairReportMu.Lock()
+		lastErr := b.ckptLastErr
+		b.repairReportMu.Unlock()
 		out[i] = ShardStatus{
 			Shard:         i,
-			State:         c.State(i),
-			Breaker:       c.breakerName(t.shards[i], h.br.word.Load(), now),
+			State:         t.state(i),
+			Breaker:       c.breakerName(b, h.br.word.Load(), now),
 			Rebuilds:      h.rebuilds.Load(),
 			RebuiltEmpty:  h.rebuiltEmpty.Load(),
 			RebuiltAtOpen: h.rebuiltAtOpen.Load(),
 			BreakerTrips:  h.br.trips.Load(),
 			FastFails:     h.br.fastFails.Load(),
+
+			CheckpointLastError: lastErr,
 		}
 	}
 	return out

@@ -966,20 +966,10 @@ func TestSocketSessionNamesPoisonedShard(t *testing.T) {
 // clean attempt advances the generation.
 func TestDiskFaultCheckpointDegrades(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "store.img")
-	b, err := CreateStore(Config{HeapBytes: 8 << 20, HashPower: 8, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Shutdown()
-	cp, err := b.NewClientProcess(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := cp.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(dir, ShardImageName(0))
+	c := newTestCluster(t, 1, ClusterConfig{Dir: dir, Store: Config{HeapBytes: 8 << 20, HashPower: 8}})
+	b := c.Shard(0)
+	sess := newClusterSession(t, c)
 	if err := sess.Set([]byte("k"), []byte("v"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -1019,8 +1009,8 @@ func TestDiskFaultCheckpointDegrades(t *testing.T) {
 	if m.Checkpoint.LastFailureAt.IsZero() {
 		t.Fatal("last failure time not stamped")
 	}
-	if v := m.Vars()["checkpoint_last_error"]; v == "" {
-		t.Fatal("checkpoint_last_error missing from vars")
+	if got := c.ShardStatuses()[0].CheckpointLastError; got != m.Checkpoint.LastError {
+		t.Fatalf("shard status checkpoint_last_error = %q, want %q", got, m.Checkpoint.LastError)
 	}
 	found := false
 	for _, smp := range m.Samples() {

@@ -80,12 +80,15 @@ modelcheck-long:
 # The gate-hardening gate (DESIGN.md §13): the Garmr-style attack suite —
 # stray wrpkru, confused deputy, zombie re-entry, hostile mid-batch abort,
 # pin exhaustion, admission control, live reap-and-repair — plus the
-# vtable/trampoline concurrency and rollover tests, all under the race
-# detector. Every attack must be contained (no cross-tenant read, no
-# permanent poison, online recovery).
+# vtable/trampoline concurrency and rollover tests, the lock-owner token's
+# uniqueness, and process churn (clients, killed clients, crashed clients,
+# servers and migrators that leave the process registry as they found it),
+# all under the race detector. Every attack must be contained (no
+# cross-tenant read, no permanent poison, online recovery).
 gatehard:
 	$(GO) test -race -count=1 -run 'TestGateHard' .
-	$(GO) test -race -count=1 ./internal/pku ./internal/gatehard ./internal/hodor ./internal/client ./internal/server
+	$(GO) test -race -count=1 ./internal/pku ./internal/gatehard ./internal/hodor ./internal/proc ./internal/client ./internal/server
+	$(GO) test -race -count=1 -run 'TestProcessChurnForgets|TestClusterClientCloseForgets|TestProcessCloseRacesSessionClose|TestCloseKeepsInFlightCall' ./memcached
 
 # The shard-isolation gate (DESIGN.md §14): the placement ring's
 # determinism/balance/minimal-movement properties, the cluster routing and

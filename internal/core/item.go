@@ -134,9 +134,7 @@ func (s *Store) keyEqual(it uint64, key []byte) bool {
 // until linkLocked publishes it through an atomic bucket store, and the
 // grave guarantees no optimistic reader can still be probing recycled
 // memory.
-// The exception is hNext, the block's first word, which a losing ralloc
-// pop may still be reading as a free-list link; every pre-publication
-// store to it (here, linkLocked, swapLocked) is relaxed.
+// The exception is hNext, stored through setChainNext.
 func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int64, canEvict bool) (uint64, error) {
 	size := itemSize(uint64(len(key)), uint64(len(value)))
 	it, err := c.allocWithEvict(size, canEvict)
@@ -144,7 +142,7 @@ func (c *Ctx) newItem(key, value []byte, hash uint64, flags uint32, exptime int6
 		return 0, err
 	}
 	h := c.s.H
-	ralloc.RelaxedStorePptr(h, it+itHNext, 0)
+	setChainNext(c.s, it, 0)
 	ralloc.StorePptr(h, it+itLRUNext, 0)
 	ralloc.StorePptr(h, it+itLRUPrev, 0)
 	h.Store64(it+itRefcount, 1) // the link reference

@@ -191,7 +191,7 @@ func (c *Ctx) linkLocked(it, hash uint64) {
 	bucket := s.bucketFor(hash)
 	seq := s.seqOff(hash)
 	s.H.SeqWriteBegin(seq)
-	ralloc.RelaxedStorePptr(s.H, it+itHNext, ralloc.LoadPptr(s.H, bucket))
+	setChainNext(s, it, loadChainHead(s, bucket))
 	ralloc.AtomicStorePptr(s.H, bucket, it)
 	s.H.SeqWriteEnd(seq)
 	s.setLinked(it, true)
@@ -210,15 +210,7 @@ func (c *Ctx) linkLocked(it, hash uint64) {
 func (c *Ctx) unlinkLocked(it, hash uint64) {
 	s := c.s
 	bucket := s.bucketFor(hash)
-	prevAddr := bucket
-	cur := ralloc.LoadPptr(s.H, bucket)
-	for steps := 0; cur != 0 && cur != it; steps++ {
-		if steps >= maxRepairChain {
-			panic("core: bucket chain cycle (corruption)")
-		}
-		prevAddr = cur + itHNext
-		cur = ralloc.LoadPptr(s.H, prevAddr)
-	}
+	prevAddr, cur := s.chainPred(bucket, it)
 	seq := s.seqOff(hash)
 	s.H.SeqWriteBegin(seq)
 	if cur == it {
@@ -254,18 +246,10 @@ func (c *Ctx) swapLocked(old, nit, hash uint64) {
 	bucket := s.bucketFor(hash)
 	// Locate old's predecessor before opening the write section; the walk
 	// only reads, and the item lock fences out competing writers.
-	prevAddr := bucket
-	cur := ralloc.LoadPptr(s.H, bucket)
-	for steps := 0; cur != 0 && cur != old; steps++ {
-		if steps >= maxRepairChain {
-			panic("core: bucket chain cycle (corruption)")
-		}
-		prevAddr = cur + itHNext
-		cur = ralloc.LoadPptr(s.H, prevAddr)
-	}
+	prevAddr, cur := s.chainPred(bucket, old)
 	seq := s.seqOff(hash)
 	s.H.SeqWriteBegin(seq)
-	ralloc.RelaxedStorePptr(s.H, nit+itHNext, ralloc.LoadPptr(s.H, bucket))
+	setChainNext(s, nit, loadChainHead(s, bucket))
 	ralloc.AtomicStorePptr(s.H, bucket, nit)
 	fpStoreMidSwap.Maybe()
 	if cur == old {

@@ -98,6 +98,28 @@ type Ctx struct {
 func loadChainHead(s *Store, bucket uint64) uint64 { return ralloc.LoadPptr(s.H, bucket) }
 func loadChainNext(s *Store, it uint64) uint64     { return ralloc.LoadPptr(s.H, it+itHNext) }
 
+// setChainNext stores an unpublished item's chain link, relaxed: hNext is
+// the block's first word, which a ralloc pop that lost its CAS may still be
+// reading as a free-list link. The bucket store that publishes the item
+// orders it for readers.
+func setChainNext(s *Store, it, next uint64) { ralloc.RelaxedStorePptr(s.H, it+itHNext, next) }
+
+// chainPred returns the address of the link in bucket's chain that points
+// at it, and cur == it, or cur == 0 when it is not on the chain. A cyclic
+// (corrupt) chain panics into a full repair.
+func (s *Store) chainPred(bucket, it uint64) (prevAddr, cur uint64) {
+	prevAddr = bucket
+	cur = loadChainHead(s, bucket)
+	for steps := 0; cur != 0 && cur != it; steps++ {
+		if steps >= maxRepairChain {
+			panic("core: bucket chain cycle (corruption)")
+		}
+		prevAddr = cur + itHNext
+		cur = ralloc.LoadPptr(s.H, prevAddr)
+	}
+	return prevAddr, cur
+}
+
 // NewCtx creates an operation context. owner must be a nonzero token unique
 // to the calling thread (proc.Thread.LockOwner provides one). The context
 // claims an optimistic-reader slot if one is free; with none available it

@@ -43,15 +43,7 @@ func (c *Ctx) quarantineCorruptLocked(it, bucket, seqOff uint64) {
 	c.stat(statCorruptDetected, 1)
 
 	// Find the predecessor link (bounded; the chain may be damaged).
-	prevAddr := bucket
-	cur := ralloc.LoadPptr(s.H, bucket)
-	for steps := 0; cur != 0 && cur != it; steps++ {
-		if steps >= maxRepairChain {
-			panic("core: bucket chain cycle (corruption)")
-		}
-		prevAddr = cur + itHNext
-		cur = ralloc.LoadPptr(s.H, prevAddr)
-	}
+	prevAddr, cur := s.chainPred(bucket, it)
 	next := uint64(0)
 	if cur == it {
 		next = loadChainNext(s, it)

@@ -93,13 +93,17 @@ type Library struct {
 	// crossings, so the sums stay the library's.
 	sessions         map[uint64]*Session
 	calls, crossings uint64
-	// defunct records lock-owner tokens whose execution context died
-	// mid-call (crash, or watchdog-reaped zombie). The repair coordinator
-	// uses it to decide which heap-resident locks are safe to break.
-	defunct map[uint64]bool
-	// tenantLoad tracks concurrently admitted calls per client process for
-	// TenantQuota accounting; sessions cache their process's counter.
-	tenantLoad map[int]*atomic.Int64
+	// procs is the process registry, by pid, from Register until Forget.
+	procs map[int]*member
+}
+
+// member is one registered process: the admission counter its sessions
+// bind at attach (TenantQuota), and the tokens of its threads that died
+// mid-call, whose locks the repair coordinator may break.
+type member struct {
+	p       *proc.Process
+	quota   atomic.Int64
+	defunct map[uint64]struct{}
 }
 
 // Metrics is a snapshot of a library's call accounting.
@@ -167,8 +171,36 @@ func NewLibrary(name string, ownerUID int, d *Domain) *Library {
 		Domain:   d,
 		entries:  make(map[string]bool),
 		sessions: make(map[uint64]*Session),
-		defunct:  make(map[uint64]bool),
+		procs:    make(map[int]*member),
 	}
+}
+
+// Register admits p to the process registry: the loader calls it for each
+// process it links, the library's owner for its own. Only a registered
+// process's threads attach, and only its tokens can read alive.
+func (l *Library) Register(p *proc.Process) {
+	l.mu.Lock()
+	if l.procs[p.ID] == nil {
+		l.procs[p.ID] = &member{p: p, defunct: make(map[uint64]struct{})}
+	}
+	l.mu.Unlock()
+}
+
+// Forget drops p from the registry, defunct tokens included: p attaches no
+// more threads, and its tokens read defunct but for a call in flight. Call
+// it once p can start no call.
+func (l *Library) Forget(p *proc.Process) {
+	l.mu.Lock()
+	delete(l.procs, p.ID)
+	l.mu.Unlock()
+}
+
+// Census returns how many processes are registered and how many sessions
+// are attached.
+func (l *Library) Census() (procs, sessions int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.procs), len(l.sessions)
 }
 
 // OnInit registers the library's initialization routine. The loader runs it
@@ -290,8 +322,7 @@ type Session struct {
 	// esc is the live-deadline escalation state of the in-flight call
 	// (escNone → escWarned → escAbort → escReaped); admit resets it.
 	esc atomic.Int32
-	// quota caches the per-process admission counter (TenantQuota); only
-	// the session's own thread touches the pointer.
+	// quota is its process's admission counter (TenantQuota).
 	quota *atomic.Int64
 	// slotHeld records that admit charged this call against the admission
 	// limits, so the retire path knows to release them.
@@ -325,16 +356,20 @@ func (s *Session) Reaped() bool { return s.reaped.Load() }
 // polls this between operations and returns early when set.
 func (s *Session) AbortRequested() bool { return s.esc.Load() >= escAbort }
 
-// attach registers a session; the loader calls this for linked processes.
-// A thread holds at most one session on a library: its token is the key.
+// attach registers a session for a thread of a registered process. A
+// thread holds at most one session on a library: its token is the key.
 func (l *Library) attach(t *proc.Thread) (*Session, error) {
 	tok := t.LockOwner()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	m := l.procs[t.Proc.ID]
+	if m == nil {
+		return nil, ErrNotLinked
+	}
 	if l.sessions[tok] != nil {
 		return nil, fmt.Errorf("hodor: thread %d of process %d is already attached to %q", t.TID, t.Proc.ID, l.Name)
 	}
-	s := &Session{Lib: l, Thread: t, linked: true}
+	s := &Session{Lib: l, Thread: t, linked: true, quota: &m.quota}
 	l.sessions[tok] = s
 	return s, nil
 }
@@ -450,9 +485,6 @@ func (l *Library) acquireSlot(s *Session) error {
 		}
 	}
 	if l.TenantQuota > 0 {
-		if s.quota == nil {
-			s.quota = l.tenantCounter(s.Thread.Proc.ID)
-		}
 		if n := s.quota.Add(1); n > int64(l.TenantQuota) {
 			s.quota.Add(-1)
 			if l.MaxInFlight > 0 {
@@ -475,25 +507,9 @@ func (l *Library) releaseSlot(s *Session) {
 	if l.MaxInFlight > 0 {
 		l.inflight.Add(-1)
 	}
-	if l.TenantQuota > 0 && s.quota != nil {
+	if l.TenantQuota > 0 {
 		s.quota.Add(-1)
 	}
-}
-
-// tenantCounter returns (creating if needed) the per-process admission
-// counter used for TenantQuota accounting.
-func (l *Library) tenantCounter(pid int) *atomic.Int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.tenantLoad == nil {
-		l.tenantLoad = make(map[int]*atomic.Int64)
-	}
-	c := l.tenantLoad[pid]
-	if c == nil {
-		c = new(atomic.Int64)
-		l.tenantLoad[pid] = c
-	}
-	return c
 }
 
 // Call runs fn as a protected-library call on session s, performing the full
@@ -706,12 +722,13 @@ func (l *Library) crashedCall(s *Session, crashed any, err *error) (contained bo
 }
 
 // markDefunct records a lock-owner token whose execution context died
-// mid-call. Callers on the crash path must record the token *before*
-// retiring the session's in-flight record (Call's defer does), so any
-// repair drain that sees the call gone also sees its token defunct.
+// mid-call, before its in-flight record retires (see crashedCall). An
+// unregistered process's tokens read defunct anyway.
 func (l *Library) markDefunct(token uint64) {
 	l.mu.Lock()
-	l.defunct[token] = true
+	if m := l.procs[proc.TokenPID(token)]; m != nil {
+		m.defunct[token] = struct{}{}
+	}
 	l.mu.Unlock()
 }
 
@@ -765,14 +782,12 @@ func (l *Library) TriggerRecovery(token uint64, cause any) {
 	l.noteCrash(token, cause)
 }
 
-// TokenState reports whether a lock-owner token has a live call in flight
-// (active), and whether its execution context can no longer run library
-// code (defunct): it crashed mid-call, was reaped, or belongs to a killed
-// process with no call in flight. An in-flight call — even of a killed
-// process, which runs to completion — is never defunct, so breaking the
-// locks of defunct tokens cannot race with their owners. Neither means
-// hodor holds nothing against the token (it may never have seen it, or the
-// session detached); an oracle may then ask the process registry.
+// TokenState is the liveness oracle: whether a lock-owner token has a call
+// in flight (active), or can never again run library code (defunct): its
+// call crashed or was reaped, or its process was killed or is not
+// registered. An in-flight call — even a killed process's, which runs to
+// completion — is never defunct, so breaking defunct tokens' locks cannot
+// race with their owners.
 func (l *Library) TokenState(token uint64) (active, defunct bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -782,11 +797,14 @@ func (l *Library) TokenState(token uint64) (active, defunct bool) {
 			return false, true
 		case s.callStart.Load() != 0:
 			return true, false // running; run-to-completion protects it
-		case s.Thread.Proc.Killed():
-			return false, true
 		}
 	}
-	return false, l.defunct[token]
+	m := l.procs[proc.TokenPID(token)]
+	if m == nil {
+		return false, true
+	}
+	_, dead := m.defunct[token]
+	return false, dead || m.p.Killed()
 }
 
 // DrainLiveCalls waits for every live in-flight call to retire, so that a

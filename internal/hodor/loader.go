@@ -3,7 +3,6 @@ package hodor
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"plibmc/internal/proc"
 )
@@ -46,9 +45,6 @@ type LoadResult struct {
 	Process      *proc.Process
 	Breakpoints  []int
 	PageFallback bool
-
-	libs map[*Library]bool
-	mu   sync.Mutex
 }
 
 // TryExecute simulates the processor reaching the instruction at off. If a
@@ -79,13 +75,13 @@ type Loader struct{}
 //   - for each library, runs its initialization routine with the effective
 //     UID of the library owner — so the library can open its backing file —
 //     and then reverts the EUID (paper §3.3);
-//   - links the library's trampolines into the process, after which threads
-//     of the process may Attach.
+//   - links the library's trampolines into the process and registers it
+//     with the library, after which threads of the process may Attach.
 //
 // Threads of the process start with all non-default keys restricted, the
 // state the injected pre-main initialization routine establishes.
 func (Loader) Load(p *proc.Process, bin Binary, libs ...*Library) (*LoadResult, error) {
-	res := &LoadResult{Process: p, libs: make(map[*Library]bool)}
+	res := &LoadResult{Process: p}
 
 	sanctioned := make(map[int]bool, len(bin.Trampolines))
 	for _, off := range bin.Trampolines {
@@ -117,23 +113,21 @@ func (Loader) Load(p *proc.Process, bin Binary, libs ...*Library) (*LoadResult, 
 		if initErr != nil {
 			return nil, fmt.Errorf("hodor: init of library %q in process %d: %w", l.Name, p.ID, initErr)
 		}
-		res.libs[l] = true
+	}
+	for _, l := range libs {
+		l.Register(p)
 	}
 	return res, nil
 }
 
 // Attach binds a thread of the loaded process to a library, returning the
-// session through which trampolined calls are made. It fails if Load did
-// not link the library, or if the thread already has a session on it.
+// session through which trampolined calls are made. It fails with
+// ErrNotLinked unless the library has the process registered (Load linked
+// it, and it was not forgotten since), or if the thread already has a
+// session on it.
 func (r *LoadResult) Attach(t *proc.Thread, l *Library) (*Session, error) {
 	if t.Proc != r.Process {
 		return nil, fmt.Errorf("hodor: thread belongs to process %d, not %d", t.Proc.ID, r.Process.ID)
-	}
-	r.mu.Lock()
-	linked := r.libs[l]
-	r.mu.Unlock()
-	if !linked {
-		return nil, ErrNotLinked
 	}
 	return l.attach(t)
 }

@@ -27,7 +27,16 @@ type ErrKilled struct{ PID int }
 
 func (e *ErrKilled) Error() string { return fmt.Sprintf("proc: process %d was killed", e.PID) }
 
+// nextPID only counts up: a pid is never reissued, so the token of a
+// process that left names no later process.
 var nextPID atomic.Int64
+
+// A lock-owner token's thread field is tidBits wide, so one process has at
+// most MaxThreads threads: the next would take process ID+1's first token.
+const tidBits, MaxThreads = 20, 1<<20 - 2
+
+// TokenPID returns the ID of the process whose thread holds token.
+func TokenPID(token uint64) int { return int(token >> tidBits) }
 
 // Process is one simulated client (or bookkeeper) process.
 type Process struct {
@@ -79,10 +88,15 @@ func (p *Process) Killed() bool { return p.killed.Load() }
 // NewThread creates a thread of this process. The thread's pkru register
 // starts fully restricted for all non-default keys, which is the state
 // Hodor's injected initialization routine establishes before main runs.
+// It panics past MaxThreads, where its token would alias another pid's.
 func (p *Process) NewThread() *Thread {
+	tid := p.nextTID.Add(1)
+	if tid > MaxThreads {
+		panic(fmt.Sprintf("proc: process %d has used all %d thread IDs", p.ID, MaxThreads))
+	}
 	t := &Thread{
 		Proc: p,
-		TID:  int(p.nextTID.Add(1)),
+		TID:  int(tid),
 	}
 	t.pkru = pku.AllRestricted()
 	return t
@@ -161,7 +175,7 @@ func (t *Thread) CheckAlive() {
 }
 
 // LockOwner returns the token this thread uses for heap-resident locks:
-// nonzero and unique across (process, thread) pairs.
+// pid<<20 | tid+1, nonzero and unique across (process, thread) pairs.
 func (t *Thread) LockOwner() uint64 {
-	return uint64(t.Proc.ID)<<20 | uint64(t.TID) + 1
+	return uint64(t.Proc.ID)<<tidBits | uint64(t.TID+1)
 }

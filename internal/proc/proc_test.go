@@ -149,3 +149,52 @@ func TestDistinctViewsShareHeap(t *testing.T) {
 		t.Fatal("the two processes should map the heap at different bases")
 	}
 }
+
+// TestPIDsNeverReissued pins what makes a lock-owner token safe to read
+// as defunct once its process has left: process IDs only count up, so no
+// later process is ever handed a departed one's.
+func TestPIDsNeverReissued(t *testing.T) {
+	h := shm.New(4 * shm.PageSize)
+	last := 0
+	for i := 0; i < 1000; i++ {
+		p, err := NewProcess(1000, h, 0x10000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ID <= last {
+			t.Fatalf("process %d issued pid %d after pid %d", i, p.ID, last)
+		}
+		last = p.ID
+	}
+}
+
+// TestTokensUniqueAcrossProcesses: a token names exactly one (pid, tid),
+// up to a process's last thread, and NewThread refuses the thread whose
+// token would alias the next process's first.
+func TestTokensUniqueAcrossProcesses(t *testing.T) {
+	p := newTestProcess(t, 0x10000)
+	next := newTestProcess(t, 0x20000)
+	first := next.NewThread()
+	p.nextTID.Store(MaxThreads - 1)
+	lastTh := p.NewThread()
+	if lastTh.TID != MaxThreads {
+		t.Fatalf("last thread TID = %d, want %d", lastTh.TID, MaxThreads)
+	}
+	seen := map[uint64]*Thread{}
+	for _, th := range []*Thread{lastTh, first, next.NewThread()} {
+		tok := th.LockOwner()
+		if TokenPID(tok) != th.Proc.ID {
+			t.Errorf("thread %d.%d: token %#x decodes to pid %d", th.Proc.ID, th.TID, tok, TokenPID(tok))
+		}
+		if other := seen[tok]; other != nil {
+			t.Errorf("threads %d.%d and %d.%d share token %#x", other.Proc.ID, other.TID, th.Proc.ID, th.TID, tok)
+		}
+		seen[tok] = th
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a thread past MaxThreads was created")
+		}
+	}()
+	p.NewThread()
+}

@@ -245,12 +245,14 @@ func (c *Cache) Free(off uint64) error {
 	return nil
 }
 
-// spill pushes the older half of a class's cache back to the global list.
+// spill pushes the older half of a class's cache back to the global list
+// and moves the younger half down in place, so the list keeps its capacity
+// and a free allocates no Go memory.
 func (c *Cache) spill(class int) {
 	l := c.lists[class]
-	half := l[:len(l)/2]
-	c.lists[class] = append([]uint64(nil), l[len(l)/2:]...)
-	c.a.pushBlocks(class, half)
+	half := len(l) / 2
+	c.a.pushBlocks(class, l[:half])
+	c.lists[class] = l[:copy(l, l[half:])]
 }
 
 // Flush returns every cached block to the global free lists. Call it when

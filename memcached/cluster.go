@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"plibmc/internal/core"
+	"plibmc/internal/hodor"
 	"plibmc/internal/metrics"
 	"plibmc/internal/mono"
 	"plibmc/internal/ring"
@@ -409,8 +410,9 @@ type ClusterClient struct {
 	c   *Cluster
 	uid int
 
-	mu    sync.Mutex
-	procs []*ClientProcess
+	mu     sync.Mutex
+	procs  []*ClientProcess
+	closed bool
 }
 
 // NewClientProcess attaches a client application to every current shard.
@@ -431,6 +433,9 @@ func (c *Cluster) NewClientProcess(uid int) (*ClusterClient, error) {
 func (cc *ClusterClient) proc(shard int) (*ClientProcess, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	if cc.closed {
+		return nil, fmt.Errorf("memcached: shard %d attach: %w", shard, hodor.ErrNotLinked)
+	}
 	for len(cc.procs) <= shard {
 		cc.procs = append(cc.procs, nil)
 	}
@@ -465,6 +470,22 @@ func (cc *ClusterClient) Kill() {
 			cp.Kill()
 		}
 	}
+}
+
+// Close is the process's exit on every shard (ClientProcess.Close); no
+// shard is attached later. One on a store the supervisor replaced is
+// dropped, as ClusterSession.Close drops its session.
+func (cc *ClusterClient) Close() {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.closed = true
+	shards := cc.c.top().shards
+	for i, cp := range cc.procs {
+		if cp != nil && i < len(shards) && cp.b == shards[i] {
+			cp.Close()
+		}
+	}
+	cc.procs = nil
 }
 
 // NewSession opens one routed session: a per-shard Session bundle behind
@@ -747,51 +768,24 @@ func (t *topology) state(i int) ShardState {
 	}
 }
 
-// MigrationMetrics is the live-resharding snapshot: the cumulative
-// counters plus the current migration's progress (zero-valued when idle).
-type MigrationMetrics struct {
-	State         int // 0 idle, 1 migrating
-	Resizes       uint64
-	SegmentsMoved uint64 // cumulative; grows by the plan size at each resize's one cutover
-	KeysMoved     uint64 // entries installed on a destination, cumulative
-	Retries       uint64 // migrator attempts restarted after a crash
-	SegmentsTotal int    // current migration's plan size
-	SegmentsDone  int    // current migration's segments copied so far; all move at its cutover
-}
-
 // ClusterMetrics is the per-shard metrics snapshot plus the migration and
 // supervisor counters.
 type ClusterMetrics struct {
 	Shards     []Metrics
 	States     []ShardState
-	Migration  MigrationMetrics
+	Migration  MigrationStatus
 	Supervisor SupervisorMetrics
 }
 
 // Metrics collects every shard's merged snapshot.
 func (c *Cluster) Metrics() ClusterMetrics {
-	cm := ClusterMetrics{Migration: c.migrationMetrics(), Supervisor: c.supervisorMetrics()}
+	cm := ClusterMetrics{Migration: c.MigrationStatus(), Supervisor: c.supervisorMetrics()}
 	t := c.top()
 	for i, b := range t.shards {
 		cm.Shards = append(cm.Shards, b.Metrics())
 		cm.States = append(cm.States, t.state(i))
 	}
 	return cm
-}
-
-func (c *Cluster) migrationMetrics() MigrationMetrics {
-	mm := MigrationMetrics{
-		Resizes:       c.resizes.Load(),
-		SegmentsMoved: c.segsMoved.Load(),
-		KeysMoved:     c.keysMoved.Load(),
-		Retries:       c.migRetries.Load(),
-	}
-	if m := c.lastMig.Load(); m != nil && m.active() {
-		mm.State = 1
-		mm.SegmentsTotal = len(m.segs)
-		mm.SegmentsDone = m.segmentsCopied()
-	}
-	return mm
 }
 
 // Samples renders the cluster snapshot as Prometheus samples: every row of
@@ -816,7 +810,7 @@ func (cm *ClusterMetrics) Samples() []metrics.Sample {
 		out = append(out, metrics.Sample{Name: "plibmc_shard_state", Labels: metrics.L("shard", strconv.Itoa(i)), Value: float64(st)})
 	}
 	out = append(out,
-		metrics.Sample{Name: "plibmc_migration_state", Value: float64(cm.Migration.State)},
+		metrics.Sample{Name: "plibmc_migration_state", Value: float64(cm.Migration.state())},
 		metrics.Sample{Name: "plibmc_migration_resizes_total", Value: float64(cm.Migration.Resizes)},
 		metrics.Sample{Name: "plibmc_migration_segments_moved_total", Value: float64(cm.Migration.SegmentsMoved)},
 		metrics.Sample{Name: "plibmc_migration_keys_moved_total", Value: float64(cm.Migration.KeysMoved)},

@@ -38,6 +38,7 @@ func (b *Bookkeeper) ServeRemote(network, addr string) (*RemoteServer, error) {
 		admin: func(s *Session, cmd *protocol.Command) *protocol.Reply {
 			return adminCore(b.store, s.FlushAll, cmd, "1.6.0-plib-hybrid")
 		},
+		exit: cp.Close,
 	}}
 	if err := rs.listen(network, addr); err != nil {
 		return nil, fmt.Errorf("memcached: hybrid listener: %w", err)
@@ -48,7 +49,8 @@ func (b *Bookkeeper) ServeRemote(network, addr string) (*RemoteServer, error) {
 // frontEnd is what both socket servers are made of: a listener, and a pool
 // of gated sessions — a Session, or a ClusterSession — from which every
 // connection borrows one for its lifetime. admin answers the commands that
-// are not keyed operations, with the connection's session.
+// are not keyed operations, with the connection's session; exit closes the
+// client process the sessions belong to.
 type frontEnd[S interface {
 	executor
 	pooled
@@ -57,11 +59,14 @@ type frontEnd[S interface {
 	connWG sync.WaitGroup
 	pool   pool[S]
 	admin  func(s S, cmd *protocol.Command) *protocol.Reply
+	exit   func()
 }
 
+// listen starts serving; a server that cannot listen exits its process.
 func (fe *frontEnd[S]) listen(network, addr string) error {
 	ln, err := net.Listen(network, addr)
 	if err != nil {
+		fe.exit()
 		return err
 	}
 	fe.ln = ln
@@ -72,12 +77,13 @@ func (fe *frontEnd[S]) listen(network, addr string) error {
 // Addr returns the listener address.
 func (fe *frontEnd[S]) Addr() net.Addr { return fe.ln.Addr() }
 
-// Close stops the listener, waits for in-flight connections and closes
-// the sessions they leave idle.
+// Close stops the listener, waits for in-flight connections, closes the
+// sessions they leave idle and then the server's client process.
 func (fe *frontEnd[S]) Close() {
 	fe.ln.Close()
 	fe.connWG.Wait()
 	fe.pool.Close()
+	fe.exit()
 }
 
 func (fe *frontEnd[S]) acceptLoop() {

@@ -105,11 +105,11 @@ func TestSessionChurn(t *testing.T) {
 		t.Fatalf("call on a closed session = %v, want ErrNotLinked", err)
 	}
 	tok := last.Thread().LockOwner()
-	if b.ownerDefunct(tok) {
+	if _, defunct := b.lib.TokenState(tok); defunct {
 		t.Fatal("closed session of a live process reads dead")
 	}
 	cp.Kill()
-	if !b.ownerDefunct(tok) {
+	if _, defunct := b.lib.TokenState(tok); !defunct {
 		t.Fatal("closed session of a killed process reads alive")
 	}
 }

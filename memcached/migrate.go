@@ -75,13 +75,6 @@ const (
 	migUID = 0x4D16
 )
 
-// migOwnerSeq mints lock-owner tokens for the migrator's direct contexts
-// (segment walks, purge sweeps), in a space disjoint from every session's
-// (pid<<20 | tid+1).
-var migOwnerSeq atomic.Uint64
-
-func migOwner() uint64 { return uint64(1)<<42 | migOwnerSeq.Add(1) }
-
 // migSeg is one plan segment's migration state: whether its bulk copy is
 // done, and the keys written in it since the migration began.
 type migSeg struct {
@@ -131,8 +124,7 @@ type migration struct {
 	err      error // terminal outcome; set before finished closes
 	finished chan struct{}
 
-	cliMu sync.Mutex
-	cli   *ClusterSession // current attempt's session, for KillMigrator
+	cc atomic.Pointer[ClusterClient] // the current attempt's process, for KillMigrator
 }
 
 // active reports whether the migration has yet to reach its terminal
@@ -288,7 +280,9 @@ func (c *Cluster) WaitResize(timeout time.Duration) error {
 	}
 }
 
-// MigrationStatus is the admin-plane view of the most recent resize.
+// MigrationStatus is the live-resharding snapshot: the most recent
+// resize's progress, served at /admin/migration, and the cumulative
+// counters that /metrics and stats render.
 type MigrationStatus struct {
 	Active        bool `json:"active"`
 	FromShards    int  `json:"from_shards"`
@@ -297,27 +291,39 @@ type MigrationStatus struct {
 	// SegmentsDone counts the segments whose keys have been copied to
 	// their destination. They move all at once, at the one cutover.
 	SegmentsDone int    `json:"segments_done"`
-	KeysMoved    uint64 `json:"keys_moved"`
-	Retries      uint64 `json:"retries"`
+	KeysMoved    uint64 `json:"keys_moved"` // entries installed on a destination, cumulative
+	Retries      uint64 `json:"retries"`    // migrator attempts restarted after a crash
 	Error        string `json:"error,omitempty"`
+	// Resizes counts resizes begun, and SegmentsMoved grows by the plan's
+	// size at each one's cutover; /admin/migration leaves both to /metrics.
+	Resizes       uint64 `json:"-"`
+	SegmentsMoved uint64 `json:"-"`
 }
 
-// MigrationStatus reports the most recent resize's progress (zero value
-// if none was ever started).
-func (c *Cluster) MigrationStatus() MigrationStatus {
-	m := c.lastMig.Load()
-	if m == nil {
-		return MigrationStatus{}
+// state renders Active as a gauge: 1 while a resize is live, else 0.
+func (st *MigrationStatus) state() int {
+	if st.Active {
+		return 1
 	}
+	return 0
+}
+
+// MigrationStatus snapshots the migration plane; the progress fields are
+// zero if no resize was ever started.
+func (c *Cluster) MigrationStatus() MigrationStatus {
 	st := MigrationStatus{
-		Active:        m.active(),
-		FromShards:    m.from.Shards(),
-		ToShards:      m.to.Shards(),
-		SegmentsTotal: len(m.segs),
-		SegmentsDone:  m.segmentsCopied(),
 		KeysMoved:     c.keysMoved.Load(),
 		Retries:       c.migRetries.Load(),
+		Resizes:       c.resizes.Load(),
+		SegmentsMoved: c.segsMoved.Load(),
 	}
+	m := c.lastMig.Load()
+	if m == nil {
+		return st
+	}
+	st.Active = m.active()
+	st.FromShards, st.ToShards = m.from.Shards(), m.to.Shards()
+	st.SegmentsTotal, st.SegmentsDone = len(m.segs), m.segmentsCopied()
 	if !st.Active && m.err != nil {
 		st.Error = m.err.Error()
 	}
@@ -331,15 +337,11 @@ func (c *Cluster) MigrationStatus() MigrationStatus {
 // kill landed inside a crossing, and a fresh attempt resumes the pending
 // segments.
 func (c *Cluster) KillMigrator() {
-	m := c.lastMig.Load()
-	if m == nil {
-		return
+	if m := c.lastMig.Load(); m != nil {
+		if cc := m.cc.Load(); cc != nil {
+			cc.Kill()
+		}
 	}
-	m.cliMu.Lock()
-	if m.cli != nil {
-		m.cli.cc.Kill()
-	}
-	m.cliMu.Unlock()
 }
 
 // run is the migrator goroutine: stray sweep, then bounded attempts,
@@ -394,19 +396,15 @@ func (m *migration) attempt() (err error) {
 	if err != nil {
 		return err
 	}
+	m.cc.Store(cc)
+	defer func() {
+		m.cc.Store(nil)
+		cc.Close() // its session too
+	}()
 	cli, err := cc.NewSession()
 	if err != nil {
 		return err
 	}
-	m.cliMu.Lock()
-	m.cli = cli
-	m.cliMu.Unlock()
-	defer func() {
-		m.cliMu.Lock()
-		m.cli = nil
-		m.cliMu.Unlock()
-		cli.Close() // kill-safe: dead sessions defer teardown to recovery
-	}()
 	// One walk per source shard covers all its pending segments.
 	bySrc := make(map[int][]int)
 	var srcs []int
@@ -451,7 +449,7 @@ func (m *migration) collectKeys(src int) (map[int][][]byte, error) {
 		return nil, fmt.Errorf("memcached: shard %d is poisoned", src)
 	}
 	out := make(map[int][][]byte)
-	ctx := b.Store().NewCtx(migOwner())
+	ctx := b.ownCtx()
 	defer ctx.Close()
 	ctx.ForEach(func(e *core.Entry) bool {
 		i := m.segFor(ring.Hash(e.Key))
@@ -685,7 +683,7 @@ func purgeShard(b *Bookkeeper, r *ring.Ring, self int) bool {
 	if b.Library().Poisoned() {
 		return false
 	}
-	ctx := b.Store().NewCtx(migOwner())
+	ctx := b.ownCtx()
 	defer ctx.Close()
 	var doomed [][]byte
 	ctx.ForEach(func(e *core.Entry) bool {

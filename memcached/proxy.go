@@ -29,6 +29,7 @@ func (c *Cluster) ServeRemote(network, addr string) (*ClusterServer, error) {
 	cs := &ClusterServer{frontEnd[*ClusterSession]{
 		pool:  pool[*ClusterSession]{open: cc.NewSession},
 		admin: c.admin,
+		exit:  cc.Close,
 	}}
 	if err := cs.listen(network, addr); err != nil {
 		return nil, fmt.Errorf("memcached: cluster listener: %w", err)
@@ -90,11 +91,11 @@ func (c *Cluster) statsReply(cmd *protocol.Command) *protocol.Reply {
 		per[sh] = b.Stats()
 		addStats(&agg, per[sh])
 	}
-	mm, sup := c.migrationMetrics(), c.supervisorMetrics()
+	mm, sup := c.MigrationStatus(), c.supervisorMetrics()
 	rep := &protocol.Reply{Status: protocol.StatusOK, Opaque: cmd.Opaque}
 	rep.Stats = appendStats([][2]string{{"shards", strconv.Itoa(len(t.shards))}}, agg)
 	rep.Stats = append(rep.Stats,
-		[2]string{"migration_state", strconv.Itoa(mm.State)},
+		[2]string{"migration_state", strconv.Itoa(mm.state())},
 		[2]string{"migration_resizes", strconv.FormatUint(mm.Resizes, 10)},
 		[2]string{"migration_segments_moved", strconv.FormatUint(mm.SegmentsMoved, 10)},
 		[2]string{"migration_keys_moved", strconv.FormatUint(mm.KeysMoved, 10)},

@@ -7,8 +7,6 @@ import (
 	"plibmc/internal/core"
 	"plibmc/internal/faultpoint"
 	"plibmc/internal/hodor"
-	"plibmc/internal/proc"
-	"plibmc/internal/shm"
 )
 
 // Crash recovery.
@@ -35,30 +33,6 @@ import (
 // A repair that fails leaves the library poisoned — exactly the old
 // behaviour, reached only when the new one cannot help.
 
-// ownerDefunct is the liveness oracle handed to the core layer: it may
-// report a lock-owner token dead only when that execution context can
-// never again touch the heap. Tokens with a live hodor call in flight
-// are always alive (killed processes run to completion); beyond that,
-// hodor's own books decide, falling back to the process registry for
-// threads that crashed outside any trampolined call (the maintainer).
-func (b *Bookkeeper) ownerDefunct(token uint64) bool {
-	if active, defunct := b.lib.TokenState(token); active || defunct {
-		return defunct
-	}
-	pid := int(token >> 20)
-	b.procMu.Lock()
-	p := b.procs[pid]
-	b.procMu.Unlock()
-	return p != nil && p.Killed()
-}
-
-// registerProc records a process in the liveness registry.
-func (b *Bookkeeper) registerProc(p *proc.Process) {
-	b.procMu.Lock()
-	b.procs[p.ID] = p
-	b.procMu.Unlock()
-}
-
 // fpRepairFail simulates an unrepairable crash: an armed handler panics
 // out of the repair routine before it touches any lock, so hodor's
 // runRepair poisons the library — the terminal state the shard
@@ -71,7 +45,7 @@ var fpRepairFail = faultpoint.New("recover.repair_fail")
 // Recovering state (new calls parked, crashed call already unwound).
 func (b *Bookkeeper) repairStore(cause *hodor.CrashError) error {
 	fpRepairFail.Maybe()
-	dead := b.ownerDefunct
+	dead := func(token uint64) bool { _, defunct := b.lib.TokenState(token); return defunct }
 	grace := b.lib.Grace()
 	repairStart := time.Now()
 	deadline := repairStart.Add(grace)
@@ -121,9 +95,9 @@ func (b *Bookkeeper) repairStore(cause *hodor.CrashError) error {
 	b.store.RepairGate()
 
 	// Structural repair runs on a fresh bookkeeper thread.
-	rc := b.store.NewCtx(b.proc.NewThread().LockOwner())
+	rc := b.ownCtx()
+	defer rc.Close()
 	rep, err := b.store.Repair(rc)
-	rc.Close()
 	if err != nil {
 		return fmt.Errorf("memcached: structural repair failed: %w", err)
 	}
@@ -134,7 +108,7 @@ func (b *Bookkeeper) repairStore(cause *hodor.CrashError) error {
 	// were reaped, returning their virtual keys and arena pages. Runs after
 	// structural repair so a revoked tenant's in-flight unwind has nothing
 	// left to race with.
-	b.sweepDeadTenantDomains()
+	b.sweepDeadTenantDomains(rc)
 
 	rep.LocksBroken = locksBroken
 	rep.ReadersRetired = readersRetired
@@ -150,33 +124,20 @@ func (b *Bookkeeper) repairStore(cause *hodor.CrashError) error {
 	return nil
 }
 
-// sweepDeadTenantDomains revokes the per-tenant protection domains of
+// sweepDeadTenantDomains tears down the per-tenant protection domains of
 // sessions that can never use them again: watchdog-reaped sessions and
 // sessions of killed processes with no call in flight (a run-to-completion
-// call still owns its pin; a later repair catches it). Revocation re-tags
+// call still owns its pin; a later repair catches it). Teardown re-tags
 // the tenant's arena to the fence, returns its hardware key, and frees the
 // arena page back to the heap under the library's key — so a hostile
 // tenant cannot leak protection keys or heap pages by getting reaped.
-func (b *Bookkeeper) sweepDeadTenantDomains() {
-	b.tenantMu.Lock()
-	var dead []*Session
-	for s := range b.tenants {
-		if s.hs.Reaped() || (s.th.Proc.Killed() && !s.hs.InCall()) {
-			dead = append(dead, s)
-			delete(b.tenants, s)
+func (b *Bookkeeper) sweepDeadTenantDomains(rc *core.Ctx) {
+	b.tenants.Range(func(k, _ any) bool {
+		if s := k.(*Session); s.hs.Reaped() || (s.th.Proc.Killed() && !s.hs.InCall()) {
+			b.untenant(s, rc)
 		}
-	}
-	b.tenantMu.Unlock()
-	if len(dead) == 0 {
-		return
-	}
-	rc := b.store.NewCtx(b.proc.NewThread().LockOwner())
-	for _, s := range dead {
-		b.vt.Revoke(s.tenantDom.VKey)
-		b.pt.Assign(s.tenantPage, shm.PageSize, b.dom.Key) //nolint:errcheck
-		rc.FreePage(s.tenantPage)                          //nolint:errcheck
-	}
-	rc.Close()
+		return true
+	})
 }
 
 // LastRepair returns the most recent structural repair report and how

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"plibmc/internal/core"
@@ -305,6 +306,8 @@ type ClientProcess struct {
 	b   *Bookkeeper
 	p   *proc.Process
 	res *hodor.LoadResult
+
+	sessions sync.Map // the open *Session keys; Close takes one out, once
 }
 
 // NewClientProcess simulates launching a client application under the
@@ -320,9 +323,6 @@ func (b *Bookkeeper) NewClientProcess(uid int) (*ClientProcess, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Register with the liveness oracle: after a Kill, this process's
-	// lock-owner tokens become eligible for forced release during repair.
-	b.registerProc(p)
 	return &ClientProcess{b: b, p: p, res: res}, nil
 }
 
@@ -332,6 +332,22 @@ func (cp *ClientProcess) Process() *proc.Process { return cp.p }
 // Kill delivers the SIGKILL analog to the process: threads inside library
 // calls complete; everything else stops.
 func (cp *ClientProcess) Kill() { cp.p.Kill() }
+
+// Close is the process's exit: it is killed, so no thread of it enters the
+// library again, its sessions are released, and the library forgets it. A
+// call in flight (a killed process's runs to completion) keeps its session,
+// active until the call retires; its thread closes it. Call Close when no
+// thread of the process is starting a call.
+func (cp *ClientProcess) Close() {
+	cp.p.Kill()
+	cp.sessions.Range(func(k, _ any) bool {
+		if s := k.(*Session); !s.hs.InCall() {
+			s.Close()
+		}
+		return true
+	})
+	cp.b.lib.Forget(cp.p)
+}
 
 // Session is one client thread's handle on the store. All operations are
 // direct function calls through Hodor trampolines (unless created with
@@ -343,6 +359,7 @@ type Session struct {
 	th     *proc.Thread
 	ctx    *core.Ctx
 	b      *Bookkeeper
+	cp     *ClientProcess
 	direct bool // skip trampolines ("Plib, No Hodor")
 
 	// tenantDom/tenantPage are this session's own protection domain (gate
@@ -392,7 +409,7 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 		return nil, err
 	}
 	ctx := cp.b.store.NewCtx(th.LockOwner())
-	s := &Session{hs: hs, th: th, ctx: ctx, b: cp.b, direct: direct}
+	s := &Session{hs: hs, th: th, ctx: ctx, b: cp.b, cp: cp, direct: direct}
 	if !direct {
 		if err := cp.b.attachTenant(s); err != nil {
 			ctx.Close()
@@ -403,6 +420,7 @@ func (cp *ClientProcess) newSession(direct bool) (*Session, error) {
 		// abort request between operations of an over-budget batch.
 		ctx.AbortCheck = hs.AbortRequested
 	}
+	cp.sessions.Store(s, nil)
 	s.x = s
 	s.fnOp = func(_ *proc.Thread, f frame) (struct{}, error) {
 		ctx.Do(f.op, f.res)
@@ -474,26 +492,24 @@ func (b *Bookkeeper) attachTenant(s *Session) error {
 		b.vt.Unbind(dom.VKey)
 		s.th.SetVTGen(b.vt.Gen())
 	}
-	b.tenantMu.Lock()
-	b.tenants[s] = struct{}{}
-	b.tenantMu.Unlock()
+	b.tenants.Store(s, nil)
 	return nil
 }
 
-// detachTenant is the clean-teardown path (Close of a live session): the
-// virtual key retires, the arena page returns to the library's key and the
-// heap. Dead and reaped sessions instead go through the recovery sweep.
-func (b *Bookkeeper) detachTenant(s *Session) {
-	b.tenantMu.Lock()
-	delete(b.tenants, s)
-	b.tenantMu.Unlock()
+// untenant tears down s's protection domain, once, for whichever of
+// Close and the recovery sweep asks first: the virtual key retires, the
+// arena page returns to the library's key and, through ctx, to the heap.
+func (b *Bookkeeper) untenant(s *Session, ctx *core.Ctx) {
+	if _, held := b.tenants.LoadAndDelete(s); !held {
+		return
+	}
 	if err := b.vt.FreeVirtual(s.tenantDom.VKey); err != nil {
-		// Still pinned — a call is somehow in flight on a closing session.
-		// Force the teardown; the pin holder's Unbind becomes a no-op.
+		// Still pinned by a dead owner's call. Force the teardown; the pin
+		// holder's Unbind becomes a no-op.
 		b.vt.Revoke(s.tenantDom.VKey)
 	}
 	b.pt.Assign(s.tenantPage, shm.PageSize, b.dom.Key) //nolint:errcheck
-	s.ctx.FreePage(s.tenantPage)                       //nolint:errcheck
+	ctx.FreePage(s.tenantPage)                         //nolint:errcheck
 }
 
 // Healthy reports whether the session can still carry calls: its process
@@ -505,16 +521,15 @@ func (s *Session) Healthy() bool {
 }
 
 // Close returns the session's cached heap blocks to the shared pool, tears
-// down its tenant domain and detaches it from the gate. A session whose
-// process died or that the watchdog reaped leaves teardown to the recovery
-// sweep — a fenced context must not touch the allocator.
+// down its tenant domain and detaches it from the gate. A session the
+// watchdog reaped leaves its domain to the recovery sweep that the reap
+// started. Closing a session twice, or after its process, does nothing.
 func (s *Session) Close() {
-	if s.tenantDom != nil && !s.hs.Reaped() && !s.th.Proc.Killed() {
-		s.b.detachTenant(s)
-		// Cleared only on the live path: a dead session stays registered
-		// in b.tenants, and the recovery sweep needs the domain pointer to
-		// revoke its key and reclaim its arena page.
-		s.tenantDom = nil
+	if _, open := s.cp.sessions.LoadAndDelete(s); !open {
+		return
+	}
+	if s.tenantDom != nil && !s.hs.Reaped() {
+		s.b.untenant(s, s.ctx)
 	}
 	s.ctx.Close()
 	s.hs.Detach()

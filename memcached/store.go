@@ -95,19 +95,15 @@ type Bookkeeper struct {
 	baseSeq atomic.Uint64
 
 	// vt multiplexes per-tenant virtual protection keys onto the hardware
-	// keys left over after the library's own; tenantMu guards the registry
-	// of sessions holding a tenant domain, which the recovery sweep walks
-	// to tear down domains of dead or reaped tenants.
-	vt       *pku.VTable
-	tenantMu sync.Mutex
-	tenants  map[*Session]struct{}
+	// keys left over after the library's own; tenants holds the sessions
+	// (*Session keys) whose tenant domain is not yet torn down, which the
+	// recovery sweep walks to tear down domains of dead or reaped tenants.
+	vt      *pku.VTable
+	tenants sync.Map
 
 	// repairMu serializes the mutually exclusive heavyweight passes:
 	// structural repair, maintenance, and checkpointing.
 	repairMu sync.Mutex
-	// procMu guards the process registry behind the liveness oracle.
-	procMu sync.Mutex
-	procs  map[int]*proc.Process
 
 	// ckptGen is the generation of the most recent durable image; the next
 	// checkpoint writes ckptGen+1. Guarded by repairMu (checkpoints are
@@ -248,8 +244,6 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 	b := &Bookkeeper{
 		cfg: cfg, heap: heap, pt: pt, dom: dom, lib: lib,
 		alloc: alloc, store: store,
-		procs:   make(map[int]*proc.Process),
-		tenants: make(map[*Session]struct{}),
 	}
 	// Per-tenant protection domains (each trampolined session gets its own
 	// virtual protection key and a page-sized arena, isolating tenants from
@@ -265,10 +259,12 @@ func newBookkeeper(cfg Config, heap *shm.Heap, alloc *ralloc.Allocator, store *c
 		return nil, err
 	}
 	b.proc = bkProc
-	b.registerProc(bkProc)
+	lib.Register(bkProc)
 	b.maint = store.NewMaintainer(bkProc.NewThread().LockOwner())
 	lib.OnRecover(b.repairStore)
-	store.SetOwnerLiveness(func(token uint64) bool { return !b.ownerDefunct(token) })
+	// The liveness oracle is hodor's: a token reads dead only when that
+	// thread can never again touch the heap.
+	store.SetOwnerLiveness(func(token uint64) bool { _, defunct := lib.TokenState(token); return !defunct })
 	mono.Hold() // the coarse clock ticks while the store is open
 	return b, nil
 }
@@ -284,6 +280,11 @@ func (b *Bookkeeper) nextBase() uint64 {
 	span := (b.heap.Size() + shm.PageSize) &^ uint64(shm.PageSize-1)
 	return 0x7000_0000_0000 + n*span
 }
+
+// ownCtx opens a context on a fresh thread of the bookkeeper's own
+// (registered) process, for work outside any client's call: repair, the
+// tenant sweep and the migrator's walks, whose locks no repair breaks.
+func (b *Bookkeeper) ownCtx() *core.Ctx { return b.store.NewCtx(b.proc.NewThread().LockOwner()) }
 
 // Store exposes the underlying core store (stats, clock injection).
 func (b *Bookkeeper) Store() *core.Store { return b.store }

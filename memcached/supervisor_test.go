@@ -85,7 +85,7 @@ func assertSingleOwner(t *testing.T, c *Cluster) {
 	t.Helper()
 	r := c.Ring()
 	for i := 0; i < c.Shards(); i++ {
-		ctx := c.Shard(i).Store().NewCtx(uint64(1)<<43 | uint64(i+1))
+		ctx := c.Shard(i).ownCtx()
 		ctx.ForEach(func(e *core.Entry) bool {
 			if owner := r.Owner(ring.Hash(e.Key)); owner != i {
 				t.Errorf("key %q sits on shard %d; the ring places it on shard %d", e.Key, i, owner)

@@ -143,19 +143,27 @@ func TestModelCheckResize(t *testing.T) {
 
 // assertSingleOwner walks every attached shard and requires the
 // authoritative ring to place each live entry on the shard holding it: a
-// key exists on its one owner and nowhere else.
+// key exists on its one owner and nowhere else. The walks run on the
+// contexts beneath one client's sessions, so their locks have live owners.
 func assertSingleOwner(t *testing.T, c *memcached.Cluster) {
 	t.Helper()
+	cc, err := c.NewClientProcess(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	s, err := cc.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := c.Ring()
 	for i := 0; i < c.Shards(); i++ {
-		ctx := c.Shard(i).Store().NewCtx(uint64(1)<<43 | uint64(i+1))
-		ctx.ForEach(func(e *core.Entry) bool {
+		s.Session(i).Ctx().ForEach(func(e *core.Entry) bool {
 			if owner := r.Owner(ring.Hash(e.Key)); owner != i {
 				t.Errorf("key %q sits on shard %d; the ring places it on shard %d", e.Key, i, owner)
 			}
 			return true
 		})
-		ctx.Close()
 	}
 }
 
